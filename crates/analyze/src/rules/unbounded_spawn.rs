@@ -1,6 +1,6 @@
 //! Rule `unbounded-spawn`: no thread spawn reachable from server dispatch.
 //!
-//! PR 8 replaced thread-per-request dispatch with a bounded work-stealing
+//! PR 8 replaced thread-per-request dispatch with a bounded worker-pool
 //! executor: under a 10k-request burst, `thread::spawn` per request is a
 //! thread explosion the admission controller cannot see. This rule keeps
 //! the property: any `thread::spawn` (or `Builder…spawn`) lexically
@@ -12,8 +12,7 @@
 //! Exemptions:
 //!
 //! * the `ohpc-runtime` crate itself — it is the sanctioned thread owner
-//!   (the pool spawns its workers once, and the legacy
-//!   `ThreadPerRequestExecutor` exists precisely to A/B the old behavior);
+//!   (the pool spawns its workers once);
 //! * test fns;
 //! * per-*connection* threads (accept loops) — they are bounded by clients,
 //!   not by requests, and their spawn sites live in `serve`, which is not a
@@ -40,8 +39,7 @@ const DISPATCH_ROOTS: &[&str] = &[
 ];
 
 /// The crate allowed to create threads on the dispatch path: the executor
-/// owns a fixed worker pool, and its thread-per-request strategy is the
-/// explicitly opted-into legacy baseline.
+/// owns a fixed worker pool.
 const RUNTIME_CRATE: &str = "ohpc-runtime";
 
 /// Whether a call site looks like a thread spawn (as opposed to a pool or

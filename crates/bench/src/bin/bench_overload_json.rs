@@ -1,6 +1,5 @@
-//! Emits `BENCH_overload.json`: the sustained-overload matrix — admission
-//! shedding on vs off on the bounded work-stealing pool, plus the legacy
-//! thread-per-request baseline at a smaller burst.
+//! Emits `BENCH_overload.json`: the sustained-overload pair — admission
+//! shedding on vs off on the bounded worker pool.
 //!
 //! Usage: `cargo run --release -p ohpc-bench --bin bench_overload_json
 //! [path] [--gate]` (default path `BENCH_overload.json`). With `--gate`
@@ -9,14 +8,14 @@
 //! * shedding improves all-replies p99 (`shed_on.p99 < shed_off.p99`) —
 //!   re-measured once before declaring a breach, since a loaded CI runner
 //!   can smear any single run;
-//! * the work-stealing scenarios keep the process thread count near the
-//!   worker cap (no thread explosion at 10k offered concurrency).
+//! * both scenarios keep the process thread count near the worker cap (no
+//!   thread explosion at 10k offered concurrency).
 //!
 //! `OHPC_OVERLOAD_OFFERED` overrides the burst size (default 10000).
 
 use std::time::Duration;
 
-use ohpc_bench::overload::{run_overload, overload_artifact, ExecutorKind, OverloadConfig};
+use ohpc_bench::overload::{overload_artifact, run_overload, OverloadConfig, OverloadSample};
 
 const WORKERS: usize = 8;
 const LIMIT: usize = 256;
@@ -35,23 +34,12 @@ fn offered_from_env() -> usize {
         .unwrap_or(10_000)
 }
 
-fn shed_pair(offered: usize) -> (ohpc_bench::overload::OverloadSample, ohpc_bench::overload::OverloadSample) {
-    let delay = Duration::from_micros(200);
-    let on = run_overload(&OverloadConfig {
-        offered,
-        workers: WORKERS,
-        admission_limit: Some(LIMIT),
-        delay,
-        executor: ExecutorKind::WorkStealing,
-    });
-    let off = run_overload(&OverloadConfig {
-        offered,
-        workers: WORKERS,
-        admission_limit: None,
-        delay,
-        executor: ExecutorKind::WorkStealing,
-    });
-    (on, off)
+fn shed_pair(offered: usize) -> (OverloadSample, OverloadSample) {
+    let run = |admission_limit| {
+        let delay = Duration::from_micros(200);
+        run_overload(&OverloadConfig { offered, workers: WORKERS, admission_limit, delay })
+    };
+    (run(Some(LIMIT)), run(None))
 }
 
 fn main() {
@@ -76,30 +64,15 @@ fn main() {
         on = pair.0;
         off = pair.1;
     }
-    // The legacy baseline runs a deliberately smaller burst: its whole
-    // problem is that offered concurrency becomes thread count.
-    let legacy = run_overload(&OverloadConfig {
-        offered: offered.min(512),
-        workers: WORKERS,
-        admission_limit: None,
-        delay: Duration::from_micros(200),
-        executor: ExecutorKind::ThreadPerRequest,
-    });
-
-    for (name, s) in [("shed_on", &on), ("shed_off", &off), ("legacy", &legacy)] {
+    for (name, s) in [("shed_on", &on), ("shed_off", &off)] {
         println!(
             "{name:>9}: {} offered, served={} shed={} p50={:.3}ms p99={:.3}ms \
-             served_p99={:.3}ms peak_threads={} ({})",
-            s.offered, s.served, s.shed, s.p50_ms, s.p99_ms, s.served_p99_ms,
-            s.peak_threads, s.executor
+             served_p99={:.3}ms peak_threads={}",
+            s.offered, s.served, s.shed, s.p50_ms, s.p99_ms, s.served_p99_ms, s.peak_threads
         );
     }
 
-    let json = overload_artifact(&[
-        ("shed_on", on.clone()),
-        ("shed_off", off.clone()),
-        ("legacy_thread_per_request", legacy.clone()),
-    ]);
+    let json = overload_artifact(&[("shed_on", on.clone()), ("shed_off", off.clone())]);
     if let Err(e) = std::fs::write(&path, &json) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);

@@ -58,12 +58,6 @@ fn gate_breach(samples: &[SelectionSample]) -> Option<String> {
 }
 
 fn main() {
-    if std::env::var_os("OHPC_SELECTION_CACHE").is_some_and(|v| {
-        matches!(v.to_str(), Some("0") | Some("off") | Some("false"))
-    }) {
-        eprintln!("OHPC_SELECTION_CACHE is off — this benchmark measures the cache; unset it");
-        std::process::exit(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let gate = args.iter().any(|a| a == "--gate");
     let path = args

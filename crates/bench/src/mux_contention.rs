@@ -1,15 +1,15 @@
 //! Wall-clock concurrent-clients benchmark: N client threads hammer one
-//! endpoint and we compare the multiplexed per-endpoint channel
-//! ([`PoolMode::Auto`] over a splittable transport) against the historical
-//! serialized wire ([`PoolMode::Striped`]`(1)`, one lock held across every
-//! exchange).
+//! endpoint over the multiplexed per-endpoint channel, and the result is
+//! held against the bound any serialized wire (one lock held across every
+//! exchange) obeys by arithmetic.
 //!
-//! The server sleeps a fixed per-request delay, so the wire either pipelines
-//! N requests into that delay (mux) or pays it N times in a row
-//! (serialized) — which is exactly the contention the multiplexed channel
-//! exists to remove. Unlike the simulator-driven figures, this harness runs
-//! on real threads and real time: it exercises the production reader-thread
-//! demux path end to end.
+//! The server sleeps a fixed per-request delay, so a wire either pipelines
+//! N requests into that delay (mux) or pays it N times in a row — a
+//! serialized wire can never exceed `1 / delay` requests per second however
+//! many clients share it, which is exactly the contention the multiplexed
+//! channel exists to remove. Unlike the simulator-driven figures, this
+//! harness runs on real threads and real time: it exercises the production
+//! reader-thread demux path end to end.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,10 +17,11 @@ use std::time::{Duration, Instant};
 use ohpc_orb::context::OrRow;
 use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, Location,
-    MethodError, PoolMode, ProtoPool, ProtocolId, RemoteObject, TransportProto,
+    MethodError, ProtoPool, ProtocolId, RemoteObject, TransportProto,
 };
 use ohpc_resilience::HealthRegistry;
 use ohpc_transport::mem::MemFabric;
+use ohpc_transport::Dialer;
 use ohpc_xdr::{XdrReader, XdrWriter};
 
 /// Method slot of [`SlowEcho::dispatch`]'s echo method.
@@ -77,25 +78,19 @@ pub struct ContentionSample {
     pub throughput_rps: f64,
 }
 
-/// A mux-vs-serialized pair at one client count.
-#[derive(Debug, Clone)]
-pub struct ContentionRow {
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// [`PoolMode::Auto`] (multiplexed) measurement.
-    pub mux: ContentionSample,
-    /// [`PoolMode::Striped`]`(1)` (serialized baseline) measurement.
-    pub serialized: ContentionSample,
+impl ContentionSample {
+    /// Throughput over [`serialized_bound_rps`]: how far past any
+    /// one-exchange-at-a-time wire the channel got.
+    pub fn speedup_over_serialized(&self, delay: Duration) -> f64 {
+        self.throughput_rps / serialized_bound_rps(delay)
+    }
 }
 
-impl ContentionRow {
-    /// Mux throughput over serialized throughput.
-    pub fn speedup(&self) -> f64 {
-        if self.serialized.throughput_rps <= 0.0 {
-            return 0.0;
-        }
-        self.mux.throughput_rps / self.serialized.throughput_rps
-    }
+/// The most requests per second a serialized wire can carry when the server
+/// spends `delay` on each: exchanges cannot overlap, so `1 / delay`
+/// whatever the client count.
+pub fn serialized_bound_rps(delay: Duration) -> f64 {
+    1.0 / delay.as_secs_f64().max(f64::MIN_POSITIVE)
 }
 
 /// Runs one configuration: `clients` threads sharing one [`GlobalPointer`]
@@ -104,7 +99,18 @@ impl ContentionRow {
 /// against the unique token its request carried, so the measurement doubles
 /// as a demux-routing correctness check.
 pub fn run_contention(
-    mode: PoolMode,
+    clients: usize,
+    requests_per_client: usize,
+    delay: Duration,
+) -> ContentionSample {
+    run_contention_over(|fabric| Arc::new(fabric), clients, requests_per_client, delay)
+}
+
+/// [`run_contention`] with the clients' dialer built from the harness's
+/// fabric by `dialer`: a wrapper whose connections cannot split drives the
+/// same load through the striped fallback.
+pub fn run_contention_over(
+    dialer: impl FnOnce(MemFabric) -> Arc<dyn Dialer>,
     clients: usize,
     requests_per_client: usize,
     delay: Duration,
@@ -122,8 +128,7 @@ pub fn run_contention(
         }
     };
 
-    let proto = TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric))
-        .with_pool_mode(mode);
+    let proto = TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, dialer(fabric));
     // Reader-thread deaths and exchange failures feed one shared registry.
     let health = Arc::new(HealthRegistry::new());
     proto.set_health_registry(health.clone());
@@ -168,22 +173,6 @@ pub fn run_contention(
     }
 }
 
-/// Measures mux vs serialized across `client_counts`.
-pub fn sweep(
-    client_counts: &[usize],
-    requests_per_client: usize,
-    delay: Duration,
-) -> Vec<ContentionRow> {
-    client_counts
-        .iter()
-        .map(|&clients| ContentionRow {
-            clients,
-            mux: run_contention(PoolMode::Auto, clients, requests_per_client, delay),
-            serialized: run_contention(PoolMode::Striped(1), clients, requests_per_client, delay),
-        })
-        .collect()
-}
-
 /// Client counts to sweep: `OHPC_CONTENTION_CLIENTS` (comma-separated) when
 /// set and parseable, else `[1, 2, 4, 8]`.
 pub fn client_counts_from_env() -> Vec<usize> {
@@ -200,23 +189,23 @@ pub fn client_counts_from_env() -> Vec<usize> {
 }
 
 /// Renders the sweep as the `BENCH_contention.json` artifact.
-pub fn contention_artifact(rows: &[ContentionRow], delay: Duration) -> String {
+pub fn contention_artifact(rows: &[ContentionSample], delay: Duration) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"contention\",\n");
-    out.push_str("  \"description\": \"concurrent clients, one endpoint: multiplexed channel vs serialized wire\",\n");
+    out.push_str("  \"description\": \"concurrent clients, one endpoint: multiplexed channel vs the arithmetic bound of a serialized wire\",\n");
     let _ = writeln!(out, "  \"server_delay_us\": {},", delay.as_micros());
+    let _ = writeln!(out, "  \"serialized_bound_rps\": {:.1},", serialized_bound_rps(delay));
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"clients\": {}, \"requests_per_client\": {}, \"mux_rps\": {:.1}, \"serialized_rps\": {:.1}, \"speedup\": {:.2}}}",
+            "    {{\"clients\": {}, \"requests_per_client\": {}, \"mux_rps\": {:.1}, \"speedup\": {:.2}}}",
             row.clients,
-            row.mux.requests_per_client,
-            row.mux.throughput_rps,
-            row.serialized.throughput_rps,
-            row.speedup(),
+            row.requests_per_client,
+            row.throughput_rps,
+            row.speedup_over_serialized(delay),
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -239,26 +228,22 @@ mod tests {
 
     #[test]
     fn artifact_is_valid_shape() {
-        let sample = ContentionSample {
+        let rows = vec![ContentionSample {
             clients: 2,
             requests_per_client: 3,
             elapsed: Duration::from_millis(6),
-            throughput_rps: 1000.0,
-        };
-        let rows = vec![ContentionRow {
-            clients: 2,
-            mux: sample.clone(),
-            serialized: ContentionSample { throughput_rps: 250.0, ..sample },
+            throughput_rps: 4000.0,
         }];
         let json = contention_artifact(&rows, Duration::from_millis(1));
         assert!(json.contains("\"benchmark\": \"contention\""));
+        assert!(json.contains("\"serialized_bound_rps\": 1000.0"));
         assert!(json.contains("\"speedup\": 4.00"));
         assert!(json.ends_with("}\n"));
     }
 
     #[test]
     fn tiny_contention_run_round_trips() {
-        let s = run_contention(PoolMode::Auto, 2, 3, Duration::from_micros(200));
+        let s = run_contention(2, 3, Duration::from_micros(200));
         assert_eq!(s.clients, 2);
         assert!(s.throughput_rps > 0.0);
     }

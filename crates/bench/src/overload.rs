@@ -1,5 +1,5 @@
-//! Sustained-overload benchmark: 10k in-flight requests against a bounded
-//! work-stealing dispatch pool, with admission control on and off.
+//! Sustained-overload benchmark: 10k in-flight requests against the bounded
+//! dispatch pool, with admission control on and off.
 //!
 //! One split mem connection carries every request: the driver stamps a send
 //! time per request id, fires the whole burst down the wire without waiting,
@@ -13,9 +13,7 @@
 //!   burst is — dispatch no longer spawns per request;
 //! * with shedding on, p99 reply latency collapses: rejected requests come
 //!   back in microseconds with a retryable [`ReplyStatus::Overloaded`]
-//!   instead of queueing behind a quarter second of backlog;
-//! * the legacy thread-per-request executor, run at a deliberately smaller
-//!   burst, shows the thread explosion the pool exists to remove.
+//!   instead of queueing behind a quarter second of backlog.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,7 +22,7 @@ use std::time::{Duration, Instant};
 use ohpc_orb::context::OrRow;
 use ohpc_orb::{
     CapabilityRegistry, Context, ContextId, Executor, Location, ProtocolId, ReplyMessage,
-    ReplyStatus, RequestId, RequestMessage, ThreadPerRequestExecutor, WorkStealingPool,
+    ReplyStatus, RequestId, RequestMessage, WorkerPool,
 };
 use ohpc_transport::mem::MemFabric;
 use ohpc_transport::{Dialer, Endpoint};
@@ -32,38 +30,17 @@ use ohpc_xdr::XdrWriter;
 
 use crate::mux_contention::{SlowEcho, ECHO_METHOD};
 
-/// Which dispatch executor a scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// The bounded work-stealing pool (the default).
-    WorkStealing,
-    /// The legacy thread-per-request baseline.
-    ThreadPerRequest,
-}
-
-impl ExecutorKind {
-    /// Stable name for the JSON artifact.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecutorKind::WorkStealing => "work-stealing",
-            ExecutorKind::ThreadPerRequest => "thread-per-request",
-        }
-    }
-}
-
 /// One overload scenario.
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
     /// Requests fired before any reply is awaited (offered concurrency).
     pub offered: usize,
-    /// Pool worker threads (ignored by the thread-per-request executor).
+    /// Pool worker threads.
     pub workers: usize,
     /// Admission bound; `None` disables shedding.
     pub admission_limit: Option<usize>,
     /// Server-side sleep per served request.
     pub delay: Duration,
-    /// Dispatch executor under test.
-    pub executor: ExecutorKind,
 }
 
 /// Measured outcome of one scenario.
@@ -75,8 +52,6 @@ pub struct OverloadSample {
     pub workers: usize,
     /// Admission bound (`None` = shedding off).
     pub admission_limit: Option<usize>,
-    /// Executor name.
-    pub executor: &'static str,
     /// Replies with [`ReplyStatus::Ok`].
     pub served: usize,
     /// Replies with [`ReplyStatus::Overloaded`].
@@ -120,17 +95,8 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
     let fabric = MemFabric::new();
     let registry = Arc::new(CapabilityRegistry::new());
     let ctx = Context::new(ContextId(9_100), Location::new(0, 0), registry);
-    let pool;
-    match cfg.executor {
-        ExecutorKind::WorkStealing => {
-            pool = Some(Arc::new(WorkStealingPool::new("overload-bench", cfg.workers)));
-            ctx.set_executor(pool.clone().unwrap() as Arc<dyn Executor>);
-        }
-        ExecutorKind::ThreadPerRequest => {
-            pool = None;
-            ctx.set_executor(Arc::new(ThreadPerRequestExecutor));
-        }
-    }
+    let pool = Arc::new(WorkerPool::new("overload-bench", cfg.workers));
+    ctx.set_executor(pool.clone() as Arc<dyn Executor>);
     ctx.set_admission_limit(cfg.admission_limit);
     ctx.serve(Box::new(fabric.listen_on(1)), ProtocolId::TCP);
     let object = ctx.register(Arc::new(SlowEcho::new(cfg.delay)));
@@ -221,9 +187,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
     let peak_threads = census.join().expect("census panicked");
 
     ctx.shutdown();
-    if let Some(p) = pool {
-        p.shutdown();
-    }
+    pool.shutdown();
 
     lat_ms.sort_by(|a, b| a.total_cmp(b));
     served_ms.sort_by(|a, b| a.total_cmp(b));
@@ -231,7 +195,6 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
         offered: cfg.offered,
         workers: cfg.workers,
         admission_limit: cfg.admission_limit,
-        executor: cfg.executor.name(),
         served,
         shed,
         elapsed,
@@ -254,7 +217,7 @@ pub fn overload_artifact(samples: &[(&str, OverloadSample)]) -> String {
     out.push_str("  \"benchmark\": \"overload\",\n");
     out.push_str(
         "  \"description\": \"sustained burst against the bounded dispatch pool: \
-         admission shedding on vs off, plus the legacy thread-per-request baseline\",\n",
+         admission shedding on vs off\",\n",
     );
     if let (Some(on), Some(off)) = (find("shed_on"), find("shed_off")) {
         let speedup = if on.p99_ms > 0.0 { off.p99_ms / on.p99_ms } else { 0.0 };
@@ -268,11 +231,10 @@ pub fn overload_artifact(samples: &[(&str, OverloadSample)]) -> String {
         };
         let _ = write!(
             out,
-            "    {{\"scenario\": \"{name}\", \"executor\": \"{}\", \"offered\": {}, \
+            "    {{\"scenario\": \"{name}\", \"offered\": {}, \
              \"workers\": {}, \"admission_limit\": {limit}, \"served\": {}, \"shed\": {}, \
              \"elapsed_ms\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
              \"served_p99_ms\": {:.3}, \"peak_threads\": {}}}",
-            s.executor,
             s.offered,
             s.workers,
             s.served,
@@ -299,7 +261,6 @@ mod tests {
             offered: 100,
             workers: 4,
             admission_limit: Some(16),
-            executor: "work-stealing",
             served: 40,
             shed: 60,
             elapsed: Duration::from_millis(12),
@@ -325,7 +286,6 @@ mod tests {
             workers: 4,
             admission_limit: None,
             delay: Duration::ZERO,
-            executor: ExecutorKind::WorkStealing,
         });
         assert_eq!(s.served, 64, "{s:?}");
         assert_eq!(s.shed, 0, "{s:?}");
@@ -338,7 +298,6 @@ mod tests {
             workers: 2,
             admission_limit: Some(8),
             delay: Duration::from_millis(2),
-            executor: ExecutorKind::WorkStealing,
         });
         assert!(s.shed > 0, "a 512 burst over an 8-slot bound must shed: {s:?}");
         assert_eq!(s.served + s.shed, 512, "{s:?}");

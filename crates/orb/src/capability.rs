@@ -22,6 +22,8 @@ use parking_lot::RwLock;
 use ohpc_netsim::Location;
 use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
 
+use crate::message::CapWireMeta;
+
 /// Immutable facts about the call a capability is processing: the target
 /// object, the method slot and the request sequence number. Capabilities use
 /// these to scope decisions (per-method ACLs) and to bind MACs to the header
@@ -315,7 +317,7 @@ pub fn process_chain(
     dir: Direction,
     call: &CallInfo,
     mut body: Bytes,
-) -> Result<(Bytes, Vec<(String, Bytes)>), CapError> {
+) -> Result<(Bytes, Vec<CapWireMeta>), CapError> {
     let registry = ohpc_telemetry::Registry::global();
     let clock = registry.clock();
     let mut metas = Vec::with_capacity(caps.len());
@@ -331,7 +333,7 @@ pub fn process_chain(
             .histogram("orb_cap_process_ns", &[("cap", cap.name()), ("dir", dir.as_label())])
             .observe(clock.now_ns().saturating_sub(t0));
         body = result?;
-        metas.push((cap.name().to_string(), meta.to_bytes()));
+        metas.push(CapWireMeta { name: cap.name().to_string(), meta: meta.to_bytes() });
     }
     Ok((body, metas))
 }
@@ -344,7 +346,7 @@ pub fn unprocess_chain(
     caps: &[Arc<dyn Capability>],
     dir: Direction,
     call: &CallInfo,
-    metas: &[(String, Bytes)],
+    metas: &[CapWireMeta],
     mut body: Bytes,
 ) -> Result<Bytes, CapError> {
     if caps.len() != metas.len() {
@@ -356,14 +358,15 @@ pub fn unprocess_chain(
     }
     let registry = ohpc_telemetry::Registry::global();
     let clock = registry.clock();
-    for (cap, (name, meta_bytes)) in caps.iter().zip(metas.iter()).rev() {
-        if cap.name() != name {
+    for (cap, wire) in caps.iter().zip(metas.iter()).rev() {
+        if cap.name() != wire.name {
             return Err(CapError::Failed(format!(
-                "chain order mismatch: expected '{}', got '{name}'",
-                cap.name()
+                "chain order mismatch: expected '{}', got '{}'",
+                cap.name(),
+                wire.name
             )));
         }
-        let meta = CapMeta::from_bytes(meta_bytes)
+        let meta = CapMeta::from_bytes(&wire.meta)
             .map_err(|e| CapError::Failed(format!("bad capability metadata: {e}")))?;
         let _span = ohpc_telemetry::trace_span_with(
             "cap_unprocess",
@@ -460,7 +463,7 @@ mod tests {
             process_chain(&caps, Direction::Request, &call(), body.clone()).unwrap();
         assert_ne!(cipher, body);
         assert_eq!(metas.len(), 2);
-        assert_eq!(metas[0].0, "a");
+        assert_eq!(metas[0].name, "a");
         let back = unprocess_chain(&caps, Direction::Request, &call(), &metas, cipher).unwrap();
         assert_eq!(back, body);
     }
@@ -476,7 +479,7 @@ mod tests {
     #[test]
     fn chain_name_mismatch_detected() {
         let caps = vec![xor("a", 1)];
-        let metas = vec![("b".to_string(), CapMeta::new().to_bytes())];
+        let metas = vec![CapWireMeta { name: "b".into(), meta: CapMeta::new().to_bytes() }];
         let err = unprocess_chain(&caps, Direction::Request, &call(), &metas, Bytes::new())
             .unwrap_err();
         assert!(matches!(err, CapError::Failed(_)));

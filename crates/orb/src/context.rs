@@ -29,7 +29,7 @@ use crate::capability::{
 use crate::error::OrbError;
 use crate::glue::ComputeMeter;
 use crate::ids::{ContextId, ObjectId, ProtocolId};
-use crate::message::{CapWireMeta, GlueWire, ReplyMessage, ReplyStatus, RequestMessage};
+use crate::message::{GlueWire, ReplyMessage, ReplyStatus, RequestMessage};
 use crate::objref::{ObjectReference, ProtoEntry};
 use crate::skeleton::{MethodError, RemoteObject};
 use crate::transport_proto::NEXUS_ORB_HANDLER;
@@ -70,6 +70,16 @@ struct ServerHandle {
 /// Request-served hook (load tracking, logging).
 pub type RequestHook = Box<dyn Fn(ObjectId, u32) + Send + Sync>;
 
+/// What becomes of a received frame once decoded and put to admission.
+enum Intake {
+    /// Not dispatched (malformed, or a shed two-way): send this reply frame.
+    Reply(Bytes),
+    /// Dispatch it; the permit bounds it until it finishes.
+    Admitted(RequestMessage, Permit),
+    /// A shed one-way: nothing to run and nobody to tell.
+    Dropped,
+}
+
 struct ContextInner {
     id: ContextId,
     location: RwLock<Location>,
@@ -86,10 +96,9 @@ struct ContextInner {
     meter: RwLock<Option<Arc<dyn ComputeMeter>>>,
     requests_served: AtomicU64,
     stopping: std::sync::atomic::AtomicBool,
-    /// Executes two-way dispatch on split connections. Pluggable so tests
-    /// can pin deterministic inline dispatch or A/B the legacy
-    /// thread-per-request strategy; defaults to the shared work-stealing
-    /// pool.
+    /// Executes dispatch on split connections. Pluggable so tests can pin
+    /// deterministic inline dispatch or size their own pool; defaults to
+    /// the shared worker pool.
     executor: RwLock<Arc<dyn Executor>>,
     /// Bounds admitted-but-unfinished requests (queued + executing).
     admission: AdmissionController,
@@ -110,10 +119,6 @@ struct ContextInner {
 pub struct Context {
     inner: Arc<ContextInner>,
 }
-
-/// Alias kept for API clarity where a context is held purely to keep its
-/// server threads alive.
-pub type ContextHandle = Context;
 
 impl Context {
     /// Creates a context at `location` with the given capability registry.
@@ -147,7 +152,7 @@ impl Context {
                 requests_served: AtomicU64::new(0),
                 stopping: std::sync::atomic::AtomicBool::new(false),
                 executor: RwLock::new(ohpc_runtime::shared_pool()),
-                admission: AdmissionController::from_env(),
+                admission: AdmissionController::new(Some(ohpc_runtime::DEFAULT_QUEUE_BOUND)),
                 dispatch_health: Arc::new(HealthRegistry::new().with_policy(HealthPolicy {
                     // Tripping requires this many sheds with not a single
                     // completion in between — a genuine stall, not a blip
@@ -208,7 +213,7 @@ impl Context {
     }
 
     /// Overrides the admitted-in-flight bound (`None` disables shedding).
-    /// The default comes from `OHPC_QUEUE_BOUND` (1024 when unset).
+    /// A context starts at [`ohpc_runtime::DEFAULT_QUEUE_BOUND`].
     pub fn set_admission_limit(&self, limit: Option<usize>) {
         self.inner.admission.set_limit(limit);
     }
@@ -365,16 +370,7 @@ impl Context {
     /// connections and refused dials.
     pub fn crash(&self) {
         ohpc_telemetry::inc("orb_context_crashes_total", &[]);
-        self.inner.stopping.store(true, Ordering::Release);
-        for h in self.inner.servers.lock().iter() {
-            (h.shutdown)();
-        }
-        for mut h in self.inner.servers.lock().drain(..) {
-            if let Some(j) = h.join.take() {
-                let _ = j.join();
-            }
-        }
-        self.inner.nexus_services.lock().clear();
+        self.shutdown();
         // Advertised endpoints died with the listeners.
         self.inner.adverts.write().clear();
     }
@@ -434,16 +430,13 @@ impl Context {
             if self.inner.stopping.load(Ordering::Acquire) {
                 return; // drop the connection: this context is gone
             }
-            let req = match RequestMessage::from_frame(&frame) {
-                Ok(r) => r,
-                Err(e) => {
-                    // We cannot know the request id; reply with id 0 and an
-                    // exception so the client at least unblocks.
-                    let reply = ReplyMessage::status(
-                        crate::ids::RequestId(0),
-                        ReplyStatus::Exception(format!("malformed request: {e}")),
-                    )
-                    .to_frame();
+            let (req, permit) = match self.intake(&frame) {
+                Intake::Admitted(req, permit) => (req, permit),
+                Intake::Dropped => continue,
+                Intake::Reply(reply) => {
+                    // Rejections go out straight from the reader thread:
+                    // gracefully degrading means they stay fast when the
+                    // pool is the thing that is saturated.
                     // ohpc-analyze: allow(guard-across-blocking) — the writer
                     // mutex serializes replies from the executor tasks; one
                     // frame per guard is the design.
@@ -453,29 +446,7 @@ impl Context {
                     continue;
                 }
             };
-            let rid = req.request_id;
-            let oneway = req.oneway;
-            let permit = match self.admit(&req) {
-                Ok(p) => p,
-                Err(status) => {
-                    if oneway {
-                        // No reply channel to signal backpressure on; the
-                        // drop shows in the shed counters and the trace.
-                        ohpc_telemetry::inc("orb_oneway_shed_total", &[]);
-                        continue;
-                    }
-                    // Shed replies go out straight from the reader thread:
-                    // gracefully degrading means rejections stay fast when
-                    // the pool is the thing that is saturated.
-                    let reply = ReplyMessage::status(rid, status).to_frame();
-                    // ohpc-analyze: allow(guard-across-blocking) — see above.
-                    if writer.lock().send(&reply).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-            };
-            if oneway {
+            if req.oneway {
                 let ctx = self.clone();
                 oneways.enqueue(Box::new(move || {
                     let _ = ctx.dispatch_admitted(req, permit);
@@ -492,9 +463,7 @@ impl Context {
             executor.execute(Box::new(move || {
                 lane.wait_for(mark);
                 let reply = ctx.dispatch_admitted(req, permit).to_frame();
-                // ohpc-analyze: allow(guard-across-blocking) — the writer
-                // mutex serializes replies from the executor tasks; one
-                // frame per guard is the design.
+                // ohpc-analyze: allow(guard-across-blocking) — see above.
                 let _ = writer.lock().send(&reply);
             }));
         }
@@ -574,38 +543,40 @@ impl Context {
     /// one-way requests (which are dispatched — or shed — and produce no
     /// reply frame).
     pub fn handle_frame_opt(&self, frame: &[u8]) -> Option<Bytes> {
+        match self.intake(frame) {
+            Intake::Reply(reply) => Some(reply),
+            Intake::Dropped => None,
+            Intake::Admitted(req, permit) => {
+                let oneway = req.oneway;
+                let reply = self.dispatch_admitted(req, permit);
+                (!oneway).then(|| reply.to_frame())
+            }
+        }
+    }
+
+    /// The one decode→admit prologue every serving path runs on a received
+    /// frame, before any glue or object work.
+    fn intake(&self, frame: &[u8]) -> Intake {
         let req = match RequestMessage::from_frame(frame) {
             Ok(r) => r,
             Err(e) => {
                 // We cannot know the request id; reply with id 0 and an
                 // exception so the client at least unblocks.
-                return Some(
-                    ReplyMessage::status(
-                        crate::ids::RequestId(0),
-                        ReplyStatus::Exception(format!("malformed request: {e}")),
-                    )
-                    .to_frame(),
+                let status = ReplyStatus::Exception(format!("malformed request: {e}"));
+                return Intake::Reply(
+                    ReplyMessage::status(crate::ids::RequestId(0), status).to_frame(),
                 );
             }
         };
-        let rid = req.request_id;
-        let oneway = req.oneway;
-        let reply = match self.admit(&req) {
-            Ok(permit) => self.dispatch_admitted(req, permit),
-            Err(status) => {
-                if oneway {
-                    // No reply channel to signal backpressure on; the drop
-                    // is visible in the shed counters and the trace.
-                    ohpc_telemetry::inc("orb_oneway_shed_total", &[]);
-                    return None;
-                }
-                ReplyMessage::status(rid, status)
+        match self.admit(&req) {
+            Ok(permit) => Intake::Admitted(req, permit),
+            Err(_) if req.oneway => {
+                // No reply channel to signal backpressure on; the drop
+                // shows in the shed counters and the trace.
+                ohpc_telemetry::inc("orb_oneway_shed_total", &[]);
+                Intake::Dropped
             }
-        };
-        if oneway {
-            None
-        } else {
-            Some(reply.to_frame())
+            Err(status) => Intake::Reply(ReplyMessage::status(req.request_id, status).to_frame()),
         }
     }
 
@@ -646,10 +617,14 @@ impl Context {
                 let Some(chain) = self.inner.glues.read().get(&wire.glue_id).cloned() else {
                     return ReplyMessage::status(rid, ReplyStatus::UnknownGlue(wire.glue_id));
                 };
-                let metas: Vec<(String, Bytes)> =
-                    wire.caps.iter().map(|c| (c.name.clone(), c.meta.clone())).collect();
                 let unglued = self.metered(|| {
-                    unprocess_chain(&chain.caps, Direction::Request, &call, &metas, req.body.clone())
+                    unprocess_chain(
+                        &chain.caps,
+                        Direction::Request,
+                        &call,
+                        &wire.caps,
+                        req.body.clone(),
+                    )
                 });
                 match unglued {
                     Ok(b) => (b, Some((wire.glue_id, chain))),
@@ -706,16 +681,10 @@ impl Context {
                 let processed = self
                     .metered(|| process_chain(&chain.caps, Direction::Reply, &call, reply_body));
                 match processed {
-                    Ok((body, metas)) => ReplyMessage {
+                    Ok((body, caps)) => ReplyMessage {
                         request_id: rid,
                         status: ReplyStatus::Ok,
-                        glue: Some(GlueWire {
-                            glue_id,
-                            caps: metas
-                                .into_iter()
-                                .map(|(name, meta)| CapWireMeta { name, meta })
-                                .collect(),
-                        }),
+                        glue: Some(GlueWire { glue_id, caps }),
                         body,
                     },
                     Err(CapError::Denied(msg)) => {

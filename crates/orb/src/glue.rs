@@ -24,7 +24,7 @@ use crate::capability::{
 };
 use crate::error::OrbError;
 use crate::ids::ProtocolId;
-use crate::message::{CapWireMeta, GlueWire, ReplyMessage, ReplyStatus, RequestMessage};
+use crate::message::{GlueWire, ReplyMessage, ReplyStatus, RequestMessage};
 use crate::objref::{ProtoData, ProtoEntry};
 use crate::proto::{ProtoObject, ProtoPool};
 
@@ -110,6 +110,51 @@ impl GlueProto {
     }
 }
 
+/// A request taken through the outbound half of the chain, ready for the
+/// inner (real) protocol.
+struct Outbound<'e> {
+    inner_proto: Arc<dyn ProtoObject>,
+    inner: &'e ProtoEntry,
+    chain: Arc<Vec<Arc<dyn Capability>>>,
+    call: CallInfo,
+    glued: RequestMessage,
+}
+
+impl GlueProto {
+    /// Outbound: resolves the entry's chain and inner protocol and applies
+    /// the chain to `req` in order.
+    fn outbound<'e>(
+        &self,
+        pool: &ProtoPool,
+        entry: &'e ProtoEntry,
+        req: &RequestMessage,
+    ) -> Result<Outbound<'e>, OrbError> {
+        let (glue_id, specs, inner) = glue_parts(entry)?;
+        if inner.id == ProtocolId::GLUE {
+            return Err(OrbError::Protocol(
+                "nested glue entries are not supported: compose capabilities in one chain".into(),
+            ));
+        }
+        let chain = self.chain(glue_id, specs)?;
+        let inner_proto = pool
+            .find(inner.id)
+            .ok_or_else(|| OrbError::NoApplicableProtocol { offered: vec![inner.id] })?;
+        let call = CallInfo { object: req.object, method: req.method, request_id: req.request_id };
+        let (body, caps) =
+            self.metered(|| process_chain(&chain, Direction::Request, &call, req.body.clone()))?;
+        let glued = RequestMessage {
+            request_id: req.request_id,
+            object: req.object,
+            method: req.method,
+            oneway: req.oneway,
+            glue: Some(GlueWire { glue_id, caps }),
+            body,
+            trace: req.trace.clone(),
+        };
+        Ok(Outbound { inner_proto, inner, chain, call, glued })
+    }
+}
+
 fn glue_parts(entry: &ProtoEntry) -> Result<(u64, &[CapabilitySpec], &ProtoEntry), OrbError> {
     match &entry.data {
         ProtoData::Glue { glue_id, caps, inner } => Ok((*glue_id, caps, inner)),
@@ -167,39 +212,9 @@ impl ProtoObject for GlueProto {
         req: &RequestMessage,
         remaining_ns: Option<u64>,
     ) -> Result<ReplyMessage, OrbError> {
-        let (glue_id, specs, inner) = glue_parts(entry)?;
-        if inner.id == ProtocolId::GLUE {
-            return Err(OrbError::Protocol(
-                "nested glue entries are not supported: compose capabilities in one chain".into(),
-            ));
-        }
-        let chain = self.chain(glue_id, specs)?;
-        let inner_proto = pool
-            .find(inner.id)
-            .ok_or_else(|| OrbError::NoApplicableProtocol { offered: vec![inner.id] })?;
-
-        let call = CallInfo { object: req.object, method: req.method, request_id: req.request_id };
-
-        // Outbound: apply the chain in order.
-        let (body, metas) =
-            self.metered(|| process_chain(&chain, Direction::Request, &call, req.body.clone()))?;
-        let glued = RequestMessage {
-            request_id: req.request_id,
-            object: req.object,
-            method: req.method,
-            oneway: req.oneway,
-            glue: Some(GlueWire {
-                glue_id,
-                caps: metas
-                    .into_iter()
-                    .map(|(name, meta)| CapWireMeta { name, meta })
-                    .collect(),
-            }),
-            body,
-            trace: req.trace.clone(),
-        };
-
-        let mut reply = inner_proto.invoke_with_deadline(pool, inner, &glued, remaining_ns)?;
+        let out = self.outbound(pool, entry, req)?;
+        let mut reply =
+            out.inner_proto.invoke_with_deadline(pool, out.inner, &out.glued, remaining_ns)?;
 
         // Inbound: un-apply the mirrored chain on successful replies.
         if reply.status == ReplyStatus::Ok {
@@ -208,10 +223,14 @@ impl ProtoObject for GlueProto {
                     "server reply skipped the glue chain".into(),
                 ));
             };
-            let metas: Vec<(String, bytes::Bytes)> =
-                reply_glue.caps.into_iter().map(|c| (c.name, c.meta)).collect();
             let body = self.metered(|| {
-                unprocess_chain(&chain, Direction::Reply, &call, &metas, reply.body.clone())
+                unprocess_chain(
+                    &out.chain,
+                    Direction::Reply,
+                    &out.call,
+                    &reply_glue.caps,
+                    reply.body.clone(),
+                )
             })?;
             reply.body = body;
         }
@@ -224,35 +243,8 @@ impl ProtoObject for GlueProto {
         entry: &ProtoEntry,
         req: &RequestMessage,
     ) -> Result<(), OrbError> {
-        let (glue_id, specs, inner) = glue_parts(entry)?;
-        if inner.id == ProtocolId::GLUE {
-            return Err(OrbError::Protocol(
-                "nested glue entries are not supported: compose capabilities in one chain".into(),
-            ));
-        }
-        let chain = self.chain(glue_id, specs)?;
-        let inner_proto = pool
-            .find(inner.id)
-            .ok_or_else(|| OrbError::NoApplicableProtocol { offered: vec![inner.id] })?;
-        let call = CallInfo { object: req.object, method: req.method, request_id: req.request_id };
-        let (body, metas) =
-            self.metered(|| process_chain(&chain, Direction::Request, &call, req.body.clone()))?;
-        let glued = RequestMessage {
-            request_id: req.request_id,
-            object: req.object,
-            method: req.method,
-            oneway: true,
-            glue: Some(GlueWire {
-                glue_id,
-                caps: metas
-                    .into_iter()
-                    .map(|(name, meta)| CapWireMeta { name, meta })
-                    .collect(),
-            }),
-            body,
-            trace: req.trace.clone(),
-        };
-        inner_proto.invoke_oneway(pool, inner, &glued)
+        let out = self.outbound(pool, entry, req)?;
+        out.inner_proto.invoke_oneway(pool, out.inner, &out.glued)
     }
 
     fn describe(&self, entry: &ProtoEntry) -> String {
@@ -351,26 +343,18 @@ mod tests {
             let glue = req.glue.clone().expect("glue section expected");
             let call =
                 CallInfo { object: req.object, method: req.method, request_id: req.request_id };
-            let metas: Vec<(String, Bytes)> =
-                glue.caps.iter().map(|c| (c.name.clone(), c.meta.clone())).collect();
             let plain =
-                unprocess_chain(&chain, Direction::Request, &call, &metas, req.body.clone())
+                unprocess_chain(&chain, Direction::Request, &call, &glue.caps, req.body.clone())
                     .unwrap();
             // Echo back doubled, through the chain.
             let mut out = plain.to_vec();
             out.extend_from_slice(&plain);
-            let (body, metas) =
+            let (body, caps) =
                 process_chain(&chain, Direction::Reply, &call, Bytes::from(out)).unwrap();
             Ok(ReplyMessage {
                 request_id: req.request_id,
                 status: ReplyStatus::Ok,
-                glue: Some(GlueWire {
-                    glue_id: glue.glue_id,
-                    caps: metas
-                        .into_iter()
-                        .map(|(name, meta)| CapWireMeta { name, meta })
-                        .collect(),
-                }),
+                glue: Some(GlueWire { glue_id: glue.glue_id, caps }),
                 body,
             })
         }

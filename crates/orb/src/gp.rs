@@ -7,7 +7,9 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use ohpc_netsim::Location;
-use ohpc_resilience::{ErrorClass, HealthRegistry, RetryPolicy, Sleeper, ThreadSleeper};
+use ohpc_resilience::{
+    ErrorClass, HealthKey, HealthRegistry, RetryPolicy, Sleeper, ThreadSleeper,
+};
 use ohpc_xdr::XdrWriter;
 
 use crate::error::OrbError;
@@ -15,7 +17,7 @@ use crate::ids::RequestId;
 use crate::message::{ReplyStatus, RequestMessage};
 use crate::objref::ObjectReference;
 use crate::proto::ProtoPool;
-use crate::selcache::{cache_enabled, registry_ptr, CachedSelection, Lookup, SelectionCache};
+use crate::selcache::{registry_ptr, CachedSelection, Lookup, SelectionCache};
 use crate::selection::{health_key, select_with_health, Selection};
 
 /// How many `Moved` forwards one invocation will chase before giving up.
@@ -40,8 +42,8 @@ fn next_request_id() -> RequestId {
 /// revalidated with four atomic loads (`or_epoch`, pool epoch, health
 /// registry identity + generation) and re-walked only on a mismatch — the
 /// adaptivity is preserved by construction, the re-walk cost is not paid on
-/// the happy path (see `selcache` / DESIGN.md §15). Set
-/// `OHPC_SELECTION_CACHE=0` to force the full walk on every attempt.
+/// the happy path (see `selcache` / DESIGN.md §15). The uncached walk stays
+/// available as [`select`](Self::select), the oracle tests compare against.
 ///
 /// # Fault awareness
 ///
@@ -256,11 +258,9 @@ impl GlobalPointer {
         let pool_epoch = self.pool.epoch();
         let hptr = registry_ptr(health);
         let hgen = health.generation();
-        if cache_enabled() {
-            if let Lookup::Hit(cached) = self.cache.lookup(or_epoch, pool_epoch, hptr, hgen) {
-                ohpc_telemetry::trace_event("selection", &[("outcome", "cached")]);
-                return Ok(cached);
-            }
+        if let Lookup::Hit(cached) = self.cache.lookup(or_epoch, pool_epoch, hptr, hgen) {
+            ohpc_telemetry::trace_event("selection", &[("outcome", "cached")]);
+            return Ok(cached);
         }
         let (selection, object) = {
             let or = self.or.read();
@@ -272,7 +272,7 @@ impl GlobalPointer {
         let cached = Arc::new(CachedSelection::new(
             selection, object, described, key, or_epoch, pool_epoch, hptr, hgen,
         ));
-        if steady && cache_enabled() {
+        if steady {
             // Breaker-influenced choices are never memoized: an open
             // breaker's cooldown elapsing changes the outcome with time
             // alone, without any generation bump to invalidate on.
@@ -310,18 +310,8 @@ impl GlobalPointer {
             body: Bytes::copy_from_slice(args.peek()),
             trace: ohpc_telemetry::current(),
         };
-        match cached.selection.proto.invoke_oneway(&self.pool, &cached.selection.entry, &req) {
-            Ok(()) => {
-                health.record_success(&cached.key);
-                Ok(())
-            }
-            Err(e) => {
-                if e.is_transport() {
-                    health.record_failure(&cached.key);
-                }
-                Err(e)
-            }
-        }
+        let sent = cached.selection.proto.invoke_oneway(&self.pool, &cached.selection.entry, &req);
+        observed(&health, &cached.key, sent)
     }
 
     /// Like [`invoke`](Self::invoke) but takes the body directly.
@@ -380,9 +370,7 @@ impl GlobalPointer {
             };
             if !may_retry || failed_attempts >= policy.max_attempts {
                 if may_retry && failed_attempts >= policy.max_attempts {
-                    // The flight recorder has the whole doomed trace; keep it.
                     ohpc_telemetry::trace_event("retry_budget_exhausted", &[]);
-                    ohpc_telemetry::dump_to_results("retry-budget-exhausted");
                 }
                 return Err(err);
             }
@@ -390,7 +378,6 @@ impl GlobalPointer {
             if let Some(d) = deadline {
                 if clock.now_ns().saturating_add(backoff) > d {
                     ohpc_telemetry::trace_event("deadline_exceeded", &[]);
-                    ohpc_telemetry::dump_to_results("deadline-exceeded");
                     return Err(OrbError::DeadlineExceeded {
                         attempts: failed_attempts,
                         last: Box::new(err),
@@ -448,25 +435,13 @@ impl GlobalPointer {
             };
 
             let remaining_ns = deadline.map(|d| d.saturating_sub(clock.now_ns()));
-            let reply = match cached.selection.proto.invoke_with_deadline(
+            let exchanged = cached.selection.proto.invoke_with_deadline(
                 &self.pool,
                 &cached.selection.entry,
                 &req,
                 remaining_ns,
-            ) {
-                Ok(reply) => {
-                    // Any delivered reply proves the wire works, whatever
-                    // the application-level status says.
-                    health.record_success(&cached.key);
-                    reply
-                }
-                Err(e) => {
-                    if e.is_transport() {
-                        health.record_failure(&cached.key);
-                    }
-                    return Err(e);
-                }
-            };
+            );
+            let reply = observed(health, &cached.key, exchanged)?;
             match reply.status {
                 ReplyStatus::Ok => return Ok(reply.body),
                 ReplyStatus::Moved(new_or) => {
@@ -500,6 +475,22 @@ impl GlobalPointer {
         }
         Err(OrbError::TooManyForwards(MAX_FORWARDS))
     }
+}
+
+/// Feeds one wire outcome to the breaker under `key` and passes it on. Any
+/// delivered reply proves the wire works, whatever the application-level
+/// status says; only transport failures count against it.
+fn observed<T>(
+    health: &HealthRegistry,
+    key: &HealthKey,
+    outcome: Result<T, OrbError>,
+) -> Result<T, OrbError> {
+    match &outcome {
+        Ok(_) => health.record_success(key),
+        Err(e) if e.is_transport() => health.record_failure(key),
+        Err(_) => {}
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -944,9 +935,6 @@ mod tests {
 
     #[test]
     fn steady_selections_are_served_from_the_cache() {
-        if !crate::selcache::cache_enabled() {
-            return; // OHPC_SELECTION_CACHE=0 run: nothing to assert.
-        }
         let (gp, proto) = gp_with((0..10).map(|_| ReplyStatus::Ok).collect());
         for _ in 0..10 {
             gp.invoke_raw(1, Bytes::new()).unwrap();

@@ -56,7 +56,7 @@ pub mod skeleton;
 pub mod transport_proto;
 
 pub use capability::{CapError, Capability, CapabilityRegistry, CapabilitySpec, CapMeta, Direction};
-pub use context::{Context, ContextHandle, ProtoAdvert};
+pub use context::{Context, ProtoAdvert};
 pub use error::OrbError;
 pub use glue::GlueProto;
 pub use gp::GlobalPointer;
@@ -70,16 +70,14 @@ pub use message::{ReplyMessage, ReplyStatus, RequestMessage};
 pub use objref::{ObjectReference, ProtoData, ProtoEntry};
 pub use proto::{ApplicabilityRule, ProtoObject, ProtoPool};
 pub use skeleton::{MethodError, RemoteObject};
-pub use transport_proto::{NexusProto, PoolMode, TransportProto};
+pub use transport_proto::{NexusProto, TransportProto};
 
 // Re-export the location vocabulary: every applicability decision speaks it.
 pub use ohpc_netsim::{LanId, LinkClass, Location, MachineId, SiteId};
 
 /// Dispatch executors, re-exported so servers can tune dispatch without a
 /// direct `ohpc-runtime` dependency.
-pub use ohpc_runtime::{
-    AdmissionController, Executor, InlineExecutor, ThreadPerRequestExecutor, WorkStealingPool,
-};
+pub use ohpc_runtime::{AdmissionController, Executor, InlineExecutor, WorkerPool};
 
 // Hidden re-export so `remote_interface!` expansions resolve XDR items
 // without requiring consumers to depend on ohpc-xdr directly.

@@ -48,19 +48,6 @@ use ohpc_telemetry::Counter;
 use crate::ids::ObjectId;
 use crate::selection::Selection;
 
-/// Process-wide switch: `OHPC_SELECTION_CACHE=0` (or `off`/`false`) disables
-/// the cache, making every attempt a full walk — the A/B lever the
-/// `bench_selection_json` harness and a production rollback both use.
-pub(crate) fn cache_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("OHPC_SELECTION_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
-
 /// Pre-resolved `orb_selection_cache_total{outcome=…}` counters. Resolved
 /// once per process; the hit path must not touch the registry's lock-and-
 /// allocate lookup.

@@ -7,32 +7,34 @@
 //! different dialers and applicability rules — which is precisely the
 //! "proto-class" reuse the paper describes.
 //!
-//! Per-endpoint pooling comes in two shapes (see [`PoolMode`]):
+//! A pooled channel takes one of two shapes, decided by what the dialed
+//! connection can do, never by configuration:
 //!
-//! - **Multiplexed** (the default, when the transport's connections can
-//!   [split](ohpc_transport::Connection::try_split)): one connection per
+//! - **Multiplexed**, when the connection can
+//!   [split](ohpc_transport::Connection::try_split): one connection per
 //!   endpoint, a writer lock held only for the framed send, and a dedicated
 //!   reader thread demultiplexing replies to waiters by `request_id`. N
 //!   concurrent invocations have N requests in flight on one wire.
-//! - **Striped**: K independent connections whose locks are held across the
-//!   whole exchange, for transports whose framing cannot interleave
-//!   concurrent requests (the simulated network, fault-injection wrappers).
+//! - **Striped**, when it cannot (the simulated network, fault-injection
+//!   wrappers): a few independent connections whose locks are held across
+//!   the whole exchange, because their framing cannot interleave
+//!   concurrent requests.
 //!
-//! Two pooling rules apply everywhere in this module:
+//! [`NexusProto`] is the baseline: it tunnels ORB frames through the
+//! Nexus RSR layer instead of raw framed connections. Both pool their
+//! per-endpoint handles in the one [`EndpointCache`], which owns the two
+//! pooling rules:
 //!
 //! - **Eviction is by identity, never by key.** A caller that observed a
-//!   channel fail evicts exactly that channel (`Arc` identity); a racing
+//!   handle fail evicts exactly that handle (`Arc` identity); a racing
 //!   caller may already have replaced it with a fresh healthy one which must
 //!   not become collateral damage.
 //! - **Publication re-checks under the lock.** Dialing happens outside the
-//!   cache lock, so two callers can race to build a channel for the same
-//!   endpoint; the loser tears its duplicate down and shares the winner's.
-//!
-//! [`NexusProto`] is the baseline: it tunnels ORB frames through the
-//! Nexus RSR layer instead of raw framed connections.
+//!   cache lock, so two callers can race to dial the same endpoint; the
+//!   loser tears its duplicate down and shares the winner's.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,7 +45,7 @@ use ohpc_nexus::{HandlerId, NexusError, Startpoint};
 use ohpc_netsim::Location;
 use ohpc_resilience::{HealthKey, HealthRegistry};
 use ohpc_transport::mux::{DeathHook, MuxChannel, MuxError};
-use ohpc_transport::{Connection, Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
+use ohpc_transport::{Connection, Dialer, Endpoint, RecvHalf, SendHalf};
 use ohpc_xdr::{XdrReader, XdrWriter};
 
 use crate::error::OrbError;
@@ -55,9 +57,8 @@ use crate::proto::{ApplicabilityRule, ProtoObject, ProtoPool};
 /// Handler slot the ORB occupies inside a Nexus service.
 pub const NEXUS_ORB_HANDLER: HandlerId = HandlerId(0xC0DE);
 
-/// Stripe count used when [`PoolMode::Auto`] falls back on a transport whose
-/// connections cannot split.
-pub const DEFAULT_STRIPES: usize = 4;
+/// Connections per endpoint when the transport cannot multiplex.
+const STRIPES: usize = 4;
 
 fn endpoint_of(entry: &ProtoEntry) -> Result<Endpoint, OrbError> {
     match &entry.data {
@@ -76,76 +77,170 @@ fn reply_request_id(frame: &Bytes) -> Option<u64> {
     XdrReader::new(frame).get_u64().ok()
 }
 
-/// How a [`TransportProto`] pools per-endpoint connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Multiplex requests over one split connection when the transport
-    /// supports it; fall back to [`DEFAULT_STRIPES`] stripes otherwise.
-    Auto,
-    /// Always use a striped pool of the given width (clamped to ≥ 1). Width
-    /// 1 reproduces the historical one-lock-per-endpoint serialized wire,
-    /// which the contention benchmark uses as its baseline.
-    Striped(usize),
+/// Checks that `reply_frame` answers `req`.
+fn matched_reply(req: &RequestMessage, reply_frame: &[u8]) -> Result<ReplyMessage, OrbError> {
+    let reply = ReplyMessage::from_frame(reply_frame)?;
+    if reply.request_id != req.request_id {
+        return Err(OrbError::Protocol(format!(
+            "reply id {} does not match request id {}",
+            reply.request_id, req.request_id
+        )));
+    }
+    Ok(reply)
 }
 
-/// One slot of a striped pool: a lazily dialed connection whose lock is held
-/// across a full send+recv exchange (non-interleavable framing).
-struct Stripe {
-    slot: Mutex<Option<Box<dyn Connection>>>,
+fn count_retry(protocol: ProtocolId) {
+    ohpc_telemetry::inc("orb_transport_retries_total", &[("protocol", &protocol.to_string())]);
 }
 
-/// A fixed-width pool of independent connections to one endpoint.
+// ------------------------------------------------------------ endpoint cache
+
+/// What the cache needs to know about the handles it pools.
+trait Pooled {
+    /// A dead handle is dropped at the next lookup instead of handed out.
+    fn is_dead(&self) -> bool {
+        false
+    }
+
+    /// Releases what a handle that will never be used (again) still holds.
+    fn retire(&self) {}
+}
+
+/// Per-endpoint pool of shared handles; see the module docs for its rules.
+struct EndpointCache<C> {
+    protocol: ProtocolId,
+    handles: Mutex<HashMap<Endpoint, Arc<C>>>,
+}
+
+impl<C: Pooled> EndpointCache<C> {
+    fn new(protocol: ProtocolId) -> Self {
+        Self { protocol, handles: Mutex::new(HashMap::new()) }
+    }
+
+    /// Lookup, liveness check and removal of a dead handle under one guard,
+    /// so a caller is never handed a handle another caller concurrently
+    /// declared dead.
+    fn cached(&self, ep: &Endpoint) -> Option<Arc<C>> {
+        let mut map = self.handles.lock();
+        if map.get(ep).is_some_and(|c| c.is_dead()) {
+            map.remove(ep);
+        }
+        map.get(ep).cloned()
+    }
+
+    /// The pooled handle for `ep` and whether it was already cached. A miss
+    /// dials outside the lock and publishes unless another caller won the
+    /// race meanwhile: then the earlier handle wins, ours is retired, and
+    /// the avoided double-dial is counted.
+    fn get_or_dial(
+        &self,
+        ep: &Endpoint,
+        dial: impl FnOnce() -> Result<C, OrbError>,
+    ) -> Result<(Arc<C>, bool), OrbError> {
+        if let Some(hit) = self.cached(ep) {
+            return Ok((hit, true));
+        }
+        let built = Arc::new(dial()?);
+        let winner = {
+            let mut map = self.handles.lock();
+            let live = map.get(ep).filter(|c| !c.is_dead()).cloned();
+            if live.is_none() {
+                map.insert(ep.clone(), built.clone());
+            }
+            live
+        };
+        match winner {
+            None => Ok((built, false)),
+            Some(winner) => {
+                ohpc_telemetry::inc(
+                    "orb_double_dial_avoided_total",
+                    &[("protocol", &self.protocol.to_string())],
+                );
+                built.retire();
+                Ok((winner, true))
+            }
+        }
+    }
+
+    /// Evicts the handle for `ep` **only if** it is the very handle the
+    /// caller observed failing.
+    fn evict(&self, ep: &Endpoint, stale: &Arc<C>) {
+        let mut map = self.handles.lock();
+        if map.get(ep).is_some_and(|cur| Arc::ptr_eq(cur, stale)) {
+            map.remove(ep);
+        }
+    }
+
+    /// Empties the cache and retires every handle, outside the lock.
+    fn retire_all(&self) {
+        let drained: Vec<Arc<C>> = self.handles.lock().drain().map(|(_, c)| c).collect();
+        for c in drained {
+            c.retire();
+        }
+    }
+}
+
+// ------------------------------------------------------------------ channels
+
+/// A fixed-width pool of independent, lazily dialed connections to one
+/// endpoint, each held across a full send+recv exchange.
+///
+/// The server reads each connection in order but the connections race each
+/// other, so "a one-way is dispatched before a later two-way is answered"
+/// only holds on one connection. One-ways therefore all ride the first
+/// stripe, and while any of them may still be unread (`oneways_unread`)
+/// two-ways queue behind them there; the first reply on that stripe proves
+/// the server has read everything sent before it and frees two-ways to
+/// spread over the other stripes again.
 struct StripeSet {
-    stripes: Vec<Stripe>,
+    stripes: Vec<Mutex<Option<Box<dyn Connection>>>>,
     cursor: AtomicUsize,
+    oneways_unread: AtomicBool,
 }
 
 impl StripeSet {
-    fn new(width: usize) -> Self {
-        let width = width.max(1);
-        Self {
-            stripes: (0..width).map(|_| Stripe { slot: Mutex::new(None) }).collect(),
-            cursor: AtomicUsize::new(0),
-        }
+    /// A set whose first stripe is the already-dialed `conn`, so the dial
+    /// that discovered the transport cannot split is not wasted.
+    fn adopting(conn: Box<dyn Connection>) -> Self {
+        let mut stripes = vec![Mutex::new(Some(conn))];
+        stripes.resize_with(STRIPES, || Mutex::new(None));
+        Self { stripes, cursor: AtomicUsize::new(0), oneways_unread: AtomicBool::new(false) }
     }
 
-    /// Seeds the first stripe with an already-dialed connection so the dial
-    /// performed during channel construction is not wasted.
-    fn adopt(&self, conn: Box<dyn Connection>) {
-        if let Some(stripe) = self.stripes.first() {
-            *stripe.slot.lock() = Some(conn);
-        }
-    }
-
-    /// Round-robin stripe choice. `None` only if the set is empty, which the
-    /// width clamp prevents; callers still handle it rather than index.
-    fn pick(&self) -> Option<&Stripe> {
-        if self.stripes.is_empty() {
-            return None;
-        }
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed) % self.stripes.len();
-        self.stripes.get(i)
+    /// The first stripe when `ordered`, else round-robin.
+    fn pick(&self, ordered: bool) -> Option<&Mutex<Option<Box<dyn Connection>>>> {
+        let next = || self.cursor.fetch_add(1, Ordering::Relaxed) % self.stripes.len().max(1);
+        self.stripes.get(if ordered { 0 } else { next() })
     }
 }
 
 /// A pooled per-endpoint channel.
-#[derive(Clone)]
 enum Channel {
     /// Split connection with a demux reader: N requests in flight at once.
     Mux(Arc<MuxChannel>),
     /// Independent lock-across-exchange connections.
-    Striped(Arc<StripeSet>),
+    Striped(StripeSet),
 }
 
-impl Channel {
-    /// `Arc` identity, the unit eviction operates on.
-    fn same_identity(&self, other: &Channel) -> bool {
-        match (self, other) {
-            (Channel::Mux(a), Channel::Mux(b)) => Arc::ptr_eq(a, b),
-            (Channel::Striped(a), Channel::Striped(b)) => Arc::ptr_eq(a, b),
-            _ => false,
+impl Pooled for Channel {
+    fn is_dead(&self) -> bool {
+        matches!(self, Channel::Mux(m) if m.is_dead())
+    }
+
+    /// Closing the send half unblocks the mux's reader thread, which would
+    /// otherwise keep the channel alive.
+    fn retire(&self) {
+        if let Channel::Mux(m) = self {
+            m.shutdown();
         }
     }
+}
+
+/// The reply half of a two-way exchange; one-ways have none.
+#[derive(Clone, Copy)]
+struct ReplyWait {
+    request_id: u64,
+    timeout: Option<Duration>,
 }
 
 /// A proto-object speaking raw ORB frames over a transport.
@@ -153,29 +248,20 @@ pub struct TransportProto {
     id: ProtocolId,
     rule: ApplicabilityRule,
     dialer: Arc<dyn Dialer>,
-    mode: PoolMode,
-    channels: Mutex<HashMap<Endpoint, Channel>>,
+    channels: EndpointCache<Channel>,
     health_sink: Mutex<Option<Arc<HealthRegistry>>>,
 }
 
 impl TransportProto {
-    /// Builds a proto-object for `id` with the given applicability, pooling
-    /// in [`PoolMode::Auto`].
+    /// Builds a proto-object for `id` with the given applicability.
     pub fn new(id: ProtocolId, rule: ApplicabilityRule, dialer: Arc<dyn Dialer>) -> Self {
         Self {
             id,
             rule,
             dialer,
-            mode: PoolMode::Auto,
-            channels: Mutex::new(HashMap::new()),
+            channels: EndpointCache::new(id),
             health_sink: Mutex::new(None),
         }
-    }
-
-    /// Builder-style pool-mode override.
-    pub fn with_pool_mode(mut self, mode: PoolMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Connects reader-thread deaths to a health registry: a mux whose demux
@@ -186,70 +272,16 @@ impl TransportProto {
         *self.health_sink.lock() = Some(health);
     }
 
-    /// Number of cached per-endpoint channels (for tests).
-    pub fn cached_connections(&self) -> usize {
-        self.channels.lock().len()
-    }
-
-    /// Requests currently awaiting replies on `ep`'s multiplexed channel
-    /// (0 for striped or unpooled endpoints). For tests and benchmarks.
-    pub fn mux_in_flight(&self, ep: &Endpoint) -> usize {
-        let chan = self.cached_channel_if_any(ep);
-        match chan {
-            Some(Channel::Mux(m)) => m.in_flight(),
-            _ => 0,
-        }
-    }
-
-    fn cached_channel_if_any(&self, ep: &Endpoint) -> Option<Channel> {
-        self.channels.lock().get(ep).cloned()
-    }
-
-    fn health_registry(&self) -> Option<Arc<HealthRegistry>> {
-        self.health_sink.lock().clone()
-    }
-
-    /// Returns the pooled channel for `ep` and whether it was already
-    /// cached. Dead mux channels are evicted lazily here.
-    fn channel(&self, ep: &Endpoint) -> Result<(Channel, bool), OrbError> {
-        if let Some(chan) = self.cached_channel(ep) {
-            return Ok((chan, true));
-        }
-        let built = self.build_channel(ep).map_err(OrbError::Transport)?;
-        Ok(self.install(ep, built))
-    }
-
-    /// Single-lock lookup: get + liveness check + eviction of a dead mux
-    /// under one guard, so a caller cannot hand out a channel another caller
-    /// concurrently declared dead.
-    fn cached_channel(&self, ep: &Endpoint) -> Option<Channel> {
-        let mut map = self.channels.lock();
-        if matches!(map.get(ep), Some(Channel::Mux(m)) if m.is_dead()) {
-            map.remove(ep);
-            return None;
-        }
-        map.get(ep).cloned()
-    }
-
-    /// Dials and wraps a fresh channel. In [`PoolMode::Auto`] a transport
-    /// that can split its connections gets a mux; everything else stripes.
-    fn build_channel(&self, ep: &Endpoint) -> Result<Channel, TransportError> {
+    /// Dials and wraps a fresh channel: a connection that can split gets a
+    /// mux; everything else stripes.
+    fn dial_channel(&self, ep: &Endpoint) -> Result<Channel, OrbError> {
         let mut conn = self.dialer.dial(ep)?;
-        let width = match self.mode {
-            PoolMode::Auto => match conn.try_split() {
-                Some((tx, rx)) => {
-                    // The halves own socket duplicates / channel clones; the
-                    // original connection object is no longer needed.
-                    drop(conn);
-                    return Ok(Channel::Mux(self.spawn_mux(ep, tx, rx)));
-                }
-                None => DEFAULT_STRIPES,
-            },
-            PoolMode::Striped(k) => k,
-        };
-        let set = StripeSet::new(width);
-        set.adopt(conn);
-        Ok(Channel::Striped(Arc::new(set)))
+        Ok(match conn.try_split() {
+            // The halves own socket duplicates / channel clones; the
+            // original connection object is no longer needed.
+            Some((tx, rx)) => Channel::Mux(self.spawn_mux(ep, tx, rx)),
+            None => Channel::Striped(StripeSet::adopting(conn)),
+        })
     }
 
     /// Spawns the demux channel for `ep`, wiring reader-thread death into
@@ -260,7 +292,7 @@ impl TransportProto {
         tx: Box<dyn SendHalf>,
         rx: Box<dyn RecvHalf>,
     ) -> Arc<MuxChannel> {
-        let health = self.health_registry();
+        let health = self.health_sink.lock().clone();
         let key = HealthKey::new(self.id.to_string(), ep.to_string());
         let proto = self.id.to_string();
         let hook: DeathHook = Box::new(move |_err| {
@@ -272,236 +304,131 @@ impl TransportProto {
         MuxChannel::spawn(tx, rx, Box::new(reply_request_id), Some(hook))
     }
 
-    /// Publishes a freshly built channel — unless another caller won the
-    /// dial race while we were connecting, in which case the earlier channel
-    /// wins, our duplicate is torn down, and the avoided double-dial is
-    /// counted. Returns the channel to use and whether it was cached.
-    fn install(&self, ep: &Endpoint, built: Channel) -> (Channel, bool) {
-        match self.install_or_existing(ep, &built) {
-            None => (built, false),
-            Some(winner) => {
-                ohpc_telemetry::inc(
-                    "orb_double_dial_avoided_total",
-                    &[("protocol", &self.id.to_string())],
-                );
-                if let Channel::Mux(ours) = built {
-                    ours.shutdown();
-                }
-                (winner, true)
-            }
-        }
-    }
-
-    /// The map half of [`install`](Self::install): re-checks under the lock
-    /// and inserts only when no live channel is present. Returns the
-    /// existing live channel when the race was lost.
-    fn install_or_existing(&self, ep: &Endpoint, built: &Channel) -> Option<Channel> {
-        let mut map = self.channels.lock();
-        let live = match map.get(ep) {
-            Some(Channel::Mux(m)) if m.is_dead() => None,
-            other => other.cloned(),
-        };
-        if live.is_none() {
-            map.insert(ep.clone(), built.clone());
-        }
-        live
-    }
-
-    /// Evicts the channel for `ep` **only if** it is the very channel the
-    /// caller observed failing (`Arc` identity, not key): a racing caller
-    /// may already have replaced it with a fresh healthy channel that must
-    /// not be torn down by a stale failure report.
-    fn evict(&self, ep: &Endpoint, stale: &Channel) {
-        let mut map = self.channels.lock();
-        let is_current = match map.get(ep) {
-            Some(cur) => cur.same_identity(stale),
-            None => false,
-        };
-        if is_current {
-            map.remove(ep);
-        }
-    }
-
-    /// One request/reply over the pooled channel, distinguishing failure
-    /// phases: a dial or send failure means the frame never left this
-    /// process ([`OrbError::Transport`], always safe to retry), while any
-    /// failure after the frame was handed to the fabric — the server may
-    /// have executed the request — surfaces as
+    /// Sends `frame` over the pooled channel and, for a two-way (`reply` is
+    /// `Some`), waits for and returns the correlated reply frame; a one-way
+    /// returns `None`.
+    ///
+    /// Failure phases stay distinct: a dial or send failure means the frame
+    /// never left this process ([`OrbError::Transport`], always safe to
+    /// retry), while any failure after the frame was handed to the fabric —
+    /// the server may have executed the request — surfaces as
     /// [`OrbError::AmbiguousTransport`] and is never transparently re-sent
     /// here. Idempotency-aware retry lives in the GP, which knows the
     /// request's semantics; this layer only retries the provably-unsent
-    /// case of a stale cached channel.
+    /// case of a stale cached channel (e.g. the server restarted), once.
+    ///
+    /// On a mux the deadline rides into the demux wait, and only a *dead*
+    /// channel is evicted: a live one that merely timed out keeps serving
+    /// its other waiters.
     fn exchange(
         &self,
         ep: &Endpoint,
-        request_id: u64,
         frame: &[u8],
-        remaining_ns: Option<u64>,
-    ) -> Result<Bytes, OrbError> {
-        for attempt in 0..2 {
-            let (chan, was_cached) = self.channel(ep)?;
-            match &chan {
-                Channel::Striped(set) => {
-                    return self.exchange_striped(ep, set, frame, remaining_ns);
-                }
-                Channel::Mux(mux) => {
-                    match self.exchange_mux(ep, &chan, mux, request_id, frame, remaining_ns) {
-                        // Stale cached mux (e.g. the server restarted): the
-                        // frame provably never left, retry once fresh.
-                        Err(OrbError::Transport(_)) if was_cached && attempt == 0 => {
-                            ohpc_telemetry::inc(
-                                "orb_transport_retries_total",
-                                &[("protocol", &self.id.to_string())],
-                            );
-                        }
-                        outcome => return outcome,
-                    }
-                }
+        reply: Option<ReplyWait>,
+    ) -> Result<Option<Bytes>, OrbError> {
+        let mut retried = false;
+        loop {
+            let (chan, was_cached) = self.channels.get_or_dial(ep, || self.dial_channel(ep))?;
+            let mux = match &*chan {
+                Channel::Striped(set) => return self.exchange_striped(ep, set, frame, reply),
+                Channel::Mux(mux) => mux,
+            };
+            let outcome = match reply {
+                Some(w) => mux.call(w.request_id, frame, w.timeout).map(Some),
+                None => mux.send_only(frame).map(|()| None),
+            };
+            let err = match outcome {
+                Ok(reply) => return Ok(reply),
+                Err(err) => err,
+            };
+            if mux.is_dead() {
+                self.channels.evict(ep, &chan);
             }
-        }
-        // Both iterations return above; keep a typed error rather than a
-        // panic in case the retry policy ever changes shape.
-        Err(OrbError::Protocol("exchange retry loop exhausted".into()))
-    }
-
-    /// Multiplexed exchange: the deadline rides into the demux wait, and a
-    /// timeout surfaces as [`OrbError::AmbiguousTransport`] (the reply may
-    /// still be in flight). Only a *dead* channel is evicted — by identity;
-    /// a live channel that merely timed out keeps serving its other waiters.
-    fn exchange_mux(
-        &self,
-        ep: &Endpoint,
-        chan: &Channel,
-        mux: &Arc<MuxChannel>,
-        request_id: u64,
-        frame: &[u8],
-        remaining_ns: Option<u64>,
-    ) -> Result<Bytes, OrbError> {
-        let timeout = remaining_ns.map(Duration::from_nanos);
-        match mux.call(request_id, frame, timeout) {
-            Ok(reply) => Ok(reply),
-            Err(err) => {
-                if mux.is_dead() {
-                    self.evict(ep, chan);
+            match err {
+                MuxError::Unsent(_) if was_cached && !retried => {
+                    retried = true;
+                    count_retry(self.id);
                 }
-                match err {
-                    MuxError::Unsent(e) => Err(OrbError::Transport(e)),
-                    MuxError::Lost(e) => Err(OrbError::AmbiguousTransport(e)),
-                }
+                MuxError::Unsent(e) => return Err(OrbError::Transport(e)),
+                MuxError::Lost(e) => return Err(OrbError::AmbiguousTransport(e)),
             }
         }
     }
 
-    /// Fallback exchange: one stripe's lock is held across send+recv because
-    /// the framing cannot interleave. The deadline arms the connection's
-    /// receive timeout (where supported). Failed or timed-out connections
-    /// are dropped in place — a timeout may leave a partial frame on the
-    /// wire, which would desynchronize the next exchange.
+    /// [`exchange`](Self::exchange) on the fallback shape: one stripe's lock
+    /// is held across send(+recv) because the framing cannot interleave.
+    /// The deadline arms the connection's receive timeout (where
+    /// supported). A pooled connection whose send fails is dropped and
+    /// re-dialed once; one whose receive fails or times out is dropped in
+    /// place — a timeout may leave a partial frame on the wire, which would
+    /// desynchronize the next exchange.
     fn exchange_striped(
         &self,
         ep: &Endpoint,
-        set: &Arc<StripeSet>,
+        set: &StripeSet,
         frame: &[u8],
-        remaining_ns: Option<u64>,
-    ) -> Result<Bytes, OrbError> {
-        let Some(stripe) = set.pick() else {
+        reply: Option<ReplyWait>,
+    ) -> Result<Option<Bytes>, OrbError> {
+        let ordered = reply.is_none() || set.oneways_unread.load(Ordering::Acquire);
+        let Some(stripe) = set.pick(ordered) else {
             return Err(OrbError::Protocol("striped pool has no stripes".into()));
         };
         // ohpc-analyze: allow(guard-across-blocking) — a stripe is one
-        // connection whose request/reply pairs must not interleave; holding
-        // the slot mutex across the exchange is the striping design, and
-        // contention is bounded by picking among independent stripes.
-        let mut slot = stripe.slot.lock();
-        for attempt in 0..2 {
-            let had_conn = slot.is_some();
-            if slot.is_none() {
-                *slot = Some(self.dialer.dial(ep).map_err(OrbError::Transport)?);
+        // connection whose frames (and request/reply pairs) must not
+        // interleave; holding the slot mutex across the exchange is the
+        // striping design, and contention is bounded by picking among
+        // independent stripes.
+        let mut slot = stripe.lock();
+        let mut fresh = false;
+        loop {
+            let conn = match slot.as_mut() {
+                Some(pooled) => pooled,
+                None => {
+                    fresh = true;
+                    slot.insert(self.dialer.dial(ep)?)
+                }
+            };
+            if let Err(e) = conn.send(frame) {
+                *slot = None;
+                // Only a pooled connection can have gone stale; one dialed
+                // for this very exchange that cannot send is the error.
+                if fresh {
+                    return Err(e.into());
+                }
+                count_retry(self.id);
+                continue;
             }
-            let Some(conn) = slot.as_mut() else { break };
-            match conn.send(frame) {
+            let Some(wait) = reply else {
+                set.oneways_unread.store(true, Ordering::Release);
+                return Ok(None);
+            };
+            if wait.timeout.is_some() {
+                let _ = conn.set_recv_timeout(wait.timeout);
+            }
+            return match conn.recv() {
+                Ok(reply) => {
+                    if wait.timeout.is_some() {
+                        let _ = conn.set_recv_timeout(None);
+                    }
+                    if ordered {
+                        set.oneways_unread.store(false, Ordering::Release);
+                    }
+                    Ok(Some(reply))
+                }
                 Err(e) => {
                     *slot = None;
-                    if !(had_conn && attempt == 0) {
-                        return Err(e.into());
-                    }
-                    ohpc_telemetry::inc(
-                        "orb_transport_retries_total",
-                        &[("protocol", &self.id.to_string())],
-                    );
+                    Err(OrbError::AmbiguousTransport(e))
                 }
-                Ok(()) => {
-                    let timeout = remaining_ns.map(Duration::from_nanos);
-                    if timeout.is_some() {
-                        let _ = conn.set_recv_timeout(timeout);
-                    }
-                    match conn.recv() {
-                        Ok(reply) => {
-                            if timeout.is_some() {
-                                let _ = conn.set_recv_timeout(None);
-                            }
-                            return Ok(reply);
-                        }
-                        Err(e) => {
-                            *slot = None;
-                            return Err(OrbError::AmbiguousTransport(e));
-                        }
-                    }
-                }
-            }
+            };
         }
-        Err(OrbError::Protocol("exchange retry loop exhausted".into()))
-    }
-
-    /// One-way send on a stripe: lock, lazily dial, send; a failing pooled
-    /// connection is dropped and retried once with a fresh dial.
-    fn send_striped(
-        &self,
-        ep: &Endpoint,
-        set: &Arc<StripeSet>,
-        frame: &[u8],
-    ) -> Result<(), OrbError> {
-        let Some(stripe) = set.pick() else {
-            return Err(OrbError::Protocol("striped pool has no stripes".into()));
-        };
-        // ohpc-analyze: allow(guard-across-blocking) — one-way sends share
-        // the stripe's framing discipline: the slot mutex keeps concurrent
-        // writers from interleaving frames on the stripe's connection.
-        let mut slot = stripe.slot.lock();
-        for attempt in 0..2 {
-            let had_conn = slot.is_some();
-            if slot.is_none() {
-                *slot = Some(self.dialer.dial(ep).map_err(OrbError::Transport)?);
-            }
-            let Some(conn) = slot.as_mut() else { break };
-            match conn.send(frame) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    *slot = None;
-                    if !(had_conn && attempt == 0) {
-                        return Err(e.into());
-                    }
-                    ohpc_telemetry::inc(
-                        "orb_transport_retries_total",
-                        &[("protocol", &self.id.to_string())],
-                    );
-                }
-            }
-        }
-        Err(OrbError::Protocol("oneway retry loop exhausted".into()))
     }
 }
 
 impl Drop for TransportProto {
     fn drop(&mut self) {
-        // Mux reader threads hold their channels alive; closing the send
-        // halves unblocks them so no reader outlives the proto. Shutdown
-        // happens outside the cache lock.
-        let drained: Vec<Channel> = self.channels.lock().drain().map(|(_, c)| c).collect();
-        for chan in drained {
-            if let Channel::Mux(m) = chan {
-                m.shutdown();
-            }
-        }
+        // Mux reader threads hold their channels alive; no reader may
+        // outlive the proto.
+        self.channels.retire_all();
     }
 }
 
@@ -537,16 +464,14 @@ impl ProtoObject for TransportProto {
         remaining_ns: Option<u64>,
     ) -> Result<ReplyMessage, OrbError> {
         let ep = endpoint_of(entry)?;
-        let frame = req.to_frame();
-        let reply_frame = self.exchange(&ep, req.request_id.0, &frame, remaining_ns)?;
-        let reply = ReplyMessage::from_frame(&reply_frame)?;
-        if reply.request_id != req.request_id {
-            return Err(OrbError::Protocol(format!(
-                "reply id {} does not match request id {}",
-                reply.request_id, req.request_id
-            )));
+        let wait = ReplyWait {
+            request_id: req.request_id.0,
+            timeout: remaining_ns.map(Duration::from_nanos),
+        };
+        match self.exchange(&ep, &req.to_frame(), Some(wait))? {
+            Some(reply_frame) => matched_reply(req, &reply_frame),
+            None => Err(OrbError::Protocol("two-way exchange returned no reply frame".into())),
         }
-        Ok(reply)
     }
 
     fn invoke_oneway(
@@ -557,36 +482,13 @@ impl ProtoObject for TransportProto {
     ) -> Result<(), OrbError> {
         debug_assert!(req.oneway, "oneway invocation requires the oneway wire flag");
         let ep = endpoint_of(entry)?;
-        let frame = req.to_frame();
-        for attempt in 0..2 {
-            let (chan, was_cached) = self.channel(&ep)?;
-            match &chan {
-                Channel::Striped(set) => return self.send_striped(&ep, set, &frame),
-                Channel::Mux(mux) => match mux.send_only(&frame) {
-                    Ok(()) => return Ok(()),
-                    Err(err) => {
-                        if mux.is_dead() {
-                            self.evict(&ep, &chan);
-                        }
-                        // send_only failures are always pre-send; a one-way
-                        // either left the process or it did not.
-                        let e = err.transport().clone();
-                        if !(was_cached && attempt == 0) {
-                            return Err(OrbError::Transport(e));
-                        }
-                        ohpc_telemetry::inc(
-                            "orb_transport_retries_total",
-                            &[("protocol", &self.id.to_string())],
-                        );
-                    }
-                },
-            }
-        }
-        // Both iterations return above; keep a typed error rather than a
-        // panic in case the retry policy ever changes shape.
-        Err(OrbError::Protocol("oneway retry loop exhausted".into()))
+        self.exchange(&ep, &req.to_frame(), None).map(|_| ())
     }
 }
+
+// --------------------------------------------------------------------- nexus
+
+impl Pooled for Startpoint {}
 
 /// The Nexus-based baseline protocol object: ORB frames ride inside Nexus
 /// remote service requests (one handler slot per context).
@@ -594,64 +496,28 @@ pub struct NexusProto {
     id: ProtocolId,
     rule: ApplicabilityRule,
     dialer: Arc<dyn Dialer>,
-    startpoints: Mutex<HashMap<Endpoint, Arc<Startpoint>>>,
+    startpoints: EndpointCache<Startpoint>,
 }
 
 impl NexusProto {
     /// Builds the baseline proto-object over the given transport dialer.
     pub fn new(id: ProtocolId, rule: ApplicabilityRule, dialer: Arc<dyn Dialer>) -> Self {
-        Self { id, rule, dialer, startpoints: Mutex::new(HashMap::new()) }
+        Self { id, rule, dialer, startpoints: EndpointCache::new(id) }
     }
 
-    fn startpoint(&self, ep: &Endpoint) -> Result<Arc<Startpoint>, OrbError> {
-        if let Some(sp) = self.cached_startpoint(ep) {
-            return Ok(sp);
-        }
-        let sp = Arc::new(
-            Startpoint::connect(self.dialer.as_ref(), ep).map_err(nexus_to_orb)?,
-        );
-        Ok(self.install_startpoint(ep, sp))
-    }
-
-    fn cached_startpoint(&self, ep: &Endpoint) -> Option<Arc<Startpoint>> {
-        self.startpoints.lock().get(ep).cloned()
-    }
-
-    /// Re-checks under the lock before publishing: a racing caller's earlier
-    /// startpoint wins (the duplicate dial must not overwrite — and thereby
-    /// leak — the connection other callers already share).
-    fn install_startpoint(&self, ep: &Endpoint, sp: Arc<Startpoint>) -> Arc<Startpoint> {
-        let (winner, raced) = {
-            let mut map = self.startpoints.lock();
-            match map.get(ep) {
-                Some(existing) => (existing.clone(), true),
-                None => {
-                    map.insert(ep.clone(), sp.clone());
-                    (sp, false)
-                }
-            }
-        };
-        if raced {
-            ohpc_telemetry::inc(
-                "orb_double_dial_avoided_total",
-                &[("protocol", &self.id.to_string())],
-            );
-        }
-        winner
-    }
-
-    /// Identity-checked eviction: only removes the cached startpoint if it
-    /// is the one the caller saw fail, so a stale failure report cannot tear
-    /// down a replacement a racing caller already connected.
-    fn forget_startpoint(&self, ep: &Endpoint, stale: &Arc<Startpoint>) {
-        let mut map = self.startpoints.lock();
-        let is_current = match map.get(ep) {
-            Some(cur) => Arc::ptr_eq(cur, stale),
-            None => false,
-        };
-        if is_current {
-            map.remove(ep);
-        }
+    /// The pooled startpoint for `ep` and `req` wrapped as RSR arguments.
+    fn prepare(
+        &self,
+        ep: &Endpoint,
+        req: &RequestMessage,
+    ) -> Result<(Arc<Startpoint>, XdrWriter), OrbError> {
+        let (sp, _) = self.startpoints.get_or_dial(ep, || {
+            Startpoint::connect(self.dialer.as_ref(), ep).map_err(nexus_to_orb)
+        })?;
+        let frame = req.to_frame();
+        let mut args = XdrWriter::with_capacity(frame.len() + 8);
+        args.put_fixed_opaque(&frame);
+        Ok((sp, args))
     }
 }
 
@@ -698,15 +564,12 @@ impl ProtoObject for NexusProto {
         remaining_ns: Option<u64>,
     ) -> Result<ReplyMessage, OrbError> {
         let ep = endpoint_of(entry)?;
-        let sp = self.startpoint(&ep)?;
-        let frame = req.to_frame();
-        let mut args = XdrWriter::with_capacity(frame.len() + 8);
-        args.put_fixed_opaque(&frame);
-        let deadline = remaining_ns.map(std::time::Duration::from_nanos);
+        let (sp, args) = self.prepare(&ep, req)?;
+        let deadline = remaining_ns.map(Duration::from_nanos);
         let reply_bytes = match sp.rsr_reply_deadline(NEXUS_ORB_HANDLER, &args, deadline) {
             Ok(b) => b,
             Err(e) => {
-                self.forget_startpoint(&ep, &sp);
+                self.startpoints.evict(&ep, &sp);
                 // The RSR layer merges send and receive into one call, so a
                 // transport failure here cannot be proven to predate
                 // delivery: classify it as ambiguous.
@@ -716,11 +579,7 @@ impl ProtoObject for NexusProto {
                 });
             }
         };
-        let reply = ReplyMessage::from_frame(&reply_bytes)?;
-        if reply.request_id != req.request_id {
-            return Err(OrbError::Protocol("nexus reply id mismatch".into()));
-        }
-        Ok(reply)
+        matched_reply(req, &reply_bytes)
     }
 
     fn invoke_oneway(
@@ -731,16 +590,12 @@ impl ProtoObject for NexusProto {
     ) -> Result<(), OrbError> {
         debug_assert!(req.oneway, "oneway invocation requires the oneway wire flag");
         let ep = endpoint_of(entry)?;
-        let sp = self.startpoint(&ep)?;
-        let frame = req.to_frame();
-        let mut args = XdrWriter::with_capacity(frame.len() + 8);
-        args.put_fixed_opaque(&frame);
+        let (sp, args) = self.prepare(&ep, req)?;
         // A genuine Nexus one-way remote service request.
-        if let Err(e) = sp.rsr(NEXUS_ORB_HANDLER, &args) {
-            self.forget_startpoint(&ep, &sp);
-            return Err(nexus_to_orb(e));
-        }
-        Ok(())
+        sp.rsr(NEXUS_ORB_HANDLER, &args).map_err(|e| {
+            self.startpoints.evict(&ep, &sp);
+            nexus_to_orb(e)
+        })
     }
 
     fn describe(&self, _entry: &ProtoEntry) -> String {
@@ -752,9 +607,9 @@ impl ProtoObject for NexusProto {
 mod tests {
     use super::*;
     use crate::ids::{ObjectId, RequestId};
-    use bytes::Bytes;
     use ohpc_transport::mem::MemFabric;
-    use ohpc_transport::Listener as _;
+    use ohpc_transport::testing::{FaultPlan, FlakyDialer};
+    use ohpc_transport::{Listener as _, TransportError};
 
     fn request(id: u64, body: &'static [u8]) -> RequestMessage {
         RequestMessage {
@@ -805,7 +660,7 @@ mod tests {
             let reply = proto.invoke(&pool, &entry, &request(i, b"abc")).unwrap();
             assert_eq!(&reply.body[..], b"cba");
         }
-        assert_eq!(proto.cached_connections(), 1, "one endpoint, one cached channel");
+        assert_eq!(proto.channels.handles.lock().len(), 1, "one endpoint, one cached channel");
         server.join().unwrap();
     }
 
@@ -831,106 +686,134 @@ mod tests {
         // The frame was sent before the peer vanished, so the failure is
         // ambiguous — the server may have processed it.
         assert!(matches!(err, OrbError::AmbiguousTransport(_)), "{err}");
-        assert_eq!(proto.cached_connections(), 0, "dead channel evicted");
+        assert_eq!(proto.channels.handles.lock().len(), 0, "dead channel evicted");
         h.join().unwrap();
     }
 
+    /// A pooled handle the test can declare dead.
+    #[derive(Default)]
+    struct Probe {
+        dead: AtomicBool,
+    }
+
+    impl Pooled for Probe {
+        fn is_dead(&self) -> bool {
+            self.dead.load(Ordering::SeqCst)
+        }
+    }
+
+    fn dial_probe(cache: &EndpointCache<Probe>, ep: &Endpoint) -> (Arc<Probe>, bool) {
+        cache.get_or_dial(ep, || Ok(Probe::default())).unwrap()
+    }
+
     /// Regression test for the key-based-eviction bug: a straggler holding a
-    /// reference to a *replaced* channel must not evict the fresh one a
+    /// reference to a *replaced* handle must not evict the fresh one a
     /// racing caller installed under the same endpoint key.
     #[test]
     fn eviction_is_by_identity_not_by_key() {
-        let fabric = MemFabric::new();
-        let _listener = fabric.listen_on(7);
-        let proto =
-            TransportProto::new(ProtocolId::SHM, ApplicabilityRule::Always, Arc::new(fabric));
+        let cache = EndpointCache::<Probe>::new(ProtocolId::SHM);
         let ep = Endpoint::Mem(7);
 
-        let (first, cached) = proto.channel(&ep).unwrap();
+        let (first, cached) = dial_probe(&cache, &ep);
         assert!(!cached);
-        // A racing caller saw `first` fail, evicted it, and rebuilt.
-        proto.evict(&ep, &first);
-        let (second, cached) = proto.channel(&ep).unwrap();
+        // A racing caller saw `first` fail, evicted it, and re-dialed.
+        cache.evict(&ep, &first);
+        let (second, cached) = dial_probe(&cache, &ep);
         assert!(!cached);
-        assert!(!first.same_identity(&second));
+        assert!(!Arc::ptr_eq(&first, &second));
 
         // The straggler now reports its stale failure. Key-based eviction
         // would tear down `second`; identity eviction must keep it.
-        proto.evict(&ep, &first);
-        assert_eq!(proto.cached_connections(), 1, "fresh channel survived stale eviction");
-        let (current, cached) = proto.channel(&ep).unwrap();
+        cache.evict(&ep, &first);
+        assert_eq!(cache.handles.lock().len(), 1, "fresh handle survived stale eviction");
+        let (current, cached) = dial_probe(&cache, &ep);
         assert!(cached);
-        assert!(current.same_identity(&second));
+        assert!(Arc::ptr_eq(&current, &second));
 
         // Evicting with the right identity still works.
-        proto.evict(&ep, &second);
-        assert_eq!(proto.cached_connections(), 0);
-        for chan in [first, second] {
-            if let Channel::Mux(m) = chan {
-                m.shutdown();
-            }
-        }
-    }
+        cache.evict(&ep, &second);
+        assert_eq!(cache.handles.lock().len(), 0);
 
-    /// A dialer that parks every caller on a barrier inside `dial`, forcing
-    /// racing callers into the widest possible check-then-install window.
-    struct GateDialer {
-        inner: MemFabric,
-        gate: Arc<std::sync::Barrier>,
-    }
-
-    impl Dialer for GateDialer {
-        fn dial(&self, ep: &Endpoint) -> Result<Box<dyn Connection>, TransportError> {
-            self.gate.wait();
-            self.inner.dial(ep)
-        }
+        // A handle that dies while pooled needs no evictor: the next lookup
+        // drops it instead of handing it out.
+        let (third, _) = dial_probe(&cache, &ep);
+        third.dead.store(true, Ordering::SeqCst);
+        assert!(cache.cached(&ep).is_none());
+        assert_eq!(cache.handles.lock().len(), 0);
     }
 
     /// Regression test for the check-drop-dial-relock race: both callers
-    /// dial, but exactly one channel may be published — the loser must share
-    /// the winner's rather than overwrite (and leak) it.
+    /// dial (a barrier inside the dial forces the widest check-then-publish
+    /// window), but exactly one handle may be published — the loser must
+    /// share the winner's and retire its own rather than overwrite (and
+    /// leak) it.
     #[test]
     fn racing_dials_share_one_channel() {
-        let fabric = MemFabric::new();
-        let _listener = fabric.listen_on(8);
+        let cache = Arc::new(EndpointCache::<Probe>::new(ProtocolId::SHM));
         let gate = Arc::new(std::sync::Barrier::new(2));
-        let proto = Arc::new(TransportProto::new(
-            ProtocolId::SHM,
-            ApplicabilityRule::Always,
-            Arc::new(GateDialer { inner: fabric, gate }),
-        ));
-        let ep = Endpoint::Mem(8);
         let racers: Vec<_> = (0..2)
             .map(|_| {
-                let proto = proto.clone();
-                let ep = ep.clone();
-                std::thread::spawn(move || proto.channel(&ep).unwrap().0)
+                let (cache, gate) = (cache.clone(), gate.clone());
+                std::thread::spawn(move || {
+                    let dial = || {
+                        gate.wait();
+                        Ok(Probe::default())
+                    };
+                    cache.get_or_dial(&Endpoint::Mem(8), dial).unwrap().0
+                })
             })
             .collect();
-        let chans: Vec<Channel> =
-            racers.into_iter().map(|t| t.join().unwrap()).collect();
-        assert_eq!(proto.cached_connections(), 1, "the race must not publish two channels");
-        assert!(chans[0].same_identity(&chans[1]), "both racers share one channel");
+        let shared: Vec<Arc<Probe>> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+        assert_eq!(cache.handles.lock().len(), 1, "the race must not publish two handles");
+        assert!(Arc::ptr_eq(&shared[0], &shared[1]), "both racers share one handle");
     }
 
-    /// `PoolMode::Striped(1)` reproduces the historical serialized wire.
+    /// A dialer whose connections cannot split lands on the striped
+    /// fallback, which round-trips — and keeps the one-way contract: a
+    /// two-way issued after a one-way follows it on the same connection
+    /// (the server reads connections independently, so on any other stripe
+    /// it could overtake), and the reply frees two-ways to spread again.
     #[test]
-    fn striped_mode_round_trips() {
+    fn striped_fallback_round_trips() {
         let fabric = MemFabric::new();
         let mut listener = fabric.listen_on(10);
-        let server = std::thread::spawn(move || {
-            let mut conn = listener.accept().unwrap();
-            let frame = conn.recv().unwrap();
-            let req = RequestMessage::from_frame(&frame).unwrap();
-            conn.send(&ReplyMessage::ok(req.request_id, req.body).to_frame()).unwrap();
+        let stop_listening = listener.stop_fn();
+        // Echo on every connection, logging (connection, request id) as
+        // frames arrive.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let acceptor = std::thread::spawn(move || {
+            for conn_no in 0.. {
+                let Ok(mut conn) = listener.accept() else { return };
+                let log = log.clone();
+                std::thread::spawn(move || {
+                    while let Ok(frame) = conn.recv() {
+                        let req = RequestMessage::from_frame(&frame).unwrap();
+                        log.lock().push((conn_no, req.request_id.0));
+                        if !req.oneway {
+                            let reply = ReplyMessage::ok(req.request_id, req.body);
+                            conn.send(&reply.to_frame()).unwrap();
+                        }
+                    }
+                });
+            }
         });
+        // FaultPlan::every(0) injects nothing; the wrapper's connections
+        // simply do not implement `try_split`.
+        let dialer = FlakyDialer::new(Arc::new(fabric), FaultPlan::every(0));
         let proto =
-            TransportProto::new(ProtocolId::SHM, ApplicabilityRule::Always, Arc::new(fabric))
-                .with_pool_mode(PoolMode::Striped(1));
+            TransportProto::new(ProtocolId::SHM, ApplicabilityRule::Always, Arc::new(dialer));
         let entry = ProtoEntry::endpoint(ProtocolId::SHM, "mem://10");
-        let reply = proto.invoke(&ProtoPool::new(), &entry, &request(3, b"stripe")).unwrap();
+        let pool = ProtoPool::new();
+        let reply = proto.invoke(&pool, &entry, &request(1, b"stripe")).unwrap();
         assert_eq!(&reply.body[..], b"stripe");
-        server.join().unwrap();
+        let oneway = RequestMessage { oneway: true, ..request(2, b"") };
+        proto.invoke_oneway(&pool, &entry, &oneway).unwrap();
+        proto.invoke(&pool, &entry, &request(3, b"")).unwrap();
+        proto.invoke(&pool, &entry, &request(4, b"")).unwrap();
+        assert_eq!(*seen.lock(), vec![(0, 1), (0, 2), (0, 3), (1, 4)]);
+        stop_listening();
+        acceptor.join().unwrap();
     }
 
     /// A hung (not crashed) server must not block past the deadline: the
@@ -956,29 +839,46 @@ mod tests {
             matches!(err, OrbError::AmbiguousTransport(TransportError::Timeout)),
             "{err}"
         );
-        assert_eq!(proto.cached_connections(), 1, "a live mux survives a deadline timeout");
+        assert_eq!(proto.channels.handles.lock().len(), 1, "a live mux survives a deadline timeout");
         server.join().unwrap();
     }
 
-    /// Regression test for the same key-vs-identity bug on the Nexus path.
+    /// End to end on the Nexus path: a startpoint whose RSR failed is
+    /// evicted, and the next invocation dials a fresh one.
     #[test]
-    fn nexus_startpoint_eviction_is_by_identity() {
+    fn nexus_failed_rsr_evicts_and_redials() {
         let fabric = MemFabric::new();
-        let _listener = fabric.listen_on(9);
         let proto = NexusProto::new(
             ProtocolId::NEXUS_TCP,
             ApplicabilityRule::Always,
-            Arc::new(fabric),
+            Arc::new(fabric.clone()),
         );
-        let ep = Endpoint::Mem(9);
-        let first = proto.startpoint(&ep).unwrap();
-        // A racing caller evicted the failed startpoint and reconnected.
-        proto.forget_startpoint(&ep, &first);
-        let second = proto.startpoint(&ep).unwrap();
-        assert!(!Arc::ptr_eq(&first, &second));
-        // The straggler's stale report must not tear down the fresh one.
-        proto.forget_startpoint(&ep, &first);
-        let third = proto.startpoint(&ep).unwrap();
-        assert!(Arc::ptr_eq(&second, &third), "fresh startpoint survived stale eviction");
+        let entry = ProtoEntry::endpoint(ProtocolId::NEXUS_TCP, "mem://9");
+        let pool = ProtoPool::new();
+
+        // First server: takes the request and hangs up without replying.
+        let mut listener = fabric.listen_on(9);
+        let dropper = std::thread::spawn(move || {
+            let mut conn = listener.accept().unwrap();
+            let _ = conn.recv();
+        });
+        let err = proto.invoke(&pool, &entry, &request(1, b"lost")).unwrap_err();
+        assert!(matches!(err, OrbError::AmbiguousTransport(_)), "{err}");
+        assert_eq!(proto.startpoints.handles.lock().len(), 0, "failed startpoint evicted");
+        dropper.join().unwrap();
+
+        // Second server on the same endpoint: a real Nexus service.
+        let mut svc = ohpc_nexus::NexusService::new();
+        svc.register(NEXUS_ORB_HANDLER, |args, out| {
+            let n = args.remaining();
+            let frame = args.get_fixed_opaque(n).map_err(|e| e.to_string())?;
+            let req = RequestMessage::from_frame(frame).map_err(|e| e.to_string())?;
+            out.put_fixed_opaque(&ReplyMessage::ok(req.request_id, req.body).to_frame());
+            Ok(())
+        });
+        let _running = svc.start(Box::new(fabric.listen_on(9)));
+        let reply = proto.invoke(&pool, &entry, &request(2, b"again")).unwrap();
+        assert_eq!(&reply.body[..], b"again");
+        assert_eq!(proto.startpoints.handles.lock().len(), 1, "fresh startpoint pooled");
     }
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use ohpc_telemetry::{Gauge, Registry};
 
-/// Default in-flight bound when `OHPC_QUEUE_BOUND` is unset.
+/// The in-flight bound a context starts with.
 pub const DEFAULT_QUEUE_BOUND: usize = 1024;
 
 /// Sentinel for "no bound" in the atomic limit cell.
@@ -73,17 +73,6 @@ impl AdmissionController {
                 gauge: Registry::global().gauge("runtime_admitted_in_flight", &[]),
             }),
         }
-    }
-
-    /// Controller bounded by `OHPC_QUEUE_BOUND` (default
-    /// [`DEFAULT_QUEUE_BOUND`]; `0` or `off` disables shedding).
-    pub fn from_env() -> Self {
-        let limit = match std::env::var("OHPC_QUEUE_BOUND") {
-            Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => None,
-            Ok(v) => Some(v.parse::<usize>().unwrap_or(DEFAULT_QUEUE_BOUND)),
-            Err(_) => Some(DEFAULT_QUEUE_BOUND),
-        };
-        Self::new(limit)
     }
 
     /// Replaces the bound (`None` disables shedding). Takes effect for the

@@ -1,18 +1,15 @@
 //! Bounded server runtime: pluggable executors and admission control.
 //!
-//! PR 4's split serving spawned one OS thread per two-way request — the
-//! thread-per-request model of the 1999 paper, which collapses under
-//! sustained load: 10k in-flight requests mean 10k stacks and a scheduler
-//! meltdown, and the failure mode is timeout-late instead of reject-early.
-//! This crate replaces that with:
+//! Spawning one OS thread per two-way request — the model of the 1999
+//! paper — collapses under sustained load: 10k in-flight requests mean 10k
+//! stacks and a scheduler meltdown, and the failure mode is timeout-late
+//! instead of reject-early. This crate provides instead:
 //!
 //! * [`Executor`] — the dispatch strategy the ORB context hands request
-//!   tasks to. Three implementations ship: [`InlineExecutor`] (run on the
-//!   calling thread; deterministic, what netsim serving already does),
-//!   [`ThreadPerRequestExecutor`] (the legacy model, kept for A/B
-//!   benchmarking), and [`WorkStealingPool`] (the default: a fixed pool of
-//!   workers with per-worker LIFO slots + steal-half deques and a global
-//!   injector).
+//!   tasks to. Two implementations ship: [`InlineExecutor`] (run on the
+//!   calling thread; deterministic, what netsim serving already does) and
+//!   [`WorkerPool`] (the default: a fixed pool of workers over one shared
+//!   FIFO queue).
 //! * [`AdmissionController`] — a queue-depth/in-flight bound applied at the
 //!   transport→dispatch boundary. When the server is at capacity the
 //!   request is shed in microseconds with a retryable `Overloaded` status
@@ -22,15 +19,15 @@
 //!   their ordering guarantee.
 //!
 //! Everything here is `std`-only and feeds `ohpc-telemetry` (queue-depth /
-//! parked-worker gauges, steal/park/shed counters), so overload is visible
-//! in the same snapshot as the rest of the request path.
+//! parked-worker gauges, park/shed counters), so overload is visible in
+//! the same snapshot as the rest of the request path.
 
 mod admission;
 mod pool;
 mod serial;
 
 pub use admission::{AdmissionController, Permit, Shed, DEFAULT_QUEUE_BOUND};
-pub use pool::{default_workers, shared_pool, WorkStealingPool};
+pub use pool::{default_workers, shared_pool, WorkerPool};
 pub use serial::SerialQueue;
 
 /// A unit of work handed to an executor (one request dispatch).
@@ -49,7 +46,7 @@ pub trait Executor: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Upper bound on threads this executor will ever run tasks on, when
-    /// one exists (`None` for inline / thread-per-request strategies).
+    /// one exists (`None` for the inline strategy).
     fn worker_cap(&self) -> Option<usize> {
         None
     }
@@ -70,24 +67,6 @@ impl Executor for InlineExecutor {
 
     fn name(&self) -> &'static str {
         "inline"
-    }
-}
-
-/// The legacy PR 4 model: one detached OS thread per task.
-///
-/// Kept for A/B comparison in the overload benchmark; under sustained load
-/// it exhibits exactly the thread explosion the work-stealing pool bounds.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ThreadPerRequestExecutor;
-
-impl Executor for ThreadPerRequestExecutor {
-    fn execute(&self, task: Task) {
-        ohpc_telemetry::inc("runtime_spawned_threads_total", &[]);
-        std::thread::spawn(task);
-    }
-
-    fn name(&self) -> &'static str {
-        "thread-per-request"
     }
 }
 
@@ -115,15 +94,5 @@ mod tests {
             r2.fetch_add(1, Ordering::Relaxed);
         }));
         assert_eq!(ran.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn thread_per_request_runs_elsewhere() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let tid = std::thread::current().id();
-        ThreadPerRequestExecutor.execute(Box::new(move || {
-            let _ = tx.send(std::thread::current().id() != tid);
-        }));
-        assert!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap());
     }
 }

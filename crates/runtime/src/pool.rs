@@ -1,230 +1,116 @@
-//! The bounded work-stealing pool.
+//! The bounded worker pool.
 //!
-//! Classic shape (Cilk / crossbeam-deque / tokio's blocking-friendly
-//! variant), hand-rolled on `std` because the workspace is offline:
+//! N worker threads share **one** FIFO task queue behind a mutex. Every
+//! task the ORB submits comes from a connection thread (the demux reader's
+//! two-way dispatch, a [`SerialQueue`](crate::SerialQueue) lane scheduling
+//! its drain), never from a worker, so there is no producer-local work for
+//! per-worker queues to keep warm: one queue is the whole traffic pattern.
 //!
-//! * each worker owns a **LIFO slot** (the task it just produced runs next,
-//!   cache-warm) and a **deque** — the owner pops the newest end, thieves
-//!   take **half** from the oldest end, so stolen batches amortize the
-//!   steal and the victim keeps its hot tail;
-//! * a **global injector** receives tasks submitted from non-worker
-//!   threads (the demux reader, the accept loop); idle workers drain it in
-//!   batches proportional to `len / workers`;
-//! * **park/unpark** is epoch-based: a submitter bumps the epoch under the
-//!   sync lock and wakes one sleeper; a worker re-checks every queue
-//!   against the epoch it read before deciding to sleep, so a submission
-//!   racing a park can never be lost.
+//! Idle workers park on a stack, and a submission wakes the one that
+//! parked last: its cache and its allocator arena are the warm ones, so a
+//! load that one worker can carry stays on one worker instead of touring
+//! all N (the ledger's closed-loop 1 MiB echo peaks at ~30 MiB resident
+//! that way, against 39–56 MiB, depending on heap layout, when wake-ups
+//! rotate through eight workers' arenas).
 //!
-//! The pool is *fixed size*: under overload the queues grow (until
+//! The pool is *fixed size*: under overload the queue grows (until
 //! admission control sheds) but the thread count does not — the property
 //! the 10k-in-flight benchmark gates on.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{JoinHandle, Thread};
 
-use ohpc_telemetry::{Gauge, Registry};
+use ohpc_telemetry::{Counter, Gauge, Registry};
 
 use crate::{lock, Executor, Task};
 
-thread_local! {
-    /// (pool identity, worker index) when the current thread is a pool
-    /// worker — submissions from worker threads go to their own LIFO slot.
-    static CURRENT_WORKER: std::cell::Cell<Option<(usize, usize)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-struct WorkerQueue {
-    /// Newest task produced on this worker; runs next, never stolen.
-    lifo: Mutex<Option<Task>>,
-    /// Owner pops the back (newest), thieves drain the front (oldest).
-    deque: Mutex<VecDeque<Task>>,
-}
-
-struct PoolSync {
-    /// Bumped on every submission; parked workers sleep on it.
-    epoch: u64,
-    parked: usize,
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// Parked workers, the most recently parked last.
+    idle: Vec<Thread>,
     shutdown: bool,
 }
 
 struct PoolInner {
     name: String,
-    workers: Vec<WorkerQueue>,
-    injector: Mutex<VecDeque<Task>>,
-    sync: Mutex<PoolSync>,
-    cv: Condvar,
-    /// Tasks queued but not yet picked up by a worker.
-    queued: AtomicUsize,
+    workers: usize,
+    queue: Mutex<Queue>,
+    tasks_total: Arc<Counter>,
+    parks_total: Arc<Counter>,
     depth_gauge: Arc<Gauge>,
     parked_gauge: Arc<Gauge>,
 }
 
 impl PoolInner {
-    fn ident(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
-    }
-
-    /// Submission path; holds the sync lock across the queue push so a
-    /// parking worker that re-checked the queues under an older epoch is
-    /// guaranteed to observe the bump.
-    fn submit(self: &Arc<Self>, task: Task) {
-        ohpc_telemetry::inc("runtime_tasks_total", &[("pool", &self.name)]);
-        let mut s = lock(&self.sync);
-        if s.shutdown {
+    fn submit(&self, task: Task) {
+        self.tasks_total.inc();
+        let mut q = lock(&self.queue);
+        if q.shutdown {
             // A context shutting down races its last replies against the
             // pool teardown; run the straggler inline rather than leak it
             // (its admission permit must still be released).
-            drop(s);
+            drop(q);
             task();
             return;
         }
-        let on_own_worker = CURRENT_WORKER
-            .with(std::cell::Cell::get)
-            .filter(|(pool, _)| *pool == self.ident())
-            .map(|(_, ix)| ix);
-        match on_own_worker {
-            Some(ix) => {
-                // LIFO slot: the newest task runs next on this worker;
-                // whatever it displaces becomes stealable work.
-                let displaced = lock(&self.workers[ix].lifo).replace(task);
-                if let Some(d) = displaced {
-                    lock(&self.workers[ix].deque).push_back(d);
-                }
-            }
-            None => lock(&self.injector).push_back(task),
-        }
-        self.queued.fetch_add(1, Ordering::Relaxed);
+        q.tasks.push_back(task);
         self.depth_gauge.add(1);
-        s.epoch = s.epoch.wrapping_add(1);
-        if s.parked > 0 {
-            self.cv.notify_one();
+        let wake = q.idle.pop();
+        drop(q);
+        if let Some(worker) = wake {
+            worker.unpark();
         }
     }
 
-    /// Finds the next task for worker `ix`: LIFO slot, own deque, injector
-    /// batch, then steal-half sweeps over the other workers.
-    fn find_task(&self, ix: usize) -> Option<Task> {
-        if let Some(t) = lock(&self.workers[ix].lifo).take() {
-            ohpc_telemetry::inc("runtime_lifo_hits_total", &[("pool", &self.name)]);
-            return Some(t);
-        }
-        if let Some(t) = lock(&self.workers[ix].deque).pop_back() {
-            return Some(t);
-        }
-        {
-            let mut inj = lock(&self.injector);
-            if !inj.is_empty() {
-                // Batch: leave the rest for other idle workers.
-                let take = (inj.len() / self.workers.len()).max(1).min(inj.len());
-                let first = inj.pop_front();
-                let mut own = lock(&self.workers[ix].deque);
-                for _ in 1..take {
-                    if let Some(t) = inj.pop_front() {
-                        own.push_back(t);
-                    }
-                }
-                return first;
-            }
-        }
-        let n = self.workers.len();
-        for k in 1..n {
-            let victim = (ix + k) % n;
-            let mut vd = lock(&self.workers[victim].deque);
-            let len = vd.len();
-            if len == 0 {
-                continue;
-            }
-            // Steal half (rounded up) from the *oldest* end.
-            let take = len.div_ceil(2);
-            let mut batch: Vec<Task> = vd.drain(..take).collect();
-            drop(vd);
-            ohpc_telemetry::add("runtime_steals_total", &[("pool", &self.name)], take as u64);
-            let first = batch.remove(0);
-            if !batch.is_empty() {
-                let mut own = lock(&self.workers[ix].deque);
-                for t in batch {
-                    own.push_back(t);
-                }
-            }
-            return Some(first);
-        }
-        None
-    }
-
-    fn run_worker(self: Arc<Self>, ix: usize) {
-        CURRENT_WORKER.with(|c| c.set(Some((self.ident(), ix))));
+    fn run_worker(&self) {
+        let me = std::thread::current();
+        let mut q = lock(&self.queue);
         loop {
-            if let Some(t) = self.find_task(ix) {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                self.depth_gauge.sub(1);
-                // A panicking handler must not shrink the pool: the worker
-                // counts it and moves on (the task's drop guards — permits,
-                // spans — already ran during the unwind).
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(t)).is_err() {
-                    ohpc_telemetry::inc("runtime_task_panics_total", &[("pool", &self.name)]);
-                }
-                continue;
+            if q.shutdown {
+                return;
             }
-            // Park protocol: remember the epoch, re-check for work, then
-            // sleep only if no submission bumped the epoch in between.
-            let e = {
-                let s = lock(&self.sync);
-                if s.shutdown {
-                    return;
-                }
-                s.epoch
+            let Some(task) = q.tasks.pop_front() else {
+                self.parks_total.inc();
+                q.idle.push(me.clone());
+                drop(q);
+                self.parked_gauge.add(1);
+                std::thread::park();
+                self.parked_gauge.sub(1);
+                q = lock(&self.queue);
+                // `park` may return with no submission behind it; whoever
+                // wakes a worker pops it first, so a handle still on the
+                // stack is ours to take back.
+                q.idle.retain(|t| t.id() != me.id());
+                continue;
             };
-            if self.have_work(ix) {
-                continue;
+            drop(q);
+            self.depth_gauge.sub(1);
+            // A panicking handler must not shrink the pool: the worker
+            // counts it and moves on (the task's drop guards — permits,
+            // spans — already ran during the unwind).
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
+                ohpc_telemetry::inc("runtime_task_panics_total", &[("pool", &self.name)]);
             }
-            let mut s = lock(&self.sync);
-            if s.shutdown {
-                return;
-            }
-            if s.epoch != e {
-                continue; // a submission raced our queue check
-            }
-            ohpc_telemetry::inc("runtime_parks_total", &[("pool", &self.name)]);
-            s.parked += 1;
-            self.parked_gauge.add(1);
-            while s.epoch == e && !s.shutdown {
-                s = self
-                    .cv
-                    .wait(s)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            s.parked -= 1;
-            self.parked_gauge.sub(1);
-            if s.shutdown {
-                return;
-            }
+            q = lock(&self.queue);
         }
-    }
-
-    fn have_work(&self, ix: usize) -> bool {
-        if lock(&self.workers[ix].lifo).is_some() || !lock(&self.injector).is_empty() {
-            return true;
-        }
-        self.workers.iter().any(|w| !lock(&w.deque).is_empty())
     }
 }
 
-/// The bounded work-stealing executor.
+/// The bounded executor: a fixed set of workers over one shared queue.
 ///
-/// Construct with [`WorkStealingPool::new`] (or use the process-wide
+/// Construct with [`WorkerPool::new`] (or use the process-wide
 /// [`shared_pool`]); wrap in an `Arc` and hand to
 /// `Context::set_executor`. Explicit pools should be [`shutdown`]
 /// (idempotent) when done — the shared pool lives for the process.
 ///
-/// [`shutdown`]: WorkStealingPool::shutdown
-pub struct WorkStealingPool {
+/// [`shutdown`]: WorkerPool::shutdown
+pub struct WorkerPool {
     inner: Arc<PoolInner>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl WorkStealingPool {
+impl WorkerPool {
     /// Pool named `name` (telemetry label) with `workers` threads
     /// (minimum 1).
     pub fn new(name: &str, workers: usize) -> Self {
@@ -233,16 +119,14 @@ impl WorkStealingPool {
         let labels = [("pool", name)];
         let inner = Arc::new(PoolInner {
             name: name.to_string(),
-            workers: (0..workers)
-                .map(|_| WorkerQueue {
-                    lifo: Mutex::new(None),
-                    deque: Mutex::new(VecDeque::new()),
-                })
-                .collect(),
-            injector: Mutex::new(VecDeque::new()),
-            sync: Mutex::new(PoolSync { epoch: 0, parked: 0, shutdown: false }),
-            cv: Condvar::new(),
-            queued: AtomicUsize::new(0),
+            workers,
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                idle: Vec::with_capacity(workers),
+                shutdown: false,
+            }),
+            tasks_total: reg.counter("runtime_tasks_total", &labels),
+            parks_total: reg.counter("runtime_parks_total", &labels),
             depth_gauge: reg.gauge("runtime_queue_depth", &labels),
             parked_gauge: reg.gauge("runtime_workers_parked", &labels),
         });
@@ -252,7 +136,7 @@ impl WorkStealingPool {
             let inner = inner.clone();
             let h = std::thread::Builder::new()
                 .name(format!("ohpc-{name}-{ix}"))
-                .spawn(move || inner.run_worker(ix));
+                .spawn(move || inner.run_worker());
             if let Ok(h) = h {
                 handles.push(h);
             }
@@ -260,91 +144,74 @@ impl WorkStealingPool {
         Self { inner, handles: Mutex::new(handles) }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.inner.workers.len()
-    }
-
     /// Tasks queued and not yet running.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queued.load(Ordering::Relaxed)
+        lock(&self.inner.queue).tasks.len()
     }
 
     /// Stops the workers and joins them. Tasks still queued are dropped
     /// (releasing their admission permits); tasks mid-execution finish.
     /// Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut s = lock(&self.inner.sync);
-            if s.shutdown {
+        let idle = {
+            let mut q = lock(&self.inner.queue);
+            if q.shutdown {
                 return;
             }
-            s.shutdown = true;
+            q.shutdown = true;
+            std::mem::take(&mut q.idle)
+        };
+        for worker in idle {
+            worker.unpark();
         }
-        self.inner.cv.notify_all();
         for h in lock(&self.handles).drain(..) {
             let _ = h.join();
         }
-        // Drop abandoned tasks so their drop guards run.
-        let mut dropped = 0usize;
-        dropped += lock(&self.inner.injector).drain(..).count();
-        for w in &self.inner.workers {
-            dropped += lock(&w.lifo).take().is_some() as usize;
-            dropped += lock(&w.deque).drain(..).count();
-        }
-        if dropped > 0 {
-            self.inner.queued.fetch_sub(dropped, Ordering::Relaxed);
-            self.inner.depth_gauge.sub(dropped as i64);
-        }
+        // Drop abandoned tasks outside the lock so their drop guards run
+        // without holding it.
+        let abandoned = std::mem::take(&mut lock(&self.inner.queue).tasks);
+        self.inner.depth_gauge.sub(abandoned.len() as i64);
     }
 }
 
-impl Executor for WorkStealingPool {
+impl Executor for WorkerPool {
     fn execute(&self, task: Task) {
         self.inner.submit(task);
     }
 
     fn name(&self) -> &'static str {
-        "work-stealing"
+        "worker-pool"
     }
 
     fn worker_cap(&self) -> Option<usize> {
-        Some(self.inner.workers.len())
+        Some(self.inner.workers)
     }
 }
 
-impl std::fmt::Debug for WorkStealingPool {
+impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkStealingPool")
+        f.debug_struct("WorkerPool")
             .field("name", &self.inner.name)
-            .field("workers", &self.inner.workers.len())
+            .field("workers", &self.inner.workers)
             .field("queued", &self.queue_depth())
             .finish()
     }
 }
 
-/// Worker count for the shared pool: `OHPC_WORKERS` when set, else
-/// `4 × available_parallelism` clamped to `[8, 64]` — request handlers
-/// block (they sleep, wait on locks, call out), so the sweet spot is well
-/// above the core count but still bounded.
+/// Worker count for the shared pool: `4 × available_parallelism` clamped
+/// to `[8, 64]` — request handlers block (they sleep, wait on locks, call
+/// out), so the sweet spot is well above the core count but still bounded.
 pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("OHPC_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n >= 1 {
-                return n.min(1024);
-            }
-        }
-    }
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     (cores * 4).clamp(8, 64)
 }
 
 /// The process-wide pool ORB contexts dispatch on by default. Sized once
 /// (first use) from [`default_workers`]; never shut down.
-pub fn shared_pool() -> Arc<WorkStealingPool> {
-    static SHARED: OnceLock<Arc<WorkStealingPool>> = OnceLock::new();
+pub fn shared_pool() -> Arc<WorkerPool> {
+    static SHARED: OnceLock<Arc<WorkerPool>> = OnceLock::new();
     SHARED
-        .get_or_init(|| Arc::new(WorkStealingPool::new("shared", default_workers())))
+        .get_or_init(|| Arc::new(WorkerPool::new("shared", default_workers())))
         .clone()
 }
 
@@ -352,13 +219,13 @@ pub fn shared_pool() -> Arc<WorkStealingPool> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::mpsc;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{mpsc, Condvar};
     use std::time::Duration;
 
     #[test]
     fn runs_all_tasks_within_the_worker_cap() {
-        let pool = Arc::new(WorkStealingPool::new("t-cap", 4));
+        let pool = Arc::new(WorkerPool::new("t-cap", 4));
         let (tx, rx) = mpsc::channel();
         let live = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
@@ -387,11 +254,11 @@ mod tests {
 
     #[test]
     fn worker_submissions_hit_the_lifo_slot_and_still_complete() {
-        let pool = Arc::new(WorkStealingPool::new("t-lifo", 2));
+        let pool = Arc::new(WorkerPool::new("t-lifo", 2));
         let (tx, rx) = mpsc::channel();
         let p2 = pool.clone();
         pool.execute(Box::new(move || {
-            // Submit from a worker thread: lands in the LIFO slot / deque.
+            // Submit from a worker thread: same queue as any other caller.
             for _ in 0..100 {
                 let tx = tx.clone();
                 p2.execute(Box::new(move || {
@@ -407,10 +274,10 @@ mod tests {
 
     #[test]
     fn steals_spread_a_burst_across_workers() {
-        // One worker floods its own deque; the others must steal to finish
-        // the batch in reasonable time (sleeps serialize to 1.6 s on one
-        // thread but ~400 ms across four).
-        let pool = Arc::new(WorkStealingPool::new("t-steal", 4));
+        // One worker submits the whole burst; the others must take from
+        // the shared queue to finish it in reasonable time (sleeps
+        // serialize to 400 ms on one thread but ~100 ms across four).
+        let pool = Arc::new(WorkerPool::new("t-steal", 4));
         let (tx, rx) = mpsc::channel();
         let p2 = pool.clone();
         pool.execute(Box::new(move || {
@@ -426,13 +293,13 @@ mod tests {
         for _ in 0..80 {
             tids.insert(rx.recv_timeout(Duration::from_secs(30)).unwrap());
         }
-        assert!(tids.len() > 1, "no steals happened: every task ran on one worker");
+        assert!(tids.len() > 1, "the burst never spread: every task ran on one worker");
         pool.shutdown();
     }
 
     #[test]
     fn park_and_unpark_do_not_lose_wakeups() {
-        let pool = Arc::new(WorkStealingPool::new("t-park", 2));
+        let pool = Arc::new(WorkerPool::new("t-park", 2));
         // Repeated idle → submit cycles: each submission after an idle gap
         // must wake a parked worker.
         for round in 0..20 {
@@ -448,7 +315,7 @@ mod tests {
 
     #[test]
     fn panicking_task_does_not_shrink_the_pool() {
-        let pool = Arc::new(WorkStealingPool::new("t-panic", 1));
+        let pool = Arc::new(WorkerPool::new("t-panic", 1));
         pool.execute(Box::new(|| panic!("handler bug")));
         let (tx, rx) = mpsc::channel();
         pool.execute(Box::new(move || {
@@ -467,7 +334,7 @@ mod tests {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let pool = Arc::new(WorkStealingPool::new("t-drop", 1));
+        let pool = Arc::new(WorkerPool::new("t-drop", 1));
         let dropped = Arc::new(AtomicU64::new(0));
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let g2 = gate.clone();
@@ -498,7 +365,7 @@ mod tests {
 
     #[test]
     fn post_shutdown_submission_runs_inline() {
-        let pool = WorkStealingPool::new("t-late", 1);
+        let pool = WorkerPool::new("t-late", 1);
         pool.shutdown();
         let ran = Arc::new(AtomicUsize::new(0));
         let r2 = ran.clone();

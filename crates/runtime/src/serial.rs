@@ -195,13 +195,13 @@ impl std::fmt::Debug for SerialQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InlineExecutor, WorkStealingPool};
+    use crate::{InlineExecutor, WorkerPool};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
 
     #[test]
     fn fifo_order_is_strict_on_a_pool() {
-        let pool = Arc::new(WorkStealingPool::new("t-serial", 4));
+        let pool = Arc::new(WorkerPool::new("t-serial", 4));
         let q = SerialQueue::new(pool.clone());
         let order = Arc::new(StdMutex::new(Vec::new()));
         const N: u64 = 500;
@@ -222,7 +222,7 @@ mod tests {
         // A 1-worker pool whose only worker is parked on a gate: the
         // serial runner can never be scheduled, so wait_for must run the
         // queued tasks itself.
-        let pool = Arc::new(WorkStealingPool::new("t-help", 1));
+        let pool = Arc::new(WorkerPool::new("t-help", 1));
         let gate = Arc::new((StdMutex::new(false), Condvar::new()));
         let g2 = gate.clone();
         pool.execute(Box::new(move || {
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn barrier_orders_oneways_before_dependent_work() {
-        let pool = Arc::new(WorkStealingPool::new("t-barrier", 4));
+        let pool = Arc::new(WorkerPool::new("t-barrier", 4));
         let q = SerialQueue::new(pool.clone());
         let log = Arc::new(StdMutex::new(Vec::new()));
         for i in 0..10 {

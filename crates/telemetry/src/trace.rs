@@ -15,8 +15,8 @@
 //! a contended slot drops the record (and counts the drop) rather than ever
 //! blocking the hot path. Snapshots unpack the slots into [`SpanRecord`]s
 //! and are exposed over the ORB through the introspection object's
-//! `dump_traces` method, and dumped to `results/` when a request exhausts
-//! its retry budget.
+//! `dump_traces` method; a failing test can write one to a directory of
+//! its choosing with [`dump_to_results`].
 //!
 //! Timestamps come from [`Registry::global`]'s pluggable clock, so traces
 //! recorded under netsim's virtual clock are deterministic.
@@ -50,10 +50,6 @@ const SLOT_BYTES: usize = 288;
 /// rather than a string of cold-line store misses, and still roughly a
 /// hundred request chains of history for a post-mortem dump.
 const RING_CAPACITY: usize = 1024;
-
-/// Most `results/` dumps a process will write (bounds disk use under a chaos
-/// loop that fails every request).
-const MAX_AUTO_DUMPS: u64 = 8;
 
 /// Propagated identity of one causal trace.
 ///
@@ -645,40 +641,23 @@ pub fn trace_span_with(name: &str, attrs: &[(&str, &str)]) -> TraceSpan {
     TraceSpan { rec: Some(rec), restore: Some(prev) }
 }
 
-static DUMPS_WRITTEN: AtomicU64 = AtomicU64::new(0);
-
-/// Dumps the flight recorder to `results/trace-dump-<n>-<reason>.txt`.
+/// Writes the flight recorder to `<dir>/trace-dump-<reason>.txt`, creating
+/// `dir` if needed, and returns the path written (`None` if the write
+/// failed: a dump is a debugging aid, never a new failure).
 ///
-/// Best-effort and bounded: at most [`MAX_AUTO_DUMPS`] files per process,
-/// disabled entirely with `OHPC_TRACE_DUMP=0`. Returns the path written.
-/// Called automatically when a request exhausts its retry budget; tests and
-/// chaos harnesses may call it on failure.
-pub fn dump_to_results(reason: &str) -> Option<std::path::PathBuf> {
-    if std::env::var("OHPC_TRACE_DUMP").is_ok_and(|v| v == "0") {
-        return None;
-    }
-    let n = DUMPS_WRITTEN.fetch_add(1, Ordering::Relaxed);
-    if n >= MAX_AUTO_DUMPS {
-        return None;
-    }
+/// Nothing in the library calls this: the caller decides when a failure is
+/// worth a file and where it goes (a failing test passes
+/// `env!("CARGO_TARGET_TMPDIR")`).
+pub fn dump_to_results(dir: &std::path::Path, reason: &str) -> Option<std::path::PathBuf> {
     let safe: String = reason
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '-' })
         .take(48)
         .collect();
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return None;
-    }
-    let path = dir.join(format!("trace-dump-{n}-{safe}.txt"));
-    let text = TraceBuffer::global().snapshot_text();
-    match std::fs::write(&path, text) {
-        Ok(()) => {
-            crate::registry::inc("trace_dumps_written_total", &[]);
-            Some(path)
-        }
-        Err(_) => None,
-    }
+    std::fs::create_dir_all(dir).ok()?;
+    let path = dir.join(format!("trace-dump-{safe}.txt"));
+    std::fs::write(&path, TraceBuffer::global().snapshot_text()).ok()?;
+    Some(path)
 }
 
 #[cfg(test)]

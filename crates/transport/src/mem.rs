@@ -2,9 +2,10 @@
 //!
 //! A [`MemFabric`] is a rendezvous namespace. Listeners bind a key; dialers
 //! connect by key and the fabric hands both sides a pair of unbounded
-//! crossbeam channels. Frames are moved as [`Bytes`] — one refcount bump, no
-//! copy — which is exactly the property that makes the shared-memory protocol
-//! an order of magnitude faster than the network paths in Figure 5.
+//! crossbeam channels. `send` copies the frame once into a [`Bytes`] that the
+//! receiver then owns — no syscall, no second copy — which is the property
+//! that makes the shared-memory protocol an order of magnitude faster than
+//! the network paths in Figure 5.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,6 +19,18 @@ use crate::{
     telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
 };
 
+/// The one send path of a connection and of its split-off send half (whose
+/// sender is gone once closed): one copy of `frame` into a [`Bytes`] the
+/// receiver will own.
+fn send_on(tx: Option<&Sender<Bytes>>, frame: &[u8]) -> Result<(), TransportError> {
+    let r = match tx {
+        _ if frame.len() > MAX_FRAME => Err(TransportError::FrameTooLarge(frame.len())),
+        None => Err(TransportError::Closed),
+        Some(tx) => tx.send(Bytes::copy_from_slice(frame)).map_err(|_| TransportError::Closed),
+    };
+    telem::track_send("mem", frame.len(), r)
+}
+
 /// One side of an established connection.
 pub struct MemConnection {
     tx: Sender<Bytes>,
@@ -27,14 +40,7 @@ pub struct MemConnection {
 
 impl Connection for MemConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = if frame.len() > MAX_FRAME {
-            Err(TransportError::FrameTooLarge(frame.len()))
-        } else {
-            self.tx
-                .send(Bytes::copy_from_slice(frame))
-                .map_err(|_| TransportError::Closed)
-        };
-        telem::track_send("mem", frame.len(), r)
+        send_on(Some(&self.tx), frame)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
@@ -71,17 +77,7 @@ pub struct MemSendHalf {
 
 impl SendHalf for MemSendHalf {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = if frame.len() > MAX_FRAME {
-            Err(TransportError::FrameTooLarge(frame.len()))
-        } else {
-            match &self.tx {
-                None => Err(TransportError::Closed),
-                Some(tx) => tx
-                    .send(Bytes::copy_from_slice(frame))
-                    .map_err(|_| TransportError::Closed),
-            }
-        };
-        telem::track_send("mem", frame.len(), r)
+        send_on(self.tx.as_ref(), frame)
     }
 
     fn close(&mut self) {
@@ -100,25 +96,9 @@ impl RecvHalf for MemRecvHalf {
     }
 }
 
-impl MemConnection {
-    /// Zero-copy send: hands the buffer to the peer without copying. The
-    /// shared-memory protocol object uses this for large payloads.
-    pub fn send_bytes(&mut self, frame: Bytes) -> Result<(), TransportError> {
-        let n = frame.len();
-        let r = if n > MAX_FRAME {
-            Err(TransportError::FrameTooLarge(n))
-        } else {
-            self.tx.send(frame).map_err(|_| TransportError::Closed)
-        };
-        telem::track_send("mem", n, r)
-    }
-}
-
-type PendingDial = (MemConnection, Sender<MemConnection>);
-
 #[derive(Default)]
 struct FabricState {
-    listeners: HashMap<u64, Sender<PendingDial>>,
+    listeners: HashMap<u64, Sender<MemConnection>>,
 }
 
 /// Namespace connecting in-process dialers to listeners by key.
@@ -143,7 +123,7 @@ impl MemFabric {
     /// Binds a listener on a specific key (panics if the key is taken —
     /// key assignment is the application's responsibility).
     pub fn listen_on(&self, key: u64) -> MemListener {
-        let (tx, rx) = unbounded::<PendingDial>();
+        let (tx, rx) = unbounded::<MemConnection>();
         let mut st = self.state.lock();
         assert!(
             !st.listeners.contains_key(&key),
@@ -167,9 +147,8 @@ impl MemFabric {
         let (b_tx, a_rx) = unbounded();
         let client = MemConnection { tx: a_tx, rx: a_rx, recv_timeout: None };
         let server = MemConnection { tx: b_tx, rx: b_rx, recv_timeout: None };
-        let (ack_tx, _ack_rx) = unbounded();
         pending_tx
-            .send((server, ack_tx))
+            .send(server)
             .map_err(|_| TransportError::ConnectionRefused(format!("mem://{key}")))?;
         Ok(client)
     }
@@ -192,12 +171,12 @@ impl Dialer for MemFabric {
 pub struct MemListener {
     fabric: MemFabric,
     key: u64,
-    pending: Receiver<PendingDial>,
+    pending: Receiver<MemConnection>,
 }
 
 impl Listener for MemListener {
     fn accept(&mut self) -> Result<Box<dyn Connection>, TransportError> {
-        let (conn, _ack) = self.pending.recv().map_err(|_| TransportError::Closed)?;
+        let conn = self.pending.recv().map_err(|_| TransportError::Closed)?;
         Ok(Box::new(conn))
     }
 

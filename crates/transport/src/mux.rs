@@ -54,15 +54,6 @@ pub enum MuxError {
     Lost(TransportError),
 }
 
-impl MuxError {
-    /// The underlying transport error, whichever phase it struck in.
-    pub fn transport(&self) -> &TransportError {
-        match self {
-            MuxError::Unsent(e) | MuxError::Lost(e) => e,
-        }
-    }
-}
-
 impl std::fmt::Display for MuxError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -135,6 +126,19 @@ impl MuxChannel {
         timeout: Option<Duration>,
     ) -> Result<Bytes, MuxError> {
         let rx = self.register(id)?;
+        self.call_registered(id, &rx, frame, timeout)
+    }
+
+    /// [`call`](Self::call) from the point where the waiter is registered:
+    /// whatever happens to the channel from here until the send returns
+    /// leaves the frame provably unsent.
+    fn call_registered(
+        &self,
+        id: u64,
+        rx: &Receiver<Result<Bytes, TransportError>>,
+        frame: &[u8],
+        timeout: Option<Duration>,
+    ) -> Result<Bytes, MuxError> {
         if let Err(e) = self.send_frame(frame) {
             // The frame never went out; the waiter slot must not linger.
             self.unregister(id);
@@ -142,7 +146,7 @@ impl MuxChannel {
         }
         ohpc_telemetry::inc("mux_requests_total", &[]);
         let t0 = Instant::now();
-        let outcome = self.wait(id, &rx, timeout);
+        let outcome = self.wait(id, rx, timeout);
         ohpc_telemetry::observe_ns(
             "mux_demux_wait_ns",
             &[],
@@ -393,13 +397,17 @@ mod tests {
 
     /// Spawns a mux over an echo "server" thread that reverses bodies and,
     /// crucially, replies in reverse order of arrival once `batch` frames
-    /// are queued — exercising out-of-order demux.
-    fn echo_mux(batch: usize) -> Arc<MuxChannel> {
+    /// are queued — exercising out-of-order demux. Also returns the
+    /// server's receipt marker: one `()` per request frame it has taken off
+    /// the wire, i.e. proof that frame was sent.
+    fn echo_mux(batch: usize) -> (Arc<MuxChannel>, Receiver<()>) {
         let (req_tx, req_rx) = unbounded::<Bytes>();
         let (rep_tx, rep_rx) = unbounded::<Bytes>();
+        let (got_tx, got_rx) = unbounded::<()>();
         std::thread::spawn(move || {
             let mut queued: Vec<Bytes> = Vec::new();
             while let Ok(f) = req_rx.recv() {
+                let _ = got_tx.send(());
                 queued.push(f);
                 if queued.len() >= batch {
                     for f in queued.drain(..).rev() {
@@ -414,17 +422,18 @@ mod tests {
                 }
             }
         });
-        MuxChannel::spawn(
+        let mux = MuxChannel::spawn(
             Box::new(TestSend { tx: Some(req_tx) }),
             Box::new(TestRecv { rx: rep_rx }),
             Box::new(id_of),
             None,
-        )
+        );
+        (mux, got_rx)
     }
 
     #[test]
     fn out_of_order_replies_route_to_the_right_callers() {
-        let mux = echo_mux(4);
+        let mux = echo_mux(4).0;
         let handles: Vec<_> = (0..4u64)
             .map(|i| {
                 let mux = mux.clone();
@@ -490,7 +499,7 @@ mod tests {
 
     #[test]
     fn duplicate_in_flight_id_is_rejected() {
-        let mux = echo_mux(usize::MAX); // server never replies
+        let mux = echo_mux(usize::MAX).0; // server never replies
         let m2 = mux.clone();
         let h = std::thread::spawn(move || m2.call(7, &frame(7, b"a"), Some(Duration::from_millis(300))));
         // Wait until the first call is registered.
@@ -506,7 +515,7 @@ mod tests {
 
     #[test]
     fn timeout_is_lost_and_late_reply_is_orphaned() {
-        let mux = echo_mux(2); // server replies only after TWO frames arrive
+        let mux = echo_mux(2).0; // server replies only after TWO frames arrive
         let err = mux
             .call(1, &frame(1, b"slow"), Some(Duration::from_millis(30)))
             .unwrap_err();
@@ -519,18 +528,34 @@ mod tests {
         mux.shutdown();
     }
 
+    /// Shutdown *after* the send: the server has the frame, so the caller
+    /// must hear `Lost`. Waiting on `in_flight()` would not do — `call`
+    /// registers its waiter before it sends — so the test waits for the
+    /// server's receipt marker.
     #[test]
     fn shutdown_fails_in_flight_and_subsequent_calls() {
-        let mux = echo_mux(usize::MAX);
+        let (mux, received) = echo_mux(usize::MAX);
         let m2 = mux.clone();
         let h = std::thread::spawn(move || m2.call(1, &frame(1, b"x"), None));
-        while mux.in_flight() == 0 {
-            std::thread::yield_now();
-        }
+        received.recv_timeout(Duration::from_secs(10)).expect("the request frame arrived");
         mux.shutdown();
         assert!(matches!(h.join().unwrap(), Err(MuxError::Lost(_))));
         assert!(mux.is_dead());
         assert!(matches!(mux.send_only(&frame(2, b"y")), Err(MuxError::Unsent(_))));
         mux.shutdown(); // idempotent
+    }
+
+    /// Shutdown *before* the send: a call whose waiter was registered when
+    /// the channel was torn down never gets its frame out, so it must hear
+    /// `Unsent` (safe to retry), not `Lost`.
+    #[test]
+    fn shutdown_before_the_send_is_unsent() {
+        let (mux, received) = echo_mux(usize::MAX);
+        let rx = mux.register(1).unwrap();
+        mux.shutdown();
+        let outcome = mux.call_registered(1, &rx, &frame(1, b"x"), None);
+        assert!(matches!(outcome, Err(MuxError::Unsent(TransportError::Closed))), "{outcome:?}");
+        assert!(received.try_recv().is_err(), "the frame must not have reached the server");
+        assert_eq!(mux.in_flight(), 0, "the unsent waiter was unregistered");
     }
 }

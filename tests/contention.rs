@@ -148,13 +148,16 @@ mod mux_stress {
     use std::time::Duration;
 
     use bytes::Bytes;
-    use ohpc_bench::mux_contention::{client_counts_from_env, run_contention};
+    use ohpc_bench::mux_contention::{
+        client_counts_from_env, run_contention, run_contention_over,
+    };
     use ohpc_orb::{
-        ApplicabilityRule, ObjectId, OrbError, PoolMode, ProtoEntry, ProtoObject, ProtoPool,
-        ProtocolId, ReplyMessage, RequestId, RequestMessage, TransportProto,
+        ApplicabilityRule, ObjectId, OrbError, ProtoEntry, ProtoObject, ProtoPool, ProtocolId,
+        ReplyMessage, RequestId, RequestMessage, TransportProto,
     };
     use ohpc_resilience::{HealthKey, HealthRegistry};
     use ohpc_transport::mem::MemFabric;
+    use ohpc_transport::testing::{FaultPlan, FlakyDialer};
     use ohpc_transport::Listener;
 
     fn request(id: u64) -> RequestMessage {
@@ -176,8 +179,7 @@ mod mux_stress {
     #[test]
     fn concurrent_clients_route_replies_correctly() {
         for clients in client_counts_from_env() {
-            let sample =
-                run_contention(PoolMode::Auto, clients, 20, Duration::from_micros(200));
+            let sample = run_contention(clients, 20, Duration::from_micros(200));
             assert!(
                 sample.throughput_rps > 0.0,
                 "no throughput at {clients} clients"
@@ -185,30 +187,36 @@ mod mux_stress {
         }
     }
 
-    /// The serialized baseline still routes correctly — the striped path is
-    /// the fallback for non-interleavable transports and must not rot.
+    /// The striped path is the fallback for transports whose connections
+    /// cannot split and must not rot: the same load through a dialer whose
+    /// connections refuse to (a fault-injection wrapper injecting nothing)
+    /// still routes every reply to its caller.
     #[test]
     fn striped_fallback_routes_replies_correctly() {
-        let sample = run_contention(PoolMode::Striped(2), 4, 10, Duration::from_micros(200));
+        let unsplittable =
+            |fabric| Arc::new(FlakyDialer::new(Arc::new(fabric), FaultPlan::every(0))) as _;
+        let sample = run_contention_over(unsplittable, 4, 10, Duration::from_micros(200));
         assert!(sample.throughput_rps > 0.0);
     }
 
-    /// With the server busy 1 ms per request, 8 clients pipelining into one
-    /// multiplexed connection must clearly outrun the one-lock-per-exchange
-    /// historical wire. The JSON benchmark records the full sweep; this is
-    /// the conservative in-test floor (the measured margin is ~7x).
+    /// With the server busy 10 ms per request, 8 clients pipelining into one
+    /// multiplexed connection must clearly outrun any serialized wire, which
+    /// by arithmetic needs at least clients · requests · delay of wall
+    /// clock. (The delay is long so that the server's sleep, not an
+    /// unoptimized build's CPU time, is what the clients overlap.) The JSON
+    /// benchmark records the full sweep; this is the conservative in-test
+    /// floor (the measured margin is ~7x).
     #[test]
     fn mux_outruns_the_serialized_wire() {
-        let delay = Duration::from_millis(1);
-        let mux = run_contention(PoolMode::Auto, 8, 25, delay);
-        let serialized = run_contention(PoolMode::Striped(1), 8, 25, delay);
-        let speedup = mux.throughput_rps / serialized.throughput_rps.max(f64::MIN_POSITIVE);
+        const CLIENTS: usize = 8;
+        const REQUESTS: usize = 8;
+        let delay = Duration::from_millis(10);
+        let mux = run_contention(CLIENTS, REQUESTS, delay);
+        let serialized_floor = delay * (CLIENTS * REQUESTS) as u32;
         assert!(
-            speedup >= 2.0,
-            "expected >=2x over the serialized wire, got {speedup:.2}x \
-             (mux {:.0} rps vs serialized {:.0} rps)",
-            mux.throughput_rps,
-            serialized.throughput_rps
+            mux.elapsed < serialized_floor / 2,
+            "expected under half the serialized wire's {serialized_floor:?}, took {:?}",
+            mux.elapsed
         );
     }
 
@@ -237,10 +245,11 @@ mod mux_stress {
             drop(conn);
         });
 
-        let proto = Arc::new(
-            TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric))
-                .with_pool_mode(PoolMode::Auto),
-        );
+        let proto = Arc::new(TransportProto::new(
+            ProtocolId::TCP,
+            ApplicabilityRule::Always,
+            Arc::new(fabric),
+        ));
         // Wired only into the proto (no GlobalPointer in this test), so any
         // recorded failure provably came from the mux death hook.
         let health = Arc::new(HealthRegistry::new());

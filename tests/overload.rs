@@ -1,4 +1,4 @@
-//! Overload end-to-end: the bounded work-stealing dispatch pool under
+//! Overload end-to-end: the bounded dispatch pool under
 //! sustained bursts. Four claims, each a regression test:
 //!
 //! * a burst far larger than the worker cap never becomes that many server
@@ -16,7 +16,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ohpc_bench::mux_contention::{SlowEcho, ECHO_METHOD};
-use ohpc_bench::overload::{run_overload, ExecutorKind, OverloadConfig};
+use ohpc_bench::overload::{run_overload, OverloadConfig};
 use ohpc_orb::context::OrRow;
 use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, Location,
@@ -70,7 +70,6 @@ fn burst_stays_within_the_worker_thread_cap() {
         workers: 4,
         admission_limit: Some(64),
         delay: Duration::from_micros(200),
-        executor: ExecutorKind::WorkStealing,
     });
     assert_eq!(s.served + s.shed, 4_000, "every request got a reply: {s:?}");
     assert!(s.served >= 64, "the pool kept serving through the burst: {s:?}");
@@ -252,7 +251,7 @@ fn oneways_keep_fifo_order_and_land_before_a_later_two_way() {
     // The two-way rides the same pooled connection. The dispatch contract:
     // every one-way sent earlier on this connection is dispatched before the
     // two-way is answered, and in send order — even though all of them go
-    // through the shared work-stealing pool.
+    // through the shared worker pool.
     let reply = gp.invoke(SNAPSHOT_METHOD, &XdrWriter::new()).expect("snapshot");
     let mut r = XdrReader::new(&reply);
     let n = u64::from(r.get_u32().unwrap());

@@ -321,11 +321,12 @@ fn chaos_with_corruption_never_yields_wrong_data() {
     ctx.shutdown();
 }
 
-/// Chaos assertion failure: dump the flight recorder to `results/` and print
-/// which traces the injected faults struck, so the failure is debuggable
-/// from CI artifacts alone.
+/// Chaos assertion failure: dump the flight recorder under `target/tmp/`
+/// and print which traces the injected faults struck, so the failure is
+/// debuggable from CI artifacts alone.
 fn chaos_failure(plan: &FaultPlan, msg: &str) -> ! {
-    let dump = ohpc_telemetry::dump_to_results("chaos-failure");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let dump = ohpc_telemetry::dump_to_results(dir, "chaos-failure");
     let mut lines = String::new();
     for (kind, trace_id) in plan.faulted_traces() {
         lines.push_str(&format!("  fault={} trace={trace_id:032x}\n", kind.label()));

@@ -181,15 +181,10 @@ fn registry_swap_redirects_the_next_invocation() {
     assert_eq!(protos[1].calls.load(Ordering::Relaxed), 1);
 }
 
-/// The cache is on by default and actually serves hits — while adaptivity
+/// The cache actually serves hits — while adaptivity
 /// (prefer, breaker failover) still takes effect on the next invocation.
 #[test]
 fn cache_is_on_by_default_and_adaptivity_still_wins() {
-    if std::env::var("OHPC_SELECTION_CACHE").is_ok_and(|v| {
-        matches!(v.as_str(), "0" | "off" | "false")
-    }) {
-        return; // explicit cache-off run: hit counts are meaningless
-    }
     let (gp, protos, _clock) = harness();
     for _ in 0..6 {
         gp.invoke_raw(1, Bytes::new()).unwrap();
