@@ -21,6 +21,8 @@
 //! * [`baseline`] — committed-baseline matching for gradual adoption.
 //! * [`report`] — SARIF-ish `--format json` output for CI artifacts.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod dataflow;
 pub mod graph;

@@ -19,6 +19,7 @@
 //! output; criterion benches under `benches/` cover the substrate costs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod contention;

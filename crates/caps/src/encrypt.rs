@@ -66,6 +66,22 @@ impl EncryptionCap {
         nonce[4..].copy_from_slice(&n.to_be_bytes());
         nonce
     }
+
+    /// XORs the keystream over `body`. A body this handle is the only owner
+    /// of — a received frame, a freshly marshalled reply — is transformed in
+    /// place and handed back as the same buffer. A shared one is not ours to
+    /// overwrite: the other handle (the GP's retry loop, a group's other
+    /// members) must keep reading the original bytes, so the cipher runs
+    /// over one fresh copy.
+    fn cipher(&self, nonce: &[u8; 12], mut body: Bytes) -> Bytes {
+        if let Some(data) = body.unique_mut() {
+            chacha20_xor(&self.key, nonce, 0, data);
+            return body;
+        }
+        let mut data = body.to_vec();
+        chacha20_xor(&self.key, nonce, 0, &mut data);
+        Bytes::from(data)
+    }
 }
 
 impl Capability for EncryptionCap {
@@ -85,10 +101,8 @@ impl Capability for EncryptionCap {
         body: Bytes,
     ) -> Result<Bytes, CapError> {
         let nonce = self.next_nonce();
-        let mut data = body.to_vec();
-        chacha20_xor(&self.key, &nonce, 0, &mut data);
-        meta.set("nonce", nonce.to_vec());
-        Ok(Bytes::from(data))
+        meta.set("nonce", Bytes::copy_from_slice(&nonce));
+        Ok(self.cipher(&nonce, body))
     }
 
     fn unprocess(
@@ -103,9 +117,7 @@ impl Capability for EncryptionCap {
             .as_ref()
             .try_into()
             .map_err(|_| CapError::Failed("nonce must be 12 bytes".into()))?;
-        let mut data = body.to_vec();
-        chacha20_xor(&self.key, &nonce, 0, &mut data);
-        Ok(Bytes::from(data))
+        Ok(self.cipher(&nonce, body))
     }
 }
 
@@ -137,6 +149,52 @@ mod tests {
         assert_ne!(cipher, body);
         let plain = cap.unprocess(Direction::Request, &call(), &meta, cipher).unwrap();
         assert_eq!(plain, body);
+    }
+
+    #[test]
+    fn a_shared_body_is_copied_and_a_sole_owner_is_transformed_in_place() {
+        let cap = cap();
+        let plain = vec![0x5Au8; 3000];
+
+        // Shared: the second handle keeps its bytes, the result is elsewhere.
+        let body = Bytes::from(plain.clone());
+        let kept = body.clone();
+        let mut meta = CapMeta::new();
+        let cipher = cap.process(Direction::Request, &call(), &mut meta, body).unwrap();
+        assert_eq!(kept, plain, "process wrote through a shared handle");
+        assert_ne!(cipher.as_ptr(), kept.as_ptr());
+        let kept_cipher = cipher.clone();
+        let back = cap.unprocess(Direction::Request, &call(), &meta, cipher).unwrap();
+        assert_eq!(back, plain);
+        assert_ne!(kept_cipher, plain, "unprocess wrote through a shared handle");
+        assert_ne!(back.as_ptr(), kept_cipher.as_ptr());
+
+        // Sole owner: same storage out as in, both ways.
+        let body = Bytes::from(plain.clone());
+        let at = body.as_ptr();
+        let mut meta = CapMeta::new();
+        let cipher = cap.process(Direction::Reply, &call(), &mut meta, body).unwrap();
+        assert_eq!(cipher.as_ptr(), at);
+        assert_ne!(cipher, plain);
+        let back = cap.unprocess(Direction::Reply, &call(), &meta, cipher).unwrap();
+        assert_eq!(back.as_ptr(), at);
+        assert_eq!(back, plain);
+
+        // A body inside its frame: copied while the frame handle lives,
+        // transformed in place once the view is all that is left of it.
+        let frame = Bytes::from([&[1u8; 8][..], &plain[..], &[2u8; 8][..]].concat());
+        let body = 8..8 + plain.len();
+        let mut meta = CapMeta::new();
+        let copied =
+            cap.process(Direction::Request, &call(), &mut meta, frame.slice(body.clone())).unwrap();
+        assert_ne!(copied.as_ptr(), frame[8..].as_ptr());
+        assert_eq!(&frame[body.clone()], &plain[..]);
+        let view = frame.slice(body);
+        drop(frame);
+        let at = view.as_ptr();
+        let cipher = cap.process(Direction::Request, &call(), &mut meta, view).unwrap();
+        assert_eq!(cipher.as_ptr(), at);
+        assert_eq!(cap.unprocess(Direction::Request, &call(), &meta, cipher).unwrap(), plain);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! the configuration encoding.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod acl;
 mod auth;

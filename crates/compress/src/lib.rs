@@ -14,6 +14,7 @@
 //! input is enforced with property tests.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod lzss;
 mod rle;

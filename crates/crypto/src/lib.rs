@@ -19,6 +19,9 @@
 //! needs representative per-byte cost plus correct round-trips.
 
 #![warn(missing_docs)]
+// The cipher's AVX2 dispatch (`chacha20::xor_groups_avx2`) is the one place
+// allowed to lift this.
+#![deny(unsafe_code)]
 
 mod chacha20;
 mod hmac;

@@ -19,6 +19,7 @@
 //! object first if that matters.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod balancer;
 mod manager;

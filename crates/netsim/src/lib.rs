@@ -23,6 +23,7 @@
 //! relative to the network" claim an observation rather than an assumption.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod clock;
 mod cluster;

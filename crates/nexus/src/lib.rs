@@ -15,6 +15,7 @@
 //! code runs over real TCP, in-process channels, or the simulated network.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod buffer;
 

@@ -396,7 +396,7 @@ impl Context {
                 return; // drop the connection: this context is gone
             }
             // One-way requests yield no reply frame.
-            if let Some(reply) = self.handle_frame_opt(&frame) {
+            if let Some(reply) = self.handle_frame_opt(frame) {
                 if conn.send(&reply).is_err() {
                     return;
                 }
@@ -430,7 +430,7 @@ impl Context {
             if self.inner.stopping.load(Ordering::Acquire) {
                 return; // drop the connection: this context is gone
             }
-            let (req, permit) = match self.intake(&frame) {
+            let (req, permit) = match self.intake(frame) {
                 Intake::Admitted(req, permit) => (req, permit),
                 Intake::Dropped => continue,
                 Intake::Reply(reply) => {
@@ -532,17 +532,19 @@ impl Context {
     /// Core server path: runs admission control, then decodes and
     /// dispatches (see [`handle_request`](Self::handle_request)). One-way
     /// requests still produce an encoded (dropped-by-the-caller) reply;
-    /// use [`handle_frame_opt`](Self::handle_frame_opt) on serving paths.
+    /// use [`handle_frame_opt`](Self::handle_frame_opt) on serving paths,
+    /// which also takes the frame as received instead of copying it.
     pub fn handle_frame(&self, frame: &[u8]) -> Bytes {
-        self.handle_frame_opt(frame).unwrap_or_else(|| {
+        self.handle_frame_opt(Bytes::copy_from_slice(frame)).unwrap_or_else(|| {
             ReplyMessage::status(crate::ids::RequestId(0), ReplyStatus::Ok).to_frame()
         })
     }
 
     /// Like [`handle_frame`](Self::handle_frame) but returns `None` for
     /// one-way requests (which are dispatched — or shed — and produce no
-    /// reply frame).
-    pub fn handle_frame_opt(&self, frame: &[u8]) -> Option<Bytes> {
+    /// reply frame). Owning the frame lets the decoded body be a view of it
+    /// rather than a copy.
+    pub fn handle_frame_opt(&self, frame: Bytes) -> Option<Bytes> {
         match self.intake(frame) {
             Intake::Reply(reply) => Some(reply),
             Intake::Dropped => None,
@@ -556,8 +558,13 @@ impl Context {
 
     /// The one decode→admit prologue every serving path runs on a received
     /// frame, before any glue or object work.
-    fn intake(&self, frame: &[u8]) -> Intake {
-        let req = match RequestMessage::from_frame(frame) {
+    fn intake(&self, frame: Bytes) -> Intake {
+        let decoded = RequestMessage::from_frame(&frame);
+        // The request's body is a view of the frame; with this handle gone
+        // the request is the buffer's only owner, so the glue chain may
+        // transform it in place.
+        drop(frame);
+        let req = match decoded {
             Ok(r) => r,
             Err(e) => {
                 // We cannot know the request id; reply with id 0 and an
@@ -610,21 +617,16 @@ impl Context {
             return ReplyMessage::status(rid, ReplyStatus::NoSuchObject);
         };
 
-        // Glue: unprocess the request chain.
+        // Glue: unprocess the request chain. The body is moved, not cloned:
+        // a second handle would force every capability to copy it.
         let (body, glue_chain) = match &req.glue {
-            None => (req.body.clone(), None),
+            None => (req.body, None),
             Some(wire) => {
                 let Some(chain) = self.inner.glues.read().get(&wire.glue_id).cloned() else {
                     return ReplyMessage::status(rid, ReplyStatus::UnknownGlue(wire.glue_id));
                 };
                 let unglued = self.metered(|| {
-                    unprocess_chain(
-                        &chain.caps,
-                        Direction::Request,
-                        &call,
-                        &wire.caps,
-                        req.body.clone(),
-                    )
+                    unprocess_chain(&chain.caps, Direction::Request, &call, &wire.caps, req.body)
                 });
                 match unglued {
                     Ok(b) => (b, Some((wire.glue_id, chain))),

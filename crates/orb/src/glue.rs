@@ -140,6 +140,9 @@ impl GlueProto {
             .find(inner.id)
             .ok_or_else(|| OrbError::NoApplicableProtocol { offered: vec![inner.id] })?;
         let call = CallInfo { object: req.object, method: req.method, request_id: req.request_id };
+        // A clone, deliberately: the GP's retry loop keeps the plaintext for
+        // the next attempt, so the chain sees a shared body and leaves it
+        // untouched (a capability that rewrites bytes makes its own copy).
         let (body, caps) =
             self.metered(|| process_chain(&chain, Direction::Request, &call, req.body.clone()))?;
         let glued = RequestMessage {
@@ -223,16 +226,12 @@ impl ProtoObject for GlueProto {
                     "server reply skipped the glue chain".into(),
                 ));
             };
-            let body = self.metered(|| {
-                unprocess_chain(
-                    &out.chain,
-                    Direction::Reply,
-                    &out.call,
-                    &reply_glue.caps,
-                    reply.body.clone(),
-                )
+            // Moved out, not cloned: as the reply buffer's only owner the
+            // chain may undo its transforms in place.
+            let body = std::mem::take(&mut reply.body);
+            reply.body = self.metered(|| {
+                unprocess_chain(&out.chain, Direction::Reply, &out.call, &reply_glue.caps, body)
             })?;
-            reply.body = body;
         }
         Ok(reply)
     }

@@ -38,6 +38,7 @@
 //! stubs and skeletons.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod capability;
 pub mod context;

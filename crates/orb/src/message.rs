@@ -11,7 +11,23 @@ use bytes::Bytes;
 use crate::ids::{ObjectId, RequestId};
 use crate::objref::ObjectReference;
 use ohpc_telemetry::TraceContext;
-use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+use ohpc_xdr::{pad4, XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+
+/// Encoded size of a length-prefixed opaque or string of `len` bytes.
+const fn opaque_len(len: usize) -> usize {
+    4 + len + pad4(len)
+}
+
+/// Decodes a whole frame, counting a malformed one under `kind`. Opaque
+/// bodies come back as views of `frame` (see [`XdrReader::over_frame`]).
+fn decode_frame<T: XdrDecode>(frame: &Bytes, kind: &'static str) -> Result<T, XdrError> {
+    let mut r = XdrReader::over_frame(frame);
+    let decoded = T::decode(&mut r).and_then(|msg| match r.remaining() {
+        0 => Ok(msg),
+        n => Err(XdrError::TrailingBytes(n)),
+    });
+    decoded.inspect_err(|_| ohpc_telemetry::inc("orb_malformed_frames_total", &[("kind", kind)]))
+}
 
 /// Version word of the trace-context trailing extension on request frames.
 ///
@@ -22,8 +38,14 @@ use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
 /// context" and an unknown version as an opaque skip.
 pub const TRACE_EXT_VERSION: u32 = 1;
 
+fn encoded_trace_len(t: &TraceContext) -> usize {
+    let baggage: usize =
+        t.baggage.iter().map(|(k, v)| opaque_len(k.len()) + opaque_len(v.len())).sum();
+    4 * 8 + 4 + baggage
+}
+
 fn encode_trace(t: &TraceContext) -> Bytes {
-    let mut w = XdrWriter::with_capacity(48 + t.baggage_bytes());
+    let mut w = XdrWriter::with_capacity(encoded_trace_len(t));
     w.put_u64((t.trace_id >> 64) as u64);
     w.put_u64(t.trace_id as u64);
     w.put_u64(t.span_id);
@@ -64,6 +86,12 @@ pub struct CapWireMeta {
     pub meta: Bytes,
 }
 
+impl CapWireMeta {
+    fn encoded_len(&self) -> usize {
+        opaque_len(self.name.len()) + opaque_len(self.meta.len())
+    }
+}
+
 impl XdrEncode for CapWireMeta {
     fn encode(&self, w: &mut XdrWriter) {
         w.put_string(&self.name);
@@ -75,6 +103,9 @@ impl XdrDecode for CapWireMeta {
     fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
         Ok(Self {
             name: r.get_string()?,
+            // A copy, not a view of the frame: metadata is a few bytes and
+            // may be retained (a nonce, a token), which must never keep a
+            // megabyte frame alive.
             meta: Bytes::copy_from_slice(r.get_opaque()?),
         })
     }
@@ -87,6 +118,14 @@ pub struct GlueWire {
     pub glue_id: u64,
     /// Per-capability metadata, in chain order.
     pub caps: Vec<CapWireMeta>,
+}
+
+impl GlueWire {
+    /// Encoded size of an optional glue section, discriminant included.
+    fn encoded_len(glue: &Option<Self>) -> usize {
+        let section = |g: &Self| 8 + 4 + g.caps.iter().map(CapWireMeta::encoded_len).sum::<usize>();
+        4 + glue.as_ref().map_or(0, section)
+    }
 }
 
 impl XdrEncode for GlueWire {
@@ -159,18 +198,30 @@ impl RequestMessage {
         XdrReader::new(raw).get_u64().ok()
     }
 
-    /// Encodes to a transport frame.
+    /// Exact size of [`to_frame`](Self::to_frame)'s output.
+    pub fn encoded_len(&self) -> usize {
+        let trace = self.trace.as_ref().map_or(0, |t| 4 + opaque_len(encoded_trace_len(t)));
+        8 + 8 + 4 + 4 + GlueWire::encoded_len(&self.glue) + opaque_len(self.body.len()) + trace
+    }
+
+    /// Encodes to a transport frame: the one copy of the body on the send
+    /// side. The buffer is allocated once, at exactly the encoded length —
+    /// a guess costs a bulk frame a payload-sized regrowth (the headers
+    /// alone outgrow any small allowance once glue and trace ride along)
+    /// and a small frame its slack.
     pub fn to_frame(&self) -> Bytes {
-        let mut w = XdrWriter::with_capacity(self.body.len() + 64);
+        let mut w = XdrWriter::with_capacity(self.encoded_len());
         self.encode(&mut w);
+        debug_assert_eq!(w.len(), self.encoded_len(), "encoded_len out of step with encode");
         w.finish()
     }
 
-    /// Decodes from a transport frame.
-    pub fn from_frame(frame: &[u8]) -> Result<Self, XdrError> {
-        ohpc_xdr::decode_from_slice(frame).inspect_err(|_| {
-            ohpc_telemetry::inc("orb_malformed_frames_total", &[("kind", "request")]);
-        })
+    /// Decodes from a transport frame. The body is a view sharing `frame`'s
+    /// storage, not a copy: once the caller drops `frame` the message is the
+    /// buffer's only owner, which is what lets capabilities transform the
+    /// body in place.
+    pub fn from_frame(frame: &Bytes) -> Result<Self, XdrError> {
+        decode_frame(frame, "request")
     }
 }
 
@@ -195,7 +246,7 @@ impl XdrDecode for RequestMessage {
         let method = r.get_u32()?;
         let oneway = r.get_bool()?;
         let glue = Option::<GlueWire>::decode(r)?;
-        let body = Bytes::copy_from_slice(r.get_opaque()?);
+        let body = r.get_opaque_bytes()?;
         let trace = match r.get_trailing_extension()? {
             // Legacy frame: no extension bytes at all.
             None => None,
@@ -249,6 +300,21 @@ impl ReplyStatus {
             ReplyStatus::UnknownGlue(_) => 6,
             ReplyStatus::Overloaded(_) => 7,
             ReplyStatus::DeadlineExpired(_) => 8,
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        4 + match self {
+            ReplyStatus::Ok | ReplyStatus::NoSuchObject => 0,
+            ReplyStatus::Exception(m)
+            | ReplyStatus::CapabilityDenied(m)
+            | ReplyStatus::Overloaded(m)
+            | ReplyStatus::DeadlineExpired(m) => opaque_len(m.len()),
+            // A whole OR, nested to any depth, on the rare migration path:
+            // measured by encoding it.
+            ReplyStatus::Moved(or) => or.to_bytes().len(),
+            ReplyStatus::NoSuchMethod(_) => 4,
+            ReplyStatus::UnknownGlue(_) => 8,
         }
     }
 
@@ -349,18 +415,26 @@ impl ReplyMessage {
         Self { request_id, status, glue: None, body: Bytes::new() }
     }
 
-    /// Encodes to a transport frame.
+    /// Exact size of [`to_frame`](Self::to_frame)'s output.
+    pub fn encoded_len(&self) -> usize {
+        8 + self.status.encoded_len()
+            + GlueWire::encoded_len(&self.glue)
+            + opaque_len(self.body.len())
+    }
+
+    /// Encodes to a transport frame, exactly sized like
+    /// [`RequestMessage::to_frame`].
     pub fn to_frame(&self) -> Bytes {
-        let mut w = XdrWriter::with_capacity(self.body.len() + 64);
+        let mut w = XdrWriter::with_capacity(self.encoded_len());
         self.encode(&mut w);
+        debug_assert_eq!(w.len(), self.encoded_len(), "encoded_len out of step with encode");
         w.finish()
     }
 
-    /// Decodes from a transport frame.
-    pub fn from_frame(frame: &[u8]) -> Result<Self, XdrError> {
-        ohpc_xdr::decode_from_slice(frame).inspect_err(|_| {
-            ohpc_telemetry::inc("orb_malformed_frames_total", &[("kind", "reply")]);
-        })
+    /// Decodes from a transport frame; the body is a view of `frame`, as in
+    /// [`RequestMessage::from_frame`].
+    pub fn from_frame(frame: &Bytes) -> Result<Self, XdrError> {
+        decode_frame(frame, "reply")
     }
 }
 
@@ -379,7 +453,7 @@ impl XdrDecode for ReplyMessage {
             request_id: RequestId::decode(r)?,
             status: ReplyStatus::decode(r)?,
             glue: Option::<GlueWire>::decode(r)?,
-            body: Bytes::copy_from_slice(r.get_opaque()?),
+            body: r.get_opaque_bytes()?,
         })
     }
 }
@@ -495,7 +569,7 @@ mod tests {
         let mut w = XdrWriter::new();
         w.put_trailing_extension(TRACE_EXT_VERSION + 1, b"from-the-future");
         frame.extend_from_slice(&w.finish());
-        let back = RequestMessage::from_frame(&frame).unwrap();
+        let back = RequestMessage::from_frame(&Bytes::from(frame)).unwrap();
         assert_eq!(back, legacy, "unknown extension decodes as no trace");
     }
 
@@ -514,7 +588,7 @@ mod tests {
         let mut w = XdrWriter::new();
         w.put_trailing_extension(TRACE_EXT_VERSION, &[0xFF; 3]);
         frame.extend_from_slice(&w.finish());
-        assert!(RequestMessage::from_frame(&frame).is_err());
+        assert!(RequestMessage::from_frame(&Bytes::from(frame)).is_err());
     }
 
     #[test]
@@ -580,9 +654,77 @@ mod tests {
                 glue: None,
                 body: Bytes::new(),
             };
-            let back = ReplyMessage::from_frame(&reply.to_frame()).unwrap();
+            let frame = reply.to_frame();
+            assert_eq!(frame.len(), reply.encoded_len(), "{status:?}");
+            let back = ReplyMessage::from_frame(&frame).unwrap();
             assert_eq!(back.status, status);
         }
+    }
+
+    fn glue_section() -> GlueWire {
+        GlueWire {
+            glue_id: 0xCAFE,
+            caps: vec![
+                CapWireMeta { name: "timeout".into(), meta: Bytes::new() },
+                CapWireMeta { name: "security".into(), meta: Bytes::from_static(&[7; 33]) },
+            ],
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_exactly_the_frame_length() {
+        let mut ctx = ohpc_telemetry::TraceContext::new_root();
+        assert!(ctx.try_add_baggage("tenant", "blue"));
+        for glue in [None, Some(glue_section())] {
+            for trace in [None, Some(ctx.clone())] {
+                for body_len in [0usize, 1, 24, 4097] {
+                    let req = RequestMessage {
+                        request_id: RequestId(1),
+                        object: ObjectId(2),
+                        method: 3,
+                        oneway: false,
+                        glue: glue.clone(),
+                        body: Bytes::from(vec![0xAB; body_len]),
+                        trace: trace.clone(),
+                    };
+                    assert_eq!(req.to_frame().len(), req.encoded_len());
+                }
+            }
+            for body_len in [0usize, 3, 24, 4097] {
+                let mut reply = ReplyMessage::ok(RequestId(1), Bytes::from(vec![1; body_len]));
+                reply.glue = glue.clone();
+                assert_eq!(reply.to_frame().len(), reply.encoded_len());
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_body_is_a_view_that_owns_the_frame_once_the_frame_is_dropped() {
+        let req = RequestMessage {
+            request_id: RequestId(1),
+            object: ObjectId(2),
+            method: 3,
+            oneway: false,
+            glue: Some(glue_section()),
+            body: Bytes::from(vec![5u8; 64]),
+            trace: None,
+        };
+        let frame = req.to_frame();
+        let (start, end) = (frame.as_ptr() as usize, frame.as_ptr() as usize + frame.len());
+        let mut back = RequestMessage::from_frame(&frame).unwrap();
+        assert_eq!(back, req);
+        let at = back.body.as_ptr() as usize;
+        assert!(start <= at && at + back.body.len() <= end, "the body lies inside the frame");
+        assert!(back.body.unique_mut().is_none(), "the frame handle still shares the storage");
+        drop(frame);
+        // Capability metadata was copied out, so nothing else pins the frame.
+        assert!(back.body.unique_mut().is_some());
+
+        let reply = ReplyMessage::ok(RequestId(1), Bytes::from(vec![6u8; 64]));
+        let frame = reply.to_frame();
+        let mut back = ReplyMessage::from_frame(&frame).unwrap();
+        drop(frame);
+        assert_eq!(&back.body.unique_mut().expect("sole owner")[..], &[6u8; 64]);
     }
 
     #[test]
@@ -606,6 +748,6 @@ mod tests {
             trace: None,
         };
         let frame = req.to_frame();
-        assert!(RequestMessage::from_frame(&frame[..frame.len() - 4]).is_err());
+        assert!(RequestMessage::from_frame(&frame.slice(..frame.len() - 4)).is_err());
     }
 }

@@ -77,9 +77,12 @@ fn reply_request_id(frame: &Bytes) -> Option<u64> {
     XdrReader::new(frame).get_u64().ok()
 }
 
-/// Checks that `reply_frame` answers `req`.
-fn matched_reply(req: &RequestMessage, reply_frame: &[u8]) -> Result<ReplyMessage, OrbError> {
-    let reply = ReplyMessage::from_frame(reply_frame)?;
+/// Decodes `reply_frame` and checks that it answers `req`. Consumes the
+/// frame: the reply's body is a view of it, and must come out as the
+/// buffer's only owner for the glue chain to transform it in place.
+fn matched_reply(req: &RequestMessage, reply_frame: Bytes) -> Result<ReplyMessage, OrbError> {
+    let reply = ReplyMessage::from_frame(&reply_frame)?;
+    drop(reply_frame);
     if reply.request_id != req.request_id {
         return Err(OrbError::Protocol(format!(
             "reply id {} does not match request id {}",
@@ -469,7 +472,7 @@ impl ProtoObject for TransportProto {
             timeout: remaining_ns.map(Duration::from_nanos),
         };
         match self.exchange(&ep, &req.to_frame(), Some(wait))? {
-            Some(reply_frame) => matched_reply(req, &reply_frame),
+            Some(reply_frame) => matched_reply(req, reply_frame),
             None => Err(OrbError::Protocol("two-way exchange returned no reply frame".into())),
         }
     }
@@ -579,7 +582,7 @@ impl ProtoObject for NexusProto {
                 });
             }
         };
-        matched_reply(req, &reply_bytes)
+        matched_reply(req, reply_bytes)
     }
 
     fn invoke_oneway(
@@ -872,7 +875,8 @@ mod tests {
         svc.register(NEXUS_ORB_HANDLER, |args, out| {
             let n = args.remaining();
             let frame = args.get_fixed_opaque(n).map_err(|e| e.to_string())?;
-            let req = RequestMessage::from_frame(frame).map_err(|e| e.to_string())?;
+            let req = RequestMessage::from_frame(&Bytes::copy_from_slice(frame))
+                .map_err(|e| e.to_string())?;
             out.put_fixed_opaque(&ReplyMessage::ok(req.request_id, req.body).to_frame());
             Ok(())
         });

@@ -119,9 +119,10 @@ proptest! {
     fn decoders_survive_garbage(
         data in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        let _ = RequestMessage::from_frame(&data);
-        let _ = ReplyMessage::from_frame(&data);
         let _ = ObjectReference::from_bytes(&data);
+        let frame = Bytes::from(data);
+        let _ = RequestMessage::from_frame(&frame);
+        let _ = ReplyMessage::from_frame(&frame);
     }
 
     #[test]
@@ -178,7 +179,7 @@ proptest! {
         let frame = reply.to_frame();
         let cut = cut.index(frame.len());
         prop_assert!(
-            ReplyMessage::from_frame(&frame[..cut]).is_err(),
+            ReplyMessage::from_frame(&frame.slice(..cut)).is_err(),
             "strict prefix of length {cut}/{} decoded successfully", frame.len()
         );
     }

@@ -12,6 +12,7 @@
 //! implementation; [`RegistryClient`] is the generated typed stub.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 

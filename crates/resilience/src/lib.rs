@@ -25,6 +25,7 @@
 //! whole policy is testable under deterministic virtual time.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod classify;
 mod health;

@@ -22,6 +22,8 @@
 //! parked-worker gauges, park/shed counters), so overload is visible in
 //! the same snapshot as the rest of the request path.
 
+#![forbid(unsafe_code)]
+
 mod admission;
 mod pool;
 mod serial;

@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod clock;
 mod metrics;

@@ -15,6 +15,7 @@
 //! unit the ORB's request/reply marshaling produces.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod mem;
 pub mod mux;

@@ -1,3 +1,5 @@
+use bytes::Bytes;
+
 use crate::{pad4, XdrError};
 
 /// Default cap on any single length prefix (strings, opaques, arrays).
@@ -16,17 +18,27 @@ pub struct XdrReader<'a> {
     buf: &'a [u8],
     pos: usize,
     length_limit: u32,
+    /// The buffer `buf` borrows from, when the caller holds it as `Bytes`.
+    frame: Option<&'a Bytes>,
 }
 
 impl<'a> XdrReader<'a> {
     /// Wraps `buf` with the default length limit.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0, length_limit: DEFAULT_LENGTH_LIMIT }
+        Self { buf, pos: 0, length_limit: DEFAULT_LENGTH_LIMIT, frame: None }
     }
 
     /// Wraps `buf` with a custom cap on length prefixes.
     pub fn with_length_limit(buf: &'a [u8], limit: u32) -> Self {
-        Self { buf, pos: 0, length_limit: limit }
+        Self { buf, pos: 0, length_limit: limit, frame: None }
+    }
+
+    /// Wraps a received frame the caller owns as [`Bytes`], with the default
+    /// length limit. Decoding is identical to [`new`](Self::new) over the
+    /// same bytes, except that [`get_opaque_bytes`](Self::get_opaque_bytes)
+    /// hands out views of `frame` instead of copies.
+    pub fn over_frame(frame: &'a Bytes) -> Self {
+        Self { frame: Some(frame), ..Self::new(frame) }
     }
 
     /// Bytes not yet consumed.
@@ -128,6 +140,20 @@ impl<'a> XdrReader<'a> {
         self.get_fixed_opaque(len)
     }
 
+    /// Decodes variable-length opaque data (same checks as
+    /// [`get_opaque`](Self::get_opaque)) into an owned handle: a view sharing
+    /// the frame's storage when the reader was built with
+    /// [`over_frame`](Self::over_frame), a copy otherwise. A view keeps the
+    /// whole frame alive for as long as it lives — right for a message body,
+    /// wrong for a small field that may be retained.
+    pub fn get_opaque_bytes(&mut self) -> Result<Bytes, XdrError> {
+        let data = self.get_opaque()?;
+        Ok(match self.frame {
+            Some(frame) => frame.slice_ref(data),
+            None => Bytes::copy_from_slice(data),
+        })
+    }
+
     /// Decodes `len` bytes of fixed-length opaque data plus padding.
     pub fn get_fixed_opaque(&mut self, len: usize) -> Result<&'a [u8], XdrError> {
         let data = self.take(len)?;
@@ -158,6 +184,27 @@ impl<'a> XdrReader<'a> {
             return Err(XdrError::Truncated { needed: n * 4, available: self.remaining() });
         }
         Ok(n)
+    }
+
+    /// Decodes a counted array of fixed-width big-endian items. The count is
+    /// checked by [`get_array_len`](Self::get_array_len) and all `n * N`
+    /// bytes are claimed at once — a count the remaining input cannot
+    /// satisfy is `Truncated` before anything is allocated — then converted
+    /// in one exactly-sized, vectorisable pass.
+    pub(crate) fn get_array_of<T, const N: usize>(
+        &mut self,
+        from_be_bytes: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, XdrError> {
+        let n = self.get_array_len()?;
+        let bytes = self.take(n.saturating_mul(N))?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|chunk| {
+                let mut word = [0u8; N];
+                word.copy_from_slice(chunk);
+                from_be_bytes(word)
+            })
+            .collect())
     }
 
     /// Decodes a *trailing extension*: the backward-compatible way to append
@@ -253,6 +300,43 @@ mod tests {
         let mut r = XdrReader::new(&[0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0]);
         let err = r.get_array_len().unwrap_err();
         assert_eq!(err, XdrError::Truncated { needed: 32, available: 8 });
+    }
+
+    #[test]
+    fn opaque_bytes_are_views_over_a_frame_and_copies_over_a_slice() {
+        let mut w = crate::XdrWriter::new();
+        w.put_u32(7);
+        w.put_opaque(b"abcde");
+        w.put_opaque(b"");
+        let frame = w.finish();
+
+        let mut r = XdrReader::over_frame(&frame);
+        assert_eq!(r.get_u32().unwrap(), 7);
+        let view = r.get_opaque_bytes().unwrap();
+        assert_eq!(&view[..], b"abcde");
+        assert_eq!(view.as_ptr(), frame[8..].as_ptr(), "a view shares the frame's storage");
+        assert!(r.get_opaque_bytes().unwrap().is_empty());
+        assert!(r.is_empty());
+
+        let mut r = XdrReader::new(&frame);
+        r.get_u32().unwrap();
+        let copy = r.get_opaque_bytes().unwrap();
+        assert_eq!(&copy[..], b"abcde");
+        assert_ne!(copy.as_ptr(), frame[8..].as_ptr());
+    }
+
+    #[test]
+    fn opaque_bytes_apply_the_same_checks_as_opaque() {
+        let lying = Bytes::from(vec![0, 0, 0xff, 0xff, 1, 2, 3, 4]);
+        assert_eq!(
+            XdrReader::over_frame(&lying).get_opaque_bytes().unwrap_err(),
+            XdrError::Truncated { needed: 0xffff, available: 4 }
+        );
+        let padded = Bytes::from(vec![0, 0, 0, 1, 0xAA, 1, 0, 0]);
+        assert_eq!(
+            XdrReader::over_frame(&padded).get_opaque_bytes().unwrap_err(),
+            XdrError::NonZeroPadding
+        );
     }
 
     #[test]

@@ -116,58 +116,48 @@ impl XdrEncode for [u8] {
     }
 }
 
+/// Arrays of fixed-width numbers: length word + big-endian elements, moved in
+/// bulk (one reservation and one byte-swapping pass per array, not a bounds
+/// check and a possible regrowth per element).
+macro_rules! impl_vec_of_words {
+    ($($t:ty),+) => {$(
+        impl XdrEncode for Vec<$t> {
+            fn encode(&self, w: &mut XdrWriter) {
+                w.put_array_of(self, <$t>::to_be_bytes);
+            }
+        }
+        impl XdrDecode for Vec<$t> {
+            fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
+                r.get_array_of(<$t>::from_be_bytes)
+            }
+        }
+    )+};
+}
+
+impl_vec_of_words!(i32, u32, u64, i64, f32, f64);
+
 /// Generic arrays: length word + elements.
-impl XdrEncode for Vec<i32> {
+impl XdrEncode for Vec<String> {
     fn encode(&self, w: &mut XdrWriter) {
         w.put_array_len(self.len());
         for v in self {
-            w.put_i32(*v);
+            v.encode(w);
         }
     }
 }
 
-impl XdrDecode for Vec<i32> {
+impl XdrDecode for Vec<String> {
     fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
         let n = r.get_array_len()?;
         // A length prefix can claim at most remaining/4 elements; clamp the
         // pre-reservation so a lying prefix cannot force a huge allocation.
         let mut out = Vec::with_capacity(n.min(r.remaining() / 4));
         for _ in 0..n {
-            out.push(r.get_i32()?);
+            out.push(String::decode(r)?);
         }
         Ok(out)
     }
 }
-
-macro_rules! impl_vec {
-    ($t:ty) => {
-        impl XdrEncode for Vec<$t> {
-            fn encode(&self, w: &mut XdrWriter) {
-                w.put_array_len(self.len());
-                for v in self {
-                    v.encode(w);
-                }
-            }
-        }
-        impl XdrDecode for Vec<$t> {
-            fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-                let n = r.get_array_len()?;
-                let mut out = Vec::with_capacity(n.min(r.remaining() / 4));
-                for _ in 0..n {
-                    out.push(<$t>::decode(r)?);
-                }
-                Ok(out)
-            }
-        }
-    };
-}
-
-impl_vec!(u32);
-impl_vec!(u64);
-impl_vec!(i64);
-impl_vec!(f32);
-impl_vec!(f64);
-impl_vec!(String);
 
 impl<T: XdrEncode> XdrEncode for Option<T> {
     fn encode(&self, w: &mut XdrWriter) {
@@ -291,6 +281,47 @@ mod tests {
         let buf = encode_to_vec(&(1u32 << 20));
         let err = decode_from_slice::<Vec<i32>>(&buf).unwrap_err();
         assert!(matches!(err, XdrError::Truncated { .. }));
+    }
+
+    #[test]
+    fn numeric_arrays_encode_exactly_as_their_elements_would() {
+        fn check<T: XdrEncode + Copy>(v: Vec<T>)
+        where
+            Vec<T>: XdrEncode + XdrDecode + PartialEq + std::fmt::Debug,
+        {
+            let mut w = XdrWriter::new();
+            w.put_array_len(v.len());
+            for x in &v {
+                x.encode(&mut w);
+            }
+            assert_eq!(encode_to_vec(&v), w.finish().to_vec());
+            roundtrip(v);
+        }
+        check(vec![i32::MIN, -1, 0, 1, i32::MAX]);
+        check(vec![0u32, 0x0102_0304, u32::MAX]);
+        check(vec![i64::MIN, -2, 0x0102_0304_0506_0708, i64::MAX]);
+        check(vec![0u64, u64::MAX]);
+        check(vec![0.0f32, -1.5, f32::MAX, f32::MIN_POSITIVE]);
+        check(vec![0.0f64, -2.25, f64::MAX, f64::EPSILON]);
+        check((0..10_000).collect::<Vec<i32>>());
+        check(Vec::<f64>::new());
+    }
+
+    #[test]
+    fn array_count_beyond_the_remaining_bytes_is_truncated_before_allocating() {
+        // Two hypers claimed, one supplied: the count passes the
+        // one-word-per-element check and must still fail as a whole.
+        let mut w = XdrWriter::new();
+        w.put_array_len(2);
+        w.put_u64(7);
+        let err = decode_from_slice::<Vec<u64>>(&w.finish()).unwrap_err();
+        assert_eq!(err, XdrError::Truncated { needed: 16, available: 8 });
+        // A count near the length limit with nothing behind it.
+        let buf = encode_to_vec(&((64u32 << 20) - 1));
+        assert!(matches!(
+            decode_from_slice::<Vec<f64>>(&buf).unwrap_err(),
+            XdrError::Truncated { .. }
+        ));
     }
 
     #[test]

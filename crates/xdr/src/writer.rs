@@ -40,7 +40,8 @@ impl XdrWriter {
         &self.buf
     }
 
-    /// Consumes the writer, returning the encoded bytes.
+    /// Consumes the writer, returning the encoded bytes: the same buffer,
+    /// adopted by the `Bytes`, not a copy of it.
     pub fn finish(self) -> Bytes {
         debug_assert_eq!(self.buf.len() % 4, 0, "XDR stream must stay 4-byte aligned");
         self.buf.freeze()
@@ -113,6 +114,19 @@ impl XdrWriter {
     #[inline]
     pub fn put_array_len(&mut self, n: usize) {
         self.put_u32(n as u32);
+    }
+
+    /// Encodes a counted array of fixed-width items — length word, then each
+    /// item's big-endian bytes — growing the buffer once for the whole array.
+    /// `flat_map` over arrays keeps the iterator's exact length, so this
+    /// compiles to one reservation and a vectorised byte-swapping copy.
+    pub(crate) fn put_array_of<T: Copy, const N: usize>(
+        &mut self,
+        items: &[T],
+        to_be_bytes: impl Fn(T) -> [u8; N],
+    ) {
+        self.put_array_len(items.len());
+        self.buf.extend(items.iter().flat_map(|&v| to_be_bytes(v)));
     }
 
     /// Encodes a trailing extension: a version word plus an opaque payload.
