@@ -14,7 +14,7 @@ fn forward(frame: &[u8]) -> Result<Bytes, OrbError> { //~ telemetry-coverage
 
 fn forward_counted(frame: &[u8]) -> Result<Bytes, OrbError> {
     if frame.is_empty() {
-        ohpc_telemetry::inc("orb_empty_frames_total", &[]);
+        ohpc_telemetry::counter!("orb_empty_frames_total").inc();
         return Err(OrbError::Protocol("empty frame".into()));
     }
     Ok(Bytes::copy_from_slice(frame))

@@ -8,15 +8,15 @@
 
 fn quiet_send(frame: &[u8]) -> Result<(), TransportError> { //~ telemetry-coverage
     if frame.is_empty() {
-        ohpc_telemetry::inc("transport_empty_frames_total", &[]);
+        ohpc_telemetry::counter!("transport_empty_frames_total").inc();
         return Err(TransportError::Closed);
     }
     Ok(())
 }
 
 fn traced_send(frame: &[u8]) -> Result<(), TransportError> {
-    let _span = ohpc_telemetry::trace_span_with("send", &[("fabric", "mem")]);
-    ohpc_telemetry::inc("transport_send_frames_total", &[]);
+    let _span = ohpc_telemetry::trace_span_with("send", &[("fabric", "mem".into())]);
+    ohpc_telemetry::counter!("transport_send_frames_total").inc();
     helper(frame)
 }
 

@@ -1054,8 +1054,17 @@ fn find_calls(f: &SourceFile, fi: &FnInfo, open_of: &HashMap<usize, usize>) -> V
                 continue;
             }
         }
+        // `name(` is a call; so is a path-qualified macro, `path::name!(` —
+        // `ohpc_telemetry::counter!(…)` touches that crate like any call
+        // into it. Unqualified macros (`format!`, `vec!`) are not calls.
+        let is_punct = |at: usize, c: char| toks.get(at).is_some_and(|n| n.is_punct(c));
+        let qualified_macro = is_punct(j + 1, '!')
+            && is_punct(j + 2, '(')
+            && j >= 2
+            && is_punct(j - 1, ':')
+            && is_punct(j - 2, ':');
         if t.kind == TokKind::Ident
-            && toks.get(j + 1).is_some_and(|n| n.is_punct('('))
+            && (is_punct(j + 1, '(') || qualified_macro)
             && !NOT_CALLEES.contains(&t.text.as_str())
         {
             let recv = receiver_of(f, j, open_of);
@@ -1430,19 +1439,19 @@ mod tests {
                 "crates/a/src/lib.rs",
                 "ohpc-telemetry",
                 false,
-                "pub fn inc(name: &str) {}",
+                "pub fn trace_span(name: &str) {}",
             ),
             SourceFile::from_source(
                 "crates/b/src/lib.rs",
                 "ohpc-orb",
                 false,
-                "fn f() { ohpc_telemetry::inc(\"x\"); }",
+                "fn f() { ohpc_telemetry::trace_span(\"x\"); }",
             ),
         ];
         let ws = Workspace::build(&files);
         let f = fn_id(&ws, "f");
-        let inc = fn_id(&ws, "inc");
-        assert_eq!(ws.callees[f], vec![inc]);
+        let trace_span = fn_id(&ws, "trace_span");
+        assert_eq!(ws.callees[f], vec![trace_span]);
     }
 
     #[test]

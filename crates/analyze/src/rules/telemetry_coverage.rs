@@ -198,7 +198,7 @@ mod tests {
             fn parse(b: &[u8]) -> Result<u32, E> {
                 let _span = ohpc_telemetry::trace_span("parse");
                 if b.is_empty() {
-                    ohpc_telemetry::inc("parse_errors_total", &[]);
+                    ohpc_telemetry::counter!("parse_errors_total").inc();
                     return Err(E::Short);
                 }
                 Ok(0)
@@ -208,11 +208,28 @@ mod tests {
     }
 
     #[test]
+    fn only_a_macro_qualified_by_the_telemetry_crate_covers() {
+        let src = r#"
+            fn parse(b: &[u8]) -> Result<u32, E> {
+                let _span = trace_span("parse");
+                if b.is_empty() {
+                    counter!("parse_errors_total").inc();
+                    return Err(E::Short);
+                }
+                Ok(0)
+            }
+        "#;
+        let diags = analyze(src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("no telemetry counter"));
+    }
+
+    #[test]
     fn counter_without_span_is_flagged() {
         let src = r#"
             fn parse(b: &[u8]) -> Result<u32, E> {
                 if b.is_empty() {
-                    ohpc_telemetry::inc("parse_errors_total", &[]);
+                    ohpc_telemetry::counter!("parse_errors_total").inc();
                     return Err(E::Short);
                 }
                 Ok(0)
@@ -229,7 +246,7 @@ mod tests {
             fn helper(b: &[u8]) -> Result<u32, E> { Err(E::Short) }
             fn exchange(b: &[u8]) -> Result<u32, E> {
                 let _span = ohpc_telemetry::trace_span_with("exchange", &[]);
-                ohpc_telemetry::inc("requests_total", &[]);
+                ohpc_telemetry::counter!("requests_total").inc();
                 helper(b)
             }
         "#;

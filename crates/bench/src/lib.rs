@@ -13,6 +13,7 @@
 //! * [`artifact`] — per-figure medians rendered as `BENCH_overhead.json`;
 //! * [`workload`] — the echo-array service all experiments call;
 //! * [`setup`] — deployment plumbing (simulated cluster, contexts, pools);
+//! * [`local`] — the same service over the real mem and TCP transports;
 //! * [`plot`] — ASCII log-log plotting for terminal output.
 //!
 //! Binaries `fig5`, `fig4`, `fig3` and `overhead_table` wrap these with CSV
@@ -27,6 +28,7 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod loadbalance;
+pub mod local;
 pub mod mux_contention;
 pub mod overhead;
 pub mod overload;

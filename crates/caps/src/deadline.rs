@@ -69,7 +69,7 @@ impl DeadlineCap {
         if self.clock.now_ns() > expires_ns {
             // Same counter as the ORB's admission-time peek; the label says
             // how far the request got before the expiry was caught.
-            ohpc_telemetry::inc("orb_deadline_shed_total", &[("at", "glue")]);
+            ohpc_telemetry::counter!("orb_deadline_shed_total", "at" => "glue").inc();
             return Err(CapError::Expired(format!(
                 "deadline of {} ms exceeded before dispatch",
                 self.budget_ms

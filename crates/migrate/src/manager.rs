@@ -145,7 +145,7 @@ impl MigrationManager {
         self.objects
             .write()
             .insert(id, ManagedObject { instance: fresh, home: dst.clone() });
-        ohpc_telemetry::inc("migrate_migrations_total", &[]);
+        ohpc_telemetry::counter!("migrate_migrations_total").inc();
         Ok(new_or)
     }
 }

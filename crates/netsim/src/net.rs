@@ -263,7 +263,7 @@ impl SimNet {
             let timeout = self.cluster.profile_between(from, to).latency;
             self.clock.advance(SimTime(timeout.as_nanos() as u64));
             self.state.lock().faults += 1;
-            ohpc_telemetry::inc("netsim_link_faults_total", &[]);
+            ohpc_telemetry::counter!("netsim_link_faults_total").inc();
             return Err(fault);
         }
         Ok(self.transfer(from, to, bytes))

@@ -10,8 +10,9 @@
 //!   which is what ORs carry and processes exchange;
 //! * [`CapabilityRegistry`] — per-process factory turning specs into live
 //!   instances (the local trust environment: key stores, budgets);
-//! * chain helpers enforcing the paper's ordering: sender applies the chain
-//!   in order, receiver inverts it in reverse order, replies mirror it.
+//! * [`CapChain`] and the two chain entry points enforcing the paper's
+//!   ordering: sender applies the chain in order, receiver inverts it in
+//!   reverse order, replies mirror it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,6 +21,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 
 use ohpc_netsim::Location;
+use ohpc_telemetry::{Histogram, Registry};
 use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
 
 use crate::message::CapWireMeta;
@@ -294,11 +296,8 @@ impl CapabilityRegistry {
     }
 
     /// Builds a whole chain, failing on the first unknown capability.
-    pub fn build_chain(
-        &self,
-        specs: &[CapabilitySpec],
-    ) -> Result<Vec<Arc<dyn Capability>>, CapError> {
-        specs.iter().map(|s| self.build(s)).collect()
+    pub fn build_chain(&self, specs: &[CapabilitySpec]) -> Result<CapChain, CapError> {
+        specs.iter().map(|s| self.build(s)).collect::<Result<Vec<_>, _>>().map(CapChain::new)
     }
 
     /// True if `name` can be built here.
@@ -307,31 +306,95 @@ impl CapabilityRegistry {
     }
 }
 
-/// Sender side: applies `caps` in chain order, returning the transformed body
+/// One histogram per [`Direction`] of a `{cap,dir}`-labelled metric.
+struct ByDirection {
+    request: Arc<Histogram>,
+    reply: Arc<Histogram>,
+}
+
+impl ByDirection {
+    fn resolve(metric: &str, cap: &str) -> Self {
+        let dir = |dir: Direction| {
+            Registry::global().histogram(metric, &[("cap", cap), ("dir", dir.as_label())])
+        };
+        Self { request: dir(Direction::Request), reply: dir(Direction::Reply) }
+    }
+
+    fn of(&self, dir: Direction) -> &Histogram {
+        match dir {
+            Direction::Request => &self.request,
+            Direction::Reply => &self.reply,
+        }
+    }
+}
+
+/// One capability of a built chain, with the `orb_cap_process_ns{cap,dir}`
+/// and `orb_cap_unprocess_ns{cap,dir}` histograms its transforms are timed
+/// into.
+struct Hop {
+    cap: Arc<dyn Capability>,
+    process_ns: ByDirection,
+    unprocess_ns: ByDirection,
+}
+
+/// A built capability chain, in chain order.
+///
+/// The per-hop histograms carry the capability's name as a label, which is
+/// only known at run time; they are resolved here, once, where the chain is
+/// built (and cached: `Context::add_glue`, `GlueProto`), so
+/// [`process_chain`] and [`unprocess_chain`] record through handles.
+pub struct CapChain {
+    hops: Vec<Hop>,
+}
+
+impl CapChain {
+    /// Wraps capability instances (in chain order) as a chain.
+    pub fn new(caps: Vec<Arc<dyn Capability>>) -> Self {
+        let hops = caps.into_iter().map(|cap| Hop {
+            process_ns: ByDirection::resolve("orb_cap_process_ns", cap.name()),
+            unprocess_ns: ByDirection::resolve("orb_cap_unprocess_ns", cap.name()),
+            cap,
+        });
+        Self { hops: hops.collect() }
+    }
+
+    /// The capabilities, in chain order.
+    pub fn caps(&self) -> impl Iterator<Item = &Arc<dyn Capability>> {
+        self.hops.iter().map(|hop| &hop.cap)
+    }
+
+    /// Number of capabilities in the chain.
+    pub fn len(&self) -> usize {
+        self.hops.len()
+    }
+
+    /// True for the empty chain.
+    pub fn is_empty(&self) -> bool {
+        self.hops.is_empty()
+    }
+}
+
+/// Sender side: applies `chain` in order, returning the transformed body
 /// and each capability's metadata (in chain order) for the glue section.
 ///
 /// Each transform is timed into `orb_cap_process_ns{cap,dir}` (including
 /// denials — a rejected budget check still costs time worth seeing).
 pub fn process_chain(
-    caps: &[Arc<dyn Capability>],
+    chain: &CapChain,
     dir: Direction,
     call: &CallInfo,
     mut body: Bytes,
 ) -> Result<(Bytes, Vec<CapWireMeta>), CapError> {
-    let registry = ohpc_telemetry::Registry::global();
-    let clock = registry.clock();
-    let mut metas = Vec::with_capacity(caps.len());
-    for cap in caps {
+    let mut metas = Vec::with_capacity(chain.len());
+    for Hop { cap, process_ns, .. } in &chain.hops {
         let mut meta = CapMeta::new();
         let _span = ohpc_telemetry::trace_span_with(
             "cap_process",
-            &[("cap", cap.name()), ("dir", dir.as_label())],
+            &[("cap", cap.name().into()), ("dir", dir.as_label().into())],
         );
-        let t0 = clock.now_ns();
+        let timed = process_ns.of(dir).span();
         let result = cap.process(dir, call, &mut meta, body);
-        registry
-            .histogram("orb_cap_process_ns", &[("cap", cap.name()), ("dir", dir.as_label())])
-            .observe(clock.now_ns().saturating_sub(t0));
+        drop(timed);
         body = result?;
         metas.push(CapWireMeta { name: cap.name().to_string(), meta: meta.to_bytes() });
     }
@@ -343,22 +406,20 @@ pub fn process_chain(
 ///
 /// Each inverse transform is timed into `orb_cap_unprocess_ns{cap,dir}`.
 pub fn unprocess_chain(
-    caps: &[Arc<dyn Capability>],
+    chain: &CapChain,
     dir: Direction,
     call: &CallInfo,
     metas: &[CapWireMeta],
     mut body: Bytes,
 ) -> Result<Bytes, CapError> {
-    if caps.len() != metas.len() {
+    if chain.len() != metas.len() {
         return Err(CapError::Failed(format!(
             "chain length mismatch: {} capabilities, {} metadata blocks",
-            caps.len(),
+            chain.len(),
             metas.len()
         )));
     }
-    let registry = ohpc_telemetry::Registry::global();
-    let clock = registry.clock();
-    for (cap, wire) in caps.iter().zip(metas.iter()).rev() {
+    for (Hop { cap, unprocess_ns, .. }, wire) in chain.hops.iter().zip(metas.iter()).rev() {
         if cap.name() != wire.name {
             return Err(CapError::Failed(format!(
                 "chain order mismatch: expected '{}', got '{}'",
@@ -370,13 +431,11 @@ pub fn unprocess_chain(
             .map_err(|e| CapError::Failed(format!("bad capability metadata: {e}")))?;
         let _span = ohpc_telemetry::trace_span_with(
             "cap_unprocess",
-            &[("cap", cap.name()), ("dir", dir.as_label())],
+            &[("cap", cap.name().into()), ("dir", dir.as_label().into())],
         );
-        let t0 = clock.now_ns();
+        let timed = unprocess_ns.of(dir).span();
         let result = cap.unprocess(dir, call, &meta, body);
-        registry
-            .histogram("orb_cap_unprocess_ns", &[("cap", cap.name()), ("dir", dir.as_label())])
-            .observe(clock.now_ns().saturating_sub(t0));
+        drop(timed);
         body = result?;
     }
     Ok(body)
@@ -457,7 +516,7 @@ mod tests {
 
     #[test]
     fn chain_roundtrip_two_caps() {
-        let caps = vec![xor("a", 0x55), xor("b", 0xAA)];
+        let caps = CapChain::new(vec![xor("a", 0x55), xor("b", 0xAA)]);
         let body = Bytes::from_static(b"the payload");
         let (cipher, metas) =
             process_chain(&caps, Direction::Request, &call(), body.clone()).unwrap();
@@ -470,7 +529,7 @@ mod tests {
 
     #[test]
     fn chain_length_mismatch_detected() {
-        let caps = vec![xor("a", 1)];
+        let caps = CapChain::new(vec![xor("a", 1)]);
         let err =
             unprocess_chain(&caps, Direction::Request, &call(), &[], Bytes::new()).unwrap_err();
         assert!(matches!(err, CapError::Failed(_)));
@@ -478,7 +537,7 @@ mod tests {
 
     #[test]
     fn chain_name_mismatch_detected() {
-        let caps = vec![xor("a", 1)];
+        let caps = CapChain::new(vec![xor("a", 1)]);
         let metas = vec![CapWireMeta { name: "b".into(), meta: CapMeta::new().to_bytes() }];
         let err = unprocess_chain(&caps, Direction::Request, &call(), &metas, Bytes::new())
             .unwrap_err();

@@ -23,7 +23,7 @@ use ohpc_transport::{Connection, Listener};
 use ohpc_xdr::{XdrReader, XdrWriter};
 
 use crate::capability::{
-    process_chain, unprocess_chain, CallInfo, CapError, Capability, CapabilityRegistry,
+    process_chain, unprocess_chain, CallInfo, CapChain, CapError, CapabilityRegistry,
     CapabilitySpec, Direction,
 };
 use crate::error::OrbError;
@@ -59,7 +59,7 @@ pub enum OrRow {
 
 struct GlueChain {
     specs: Vec<CapabilitySpec>,
-    caps: Vec<Arc<dyn Capability>>,
+    caps: CapChain,
 }
 
 struct ServerHandle {
@@ -369,7 +369,7 @@ impl Context {
     /// on-disk state survives a real process crash. Clients observe dropped
     /// connections and refused dials.
     pub fn crash(&self) {
-        ohpc_telemetry::inc("orb_context_crashes_total", &[]);
+        ohpc_telemetry::counter!("orb_context_crashes_total").inc();
         self.shutdown();
         // Advertised endpoints died with the listeners.
         self.inner.adverts.write().clear();
@@ -378,7 +378,7 @@ impl Context {
     /// Re-arms a crashed context: serving works again once fresh listeners
     /// are attached with [`serve`](Self::serve).
     pub fn restart(&self) {
-        ohpc_telemetry::inc("orb_context_restarts_total", &[]);
+        ohpc_telemetry::counter!("orb_context_restarts_total").inc();
         self.inner.stopping.store(false, Ordering::Release);
     }
 
@@ -489,8 +489,8 @@ impl Context {
         // metadata, so this peek needs no glue-chain construction.
         if let Some(expires_ns) = req.deadline_expires_ns() {
             if ohpc_telemetry::Registry::global().now_ns() > expires_ns {
-                ohpc_telemetry::inc("orb_deadline_shed_total", &[("at", "admission")]);
-                ohpc_telemetry::trace_event("request_shed", &[("reason", "deadline")]);
+                ohpc_telemetry::counter!("orb_deadline_shed_total", "at" => "admission").inc();
+                ohpc_telemetry::trace_event("request_shed", &[("reason", "deadline".into())]);
                 return Err(ReplyStatus::DeadlineExpired(
                     "deadline expired before dispatch".into(),
                 ));
@@ -501,9 +501,16 @@ impl Context {
         match self.inner.admission.try_admit(degraded) {
             Ok(permit) => Ok(permit),
             Err(shed) => {
-                let reason = if shed.degraded { "degraded" } else { "queue_full" };
-                ohpc_telemetry::inc("orb_overload_shed_total", &[("reason", reason)]);
-                ohpc_telemetry::trace_event("request_shed", &[("reason", reason)]);
+                let reason = if shed.degraded {
+                    ohpc_telemetry::counter!("orb_overload_shed_total", "reason" => "degraded")
+                        .inc();
+                    "degraded"
+                } else {
+                    ohpc_telemetry::counter!("orb_overload_shed_total", "reason" => "queue_full")
+                        .inc();
+                    "queue_full"
+                };
+                ohpc_telemetry::trace_event("request_shed", &[("reason", reason.into())]);
                 self.inner.dispatch_pressure.store(true, Ordering::Relaxed);
                 self.inner.dispatch_health.record_failure(&self.inner.dispatch_key);
                 Err(ReplyStatus::Overloaded(shed.to_string()))
@@ -580,7 +587,7 @@ impl Context {
             Err(_) if req.oneway => {
                 // No reply channel to signal backpressure on; the drop
                 // shows in the shed counters and the trace.
-                ohpc_telemetry::inc("orb_oneway_shed_total", &[]);
+                ohpc_telemetry::counter!("orb_oneway_shed_total").inc();
                 Intake::Dropped
             }
             Err(status) => Intake::Reply(ReplyMessage::status(req.request_id, status).to_frame()),
@@ -599,16 +606,16 @@ impl Context {
         let _trace = req.trace.clone().map(ohpc_telemetry::install);
         let mut dispatch_span = ohpc_telemetry::trace_span_with(
             "server_dispatch",
-            &[("method", &req.method.to_string()), ("ctx", &self.inner.id.0.to_string())],
+            &[("method", req.method.into()), ("ctx", self.inner.id.0.into())],
         );
         let call = CallInfo { object: req.object, method: req.method, request_id: rid };
         // Drop-guard: records server-side handling latency on every return
         // path, including tombstone forwards and capability denials.
-        let _span = ohpc_telemetry::span("orb_request_ns", &[]);
+        let _span = ohpc_telemetry::histogram!("orb_request_ns").span();
 
         // Tombstone? Forward the client to the object's new home.
         if let Some(new_or) = self.inner.tombstones.read().get(&req.object) {
-            ohpc_telemetry::inc("orb_tombstone_hops_total", &[]);
+            ohpc_telemetry::counter!("orb_tombstone_hops_total").inc();
             dispatch_span.attr("outcome", "moved");
             return ReplyMessage::status(rid, ReplyStatus::Moved(Box::new(new_or.clone())));
         }
@@ -655,7 +662,7 @@ impl Context {
             hook(req.object, req.method);
         }
         self.inner.requests_served.fetch_add(1, Ordering::Relaxed);
-        ohpc_telemetry::inc("orb_requests_total", &[]);
+        ohpc_telemetry::counter!("orb_requests_total").inc();
 
         let mut out = XdrWriter::new();
         let mut args = XdrReader::new(&body);

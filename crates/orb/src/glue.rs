@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use ohpc_netsim::{Location, SimNet};
 
 use crate::capability::{
-    process_chain, unprocess_chain, CallInfo, Capability, CapabilityRegistry, CapabilitySpec,
+    process_chain, unprocess_chain, CallInfo, CapChain, CapabilityRegistry, CapabilitySpec,
     Direction,
 };
 use crate::error::OrbError;
@@ -54,7 +54,7 @@ struct CachedChain {
     /// Specs the instances were built from; if the entry's specs change
     /// (dynamic capability replacement), the cache entry is stale.
     specs: Vec<CapabilitySpec>,
-    caps: Arc<Vec<Arc<dyn Capability>>>,
+    caps: Arc<CapChain>,
 }
 
 impl GlueProto {
@@ -73,11 +73,7 @@ impl GlueProto {
     /// by glue id because stateful capabilities (request budgets) must retain
     /// their state across calls; the cache re-validates against the entry's
     /// specs so a dynamically replaced chain is rebuilt, not reused stale.
-    fn chain(
-        &self,
-        glue_id: u64,
-        specs: &[CapabilitySpec],
-    ) -> Result<Arc<Vec<Arc<dyn Capability>>>, OrbError> {
+    fn chain(&self, glue_id: u64, specs: &[CapabilitySpec]) -> Result<Arc<CapChain>, OrbError> {
         if let Some(c) = self.chains.lock().get(&glue_id) {
             if c.specs == specs {
                 return Ok(c.caps.clone());
@@ -115,7 +111,7 @@ impl GlueProto {
 struct Outbound<'e> {
     inner_proto: Arc<dyn ProtoObject>,
     inner: &'e ProtoEntry,
-    chain: Arc<Vec<Arc<dyn Capability>>>,
+    chain: Arc<CapChain>,
     call: CallInfo,
     glued: RequestMessage,
 }
@@ -188,7 +184,7 @@ impl ProtoObject for GlueProto {
         // A chain we cannot build locally (unknown capability, missing keys)
         // makes the whole entry unusable.
         let Ok(chain) = self.chain(glue_id, specs) else { return false };
-        if !chain.iter().all(|c| c.applicable(client, server)) {
+        if !chain.caps().all(|c| c.applicable(client, server)) {
             return false;
         }
         match pool.find(inner.id) {
@@ -260,7 +256,7 @@ impl ProtoObject for GlueProto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::{CapError, CapMeta};
+    use crate::capability::{CapError, CapMeta, Capability};
     use crate::ids::{ObjectId, RequestId};
     use bytes::Bytes;
 

@@ -10,6 +10,7 @@ use ohpc_netsim::Location;
 use ohpc_resilience::{
     ErrorClass, HealthKey, HealthRegistry, RetryPolicy, Sleeper, ThreadSleeper,
 };
+use ohpc_telemetry::Registry;
 use ohpc_xdr::XdrWriter;
 
 use crate::error::OrbError;
@@ -144,7 +145,7 @@ impl GlobalPointer {
 
     /// Replaces the OR (capability hand-off, explicit rebind).
     pub fn rebind(&self, or: ObjectReference) {
-        ohpc_telemetry::inc("orb_rebinds_total", &[]);
+        ohpc_telemetry::counter!("orb_rebinds_total").inc();
         *self.or.write() = or;
         self.or_epoch.fetch_add(1, Ordering::Release);
     }
@@ -259,7 +260,7 @@ impl GlobalPointer {
         let hptr = registry_ptr(health);
         let hgen = health.generation();
         if let Lookup::Hit(cached) = self.cache.lookup(or_epoch, pool_epoch, hptr, hgen) {
-            ohpc_telemetry::trace_event("selection", &[("outcome", "cached")]);
+            ohpc_telemetry::trace_event("selection", &[("outcome", "cached".into())]);
             return Ok(cached);
         }
         let (selection, object) = {
@@ -299,7 +300,7 @@ impl GlobalPointer {
         let mut span = ohpc_telemetry::trace_span("gp_oneway");
         let health = self.health.lock().clone();
         let cached = self.attempt_selection(&health)?;
-        span.attr("proto", &cached.described);
+        span.attr("proto", &*cached.described);
         *self.last_protocol.lock() = Some(cached.described.clone());
         let req = RequestMessage {
             request_id: next_request_id(),
@@ -384,8 +385,11 @@ impl GlobalPointer {
                     });
                 }
             }
-            ohpc_telemetry::inc("resilience_retries_total", &[("class", class.label())]);
-            ohpc_telemetry::trace_event("retry", &[("class", class.label())]);
+            // A retry is a failure path: its class-labelled counter goes by name.
+            Registry::global()
+                .counter("resilience_retries_total", &[("class", class.label())])
+                .inc();
+            ohpc_telemetry::trace_event("retry", &[("class", class.label().into())]);
             let sleeper = self.sleeper.lock().clone();
             sleeper.sleep_ns(backoff);
         }
@@ -414,14 +418,14 @@ impl GlobalPointer {
             let mut span = ohpc_telemetry::trace_span_with(
                 "gp_attempt",
                 &[
-                    ("attempt", &attempt.to_string()),
-                    ("forward", &forward.to_string()),
-                    ("method", &method.to_string()),
+                    ("attempt", attempt.into()),
+                    ("forward", forward.into()),
+                    ("method", method.into()),
                 ],
             );
             let cached = self.attempt_selection(health)?;
             let object = cached.object;
-            span.attr("proto", &cached.described);
+            span.attr("proto", &*cached.described);
             *self.last_protocol.lock() = Some(cached.described.clone());
 
             let req = RequestMessage {
@@ -446,11 +450,9 @@ impl GlobalPointer {
                 ReplyStatus::Ok => return Ok(reply.body),
                 ReplyStatus::Moved(new_or) => {
                     self.forwards_seen.fetch_add(1, Ordering::Relaxed);
-                    ohpc_telemetry::inc("orb_forwards_total", &[]);
-                    ohpc_telemetry::trace_event(
-                        "forward",
-                        &[("to", &new_or.location.to_string())],
-                    );
+                    ohpc_telemetry::counter!("orb_forwards_total").inc();
+                    let to = new_or.location.to_string();
+                    ohpc_telemetry::trace_event("forward", &[("to", to.as_str().into())]);
                     self.rebind(*new_or);
                     continue;
                 }
@@ -461,11 +463,11 @@ impl GlobalPointer {
                             // loop above backs off and re-offers (possibly
                             // to another replica once selection consults
                             // breakers).
-                            ohpc_telemetry::inc("orb_overloaded_replies_total", &[]);
+                            ohpc_telemetry::counter!("orb_overloaded_replies_total").inc();
                             ohpc_telemetry::trace_event("server_overloaded", &[]);
                         }
                         ReplyStatus::DeadlineExpired(_) => {
-                            ohpc_telemetry::inc("orb_deadline_expired_replies_total", &[]);
+                            ohpc_telemetry::counter!("orb_deadline_expired_replies_total").inc();
                         }
                         _ => {}
                     }

@@ -68,7 +68,7 @@ impl GpGroup {
                     let _t = trace.map(ohpc_telemetry::install);
                     let _span = ohpc_telemetry::trace_span_with(
                         "group_member",
-                        &[("member", &i.to_string())],
+                        &[("member", i.into())],
                     );
                     gp.invoke_raw(method, body)
                 })
@@ -81,7 +81,7 @@ impl GpGroup {
                     Err(OrbError::Protocol("collective member thread panicked".into()))
                 });
                 if res.is_err() {
-                    ohpc_telemetry::inc("orb_group_member_failures_total", &[]);
+                    ohpc_telemetry::counter!("orb_group_member_failures_total").inc();
                 }
                 res
             })

@@ -85,7 +85,7 @@ mod tests {
 
     #[test]
     fn serves_global_snapshot() {
-        ohpc_telemetry::add("introspect_unit_test_total", &[], 5);
+        ohpc_telemetry::counter!("introspect_unit_test_total").add(5);
         let obj = ContextIntrospection::new(ContextId(3));
         let text = obj.metrics_text().expect("snapshot");
         assert!(text.contains("introspect_unit_test_total"), "{text}");
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn skeleton_dispatches_metrics_text() {
-        ohpc_telemetry::inc("introspect_dispatch_test_total", &[]);
+        ohpc_telemetry::counter!("introspect_dispatch_test_total").inc();
         let skel = IntrospectionSkeleton(ContextIntrospection::new(ContextId(1)));
         assert_eq!(skel.type_name(), "OhpcIntrospection");
         let mut out = XdrWriter::new();

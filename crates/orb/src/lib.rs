@@ -56,7 +56,9 @@ pub mod selection;
 pub mod skeleton;
 pub mod transport_proto;
 
-pub use capability::{CapError, Capability, CapabilityRegistry, CapabilitySpec, CapMeta, Direction};
+pub use capability::{
+    CapChain, CapError, CapMeta, Capability, CapabilityRegistry, CapabilitySpec, Direction,
+};
 pub use context::{Context, ProtoAdvert};
 pub use error::OrbError;
 pub use glue::GlueProto;

@@ -10,7 +10,7 @@ use bytes::Bytes;
 
 use crate::ids::{ObjectId, RequestId};
 use crate::objref::ObjectReference;
-use ohpc_telemetry::TraceContext;
+use ohpc_telemetry::{Registry, TraceContext};
 use ohpc_xdr::{pad4, XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
 
 /// Encoded size of a length-prefixed opaque or string of `len` bytes.
@@ -26,13 +26,15 @@ fn decode_frame<T: XdrDecode>(frame: &Bytes, kind: &'static str) -> Result<T, Xd
         0 => Ok(msg),
         n => Err(XdrError::TrailingBytes(n)),
     });
-    decoded.inspect_err(|_| ohpc_telemetry::inc("orb_malformed_frames_total", &[("kind", kind)]))
+    decoded.inspect_err(|_| {
+        Registry::global().counter("orb_malformed_frames_total", &[("kind", kind)]).inc()
+    })
 }
 
 /// Version word of the trace-context trailing extension on request frames.
 ///
 /// The extension rides *after* the last request field as
-/// `XdrWriter::put_trailing_extension(version, payload)`: a frame without
+/// `XdrWriter::put_trailing_extension(version, len, payload)`: a frame without
 /// trace context is byte-identical to a pre-tracing frame, an old decoder
 /// never reads past the body, and a new decoder treats end-of-input as "no
 /// context" and an unknown version as an opaque skip.
@@ -44,8 +46,8 @@ fn encoded_trace_len(t: &TraceContext) -> usize {
     4 * 8 + 4 + baggage
 }
 
-fn encode_trace(t: &TraceContext) -> Bytes {
-    let mut w = XdrWriter::with_capacity(encoded_trace_len(t));
+/// Appends exactly [`encoded_trace_len`] bytes.
+fn encode_trace(t: &TraceContext, w: &mut XdrWriter) {
     w.put_u64((t.trace_id >> 64) as u64);
     w.put_u64(t.trace_id as u64);
     w.put_u64(t.span_id);
@@ -55,7 +57,6 @@ fn encode_trace(t: &TraceContext) -> Bytes {
         w.put_string(k);
         w.put_string(v);
     }
-    w.finish()
 }
 
 fn decode_trace(payload: &[u8]) -> Result<TraceContext, XdrError> {
@@ -234,7 +235,9 @@ impl XdrEncode for RequestMessage {
         self.glue.encode(w);
         w.put_opaque(&self.body);
         if let Some(t) = &self.trace {
-            w.put_trailing_extension(TRACE_EXT_VERSION, &encode_trace(t));
+            w.put_trailing_extension(TRACE_EXT_VERSION, encoded_trace_len(t), |w| {
+                encode_trace(t, w)
+            });
         }
     }
 }
@@ -567,7 +570,9 @@ mod tests {
         };
         let mut frame = legacy.to_frame().to_vec();
         let mut w = XdrWriter::new();
-        w.put_trailing_extension(TRACE_EXT_VERSION + 1, b"from-the-future");
+        w.put_trailing_extension(TRACE_EXT_VERSION + 1, 15, |w| {
+            w.put_fixed_opaque(b"from-the-future")
+        });
         frame.extend_from_slice(&w.finish());
         let back = RequestMessage::from_frame(&Bytes::from(frame)).unwrap();
         assert_eq!(back, legacy, "unknown extension decodes as no trace");
@@ -586,7 +591,7 @@ mod tests {
         };
         let mut frame = legacy.to_frame().to_vec();
         let mut w = XdrWriter::new();
-        w.put_trailing_extension(TRACE_EXT_VERSION, &[0xFF; 3]);
+        w.put_trailing_extension(TRACE_EXT_VERSION, 3, |w| w.put_fixed_opaque(&[0xFF; 3]));
         frame.extend_from_slice(&w.finish());
         assert!(RequestMessage::from_frame(&Bytes::from(frame)).is_err());
     }

@@ -33,47 +33,21 @@
 //! # Hit-path cost
 //!
 //! A hit performs no heap allocation: the describe string is pre-rendered
-//! (`Arc<str>`), the [`HealthKey`] is pre-computed, and all counters —
-//! including the per-protocol `orb_selection_total` — are pre-resolved
-//! `Arc<Counter>` handles ticked with one relaxed `fetch_add` each.
+//! (`Arc<str>`), the [`HealthKey`] is pre-computed, and all counters are
+//! resolved handles ticked with one relaxed `fetch_add` each — the three
+//! `orb_selection_cache_total{outcome}` by `counter!`, the per-protocol
+//! `orb_selection_total` (a run-time label) kept in the memo.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use ohpc_resilience::{HealthKey, HealthRegistry};
-use ohpc_telemetry::Counter;
+use ohpc_telemetry::{Counter, Registry};
 
 use crate::ids::ObjectId;
 use crate::selection::Selection;
-
-/// Pre-resolved `orb_selection_cache_total{outcome=…}` counters. Resolved
-/// once per process; the hit path must not touch the registry's lock-and-
-/// allocate lookup.
-fn outcome_counter(
-    cell: &'static OnceLock<Arc<Counter>>,
-    outcome: &'static str,
-) -> &'static Arc<Counter> {
-    cell.get_or_init(|| {
-        ohpc_telemetry::counter("orb_selection_cache_total", &[("outcome", outcome)])
-    })
-}
-
-fn hit_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    outcome_counter(&C, "hit")
-}
-
-fn miss_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    outcome_counter(&C, "miss")
-}
-
-fn invalidated_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    outcome_counter(&C, "invalidated")
-}
 
 /// One memoized attempt-ready selection: everything `attempt_once` needs,
 /// pre-rendered so a hit allocates nothing.
@@ -117,7 +91,7 @@ impl CachedSelection {
         health_gen: u64,
     ) -> Self {
         let protocol = selection.entry.id.to_string();
-        let selected_counter = ohpc_telemetry::counter(
+        let selected_counter = Registry::global().counter(
             "orb_selection_total",
             &[("protocol", &protocol), ("outcome", "selected")],
         );
@@ -187,18 +161,19 @@ impl SelectionCache {
                 let c = c.clone();
                 drop(slot);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                hit_counter().inc();
+                ohpc_telemetry::counter!("orb_selection_cache_total", "outcome" => "hit").inc();
                 c.selected_counter.inc();
                 Lookup::Hit(c)
             }
             Some(_) => {
                 drop(slot);
-                invalidated_counter().inc();
+                ohpc_telemetry::counter!("orb_selection_cache_total", "outcome" => "invalidated")
+                    .inc();
                 Lookup::Invalidated
             }
             None => {
                 drop(slot);
-                miss_counter().inc();
+                ohpc_telemetry::counter!("orb_selection_cache_total", "outcome" => "miss").inc();
                 Lookup::Miss
             }
         }

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use ohpc_netsim::Location;
 use ohpc_resilience::{HealthKey, HealthRegistry};
+use ohpc_telemetry::Registry;
 
 use crate::error::OrbError;
 use crate::objref::{ObjectReference, ProtoEntry};
@@ -92,41 +93,50 @@ pub fn select_with_health(
     client: &Location,
     health: Option<&HealthRegistry>,
 ) -> Result<Selection, OrbError> {
+    // The walk runs on a selection-cache miss (first call, rebind, breaker
+    // transition), never per request, and labels by protocol: by name.
+    let registry = Registry::global();
     let mut breaker_skips = 0u32;
     let mut fallback: Option<Selection> = None;
     for (index, entry) in or.protocols.iter().enumerate() {
         let proto_name = entry.id.to_string();
         let Some(proto) = pool.find(entry.id) else {
-            ohpc_telemetry::inc(
-                "orb_selection_rejected_total",
-                &[("protocol", &proto_name), ("reason", "not-in-pool")],
-            );
+            registry
+                .counter(
+                    "orb_selection_rejected_total",
+                    &[("protocol", &proto_name), ("reason", "not-in-pool")],
+                )
+                .inc();
             ohpc_telemetry::trace_event(
                 "selection_rejected",
-                &[("protocol", &proto_name), ("reason", "not-in-pool")],
+                &[("protocol", proto_name.as_str().into()), ("reason", "not-in-pool".into())],
             );
             continue;
         };
         if !proto.applicable(pool, client, &or.location, entry) {
-            ohpc_telemetry::inc(
-                "orb_selection_rejected_total",
-                &[("protocol", &proto_name), ("reason", "inapplicable")],
-            );
+            registry
+                .counter(
+                    "orb_selection_rejected_total",
+                    &[("protocol", &proto_name), ("reason", "inapplicable")],
+                )
+                .inc();
             ohpc_telemetry::trace_event(
                 "selection_rejected",
-                &[("protocol", &proto_name), ("reason", "inapplicable")],
+                &[("protocol", proto_name.as_str().into()), ("reason", "inapplicable".into())],
             );
             continue;
         }
         if let Some(h) = health {
             if !h.allow(&health_key(entry)) {
-                ohpc_telemetry::inc(
-                    "orb_selection_rejected_total",
-                    &[("protocol", &proto_name), ("reason", "breaker-open")],
-                );
+                registry
+                    .counter(
+                        "orb_selection_rejected_total",
+                        &[("protocol", &proto_name), ("reason", "breaker-open")],
+                    )
+                    .inc();
                 ohpc_telemetry::trace_event(
                     "selection_rejected",
-                    &[("protocol", &proto_name), ("reason", "breaker-open")],
+                    &[("protocol", proto_name.as_str().into()), ("reason", "breaker-open".into())],
                 );
                 breaker_skips += 1;
                 if fallback.is_none() {
@@ -136,19 +146,21 @@ pub fn select_with_health(
                 continue;
             }
         }
-        ohpc_telemetry::inc(
-            "orb_selection_total",
-            &[("protocol", &proto_name), ("outcome", "selected")],
-        );
+        registry
+            .counter(
+                "orb_selection_total",
+                &[("protocol", &proto_name), ("outcome", "selected")],
+            )
+            .inc();
         if breaker_skips > 0 {
-            ohpc_telemetry::inc("resilience_failover_total", &[("protocol", &proto_name)]);
+            registry.counter("resilience_failover_total", &[("protocol", &proto_name)]).inc();
         }
         ohpc_telemetry::trace_event(
             "selection",
             &[
-                ("protocol", &proto_name),
-                ("index", &index.to_string()),
-                ("outcome", if breaker_skips > 0 { "failover" } else { "selected" }),
+                ("protocol", proto_name.as_str().into()),
+                ("index", index.into()),
+                ("outcome", if breaker_skips > 0 { "failover" } else { "selected" }.into()),
             ],
         );
         return Ok(Selection { proto, entry: entry.clone(), index, steady: breaker_skips == 0 });
@@ -158,25 +170,24 @@ pub fn select_with_health(
         // turn a degraded table into a total outage, so take the preferred
         // denied row and let it probe the endpoint.
         let proto_name = sel.entry.id.to_string();
-        ohpc_telemetry::inc(
-            "orb_selection_total",
-            &[("protocol", &proto_name), ("outcome", "breaker-fallback")],
-        );
-        ohpc_telemetry::inc(
-            "resilience_breaker_fallback_total",
-            &[("protocol", &proto_name)],
-        );
+        registry
+            .counter(
+                "orb_selection_total",
+                &[("protocol", &proto_name), ("outcome", "breaker-fallback")],
+            )
+            .inc();
+        registry.counter("resilience_breaker_fallback_total", &[("protocol", &proto_name)]).inc();
         ohpc_telemetry::trace_event(
             "selection",
             &[
-                ("protocol", &proto_name),
-                ("index", &sel.index.to_string()),
-                ("outcome", "breaker-fallback"),
+                ("protocol", proto_name.as_str().into()),
+                ("index", sel.index.into()),
+                ("outcome", "breaker-fallback".into()),
             ],
         );
         return Ok(sel);
     }
-    ohpc_telemetry::inc("orb_selection_failed_total", &[]);
+    ohpc_telemetry::counter!("orb_selection_failed_total").inc();
     ohpc_telemetry::trace_event("selection_failed", &[]);
     Err(OrbError::NoApplicableProtocol { offered: or.offered() })
 }

@@ -44,6 +44,7 @@ use parking_lot::Mutex;
 use ohpc_nexus::{HandlerId, NexusError, Startpoint};
 use ohpc_netsim::Location;
 use ohpc_resilience::{HealthKey, HealthRegistry};
+use ohpc_telemetry::Registry;
 use ohpc_transport::mux::{DeathHook, MuxChannel, MuxError};
 use ohpc_transport::{Connection, Dialer, Endpoint, RecvHalf, SendHalf};
 use ohpc_xdr::{XdrReader, XdrWriter};
@@ -92,8 +93,11 @@ fn matched_reply(req: &RequestMessage, reply_frame: Bytes) -> Result<ReplyMessag
     Ok(reply)
 }
 
+/// A stale pooled channel was replaced: a rebind path, counted by name.
 fn count_retry(protocol: ProtocolId) {
-    ohpc_telemetry::inc("orb_transport_retries_total", &[("protocol", &protocol.to_string())]);
+    Registry::global()
+        .counter("orb_transport_retries_total", &[("protocol", &protocol.to_string())])
+        .inc();
 }
 
 // ------------------------------------------------------------ endpoint cache
@@ -155,10 +159,13 @@ impl<C: Pooled> EndpointCache<C> {
         match winner {
             None => Ok((built, false)),
             Some(winner) => {
-                ohpc_telemetry::inc(
-                    "orb_double_dial_avoided_total",
-                    &[("protocol", &self.protocol.to_string())],
-                );
+                // Only a racing first dial gets here: counted by name.
+                Registry::global()
+                    .counter(
+                        "orb_double_dial_avoided_total",
+                        &[("protocol", &self.protocol.to_string())],
+                    )
+                    .inc();
                 built.retire();
                 Ok((winner, true))
             }
@@ -299,7 +306,7 @@ impl TransportProto {
         let key = HealthKey::new(self.id.to_string(), ep.to_string());
         let proto = self.id.to_string();
         let hook: DeathHook = Box::new(move |_err| {
-            ohpc_telemetry::inc("orb_mux_deaths_total", &[("protocol", &proto)]);
+            Registry::global().counter("orb_mux_deaths_total", &[("protocol", &proto)]).inc();
             if let Some(h) = &health {
                 h.record_failure(&key);
             }

@@ -286,15 +286,25 @@ impl HealthRegistry {
 /// the observing thread is inside a trace scope (a GP invocation), the
 /// transition also lands in that trace's flight-recorder timeline.
 fn record_transition(key: &HealthKey, to: BreakerState) {
-    let labels =
-        [("protocol", key.protocol.as_str()), ("endpoint", key.endpoint.as_str()), ("to", to.label())];
-    ohpc_telemetry::inc("resilience_breaker_transitions_total", &labels);
-    ohpc_telemetry::trace_event("breaker_transition", &labels);
-    Registry::global()
-        .gauge(
-            "resilience_breaker_open",
-            &[("protocol", key.protocol.as_str()), ("endpoint", key.endpoint.as_str())],
+    let (protocol, endpoint) = (key.protocol.as_str(), key.endpoint.as_str());
+    // A breaker tripping or healing is rare: its instruments go by name.
+    let registry = Registry::global();
+    registry
+        .counter(
+            "resilience_breaker_transitions_total",
+            &[("protocol", protocol), ("endpoint", endpoint), ("to", to.label())],
         )
+        .inc();
+    ohpc_telemetry::trace_event(
+        "breaker_transition",
+        &[
+            ("protocol", protocol.into()),
+            ("endpoint", endpoint.into()),
+            ("to", to.label().into()),
+        ],
+    );
+    registry
+        .gauge("resilience_breaker_open", &[("protocol", protocol), ("endpoint", endpoint)])
         .set(match to {
             BreakerState::Open => 1,
             BreakerState::Closed | BreakerState::HalfOpen => 0,

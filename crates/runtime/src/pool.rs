@@ -90,7 +90,9 @@ impl PoolInner {
             // counts it and moves on (the task's drop guards — permits,
             // spans — already ran during the unwind).
             if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
-                ohpc_telemetry::inc("runtime_task_panics_total", &[("pool", &self.name)]);
+                Registry::global()
+                    .counter("runtime_task_panics_total", &[("pool", &self.name)])
+                    .inc();
             }
             q = lock(&self.queue);
         }
@@ -206,12 +208,40 @@ pub fn default_workers() -> usize {
     (cores * 4).clamp(8, 64)
 }
 
+/// Tells the allocator, once per process, that freeing multi-megabyte
+/// buffers is routine here, by reserving and releasing one untouched 16 MiB
+/// block (two syscalls, no page touched).
+///
+/// A worker serving a bulk request holds two or three payload-sized buffers
+/// (decoded arguments, reply body, reply frame) at the top of its malloc
+/// arena and has freed them all before the next request. glibc hands an
+/// arena's top back to the kernel whenever a free leaves it above the trim
+/// threshold, which is twice the largest `mmap`ped block the process has
+/// freed so far: about 2 MiB when payloads are 1 MiB, always less than what
+/// the worker just freed. The next request then faults every page of every
+/// buffer in again — ~770 faults, 1.2 ms of a 3 ms secure 1 MiB echo — unless
+/// some small allocation happens to sit above the buffers and pin them, which
+/// is heap-layout luck (the request path's small allocations used to supply
+/// it; PR 19 removed most of them and the luck with them). Having freed a
+/// 16 MiB block, glibc serves buffers up to that size from the arenas and
+/// keeps up to 32 MiB of free top per arena, so bulk buffers are reused warm
+/// whatever else the heap holds. Other allocators see an unused reservation.
+fn expect_bulk_buffers() {
+    let mut block = Vec::<u8>::new();
+    // Best effort: a refused reservation changes nothing.
+    let _ = block.try_reserve_exact(16 << 20);
+    drop(std::hint::black_box(block));
+}
+
 /// The process-wide pool ORB contexts dispatch on by default. Sized once
 /// (first use) from [`default_workers`]; never shut down.
 pub fn shared_pool() -> Arc<WorkerPool> {
     static SHARED: OnceLock<Arc<WorkerPool>> = OnceLock::new();
     SHARED
-        .get_or_init(|| Arc::new(WorkerPool::new("shared", default_workers())))
+        .get_or_init(|| {
+            expect_bulk_buffers();
+            Arc::new(WorkerPool::new("shared", default_workers()))
+        })
         .clone()
 }
 

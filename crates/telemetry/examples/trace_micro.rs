@@ -1,7 +1,8 @@
-//! Microbenchmark of the flight-recorder hot path.
+//! Microbenchmark of the flight-recorder hot path and of a metric event.
 //!
 //! Prints nanoseconds per operation for span open+close, instant events,
-//! spans with attributes, and the disabled-recording fast path. Run with
+//! spans with attributes, the disabled-recording fast path, and a counter
+//! bump and a timed span by name against the same through a handle. Run with
 //! `cargo run --release -p ohpc-telemetry --example trace_micro` when
 //! touching the recorder; the end-to-end budget (`--max-tracing-overhead-pct`
 //! on `bench_overhead_json`) is roughly nine records per fig3 call, so every
@@ -27,13 +28,13 @@ fn main() {
 
     let t0 = Instant::now();
     for _ in 0..n {
-        ohpc_telemetry::trace_event("blip", &[("k", "v")]);
+        ohpc_telemetry::trace_event("blip", &[("k", "v".into())]);
     }
     let event_ns = t0.elapsed().as_nanos() as f64 / n as f64;
 
     let t0 = Instant::now();
     for i in 0..n {
-        let mut s = ohpc_telemetry::trace_span_with("work", &[("attempt", "1")]);
+        let mut s = ohpc_telemetry::trace_span_with("work", &[("attempt", i.into())]);
         s.attr("x", if i % 2 == 0 { "a" } else { "b" });
     }
     let span_attr_ns = t0.elapsed().as_nanos() as f64 / n as f64;
@@ -46,8 +47,37 @@ fn main() {
     let off_ns = t0.elapsed().as_nanos() as f64 / n as f64;
     ohpc_telemetry::set_trace_enabled(true);
 
+    let registry = ohpc_telemetry::Registry::global();
+    let t0 = Instant::now();
+    for _ in 0..n {
+        registry.counter("micro_total", &[("fabric", "mem")]).inc();
+    }
+    let by_name_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+
+    let t0 = Instant::now();
+    for _ in 0..n {
+        ohpc_telemetry::counter!("micro_total", "fabric" => "mem").inc();
+    }
+    let handle_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+
+    let t0 = Instant::now();
+    for _ in 0..n {
+        let _s = registry.span("micro_ns", &[]);
+    }
+    let span_by_name_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+
+    let t0 = Instant::now();
+    for _ in 0..n {
+        let _s = ohpc_telemetry::histogram!("micro_ns").span();
+    }
+    let span_handle_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+
     println!("span open+close: {span_ns:.1} ns");
     println!("event:           {event_ns:.1} ns");
     println!("span w/ attrs:   {span_attr_ns:.1} ns");
     println!("disabled span:   {off_ns:.1} ns");
+    println!("counter by name: {by_name_ns:.1} ns");
+    println!("counter handle:  {handle_ns:.1} ns");
+    println!("timed by name:   {span_by_name_ns:.1} ns");
+    println!("timed by handle: {span_handle_ns:.1} ns");
 }

@@ -10,6 +10,11 @@
 //! - **Recording never blocks and never panics.** Instruments are plain
 //!   atomics; the registry lock is only taken to resolve a handle, and kind
 //!   collisions degrade to detached instruments instead of errors.
+//! - **A call site resolves its instrument once.** [`counter!`], [`gauge!`]
+//!   and [`histogram!`] keep a `&'static` handle per call site; an object
+//!   whose label is only known at run time keeps the `Arc` it resolved when
+//!   it was built. There is no by-name shorthand per event: a lookup on an
+//!   error path is written `Registry::global().counter(..)`, in full.
 //! - **Zero dependencies.** Every other workspace crate may depend on
 //!   telemetry, so telemetry depends on nothing (it deliberately uses
 //!   `std::sync::RwLock`, not `parking_lot`).
@@ -29,7 +34,8 @@
 //! let clock = Arc::new(ManualClock::new());
 //! registry.set_clock(clock.clone());
 //!
-//! registry.counter("orb_selection_total", &[("protocol", "tcp")]).inc();
+//! let selected = registry.counter("orb_selection_total", &[("protocol", "tcp")]);
+//! selected.inc();
 //! let span = registry.span("orb_request_ns", &[]);
 //! clock.advance(1_500);
 //! assert_eq!(span.finish(), 1_500);
@@ -50,10 +56,50 @@ mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{default_latency_bounds_ns, Counter, Exemplar, Gauge, Histogram};
-pub use registry::{add, counter, gauge, histogram, inc, observe_ns, span, Registry, Span};
+pub use registry::{Registry, Span};
 pub use snapshot::{HistogramSnapshot, Sample, Snapshot, Value};
 pub use trace::{
     current, current_trace_id, dump_to_results, enabled as trace_enabled, install,
-    set_enabled as set_trace_enabled, trace_event, trace_span, trace_span_with, SpanRecord,
-    TraceBuffer, TraceContext, TraceScope, TraceSpan, BAGGAGE_BUDGET_BYTES,
+    set_enabled as set_trace_enabled, trace_event, trace_span, trace_span_with, AttrValue,
+    SpanRecord, TraceBuffer, TraceContext, TraceScope, TraceSpan, BAGGAGE_BUDGET_BYTES,
 };
+
+/// Shared body of [`counter!`], [`gauge!`] and [`histogram!`]: a hidden
+/// `OnceLock` per call site, filled from [`Registry::global`] on first use.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __instrument {
+    ($resolve:ident, $ty:ident, $name:literal $(, $key:literal => $value:literal)* $(,)?) => {{
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::$ty>> =
+            ::std::sync::OnceLock::new();
+        let handle: &'static $crate::$ty = HANDLE.get_or_init(|| {
+            $crate::Registry::global().$resolve($name, &[$(($key, $value)),*])
+        });
+        handle
+    }};
+}
+
+/// The global-registry counter `name{labels}` as a `&'static Counter`,
+/// resolved once per call site: `counter!("orb_requests_total").inc()`,
+/// `counter!("orb_deadline_shed_total", "at" => "glue").inc()`. Name and
+/// labels must be literals; a call site whose label is only known at run time
+/// keeps an `Arc` handle in the object that knows it instead.
+#[macro_export]
+macro_rules! counter {
+    ($($spec:tt)*) => { $crate::__instrument!(counter, Counter, $($spec)*) };
+}
+
+/// The global-registry gauge `name{labels}` as a `&'static Gauge`; see
+/// [`counter!`].
+#[macro_export]
+macro_rules! gauge {
+    ($($spec:tt)*) => { $crate::__instrument!(gauge, Gauge, $($spec)*) };
+}
+
+/// The global-registry histogram `name{labels}` (default latency bounds) as
+/// a `&'static Histogram`; see [`counter!`]. Time a scope into it with
+/// [`Histogram::span`].
+#[macro_export]
+macro_rules! histogram {
+    ($($spec:tt)*) => { $crate::__instrument!(histogram, Histogram, $($spec)*) };
+}

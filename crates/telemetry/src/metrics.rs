@@ -98,37 +98,41 @@ pub struct Exemplar {
     pub trace_id: u128,
 }
 
+const US: u64 = 1_000;
+const MS: u64 = 1_000_000;
+
+/// See [`default_latency_bounds_ns`].
+pub(crate) const DEFAULT_LATENCY_BOUNDS_NS: [u64; 22] = [
+    US,
+    2 * US + US / 2,
+    5 * US,
+    10 * US,
+    25 * US,
+    50 * US,
+    100 * US,
+    250 * US,
+    500 * US,
+    MS,
+    2 * MS + MS / 2,
+    5 * MS,
+    10 * MS,
+    25 * MS,
+    50 * MS,
+    100 * MS,
+    250 * MS,
+    500 * MS,
+    1_000 * MS,
+    2_500 * MS,
+    5_000 * MS,
+    10_000 * MS,
+];
+
 /// Default latency bounds in nanoseconds: 1µs → 10s in 1-2.5-5 steps.
 ///
 /// Wide enough for an in-process capability transform (~µs) and a simulated
 /// WAN round trip (~ms–s) on the same scale.
 pub fn default_latency_bounds_ns() -> Vec<u64> {
-    const US: u64 = 1_000;
-    const MS: u64 = 1_000_000;
-    vec![
-        US,
-        2 * US + US / 2,
-        5 * US,
-        10 * US,
-        25 * US,
-        50 * US,
-        100 * US,
-        250 * US,
-        500 * US,
-        MS,
-        2 * MS + MS / 2,
-        5 * MS,
-        10 * MS,
-        25 * MS,
-        50 * MS,
-        100 * MS,
-        250 * MS,
-        500 * MS,
-        1_000 * MS,
-        2_500 * MS,
-        5_000 * MS,
-        10_000 * MS,
-    ]
+    DEFAULT_LATENCY_BOUNDS_NS.to_vec()
 }
 
 impl Histogram {
@@ -150,7 +154,7 @@ impl Histogram {
 
     /// Create a histogram with [`default_latency_bounds_ns`].
     pub fn with_default_bounds() -> Self {
-        Self::new(&default_latency_bounds_ns())
+        Self::new(&DEFAULT_LATENCY_BOUNDS_NS)
     }
 
     /// The configured upper bounds (exclusive of the implicit `+Inf`).

@@ -8,12 +8,14 @@
 //! outside the workspace lock-order analysis surface and has zero
 //! dependencies.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::metrics::{default_latency_bounds_ns, Counter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge, Histogram, DEFAULT_LATENCY_BOUNDS_NS};
 use crate::snapshot::{HistogramSnapshot, Sample, Snapshot, Value};
 
 /// A metric identity: name plus a canonically sorted label set.
@@ -39,20 +41,50 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
+impl Metric {
+    fn as_counter(&self) -> Option<&Arc<Counter>> {
+        match self {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn as_gauge(&self) -> Option<&Arc<Gauge>> {
+        match self {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        }
+    }
+
+    fn as_histogram(&self) -> Option<&Arc<Histogram>> {
+        match self {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        }
+    }
+}
+
 /// A concurrent registry of named metrics.
 ///
 /// Handles returned by [`counter`](Registry::counter) /
 /// [`gauge`](Registry::gauge) / [`histogram`](Registry::histogram) are
-/// `Arc`-shared: callers should look a handle up once and keep it, not
-/// re-resolve per event. Registering the same `(name, labels)` twice returns
-/// the same underlying instrument. Registering a name under a *different*
-/// instrument kind never panics — it returns a detached instrument that
-/// records into the void, so a naming collision degrades to lost data rather
-/// than a crash (telemetry must never take the hot path down).
+/// `Arc`-shared. A call site resolves its instrument **once** and keeps the
+/// handle — in a hidden static through [`counter!`](crate::counter) /
+/// [`gauge!`](crate::gauge) / [`histogram!`](crate::histogram) when name and
+/// labels are literals, in the object that knows the label otherwise. A
+/// lookup builds an owned key and takes the registry lock; only error,
+/// rebind and teardown paths may pay that per event
+/// ([`resolutions`](Registry::resolutions) counts them). Registering the same
+/// `(name, labels)` twice returns the same underlying instrument. Registering
+/// a name under a *different* instrument kind never panics — it returns a
+/// detached instrument that records into the void, so a naming collision
+/// degrades to lost data rather than a crash (telemetry must never take the
+/// hot path down).
 pub struct Registry {
     metrics: RwLock<HashMap<MetricKey, Metric>>,
     clock: RwLock<Arc<dyn Clock>>,
     clock_epoch: AtomicU64,
+    resolutions: AtomicU64,
 }
 
 impl std::fmt::Debug for Registry {
@@ -86,6 +118,7 @@ impl Registry {
             metrics: RwLock::new(HashMap::new()),
             clock: RwLock::new(Arc::new(MonotonicClock::new())),
             clock_epoch: AtomicU64::new(0),
+            resolutions: AtomicU64::new(0),
         }
     }
 
@@ -125,37 +158,53 @@ impl Registry {
         self.clock_epoch.load(Ordering::Acquire)
     }
 
-    /// Get or register the counter `name{labels}`.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+    /// Lookups by name this registry has served: every
+    /// [`counter`](Self::counter), [`gauge`](Self::gauge) and
+    /// [`histogram`](Self::histogram) call, hit or miss.
+    ///
+    /// A plain number, deliberately not a registered metric (it would show in
+    /// every snapshot and count itself). It exists so a test can pin that the
+    /// steady-state request path resolves nothing: read it, drive calls, read
+    /// it again.
+    pub fn resolutions(&self) -> u64 {
+        self.resolutions.load(Ordering::Relaxed)
+    }
+
+    /// The one get-or-register: `existing` picks the wanted kind out of a
+    /// stored metric, `wrap` stores a new one made by `create`.
+    fn resolve<T>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        existing: fn(&Metric) -> Option<&Arc<T>>,
+        wrap: fn(Arc<T>) -> Metric,
+        create: impl Fn() -> T,
+    ) -> Arc<T> {
+        self.resolutions.fetch_add(1, Ordering::Relaxed);
         let key = MetricKey::new(name, labels);
-        if let Some(Metric::Counter(c)) = read_lock(&self.metrics).get(&key) {
-            return c.clone();
+        if let Some(found) = read_lock(&self.metrics).get(&key).and_then(existing) {
+            return found.clone();
         }
         let mut map = write_lock(&self.metrics);
-        match map.entry(key).or_insert_with(|| Metric::Counter(Arc::new(Counter::new()))) {
-            Metric::Counter(c) => c.clone(),
-            // Kind collision: hand back a detached instrument, never panic.
-            _ => Arc::new(Counter::new()),
-        }
+        let stored = map.entry(key).or_insert_with(|| wrap(Arc::new(create())));
+        // Kind collision: hand back a detached instrument, never panic.
+        existing(stored).cloned().unwrap_or_else(|| Arc::new(create()))
+    }
+
+    /// Get or register the counter `name{labels}`.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+        self.resolve(name, labels, Metric::as_counter, Metric::Counter, Counter::new)
     }
 
     /// Get or register the gauge `name{labels}`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let key = MetricKey::new(name, labels);
-        if let Some(Metric::Gauge(g)) = read_lock(&self.metrics).get(&key) {
-            return g.clone();
-        }
-        let mut map = write_lock(&self.metrics);
-        match map.entry(key).or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new()))) {
-            Metric::Gauge(g) => g.clone(),
-            _ => Arc::new(Gauge::new()),
-        }
+        self.resolve(name, labels, Metric::as_gauge, Metric::Gauge, Gauge::new)
     }
 
     /// Get or register the histogram `name{labels}` with the default latency
-    /// bounds (see [`default_latency_bounds_ns`]).
+    /// bounds (see [`default_latency_bounds_ns`](crate::default_latency_bounds_ns)).
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.histogram_with_bounds(name, labels, &default_latency_bounds_ns())
+        self.histogram_with_bounds(name, labels, &DEFAULT_LATENCY_BOUNDS_NS)
     }
 
     /// Get or register the histogram `name{labels}` with explicit bounds.
@@ -168,19 +217,15 @@ impl Registry {
         labels: &[(&str, &str)],
         bounds: &[u64],
     ) -> Arc<Histogram> {
-        let key = MetricKey::new(name, labels);
-        if let Some(Metric::Histogram(h)) = read_lock(&self.metrics).get(&key) {
-            return h.clone();
-        }
-        let mut map = write_lock(&self.metrics);
-        match map.entry(key).or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new(bounds)))) {
-            Metric::Histogram(h) => h.clone(),
-            _ => Arc::new(Histogram::new(bounds)),
-        }
+        self.resolve(name, labels, Metric::as_histogram, Metric::Histogram, || {
+            Histogram::new(bounds)
+        })
     }
 
     /// Start a span that records its duration into the histogram
-    /// `name{labels}` when finished or dropped.
+    /// `name{labels}` when finished or dropped, timed on this registry's
+    /// clock. Resolves by name: for a call site on the request path, resolve
+    /// the histogram once and open [`Histogram::span`] from the handle.
     pub fn span(&self, name: &str, labels: &[(&str, &str)]) -> Span {
         Span::start(self.histogram(name, labels), self.clock())
     }
@@ -220,17 +265,45 @@ impl Registry {
     }
 }
 
+/// Current time on [`Registry::global`]'s clock through a per-thread cache
+/// keyed on the registry's clock epoch: one relaxed load plus a dyn call on
+/// the hit path, no read lock. A `set_clock` bumps the epoch and the next
+/// timestamp on each thread refreshes its cached handle.
+pub(crate) fn fast_now_ns() -> u64 {
+    type CachedClock = (u64, Arc<dyn Clock>);
+    thread_local! {
+        static CLOCK: RefCell<Option<CachedClock>> = const { RefCell::new(None) };
+    }
+    let reg = Registry::global();
+    let epoch = reg.clock_epoch();
+    CLOCK.with(|c| {
+        let mut c = c.borrow_mut();
+        match &*c {
+            Some((e, clock)) if *e == epoch => clock.now_ns(),
+            _ => {
+                let clock = reg.clock();
+                let now = clock.now_ns();
+                *c = Some((epoch, clock));
+                now
+            }
+        }
+    })
+}
+
 /// A drop-guard timing span.
 ///
-/// Created by [`Registry::span`]; observes the elapsed clock time into its
-/// histogram exactly once, either at [`finish`](Span::finish) or on drop.
-pub struct Span {
-    hist: Option<Arc<Histogram>>,
-    clock: Arc<dyn Clock>,
+/// Observes the elapsed clock time into its histogram exactly once, either
+/// at [`finish`](Span::finish) or on drop. Opened from a resolved handle with
+/// [`Histogram::span`] (two reads of the global clock's per-thread cache and
+/// one observe — no lock, no allocation), or by name with [`Registry::span`].
+pub struct Span<H: Deref<Target = Histogram> = Arc<Histogram>> {
+    hist: Option<H>,
+    /// `None`: the global registry's clock, read through [`fast_now_ns`].
+    clock: Option<Arc<dyn Clock>>,
     start_ns: u64,
 }
 
-impl std::fmt::Debug for Span {
+impl<H: Deref<Target = Histogram>> std::fmt::Debug for Span<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Span")
             .field("start_ns", &self.start_ns)
@@ -239,23 +312,46 @@ impl std::fmt::Debug for Span {
     }
 }
 
+impl Histogram {
+    /// Starts a span that observes into this histogram, timed on
+    /// [`Registry::global`]'s clock (so it follows `set_clock` there,
+    /// whichever registry the histogram came from).
+    pub fn span(&self) -> Span<&Histogram> {
+        Span { hist: Some(self), clock: None, start_ns: fast_now_ns() }
+    }
+
+    /// Observes a duration the caller measured itself, as a [`Span`] would:
+    /// the trace installed on this thread, if any, becomes the exemplar when
+    /// `v` is the largest observation so far (so the max bucket points at a
+    /// causal trace).
+    pub fn observe_linked(&self, v: u64) {
+        match crate::trace::current_trace_id() {
+            Some(trace_id) => self.observe_traced(v, trace_id),
+            None => self.observe(v),
+        }
+    }
+}
+
 impl Span {
     /// Start a span against an explicit histogram and clock.
     pub fn start(hist: Arc<Histogram>, clock: Arc<dyn Clock>) -> Self {
         let start_ns = clock.now_ns();
-        Self { hist: Some(hist), clock, start_ns }
+        Self { hist: Some(hist), clock: Some(clock), start_ns }
     }
+}
 
+impl<H: Deref<Target = Histogram>> Span<H> {
     /// Nanoseconds elapsed so far.
     pub fn elapsed_ns(&self) -> u64 {
-        self.clock.now_ns().saturating_sub(self.start_ns)
+        let now = self.clock.as_ref().map_or_else(fast_now_ns, |c| c.now_ns());
+        now.saturating_sub(self.start_ns)
     }
 
     /// Finish now and return the recorded duration in nanoseconds.
     pub fn finish(mut self) -> u64 {
         let elapsed = self.elapsed_ns();
         if let Some(h) = self.hist.take() {
-            observe_maybe_traced(&h, elapsed);
+            h.observe_linked(elapsed);
         }
         elapsed
     }
@@ -266,59 +362,12 @@ impl Span {
     }
 }
 
-impl Drop for Span {
+impl<H: Deref<Target = Histogram>> Drop for Span<H> {
     fn drop(&mut self) {
         if let Some(h) = self.hist.take() {
-            observe_maybe_traced(&h, self.clock.now_ns().saturating_sub(self.start_ns));
+            h.observe_linked(self.elapsed_ns());
         }
     }
-}
-
-/// Observes `v`, linking the installed trace as the histogram's exemplar
-/// when one is present (so the max bucket points at a causal trace).
-fn observe_maybe_traced(h: &Histogram, v: u64) {
-    match crate::trace::current_trace_id() {
-        Some(trace_id) => h.observe_traced(v, trace_id),
-        None => h.observe(v),
-    }
-}
-
-/// Global-registry shorthand for [`Registry::counter`].
-pub fn counter(name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-    Registry::global().counter(name, labels)
-}
-
-/// Global-registry shorthand for [`Registry::gauge`].
-pub fn gauge(name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-    Registry::global().gauge(name, labels)
-}
-
-/// Global-registry shorthand for [`Registry::histogram`].
-pub fn histogram(name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-    Registry::global().histogram(name, labels)
-}
-
-/// Global-registry shorthand for [`Registry::span`].
-pub fn span(name: &str, labels: &[(&str, &str)]) -> Span {
-    Registry::global().span(name, labels)
-}
-
-/// One-shot observation of a duration already measured by the caller
-/// (exemplar-linked to the installed trace, like a [`Span`]).
-pub fn observe_ns(name: &str, labels: &[(&str, &str)], ns: u64) {
-    observe_maybe_traced(&Registry::global().histogram(name, labels), ns);
-}
-
-// Counter-bump without holding a handle: cheap enough for cold paths
-// (rebinds, tombstone hops) where callers have nowhere to cache the Arc.
-/// Global-registry shorthand: bump `name{labels}` by one.
-pub fn inc(name: &str, labels: &[(&str, &str)]) {
-    Registry::global().counter(name, labels).inc();
-}
-
-/// Global-registry shorthand: add `delta` to `name{labels}`.
-pub fn add(name: &str, labels: &[(&str, &str)], delta: u64) {
-    Registry::global().counter(name, labels).add(delta);
 }
 
 #[cfg(test)]
@@ -438,10 +487,33 @@ mod tests {
         let a: *const Registry = Registry::global();
         let b: *const Registry = Registry::global();
         assert_eq!(a, b);
-        inc("telemetry_selftest_total", &[]);
-        add("telemetry_selftest_total", &[], 2);
-        assert!(
-            Registry::global().snapshot().counter_total("telemetry_selftest_total") >= 3
-        );
+    }
+
+    #[test]
+    fn macros_resolve_once_into_the_global_registry() {
+        let hits = || crate::counter!("telemetry_selftest_total", "kind" => "macro");
+        let before = Registry::global().resolutions();
+        hits().inc();
+        hits().add(2);
+        crate::gauge!("telemetry_selftest_depth").set(7);
+        crate::histogram!("telemetry_selftest_ns").observe(5);
+        // Other tests resolve concurrently, so the bound is from below only;
+        // what matters is that the second `hits()` found the same instrument.
+        assert!(Registry::global().resolutions() >= before + 3);
+        let snap = Registry::global().snapshot();
+        assert_eq!(snap.counter("telemetry_selftest_total", &[("kind", "macro")]), Some(3));
+        assert_eq!(snap.gauge("telemetry_selftest_depth", &[]), Some(7));
+        assert_eq!(snap.histogram("telemetry_selftest_ns", &[]).map(|h| h.count), Some(1));
+    }
+
+    #[test]
+    fn resolutions_counts_lookups_not_events() {
+        let r = Registry::new();
+        let c = r.counter("hits", &[]);
+        let _ = (r.gauge("depth", &[]), r.histogram("op_ns", &[]), r.counter("hits", &[]));
+        assert_eq!(r.resolutions(), 4);
+        c.add(1000);
+        r.histogram("op_ns", &[]).span().finish();
+        assert_eq!(r.resolutions(), 5, "recording through a handle resolves nothing");
     }
 }

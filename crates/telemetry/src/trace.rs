@@ -25,7 +25,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-use crate::registry::Registry;
+use crate::registry::fast_now_ns;
 
 /// Upper bound on the serialized baggage a context will carry, in bytes
 /// (keys + values). Entries past the budget are dropped and counted into
@@ -145,7 +145,7 @@ impl TraceContext {
     /// `false`.
     pub fn try_add_baggage(&mut self, key: &str, value: &str) -> bool {
         if self.baggage_bytes() + key.len() + value.len() > BAGGAGE_BUDGET_BYTES {
-            crate::registry::inc("trace_baggage_dropped_total", &[]);
+            crate::counter!("trace_baggage_dropped_total").inc();
             return false;
         }
         self.baggage.push((key.to_string(), value.to_string()));
@@ -155,31 +155,6 @@ impl TraceContext {
 
 thread_local! {
     static CURRENT: RefCell<Option<TraceContext>> = const { RefCell::new(None) };
-}
-
-/// Timestamp from the registry clock through a per-thread cache keyed on the
-/// registry's clock epoch: one relaxed load plus a dyn call on the hit path,
-/// no read lock. A `set_clock` bumps the epoch and the next timestamp on
-/// each thread refreshes its cached handle.
-fn fast_now_ns() -> u64 {
-    type CachedClock = (u64, std::sync::Arc<dyn crate::clock::Clock>);
-    thread_local! {
-        static CLOCK: RefCell<Option<CachedClock>> = const { RefCell::new(None) };
-    }
-    let reg = Registry::global();
-    let epoch = reg.clock_epoch();
-    CLOCK.with(|c| {
-        let mut c = c.borrow_mut();
-        match &*c {
-            Some((e, clock)) if *e == epoch => clock.now_ns(),
-            _ => {
-                let clock = reg.clock();
-                let now = clock.now_ns();
-                *c = Some((epoch, clock));
-                now
-            }
-        }
-    })
 }
 
 /// The context installed on this thread, if any.
@@ -241,6 +216,42 @@ pub struct SpanRecord {
     pub attrs: Vec<(String, String)>,
 }
 
+/// The value of a span attribute: text, or an integer that is written into
+/// the record's arena as decimal digits. Call sites pass `"text".into()` or
+/// `n.into()`; nothing is formatted, and nothing allocated, unless a context
+/// is installed and the attribute is actually recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttrValue<'a> {
+    /// Text, copied (truncated to 128 bytes).
+    Str(&'a str),
+    /// An unsigned integer, recorded as its decimal digits.
+    U64(u64),
+}
+
+impl<'a> From<&'a str> for AttrValue<'a> {
+    fn from(v: &'a str) -> Self {
+        AttrValue::Str(v)
+    }
+}
+
+impl From<u64> for AttrValue<'_> {
+    fn from(v: u64) -> Self {
+        AttrValue::U64(v)
+    }
+}
+
+impl From<u32> for AttrValue<'_> {
+    fn from(v: u32) -> Self {
+        AttrValue::U64(u64::from(v))
+    }
+}
+
+impl From<usize> for AttrValue<'_> {
+    fn from(v: usize) -> Self {
+        AttrValue::U64(v as u64)
+    }
+}
+
 /// Borrowing truncation to a char boundary at or below `budget`.
 fn truncate_str(s: &str, budget: usize) -> &str {
     if s.len() <= budget {
@@ -294,12 +305,28 @@ impl PackedSpan {
 
     /// Appends an attribute; silently dropped once the attr count or the
     /// arena is exhausted (bounded by construction).
-    fn push_attr(&mut self, key: &str, value: &str) {
+    fn push_attr(&mut self, key: &str, value: AttrValue<'_>) {
         if usize::from(self.n_attrs) >= ATTRS_PER_SPAN {
             return;
         }
         let key = truncate_str(key, NAME_BUDGET).as_bytes();
-        let value = truncate_str(value, ATTR_VALUE_BUDGET).as_bytes();
+        // u64::MAX has 20 digits; they are written right-aligned.
+        let mut digits = [0u8; 20];
+        let value = match value {
+            AttrValue::Str(s) => truncate_str(s, ATTR_VALUE_BUDGET).as_bytes(),
+            AttrValue::U64(mut n) => {
+                let mut at = digits.len();
+                for digit in digits.iter_mut().rev() {
+                    *digit = b'0' + (n % 10) as u8;
+                    at -= 1;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                digits.get(at..).unwrap_or_default()
+            }
+        };
         let at = usize::from(self.len);
         let need = 2 + key.len() + value.len();
         let Some(dst) = self.buf.get_mut(at..at + need) else { return };
@@ -316,9 +343,9 @@ impl PackedSpan {
         self.n_attrs += 1;
     }
 
-    fn push_attrs(&mut self, attrs: &[(&str, &str)]) {
+    fn push_attrs(&mut self, attrs: &[(&str, AttrValue<'_>)]) {
         for (k, v) in attrs {
-            self.push_attr(k, v);
+            self.push_attr(k, *v);
         }
     }
 
@@ -437,7 +464,7 @@ impl TraceBuffer {
             PackedSpan::new(rec.trace_id, rec.span_id, rec.parent_span_id, &rec.name, rec.start_ns);
         p.end_ns = rec.end_ns;
         for (k, v) in &rec.attrs {
-            p.push_attr(k, v);
+            p.push_attr(k, AttrValue::Str(v));
         }
         self.record_packed(&p);
     }
@@ -541,7 +568,7 @@ impl TraceBuffer {
 
 /// Records an instant event (zero-duration span) under the installed
 /// context; a no-op when no context is installed or recording is off.
-pub fn trace_event(name: &str, attrs: &[(&str, &str)]) {
+pub fn trace_event(name: &str, attrs: &[(&str, AttrValue<'_>)]) {
     if !enabled() {
         return;
     }
@@ -580,9 +607,9 @@ impl std::fmt::Debug for TraceSpan {
 
 impl TraceSpan {
     /// Adds an attribute to the span (bounded; ignored on inert spans).
-    pub fn attr(&mut self, key: &str, value: &str) {
+    pub fn attr<'a>(&mut self, key: &str, value: impl Into<AttrValue<'a>>) {
         if let Some(rec) = &mut self.rec {
-            rec.push_attr(key, value);
+            rec.push_attr(key, value.into());
         }
     }
 
@@ -617,7 +644,7 @@ pub fn trace_span(name: &str) -> TraceSpan {
 }
 
 /// [`trace_span`] with initial attributes.
-pub fn trace_span_with(name: &str, attrs: &[(&str, &str)]) -> TraceSpan {
+pub fn trace_span_with(name: &str, attrs: &[(&str, AttrValue<'_>)]) -> TraceSpan {
     if !enabled() {
         return TraceSpan { rec: None, restore: None };
     }
@@ -664,6 +691,7 @@ pub fn dump_to_results(dir: &std::path::Path, reason: &str) -> Option<std::path:
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::registry::Registry;
     use std::sync::{Arc, Mutex, MutexGuard};
 
     /// Serializes tests that read or write process-global recording state
@@ -757,7 +785,7 @@ mod tests {
             assert!(span.is_active());
             span.attr("k", "v");
         }
-        trace_event("blip", &[("reason", "test")]);
+        trace_event("blip", &[("reason", "test".into())]);
         drop(scope);
         let spans = TraceBuffer::global().spans_of(ctx.trace_id);
         assert_eq!(spans.len(), 2, "{spans:?}");
@@ -839,6 +867,24 @@ mod tests {
     }
 
     #[test]
+    fn integer_attrs_are_recorded_as_their_decimal_digits() {
+        let _g = global_state_guard();
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        trace_event(
+            "sized",
+            &[("zero", 0u32.into()), ("bytes", 1_048_612usize.into()), ("max", u64::MAX.into())],
+        );
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        let attrs = &spans.first().expect("recorded").attrs;
+        let want = [("zero", "0"), ("bytes", "1048612"), ("max", "18446744073709551615")];
+        assert_eq!(attrs.len(), want.len());
+        for ((k, v), (wk, wv)) in attrs.iter().zip(want) {
+            assert_eq!((k.as_str(), v.as_str()), (wk, wv));
+        }
+    }
+
+    #[test]
     fn names_and_attrs_are_bounded_copies() {
         let _g = global_state_guard();
         let ctx = TraceContext::new_root();
@@ -846,7 +892,7 @@ mod tests {
         let long = "n".repeat(500);
         {
             let mut span = trace_span(&long);
-            span.attr(&long, &long);
+            span.attr(&long, long.as_str());
         }
         let spans = TraceBuffer::global().spans_of(ctx.trace_id);
         let s = spans.first().expect("recorded");

@@ -24,80 +24,118 @@ pub mod tcp;
 pub mod testing;
 
 /// Fabric-level telemetry: every fabric funnels its send/recv outcomes
-/// through these helpers so the metric names and label sets cannot drift
-/// between mem/tcp/sim. Recording is wait-free (atomic adds into
-/// `ohpc_telemetry::Registry::global()`), so it is safe on the hot path.
+/// through one [`Fabric`](telem::Fabric) static so the metric names and label
+/// sets cannot drift between mem/tcp/sim. Each static resolves its counters
+/// once; recording a frame is then two atomic adds and a trace event with no
+/// lookup and no allocation, so it is safe on the hot path.
 pub(crate) mod telem {
-    use super::TransportError;
+    use std::sync::{Arc, OnceLock};
+
     use bytes::Bytes;
+    use ohpc_telemetry::{Counter, Registry};
 
-    fn fail(fabric: &'static str, op: &'static str, err: &TransportError) {
-        ohpc_telemetry::inc("transport_errors_total", &[("fabric", fabric), ("op", op)]);
-        // Deadline-driven timeouts (and sim timeouts, which surface as Io
-        // errors) are counted separately so a flaky link is distinguishable
-        // from a dead one.
-        let timed_out = matches!(err, TransportError::Timeout)
-            || matches!(err, TransportError::Io(msg) if msg.contains("timed out"));
-        if timed_out {
-            ohpc_telemetry::inc("transport_timeouts_total", &[("fabric", fabric)]);
-        }
+    use super::TransportError;
+
+    /// The per-frame counters of one fabric.
+    struct Traffic {
+        send_bytes: Arc<Counter>,
+        send_frames: Arc<Counter>,
+        recv_bytes: Arc<Counter>,
+        recv_frames: Arc<Counter>,
     }
 
-    /// Record the outcome of a send of `n` bytes and pass the result through.
-    /// When the sending thread is inside an active trace scope, the send also
-    /// lands in the flight recorder as a zero-duration event.
-    pub(crate) fn track_send(
-        fabric: &'static str,
-        n: usize,
-        r: Result<(), TransportError>,
-    ) -> Result<(), TransportError> {
-        match &r {
-            Ok(()) => {
-                ohpc_telemetry::add("transport_send_bytes_total", &[("fabric", fabric)], n as u64);
-                ohpc_telemetry::inc("transport_send_frames_total", &[("fabric", fabric)]);
-                ohpc_telemetry::trace_event(
-                    "transport_send",
-                    &[("fabric", fabric), ("bytes", &n.to_string())],
-                );
-            }
-            Err(e) => {
-                fail(fabric, "send", e);
-                ohpc_telemetry::trace_event(
-                    "transport_send_error",
-                    &[("fabric", fabric), ("err", &e.to_string())],
-                );
-            }
-        }
-        r
+    /// One fabric's telemetry funnel.
+    pub(crate) struct Fabric {
+        name: &'static str,
+        traffic: OnceLock<Traffic>,
     }
 
-    /// Record the outcome of a recv and pass the result through.
-    pub(crate) fn track_recv(
-        fabric: &'static str,
-        r: Result<Bytes, TransportError>,
-    ) -> Result<Bytes, TransportError> {
-        match &r {
-            Ok(frame) => {
-                ohpc_telemetry::add(
-                    "transport_recv_bytes_total",
-                    &[("fabric", fabric)],
-                    frame.len() as u64,
-                );
-                ohpc_telemetry::inc("transport_recv_frames_total", &[("fabric", fabric)]);
-                ohpc_telemetry::trace_event(
-                    "transport_recv",
-                    &[("fabric", fabric), ("bytes", &frame.len().to_string())],
-                );
-            }
-            Err(e) => {
-                fail(fabric, "recv", e);
-                ohpc_telemetry::trace_event(
-                    "transport_recv_error",
-                    &[("fabric", fabric), ("err", &e.to_string())],
-                );
-            }
+    /// The in-process channel fabric.
+    pub(crate) static MEM: Fabric = Fabric::new("mem");
+    /// Real TCP.
+    pub(crate) static TCP: Fabric = Fabric::new("tcp");
+    /// The virtual-time simulated network.
+    pub(crate) static SIM: Fabric = Fabric::new("sim");
+
+    impl Fabric {
+        const fn new(name: &'static str) -> Self {
+            Self { name, traffic: OnceLock::new() }
         }
-        r
+
+        fn traffic(&self) -> &Traffic {
+            self.traffic.get_or_init(|| {
+                let counter = |name| Registry::global().counter(name, &[("fabric", self.name)]);
+                Traffic {
+                    send_bytes: counter("transport_send_bytes_total"),
+                    send_frames: counter("transport_send_frames_total"),
+                    recv_bytes: counter("transport_recv_bytes_total"),
+                    recv_frames: counter("transport_recv_frames_total"),
+                }
+            })
+        }
+
+        /// The failure path: counted by name, with the error as text.
+        fn fail(&self, op: &'static str, event: &str, err: &TransportError) {
+            let registry = Registry::global();
+            registry.counter("transport_errors_total", &[("fabric", self.name), ("op", op)]).inc();
+            // Deadline-driven timeouts (and sim timeouts, which surface as Io
+            // errors) are counted separately so a flaky link is
+            // distinguishable from a dead one.
+            let timed_out = matches!(err, TransportError::Timeout)
+                || matches!(err, TransportError::Io(msg) if msg.contains("timed out"));
+            if timed_out {
+                registry.counter("transport_timeouts_total", &[("fabric", self.name)]).inc();
+            }
+            let text = err.to_string();
+            ohpc_telemetry::trace_event(
+                event,
+                &[("fabric", self.name.into()), ("err", text.as_str().into())],
+            );
+        }
+
+        /// Record the outcome of a send of `n` bytes and pass the result
+        /// through. When the sending thread is inside an active trace scope,
+        /// the send also lands in the flight recorder as a zero-duration
+        /// event.
+        pub(crate) fn track_send(
+            &self,
+            n: usize,
+            r: Result<(), TransportError>,
+        ) -> Result<(), TransportError> {
+            match &r {
+                Ok(()) => {
+                    let traffic = self.traffic();
+                    traffic.send_bytes.add(n as u64);
+                    traffic.send_frames.inc();
+                    ohpc_telemetry::trace_event(
+                        "transport_send",
+                        &[("fabric", self.name.into()), ("bytes", n.into())],
+                    );
+                }
+                Err(e) => self.fail("send", "transport_send_error", e),
+            }
+            r
+        }
+
+        /// Record the outcome of a recv and pass the result through.
+        pub(crate) fn track_recv(
+            &self,
+            r: Result<Bytes, TransportError>,
+        ) -> Result<Bytes, TransportError> {
+            match &r {
+                Ok(frame) => {
+                    let traffic = self.traffic();
+                    traffic.recv_bytes.add(frame.len() as u64);
+                    traffic.recv_frames.inc();
+                    ohpc_telemetry::trace_event(
+                        "transport_recv",
+                        &[("fabric", self.name.into()), ("bytes", frame.len().into())],
+                    );
+                }
+                Err(e) => self.fail("recv", "transport_recv_error", e),
+            }
+            r
+        }
     }
 }
 

@@ -28,7 +28,7 @@ fn send_on(tx: Option<&Sender<Bytes>>, frame: &[u8]) -> Result<(), TransportErro
         None => Err(TransportError::Closed),
         Some(tx) => tx.send(Bytes::copy_from_slice(frame)).map_err(|_| TransportError::Closed),
     };
-    telem::track_send("mem", frame.len(), r)
+    telem::MEM.track_send(frame.len(), r)
 }
 
 /// One side of an established connection.
@@ -51,7 +51,7 @@ impl Connection for MemConnection {
                 RecvTimeoutError::Disconnected => TransportError::Closed,
             }),
         };
-        telem::track_recv("mem", r)
+        telem::MEM.track_recv(r)
     }
 
     /// Mem splits by cloning the channel halves. Teardown chains naturally:
@@ -92,7 +92,7 @@ pub struct MemRecvHalf {
 
 impl RecvHalf for MemRecvHalf {
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        telem::track_recv("mem", self.rx.recv().map_err(|_| TransportError::Closed))
+        telem::MEM.track_recv(self.rx.recv().map_err(|_| TransportError::Closed))
     }
 }
 

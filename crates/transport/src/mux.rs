@@ -26,10 +26,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::{RecvHalf, SendHalf, TransportError};
@@ -63,15 +63,18 @@ impl std::fmt::Display for MuxError {
     }
 }
 
-/// Reply slot: the one-shot channel a caller waits on.
-type ReplySender = Sender<Result<Bytes, TransportError>>;
-
-/// A registered waiter: its reply channel plus the trace context that was
-/// current on the calling thread at registration. The demux reader thread
-/// serves every caller and has no trace scope of its own, so the context is
-/// carried across the thread boundary here and re-installed at delivery.
+/// A registered waiter: a one-shot reply slot in the waiter map. The caller
+/// parks on its own thread handle; whoever resolves the request (the reader
+/// delivering a reply, or the channel dying) fills `outcome` under the
+/// `pending` lock and unparks it, and the caller takes the slot out of the
+/// map. No per-call channel, no allocation.
 struct Waiter {
-    tx: ReplySender,
+    caller: Thread,
+    outcome: Option<Result<Bytes, TransportError>>,
+    /// The trace context current on the calling thread at registration. The
+    /// demux reader thread serves every caller and has no trace scope of its
+    /// own, so the context is carried across the thread boundary here and
+    /// re-installed at delivery.
     trace: Option<ohpc_telemetry::TraceContext>,
 }
 
@@ -87,6 +90,8 @@ struct PendingState {
 pub struct MuxChannel {
     sender: Mutex<Option<Box<dyn SendHalf>>>,
     pending: Mutex<PendingState>,
+    /// Waiters registered and not yet resolved. `mux_in_flight` is the sum of
+    /// this over every channel in the process.
     in_flight: AtomicI64,
     closing: AtomicBool,
 }
@@ -125,8 +130,8 @@ impl MuxChannel {
         frame: &[u8],
         timeout: Option<Duration>,
     ) -> Result<Bytes, MuxError> {
-        let rx = self.register(id)?;
-        self.call_registered(id, &rx, frame, timeout)
+        self.register(id)?;
+        self.call_registered(id, frame, timeout)
     }
 
     /// [`call`](Self::call) from the point where the waiter is registered:
@@ -135,7 +140,6 @@ impl MuxChannel {
     fn call_registered(
         &self,
         id: u64,
-        rx: &Receiver<Result<Bytes, TransportError>>,
         frame: &[u8],
         timeout: Option<Duration>,
     ) -> Result<Bytes, MuxError> {
@@ -144,14 +148,11 @@ impl MuxChannel {
             self.unregister(id);
             return Err(MuxError::Unsent(e));
         }
-        ohpc_telemetry::inc("mux_requests_total", &[]);
+        ohpc_telemetry::counter!("mux_requests_total").inc();
         let t0 = Instant::now();
-        let outcome = self.wait(id, rx, timeout);
-        ohpc_telemetry::observe_ns(
-            "mux_demux_wait_ns",
-            &[],
-            t0.elapsed().as_nanos() as u64,
-        );
+        let outcome = self.wait(id, timeout);
+        ohpc_telemetry::histogram!("mux_demux_wait_ns")
+            .observe_linked(t0.elapsed().as_nanos() as u64);
         outcome
     }
 
@@ -163,8 +164,8 @@ impl MuxChannel {
             return Err(MuxError::Unsent(e));
         }
         self.send_frame(frame).map_err(MuxError::Unsent)?;
-        ohpc_telemetry::inc("mux_oneways_total", &[]);
-        ohpc_telemetry::trace_event("mux_send_oneway", &[("bytes", &frame.len().to_string())]);
+        ohpc_telemetry::counter!("mux_oneways_total").inc();
+        ohpc_telemetry::trace_event("mux_send_oneway", &[("bytes", frame.len().into())]);
         Ok(())
     }
 
@@ -196,11 +197,17 @@ impl MuxChannel {
         self.pending.lock().dead.clone()
     }
 
-    /// Registers a waiter slot. The dead-check and the insert happen under
-    /// one lock acquisition, so a concurrently dying reader either fails
-    /// this registration or drains it — a waiter can never be stranded.
-    fn register(&self, id: u64) -> Result<Receiver<Result<Bytes, TransportError>>, MuxError> {
-        let (tx, rx) = unbounded();
+    /// `n` waiters stopped waiting (resolved, or withdrawn unresolved).
+    fn settled(&self, n: usize) {
+        self.in_flight.fetch_sub(n as i64, Ordering::Relaxed);
+        ohpc_telemetry::gauge!("mux_in_flight").sub(n as i64);
+    }
+
+    /// Registers the calling thread's waiter slot. The dead-check and the
+    /// insert happen under one lock acquisition, so a concurrently dying
+    /// reader either fails this registration or resolves it — a waiter can
+    /// never be stranded.
+    fn register(&self, id: u64) -> Result<(), MuxError> {
         let mut st = self.pending.lock();
         if let Some(e) = st.dead.clone() {
             return Err(MuxError::Unsent(e));
@@ -210,22 +217,27 @@ impl MuxChannel {
                 "duplicate in-flight request id {id}"
             ))));
         }
-        st.waiters.insert(id, Waiter { tx, trace: ohpc_telemetry::current() });
+        let caller = std::thread::current();
+        st.waiters.insert(id, Waiter { caller, outcome: None, trace: ohpc_telemetry::current() });
         drop(st);
-        let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
-        Ok(rx)
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        ohpc_telemetry::gauge!("mux_in_flight").add(1);
+        Ok(())
     }
 
-    /// Removes a waiter slot, returning whether it was still registered
-    /// (false means a reply or death already claimed it).
-    fn unregister(&self, id: u64) -> bool {
-        let removed = self.pending.lock().waiters.remove(&id).is_some();
-        if removed {
-            let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-            ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
+    /// Takes the caller's slot out of the map, with whatever outcome it
+    /// holds. A slot withdrawn unresolved stops counting as in flight here;
+    /// a resolved one already did when it was resolved.
+    fn unregister(&self, id: u64) -> Option<Result<Bytes, TransportError>> {
+        let slot = self.pending.lock().waiters.remove(&id);
+        match slot {
+            Some(Waiter { outcome: None, .. }) => {
+                self.settled(1);
+                None
+            }
+            Some(Waiter { outcome, .. }) => outcome,
+            None => None,
         }
-        removed
     }
 
     /// The framed send; the writer lock is held only for this.
@@ -240,83 +252,82 @@ impl MuxChannel {
         }
     }
 
-    fn wait(
-        &self,
-        id: u64,
-        rx: &Receiver<Result<Bytes, TransportError>>,
-        timeout: Option<Duration>,
-    ) -> Result<Bytes, MuxError> {
-        let resolved = match timeout {
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(d) => rx.recv_timeout(d),
-        };
-        match resolved {
-            Ok(Ok(frame)) => Ok(frame),
-            // Reader died after our frame was sent: the reply is lost.
-            Ok(Err(e)) => Err(MuxError::Lost(e)),
-            Err(RecvTimeoutError::Timeout) => {
-                if self.unregister(id) {
-                    Err(MuxError::Lost(TransportError::Timeout))
-                } else {
-                    // The reply (or the channel's death) raced our timeout
-                    // and was already pushed into our slot; take it.
-                    match rx.try_recv() {
-                        Ok(Ok(frame)) => Ok(frame),
-                        Ok(Err(e)) => Err(MuxError::Lost(e)),
-                        Err(_) => Err(MuxError::Lost(TransportError::Timeout)),
-                    }
-                }
+    /// Parks until the caller's slot is resolved or `timeout` runs out, then
+    /// takes the slot. `park` may return early or late; the slot, read under
+    /// the lock, is the only truth.
+    fn wait(&self, id: u64, timeout: Option<Duration>) -> Result<Bytes, MuxError> {
+        let deadline = timeout.map(|d| Instant::now() + d);
+        loop {
+            let resolved = match self.pending.lock().waiters.get(&id) {
+                Some(w) => w.outcome.is_some(),
+                // The slot vanished without us taking it: only possible if
+                // the channel state was torn down; treat as a lost reply.
+                None => return Err(MuxError::Lost(TransportError::Closed)),
+            };
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if resolved || left == Some(Duration::ZERO) {
+                // On a timeout the reply (or the channel's death) may still
+                // have raced us into the slot; whatever is there wins.
+                return match self.unregister(id) {
+                    Some(Ok(frame)) => Ok(frame),
+                    // Reader died after our frame was sent: the reply is lost.
+                    Some(Err(e)) => Err(MuxError::Lost(e)),
+                    None => Err(MuxError::Lost(TransportError::Timeout)),
+                };
             }
-            // The waiter sender vanished without a value: only possible if
-            // the channel state was torn down; treat as a lost reply.
-            Err(RecvTimeoutError::Disconnected) => {
-                self.unregister(id);
-                Err(MuxError::Lost(TransportError::Closed))
+            match left {
+                None => std::thread::park(),
+                Some(d) => std::thread::park_timeout(d),
             }
         }
     }
 
     /// Routes one reply frame to its waiter (reader thread only).
     fn deliver(&self, id: u64, frame: Bytes) {
-        let slot = self.pending.lock().waiters.remove(&id);
-        match slot {
-            Some(w) => {
-                let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-                ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
-                if let Some(ctx) = &w.trace {
-                    let _t = ohpc_telemetry::install(ctx.clone());
-                    ohpc_telemetry::trace_event(
-                        "mux_demux_recv",
-                        &[("bytes", &frame.len().to_string())],
-                    );
-                }
-                let _ = w.tx.send(Ok(frame));
-            }
-            None => {
-                // Caller gave up (deadline) before the reply arrived.
-                ohpc_telemetry::inc("mux_orphan_replies_total", &[]);
-            }
+        let mut st = self.pending.lock();
+        let Some(w) = st.waiters.get_mut(&id).filter(|w| w.outcome.is_none()) else {
+            // The caller gave up (deadline) before the reply arrived, or
+            // this is a second reply to an id already answered.
+            drop(st);
+            ohpc_telemetry::counter!("mux_orphan_replies_total").inc();
+            return;
+        };
+        // Recorded before the slot is filled (a wait-free write into the
+        // flight recorder), so the event always precedes what the caller
+        // does with the reply.
+        if let Some(ctx) = w.trace.take() {
+            let _t = ohpc_telemetry::install(ctx);
+            ohpc_telemetry::trace_event("mux_demux_recv", &[("bytes", frame.len().into())]);
         }
+        let caller = w.caller.clone();
+        // Settled before the slot is filled: a caller that has its reply
+        // never finds itself still counted as in flight.
+        self.settled(1);
+        w.outcome = Some(Ok(frame));
+        drop(st);
+        caller.unpark();
     }
 
-    /// Marks the channel dead and fails every in-flight waiter. Idempotent;
+    /// Marks the channel dead and fails every unresolved waiter. Idempotent;
     /// the first cause wins.
     fn die(&self, cause: TransportError) {
-        let drained: Vec<ReplySender> = {
-            let mut st = self.pending.lock();
-            if st.dead.is_none() {
-                st.dead = Some(cause.clone());
-            }
-            st.waiters.drain().map(|(_, w)| w.tx).collect()
-        };
-        if !drained.is_empty() {
-            let now =
-                self.in_flight.fetch_sub(drained.len() as i64, Ordering::Relaxed)
-                    - drained.len() as i64;
-            ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
+        let mut st = self.pending.lock();
+        if st.dead.is_none() {
+            st.dead = Some(cause.clone());
         }
-        for tx in drained {
-            let _ = tx.send(Err(cause.clone()));
+        let unresolved = st.waiters.values_mut().filter(|w| w.outcome.is_none());
+        let failed: Vec<Thread> = unresolved
+            .map(|w| {
+                w.outcome = Some(Err(cause.clone()));
+                w.caller.clone()
+            })
+            .collect();
+        // Under the lock, as in `deliver`: no caller can read its failed
+        // slot before it has stopped counting as in flight.
+        self.settled(failed.len());
+        drop(st);
+        for caller in failed {
+            caller.unpark();
         }
     }
 }
@@ -331,15 +342,13 @@ fn reader_loop(
         match rx.recv() {
             Ok(frame) => match correlator(&frame) {
                 Some(id) => chan.deliver(id, frame),
-                None => {
-                    ohpc_telemetry::inc("mux_orphan_replies_total", &[]);
-                }
+                None => ohpc_telemetry::counter!("mux_orphan_replies_total").inc(),
             },
             Err(e) => {
                 let deliberate = chan.closing.load(Ordering::Acquire);
                 chan.die(e.clone());
                 if !deliberate {
-                    ohpc_telemetry::inc("mux_reader_deaths_total", &[]);
+                    ohpc_telemetry::counter!("mux_reader_deaths_total").inc();
                     if let Some(hook) = &on_death {
                         hook(&e);
                     }
@@ -353,6 +362,7 @@ fn reader_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::{unbounded, Receiver, Sender};
 
     /// Loopback halves over crossbeam channels, so the mux is testable
     /// without any real fabric.
@@ -551,9 +561,9 @@ mod tests {
     #[test]
     fn shutdown_before_the_send_is_unsent() {
         let (mux, received) = echo_mux(usize::MAX);
-        let rx = mux.register(1).unwrap();
+        mux.register(1).unwrap();
         mux.shutdown();
-        let outcome = mux.call_registered(1, &rx, &frame(1, b"x"), None);
+        let outcome = mux.call_registered(1, &frame(1, b"x"), None);
         assert!(matches!(outcome, Err(MuxError::Unsent(TransportError::Closed))), "{outcome:?}");
         assert!(received.try_recv().is_err(), "the frame must not have reached the server");
         assert_eq!(mux.in_flight(), 0, "the unsent waiter was unregistered");

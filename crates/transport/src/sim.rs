@@ -171,11 +171,11 @@ impl Connection for SimConnection {
                 Err(fault) => Err(TransportError::Io(format!("timed out: {fault}"))),
             }
         };
-        telem::track_send("sim", frame.len(), r)
+        telem::SIM.track_send(frame.len(), r)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        telem::track_recv("sim", self.rx.recv().map_err(|_| TransportError::Closed))
+        telem::SIM.track_recv(self.rx.recv().map_err(|_| TransportError::Closed))
     }
 }
 

@@ -34,53 +34,121 @@ fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> Result<(), TransportErro
     Ok(())
 }
 
-/// Reads one length-prefixed frame from `stream`, straight into a buffer of
-/// exactly the announced size (bounded by [`MAX_FRAME`]) that is never
-/// zero-filled first and that `Bytes` then adopts without a copy.
-fn read_frame(stream: &mut TcpStream) -> Result<Bytes, TransportError> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(TransportError::FrameTooLarge(len));
+/// Bytes one `read` may take ahead of the frame being assembled.
+const READ_BUF: usize = 16 * 1024;
+
+/// The read side of a framed stream: a fixed buffer that each `read` fills
+/// with whatever has arrived — a small frame's prefix and body in one
+/// syscall, and any frames behind it, which are then served without one.
+struct FrameReader {
+    buf: Box<[u8]>,
+    /// `buf[start..end]` is read but not yet handed out.
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    fn new() -> Self {
+        Self { buf: vec![0; READ_BUF].into_boxed_slice(), start: 0, end: 0 }
     }
-    let mut buf = Vec::with_capacity(len);
-    if stream.take(len as u64).read_to_end(&mut buf)? < len {
-        return Err(TransportError::Closed); // the peer hung up mid-frame
+
+    fn buffered(&self) -> &[u8] {
+        self.buf.get(self.start..self.end).unwrap_or_default()
     }
-    Ok(Bytes::from(buf))
+
+    /// Reads once from `src` behind what is buffered, first moving that to
+    /// the front if it has reached the buffer's end. End of stream is
+    /// [`TransportError::Closed`]: the peer hung up, between frames or inside
+    /// one.
+    fn fill(&mut self, src: &mut impl Read) -> Result<(), TransportError> {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        } else if self.end == self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        loop {
+            match src.read(self.buf.get_mut(self.end..).unwrap_or_default()) {
+                Ok(0) => return Err(TransportError::Closed),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Reads one length-prefixed frame (bounded by [`MAX_FRAME`], checked
+    /// before anything is allocated for it). A frame that is wholly buffered
+    /// is copied out in one allocation; a larger one takes what is buffered
+    /// and reads the rest straight into a buffer of exactly the announced
+    /// size that is never zero-filled first and that `Bytes` then adopts.
+    fn read_frame(&mut self, src: &mut impl Read) -> Result<Bytes, TransportError> {
+        let len = loop {
+            if let Some((prefix, _)) = self.buffered().split_first_chunk::<4>() {
+                break u32::from_be_bytes(*prefix) as usize;
+            }
+            self.fill(src)?;
+        };
+        if len > MAX_FRAME {
+            return Err(TransportError::FrameTooLarge(len));
+        }
+        self.start += 4;
+        if let Some(frame) = self.buffered().get(..len) {
+            let frame = Bytes::copy_from_slice(frame);
+            self.start += len;
+            return Ok(frame);
+        }
+        let mut frame = Vec::with_capacity(len);
+        frame.extend_from_slice(self.buffered());
+        self.start = self.end;
+        let rest = (len - frame.len()) as u64;
+        if (src.take(rest).read_to_end(&mut frame)? as u64) < rest {
+            return Err(TransportError::Closed); // the peer hung up mid-frame
+        }
+        Ok(Bytes::from(frame))
+    }
 }
 
 /// A framed TCP connection.
 pub struct TcpConnection {
     stream: TcpStream,
+    reader: FrameReader,
 }
 
 impl TcpConnection {
     fn new(stream: TcpStream) -> Result<Self, TransportError> {
         stream.set_nodelay(true)?;
-        Ok(Self { stream })
+        Ok(Self { stream, reader: FrameReader::new() })
     }
 }
 
 impl Connection for TcpConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         let r = write_frame(&mut self.stream, frame);
-        telem::track_send("tcp", frame.len(), r)
+        telem::TCP.track_send(frame.len(), r)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = read_frame(&mut self.stream);
-        telem::track_recv("tcp", r)
+        let r = self.reader.read_frame(&mut self.stream);
+        telem::TCP.track_recv(r)
     }
 
     /// TCP splits by duplicating the socket handle (`try_clone`): reads and
     /// writes on the clones hit the same connection, so a reader thread can
-    /// block in `recv` while senders interleave framed writes.
+    /// block in `recv` while senders interleave framed writes. The receive
+    /// half takes over this connection's read buffer, and with it any bytes
+    /// already read ahead.
     fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
         let send = self.stream.try_clone().ok()?;
         let recv = self.stream.try_clone().ok()?;
-        Some((Box::new(TcpSendHalf { stream: send }), Box::new(TcpRecvHalf { stream: recv })))
+        let reader = std::mem::replace(&mut self.reader, FrameReader::new());
+        Some((
+            Box::new(TcpSendHalf { stream: send }),
+            Box::new(TcpRecvHalf { stream: recv, reader }),
+        ))
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> bool {
@@ -96,7 +164,7 @@ pub struct TcpSendHalf {
 impl SendHalf for TcpSendHalf {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         let r = write_frame(&mut self.stream, frame);
-        telem::track_send("tcp", frame.len(), r)
+        telem::TCP.track_send(frame.len(), r)
     }
 
     /// Shuts the socket down in both directions, which unblocks a reader
@@ -109,12 +177,13 @@ impl SendHalf for TcpSendHalf {
 /// Receiving half of a split [`TcpConnection`].
 pub struct TcpRecvHalf {
     stream: TcpStream,
+    reader: FrameReader,
 }
 
 impl RecvHalf for TcpRecvHalf {
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = read_frame(&mut self.stream);
-        telem::track_recv("tcp", r)
+        let r = self.reader.read_frame(&mut self.stream);
+        telem::TCP.track_recv(r)
     }
 }
 
@@ -193,6 +262,92 @@ impl Listener for TcpAcceptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A stream that hands out `data` at most `step` bytes per `read`, and
+    /// counts the reads.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = self.step.min(buf.len()).min(self.data.len());
+            let (now, later) = self.data.split_at(n);
+            buf[..n].copy_from_slice(now);
+            self.data = later;
+            Ok(n)
+        }
+    }
+
+    fn framed(frames: &[Vec<u8>]) -> Vec<u8> {
+        let prefixed = frames.iter().map(|f| [&(f.len() as u32).to_be_bytes()[..], f].concat());
+        prefixed.collect::<Vec<_>>().concat()
+    }
+
+    /// Frames of every shape the reader distinguishes: empty, smaller than
+    /// the prefix, a few bytes, most of the buffer, the buffer exactly (so
+    /// its prefix pushes it over), and several buffers long.
+    fn assorted_frames() -> Vec<Vec<u8>> {
+        let patterned = |n: usize| (0..n).map(|i| (i * 31 % 251) as u8).collect::<Vec<u8>>();
+        [0, 1, 5, 24, READ_BUF - 100, READ_BUF, 3 * READ_BUF + 17, 2].map(patterned).to_vec()
+    }
+
+    #[test]
+    fn frames_come_out_identical_however_the_bytes_arrive() {
+        let frames = assorted_frames();
+        let wire = framed(&frames);
+        for step in [1, 2, 3, 4, 5, 7, 4096, READ_BUF, usize::MAX] {
+            let mut src = Trickle { data: &wire, step, reads: 0 };
+            let mut reader = FrameReader::new();
+            for want in &frames {
+                let got = reader.read_frame(&mut src).unwrap();
+                assert_eq!(&got[..], &want[..], "step {step}, frame of {}", want.len());
+            }
+            assert_eq!(reader.read_frame(&mut src).unwrap_err(), TransportError::Closed);
+        }
+    }
+
+    #[test]
+    fn coalesced_small_frames_cost_one_read() {
+        let frames = [b"first".to_vec(), Vec::new(), b"third frame".to_vec()];
+        let wire = framed(&frames);
+        let mut src = Trickle { data: &wire, step: usize::MAX, reads: 0 };
+        let mut reader = FrameReader::new();
+        for want in &frames {
+            assert_eq!(&reader.read_frame(&mut src).unwrap()[..], &want[..]);
+        }
+        assert_eq!(src.reads, 1, "prefixes and bodies of all three arrived in one read");
+    }
+
+    #[test]
+    fn end_of_stream_inside_a_frame_is_closed() {
+        // Inside the body, inside the prefix, and right after a whole frame.
+        for wire in [&[0, 0, 0, 100, 7, 7, 7][..], &[0, 0][..], &[0, 0, 0, 1, 9, 0][..]] {
+            let mut src = Trickle { data: wire, step: usize::MAX, reads: 0 };
+            let mut reader = FrameReader::new();
+            let last = std::iter::repeat_with(|| reader.read_frame(&mut src)).find(Result::is_err);
+            assert_eq!(last, Some(Err(TransportError::Closed)), "{wire:?}");
+        }
+        // A body longer than the buffer that stops short.
+        let mut wire = (3 * READ_BUF as u32).to_be_bytes().to_vec();
+        wire.resize(READ_BUF + 500, 1);
+        let mut src = Trickle { data: &wire, step: usize::MAX, reads: 0 };
+        assert_eq!(FrameReader::new().read_frame(&mut src).unwrap_err(), TransportError::Closed);
+    }
+
+    #[test]
+    fn oversized_prefix_is_refused_before_its_body_is_read() {
+        let wire = framed(&[b"ok".to_vec()]);
+        let wire = [&wire[..], &(MAX_FRAME as u32 + 1).to_be_bytes(), &[0xEE; 64]].concat();
+        let mut src = Trickle { data: &wire, step: usize::MAX, reads: 0 };
+        let mut reader = FrameReader::new();
+        assert_eq!(&reader.read_frame(&mut src).unwrap()[..], b"ok");
+        let err = reader.read_frame(&mut src).unwrap_err();
+        assert_eq!(err, TransportError::FrameTooLarge(MAX_FRAME + 1));
+    }
 
     #[test]
     fn roundtrip_over_localhost() {
@@ -295,6 +450,28 @@ mod tests {
         assert_eq!(&frame[..], b"via half");
         server.send(b"back at you").unwrap();
         assert_eq!(&h.join().unwrap()[..], b"back at you");
+    }
+
+    #[test]
+    fn split_hands_read_ahead_bytes_to_the_recv_half() {
+        let listener = StdListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let wire = framed(&[b"one".to_vec(), b"two".to_vec()]);
+        peer.write_all(&wire).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // Both frames have arrived before the first read, so it takes both.
+        let mut arrived = [0u8; 32];
+        while stream.peek(&mut arrived).unwrap() < wire.len() {
+            std::thread::yield_now();
+        }
+        let mut conn = TcpConnection::new(stream).unwrap();
+        assert_eq!(&conn.recv().unwrap()[..], b"one");
+        let (_tx, mut rx) = conn.try_split().expect("tcp must split");
+        drop(conn);
+        // The peer sends nothing more: "two" can only come from the buffer.
+        assert_eq!(&rx.recv().unwrap()[..], b"two");
+        drop(peer);
+        assert_eq!(rx.recv().unwrap_err(), TransportError::Closed);
     }
 
     #[test]

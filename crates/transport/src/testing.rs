@@ -149,7 +149,7 @@ impl FaultPlan {
         // the calling thread, inside the GP's trace scope), so a failing
         // chaos test can print exactly which traces were sabotaged.
         let trace_id = ohpc_telemetry::current_trace_id().unwrap_or(0);
-        ohpc_telemetry::trace_event("fault_injected", &[("kind", kind.label())]);
+        ohpc_telemetry::trace_event("fault_injected", &[("kind", kind.label().into())]);
         if let Ok(mut faulted) = self.faulted.lock() {
             if faulted.len() < MAX_FAULTED_TRACES {
                 faulted.push((kind, trace_id));

@@ -84,7 +84,7 @@ mod tests {
         // A frame with the extension appended after its last field.
         let mut w = XdrWriter::new();
         7u32.encode(&mut w);
-        w.put_trailing_extension(1, b"ctx");
+        w.put_trailing_extension(1, 3, |w| w.put_fixed_opaque(b"ctx"));
         let buf = w.finish();
         let mut r = XdrReader::new(&buf);
         assert_eq!(r.get_u32().unwrap(), 7);
@@ -104,7 +104,7 @@ mod tests {
         // Version word present but payload cut off: a corrupt frame must
         // surface as Truncated, not be mistaken for a legacy frame.
         let mut w = XdrWriter::new();
-        w.put_trailing_extension(1, b"payload");
+        w.put_trailing_extension(1, 7, |w| w.put_fixed_opaque(b"payload"));
         let buf = w.finish();
         let mut r = XdrReader::new(&buf[..buf.len() - 4]);
         assert!(r.get_trailing_extension().is_err());

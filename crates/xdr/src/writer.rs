@@ -117,24 +117,38 @@ impl XdrWriter {
     }
 
     /// Encodes a counted array of fixed-width items — length word, then each
-    /// item's big-endian bytes — growing the buffer once for the whole array.
-    /// `flat_map` over arrays keeps the iterator's exact length, so this
-    /// compiles to one reservation and a vectorised byte-swapping copy.
+    /// item's big-endian bytes — growing the buffer once, before the length
+    /// word, for the whole array: a fresh writer allocates exactly once.
+    /// `flat_map` over arrays keeps the iterator's exact length, so the copy
+    /// compiles to a vectorised byte swap.
     pub(crate) fn put_array_of<T: Copy, const N: usize>(
         &mut self,
         items: &[T],
         to_be_bytes: impl Fn(T) -> [u8; N],
     ) {
+        self.buf.reserve(4 + N * items.len());
         self.put_array_len(items.len());
         self.buf.extend(items.iter().flat_map(|&v| to_be_bytes(v)));
     }
 
-    /// Encodes a trailing extension: a version word plus an opaque payload.
-    /// Pairs with [`XdrReader::get_trailing_extension`](crate::XdrReader::get_trailing_extension);
+    /// Encodes a trailing extension: a version word plus an opaque payload of
+    /// `len` bytes, which `write_payload` appends in place (no temporary
+    /// buffer; it must write exactly `len` bytes and their padding, as
+    /// [`put_fixed_opaque`](Self::put_fixed_opaque) or a sequence of aligned
+    /// `put_*` calls does). Pairs with
+    /// [`XdrReader::get_trailing_extension`](crate::XdrReader::get_trailing_extension);
     /// must be the last field of the message.
-    pub fn put_trailing_extension(&mut self, version: u32, payload: &[u8]) {
+    pub fn put_trailing_extension(
+        &mut self,
+        version: u32,
+        len: usize,
+        write_payload: impl FnOnce(&mut Self),
+    ) {
         self.put_u32(version);
-        self.put_opaque(payload);
+        self.put_u32(len as u32);
+        let start = self.len();
+        write_payload(self);
+        debug_assert_eq!(self.len() - start, len + pad4(len), "extension payload length");
     }
 }
 

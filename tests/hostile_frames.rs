@@ -247,3 +247,29 @@ fn array_counts_beyond_the_remaining_bytes_are_truncated_before_allocating() {
     refused::<i64>(1 << 20, 1 << 20);
     refused::<f64>(2, 3);
 }
+
+/// The transport's own length word: a TCP peer that announces a frame over
+/// [`MAX_FRAME`] is refused on the announcement. Measured on the second such
+/// peer, so the error counter's first registration is not counted; what is
+/// left to allocate is the error's metric key and text.
+#[test]
+fn an_oversized_tcp_length_prefix_is_refused_without_an_allocation_for_its_body() {
+    use ohpc_transport::tcp::TcpAcceptor;
+    use ohpc_transport::{Endpoint, Listener, TransportError};
+    use std::io::Write;
+
+    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+    let Endpoint::Tcp(addr) = acceptor.endpoint() else { panic!("tcp endpoint") };
+    let refused = |acceptor: &mut TcpAcceptor| {
+        let mut peer = std::net::TcpStream::connect(addr.as_str()).unwrap();
+        peer.write_all(&(MAX_FRAME as u32 + 1).to_be_bytes()).unwrap();
+        let mut server = acceptor.accept().unwrap();
+        LARGEST.with(|largest| largest.set(0));
+        let err = server.recv().unwrap_err();
+        assert_eq!(err, TransportError::FrameTooLarge(MAX_FRAME + 1));
+        LARGEST.with(Cell::get)
+    };
+    refused(&mut acceptor);
+    let largest = refused(&mut acceptor);
+    assert!(largest <= FIXED_RESERVATIONS, "the refusal allocated {largest} B");
+}

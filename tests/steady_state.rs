@@ -1,0 +1,133 @@
+//! The steady-state request path is name-free and lean.
+//!
+//! Once a call site has run, its instruments are resolved: a warmed-up call
+//! must not look a metric up by name again (`Registry::resolutions` stands
+//! still), and a small call's heap traffic is a short fixed inventory — for a
+//! 5-int two-way echo over the mem fabric, 14 allocations across all threads:
+//! the caller's clone of its argument; args, request frame, reply body and
+//! reply frame at buffer + handle each; the mem fabric's two frame copies;
+//! the two decoded `Vec`s; one boxed task. The bounds below leave two spare.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+use ohpc_bench::local::{deploy, Wire};
+use ohpc_caps::TimeoutCap;
+use ohpc_telemetry::Registry;
+use ohpc_xdr::{XdrEncode, XdrWriter};
+
+/// Passes everything to the system allocator, counting the allocations of
+/// every thread (`alloc_zeroed` arrives through `alloc`).
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the count is a relaxed atomic add.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const WARMUP_CALLS: usize = 1000;
+const MEASURED_CALLS: usize = 200;
+
+/// The counts are process-wide: one test at a time, and only once the
+/// threads the previous one tore down have gone quiet (a connection's reader
+/// counts its peer's hang-up, by name, a moment after the peer is gone).
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    let alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    loop {
+        let seen = ALLOCATIONS.load(Ordering::Relaxed);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        if ALLOCATIONS.load(Ordering::Relaxed) == seen {
+            return alone;
+        }
+    }
+}
+
+/// Runs `call` [`WARMUP_CALLS`] times, then [`MEASURED_CALLS`] times, and
+/// returns what the measured part cost: `(name resolutions, allocations)`
+/// over all threads.
+fn steady_state_cost(mut call: impl FnMut()) -> (u64, u64) {
+    (0..WARMUP_CALLS).for_each(|_| call());
+    let resolved = Registry::global().resolutions();
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed);
+    (0..MEASURED_CALLS).for_each(|_| call());
+    (
+        Registry::global().resolutions() - resolved,
+        ALLOCATIONS.load(Ordering::Relaxed) - allocated,
+    )
+}
+
+fn payload() -> Vec<i32> {
+    vec![1, -2, 3, -4, 5]
+}
+
+#[test]
+fn a_small_two_way_echo_over_mem_resolves_nothing_and_allocates_at_most_16() {
+    let _alone = alone();
+    let (server, client) = deploy(Wire::Shm, vec![]);
+    let sent = payload();
+    let echo = || assert_eq!(client.echo(sent.clone()).unwrap(), sent);
+    let (resolutions, allocations) = steady_state_cost(echo);
+    server.shutdown();
+    assert_eq!(resolutions, 0, "a warmed-up call looked a metric up by name");
+    let per_call = allocations as f64 / MEASURED_CALLS as f64;
+    assert!(per_call <= 16.0, "{per_call} allocations per echo; the inventory is 14");
+}
+
+#[test]
+fn a_small_one_way_over_mem_resolves_nothing_and_allocates_at_most_12() {
+    let _alone = alone();
+    let (server, client) = deploy(Wire::Shm, vec![]);
+    let mut args = XdrWriter::new();
+    payload().encode(&mut args);
+    // Every 50th one-way is followed by a two-way `served()`, which is only
+    // answered once the one-ways read before it have been dispatched: it
+    // keeps the stream under the admission bound, and as the last measured
+    // call it means the whole cost of the 200 has been paid when we look.
+    let mut sent = 0;
+    let oneway = || {
+        client.gp().invoke_oneway(1, &args).unwrap();
+        sent += 1;
+        if sent % 50 == 0 {
+            assert_eq!(client.served().unwrap(), sent, "a one-way was shed or reordered");
+        }
+    };
+    let (resolutions, allocations) = steady_state_cost(oneway);
+    server.shutdown();
+    assert_eq!(resolutions, 0, "a warmed-up one-way looked a metric up by name");
+    let per_call = allocations as f64 / MEASURED_CALLS as f64;
+    assert!(per_call <= 12.0, "{per_call} allocations per one-way (four two-ways included)");
+}
+
+#[test]
+fn a_small_echo_through_glue_over_tcp_resolves_nothing() {
+    let _alone = alone();
+    let (server, client) = deploy(Wire::TcpLoopback, vec![TimeoutCap::spec(u64::MAX / 2)]);
+    let sent = payload();
+    let echo = || assert_eq!(client.echo(sent.clone()).unwrap(), sent);
+    let (resolutions, _) = steady_state_cost(echo);
+    server.shutdown();
+    assert_eq!(resolutions, 0, "a warmed-up glued call looked a metric up by name");
+}
