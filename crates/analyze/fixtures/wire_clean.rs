@@ -1,89 +1,45 @@
-//! Negative fixture: the full healthy wire vocabulary — a tagged union
-//! with a `fn tag()` map, a repeated group, a trailing extension built and
-//! parsed through helpers, and balanced glue paths (round-trip, server
-//! side, loopback, and a oneway send). The analyzer must stay silent.
+//! Negative fixture: the healthy wire vocabulary — a newtype, a bounded array
+//! of records, a tagged union and a trailing extension, each declared once
+//! through the `ohpc-xdr` macros — and balanced glue paths (round-trip,
+//! server side, loopback, and a oneway send). The analyzer must stay silent.
 
-enum Frame {
-    Ping(u64),
-    Data(Vec<Item>),
+xdr_struct! {
+    struct ItemId(pub u64);
 }
 
-impl Frame {
-    fn tag(&self) -> u32 {
-        match self {
-            Frame::Ping(_) => 0,
-            Frame::Data(_) => 1,
-        }
+xdr_struct! {
+    struct Item {
+        id: ItemId,
+        label: String,
     }
 }
 
-impl XdrEncode for Frame {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_u32(self.tag());
-        match self {
-            Frame::Ping(n) => w.put_u64(*n),
-            Frame::Data(items) => {
-                w.put_array_len(items.len());
-                for item in items {
-                    item.encode(w);
-                }
-            }
-        }
+xdr_union! {
+    enum Frame {
+        0 => Ping(u64),
+        1 => Data { items: Vec<Item> as Array<16> },
     }
 }
 
-impl XdrDecode for Frame {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        match r.get_u32()? {
-            0 => Ok(Frame::Ping(r.get_u64()?)),
-            1 => {
-                let n = r.get_array_len()?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    items.push(Item::decode(r)?);
-                }
-                Ok(Frame::Data(items))
-            }
-            t => Err(XdrError::InvalidDiscriminant(t)),
-        }
+xdr_struct! {
+    struct Summary {
+        count: u64,
+        bytes: u64,
     }
 }
 
-struct Envelope {
-    frame: Frame,
-    summary: Option<Summary>,
-}
-
-fn encode_summary(s: &Summary) -> Bytes {
-    let mut w = XdrWriter::new();
-    w.put_u64(s.count);
-    w.put_u64(s.bytes);
-    w.finish()
-}
-
-fn decode_summary(payload: &[u8]) -> Result<Summary, XdrError> {
-    let mut r = XdrReader::new(payload);
-    Ok(Summary { count: r.get_u64()?, bytes: r.get_u64()? })
-}
-
-impl XdrEncode for Envelope {
-    fn encode(&self, w: &mut XdrWriter) {
-        self.frame.encode(w);
-        if let Some(s) = &self.summary {
-            w.put_trailing_extension(1, &encode_summary(s));
-        }
+xdr_struct! {
+    struct Envelope {
+        frame: Frame,
+        body: Bytes as FrameView,
+        summary: Option<Summary> as Extension<1, Summary>,
     }
 }
 
-impl XdrDecode for Envelope {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        let frame = Frame::decode(r)?;
-        let summary = match r.get_trailing_extension()? {
-            None => None,
-            Some((1, payload)) => Some(decode_summary(payload)?),
-            Some((_, _)) => None,
-        };
-        Ok(Envelope { frame, summary })
+/// Naming the codec traits in bounds is not implementing them.
+impl<T: XdrEncode> std::fmt::Debug for Sized<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} B", self.0.encoded_len())
     }
 }
 

@@ -865,7 +865,7 @@ fn collect_fns(f: &SourceFile, file_idx: usize, out: &mut Vec<FnInfo>) {
 
 /// Parse an `impl` header starting at token `i` (the `impl` ident).
 /// Returns (body open index, self type, trait name).
-fn parse_impl_header(f: &SourceFile, i: usize) -> Option<(usize, Option<String>, Option<String>)> {
+pub(crate) fn parse_impl_header(f: &SourceFile, i: usize) -> Option<(usize, Option<String>, Option<String>)> {
     let toks = &f.tokens;
     let mut j = i + 1;
     // Skip `<…>` generic params, counting angles but not `->`.

@@ -327,7 +327,7 @@ fn scan_raw_string(bytes: &[u8], mut i: usize) -> (usize, u32) {
         }
         i += 1;
     }
-    (i, nl)
+    (i.min(bytes.len()), nl)
 }
 
 /// Scan a char/byte literal starting at the opening `'` (or `b` prefix).

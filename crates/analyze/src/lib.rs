@@ -15,8 +15,6 @@
 //!   graph (impl blocks, `use` resolution, receiver typing).
 //! * [`dataflow`] — statement-level lock-guard liveness and the
 //!   transitively-blocking-call fixpoint.
-//! * [`wireshape`] — abstract interpretation of XDR codec bodies into
-//!   op-sequence IR (the input to the wire-symmetry/wire-compat rules).
 //! * [`rules`] — the rules and the driver.
 //! * [`baseline`] — committed-baseline matching for gradual adoption.
 //! * [`report`] — SARIF-ish `--format json` output for CI artifacts.
@@ -30,4 +28,3 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 pub mod source;
-pub mod wireshape;

@@ -7,12 +7,10 @@
 //!   (potential deadlocks), followed interprocedurally across crates.
 //! * `panic-freedom` — no `unwrap`/`expect`/panicking macros/slice indexing
 //!   in the non-test code of the wire-facing crates.
-//! * `wire-symmetry` — every codec's decode op-sequence (recovered by the
-//!   wireshape abstract interpreter) mirrors its encode exactly, per tag
-//!   arm; plus the pairing/round-trip-coverage checks inherited from the
-//!   retired `xdr-pairing` token scan.
-//! * `wire-compat` — wire tags are unique, decode has an explicit
-//!   unknown-tag arm, and optional extensions are trailing-only.
+//! * `wire-described` — no hand-written `XdrEncode`/`XdrDecode`/`FieldCodec`
+//!   impl outside `ohpc-xdr`: every message's two directions and its length
+//!   are generated from one `xdr_struct!`/`xdr_enum!`/`xdr_union!`
+//!   description.
 //! * `glue-balance` — capability `process`/`unprocess` hops balance as a
 //!   stack along every call-graph path (interprocedural re-implementation
 //!   of the retired `cap-symmetry`, whose Direction-wildcard and registry
@@ -59,10 +57,10 @@ usage: ohpc-analyze [--deny-all] [--root <dir>] [--rule <id>]...
   --deny-all         promote every finding to deny (the CI configuration)
   --root <dir>       workspace root (default: nearest ancestor with [workspace])
   --rule <id>        run only the named rule(s); repeatable.
-                     ids: lock-order, panic-freedom, wire-symmetry, wire-compat,
-                     glue-balance, transport-unwrap, guard-across-blocking,
-                     bounded-recv, unbounded-spawn, telemetry-coverage,
-                     shared-state, epoch-bump, annotation
+                     ids: lock-order, panic-freedom, wire-described, glue-balance,
+                     transport-unwrap, guard-across-blocking, bounded-recv,
+                     unbounded-spawn, telemetry-coverage, shared-state,
+                     epoch-bump, annotation
   --format text|json text (default): one line per finding;
                      json: SARIF 2.1.0 on stdout (for CI artifacts)
   --baseline <file>  suppress findings listed in <file>

@@ -11,8 +11,7 @@ pub mod shared_state;
 pub mod telemetry_coverage;
 pub mod transport_unwrap;
 pub mod unbounded_spawn;
-pub mod wire_compat;
-pub mod wire_symmetry;
+pub mod wire_described;
 
 use std::time::{Duration, Instant};
 
@@ -44,7 +43,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`lock-order`, `panic-freedom`, `wire-symmetry`,
+    /// Rule id (`lock-order`, `panic-freedom`, `wire-described`,
     /// `glue-balance`, `annotation`, …).
     pub rule: &'static str,
     /// Severity after any `--deny-all` promotion.
@@ -70,8 +69,7 @@ pub const RULE_ANNOTATION: &str = "annotation";
 pub const ALL_RULES: &[&str] = &[
     lock_order::RULE,
     panic_free::RULE,
-    wire_symmetry::RULE,
-    wire_compat::RULE,
+    wire_described::RULE,
     glue_balance::RULE,
     transport_unwrap::RULE,
     guard_blocking::RULE,
@@ -117,15 +115,8 @@ pub fn run_all_timed(
     if want(panic_free::RULE) {
         pass!(panic_free::RULE, panic_free::run(files, &mut diags));
     }
-    if want(wire_symmetry::RULE) || want(wire_compat::RULE) {
-        // Both wire rules read the same codec universe; interpret once.
-        let universe = pass!("wireshape-interp", crate::wireshape::build(files, &ws));
-        if want(wire_symmetry::RULE) {
-            pass!(wire_symmetry::RULE, wire_symmetry::run(files, &universe, &mut diags));
-        }
-        if want(wire_compat::RULE) {
-            pass!(wire_compat::RULE, wire_compat::run(files, &universe, &mut diags));
-        }
+    if want(wire_described::RULE) {
+        pass!(wire_described::RULE, wire_described::run(files, &mut diags));
     }
     if want(glue_balance::RULE) {
         pass!(glue_balance::RULE, glue_balance::run(files, &ws, &mut diags));

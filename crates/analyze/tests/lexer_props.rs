@@ -58,6 +58,7 @@ proptest! {
     #[test]
     fn lex_never_panics(s in ".*") {
         let _ = lex(&s);
+        let _ = lex(&format!("{s}r#")); // a raw-string opener cut off by the end of input
         let _ = SourceFile::from_source("crates/x/src/lib.rs", "x", false, &s);
     }
 

@@ -5,21 +5,23 @@
 //! only when the client and the server are on different LANs". `CapScope` is
 //! that knob, serialized inside capability configs so both ends agree.
 
-use ohpc_orb::{CapError, Location};
-use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+use ohpc_orb::Location;
+use ohpc_xdr::xdr_enum;
 
-/// Where a capability considers itself applicable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CapScope {
-    /// Active for every client/server pair.
-    #[default]
-    Always,
-    /// Active only when client and server are on different LANs
-    /// (including different sites).
-    CrossLan,
-    /// Active only when client and server are on different sites —
-    /// the "clients connecting over the Internet" tier.
-    CrossSite,
+xdr_enum! {
+    /// Where a capability considers itself applicable.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum CapScope {
+        /// Active for every client/server pair.
+        #[default]
+        Always = 0,
+        /// Active only when client and server are on different LANs
+        /// (including different sites).
+        CrossLan = 1,
+        /// Active only when client and server are on different sites —
+        /// the "clients connecting over the Internet" tier.
+        CrossSite = 2,
+    }
 }
 
 impl CapScope {
@@ -32,29 +34,6 @@ impl CapScope {
             CapScope::CrossLan => matches!(class, LinkClass::CrossLan | LinkClass::CrossSite),
             CapScope::CrossSite => class == LinkClass::CrossSite,
         }
-    }
-
-    /// Parses the wire tag.
-    pub fn from_tag(tag: u32) -> Result<Self, CapError> {
-        match tag {
-            0 => Ok(CapScope::Always),
-            1 => Ok(CapScope::CrossLan),
-            2 => Ok(CapScope::CrossSite),
-            t => Err(CapError::Failed(format!("unknown capability scope {t}"))),
-        }
-    }
-}
-
-impl XdrEncode for CapScope {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_u32(*self as u32);
-    }
-}
-
-impl XdrDecode for CapScope {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        let tag = r.get_u32()?;
-        CapScope::from_tag(tag).map_err(XdrError::custom)
     }
 }
 

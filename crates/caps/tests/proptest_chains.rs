@@ -123,8 +123,9 @@ proptest! {
     /// Every `CapScope` survives its wire encoding.
     #[test]
     fn cap_scope_roundtrip(tag in 0u32..3) {
-        let scope = CapScope::from_tag(tag).unwrap();
+        let scope: CapScope = ohpc_xdr::decode_from_slice(&tag.to_be_bytes()).unwrap();
         let buf = ohpc_xdr::encode_to_vec(&scope);
+        prop_assert_eq!(&buf[..], &tag.to_be_bytes()[..]);
         prop_assert_eq!(ohpc_xdr::decode_from_slice::<CapScope>(&buf).unwrap(), scope);
     }
 
@@ -167,4 +168,23 @@ proptest! {
         let (wire, _) = process_chain(&chain, Direction::Request, &call, body.clone()).unwrap();
         prop_assert_ne!(wire, body);
     }
+}
+
+/// The three scopes' golden encodings, as at `f2fe80a` (the rest of the wire
+/// vocabulary is pinned in `crates/orb/tests/wire_golden.rs`; this type lives
+/// above that crate). Scopes travel inside capability configs, so their tags
+/// are wire protocol like any other.
+#[test]
+fn cap_scope_wire_tags_are_pinned() {
+    use ohpc_xdr::XdrEncode;
+    let golden = [(CapScope::Always, 0u32), (CapScope::CrossLan, 1), (CapScope::CrossSite, 2)];
+    for (scope, tag) in golden {
+        assert_eq!(ohpc_xdr::encode_to_vec(&scope), tag.to_be_bytes());
+        assert_eq!(ohpc_xdr::decode_from_slice::<CapScope>(&tag.to_be_bytes()).unwrap(), scope);
+        assert_eq!(scope.encoded_len(), 4);
+    }
+    assert_eq!(
+        ohpc_xdr::decode_from_slice::<CapScope>(&3u32.to_be_bytes()).unwrap_err(),
+        ohpc_xdr::XdrError::InvalidDiscriminant(3)
+    );
 }

@@ -22,7 +22,7 @@ use parking_lot::RwLock;
 
 use ohpc_netsim::Location;
 use ohpc_telemetry::{Histogram, Registry};
-use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+use ohpc_xdr::{xdr_struct, XdrError, XdrReader, XdrWriter};
 
 use crate::message::CapWireMeta;
 
@@ -220,16 +220,18 @@ impl std::fmt::Debug for dyn Capability + '_ {
     }
 }
 
-/// Wire form of a capability: its name plus opaque configuration.
-///
-/// Config carries *public* parameters (key ids, limits, codec choice) — never
-/// key material. The registry combines config with local secrets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CapabilitySpec {
-    /// Registry name.
-    pub name: String,
-    /// Opaque, capability-defined configuration.
-    pub config: Bytes,
+xdr_struct! {
+    /// Wire form of a capability: its name plus opaque configuration.
+    ///
+    /// Config carries *public* parameters (key ids, limits, codec choice) — never
+    /// key material. The registry combines config with local secrets.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CapabilitySpec {
+        /// Registry name.
+        pub name: String,
+        /// Opaque, capability-defined configuration.
+        pub config: Bytes,
+    }
 }
 
 impl CapabilitySpec {
@@ -241,22 +243,6 @@ impl CapabilitySpec {
     /// Spec with config bytes.
     pub fn with_config(name: impl Into<String>, config: impl Into<Bytes>) -> Self {
         Self { name: name.into(), config: config.into() }
-    }
-}
-
-impl XdrEncode for CapabilitySpec {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_string(&self.name);
-        w.put_opaque(&self.config);
-    }
-}
-
-impl XdrDecode for CapabilitySpec {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            name: r.get_string()?,
-            config: Bytes::copy_from_slice(r.get_opaque()?),
-        })
     }
 }
 

@@ -1,22 +1,13 @@
 //! Identifier newtypes used across the ORB.
 
-use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+use ohpc_xdr::xdr_struct;
 
 macro_rules! id_u64 {
     ($(#[$doc:meta])* $name:ident) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        pub struct $name(pub u64);
-
-        impl XdrEncode for $name {
-            fn encode(&self, w: &mut XdrWriter) {
-                w.put_u64(self.0);
-            }
-        }
-        impl XdrDecode for $name {
-            fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-                Ok($name(r.get_u64()?))
-            }
+        xdr_struct! {
+            $(#[$doc])*
+            #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+            pub struct $name(pub u64);
         }
         impl std::fmt::Display for $name {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -60,13 +51,15 @@ impl ObjectId {
     }
 }
 
-/// Identifies a communication protocol in OR tables and proto-pools.
-///
-/// The constants below are conventions used by the built-in proto-objects;
-/// applications may mint their own ids for custom protocols (the paper's
-/// "users write their own proto-classes" aspect).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProtocolId(pub u16);
+xdr_struct! {
+    /// Identifies a communication protocol in OR tables and proto-pools.
+    ///
+    /// The constants below are conventions used by the built-in proto-objects;
+    /// applications may mint their own ids for custom protocols (the paper's
+    /// "users write their own proto-classes" aspect).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub struct ProtocolId(pub u16);
+}
 
 impl ProtocolId {
     /// TCP with XDR encoding.
@@ -77,21 +70,6 @@ impl ProtocolId {
     pub const NEXUS_TCP: ProtocolId = ProtocolId(3);
     /// The glue pseudo-protocol carrying a capability chain.
     pub const GLUE: ProtocolId = ProtocolId(100);
-}
-
-impl XdrEncode for ProtocolId {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_u32(self.0 as u32);
-    }
-}
-
-impl XdrDecode for ProtocolId {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        let v = r.get_u32()?;
-        u16::try_from(v)
-            .map(ProtocolId)
-            .map_err(|_| XdrError::custom(format!("protocol id out of range: {v}")))
-    }
 }
 
 impl std::fmt::Display for ProtocolId {

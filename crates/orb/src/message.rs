@@ -9,13 +9,21 @@
 use bytes::Bytes;
 
 use crate::ids::{ObjectId, RequestId};
-use crate::objref::ObjectReference;
+use crate::objref::{ObjectReference, MAX_CHAIN};
 use ohpc_telemetry::{Registry, TraceContext};
-use ohpc_xdr::{pad4, XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+use ohpc_xdr::{
+    xdr_struct, xdr_union, Array, Extension, FrameView, Mirror, XdrDecode, XdrEncode, XdrError,
+    XdrReader, XdrWriter,
+};
 
-/// Encoded size of a length-prefixed opaque or string of `len` bytes.
-const fn opaque_len(len: usize) -> usize {
-    4 + len + pad4(len)
+/// Encodes a whole frame into a buffer allocated once, at exactly the
+/// encoded length — a guess costs a bulk frame a payload-sized regrowth (the
+/// headers alone outgrow any small allowance once glue and trace ride along)
+/// and a small frame its slack.
+fn encode_frame<T: XdrEncode>(msg: &T) -> Bytes {
+    let mut w = XdrWriter::with_capacity(msg.encoded_len());
+    msg.encode(&mut w);
+    w.finish()
 }
 
 /// Decodes a whole frame, counting a malformed one under `kind`. Opaque
@@ -33,144 +41,94 @@ fn decode_frame<T: XdrDecode>(frame: &Bytes, kind: &'static str) -> Result<T, Xd
 
 /// Version word of the trace-context trailing extension on request frames.
 ///
-/// The extension rides *after* the last request field as
-/// `XdrWriter::put_trailing_extension(version, len, payload)`: a frame without
-/// trace context is byte-identical to a pre-tracing frame, an old decoder
-/// never reads past the body, and a new decoder treats end-of-input as "no
-/// context" and an unknown version as an opaque skip.
+/// The extension rides *after* the last request field (see [`Extension`]): a
+/// frame without trace context is byte-identical to a pre-tracing frame, an
+/// old decoder never reads past the body, and a new decoder treats
+/// end-of-input as "no context" and an unknown version as an opaque skip.
 pub const TRACE_EXT_VERSION: u32 = 1;
 
-fn encoded_trace_len(t: &TraceContext) -> usize {
-    let baggage: usize =
-        t.baggage.iter().map(|(k, v)| opaque_len(k.len()) + opaque_len(v.len())).sum();
-    4 * 8 + 4 + baggage
-}
-
-/// Appends exactly [`encoded_trace_len`] bytes.
-fn encode_trace(t: &TraceContext, w: &mut XdrWriter) {
-    w.put_u64((t.trace_id >> 64) as u64);
-    w.put_u64(t.trace_id as u64);
-    w.put_u64(t.span_id);
-    w.put_u64(t.parent_span_id);
-    w.put_array_len(t.baggage.len());
-    for (k, v) in &t.baggage {
-        w.put_string(k);
-        w.put_string(v);
+xdr_struct! {
+    /// Payload of the trace extension: [`TraceContext`]'s wire mirror, the
+    /// 128-bit trace id as two hypers. Baggage is bounded in bytes by its
+    /// sender, not in entries.
+    struct TraceWire {
+        trace_id_hi: u64,
+        trace_id_lo: u64,
+        span_id: u64,
+        parent_span_id: u64,
+        baggage: Vec<(String, String)> as Array,
     }
 }
 
-fn decode_trace(payload: &[u8]) -> Result<TraceContext, XdrError> {
-    let mut r = XdrReader::new(payload);
-    let hi = r.get_u64()?;
-    let lo = r.get_u64()?;
-    let span_id = r.get_u64()?;
-    let parent_span_id = r.get_u64()?;
-    let n = r.get_array_len()?;
-    let mut baggage = Vec::with_capacity(n.min(32));
-    for _ in 0..n {
-        baggage.push((r.get_string()?, r.get_string()?));
-    }
-    Ok(TraceContext {
-        trace_id: (u128::from(hi) << 64) | u128::from(lo),
-        span_id,
-        parent_span_id,
-        baggage,
-    })
-}
-
-/// One capability's wire metadata for one direction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CapWireMeta {
-    /// Capability name (matches [`crate::capability::Capability::name`]).
-    pub name: String,
-    /// Opaque metadata produced by `process` on the sending side.
-    pub meta: Bytes,
-}
-
-impl CapWireMeta {
-    fn encoded_len(&self) -> usize {
-        opaque_len(self.name.len()) + opaque_len(self.meta.len())
-    }
-}
-
-impl XdrEncode for CapWireMeta {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_string(&self.name);
-        w.put_opaque(&self.meta);
-    }
-}
-
-impl XdrDecode for CapWireMeta {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            name: r.get_string()?,
-            // A copy, not a view of the frame: metadata is a few bytes and
-            // may be retained (a nonce, a token), which must never keep a
-            // megabyte frame alive.
-            meta: Bytes::copy_from_slice(r.get_opaque()?),
-        })
-    }
-}
-
-/// Glue section of a frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GlueWire {
-    /// Server-side chain to apply the inverse transforms.
-    pub glue_id: u64,
-    /// Per-capability metadata, in chain order.
-    pub caps: Vec<CapWireMeta>,
-}
-
-impl GlueWire {
-    /// Encoded size of an optional glue section, discriminant included.
-    fn encoded_len(glue: &Option<Self>) -> usize {
-        let section = |g: &Self| 8 + 4 + g.caps.iter().map(CapWireMeta::encoded_len).sum::<usize>();
-        4 + glue.as_ref().map_or(0, section)
-    }
-}
-
-impl XdrEncode for GlueWire {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_u64(self.glue_id);
-        w.put_array_len(self.caps.len());
-        for c in &self.caps {
-            c.encode(w);
+impl From<&TraceContext> for TraceWire {
+    fn from(t: &TraceContext) -> Self {
+        Self {
+            trace_id_hi: (t.trace_id >> 64) as u64,
+            trace_id_lo: t.trace_id as u64,
+            span_id: t.span_id,
+            parent_span_id: t.parent_span_id,
+            baggage: t.baggage.clone(),
         }
     }
 }
 
-impl XdrDecode for GlueWire {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        let glue_id = r.get_u64()?;
-        let n = r.get_array_len()?;
-        let mut caps = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            caps.push(CapWireMeta::decode(r)?);
+impl From<TraceWire> for TraceContext {
+    fn from(w: TraceWire) -> Self {
+        Self {
+            trace_id: (u128::from(w.trace_id_hi) << 64) | u128::from(w.trace_id_lo),
+            span_id: w.span_id,
+            parent_span_id: w.parent_span_id,
+            baggage: w.baggage,
         }
-        Ok(Self { glue_id, caps })
     }
 }
 
-/// A remote method invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestMessage {
-    /// Per-connection sequence number; echoed in the reply.
-    pub request_id: RequestId,
-    /// Target object.
-    pub object: ObjectId,
-    /// Method slot within the object's interface.
-    pub method: u32,
-    /// Fire-and-forget: the server dispatches but sends no reply, and the
-    /// client cannot observe the outcome (at-most-once semantics; a
-    /// tombstoned object silently drops one-way requests).
-    pub oneway: bool,
-    /// Present iff the request travelled through a glue protocol.
-    pub glue: Option<GlueWire>,
-    /// XDR-encoded arguments (possibly transformed by capabilities).
-    pub body: Bytes,
-    /// Causal trace context, carried as a versioned trailing extension so
-    /// pre-tracing frames still parse (see [`TRACE_EXT_VERSION`]).
-    pub trace: Option<TraceContext>,
+xdr_struct! {
+    /// One capability's wire metadata for one direction.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CapWireMeta {
+        /// Capability name (matches [`crate::capability::Capability::name`]).
+        pub name: String,
+        /// Opaque metadata produced by `process` on the sending side; a copy
+        /// once decoded, never a view of the frame (DESIGN.md §16).
+        pub meta: Bytes,
+    }
+}
+
+xdr_struct! {
+    /// Glue section of a frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct GlueWire {
+        /// Server-side chain to apply the inverse transforms.
+        pub glue_id: u64,
+        /// Per-capability metadata, in chain order: never more entries than
+        /// the chain it mirrors may have.
+        pub caps: Vec<CapWireMeta> as Array<MAX_CHAIN>,
+    }
+}
+
+xdr_struct! {
+    /// A remote method invocation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RequestMessage {
+        /// Per-connection sequence number; echoed in the reply.
+        pub request_id: RequestId,
+        /// Target object.
+        pub object: ObjectId,
+        /// Method slot within the object's interface.
+        pub method: u32,
+        /// Fire-and-forget: the server dispatches but sends no reply, and the
+        /// client cannot observe the outcome (at-most-once semantics; a
+        /// tombstoned object silently drops one-way requests).
+        pub oneway: bool,
+        /// Present iff the request travelled through a glue protocol.
+        pub glue: Option<GlueWire>,
+        /// XDR-encoded arguments (possibly transformed by capabilities).
+        pub body: Bytes as FrameView,
+        /// Causal trace context, carried as a versioned trailing extension so
+        /// pre-tracing frames still parse (see [`TRACE_EXT_VERSION`]).
+        pub trace: Option<TraceContext> as Extension<TRACE_EXT_VERSION, Mirror<TraceWire>>,
+    }
 }
 
 /// Wire name of the deadline capability. The cap itself lives in
@@ -201,20 +159,13 @@ impl RequestMessage {
 
     /// Exact size of [`to_frame`](Self::to_frame)'s output.
     pub fn encoded_len(&self) -> usize {
-        let trace = self.trace.as_ref().map_or(0, |t| 4 + opaque_len(encoded_trace_len(t)));
-        8 + 8 + 4 + 4 + GlueWire::encoded_len(&self.glue) + opaque_len(self.body.len()) + trace
+        XdrEncode::encoded_len(self)
     }
 
     /// Encodes to a transport frame: the one copy of the body on the send
-    /// side. The buffer is allocated once, at exactly the encoded length —
-    /// a guess costs a bulk frame a payload-sized regrowth (the headers
-    /// alone outgrow any small allowance once glue and trace ride along)
-    /// and a small frame its slack.
+    /// side, into a buffer of exactly [`encoded_len`](Self::encoded_len).
     pub fn to_frame(&self) -> Bytes {
-        let mut w = XdrWriter::with_capacity(self.encoded_len());
-        self.encode(&mut w);
-        debug_assert_eq!(w.len(), self.encoded_len(), "encoded_len out of step with encode");
-        w.finish()
+        encode_frame(self)
     }
 
     /// Decodes from a transport frame. The body is a view sharing `frame`'s
@@ -226,111 +177,37 @@ impl RequestMessage {
     }
 }
 
-impl XdrEncode for RequestMessage {
-    fn encode(&self, w: &mut XdrWriter) {
-        self.request_id.encode(w);
-        self.object.encode(w);
-        w.put_u32(self.method);
-        w.put_bool(self.oneway);
-        self.glue.encode(w);
-        w.put_opaque(&self.body);
-        if let Some(t) = &self.trace {
-            w.put_trailing_extension(TRACE_EXT_VERSION, encoded_trace_len(t), |w| {
-                encode_trace(t, w)
-            });
-        }
+xdr_union! {
+    /// Outcome of a request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ReplyStatus {
+        /// Success; the body carries the encoded results.
+        0 => Ok,
+        /// The method raised an application exception.
+        1 => Exception(String),
+        /// The object migrated; here is its new OR (CORBA-style location
+        /// forwarding). The client rebinds and retries.
+        2 => Moved(Box<ObjectReference>),
+        /// Unknown object id.
+        3 => NoSuchObject,
+        /// Unknown method slot.
+        4 => NoSuchMethod(u32),
+        /// A capability on the server side refused the request.
+        5 => CapabilityDenied(String),
+        /// Server could not find the glue chain named by the request.
+        6 => UnknownGlue(u64),
+        /// Admission control shed the request: the server's in-flight bound was
+        /// hit (or its dispatch breaker is open). The request was **not**
+        /// executed, so clients classify this retryable-with-backoff.
+        7 => Overloaded(String),
+        /// The request's deadline stamp had already expired when it reached the
+        /// dispatch boundary; the server shed it unexecuted. Non-retryable —
+        /// the caller's own deadline machinery has moved on.
+        8 => DeadlineExpired(String),
     }
-}
-
-impl XdrDecode for RequestMessage {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        let request_id = RequestId::decode(r)?;
-        let object = ObjectId::decode(r)?;
-        let method = r.get_u32()?;
-        let oneway = r.get_bool()?;
-        let glue = Option::<GlueWire>::decode(r)?;
-        let body = r.get_opaque_bytes()?;
-        let trace = match r.get_trailing_extension()? {
-            // Legacy frame: no extension bytes at all.
-            None => None,
-            // A known version decodes strictly; a corrupt payload is a
-            // malformed frame, not a silently traceless one.
-            Some((TRACE_EXT_VERSION, payload)) => Some(decode_trace(payload)?),
-            // A future version is skipped whole (the payload is opaque).
-            Some((_, _)) => None,
-        };
-        Ok(Self { request_id, object, method, oneway, glue, body, trace })
-    }
-}
-
-/// Outcome of a request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplyStatus {
-    /// Success; the body carries the encoded results.
-    Ok,
-    /// The method raised an application exception.
-    Exception(String),
-    /// The object migrated; here is its new OR (CORBA-style location
-    /// forwarding). The client rebinds and retries.
-    Moved(Box<ObjectReference>),
-    /// Unknown object id.
-    NoSuchObject,
-    /// Unknown method slot.
-    NoSuchMethod(u32),
-    /// A capability on the server side refused the request.
-    CapabilityDenied(String),
-    /// Server could not find the glue chain named by the request.
-    UnknownGlue(u64),
-    /// Admission control shed the request: the server's in-flight bound was
-    /// hit (or its dispatch breaker is open). The request was **not**
-    /// executed, so clients classify this retryable-with-backoff.
-    Overloaded(String),
-    /// The request's deadline stamp had already expired when it reached the
-    /// dispatch boundary; the server shed it unexecuted. Non-retryable —
-    /// the caller's own deadline machinery has moved on.
-    DeadlineExpired(String),
 }
 
 impl ReplyStatus {
-    fn tag(&self) -> u32 {
-        match self {
-            ReplyStatus::Ok => 0,
-            ReplyStatus::Exception(_) => 1,
-            ReplyStatus::Moved(_) => 2,
-            ReplyStatus::NoSuchObject => 3,
-            ReplyStatus::NoSuchMethod(_) => 4,
-            ReplyStatus::CapabilityDenied(_) => 5,
-            ReplyStatus::UnknownGlue(_) => 6,
-            ReplyStatus::Overloaded(_) => 7,
-            ReplyStatus::DeadlineExpired(_) => 8,
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + match self {
-            ReplyStatus::Ok | ReplyStatus::NoSuchObject => 0,
-            ReplyStatus::Exception(m)
-            | ReplyStatus::CapabilityDenied(m)
-            | ReplyStatus::Overloaded(m)
-            | ReplyStatus::DeadlineExpired(m) => opaque_len(m.len()),
-            // A whole OR, nested to any depth, on the rare migration path:
-            // measured by encoding it.
-            ReplyStatus::Moved(or) => or.to_bytes().len(),
-            ReplyStatus::NoSuchMethod(_) => 4,
-            ReplyStatus::UnknownGlue(_) => 8,
-        }
-    }
-
-    /// The wire discriminant this status encodes as.
-    ///
-    /// Public so tests (and operators debugging captures) can audit the
-    /// tag assignment without round-tripping through the codec. Tags are
-    /// wire protocol: they never change meaning, and new variants take
-    /// fresh values.
-    pub fn wire_tag(&self) -> u32 {
-        self.tag()
-    }
-
     /// Maps a failure status to the client-side [`OrbError`] it surfaces as.
     ///
     /// This is the single source of truth for status → error conversion, so
@@ -358,53 +235,20 @@ impl ReplyStatus {
     }
 }
 
-impl XdrEncode for ReplyStatus {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_u32(self.tag());
-        match self {
-            ReplyStatus::Ok | ReplyStatus::NoSuchObject => {}
-            ReplyStatus::Exception(m)
-            | ReplyStatus::CapabilityDenied(m)
-            | ReplyStatus::Overloaded(m)
-            | ReplyStatus::DeadlineExpired(m) => w.put_string(m),
-            ReplyStatus::Moved(or) => or.encode(w),
-            ReplyStatus::NoSuchMethod(m) => w.put_u32(*m),
-            ReplyStatus::UnknownGlue(id) => w.put_u64(*id),
-        }
+xdr_struct! {
+    /// Response to a [`RequestMessage`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ReplyMessage {
+        /// Echoes the request's sequence number.
+        pub request_id: RequestId,
+        /// Outcome.
+        pub status: ReplyStatus,
+        /// Reply-direction capability metadata, in chain order.
+        pub glue: Option<GlueWire>,
+        /// Encoded results (possibly transformed by capabilities); empty unless
+        /// status is `Ok`.
+        pub body: Bytes as FrameView,
     }
-}
-
-impl XdrDecode for ReplyStatus {
-    // ohpc-analyze: allow(telemetry-coverage) — pure wire decoder; malformed
-    // frames are counted once at the framing boundary (`from_frame`).
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        match r.get_u32()? {
-            0 => Ok(ReplyStatus::Ok),
-            1 => Ok(ReplyStatus::Exception(r.get_string()?)),
-            2 => Ok(ReplyStatus::Moved(Box::new(ObjectReference::decode(r)?))),
-            3 => Ok(ReplyStatus::NoSuchObject),
-            4 => Ok(ReplyStatus::NoSuchMethod(r.get_u32()?)),
-            5 => Ok(ReplyStatus::CapabilityDenied(r.get_string()?)),
-            6 => Ok(ReplyStatus::UnknownGlue(r.get_u64()?)),
-            7 => Ok(ReplyStatus::Overloaded(r.get_string()?)),
-            8 => Ok(ReplyStatus::DeadlineExpired(r.get_string()?)),
-            t => Err(XdrError::InvalidDiscriminant(t)),
-        }
-    }
-}
-
-/// Response to a [`RequestMessage`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplyMessage {
-    /// Echoes the request's sequence number.
-    pub request_id: RequestId,
-    /// Outcome.
-    pub status: ReplyStatus,
-    /// Reply-direction capability metadata, in chain order.
-    pub glue: Option<GlueWire>,
-    /// Encoded results (possibly transformed by capabilities); empty unless
-    /// status is `Ok`.
-    pub body: Bytes,
 }
 
 impl ReplyMessage {
@@ -420,44 +264,19 @@ impl ReplyMessage {
 
     /// Exact size of [`to_frame`](Self::to_frame)'s output.
     pub fn encoded_len(&self) -> usize {
-        8 + self.status.encoded_len()
-            + GlueWire::encoded_len(&self.glue)
-            + opaque_len(self.body.len())
+        XdrEncode::encoded_len(self)
     }
 
     /// Encodes to a transport frame, exactly sized like
     /// [`RequestMessage::to_frame`].
     pub fn to_frame(&self) -> Bytes {
-        let mut w = XdrWriter::with_capacity(self.encoded_len());
-        self.encode(&mut w);
-        debug_assert_eq!(w.len(), self.encoded_len(), "encoded_len out of step with encode");
-        w.finish()
+        encode_frame(self)
     }
 
     /// Decodes from a transport frame; the body is a view of `frame`, as in
     /// [`RequestMessage::from_frame`].
     pub fn from_frame(frame: &Bytes) -> Result<Self, XdrError> {
         decode_frame(frame, "reply")
-    }
-}
-
-impl XdrEncode for ReplyMessage {
-    fn encode(&self, w: &mut XdrWriter) {
-        self.request_id.encode(w);
-        self.status.encode(w);
-        self.glue.encode(w);
-        w.put_opaque(&self.body);
-    }
-}
-
-impl XdrDecode for ReplyMessage {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        Ok(Self {
-            request_id: RequestId::decode(r)?,
-            status: ReplyStatus::decode(r)?,
-            glue: Option::<GlueWire>::decode(r)?,
-            body: r.get_opaque_bytes()?,
-        })
     }
 }
 

@@ -7,76 +7,43 @@
 
 use crate::capability::CapabilitySpec;
 use crate::ids::{ObjectId, ProtocolId};
-use ohpc_netsim::{LanId, Location, MachineId, SiteId};
-use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+use ohpc_netsim::Location;
+use ohpc_xdr::{xdr_struct, xdr_union, Array, Mirror, XdrError};
 
-/// Protocol-specific data for one table entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtoData {
-    /// A dialable address, stringified (`tcp://…`, `mem://…`, `sim://M2:7`).
-    Endpoint(String),
-    /// Glue pseudo-protocol: a capability chain wrapped around an inner entry.
-    Glue {
-        /// Identifies the matching server-side chain instance.
-        glue_id: u64,
-        /// The chain, in processing order.
-        caps: Vec<CapabilitySpec>,
-        /// The real protocol that moves the bytes.
-        inner: Box<ProtoEntry>,
-    },
-}
+/// Longest capability chain a glue entry may carry (and so the most entries
+/// a frame's glue section may hold).
+pub const MAX_CHAIN: usize = 64;
 
-impl XdrEncode for ProtoData {
-    fn encode(&self, w: &mut XdrWriter) {
-        match self {
-            ProtoData::Endpoint(ep) => {
-                w.put_u32(0);
-                w.put_string(ep);
-            }
-            ProtoData::Glue { glue_id, caps, inner } => {
-                w.put_u32(1);
-                w.put_u64(*glue_id);
-                w.put_array_len(caps.len());
-                for c in caps {
-                    c.encode(w);
-                }
-                inner.encode(w);
-            }
-        }
+/// Most rows an OR's protocol table may have.
+pub const MAX_PROTOCOLS: usize = 64;
+
+xdr_union! {
+    /// Protocol-specific data for one table entry.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ProtoData {
+        /// A dialable address, stringified (`tcp://…`, `mem://…`, `sim://M2:7`).
+        0 => Endpoint(String),
+        /// Glue pseudo-protocol: a capability chain wrapped around an inner entry.
+        1 => Glue {
+            /// Identifies the matching server-side chain instance.
+            glue_id: u64,
+            /// The chain, in processing order.
+            caps: Vec<CapabilitySpec> as Array<MAX_CHAIN>,
+            /// The real protocol that moves the bytes.
+            inner: Box<ProtoEntry>,
+        },
     }
 }
 
-impl XdrDecode for ProtoData {
-    // ohpc-analyze: allow(telemetry-coverage) — pure wire decoder; malformed
-    // frames are counted once at the framing boundary (`from_frame`).
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        match r.get_u32()? {
-            0 => Ok(ProtoData::Endpoint(r.get_string()?)),
-            1 => {
-                let glue_id = r.get_u64()?;
-                let n = r.get_array_len()?;
-                if n > 64 {
-                    return Err(XdrError::custom("capability chain too long"));
-                }
-                let mut caps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    caps.push(CapabilitySpec::decode(r)?);
-                }
-                let inner = Box::new(ProtoEntry::decode(r)?);
-                Ok(ProtoData::Glue { glue_id, caps, inner })
-            }
-            t => Err(XdrError::InvalidDiscriminant(t)),
-        }
+xdr_struct! {
+    /// One row of an OR's protocol table.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ProtoEntry {
+        /// Which protocol this row names.
+        pub id: ProtocolId,
+        /// Its proto-data.
+        pub data: ProtoData,
     }
-}
-
-/// One row of an OR's protocol table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtoEntry {
-    /// Which protocol this row names.
-    pub id: ProtocolId,
-    /// Its proto-data.
-    pub data: ProtoData,
 }
 
 impl ProtoEntry {
@@ -121,30 +88,40 @@ impl ProtoEntry {
     }
 }
 
-impl XdrEncode for ProtoEntry {
-    fn encode(&self, w: &mut XdrWriter) {
-        self.id.encode(w);
-        self.data.encode(w);
+xdr_struct! {
+    /// [`Location`]'s wire mirror: the three ids as words.
+    struct LocationWire {
+        machine: u32,
+        lan: u32,
+        site: u32,
     }
 }
 
-impl XdrDecode for ProtoEntry {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        Ok(Self { id: ProtocolId::decode(r)?, data: ProtoData::decode(r)? })
+impl From<&Location> for LocationWire {
+    fn from(l: &Location) -> Self {
+        Self { machine: l.machine.0, lan: l.lan.0, site: l.site.0 }
     }
 }
 
-/// An Object Reference.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectReference {
-    /// The object's global identity.
-    pub object: ObjectId,
-    /// Interface type name (matches the skeleton's `type_name`).
-    pub type_name: String,
-    /// Where the object currently lives — inputs to applicability checks.
-    pub location: Location,
-    /// Preference-ordered protocol table.
-    pub protocols: Vec<ProtoEntry>,
+impl From<LocationWire> for Location {
+    fn from(w: LocationWire) -> Self {
+        Location::with_site(w.machine, w.lan, w.site)
+    }
+}
+
+xdr_struct! {
+    /// An Object Reference.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ObjectReference {
+        /// The object's global identity.
+        pub object: ObjectId,
+        /// Interface type name (matches the skeleton's `type_name`).
+        pub type_name: String,
+        /// Where the object currently lives — inputs to applicability checks.
+        pub location: Location as Mirror<LocationWire>,
+        /// Preference-ordered protocol table.
+        pub protocols: Vec<ProtoEntry> as Array<MAX_PROTOCOLS>,
+    }
 }
 
 impl ObjectReference {
@@ -182,45 +159,11 @@ impl ObjectReference {
     }
 }
 
-impl XdrEncode for ObjectReference {
-    fn encode(&self, w: &mut XdrWriter) {
-        self.object.encode(w);
-        w.put_string(&self.type_name);
-        w.put_u32(self.location.machine.0);
-        w.put_u32(self.location.lan.0);
-        w.put_u32(self.location.site.0);
-        w.put_array_len(self.protocols.len());
-        for p in &self.protocols {
-            p.encode(w);
-        }
-    }
-}
-
-impl XdrDecode for ObjectReference {
-    // ohpc-analyze: allow(telemetry-coverage) — pure wire decoder; malformed
-    // frames are counted once at the framing boundary (`from_frame`).
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        let object = ObjectId::decode(r)?;
-        let type_name = r.get_string()?;
-        let machine = MachineId(r.get_u32()?);
-        let lan = LanId(r.get_u32()?);
-        let site = SiteId(r.get_u32()?);
-        let n = r.get_array_len()?;
-        if n > 64 {
-            return Err(XdrError::custom("protocol table too long"));
-        }
-        let mut protocols = Vec::with_capacity(n);
-        for _ in 0..n {
-            protocols.push(ProtoEntry::decode(r)?);
-        }
-        Ok(Self { object, type_name, location: Location { machine, lan, site }, protocols })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use ohpc_xdr::XdrWriter;
 
     fn spec(name: &str) -> CapabilitySpec {
         CapabilitySpec { name: name.into(), config: Bytes::new() }

@@ -1,0 +1,315 @@
+//! Golden frames: the bytes every wire message encoded to at `f2fe80a`, the
+//! last commit whose codecs were written by hand (captured there by running
+//! this file's values through its encoders). Tags, field order, padding and
+//! the trailing extension are wire protocol — they never change meaning — so
+//! each value must still encode to exactly these bytes, decode back from
+//! them, and report their length. (`CapScope` lives above this crate; its
+//! three goldens are in `crates/caps/tests/proptest_chains.rs`.)
+
+use bytes::Bytes;
+use ohpc_orb::message::{CapWireMeta, GlueWire};
+use ohpc_orb::{
+    CapabilitySpec, Location, ObjectId, ObjectReference, ProtoEntry, ProtocolId, ReplyMessage,
+    ReplyStatus, RequestId, RequestMessage,
+};
+use ohpc_telemetry::TraceContext;
+use ohpc_xdr::{decode_from_slice, encode_to_vec, XdrDecode, XdrEncode};
+
+fn unhex(golden: &str) -> Vec<u8> {
+    let digits: Vec<u8> = golden.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    assert_eq!(digits.len() % 2, 0, "odd number of hex digits");
+    let nibble = |d: u8| (d as char).to_digit(16).expect("hex digit") as u8;
+    digits.chunks(2).map(|pair| nibble(pair[0]) << 4 | nibble(pair[1])).collect()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    let lines: Vec<String> =
+        bytes.chunks(32).map(|l| l.iter().map(|b| format!("{b:02x}")).collect()).collect();
+    lines.join("\n")
+}
+
+/// `encode` reproduces the golden bytes, `decode` of them gives the value
+/// back, and `encoded_len` is their length.
+fn pinned<T>(name: &str, value: &T, golden: &str)
+where
+    T: XdrEncode + XdrDecode + PartialEq + std::fmt::Debug,
+{
+    let golden = unhex(golden);
+    let encoded = encode_to_vec(value);
+    assert_eq!(encoded, golden, "{name} encodes to\n{}", hex(&encoded));
+    assert_eq!(&decode_from_slice::<T>(&golden).expect(name), value, "{name}");
+    assert_eq!(value.encoded_len(), golden.len(), "{name}");
+}
+
+fn request(oneway: bool, glue: Option<GlueWire>, trace: Option<TraceContext>) -> RequestMessage {
+    RequestMessage {
+        request_id: RequestId(0x0102_0304_0506_0708),
+        object: ObjectId(0x0000_0009_0000_0001),
+        method: 3,
+        oneway,
+        glue,
+        // echo(5 ints), as the small-call workloads send it.
+        body: Bytes::from(encode_to_vec(&vec![1i32, -2, 3, -4, 5])),
+        trace,
+    }
+}
+
+/// What `glue[timeout,security]` puts on the wire: no metadata from the
+/// budget, a 33-byte block (nonce + key id) from the cipher.
+fn glue_section() -> GlueWire {
+    let nonce_and_key: Vec<u8> = (1..=33).collect();
+    GlueWire {
+        glue_id: 0xCAFE,
+        caps: vec![
+            CapWireMeta { name: "timeout".into(), meta: Bytes::new() },
+            CapWireMeta { name: "security".into(), meta: Bytes::from(nonce_and_key) },
+        ],
+    }
+}
+
+fn trace_context() -> TraceContext {
+    TraceContext {
+        trace_id: 0x1111_2222_3333_4444_5555_6666_7777_8888,
+        span_id: 0xAAAA_BBBB_CCCC_DDDD,
+        parent_span_id: 0x0123_4567_89AB_CDEF,
+        baggage: vec![("tenant".into(), "blue".into()), ("shard".into(), "7".into())],
+    }
+}
+
+fn capability_spec() -> CapabilitySpec {
+    CapabilitySpec::with_config("encrypt", vec![0xC0, 0xFF, 0xEE, 0x01, 0x02])
+}
+
+/// An OR whose first table row is a glue entry wrapping a glue entry.
+fn moved_or() -> ObjectReference {
+    let wire = ProtoEntry::endpoint(ProtocolId::TCP, "tcp://10.0.0.1:99");
+    let inner = ProtoEntry::glue(1, vec![CapabilitySpec::new("compress")], wire);
+    let outer =
+        ProtoEntry::glue(2, vec![CapabilitySpec::new("timeout"), capability_spec()], inner);
+    ObjectReference {
+        object: ObjectId(77),
+        type_name: "Echo".into(),
+        location: Location::with_site(1, 2, 3),
+        protocols: vec![outer, ProtoEntry::endpoint(ProtocolId::SHM, "mem://4")],
+    }
+}
+
+/// One sample of every status, in tag order.
+fn statuses() -> Vec<ReplyStatus> {
+    vec![
+        ReplyStatus::Ok,
+        ReplyStatus::Exception("kaboom".into()),
+        ReplyStatus::Moved(Box::new(moved_or())),
+        ReplyStatus::NoSuchObject,
+        ReplyStatus::NoSuchMethod(17),
+        ReplyStatus::CapabilityDenied("mac mismatch".into()),
+        ReplyStatus::UnknownGlue(0xBEEF),
+        ReplyStatus::Overloaded("512 in flight".into()),
+        ReplyStatus::DeadlineExpired("50 ms gone".into()),
+    ]
+}
+
+/// [`pinned`], and the same three facts through the frame entry points the
+/// ORB calls.
+fn request_pinned(name: &str, req: &RequestMessage, golden: &str) {
+    pinned(name, req, golden);
+    let golden = Bytes::from(unhex(golden));
+    assert_eq!(req.to_frame(), golden, "{name}");
+    assert_eq!(&RequestMessage::from_frame(&golden).expect(name), req, "{name}");
+    assert_eq!(req.encoded_len(), golden.len(), "{name}");
+}
+
+const REQUEST_PLAIN: &str = "\
+    0102030405060708000000090000000100000003000000000000000000000018\
+    0000000500000001fffffffe00000003fffffffc00000005";
+
+const REQUEST_GLUE: &str = "\
+    0102030405060708000000090000000100000003000000000000000100000000\
+    0000cafe000000020000000774696d656f757400000000000000000873656375\
+    72697479000000210102030405060708090a0b0c0d0e0f101112131415161718\
+    191a1b1c1d1e1f2021000000000000180000000500000001fffffffe00000003\
+    fffffffc00000005";
+
+const REQUEST_TRACED: &str = "\
+    0102030405060708000000090000000100000003000000000000000000000018\
+    0000000500000001fffffffe00000003fffffffc00000005000000010000004c\
+    11112222333344445555666677778888aaaabbbbccccdddd0123456789abcdef\
+    000000020000000674656e616e74000000000004626c75650000000573686172\
+    640000000000000137000000";
+
+const REQUEST_ONEWAY: &str = "\
+    0102030405060708000000090000000100000003000000010000000100000000\
+    0000cafe000000020000000774696d656f757400000000000000000873656375\
+    72697479000000210102030405060708090a0b0c0d0e0f101112131415161718\
+    191a1b1c1d1e1f2021000000000000180000000500000001fffffffe00000003\
+    fffffffc00000005";
+
+/// `REQUEST_PLAIN` followed by an extension of version 2 carrying the 15
+/// bytes `from-the-future`.
+const REQUEST_FUTURE_EXTENSION: &str = "\
+    0102030405060708000000090000000100000003000000000000000000000018\
+    0000000500000001fffffffe00000003fffffffc00000005000000020000000f\
+    66726f6d2d7468652d66757475726500";
+
+#[test]
+fn requests() {
+    request_pinned("plain", &request(false, None, None), REQUEST_PLAIN);
+    request_pinned("glue", &request(false, Some(glue_section()), None), REQUEST_GLUE);
+    request_pinned("traced", &request(false, None, Some(trace_context())), REQUEST_TRACED);
+    request_pinned("oneway", &request(true, Some(glue_section()), None), REQUEST_ONEWAY);
+}
+
+/// A traceless frame is the pre-tracing encoding (`REQUEST_PLAIN` ends with
+/// its body: no extension bytes), and an extension of a version this decoder
+/// does not know is skipped whole.
+#[test]
+fn legacy_and_future_request_frames_decode_as_traceless() {
+    for golden in [REQUEST_PLAIN, REQUEST_FUTURE_EXTENSION] {
+        let decoded = RequestMessage::from_frame(&Bytes::from(unhex(golden))).expect("decodes");
+        assert_eq!(decoded, request(false, None, None));
+    }
+}
+
+/// Indexed by wire tag; each row is the status without and with a reply
+/// glue section.
+const REPLIES: [[&str; 2]; 9] = [
+    [
+        "\
+            01020304050607080000000000000000000000180000000500000001fffffffe\
+            00000003fffffffc00000005",
+        "\
+            01020304050607080000000000000001000000000000cafe0000000200000007\
+            74696d656f757400000000000000000873656375726974790000002101020304\
+            05060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021000000\
+            000000180000000500000001fffffffe00000003fffffffc00000005",
+    ],
+    [
+        "010203040506070800000001000000066b61626f6f6d00000000000000000000",
+        "\
+            010203040506070800000001000000066b61626f6f6d00000000000100000000\
+            0000cafe000000020000000774696d656f757400000000000000000873656375\
+            72697479000000210102030405060708090a0b0c0d0e0f101112131415161718\
+            191a1b1c1d1e1f202100000000000000",
+    ],
+    [
+        "\
+            010203040506070800000002000000000000004d000000044563686f00000001\
+            0000000200000003000000020000006400000001000000000000000200000002\
+            0000000774696d656f7574000000000000000007656e63727970740000000005\
+            c0ffee0102000000000000640000000100000000000000010000000100000008\
+            636f6d7072657373000000000000000100000000000000117463703a2f2f3130\
+            2e302e302e313a39390000000000000200000000000000076d656d3a2f2f3400\
+            0000000000000000",
+        "\
+            010203040506070800000002000000000000004d000000044563686f00000001\
+            0000000200000003000000020000006400000001000000000000000200000002\
+            0000000774696d656f7574000000000000000007656e63727970740000000005\
+            c0ffee0102000000000000640000000100000000000000010000000100000008\
+            636f6d7072657373000000000000000100000000000000117463703a2f2f3130\
+            2e302e302e313a39390000000000000200000000000000076d656d3a2f2f3400\
+            00000001000000000000cafe000000020000000774696d656f75740000000000\
+            000000087365637572697479000000210102030405060708090a0b0c0d0e0f10\
+            1112131415161718191a1b1c1d1e1f202100000000000000",
+    ],
+    [
+        "0102030405060708000000030000000000000000",
+        "\
+            01020304050607080000000300000001000000000000cafe0000000200000007\
+            74696d656f757400000000000000000873656375726974790000002101020304\
+            05060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021000000\
+            00000000",
+    ],
+    [
+        "010203040506070800000004000000110000000000000000",
+        "\
+            0102030405060708000000040000001100000001000000000000cafe00000002\
+            0000000774696d656f7574000000000000000008736563757269747900000021\
+            0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20\
+            2100000000000000",
+    ],
+    [
+        "\
+            0102030405060708000000050000000c6d6163206d69736d6174636800000000\
+            00000000",
+        "\
+            0102030405060708000000050000000c6d6163206d69736d6174636800000001\
+            000000000000cafe000000020000000774696d656f7574000000000000000008\
+            7365637572697479000000210102030405060708090a0b0c0d0e0f1011121314\
+            15161718191a1b1c1d1e1f202100000000000000",
+    ],
+    [
+        "010203040506070800000006000000000000beef0000000000000000",
+        "\
+            010203040506070800000006000000000000beef00000001000000000000cafe\
+            000000020000000774696d656f75740000000000000000087365637572697479\
+            000000210102030405060708090a0b0c0d0e0f101112131415161718191a1b1c\
+            1d1e1f202100000000000000",
+    ],
+    [
+        "\
+            0102030405060708000000070000000d35313220696e20666c69676874000000\
+            0000000000000000",
+        "\
+            0102030405060708000000070000000d35313220696e20666c69676874000000\
+            00000001000000000000cafe000000020000000774696d656f75740000000000\
+            000000087365637572697479000000210102030405060708090a0b0c0d0e0f10\
+            1112131415161718191a1b1c1d1e1f202100000000000000",
+    ],
+    [
+        "\
+            0102030405060708000000080000000a3530206d7320676f6e65000000000000\
+            00000000",
+        "\
+            0102030405060708000000080000000a3530206d7320676f6e65000000000001\
+            000000000000cafe000000020000000774696d656f7574000000000000000008\
+            7365637572697479000000210102030405060708090a0b0c0d0e0f1011121314\
+            15161718191a1b1c1d1e1f202100000000000000",
+    ],
+];
+
+#[test]
+fn replies_of_every_status_with_and_without_glue() {
+    let statuses = statuses();
+    assert_eq!(statuses.len(), REPLIES.len());
+    for (status, row) in statuses.into_iter().zip(REPLIES) {
+        for (glue, golden) in [None, Some(glue_section())].into_iter().zip(row) {
+            let name = format!("tag {} glue {}", status.wire_tag(), glue.is_some());
+            let body = match status {
+                ReplyStatus::Ok => request(false, None, None).body,
+                _ => Bytes::new(),
+            };
+            let reply = ReplyMessage {
+                request_id: RequestId(0x0102_0304_0506_0708),
+                status: status.clone(),
+                glue,
+                body,
+            };
+            pinned(&name, &reply, golden);
+            let golden = Bytes::from(unhex(golden));
+            assert_eq!(reply.to_frame(), golden, "{name}");
+            assert_eq!(ReplyMessage::from_frame(&golden).expect(&name), reply, "{name}");
+            assert_eq!(reply.encoded_len(), golden.len(), "{name}");
+        }
+    }
+}
+
+const OBJECT_REFERENCE: &str = "\
+    000000000000004d000000044563686f00000001000000020000000300000002\
+    00000064000000010000000000000002000000020000000774696d656f757400\
+    0000000000000007656e63727970740000000005c0ffee010200000000000064\
+    0000000100000000000000010000000100000008636f6d707265737300000000\
+    0000000100000000000000117463703a2f2f31302e302e302e313a3939000000\
+    0000000200000000000000076d656d3a2f2f3400";
+
+const CAPABILITY_SPEC: &str = "00000007656e63727970740000000005c0ffee0102000000";
+
+#[test]
+fn references_specs_and_ids() {
+    pinned("object reference", &moved_or(), OBJECT_REFERENCE);
+    assert_eq!(moved_or().to_bytes(), unhex(OBJECT_REFERENCE));
+    pinned("capability spec", &capability_spec(), CAPABILITY_SPEC);
+    pinned("protocol id", &ProtocolId::NEXUS_TCP, "00000003");
+    pinned("protocol id", &ProtocolId::GLUE, "00000064");
+    pinned("object id", &ObjectId(0x0000_0009_0000_0001), "0000000900000001");
+    pinned("request id", &RequestId(u64::MAX), "ffffffffffffffff");
+}

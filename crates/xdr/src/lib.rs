@@ -31,12 +31,14 @@
 #![forbid(unsafe_code)]
 
 mod error;
+mod field;
 mod macros;
 mod reader;
 mod traits;
 mod writer;
 
 pub use error::XdrError;
+pub use field::{ends_delimited, Array, Extension, FieldCodec, FrameView, Mirror, ARRAY_RESERVE};
 pub use reader::XdrReader;
 pub use traits::{XdrDecode, XdrEncode};
 pub use writer::XdrWriter;

@@ -1,25 +1,42 @@
 use bytes::Bytes;
 
-use crate::{XdrError, XdrReader, XdrWriter};
+use crate::{pad4, XdrError, XdrReader, XdrWriter};
 
 /// A value that can be encoded into an XDR stream.
 pub trait XdrEncode {
     /// Appends the XDR encoding of `self` to `w`.
     fn encode(&self, w: &mut XdrWriter);
+
+    /// Exactly the number of bytes [`encode`](Self::encode) appends, so a
+    /// frame's buffer can be allocated once at its final size.
+    fn encoded_len(&self) -> usize;
 }
 
 /// A value that can be decoded from an XDR stream.
 pub trait XdrDecode: Sized {
+    /// Whether a decoder knows where the value ends. False only for a record
+    /// that ends in a trailing extension, which reads to the end of its
+    /// input: such a record is a whole frame, never a field or an element.
+    const SELF_DELIMITING: bool = true;
+
     /// Reads one value from `r`.
     fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError>;
 }
 
+/// Encoded size of a length-prefixed opaque or string of `len` bytes.
+pub(crate) const fn opaque_len(len: usize) -> usize {
+    4 + len + pad4(len)
+}
+
 macro_rules! impl_prim {
-    ($t:ty, $put:ident, $get:ident) => {
+    ($t:ty, $put:ident, $get:ident, $len:literal) => {
         impl XdrEncode for $t {
             #[inline]
             fn encode(&self, w: &mut XdrWriter) {
                 w.$put(*self);
+            }
+            fn encoded_len(&self) -> usize {
+                $len
             }
         }
         impl XdrDecode for $t {
@@ -31,64 +48,60 @@ macro_rules! impl_prim {
     };
 }
 
-impl_prim!(u32, put_u32, get_u32);
-impl_prim!(i32, put_i32, get_i32);
-impl_prim!(u64, put_u64, get_u64);
-impl_prim!(i64, put_i64, get_i64);
-impl_prim!(f32, put_f32, get_f32);
-impl_prim!(f64, put_f64, get_f64);
-impl_prim!(bool, put_bool, get_bool);
+impl_prim!(u32, put_u32, get_u32, 4);
+impl_prim!(i32, put_i32, get_i32, 4);
+impl_prim!(u64, put_u64, get_u64, 8);
+impl_prim!(i64, put_i64, get_i64, 8);
+impl_prim!(f32, put_f32, get_f32, 4);
+impl_prim!(f64, put_f64, get_f64, 8);
+impl_prim!(bool, put_bool, get_bool, 4);
 
 // Smaller integers travel as full words, per XDR convention.
-impl XdrEncode for u8 {
-    #[inline]
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_u32(*self as u32);
-    }
-}
-impl XdrDecode for u8 {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        let v = r.get_u32()?;
-        u8::try_from(v).map_err(|_| XdrError::custom(format!("u8 out of range: {v}")))
-    }
-}
-impl XdrEncode for u16 {
-    #[inline]
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_u32(*self as u32);
-    }
-}
-impl XdrDecode for u16 {
-    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-        let v = r.get_u32()?;
-        u16::try_from(v).map_err(|_| XdrError::custom(format!("u16 out of range: {v}")))
-    }
+macro_rules! impl_small_uint {
+    ($($t:ty),+) => {$(
+        impl XdrEncode for $t {
+            #[inline]
+            fn encode(&self, w: &mut XdrWriter) {
+                w.put_u32(*self as u32);
+            }
+            fn encoded_len(&self) -> usize {
+                4
+            }
+        }
+        impl XdrDecode for $t {
+            fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
+                let v = r.get_u32()?;
+                <$t>::try_from(v)
+                    .map_err(|_| XdrError::custom(format!("{} out of range: {v}", stringify!($t))))
+            }
+        }
+    )+};
 }
 
-impl XdrEncode for str {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_string(self);
-    }
+impl_small_uint!(u8, u16);
+
+/// Strings and byte blobs travel as opaque data: a length word, the bytes,
+/// zero padding. `Vec<u8>` / `Bytes` are blobs, *not* arrays of word-encoded
+/// u8 — this is what keeps big payloads compact (the paper's arrays-of-int
+/// workload encodes ints as words, but raw buffers travel 1:1).
+macro_rules! impl_opaque_encode {
+    ($($t:ty),+) => {$(
+        impl XdrEncode for $t {
+            fn encode(&self, w: &mut XdrWriter) {
+                w.put_opaque(self.as_ref());
+            }
+            fn encoded_len(&self) -> usize {
+                opaque_len(self.len())
+            }
+        }
+    )+};
 }
 
-impl XdrEncode for String {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_string(self);
-    }
-}
+impl_opaque_encode!(str, String, Vec<u8>, Bytes, [u8]);
 
 impl XdrDecode for String {
     fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
         r.get_string()
-    }
-}
-
-/// `Vec<u8>` / `Bytes` are treated as opaque byte blobs, *not* as arrays of
-/// word-encoded u8 — this is what keeps big payloads compact (the paper's
-/// arrays-of-int workload encodes ints as words, but raw buffers travel 1:1).
-impl XdrEncode for Vec<u8> {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_opaque(self);
     }
 }
 
@@ -98,21 +111,10 @@ impl XdrDecode for Vec<u8> {
     }
 }
 
-impl XdrEncode for Bytes {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_opaque(self);
-    }
-}
-
+/// A copy, never a view of the input (contrast [`FrameView`](crate::FrameView)).
 impl XdrDecode for Bytes {
     fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
         Ok(Bytes::copy_from_slice(r.get_opaque()?))
-    }
-}
-
-impl XdrEncode for [u8] {
-    fn encode(&self, w: &mut XdrWriter) {
-        w.put_opaque(self);
     }
 }
 
@@ -124,6 +126,9 @@ macro_rules! impl_vec_of_words {
         impl XdrEncode for Vec<$t> {
             fn encode(&self, w: &mut XdrWriter) {
                 w.put_array_of(self, <$t>::to_be_bytes);
+            }
+            fn encoded_len(&self) -> usize {
+                4 + std::mem::size_of::<$t>() * self.len()
             }
         }
         impl XdrDecode for Vec<$t> {
@@ -143,6 +148,9 @@ impl XdrEncode for Vec<String> {
         for v in self {
             v.encode(w);
         }
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(String::encoded_len).sum::<usize>()
     }
 }
 
@@ -169,9 +177,13 @@ impl<T: XdrEncode> XdrEncode for Option<T> {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.as_ref().map_or(0, T::encoded_len)
+    }
 }
 
 impl<T: XdrDecode> XdrDecode for Option<T> {
+    const SELF_DELIMITING: bool = T::SELF_DELIMITING;
     fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
         if r.get_bool()? {
             Ok(Some(T::decode(r)?))
@@ -181,8 +193,28 @@ impl<T: XdrDecode> XdrDecode for Option<T> {
     }
 }
 
+/// A box is its content on the wire (recursive records need one in memory).
+impl<T: XdrEncode> XdrEncode for Box<T> {
+    fn encode(&self, w: &mut XdrWriter) {
+        (**self).encode(w);
+    }
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+}
+
+impl<T: XdrDecode> XdrDecode for Box<T> {
+    const SELF_DELIMITING: bool = T::SELF_DELIMITING;
+    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
+        T::decode(r).map(Box::new)
+    }
+}
+
 impl XdrEncode for () {
     fn encode(&self, _w: &mut XdrWriter) {}
+    fn encoded_len(&self) -> usize {
+        0
+    }
 }
 
 impl XdrDecode for () {
@@ -196,6 +228,9 @@ macro_rules! impl_tuple {
         impl<$($name: XdrEncode),+> XdrEncode for ($($name,)+) {
             fn encode(&self, w: &mut XdrWriter) {
                 $(self.$idx.encode(w);)+
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ self.$idx.encoded_len())+
             }
         }
         impl<$($name: XdrDecode),+> XdrDecode for ($($name,)+) {
@@ -217,6 +252,9 @@ impl<T: XdrEncode + ?Sized> XdrEncode for &T {
     fn encode(&self, w: &mut XdrWriter) {
         (*self).encode(w);
     }
+    fn encoded_len(&self) -> usize {
+        (*self).encoded_len()
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +265,7 @@ mod tests {
     fn roundtrip<T: XdrEncode + XdrDecode + PartialEq + std::fmt::Debug>(v: T) {
         let buf = encode_to_vec(&v);
         assert_eq!(buf.len() % 4, 0, "stream must stay aligned");
+        assert_eq!(v.encoded_len(), buf.len());
         let back: T = decode_from_slice(&buf).unwrap();
         assert_eq!(back, v);
     }

@@ -1,7 +1,8 @@
 //! Property tests: every encodable value round-trips, the stream stays
 //! 4-byte aligned, and mangled input never panics the decoder.
 
-use ohpc_xdr::{decode_from_slice, encode_to_vec, XdrReader};
+use bytes::Bytes;
+use ohpc_xdr::{decode_from_slice, encode_to_vec, XdrEncode, XdrReader};
 use proptest::prelude::*;
 
 proptest! {
@@ -78,5 +79,29 @@ proptest! {
         let cut = cut.min(buf.len());
         let sliced = &buf[..buf.len() - cut];
         prop_assert!(decode_from_slice::<Vec<i32>>(sliced).is_err());
+    }
+
+    /// `encoded_len` of the primitive vocabulary is what `encode` writes.
+    #[test]
+    fn primitive_lengths_are_exact(
+        a: u8, b: u16, c: i32, d: u64, e: f64, f: bool, s in ".*",
+        blob in proptest::collection::vec(any::<u8>(), 0..64),
+        words in proptest::collection::vec(any::<i64>(), 0..16),
+        names in proptest::collection::vec(".{0,5}", 0..4),
+        maybe: Option<u32>,
+    ) {
+        fn exact<T: XdrEncode + ?Sized>(v: &T) -> Result<(), TestCaseError> {
+            prop_assert_eq!(v.encoded_len(), encode_to_vec(v).len());
+            Ok(())
+        }
+        exact(&(a, b, c, d, e, f))?;
+        exact(s.as_str())?;
+        exact(&s)?;
+        exact(&blob[..])?;
+        exact(&Bytes::from(blob.clone()))?;
+        exact(&blob)?;
+        exact(&words)?;
+        exact(&names)?;
+        exact(&(maybe, Box::new(maybe), &maybe, ()))?;
     }
 }

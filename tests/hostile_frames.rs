@@ -248,6 +248,41 @@ fn array_counts_beyond_the_remaining_bytes_are_truncated_before_allocating() {
     refused::<f64>(2, 3);
 }
 
+/// A glue section mirrors a capability chain, and no OR may carry a chain of
+/// more than 64: a section claiming 65 — in a frame that does hold 65 (empty)
+/// entries, so the count passes the reader's own bound — is refused on the
+/// count, before a single `CapWireMeta` is decoded or reserved.
+#[test]
+fn a_glue_section_longer_than_any_chain_is_refused_on_its_count() {
+    use ohpc_orb::message::CapWireMeta;
+
+    let request = |caps: usize| {
+        let mut w = XdrWriter::new();
+        w.put_u64(77); // request id
+        w.put_u64(9); // object
+        w.put_u32(1); // method
+        w.put_bool(false); // two-way
+        w.put_bool(true); // glue section present
+        w.put_u64(0xCAFE); // glue id
+        w.put_array_len(caps);
+        for _ in 0..caps {
+            w.put_string(""); // name
+            w.put_opaque(&[]); // meta
+        }
+        w.put_opaque(&[]); // body
+        w.finish()
+    };
+    let longest = RequestMessage::from_frame(&request(64)).expect("64 entries are a legal chain");
+    assert_eq!(longest.glue.map(|g| g.caps.len()), Some(64));
+
+    let frame = request(65);
+    let (decoded, largest) = largest_allocation(|| RequestMessage::from_frame(&frame));
+    assert_eq!(decoded.unwrap_err(), XdrError::LengthOverflow { declared: 65, limit: 64 });
+    // The entries' up-front reservation was never made (what is allocated is
+    // the malformed-frame counter's key).
+    assert!(largest < 64 * std::mem::size_of::<CapWireMeta>(), "allocated {largest} B");
+}
+
 /// The transport's own length word: a TCP peer that announces a frame over
 /// [`MAX_FRAME`] is refused on the announcement. Measured on the second such
 /// peer, so the error counter's first registration is not counted; what is
