@@ -15,8 +15,8 @@
 //!   (the pool spawns its workers once);
 //! * test fns;
 //! * per-*connection* threads (accept loops) — they are bounded by clients,
-//!   not by requests, and their spawn sites live in `serve`, which is not a
-//!   dispatch root;
+//!   not by requests, and their one spawn site, `ohpc_transport::AcceptLoop`,
+//!   is reached from `serve*`, not from a dispatch root;
 //! * an `// ohpc-analyze: allow(unbounded-spawn) — <reason>` annotation.
 
 use std::collections::HashMap;

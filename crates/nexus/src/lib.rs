@@ -2,13 +2,18 @@
 //!
 //! Foster, Kesselman & Tuecke's Nexus is the low-level communication library
 //! the paper compares against ("a simple Nexus based communication
-//! protocol"). This crate reproduces the part of Nexus the ORB layers on:
+//! protocol"). What is Nexus about it is small, and it is all this crate
+//! holds:
 //!
-//! * a [`NexusService`] (Nexus *endpoint*) registers numbered handlers;
-//! * a [`Startpoint`] is a client-side handle bound to a service's address;
-//! * [`Startpoint::rsr`] fires a one-way remote service request;
-//!   [`Startpoint::rsr_reply`] is the request/response form the ORB's
-//!   "Nexus protocol object" uses.
+//! * the RSR **header** — `(tag, handler)`, two XDR words in front of a
+//!   payload — and its tags, defined here once; the ORB's Nexus protocol
+//!   object and `Context::serve_nexus` put the same header on and take it
+//!   off inside their own channel and serve loop;
+//! * a [`NexusService`] (Nexus *endpoint*): a table of numbered handlers,
+//!   served stand-alone on [`ohpc_transport::AcceptLoop`];
+//! * a stand-alone [`Startpoint`], the client-side handle bound to a
+//!   service's address: [`Startpoint::rsr`] fires a one-way remote service
+//!   request, [`Startpoint::rsr_reply`] is the request/response form.
 //!
 //! Payloads are XDR buffers (see [`ohpc_xdr`]); the transport underneath is
 //! anything implementing [`ohpc_transport::Dialer`]/`Listener`, so the same
@@ -17,20 +22,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod buffer;
-
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use ohpc_transport::{Connection, Dialer, Endpoint, Listener, TransportError};
-use ohpc_xdr::{XdrReader, XdrWriter};
-
-pub use buffer::{GetBuffer, PutBuffer};
+use ohpc_transport::{AcceptLoop, Connection, Dialer, Endpoint, Listener, TransportError};
+use ohpc_xdr::{XdrError, XdrReader, XdrWriter};
 
 /// Numbered handler slot within a service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,23 +66,66 @@ impl From<TransportError> for NexusError {
     }
 }
 
+impl From<XdrError> for NexusError {
+    fn from(e: XdrError) -> Self {
+        NexusError::Protocol(e.to_string())
+    }
+}
+
+// ------------------------------------------------------------------- header
+
+/// A one-way request: the handler runs, nothing is sent back.
+pub const TAG_ONEWAY: u32 = 1;
+/// A request whose sender waits for exactly one reply frame.
+pub const TAG_REQUEST: u32 = 2;
+/// Reply: the handler succeeded; what it wrote follows the header.
+pub const TAG_REPLY_OK: u32 = 3;
+/// Reply: the handler failed; its message follows as an XDR string.
+pub const TAG_REPLY_ERR: u32 = 4;
+/// Reply: the service has no handler under the id; nothing follows.
+pub const TAG_REPLY_NO_HANDLER: u32 = 5;
+
+/// Encoded size of the `(tag, handler)` header every RSR frame starts with.
+pub const HEADER_LEN: usize = 8;
+
+/// Writes an RSR header; the payload is whatever is written after it.
+pub fn put_header(w: &mut XdrWriter, tag: u32, handler: HandlerId) {
+    w.put_u32(tag);
+    w.put_u32(handler.0);
+}
+
+/// Reads an RSR header, leaving the reader at the payload.
+pub fn get_header(r: &mut XdrReader<'_>) -> Result<(u32, HandlerId), XdrError> {
+    Ok((r.get_u32()?, HandlerId(r.get_u32()?)))
+}
+
+/// Reads the header of a frame a service received: whether its sender waits
+/// for a reply, and the handler it names. Any tag but the two request tags
+/// is an error.
+pub fn get_request_header(r: &mut XdrReader<'_>) -> Result<(bool, HandlerId), XdrError> {
+    match get_header(r)? {
+        (TAG_REQUEST, handler) => Ok((true, handler)),
+        (TAG_ONEWAY, handler) => Ok((false, handler)),
+        (tag, _) => Err(XdrError::InvalidDiscriminant(tag)),
+    }
+}
+
+// ------------------------------------------------------------------ service
+
 /// Handler signature: reads arguments from the request reader, writes results
 /// to the reply writer, or fails with a message.
 pub type Handler =
     Box<dyn Fn(&mut XdrReader<'_>, &mut XdrWriter) -> Result<(), String> + Send + Sync>;
-
-// Frame tags.
-const TAG_ONEWAY: u32 = 1;
-const TAG_REQUEST: u32 = 2;
-const TAG_REPLY_OK: u32 = 3;
-const TAG_REPLY_ERR: u32 = 4;
-const TAG_REPLY_NO_HANDLER: u32 = 5;
 
 /// Builder/holder for a service's handler table.
 #[derive(Default)]
 pub struct NexusService {
     handlers: HashMap<u32, Handler>,
 }
+
+/// Handle to a running service: stops accepting and joins the acceptor on
+/// drop. Connection threads are detached and exit with their clients.
+pub type RunningService = AcceptLoop;
 
 impl NexusService {
     /// Empty service.
@@ -101,110 +142,45 @@ impl NexusService {
         self
     }
 
-    /// Starts serving on `listener`. Spawns one acceptor thread plus one
-    /// detached thread per connection; returns a handle that stops accepting
-    /// on drop. Connection threads exit when their clients hang up.
-    pub fn start(self, mut listener: Box<dyn Listener>) -> RunningService {
-        let endpoint = listener.endpoint();
-        let handlers = Arc::new(self.handlers);
-        let stopping = Arc::new(AtomicBool::new(false));
-        let stop_listener = listener.stop_fn();
-
-        let stop_for_acceptor = stopping.clone();
-        let acceptor = std::thread::spawn(move || {
-            while !stop_for_acceptor.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok(conn) => {
-                        let handlers = handlers.clone();
-                        std::thread::spawn(move || serve_connection(conn, handlers));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-
-        RunningService { endpoint, stopping, acceptor: Some(acceptor), stop_listener }
+    /// Starts serving on `listener`, each connection's handlers running on
+    /// that connection's thread.
+    pub fn start(self, listener: Box<dyn Listener>) -> RunningService {
+        AcceptLoop::spawn(listener, move |conn| self.serve_connection(conn))
     }
-}
 
-fn serve_connection(mut conn: Box<dyn Connection>, handlers: Arc<HashMap<u32, Handler>>) {
-    loop {
-        let frame = match conn.recv() {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        let mut reader = XdrReader::new(&frame);
-        let (tag, id) = match (reader.get_u32(), reader.get_u32()) {
-            (Ok(t), Ok(i)) => (t, i),
-            _ => return, // malformed; drop the connection
-        };
-        let wants_reply = tag == TAG_REQUEST;
-        let mut reply = XdrWriter::new();
-        let status = match handlers.get(&id) {
-            None => {
-                reply.put_u32(TAG_REPLY_NO_HANDLER);
-                reply.put_u32(id);
-                Err(())
-            }
-            Some(h) => {
-                let mut out = XdrWriter::new();
-                match h(&mut reader, &mut out) {
-                    Ok(()) => {
-                        reply.put_u32(TAG_REPLY_OK);
-                        reply.put_u32(id);
-                        let body = out.finish();
-                        reply.put_fixed_opaque(&body);
-                        Ok(())
-                    }
-                    Err(msg) => {
-                        reply.put_u32(TAG_REPLY_ERR);
-                        reply.put_u32(id);
+    fn serve_connection(&self, mut conn: Box<dyn Connection>) {
+        while let Ok(frame) = conn.recv() {
+            let mut args = XdrReader::over_frame(&frame);
+            // A frame that is not an RSR request drops the connection.
+            let Ok((wants_reply, id)) = get_request_header(&mut args) else { return };
+            // The handler writes behind the header, into the frame that is
+            // sent: no finished body is wrapped afterwards.
+            let mut reply = XdrWriter::new();
+            match self.handlers.get(&id.0) {
+                None => put_header(&mut reply, TAG_REPLY_NO_HANDLER, id),
+                Some(handler) => {
+                    put_header(&mut reply, TAG_REPLY_OK, id);
+                    if let Err(msg) = handler(&mut args, &mut reply) {
+                        reply = XdrWriter::new();
+                        put_header(&mut reply, TAG_REPLY_ERR, id);
                         reply.put_string(&msg);
-                        Err(())
                     }
                 }
             }
-        };
-        let _ = status;
-        if wants_reply && conn.send(&reply.finish()).is_err() {
-            return;
+            if wants_reply && conn.send(reply.peek()).is_err() {
+                return;
+            }
         }
     }
 }
 
-/// Handle to a running service; signals shutdown and joins the acceptor on
-/// drop. Connection threads are detached and exit with their clients.
-pub struct RunningService {
-    endpoint: Endpoint,
-    stopping: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    stop_listener: Box<dyn Fn() + Send + Sync>,
-}
-
-impl RunningService {
-    /// Address clients should dial.
-    pub fn endpoint(&self) -> Endpoint {
-        self.endpoint.clone()
-    }
-
-    /// Requests shutdown: stops the listener so the acceptor unblocks, and
-    /// prevents further accepts.
-    pub fn shutdown(&self) {
-        self.stopping.store(true, Ordering::Release);
-        (self.stop_listener)();
-    }
-}
-
-impl Drop for RunningService {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-    }
-}
+// --------------------------------------------------------------- startpoint
 
 /// Client-side handle: a Nexus *startpoint* bound to a service.
+///
+/// One connection, locked across one exchange: an RSR carries no correlation
+/// id — only the ORB's payload does, which is why the ORB's own Nexus path
+/// multiplexes and this one cannot.
 pub struct Startpoint {
     conn: Mutex<Box<dyn Connection>>,
 }
@@ -218,79 +194,54 @@ impl Startpoint {
     /// Fires a one-way RSR: no reply, no ordering guarantee with failures.
     pub fn rsr(&self, handler: HandlerId, args: &XdrWriter) -> Result<(), NexusError> {
         let frame = Self::frame(TAG_ONEWAY, handler, args);
-        // ohpc-analyze: allow(guard-across-blocking) — the connection mutex
-        // is the framing discipline: concurrent startpoint users must not
-        // interleave frames on the one wire.
-        self.conn.lock().send(&frame)?;
-        Ok(())
+        self.locked(|conn| conn.send(frame.peek()))
     }
 
-    /// Request/response RSR: returns the handler's reply body.
+    /// Request/response RSR: returns the handler's reply body, a view of the
+    /// received frame.
     ///
-    /// No receive deadline: a silent peer blocks this caller forever. On
-    /// request paths prefer [`rsr_reply_deadline`](Self::rsr_reply_deadline)
-    /// so the ORB's retry/deadline budget can bound the wait.
+    /// No receive deadline: a silent peer blocks this caller forever.
     pub fn rsr_reply(&self, handler: HandlerId, args: &XdrWriter) -> Result<Bytes, NexusError> {
-        self.rsr_reply_deadline(handler, args, None)
-    }
-
-    /// [`rsr_reply`](Self::rsr_reply) with a receive deadline. The
-    /// connection's receive timeout is armed (or disarmed, for `None`) for
-    /// this exchange, so a hung server fails the call with
-    /// [`TransportError::Timeout`] instead of outliving the caller's
-    /// deadline budget.
-    pub fn rsr_reply_deadline(
-        &self,
-        handler: HandlerId,
-        args: &XdrWriter,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<Bytes, NexusError> {
         let frame = Self::frame(TAG_REQUEST, handler, args);
-        // ohpc-analyze: allow(guard-across-blocking) — one RSR is one
-        // send/recv pair on the single connection; the mutex serializes
-        // whole exchanges so concurrent callers cannot steal each other's
-        // replies.
-        let mut conn = self.conn.lock();
-        conn.set_recv_timeout(deadline);
-        conn.send(&frame)?;
-        let reply = conn.recv()?;
-        drop(conn);
-
+        let reply = self.locked(|conn| {
+            conn.send(frame.peek())?;
+            conn.recv()
+        })?;
         let mut r = XdrReader::new(&reply);
-        let tag = r.get_u32().map_err(|e| NexusError::Protocol(e.to_string()))?;
-        let id = r.get_u32().map_err(|e| NexusError::Protocol(e.to_string()))?;
-        if id != handler.0 {
+        let (tag, id) = get_header(&mut r)?;
+        if id != handler {
             return Err(NexusError::Protocol(format!(
-                "reply for handler {id}, expected {}",
-                handler.0
+                "reply for handler {}, expected {}",
+                id.0, handler.0
             )));
         }
         match tag {
-            TAG_REPLY_OK => {
-                let body_len = r.remaining();
-                let body = r
-                    .get_fixed_opaque(body_len)
-                    .map_err(|e| NexusError::Protocol(e.to_string()))?;
-                Ok(Bytes::copy_from_slice(body))
-            }
-            TAG_REPLY_ERR => {
-                let msg = r.get_string().map_err(|e| NexusError::Protocol(e.to_string()))?;
-                Err(NexusError::Handler(msg))
-            }
-            TAG_REPLY_NO_HANDLER => Err(NexusError::NoSuchHandler(id)),
+            TAG_REPLY_OK => Ok(reply.slice(HEADER_LEN..)),
+            TAG_REPLY_ERR => Err(NexusError::Handler(r.get_string()?)),
+            TAG_REPLY_NO_HANDLER => Err(NexusError::NoSuchHandler(id.0)),
             t => Err(NexusError::Protocol(format!("unknown reply tag {t}"))),
         }
     }
 
-    fn frame(tag: u32, handler: HandlerId, args: &XdrWriter) -> Bytes {
-        // Reserialize header + already-encoded args. Cloning the writer is
-        // avoided by encoding args last at the call sites; here we copy the
-        // encoded bytes once.
-        let mut w = XdrWriter::with_capacity(8 + args.len());
-        w.put_u32(tag);
-        w.put_u32(handler.0);
+    /// Runs one whole exchange with the connection locked — across its
+    /// blocking send and receive, deliberately: the mutex is the framing
+    /// discipline. Frames must not interleave on the one wire, and with no
+    /// correlation id a concurrent caller would steal this one's reply.
+    fn locked<T>(
+        &self,
+        exchange: impl FnOnce(&mut dyn Connection) -> Result<T, TransportError>,
+    ) -> Result<T, NexusError> {
+        Ok(exchange(self.conn.lock().as_mut())?)
+    }
+
+    /// Header and arguments as one frame. The one copy left on this path:
+    /// `args` is borrowed, so the two can only leave together by being
+    /// written into one buffer (until the transport can send in parts).
+    fn frame(tag: u32, handler: HandlerId, args: &XdrWriter) -> XdrWriter {
+        let mut w = XdrWriter::with_capacity(HEADER_LEN + args.len());
+        put_header(&mut w, tag, handler);
         w.put_fixed_opaque(args.peek());
-        w.finish()
+        w
     }
 }
 

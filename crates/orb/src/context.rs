@@ -1,7 +1,7 @@
 //! Contexts: the server side of the ORB.
 //!
 //! A context is the HPC++ "virtual address space": it hosts objects, owns
-//! the server half of every protocol (listeners and the Nexus service), the
+//! the server half of every protocol (its listeners, bare or RSR-framed), the
 //! server-side glue chains, migration tombstones, and mints Object
 //! References. A `Context` value is a cheap clone of shared state, so server
 //! threads, experiment drivers, and the migration manager can all hold one.
@@ -9,18 +9,17 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
-use ohpc_nexus::NexusService;
 use ohpc_netsim::Location;
+use ohpc_nexus::{HEADER_LEN, TAG_REPLY_NO_HANDLER};
 use ohpc_resilience::{BreakerState, HealthKey, HealthPolicy, HealthRegistry};
 use ohpc_runtime::{AdmissionController, Executor, Permit, SerialQueue};
-use ohpc_transport::{Connection, Listener};
-use ohpc_xdr::{XdrReader, XdrWriter};
+use ohpc_transport::{AcceptLoop, Connection, Listener};
+use ohpc_xdr::{XdrError, XdrReader, XdrWriter};
 
 use crate::capability::{
     process_chain, unprocess_chain, CallInfo, CapChain, CapError, CapabilityRegistry,
@@ -29,10 +28,11 @@ use crate::capability::{
 use crate::error::OrbError;
 use crate::glue::ComputeMeter;
 use crate::ids::{ContextId, ObjectId, ProtocolId};
-use crate::message::{GlueWire, ReplyMessage, ReplyStatus, RequestMessage};
+use crate::message::{
+    Framing, GlueWire, ReplyMessage, ReplyStatus, RequestMessage, NEXUS_ORB_HANDLER,
+};
 use crate::objref::{ObjectReference, ProtoEntry};
 use crate::skeleton::{MethodError, RemoteObject};
-use crate::transport_proto::NEXUS_ORB_HANDLER;
 
 /// How a protocol is advertised in ORs this context mints.
 #[derive(Debug, Clone)]
@@ -62,11 +62,6 @@ struct GlueChain {
     caps: CapChain,
 }
 
-struct ServerHandle {
-    shutdown: Box<dyn Fn() + Send>,
-    join: Option<JoinHandle<()>>,
-}
-
 /// Request-served hook (load tracking, logging).
 pub type RequestHook = Box<dyn Fn(ObjectId, u32) + Send + Sync>;
 
@@ -90,8 +85,7 @@ struct ContextInner {
     glues: RwLock<HashMap<u64, Arc<GlueChain>>>,
     registry: Arc<CapabilityRegistry>,
     adverts: RwLock<Vec<ProtoAdvert>>,
-    servers: Mutex<Vec<ServerHandle>>,
-    nexus_services: Mutex<Vec<ohpc_nexus::RunningService>>,
+    servers: Mutex<Vec<AcceptLoop>>,
     on_request: RwLock<Option<RequestHook>>,
     meter: RwLock<Option<Arc<dyn ComputeMeter>>>,
     requests_served: AtomicU64,
@@ -146,7 +140,6 @@ impl Context {
                 registry,
                 adverts: RwLock::new(Vec::new()),
                 servers: Mutex::new(Vec::new()),
-                nexus_services: Mutex::new(Vec::new()),
                 on_request: RwLock::new(None),
                 meter: RwLock::new(None),
                 requests_served: AtomicU64::new(0),
@@ -301,65 +294,45 @@ impl Context {
     // -------------------------------------------------------------- serving
 
     /// Records that clients can reach this context over `id` at `endpoint`
-    /// without starting a listener (used when an external server, e.g. a
-    /// Nexus service, already accepts for us).
+    /// without starting a listener (used when an external server already
+    /// accepts for us).
     pub fn advertise(&self, id: ProtocolId, endpoint: String) {
         self.inner.adverts.write().push(ProtoAdvert { id, endpoint });
     }
 
     /// Serves ORB frames on `listener`, advertising it as protocol `id`.
     pub fn serve(&self, listener: Box<dyn Listener>, id: ProtocolId) {
+        self.serve_framed(listener, id, Framing::Bare);
+    }
+
+    /// Serves ORB frames as Nexus remote service requests (the baseline
+    /// protocol), advertising the listener as protocol `id`: the same loop,
+    /// admission, executor and one-way lane as [`serve`](Self::serve), with
+    /// the RSR header taken off each request and put on each reply.
+    pub fn serve_nexus(&self, listener: Box<dyn Listener>, id: ProtocolId) {
+        self.serve_framed(listener, id, Framing::Rsr);
+    }
+
+    fn serve_framed(&self, listener: Box<dyn Listener>, id: ProtocolId, framing: Framing) {
         self.advertise(id, listener.endpoint().to_string());
         let ctx = self.clone();
-        let mut listener = listener;
-        let shutdown_listener: Box<dyn Fn() + Send> = listener.stop_fn();
-        let join = std::thread::spawn(move || {
-            // Connection threads are detached: each exits when its client
-            // hangs up. Joining them here would deadlock shutdown while any
-            // client still holds a cached connection.
-            while let Ok(conn) = listener.accept() {
-                let ctx = ctx.clone();
-                std::thread::spawn(move || ctx.serve_connection(conn));
-            }
-        });
-        self.inner
-            .servers
-            .lock()
-            .push(ServerHandle { shutdown: shutdown_listener, join: Some(join) });
+        let accepting = AcceptLoop::spawn(listener, move |conn| ctx.serve_connection(conn, framing));
+        self.inner.servers.lock().push(accepting);
     }
 
-    /// Serves ORB frames through a Nexus service (the baseline protocol),
-    /// advertising it as protocol `id`.
-    pub fn serve_nexus(&self, listener: Box<dyn Listener>, id: ProtocolId) {
-        let ctx = self.clone();
-        let mut svc = NexusService::new();
-        svc.register(NEXUS_ORB_HANDLER, move |args, out| {
-            let n = args.remaining();
-            let frame = args.get_fixed_opaque(n).map_err(|e| e.to_string())?;
-            let reply = ctx.handle_frame(frame);
-            out.put_fixed_opaque(&reply);
-            Ok(())
-        });
-        let running = svc.start(listener);
-        self.advertise(id, running.endpoint().to_string());
-        self.inner.nexus_services.lock().push(running);
-    }
-
-    /// Stops all listeners and joins server threads. Established connections
-    /// stop being served: their next request closes the connection, which
-    /// clients observe as a transport error (and transparently re-dial if a
-    /// new server binds the endpoint).
+    /// Stops all listeners and joins their acceptors. Established
+    /// connections stop being served: their next request closes the
+    /// connection, which clients observe as a transport error (and
+    /// transparently re-dial if a new server binds the endpoint).
     pub fn shutdown(&self) {
         self.inner.stopping.store(true, Ordering::Release);
-        for h in self.inner.servers.lock().iter() {
-            (h.shutdown)();
+        let servers = std::mem::take(&mut *self.inner.servers.lock());
+        // All of them before any is joined: a polling listener takes a
+        // moment to notice.
+        for accepting in &servers {
+            accepting.stop();
         }
-        for mut h in self.inner.servers.lock().drain(..) {
-            if let Some(j) = h.join.take() {
-                let _ = j.join();
-            }
-        }
-        self.inner.nexus_services.lock().clear();
+        drop(servers);
     }
 
     /// Abrupt crash, for fault injection: stops serving immediately —
@@ -382,24 +355,24 @@ impl Context {
         self.inner.stopping.store(false, Ordering::Release);
     }
 
-    fn serve_connection(&self, mut conn: Box<dyn Connection>) {
+    fn serve_connection(&self, mut conn: Box<dyn Connection>, framing: Framing) {
         // Splittable transports get concurrent dispatch: clients multiplex
         // many requests onto one connection, so handling them one at a time
         // would re-serialize the wire server-side.
         if let Some((tx, rx)) = conn.try_split() {
             drop(conn);
-            self.serve_connection_split(tx, rx);
+            self.serve_connection_split(tx, rx, framing);
             return;
         }
         while let Ok(frame) = conn.recv() {
             if self.inner.stopping.load(Ordering::Acquire) {
                 return; // drop the connection: this context is gone
             }
-            // One-way requests yield no reply frame.
-            if let Some(reply) = self.handle_frame_opt(frame) {
-                if conn.send(&reply).is_err() {
-                    return;
-                }
+            match self.handle_frame_opt(frame, framing) {
+                // One-way requests yield no reply frame.
+                Ok(None) => {}
+                Ok(Some(reply)) if conn.send(&reply).is_ok() => {}
+                _ => return,
             }
         }
     }
@@ -422,6 +395,7 @@ impl Context {
         &self,
         tx: Box<dyn ohpc_transport::SendHalf>,
         mut rx: Box<dyn ohpc_transport::RecvHalf>,
+        framing: Framing,
     ) {
         let writer = Arc::new(Mutex::new(tx));
         let executor = self.executor();
@@ -430,10 +404,11 @@ impl Context {
             if self.inner.stopping.load(Ordering::Acquire) {
                 return; // drop the connection: this context is gone
             }
-            let (req, permit) = match self.intake(frame) {
-                Intake::Admitted(req, permit) => (req, permit),
-                Intake::Dropped => continue,
-                Intake::Reply(reply) => {
+            let (req, permit) = match self.intake(frame, framing) {
+                Err(_) => return, // not this listener's framing: hang up
+                Ok(Intake::Admitted(req, permit)) => (req, permit),
+                Ok(Intake::Dropped) => continue,
+                Ok(Intake::Reply(reply)) => {
                     // Rejections go out straight from the reader thread:
                     // gracefully degrading means they stay fast when the
                     // pool is the thing that is saturated.
@@ -462,7 +437,7 @@ impl Context {
             let writer = writer.clone();
             executor.execute(Box::new(move || {
                 lane.wait_for(mark);
-                let reply = ctx.dispatch_admitted(req, permit).to_frame();
+                let reply = ctx.dispatch_admitted(req, permit).to_frame_as(framing);
                 // ohpc-analyze: allow(guard-across-blocking) — see above.
                 let _ = writer.lock().send(&reply);
             }));
@@ -536,53 +511,79 @@ impl Context {
 
     // ------------------------------------------------------------- dispatch
 
-    /// Core server path: runs admission control, then decodes and
-    /// dispatches (see [`handle_request`](Self::handle_request)). One-way
-    /// requests still produce an encoded (dropped-by-the-caller) reply;
-    /// use [`handle_frame_opt`](Self::handle_frame_opt) on serving paths,
-    /// which also takes the frame as received instead of copying it.
-    pub fn handle_frame(&self, frame: &[u8]) -> Bytes {
-        self.handle_frame_opt(Bytes::copy_from_slice(frame)).unwrap_or_else(|| {
-            ReplyMessage::status(crate::ids::RequestId(0), ReplyStatus::Ok).to_frame()
-        })
-    }
-
-    /// Like [`handle_frame`](Self::handle_frame) but returns `None` for
-    /// one-way requests (which are dispatched — or shed — and produce no
-    /// reply frame). Owning the frame lets the decoded body be a view of it
-    /// rather than a copy.
-    pub fn handle_frame_opt(&self, frame: Bytes) -> Option<Bytes> {
-        match self.intake(frame) {
+    /// Core server path for one frame received on a listener of the given
+    /// framing, on the calling thread: decodes, runs admission control and
+    /// dispatches (see [`handle_request`](Self::handle_request)); the reply
+    /// frame carries the framing too. `Ok(None)` for a one-way request,
+    /// which is dispatched — or shed — and produces no reply frame. `Err`:
+    /// the frame is not in that framing at all, so no reply can be addressed
+    /// to its sender — the serving loops hang up. Owning the frame lets the
+    /// decoded body be a view of it rather than a copy.
+    pub fn handle_frame_opt(
+        &self,
+        frame: Bytes,
+        framing: Framing,
+    ) -> Result<Option<Bytes>, XdrError> {
+        Ok(match self.intake(frame, framing)? {
             Intake::Reply(reply) => Some(reply),
             Intake::Dropped => None,
             Intake::Admitted(req, permit) => {
                 let oneway = req.oneway;
                 let reply = self.dispatch_admitted(req, permit);
-                (!oneway).then(|| reply.to_frame())
+                (!oneway).then(|| reply.to_frame_as(framing))
             }
-        }
+        })
     }
 
-    /// The one decode→admit prologue every serving path runs on a received
-    /// frame, before any glue or object work.
-    fn intake(&self, frame: Bytes) -> Intake {
-        let decoded = RequestMessage::from_frame(&frame);
+    /// The one unframe→decode→admit prologue every serving path runs on a
+    /// received frame, before any glue or object work.
+    fn intake(&self, frame: Bytes, framing: Framing) -> Result<Intake, XdrError> {
+        // Under RSR the header says whether the sender waits for an answer,
+        // and a frame without a request header is the cue to hang up; a bare
+        // frame says who waits only once it has decoded.
+        let (frame, rsr_waits) = match framing {
+            Framing::Bare => (frame, None),
+            Framing::Rsr => match ohpc_nexus::get_request_header(&mut XdrReader::new(&frame))
+                .inspect_err(|_| count_malformed_rsr())?
+            {
+                (waits, NEXUS_ORB_HANDLER) => (frame.slice(HEADER_LEN..), Some(waits)),
+                (false, _) => {
+                    count_malformed_rsr();
+                    return Ok(Intake::Dropped);
+                }
+                (true, foreign) => {
+                    let mut refusal = XdrWriter::with_capacity(HEADER_LEN);
+                    ohpc_nexus::put_header(&mut refusal, TAG_REPLY_NO_HANDLER, foreign);
+                    return Ok(Intake::Reply(refusal.finish()));
+                }
+            },
+        };
+        let decoded = match RequestMessage::from_frame(&frame) {
+            // The tag says the sender waits, the flag that it does not, or
+            // the other way round.
+            Ok(req) if rsr_waits == Some(req.oneway) => {
+                count_malformed_rsr();
+                Err("the RSR tag disagrees with the request's one-way flag".to_string())
+            }
+            decoded => decoded.map_err(|e| e.to_string()),
+        };
         // The request's body is a view of the frame; with this handle gone
         // the request is the buffer's only owner, so the glue chain may
         // transform it in place.
         drop(frame);
         let req = match decoded {
             Ok(r) => r,
+            // Nobody reads the answer to a one-way RSR.
+            Err(_) if rsr_waits == Some(false) => return Ok(Intake::Dropped),
             Err(e) => {
                 // We cannot know the request id; reply with id 0 and an
                 // exception so the client at least unblocks.
                 let status = ReplyStatus::Exception(format!("malformed request: {e}"));
-                return Intake::Reply(
-                    ReplyMessage::status(crate::ids::RequestId(0), status).to_frame(),
-                );
+                let reply = ReplyMessage::status(crate::ids::RequestId(0), status);
+                return Ok(Intake::Reply(reply.to_frame_as(framing)));
             }
         };
-        match self.admit(&req) {
+        Ok(match self.admit(&req) {
             Ok(permit) => Intake::Admitted(req, permit),
             Err(_) if req.oneway => {
                 // No reply channel to signal backpressure on; the drop
@@ -590,14 +591,16 @@ impl Context {
                 ohpc_telemetry::counter!("orb_oneway_shed_total").inc();
                 Intake::Dropped
             }
-            Err(status) => Intake::Reply(ReplyMessage::status(req.request_id, status).to_frame()),
-        }
+            Err(status) => {
+                Intake::Reply(ReplyMessage::status(req.request_id, status).to_frame_as(framing))
+            }
+        })
     }
 
-    /// Typed form of [`handle_frame`](Self::handle_frame).
+    /// Typed form of [`handle_frame_opt`](Self::handle_frame_opt).
     ///
-    /// All serving paths funnel here — inline connections, per-request
-    /// threads on split connections, and the Nexus handler — so adopting the
+    /// All serving paths funnel here — inline connections and executor tasks
+    /// on split ones, under either framing — so adopting the
     /// request's wire-propagated trace context at the top is enough to make
     /// every server-side span (dispatch, glue, capability) a child of the
     /// client's attempt span, whichever thread this runs on.
@@ -785,12 +788,10 @@ impl Context {
     }
 }
 
-impl Drop for ContextInner {
-    fn drop(&mut self) {
-        for h in self.servers.lock().iter() {
-            (h.shutdown)();
-        }
-    }
+fn count_malformed_rsr() {
+    ohpc_telemetry::Registry::global()
+        .counter("orb_malformed_frames_total", &[("kind", "rsr")])
+        .inc();
 }
 
 #[cfg(test)]
@@ -907,7 +908,8 @@ mod tests {
     #[test]
     fn malformed_frame_still_replies() {
         let ctx = ctx();
-        let reply_frame = ctx.handle_frame(&[1, 2, 3]);
+        let reply_frame =
+            ctx.handle_frame_opt(Bytes::from_static(&[1, 2, 3]), Framing::Bare).unwrap().unwrap();
         let reply = ReplyMessage::from_frame(&reply_frame).unwrap();
         assert!(matches!(reply.status, ReplyStatus::Exception(_)));
     }

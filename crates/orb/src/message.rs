@@ -8,20 +8,77 @@
 
 use bytes::Bytes;
 
+use crate::error::OrbError;
 use crate::ids::{ObjectId, RequestId};
 use crate::objref::{ObjectReference, MAX_CHAIN};
+use ohpc_nexus::{
+    HandlerId, HEADER_LEN, TAG_ONEWAY, TAG_REPLY_NO_HANDLER, TAG_REPLY_OK, TAG_REQUEST,
+};
 use ohpc_telemetry::{Registry, TraceContext};
 use ohpc_xdr::{
     xdr_struct, xdr_union, Array, Extension, FrameView, Mirror, XdrDecode, XdrEncode, XdrError,
     XdrReader, XdrWriter,
 };
 
+/// Handler slot the ORB occupies inside a Nexus service.
+pub const NEXUS_ORB_HANDLER: HandlerId = HandlerId(0xC0DE);
+
+/// What a transport frame carries in front of the XDR message. A constant of
+/// each listener (which `Context::serve*` started it) and of the proto-object
+/// that dials it — never an option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// Nothing: the frame is the message.
+    Bare,
+    /// The Nexus RSR header `(tag, NEXUS_ORB_HANDLER)` of [`ohpc_nexus`]: the
+    /// paper's baseline protocol.
+    Rsr,
+}
+
+impl Framing {
+    /// The message inside a reply frame — a view of it, not a copy. Under
+    /// RSR anything but the ORB handler's OK reply is the peer's refusal.
+    pub(crate) fn reply_message(self, frame: Bytes) -> Result<Bytes, OrbError> {
+        if self == Framing::Bare {
+            return Ok(frame);
+        }
+        match ohpc_nexus::get_header(&mut XdrReader::new(&frame))? {
+            (TAG_REPLY_OK, NEXUS_ORB_HANDLER) => Ok(frame.slice(HEADER_LEN..)),
+            (TAG_REPLY_NO_HANDLER, HandlerId(h)) => {
+                Err(OrbError::Protocol(format!("nexus service lacks ORB handler {h}")))
+            }
+            (tag, HandlerId(h)) => {
+                Err(OrbError::Protocol(format!("nexus refusal (tag {tag}, handler {h})")))
+            }
+        }
+    }
+
+    /// The `request_id` a reply frame is correlated by: every
+    /// [`ReplyMessage`] starts with it, so the demux reader routes frames
+    /// without decoding them. `None` for a frame that carries none — a short
+    /// one, or an RSR refusal, which names a handler and no request.
+    pub(crate) fn reply_request_id(self, frame: &Bytes) -> Option<u64> {
+        let mut r = XdrReader::new(frame);
+        if self == Framing::Rsr
+            && ohpc_nexus::get_header(&mut r).ok()? != (TAG_REPLY_OK, NEXUS_ORB_HANDLER)
+        {
+            return None;
+        }
+        r.get_u64().ok()
+    }
+}
+
 /// Encodes a whole frame into a buffer allocated once, at exactly the
 /// encoded length — a guess costs a bulk frame a payload-sized regrowth (the
 /// headers alone outgrow any small allowance once glue and trace ride along)
-/// and a small frame its slack.
-fn encode_frame<T: XdrEncode>(msg: &T) -> Bytes {
-    let mut w = XdrWriter::with_capacity(msg.encoded_len());
+/// and a small frame its slack. Under RSR framing the header, with `rsr_tag`,
+/// leads the same buffer.
+fn encode_frame<T: XdrEncode>(msg: &T, framing: Framing, rsr_tag: u32) -> Bytes {
+    let header = if framing == Framing::Rsr { HEADER_LEN } else { 0 };
+    let mut w = XdrWriter::with_capacity(header + msg.encoded_len());
+    if framing == Framing::Rsr {
+        ohpc_nexus::put_header(&mut w, rsr_tag, NEXUS_ORB_HANDLER);
+    }
     msg.encode(&mut w);
     w.finish()
 }
@@ -165,7 +222,14 @@ impl RequestMessage {
     /// Encodes to a transport frame: the one copy of the body on the send
     /// side, into a buffer of exactly [`encoded_len`](Self::encoded_len).
     pub fn to_frame(&self) -> Bytes {
-        encode_frame(self)
+        self.to_frame_as(Framing::Bare)
+    }
+
+    /// [`to_frame`](Self::to_frame) in a listener's framing: under RSR the
+    /// header — one-way or request, as this message is — leads the same
+    /// buffer.
+    pub fn to_frame_as(&self, framing: Framing) -> Bytes {
+        encode_frame(self, framing, if self.oneway { TAG_ONEWAY } else { TAG_REQUEST })
     }
 
     /// Decodes from a transport frame. The body is a view sharing `frame`'s
@@ -270,7 +334,13 @@ impl ReplyMessage {
     /// Encodes to a transport frame, exactly sized like
     /// [`RequestMessage::to_frame`].
     pub fn to_frame(&self) -> Bytes {
-        encode_frame(self)
+        self.to_frame_as(Framing::Bare)
+    }
+
+    /// [`to_frame`](Self::to_frame) in a listener's framing: under RSR, as
+    /// the ORB handler's OK reply.
+    pub fn to_frame_as(&self, framing: Framing) -> Bytes {
+        encode_frame(self, framing, TAG_REPLY_OK)
     }
 
     /// Decodes from a transport frame; the body is a view of `frame`, as in

@@ -20,10 +20,15 @@
 //!   the whole exchange, because their framing cannot interleave
 //!   concurrent requests.
 //!
-//! [`NexusProto`] is the baseline: it tunnels ORB frames through the
-//! Nexus RSR layer instead of raw framed connections. Both pool their
-//! per-endpoint handles in the one [`EndpointCache`], which owns the two
-//! pooling rules:
+//! [`NexusProto`], the paper's baseline, is the same object with one
+//! constant changed: its frames carry the 8-byte Nexus RSR header
+//! ([`Framing::Rsr`]) in front of the message — written into the buffer the
+//! request is encoded into, skipped as an offset by the demux correlator,
+//! sliced off the reply as a view. Same channel cache, same mux, same
+//! retry-once-if-unsent, same death hook.
+//!
+//! The channels are pooled per endpoint in the [`EndpointCache`], which owns
+//! the two pooling rules:
 //!
 //! - **Eviction is by identity, never by key.** A caller that observed a
 //!   handle fail evicts exactly that handle (`Arc` identity); a racing
@@ -41,22 +46,17 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use ohpc_nexus::{HandlerId, NexusError, Startpoint};
 use ohpc_netsim::Location;
 use ohpc_resilience::{HealthKey, HealthRegistry};
 use ohpc_telemetry::Registry;
 use ohpc_transport::mux::{DeathHook, MuxChannel, MuxError};
 use ohpc_transport::{Connection, Dialer, Endpoint, RecvHalf, SendHalf};
-use ohpc_xdr::{XdrReader, XdrWriter};
 
 use crate::error::OrbError;
 use crate::ids::ProtocolId;
-use crate::message::{ReplyMessage, RequestMessage};
+use crate::message::{Framing, ReplyMessage, RequestMessage};
 use crate::objref::{ProtoData, ProtoEntry};
 use crate::proto::{ApplicabilityRule, ProtoObject, ProtoPool};
-
-/// Handler slot the ORB occupies inside a Nexus service.
-pub const NEXUS_ORB_HANDLER: HandlerId = HandlerId(0xC0DE);
 
 /// Connections per endpoint when the transport cannot multiplex.
 const STRIPES: usize = 4;
@@ -71,19 +71,17 @@ fn endpoint_of(entry: &ProtoEntry) -> Result<Endpoint, OrbError> {
     }
 }
 
-/// Extracts the request id a reply frame is correlated by. Every
-/// [`ReplyMessage`] frame starts with its XDR-encoded `request_id`, so the
-/// demux reader routes frames without decoding the full message.
-fn reply_request_id(frame: &Bytes) -> Option<u64> {
-    XdrReader::new(frame).get_u64().ok()
-}
-
 /// Decodes `reply_frame` and checks that it answers `req`. Consumes the
 /// frame: the reply's body is a view of it, and must come out as the
 /// buffer's only owner for the glue chain to transform it in place.
-fn matched_reply(req: &RequestMessage, reply_frame: Bytes) -> Result<ReplyMessage, OrbError> {
-    let reply = ReplyMessage::from_frame(&reply_frame)?;
-    drop(reply_frame);
+fn matched_reply(
+    req: &RequestMessage,
+    reply_frame: Bytes,
+    framing: Framing,
+) -> Result<ReplyMessage, OrbError> {
+    let message = framing.reply_message(reply_frame)?;
+    let reply = ReplyMessage::from_frame(&message)?;
+    drop(message);
     if reply.request_id != req.request_id {
         return Err(OrbError::Protocol(format!(
             "reply id {} does not match request id {}",
@@ -105,12 +103,10 @@ fn count_retry(protocol: ProtocolId) {
 /// What the cache needs to know about the handles it pools.
 trait Pooled {
     /// A dead handle is dropped at the next lookup instead of handed out.
-    fn is_dead(&self) -> bool {
-        false
-    }
+    fn is_dead(&self) -> bool;
 
     /// Releases what a handle that will never be used (again) still holds.
-    fn retire(&self) {}
+    fn retire(&self);
 }
 
 /// Per-endpoint pool of shared handles; see the module docs for its rules.
@@ -253,22 +249,45 @@ struct ReplyWait {
     timeout: Option<Duration>,
 }
 
-/// A proto-object speaking raw ORB frames over a transport.
+/// A proto-object speaking ORB frames over a transport.
 pub struct TransportProto {
     id: ProtocolId,
     rule: ApplicabilityRule,
     dialer: Arc<dyn Dialer>,
+    framing: Framing,
     channels: EndpointCache<Channel>,
     health_sink: Mutex<Option<Arc<HealthRegistry>>>,
+}
+
+/// The Nexus-based baseline protocol object: a [`TransportProto`] whose
+/// frames are Nexus remote service requests to the ORB's handler slot.
+pub enum NexusProto {}
+
+impl NexusProto {
+    /// Builds the baseline proto-object over the given transport dialer.
+    #[allow(clippy::new_ret_no_self)] // the baseline is a framing, not a type
+    pub fn new(id: ProtocolId, rule: ApplicabilityRule, dialer: Arc<dyn Dialer>) -> TransportProto {
+        TransportProto::framed(id, rule, dialer, Framing::Rsr)
+    }
 }
 
 impl TransportProto {
     /// Builds a proto-object for `id` with the given applicability.
     pub fn new(id: ProtocolId, rule: ApplicabilityRule, dialer: Arc<dyn Dialer>) -> Self {
+        Self::framed(id, rule, dialer, Framing::Bare)
+    }
+
+    fn framed(
+        id: ProtocolId,
+        rule: ApplicabilityRule,
+        dialer: Arc<dyn Dialer>,
+        framing: Framing,
+    ) -> Self {
         Self {
             id,
             rule,
             dialer,
+            framing,
             channels: EndpointCache::new(id),
             health_sink: Mutex::new(None),
         }
@@ -311,7 +330,8 @@ impl TransportProto {
                 h.record_failure(&key);
             }
         });
-        MuxChannel::spawn(tx, rx, Box::new(reply_request_id), Some(hook))
+        let framing = self.framing;
+        MuxChannel::spawn(tx, rx, Box::new(move |f| framing.reply_request_id(f)), Some(hook))
     }
 
     /// Sends `frame` over the pooled channel and, for a two-way (`reply` is
@@ -478,8 +498,8 @@ impl ProtoObject for TransportProto {
             request_id: req.request_id.0,
             timeout: remaining_ns.map(Duration::from_nanos),
         };
-        match self.exchange(&ep, &req.to_frame(), Some(wait))? {
-            Some(reply_frame) => matched_reply(req, reply_frame),
+        match self.exchange(&ep, &req.to_frame_as(self.framing), Some(wait))? {
+            Some(reply_frame) => matched_reply(req, reply_frame, self.framing),
             None => Err(OrbError::Protocol("two-way exchange returned no reply frame".into())),
         }
     }
@@ -492,124 +512,14 @@ impl ProtoObject for TransportProto {
     ) -> Result<(), OrbError> {
         debug_assert!(req.oneway, "oneway invocation requires the oneway wire flag");
         let ep = endpoint_of(entry)?;
-        self.exchange(&ep, &req.to_frame(), None).map(|_| ())
-    }
-}
-
-// --------------------------------------------------------------------- nexus
-
-impl Pooled for Startpoint {}
-
-/// The Nexus-based baseline protocol object: ORB frames ride inside Nexus
-/// remote service requests (one handler slot per context).
-pub struct NexusProto {
-    id: ProtocolId,
-    rule: ApplicabilityRule,
-    dialer: Arc<dyn Dialer>,
-    startpoints: EndpointCache<Startpoint>,
-}
-
-impl NexusProto {
-    /// Builds the baseline proto-object over the given transport dialer.
-    pub fn new(id: ProtocolId, rule: ApplicabilityRule, dialer: Arc<dyn Dialer>) -> Self {
-        Self { id, rule, dialer, startpoints: EndpointCache::new(id) }
-    }
-
-    /// The pooled startpoint for `ep` and `req` wrapped as RSR arguments.
-    fn prepare(
-        &self,
-        ep: &Endpoint,
-        req: &RequestMessage,
-    ) -> Result<(Arc<Startpoint>, XdrWriter), OrbError> {
-        let (sp, _) = self.startpoints.get_or_dial(ep, || {
-            Startpoint::connect(self.dialer.as_ref(), ep).map_err(nexus_to_orb)
-        })?;
-        let frame = req.to_frame();
-        let mut args = XdrWriter::with_capacity(frame.len() + 8);
-        args.put_fixed_opaque(&frame);
-        Ok((sp, args))
-    }
-}
-
-fn nexus_to_orb(e: NexusError) -> OrbError {
-    match e {
-        NexusError::Transport(t) => OrbError::Transport(t),
-        NexusError::NoSuchHandler(h) => {
-            OrbError::Protocol(format!("nexus service lacks ORB handler {h}"))
-        }
-        NexusError::Handler(m) => OrbError::Protocol(format!("nexus handler: {m}")),
-        NexusError::Protocol(m) => OrbError::Protocol(m),
-    }
-}
-
-impl ProtoObject for NexusProto {
-    fn protocol_id(&self) -> ProtocolId {
-        self.id
-    }
-
-    fn applicable(
-        &self,
-        _pool: &ProtoPool,
-        client: &Location,
-        server: &Location,
-        _entry: &ProtoEntry,
-    ) -> bool {
-        self.rule.allows(client, server)
-    }
-
-    fn invoke(
-        &self,
-        pool: &ProtoPool,
-        entry: &ProtoEntry,
-        req: &RequestMessage,
-    ) -> Result<ReplyMessage, OrbError> {
-        self.invoke_with_deadline(pool, entry, req, None)
-    }
-
-    fn invoke_with_deadline(
-        &self,
-        _pool: &ProtoPool,
-        entry: &ProtoEntry,
-        req: &RequestMessage,
-        remaining_ns: Option<u64>,
-    ) -> Result<ReplyMessage, OrbError> {
-        let ep = endpoint_of(entry)?;
-        let (sp, args) = self.prepare(&ep, req)?;
-        let deadline = remaining_ns.map(Duration::from_nanos);
-        let reply_bytes = match sp.rsr_reply_deadline(NEXUS_ORB_HANDLER, &args, deadline) {
-            Ok(b) => b,
-            Err(e) => {
-                self.startpoints.evict(&ep, &sp);
-                // The RSR layer merges send and receive into one call, so a
-                // transport failure here cannot be proven to predate
-                // delivery: classify it as ambiguous.
-                return Err(match nexus_to_orb(e) {
-                    OrbError::Transport(t) => OrbError::AmbiguousTransport(t),
-                    other => other,
-                });
-            }
-        };
-        matched_reply(req, reply_bytes)
-    }
-
-    fn invoke_oneway(
-        &self,
-        _pool: &ProtoPool,
-        entry: &ProtoEntry,
-        req: &RequestMessage,
-    ) -> Result<(), OrbError> {
-        debug_assert!(req.oneway, "oneway invocation requires the oneway wire flag");
-        let ep = endpoint_of(entry)?;
-        let (sp, args) = self.prepare(&ep, req)?;
-        // A genuine Nexus one-way remote service request.
-        sp.rsr(NEXUS_ORB_HANDLER, &args).map_err(|e| {
-            self.startpoints.evict(&ep, &sp);
-            nexus_to_orb(e)
-        })
+        self.exchange(&ep, &req.to_frame_as(self.framing), None).map(|_| ())
     }
 
     fn describe(&self, _entry: &ProtoEntry) -> String {
-        format!("nexus({})", self.id)
+        match self.framing {
+            Framing::Bare => self.id.to_string(),
+            Framing::Rsr => format!("nexus({})", self.id),
+        }
     }
 }
 
@@ -710,6 +620,8 @@ mod tests {
         fn is_dead(&self) -> bool {
             self.dead.load(Ordering::SeqCst)
         }
+
+        fn retire(&self) {}
     }
 
     fn dial_probe(cache: &EndpointCache<Probe>, ep: &Endpoint) -> (Arc<Probe>, bool) {
@@ -853,8 +765,9 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// End to end on the Nexus path: a startpoint whose RSR failed is
-    /// evicted, and the next invocation dials a fresh one.
+    /// Interop pin, unified client against a stand-alone [`ohpc_nexus::NexusService`]:
+    /// a channel whose RSR was lost is evicted from the one channel cache,
+    /// and the next invocation dials a fresh one.
     #[test]
     fn nexus_failed_rsr_evicts_and_redials() {
         let fabric = MemFabric::new();
@@ -874,12 +787,12 @@ mod tests {
         });
         let err = proto.invoke(&pool, &entry, &request(1, b"lost")).unwrap_err();
         assert!(matches!(err, OrbError::AmbiguousTransport(_)), "{err}");
-        assert_eq!(proto.startpoints.handles.lock().len(), 0, "failed startpoint evicted");
+        assert_eq!(proto.channels.handles.lock().len(), 0, "failed channel evicted");
         dropper.join().unwrap();
 
         // Second server on the same endpoint: a real Nexus service.
         let mut svc = ohpc_nexus::NexusService::new();
-        svc.register(NEXUS_ORB_HANDLER, |args, out| {
+        svc.register(crate::message::NEXUS_ORB_HANDLER, |args, out| {
             let n = args.remaining();
             let frame = args.get_fixed_opaque(n).map_err(|e| e.to_string())?;
             let req = RequestMessage::from_frame(&Bytes::copy_from_slice(frame))
@@ -890,6 +803,32 @@ mod tests {
         let _running = svc.start(Box::new(fabric.listen_on(9)));
         let reply = proto.invoke(&pool, &entry, &request(2, b"again")).unwrap();
         assert_eq!(&reply.body[..], b"again");
-        assert_eq!(proto.startpoints.handles.lock().len(), 1, "fresh startpoint pooled");
+        assert_eq!(proto.channels.handles.lock().len(), 1, "fresh channel pooled");
+    }
+
+    /// A non-OK RSR reply names a handler and no request, so it cannot be
+    /// routed to the caller it answers. What that caller sees: on a mux the
+    /// channel dies of the uncorrelatable frame and every waiter — the
+    /// caller among them — fails at once, ambiguous; on the striped shape
+    /// the caller reads its own reply and reports the refusal. Never a
+    /// caller parked for ever.
+    #[test]
+    fn nexus_refusal_fails_the_caller_instead_of_stranding_it() {
+        let fabric = MemFabric::new();
+        // A Nexus service that does not host the ORB.
+        let _running = ohpc_nexus::NexusService::new().start(Box::new(fabric.listen_on(12)));
+        let entry = ProtoEntry::endpoint(ProtocolId::NEXUS_TCP, "mem://12");
+        let pool = ProtoPool::new();
+        let always = ApplicabilityRule::Always;
+
+        let muxed = NexusProto::new(ProtocolId::NEXUS_TCP, always, Arc::new(fabric.clone()));
+        let err = muxed.invoke(&pool, &entry, &request(1, b"")).unwrap_err();
+        assert!(matches!(err, OrbError::AmbiguousTransport(TransportError::Io(_))), "{err}");
+        assert_eq!(muxed.channels.handles.lock().len(), 0, "the dead channel is evicted");
+
+        let unsplittable = FlakyDialer::new(Arc::new(fabric), FaultPlan::every(0));
+        let striped = NexusProto::new(ProtocolId::NEXUS_TCP, always, Arc::new(unsplittable));
+        let err = striped.invoke(&pool, &entry, &request(2, b"")).unwrap_err();
+        assert!(matches!(&err, OrbError::Protocol(m) if m.contains("lacks ORB handler")), "{err}");
     }
 }

@@ -8,6 +8,7 @@ use bytes::Bytes;
 use ohpc_netsim::Location;
 use ohpc_orb::capability::{CallInfo, CapError, CapMeta};
 use ohpc_orb::context::OrRow;
+use ohpc_orb::transport_proto::NexusProto;
 use ohpc_orb::{
     remote_interface, ApplicabilityRule, Capability, CapabilityRegistry, CapabilitySpec, Context,
     ContextId, Direction, GlobalPointer, GlueProto, OrbError, ProtoPool, ProtocolId,
@@ -15,6 +16,7 @@ use ohpc_orb::{
 };
 use ohpc_transport::mem::MemFabric;
 use ohpc_transport::tcp::{TcpAcceptor, TcpDialer};
+use ohpc_transport::{Dialer, Listener};
 
 remote_interface! {
     type_name = "Counter";
@@ -372,49 +374,205 @@ fn oneway_over_nexus_baseline() {
     ctx.shutdown();
 }
 
+/// Interop pin, the other direction from `nexus_failed_rsr_evicts_and_redials`
+/// (unified client, stand-alone service): a stand-alone `Startpoint` is
+/// served by `Context::serve_nexus`, over the in-process fabric and over TCP.
 #[test]
-fn client_survives_server_restart_via_reconnect() {
-    // The cached connection dies with the first server instance; the next
-    // invocation transparently re-dials the (re-bound) endpoint.
+fn stand_alone_startpoint_is_served_by_serve_nexus() {
+    use ohpc_nexus::{HandlerId, NexusError, Startpoint};
+    use ohpc_orb::message::NEXUS_ORB_HANDLER;
+    use ohpc_orb::{ReplyMessage, ReplyStatus, RequestId, RequestMessage};
+    use ohpc_xdr::{XdrEncode, XdrWriter};
+
     let fabric = MemFabric::new();
-    let registry = registry_with_xor();
+    let dialers: [(Box<dyn Listener>, &dyn Dialer); 2] = [
+        (Box::new(fabric.listen()), &fabric),
+        (Box::new(TcpAcceptor::bind("127.0.0.1:0").unwrap()), &TcpDialer),
+    ];
+    for (listener, dialer) in dialers {
+        let ctx = Context::new(ContextId(23), Location::new(0, 0), registry_with_xor());
+        let object = ctx.register(new_counter());
+        let endpoint = listener.endpoint();
+        ctx.serve_nexus(listener, ProtocolId::NEXUS_TCP);
+        let startpoint = Startpoint::connect(dialer, &endpoint).unwrap();
 
-    let ctx1 = Context::new(ContextId(30), Location::new(0, 0), registry.clone());
-    let id1 = ctx1.register(new_counter());
-    ctx1.serve(Box::new(fabric.listen_on(777)), ProtocolId::TCP);
-    let or = ctx1.make_or(id1, &[OrRow::Plain(ProtocolId::TCP)]).unwrap();
+        let add = |n: i32, id: u64, oneway: bool| {
+            let mut body = XdrWriter::new();
+            n.encode(&mut body);
+            let request = RequestMessage {
+                request_id: RequestId(id),
+                object,
+                method: 1,
+                oneway,
+                glue: None,
+                body: body.finish(),
+                trace: None,
+            };
+            let mut args = XdrWriter::new();
+            args.put_fixed_opaque(&request.to_frame());
+            args
+        };
+        startpoint.rsr(NEXUS_ORB_HANDLER, &add(4, 1, true)).unwrap();
+        let answer = startpoint.rsr_reply(NEXUS_ORB_HANDLER, &add(3, 2, false)).unwrap();
+        let reply = ReplyMessage::from_frame(&answer).unwrap();
+        assert_eq!((reply.request_id, &reply.status), (RequestId(2), &ReplyStatus::Ok));
+        assert_eq!(ohpc_xdr::decode_from_slice::<i32>(&reply.body).unwrap(), 7);
 
-    let pool = Arc::new(ProtoPool::new().with(Arc::new(TransportProto::new(
-        ProtocolId::TCP,
+        // The context registers the one handler; any other is refused the
+        // way a stand-alone service refuses it.
+        assert_eq!(
+            startpoint.rsr_reply(HandlerId(7), &XdrWriter::new()),
+            Err(NexusError::NoSuchHandler(7))
+        );
+        ctx.shutdown();
+    }
+}
+
+/// A crashed context stops serving its Nexus clients too: the cached
+/// connection is dropped at the next request, which is not executed.
+#[test]
+fn crashed_context_stops_serving_nexus_clients() {
+    let fabric = MemFabric::new();
+    let ctx = Context::new(ContextId(24), Location::new(0, 0), registry_with_xor());
+    let skel = new_counter();
+    let id = ctx.register(skel.clone());
+    ctx.serve_nexus(Box::new(fabric.listen_on(780)), ProtocolId::NEXUS_TCP);
+    let or = ctx.make_or(id, &[OrRow::Plain(ProtocolId::NEXUS_TCP)]).unwrap();
+    let pool = Arc::new(ProtoPool::new().with(Arc::new(NexusProto::new(
+        ProtocolId::NEXUS_TCP,
         ApplicabilityRule::Always,
         Arc::new(fabric.clone()),
     ))));
     let client = CounterClient::new(GlobalPointer::new(or, pool, Location::new(2, 1)));
-    assert_eq!(client.add(1).unwrap(), 1);
+    assert_eq!(client.add(7).unwrap(), 7);
 
-    // "Restart": tear the whole context down, bring a fresh one up on the
-    // SAME endpoint with an object under the same id.
-    ctx1.shutdown();
-    let ctx2 = Context::new(ContextId(30), Location::new(0, 0), registry);
-    let skel2 = new_counter();
-    ctx2.adopt(id1, skel2);
-    ctx2.serve(Box::new(fabric.listen_on(777)), ProtocolId::TCP);
+    ctx.crash();
+    let err = client.add(1).unwrap_err();
+    assert!(err.is_transport(), "crashed context must refuse cleanly: {err}");
+    assert_eq!(*skel.0 .0.lock(), 7, "a crashed context executed a request");
 
-    // Same client object, same OR: the first attempt lands on the dead
-    // cached connection. If the send itself fails, the frame provably never
-    // left and the ORB transparently re-dials; if the send is accepted and
-    // the reply never comes, the outcome is ambiguous — the dying server may
-    // have executed the add — and a non-idempotent request is NOT re-sent.
-    // Either way the dead connection is evicted, so the next call dials the
-    // new listener. State reset to 0 — it is a restart, not a migration.
-    match client.add(2) {
-        Ok(v) => assert_eq!(v, 2),
-        Err(e) => {
-            assert!(e.is_transport(), "unexpected error after restart: {e}");
-            assert_eq!(client.add(2).unwrap(), 2);
+    ctx.restart();
+    ctx.serve_nexus(Box::new(fabric.listen_on(780)), ProtocolId::NEXUS_TCP);
+    assert_eq!(client.add(2).unwrap(), 9);
+    ctx.shutdown();
+}
+
+remote_interface! {
+    type_name = "Rendezvous";
+    trait RendezvousApi;
+    skeleton RendezvousSkeleton;
+    client RendezvousClient;
+    fn meet() -> u32 = 1;
+}
+
+/// `meet` returns once two callers are inside it at the same time.
+#[derive(Default)]
+struct Rendezvous {
+    arrived: std::sync::Mutex<u32>,
+    both: std::sync::Condvar,
+}
+
+impl RendezvousApi for Rendezvous {
+    fn meet(&self) -> Result<u32, String> {
+        let mut arrived = self.arrived.lock().map_err(|e| e.to_string())?;
+        *arrived += 1;
+        self.both.notify_all();
+        let patience = std::time::Duration::from_secs(20);
+        let (arrived, _) = self
+            .both
+            .wait_timeout_while(arrived, patience, |n| *n < 2)
+            .map_err(|e| e.to_string())?;
+        if *arrived < 2 {
+            return Err("nobody else came".into());
         }
+        Ok(*arrived)
     }
-    ctx2.shutdown();
+}
+
+/// Two callers on one Nexus GP are in flight at once on its one connection:
+/// each `meet` can only return if the other's request reached the skeleton
+/// while it waited. (A startpoint locked across the exchange serialised
+/// them, and the first caller waited alone.)
+#[test]
+fn nexus_two_ways_overlap_on_one_connection() {
+    let fabric = MemFabric::new();
+    let ctx = Context::new(ContextId(25), Location::new(0, 0), registry_with_xor());
+    let id = ctx.register(Arc::new(RendezvousSkeleton(Rendezvous::default())));
+    ctx.serve_nexus(Box::new(fabric.listen()), ProtocolId::NEXUS_TCP);
+    let or = ctx.make_or(id, &[OrRow::Plain(ProtocolId::NEXUS_TCP)]).unwrap();
+    let pool = Arc::new(ProtoPool::new().with(Arc::new(NexusProto::new(
+        ProtocolId::NEXUS_TCP,
+        ApplicabilityRule::Always,
+        Arc::new(fabric),
+    ))));
+    let client = Arc::new(RendezvousClient::new(GlobalPointer::new(or, pool, Location::new(3, 1))));
+    let callers: Vec<_> = (0..2)
+        .map(|_| {
+            let client = client.clone();
+            std::thread::spawn(move || client.meet())
+        })
+        .collect();
+    for caller in callers {
+        assert_eq!(caller.join().unwrap(), Ok(2));
+    }
+    ctx.shutdown();
+}
+
+/// How a context serves a listener, and the proto-object that dials it: the
+/// bare pair and the Nexus (RSR-framed) pair.
+type Serve = fn(&Context, Box<dyn Listener>, ProtocolId);
+type Proto = fn(ProtocolId, ApplicabilityRule, Arc<dyn Dialer>) -> TransportProto;
+const PAIRS: [(Serve, Proto, ProtocolId); 2] = [
+    (Context::serve, TransportProto::new, ProtocolId::TCP),
+    (Context::serve_nexus, NexusProto::new, ProtocolId::NEXUS_TCP),
+];
+
+#[test]
+fn client_survives_server_restart_via_reconnect() {
+    // The cached connection dies with the first server instance; the next
+    // invocation transparently re-dials the (re-bound) endpoint.
+    for (port, (serve, proto, protocol)) in (777..).zip(PAIRS) {
+        let fabric = MemFabric::new();
+        let registry = registry_with_xor();
+
+        let ctx1 = Context::new(ContextId(30), Location::new(0, 0), registry.clone());
+        let id1 = ctx1.register(new_counter());
+        serve(&ctx1, Box::new(fabric.listen_on(port)), protocol);
+        let or = ctx1.make_or(id1, &[OrRow::Plain(protocol)]).unwrap();
+
+        let pool = Arc::new(ProtoPool::new().with(Arc::new(proto(
+            protocol,
+            ApplicabilityRule::Always,
+            Arc::new(fabric.clone()),
+        ))));
+        let client = CounterClient::new(GlobalPointer::new(or, pool, Location::new(2, 1)));
+        assert_eq!(client.add(1).unwrap(), 1);
+
+        // "Restart": tear the whole context down, bring a fresh one up on the
+        // SAME endpoint with an object under the same id.
+        ctx1.shutdown();
+        let ctx2 = Context::new(ContextId(30), Location::new(0, 0), registry);
+        let skel2 = new_counter();
+        ctx2.adopt(id1, skel2);
+        serve(&ctx2, Box::new(fabric.listen_on(port)), protocol);
+
+        // Same client object, same OR: the first attempt lands on the dead
+        // cached connection. If the send itself fails, the frame provably
+        // never left and the ORB transparently re-dials; if the send is
+        // accepted and the reply never comes, the outcome is ambiguous — the
+        // dying server may have executed the add — and a non-idempotent
+        // request is NOT re-sent. Either way the dead connection is evicted,
+        // so the next call dials the new listener. State reset to 0 — it is
+        // a restart, not a migration.
+        match client.add(2) {
+            Ok(v) => assert_eq!(v, 2, "{protocol}"),
+            Err(e) => {
+                assert!(e.is_transport(), "unexpected error after restart: {e}");
+                assert_eq!(client.add(2).unwrap(), 2, "{protocol}");
+            }
+        }
+        ctx2.shutdown();
+    }
 }
 
 #[test]

@@ -313,3 +313,190 @@ fn references_specs_and_ids() {
     pinned("object id", &ObjectId(0x0000_0009_0000_0001), "0000000900000001");
     pinned("request id", &RequestId(u64::MAX), "ffffffffffffffff");
 }
+
+// --------------------------------------------------------------- Nexus RSR
+//
+// The baseline protocol's frames, captured at `0470973` — the last commit
+// where `NexusProto` wrapped ORB frames through a `Startpoint` of its own and
+// `serve_nexus` ran a `NexusService` — by driving that client against a
+// recording peer, and that server and a stand-alone service from a raw
+// connection. An RSR is `(tag, handler)` in front of a payload; the payloads
+// below are `REQUEST_PLAIN` (two-way, and with the one-way flag set) and
+// `REPLIES[0][0]`.
+
+mod rsr {
+    use std::sync::Arc;
+
+    use super::*;
+    use ohpc_nexus::{
+        HandlerId, NexusError, NexusService, Startpoint, HEADER_LEN, TAG_ONEWAY,
+        TAG_REPLY_ERR, TAG_REPLY_NO_HANDLER, TAG_REPLY_OK, TAG_REQUEST,
+    };
+    use ohpc_orb::message::NEXUS_ORB_HANDLER;
+    use ohpc_orb::transport_proto::NexusProto;
+    use ohpc_orb::{
+        ApplicabilityRule, CapabilityRegistry, Context, ContextId, MethodError, ProtoObject,
+        ProtoPool, RemoteObject,
+    };
+    use ohpc_transport::mem::MemFabric;
+    use ohpc_transport::{Dialer, Endpoint, Listener};
+    use ohpc_xdr::{XdrReader, XdrWriter};
+
+    const REQUEST: &str = "\
+        000000020000c0de010203040506070800000009000000010000000300000000\
+        00000000000000180000000500000001fffffffe00000003fffffffc00000005";
+
+    const ONEWAY: &str = "\
+        000000010000c0de010203040506070800000009000000010000000300000001\
+        00000000000000180000000500000001fffffffe00000003fffffffc00000005";
+
+    const REPLY_OK: &str = "\
+        000000030000c0de010203040506070800000000000000000000001800000005\
+        00000001fffffffe00000003fffffffc00000005";
+
+    /// Handler 2 of a stand-alone service failing with "deliberate failure".
+    const REPLY_ERR: &str =
+        "00000004000000020000001264656c69626572617465206661696c7572650000";
+
+    /// A stand-alone service asked for handler 99.
+    const REPLY_NO_HANDLER: &str = "0000000500000063";
+
+    fn ok_reply() -> ReplyMessage {
+        ReplyMessage::ok(RequestId(0x0102_0304_0506_0708), request(false, None, None).body)
+    }
+
+    /// A peer that takes one connection on `key` and, per script entry,
+    /// receives a frame and answers it with the entry's bytes (if any).
+    /// Joins to the frames it received.
+    fn scripted_peer(
+        fabric: &MemFabric,
+        key: u64,
+        script: Vec<Option<Vec<u8>>>,
+    ) -> std::thread::JoinHandle<Vec<Bytes>> {
+        let mut listener = fabric.listen_on(key);
+        std::thread::spawn(move || {
+            let mut conn = listener.accept().expect("a client dials");
+            let mut received = Vec::new();
+            for answer in script {
+                received.push(conn.recv().expect("a frame arrives"));
+                if let Some(answer) = answer {
+                    conn.send(&answer).expect("the client is still there");
+                }
+            }
+            received
+        })
+    }
+
+    struct Echo;
+
+    impl RemoteObject for Echo {
+        fn type_name(&self) -> &str {
+            "Echo"
+        }
+        fn dispatch(
+            &self,
+            _method: u32,
+            args: &mut XdrReader<'_>,
+            out: &mut XdrWriter,
+        ) -> Result<(), MethodError> {
+            let ints =
+                Vec::<i32>::decode(args).map_err(|e| MethodError::BadArgs(e.to_string()))?;
+            ints.encode(out);
+            Ok(())
+        }
+    }
+
+    /// The header codec is where the eight bytes come from, and the payloads
+    /// are the bare goldens.
+    #[test]
+    fn header_is_two_words_in_front_of_the_bare_frame() {
+        for (tag, golden, bare) in [
+            (TAG_REQUEST, REQUEST, request(false, None, None).to_frame()),
+            (TAG_ONEWAY, ONEWAY, request(true, None, None).to_frame()),
+            (TAG_REPLY_OK, REPLY_OK, ok_reply().to_frame()),
+        ] {
+            let golden = unhex(golden);
+            let mut w = XdrWriter::new();
+            ohpc_nexus::put_header(&mut w, tag, NEXUS_ORB_HANDLER);
+            assert_eq!(w.len(), HEADER_LEN);
+            assert_eq!(w.peek(), &golden[..HEADER_LEN]);
+            assert_eq!(&bare[..], &golden[HEADER_LEN..]);
+            let header = ohpc_nexus::get_header(&mut XdrReader::new(&golden)).unwrap();
+            assert_eq!(header, (tag, NEXUS_ORB_HANDLER));
+        }
+        assert_eq!(NEXUS_ORB_HANDLER, HandlerId(0xC0DE));
+    }
+
+    #[test]
+    fn nexus_proto_emits_the_request_frames_and_decodes_the_reply() {
+        let fabric = MemFabric::new();
+        let peer = scripted_peer(&fabric, 40, vec![Some(unhex(REPLY_OK)), None]);
+        let proto = NexusProto::new(
+            ProtocolId::NEXUS_TCP,
+            ApplicabilityRule::Always,
+            Arc::new(fabric.clone()),
+        );
+        let entry = ProtoEntry::endpoint(ProtocolId::NEXUS_TCP, "mem://40");
+        let pool = ProtoPool::new();
+        let reply = proto.invoke(&pool, &entry, &request(false, None, None)).unwrap();
+        assert_eq!(reply, ok_reply());
+        proto.invoke_oneway(&pool, &entry, &request(true, None, None)).unwrap();
+        let sent = peer.join().unwrap();
+        assert_eq!(hex(&sent[0]), hex(&unhex(REQUEST)));
+        assert_eq!(hex(&sent[1]), hex(&unhex(ONEWAY)));
+    }
+
+    #[test]
+    fn serve_nexus_decodes_the_request_frames_and_emits_the_reply() {
+        let fabric = MemFabric::new();
+        let registry = Arc::new(CapabilityRegistry::new());
+        let ctx = Context::new(ContextId(9), Location::new(0, 0), registry);
+        assert_eq!(ctx.register(Arc::new(Echo)), request(false, None, None).object);
+        ctx.serve_nexus(Box::new(fabric.listen_on(41)), ProtocolId::NEXUS_TCP);
+        let mut conn = fabric.dial(&Endpoint::Mem(41)).unwrap();
+        conn.send(&unhex(REQUEST)).unwrap();
+        assert_eq!(hex(&conn.recv().unwrap()), hex(&unhex(REPLY_OK)));
+        // The one-way is dispatched and answered with nothing: the next
+        // frame on the connection is the second two-way's reply.
+        conn.send(&unhex(ONEWAY)).unwrap();
+        conn.send(&unhex(REQUEST)).unwrap();
+        assert_eq!(hex(&conn.recv().unwrap()), hex(&unhex(REPLY_OK)));
+        assert_eq!(ctx.requests_served(), 3);
+        ctx.shutdown();
+    }
+
+    #[test]
+    fn stand_alone_service_and_startpoint_agree_on_the_error_frames() {
+        let fabric = MemFabric::new();
+        let mut service = NexusService::new();
+        service.register(HandlerId(2), |_args, _out| Err("deliberate failure".into()));
+        let running = service.start(Box::new(fabric.listen_on(42)));
+        let mut conn = fabric.dial(&running.endpoint()).unwrap();
+        for (handler, golden) in [(2, REPLY_ERR), (99, REPLY_NO_HANDLER)] {
+            let mut rsr = XdrWriter::new();
+            ohpc_nexus::put_header(&mut rsr, TAG_REQUEST, HandlerId(handler));
+            conn.send(rsr.peek()).unwrap();
+            let reply = conn.recv().unwrap();
+            assert_eq!(hex(&reply), hex(&unhex(golden)));
+            let tag = [TAG_REPLY_ERR, TAG_REPLY_NO_HANDLER][usize::from(handler == 99)];
+            let header = ohpc_nexus::get_header(&mut XdrReader::new(&reply)).unwrap();
+            assert_eq!(header, (tag, HandlerId(handler)));
+        }
+
+        let peer = scripted_peer(
+            &fabric,
+            43,
+            vec![Some(unhex(REPLY_ERR)), Some(unhex(REPLY_NO_HANDLER))],
+        );
+        let startpoint = Startpoint::connect(&fabric, &Endpoint::Mem(43)).unwrap();
+        assert_eq!(
+            startpoint.rsr_reply(HandlerId(2), &XdrWriter::new()),
+            Err(NexusError::Handler("deliberate failure".into()))
+        );
+        assert_eq!(
+            startpoint.rsr_reply(HandlerId(99), &XdrWriter::new()),
+            Err(NexusError::NoSuchHandler(99))
+        );
+        peer.join().unwrap();
+    }
+}

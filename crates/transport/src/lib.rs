@@ -318,6 +318,64 @@ pub trait Listener: Send {
     fn stop_fn(&self) -> Box<dyn Fn() + Send + Sync>;
 }
 
+/// A running accept loop: one acceptor thread handing every accepted
+/// connection to `serve` on a thread of its own. The one place a listener
+/// turns into threads — `Context::serve*` and the stand-alone Nexus service
+/// both run on it. Dropping the handle stops the listener and joins the
+/// acceptor; connection threads are detached and end when `serve` returns
+/// (their clients hang up, or `serve` gives up on them).
+pub struct AcceptLoop {
+    endpoint: Endpoint,
+    stop_listener: Box<dyn Fn() + Send + Sync>,
+    acceptor: Option<std::thread::JoinHandle<()>>,
+}
+
+impl AcceptLoop {
+    /// Starts accepting on `listener`.
+    pub fn spawn(
+        mut listener: Box<dyn Listener>,
+        serve: impl Fn(Box<dyn Connection>) + Send + Sync + 'static,
+    ) -> Self {
+        let endpoint = listener.endpoint();
+        let stop_listener = listener.stop_fn();
+        let serve = std::sync::Arc::new(serve);
+        let acceptor = std::thread::spawn(move || {
+            // Joining the connection threads here would deadlock shutdown
+            // while any client still holds a cached connection.
+            while let Ok(conn) = listener.accept() {
+                let serve = serve.clone();
+                std::thread::spawn(move || serve(conn));
+            }
+        });
+        Self { endpoint, stop_listener, acceptor: Some(acceptor) }
+    }
+
+    /// The endpoint clients should dial.
+    pub fn endpoint(&self) -> Endpoint {
+        self.endpoint.clone()
+    }
+
+    /// Stops the listener: the acceptor's pending `accept` fails and the
+    /// loop ends. Established connections are `serve`'s business.
+    pub fn stop(&self) {
+        (self.stop_listener)();
+    }
+}
+
+impl Drop for AcceptLoop {
+    fn drop(&mut self) {
+        self.stop();
+        // `serve` may own the last handle to whatever owns this loop (a
+        // context serving itself), which is then dropped on the acceptor
+        // thread as it exits: that thread must not wait for itself.
+        if let Some(acceptor) = self.acceptor.take() {
+            if acceptor.thread().id() != std::thread::current().id() {
+                let _ = acceptor.join();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,4 +448,5 @@ mod tests {
         assert!(c.try_split().is_none());
         assert!(!c.set_recv_timeout(Some(std::time::Duration::from_millis(1))));
     }
+
 }

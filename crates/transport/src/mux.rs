@@ -18,10 +18,11 @@
 //!   elapsed). The server may have executed the request; only idempotent
 //!   requests may retry.
 //!
-//! When the reader thread dies, **every** waiter is failed promptly — a
-//! dead mux never leaves a caller blocked — and an optional death hook
-//! lets the owner feed the failure into circuit-breaker health, so a dead
-//! mux trips the same breaker a dead exchange does.
+//! When the reader thread dies — of a transport error, or of a frame it
+//! cannot correlate — **every** waiter is failed promptly: a dead mux never
+//! leaves a caller blocked. An optional death hook lets the owner feed the
+//! failure into circuit-breaker health, so a dead mux trips the same breaker
+//! a dead exchange does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -34,8 +35,9 @@ use parking_lot::Mutex;
 
 use crate::{RecvHalf, SendHalf, TransportError};
 
-/// Extracts the correlation id from a reply frame (`None` for frames that
-/// carry no recognizable id — they are counted as orphans and dropped).
+/// Extracts the correlation id from a reply frame. `None` — the frame carries
+/// no recognizable id — is a protocol violation the channel dies of, failing
+/// every waiter: one of them sent the request this frame answers.
 pub type Correlator = Box<dyn Fn(&Bytes) -> Option<u64> + Send + Sync>;
 
 /// Invoked (once) when the reader thread dies from a transport error —
@@ -338,23 +340,24 @@ fn reader_loop(
     correlator: Correlator,
     on_death: Option<DeathHook>,
 ) {
-    loop {
+    let cause = loop {
         match rx.recv() {
             Ok(frame) => match correlator(&frame) {
                 Some(id) => chan.deliver(id, frame),
-                None => ohpc_telemetry::counter!("mux_orphan_replies_total").inc(),
+                // The peer is not speaking this channel's protocol: whoever
+                // the frame was meant for would wait for ever, and no later
+                // frame can be trusted to reach the right waiter either.
+                None => break TransportError::Io("reply frame carries no correlation id".into()),
             },
-            Err(e) => {
-                let deliberate = chan.closing.load(Ordering::Acquire);
-                chan.die(e.clone());
-                if !deliberate {
-                    ohpc_telemetry::counter!("mux_reader_deaths_total").inc();
-                    if let Some(hook) = &on_death {
-                        hook(&e);
-                    }
-                }
-                return;
-            }
+            Err(e) => break e,
+        }
+    };
+    let deliberate = chan.closing.load(Ordering::Acquire);
+    chan.die(cause.clone());
+    if !deliberate {
+        ohpc_telemetry::counter!("mux_reader_deaths_total").inc();
+        if let Some(hook) = &on_death {
+            hook(&cause);
         }
     }
 }
@@ -505,6 +508,29 @@ mod tests {
         assert_eq!(deaths.load(Ordering::Relaxed), 1, "death hook fired once");
         // Post-death calls fail fast as Unsent (the frame never goes out).
         assert!(matches!(mux.call(9, &frame(9, b"y"), None), Err(MuxError::Unsent(_))));
+    }
+
+    /// A reply without a correlation id (here: too short to hold one) fails
+    /// the caller it must have been meant for instead of stranding it.
+    #[test]
+    fn uncorrelatable_frame_fails_the_waiters() {
+        let (req_tx, req_rx) = unbounded::<Bytes>();
+        let (rep_tx, rep_rx) = unbounded::<Bytes>();
+        let peer = rep_tx.clone(); // the connection stays open throughout
+        std::thread::spawn(move || {
+            let _ = req_rx.recv();
+            let _ = rep_tx.send(Bytes::from_static(b"no id"));
+        });
+        let mux = MuxChannel::spawn(
+            Box::new(TestSend { tx: Some(req_tx) }),
+            Box::new(TestRecv { rx: rep_rx }),
+            Box::new(id_of),
+            None,
+        );
+        let err = mux.call(1, &frame(1, b"x"), None).unwrap_err();
+        assert!(matches!(err, MuxError::Lost(TransportError::Io(_))), "{err}");
+        assert!(mux.is_dead());
+        drop(peer);
     }
 
     #[test]

@@ -7,32 +7,46 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use ohpc_bench::workload::{EchoArray, EchoArraySkeleton};
+use ohpc_bench::workload::{EchoArray, EchoArrayClient, EchoArraySkeleton};
 use ohpc_caps::{register_standard, EncryptionCap, TimeoutCap};
 use ohpc_crypto::KeyStore;
 use ohpc_netsim::Location;
+use ohpc_nexus::{HEADER_LEN, TAG_ONEWAY, TAG_REPLY_NO_HANDLER, TAG_REPLY_OK, TAG_REQUEST};
 use ohpc_orb::capability::{process_chain, CallInfo};
-use ohpc_orb::message::GlueWire;
+use ohpc_orb::context::OrRow;
+use ohpc_orb::message::{Framing, GlueWire, NEXUS_ORB_HANDLER};
+use ohpc_orb::transport_proto::NexusProto;
 use ohpc_orb::{
-    CapabilityRegistry, Context, ContextId, Direction, ObjectId, ReplyMessage, ReplyStatus,
-    RequestId, RequestMessage,
+    ApplicabilityRule, CapabilityRegistry, Context, ContextId, Direction, GlobalPointer, ObjectId,
+    ProtoPool, ProtocolId, ReplyMessage, ReplyStatus, RequestId, RequestMessage, TransportProto,
 };
-use ohpc_transport::MAX_FRAME;
+use ohpc_transport::mem::MemFabric;
+use ohpc_transport::{Dialer, TransportError, MAX_FRAME};
 use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
 
 /// Passes everything to the system allocator, remembering per thread the
-/// largest single request since the last reset.
+/// largest single request since the last reset, and counting over all
+/// threads the requests of a bulk payload's size.
 struct Watching;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
+/// What the copy budget counts: one buffer that could hold a 1 MiB payload.
+const BULK: usize = 1 << 20;
+
+static BULK_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
 fn note(size: usize) {
+    if size >= BULK {
+        BULK_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
     // A thread being torn down has no cell left to write; nothing is
     // measured there.
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
@@ -40,7 +54,7 @@ fn note(size: usize) {
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; `note` only touches a thread-local
-// `Cell` and never allocates.
+// `Cell` and an atomic, and never allocates.
 unsafe impl GlobalAlloc for Watching {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -123,7 +137,10 @@ fn fixture() -> Fixture {
     message.trace = None;
     let legacy_len = message.encoded_len();
 
-    let reply = ctx.handle_frame_opt(request.clone()).expect("a two-way request is answered");
+    let reply = ctx
+        .handle_frame_opt(request.clone(), Framing::Bare)
+        .expect("a bare frame is never hung up on")
+        .expect("a two-way request is answered");
     let decoded = ReplyMessage::from_frame(&reply).unwrap();
     assert_eq!(decoded.status, ReplyStatus::Ok);
     assert!(decoded.glue.is_some() && decoded.body.len() == 404);
@@ -197,7 +214,9 @@ fn mutated_frames_decode_to_typed_errors_within_the_bytes_that_arrived() {
             // well-formed reply (or, for a frame that reads as a one-way,
             // with nothing) — and a frame that did not decode, with an
             // error.
-            let (answer, largest) = largest_allocation(|| fx.ctx.handle_frame_opt(mutant.clone()));
+            let serve = || fx.ctx.handle_frame_opt(mutant.clone(), Framing::Bare);
+            let (answer, largest) = largest_allocation(serve);
+            let answer = answer.expect("a bare frame is never hung up on");
             // (A flipped object id can address the context's introspection
             // object, whose metrics dump is as large as it is: a reply sized
             // by the server, not by the frame.)
@@ -216,6 +235,132 @@ fn mutated_frames_decode_to_typed_errors_within_the_bytes_that_arrived() {
         }
     }
     fx.ctx.shutdown();
+}
+
+fn malformed_rsr_frames() -> u64 {
+    let counter = ohpc_telemetry::Registry::global()
+        .counter("orb_malformed_frames_total", &[("kind", "rsr")]);
+    counter.get()
+}
+
+/// The RSR header in front of a request is attacker-controlled too. Whatever
+/// it says, the frame ends in a typed reply, a counted drop or a hang-up —
+/// and only a well-formed request for the ORB's handler is ever dispatched.
+#[test]
+fn hostile_rsr_headers_are_refused_dropped_or_hung_up_on() {
+    let fx = fixture();
+    let two_way = RequestMessage::from_frame(&fx.request).unwrap();
+    let one_way = RequestMessage { oneway: true, ..two_way.clone() };
+    let valid = two_way.to_frame_as(Framing::Rsr);
+    let header = |tag: u32, handler: u32, of: &Bytes| {
+        let mut bytes = of.to_vec();
+        bytes[..4].copy_from_slice(&tag.to_be_bytes());
+        bytes[4..8].copy_from_slice(&handler.to_be_bytes());
+        Bytes::from(bytes)
+    };
+    let orb = NEXUS_ORB_HANDLER.0;
+
+    let mut mutants: Vec<Bytes> = (0..valid.len()).map(|cut| valid.slice(..cut)).collect();
+    for bit in 0..8 * HEADER_LEN {
+        let mut bytes = valid.to_vec();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        mutants.push(Bytes::from(bytes));
+    }
+    for tag in [0, TAG_REPLY_OK, TAG_REPLY_NO_HANDLER, 6, u32::MAX] {
+        mutants.push(header(tag, orb, &valid));
+    }
+    for tag in [TAG_ONEWAY, TAG_REQUEST] {
+        mutants.push(header(tag, 7, &valid));
+    }
+    // The tag says one thing about who waits, the request's flag the other.
+    mutants.push(header(TAG_ONEWAY, orb, &valid));
+    mutants.push(header(TAG_REQUEST, orb, &one_way.to_frame_as(Framing::Rsr)));
+
+    let legacy = HEADER_LEN + fx.legacy_len;
+    for mutant in mutants {
+        let (served, counted) = (fx.ctx.requests_served(), malformed_rsr_frames());
+        let serve = || fx.ctx.handle_frame_opt(mutant.clone(), Framing::Rsr);
+        let (answer, largest) = largest_allocation(serve);
+        let budget = mutant.len() + FIXED_RESERVATIONS;
+        assert!(largest <= budget, "serving allocated {largest} B for {budget}");
+        // `largest_allocation` serves the frame twice.
+        let dispatched = (fx.ctx.requests_served() - served) / 2;
+        let counted = (malformed_rsr_frames() - counted) / 2;
+
+        let word = |at: usize| mutant.get(at..at + 4).map(|w| u32::from_be_bytes(w.try_into().unwrap()));
+        let (tag, handler) = (word(0), word(4));
+        let well_framed = matches!(tag, Some(TAG_ONEWAY | TAG_REQUEST)) && handler.is_some();
+        // The pre-tracing prefix of the request is a request.
+        let is_request = mutant.len() == legacy && tag == Some(TAG_REQUEST) && handler == Some(orb);
+        assert_eq!(dispatched, u64::from(is_request), "tag {tag:?} handler {handler:?}");
+        match answer {
+            Err(_) => assert!(!well_framed && counted == 1, "hung up on tag {tag:?}"),
+            Ok(_) if !well_framed => panic!("tag {tag:?} handler {handler:?} was served"),
+            Ok(None) => assert!(tag == Some(TAG_ONEWAY) && counted == 1, "dropped tag {tag:?}"),
+            Ok(Some(reply)) if handler != Some(orb) => {
+                assert_eq!(reply, header(TAG_REPLY_NO_HANDLER, handler.unwrap(), &reply.slice(..8)));
+            }
+            Ok(Some(reply)) => {
+                assert_eq!(reply.slice(..HEADER_LEN), header(TAG_REPLY_OK, orb, &reply.slice(..8)));
+                let reply = ReplyMessage::from_frame(&reply.slice(HEADER_LEN..)).unwrap();
+                assert_eq!(reply.status == ReplyStatus::Ok, is_request, "{:?}", reply.status);
+            }
+        }
+    }
+
+    // The same through a listener: a hang-up closes that connection and no
+    // other, a refusal keeps even its own.
+    let fabric = MemFabric::new();
+    fx.ctx.serve_nexus(Box::new(fabric.listen_on(1)), ProtocolId::NEXUS_TCP);
+    let dial = || fabric.dial(&ohpc_transport::Endpoint::Mem(1)).unwrap();
+    for hung_up_on in [valid.slice(..5), header(9, orb, &valid), header(TAG_REPLY_OK, orb, &valid)] {
+        let mut conn = dial();
+        conn.send(&hung_up_on).unwrap();
+        assert_eq!(conn.recv().unwrap_err(), TransportError::Closed);
+    }
+    let mut conn = dial();
+    conn.send(&header(TAG_REQUEST, 7, &valid)).unwrap();
+    assert_eq!(conn.recv().unwrap(), header(TAG_REPLY_NO_HANDLER, 7, &valid.slice(..8)));
+    conn.send(&header(TAG_ONEWAY, orb, &valid)).unwrap(); // dropped: nothing comes back
+    conn.send(&valid).unwrap();
+    let reply = ReplyMessage::from_frame(&conn.recv().unwrap().slice(HEADER_LEN..)).unwrap();
+    assert_eq!((reply.request_id, reply.status), (two_way.request_id, ReplyStatus::Ok));
+    fx.ctx.shutdown();
+}
+
+/// The copy budget of the baseline: a warmed 1 MiB echo through `NexusProto`
+/// allocates exactly as many payload-sized buffers, over all threads, as the
+/// same echo through `TransportProto` — the RSR header rides in buffers the
+/// call allocates anyway.
+#[test]
+fn a_bulk_echo_over_nexus_copies_no_more_than_over_the_bare_protocol() {
+    let registry = Arc::new(CapabilityRegistry::new());
+    let ctx = Context::new(ContextId(10), Location::new(0, 0), registry);
+    let object = ctx.register(Arc::new(EchoArraySkeleton(EchoArray::default())));
+    let fabric = MemFabric::new();
+    ctx.serve(Box::new(fabric.listen()), ProtocolId::SHM);
+    ctx.serve_nexus(Box::new(fabric.listen()), ProtocolId::NEXUS_TCP);
+    let dialer: Arc<dyn Dialer> = Arc::new(fabric);
+    let client = |protocol: ProtocolId, proto: TransportProto| {
+        let or = ctx.make_or(object, &[OrRow::Plain(protocol)]).unwrap();
+        let pool = Arc::new(ProtoPool::new().with(Arc::new(proto)));
+        EchoArrayClient::new(GlobalPointer::new(or, pool, Location::new(0, 0)))
+    };
+    let always = ApplicabilityRule::Always;
+    let bare = client(ProtocolId::SHM, TransportProto::new(ProtocolId::SHM, always, dialer.clone()));
+    let nexus = client(ProtocolId::NEXUS_TCP, NexusProto::new(ProtocolId::NEXUS_TCP, always, dialer));
+
+    let payload: Vec<i32> = (0..BULK as i32 / 4).collect();
+    let bulk_buffers = |client: &EchoArrayClient| {
+        assert_eq!(client.echo(payload.clone()).unwrap().len(), payload.len()); // warm-up
+        let before = BULK_ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(client.echo(payload.clone()).unwrap(), payload);
+        BULK_ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    let (over_bare, over_nexus) = (bulk_buffers(&bare), bulk_buffers(&nexus));
+    assert!(over_bare >= 4, "the watch saw {over_bare} payload-sized buffers");
+    assert_eq!(over_nexus, over_bare);
+    ctx.shutdown();
 }
 
 #[test]
