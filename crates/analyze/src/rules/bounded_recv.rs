@@ -9,13 +9,17 @@
 //! * the receiver is not a transport object (channel `Receiver`s have
 //!   their own protocols and are not this rule's business);
 //! * the enclosing fn *is* the transport impl or a delegation shim (named
-//!   `recv`/`recv_timeout`/`accept` — the deadline is the caller's job);
+//!   `recv`/`recv_deadline`/`recv_timeout`/`accept` — the deadline is the
+//!   caller's job; `RecvHalf::recv_deadline`'s default body is such a shim);
 //! * the enclosing fn also calls `set_recv_timeout` (the deadline plumbing
 //!   is local and visible);
 //! * the site runs on a dedicated reader thread: lexically inside a
 //!   `…spawn(…)` argument, or in a function reachable from one
 //!   (`reader_loop`, `serve_connection` and friends block by design);
 //! * an `// ohpc-analyze: allow(bounded-recv) — <reason>` annotation.
+//!
+//! The deadline variant itself, `recv_deadline(deadline)`, is never a
+//! finding: the mux's leader reads with it, bounded by its own deadline.
 
 use crate::graph::{Recv, Workspace};
 use crate::rules::{Diagnostic, Severity};
@@ -28,7 +32,7 @@ pub const RULE: &str = "bounded-recv";
 const TRANSPORT_TYPES: &[&str] = &["Connection", "RecvHalf"];
 
 /// Fn names that are themselves transport impls or delegation shims.
-const DELEGATING_FNS: &[&str] = &["recv", "recv_timeout", "try_recv", "accept"];
+const DELEGATING_FNS: &[&str] = &["recv", "recv_deadline", "recv_timeout", "try_recv", "accept"];
 
 /// Entry point.
 pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {

@@ -26,7 +26,7 @@ const MAX_FORWARDS: u32 = 8;
 
 /// Process-global request-id source. Ids must be unique across every GP in
 /// the process, not merely per-GP: GPs bound to the same endpoint share one
-/// multiplexed channel, and the demux reader routes replies by request id.
+/// multiplexed channel, and its mux routes replies by request id.
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 
 fn next_request_id() -> RequestId {

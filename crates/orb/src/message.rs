@@ -54,7 +54,7 @@ impl Framing {
     }
 
     /// The `request_id` a reply frame is correlated by: every
-    /// [`ReplyMessage`] starts with it, so the demux reader routes frames
+    /// [`ReplyMessage`] starts with it, so the client's mux routes frames
     /// without decoding them. `None` for a frame that carries none — a short
     /// one, or an RSR refusal, which names a handler and no request.
     pub(crate) fn reply_request_id(self, frame: &Bytes) -> Option<u64> {

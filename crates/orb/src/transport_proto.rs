@@ -12,9 +12,18 @@
 //!
 //! - **Multiplexed**, when the connection can
 //!   [split](ohpc_transport::Connection::try_split): one connection per
-//!   endpoint, a writer lock held only for the framed send, and a dedicated
-//!   reader thread demultiplexing replies to waiters by `request_id`. N
-//!   concurrent invocations have N requests in flight on one wire.
+//!   endpoint, a writer lock held only for the framed send, and replies
+//!   demultiplexed to waiters by `request_id`. N concurrent invocations
+//!   have N requests in flight on one wire. No thread is dedicated to
+//!   reading: a waiting caller reads the connection itself as the mux's
+//!   *leader*, delivers the replies of anyone waiting behind it, and hands
+//!   the read on when its own reply arrives
+//!   ([`MuxChannel`](ohpc_transport::mux::MuxChannel) states the rule). A
+//!   connection that dies while idle is therefore found dead by the next
+//!   call — over mem by its send (unsent: re-dialed transparently, once),
+//!   over TCP by its read (ambiguous: the frame was taken) — and a channel
+//!   lives exactly as long as its last handle: dropping the proto closes
+//!   every connection it pooled.
 //! - **Striped**, when it cannot (the simulated network, fault-injection
 //!   wrappers): a few independent connections whose locks are held across
 //!   the whole exchange, because their framing cannot interleave
@@ -104,9 +113,6 @@ fn count_retry(protocol: ProtocolId) {
 trait Pooled {
     /// A dead handle is dropped at the next lookup instead of handed out.
     fn is_dead(&self) -> bool;
-
-    /// Releases what a handle that will never be used (again) still holds.
-    fn retire(&self);
 }
 
 /// Per-endpoint pool of shared handles; see the module docs for its rules.
@@ -133,8 +139,8 @@ impl<C: Pooled> EndpointCache<C> {
 
     /// The pooled handle for `ep` and whether it was already cached. A miss
     /// dials outside the lock and publishes unless another caller won the
-    /// race meanwhile: then the earlier handle wins, ours is retired, and
-    /// the avoided double-dial is counted.
+    /// race meanwhile: then the earlier handle wins, ours is dropped (which
+    /// closes it), and the avoided double-dial is counted.
     fn get_or_dial(
         &self,
         ep: &Endpoint,
@@ -162,7 +168,6 @@ impl<C: Pooled> EndpointCache<C> {
                         &[("protocol", &self.protocol.to_string())],
                     )
                     .inc();
-                built.retire();
                 Ok((winner, true))
             }
         }
@@ -174,14 +179,6 @@ impl<C: Pooled> EndpointCache<C> {
         let mut map = self.handles.lock();
         if map.get(ep).is_some_and(|cur| Arc::ptr_eq(cur, stale)) {
             map.remove(ep);
-        }
-    }
-
-    /// Empties the cache and retires every handle, outside the lock.
-    fn retire_all(&self) {
-        let drained: Vec<Arc<C>> = self.handles.lock().drain().map(|(_, c)| c).collect();
-        for c in drained {
-            c.retire();
         }
     }
 }
@@ -222,7 +219,7 @@ impl StripeSet {
 
 /// A pooled per-endpoint channel.
 enum Channel {
-    /// Split connection with a demux reader: N requests in flight at once.
+    /// Split connection, demultiplexed: N requests in flight at once.
     Mux(Arc<MuxChannel>),
     /// Independent lock-across-exchange connections.
     Striped(StripeSet),
@@ -231,14 +228,6 @@ enum Channel {
 impl Pooled for Channel {
     fn is_dead(&self) -> bool {
         matches!(self, Channel::Mux(m) if m.is_dead())
-    }
-
-    /// Closing the send half unblocks the mux's reader thread, which would
-    /// otherwise keep the channel alive.
-    fn retire(&self) {
-        if let Channel::Mux(m) = self {
-            m.shutdown();
-        }
     }
 }
 
@@ -293,10 +282,10 @@ impl TransportProto {
         }
     }
 
-    /// Connects reader-thread deaths to a health registry: a mux whose demux
-    /// reader dies records a failure under the same
-    /// `(protocol, endpoint)` key selection consults, so a dead mux trips
-    /// the endpoint's breaker exactly like a failed exchange does.
+    /// Connects mux deaths to a health registry: a mux whose connection dies
+    /// records a failure under the same `(protocol, endpoint)` key selection
+    /// consults, so a dead mux trips the endpoint's breaker exactly like a
+    /// failed exchange does.
     pub fn set_health_registry(&self, health: Arc<HealthRegistry>) {
         *self.health_sink.lock() = Some(health);
     }
@@ -308,14 +297,14 @@ impl TransportProto {
         Ok(match conn.try_split() {
             // The halves own socket duplicates / channel clones; the
             // original connection object is no longer needed.
-            Some((tx, rx)) => Channel::Mux(self.spawn_mux(ep, tx, rx)),
+            Some((tx, rx)) => Channel::Mux(self.new_mux(ep, tx, rx)),
             None => Channel::Striped(StripeSet::adopting(conn)),
         })
     }
 
-    /// Spawns the demux channel for `ep`, wiring reader-thread death into
-    /// telemetry and (if configured) the health registry.
-    fn spawn_mux(
+    /// Builds the demux channel for `ep`, wiring its death into telemetry
+    /// and (if configured) the health registry.
+    fn new_mux(
         &self,
         ep: &Endpoint,
         tx: Box<dyn SendHalf>,
@@ -331,7 +320,7 @@ impl TransportProto {
             }
         });
         let framing = self.framing;
-        MuxChannel::spawn(tx, rx, Box::new(move |f| framing.reply_request_id(f)), Some(hook))
+        MuxChannel::new(tx, rx, Box::new(move |f| framing.reply_request_id(f)), Some(hook))
     }
 
     /// Sends `frame` over the pooled channel and, for a two-way (`reply` is
@@ -451,14 +440,6 @@ impl TransportProto {
                 }
             };
         }
-    }
-}
-
-impl Drop for TransportProto {
-    fn drop(&mut self) {
-        // Mux reader threads hold their channels alive; no reader may
-        // outlive the proto.
-        self.channels.retire_all();
     }
 }
 
@@ -584,6 +565,31 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// A channel lives as long as its last handle: dropping the proto that
+    /// pools a live one closes the connection, and the server's loop ends.
+    #[test]
+    fn dropping_the_proto_closes_its_pooled_connections() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen_on(13);
+        let (ended_tx, ended) = crossbeam::channel::unbounded();
+        std::thread::spawn(move || {
+            let mut conn = listener.accept().unwrap();
+            while let Ok(frame) = conn.recv() {
+                let req = RequestMessage::from_frame(&frame).unwrap();
+                conn.send(&ReplyMessage::ok(req.request_id, req.body).to_frame()).unwrap();
+            }
+            ended_tx.send(()).unwrap();
+        });
+        let proto =
+            TransportProto::new(ProtocolId::SHM, ApplicabilityRule::Always, Arc::new(fabric));
+        let entry = ProtoEntry::endpoint(ProtocolId::SHM, "mem://13");
+        proto.invoke(&ProtoPool::new(), &entry, &request(1, b"live")).unwrap();
+        assert!(ended.try_recv().is_err(), "the connection is live while pooled");
+        drop(proto);
+        let closed = ended.recv_timeout(Duration::from_secs(10));
+        assert!(closed.is_ok(), "the server's loop outlived the proto");
+    }
+
     #[test]
     fn dead_connection_is_evicted() {
         let fabric = MemFabric::new();
@@ -620,8 +626,6 @@ mod tests {
         fn is_dead(&self) -> bool {
             self.dead.load(Ordering::SeqCst)
         }
-
-        fn retire(&self) {}
     }
 
     fn dial_probe(cache: &EndpointCache<Probe>, ep: &Endpoint) -> (Arc<Probe>, bool) {

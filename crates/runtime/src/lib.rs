@@ -15,8 +15,8 @@
 //!   request is shed in microseconds with a retryable `Overloaded` status
 //!   instead of queueing until the client's deadline burns down.
 //! * [`SerialQueue`] — per-connection FIFO lane over any executor, used to
-//!   route one-way requests off the demux reader thread without giving up
-//!   their ordering guarantee.
+//!   route one-way requests off a server connection's reader thread
+//!   without giving up their ordering guarantee.
 //!
 //! Everything here is `std`-only and feeds `ohpc-telemetry` (queue-depth /
 //! parked-worker gauges, park/shed counters), so overload is visible in

@@ -1,6 +1,6 @@
 //! Per-connection FIFO lane over any executor.
 //!
-//! One-way requests used to run inline on the demux reader thread: that
+//! One-way requests used to run inline on the connection's reader thread: that
 //! preserved ordering but let one slow capability chain starve the whole
 //! connection (no later frame — including two-ways for *other* objects —
 //! could even be read). A [`SerialQueue`] moves them onto the executor

@@ -197,6 +197,12 @@ pub fn install(ctx: TraceContext) -> TraceScope {
     TraceScope { prev }
 }
 
+/// Uninstalls this thread's context until the returned scope drops, which
+/// restores it: what runs meanwhile belongs to no trace.
+pub fn suspend() -> TraceScope {
+    TraceScope { prev: CURRENT.with(|c| c.borrow_mut().take()) }
+}
+
 /// One recorded span in the flight recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -741,6 +747,11 @@ mod tests {
             {
                 let _sb = install(b.clone());
                 assert_eq!(current().map(|c| c.trace_id), Some(b.trace_id));
+            }
+            assert_eq!(current().map(|c| c.trace_id), Some(a.trace_id));
+            {
+                let _off = suspend();
+                assert!(current().is_none());
             }
             assert_eq!(current().map(|c| c.trace_id), Some(a.trace_id));
         }

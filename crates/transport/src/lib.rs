@@ -291,6 +291,22 @@ pub trait SendHalf: Send {
 pub trait RecvHalf: Send {
     /// Receives one frame, blocking until available or the peer closes.
     fn recv(&mut self) -> Result<Bytes, TransportError>;
+
+    /// [`recv`](Self::recv) that gives up with [`TransportError::Timeout`]
+    /// once `deadline` passes (`None`: no deadline). A deadline already
+    /// passed times out at once. A timed-out receive loses nothing: the next
+    /// call picks up where it stopped, inside a frame included.
+    ///
+    /// The default ignores `deadline` and calls `recv`, so it blocks until a
+    /// frame arrives or the peer closes; the `mem` and `tcp` halves
+    /// override it.
+    fn recv_deadline(
+        &mut self,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<Bytes, TransportError> {
+        let _ = deadline;
+        self.recv()
+    }
 }
 
 impl fmt::Debug for dyn Connection + '_ {

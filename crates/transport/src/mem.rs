@@ -6,36 +6,161 @@
 //! receiver then owns — no syscall, no second copy — which is the property
 //! that makes the shared-memory protocol an order of magnitude faster than
 //! the network paths in Figure 5.
+//!
+//! Each direction of a connection is a [`Pipe`]: a frame queue with counted
+//! ends. Either side hanging up — dropping its last handle on an end, or
+//! closing — is seen by the other as [`TransportError::Closed`], and a side
+//! that closes also wakes its own receiver, as a TCP `shutdown` does.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::{
     telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
 };
 
+/// One direction of a connection: the frames one side has sent and the
+/// other has not yet received.
+#[derive(Default)]
+struct Pipe {
+    state: std::sync::Mutex<PipeState>,
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct PipeState {
+    frames: VecDeque<Bytes>,
+    /// Live [`PipeTx`] handles; none left means the sender hung up.
+    writers: usize,
+    /// Live [`PipeRx`] handles; none left means nobody will read again.
+    readers: usize,
+    /// The receiving side closed the connection: nothing more is delivered
+    /// and nothing more accepted.
+    shut: bool,
+}
+
+impl Pipe {
+    fn state(&self) -> MutexGuard<'_, PipeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Closes this direction from the receiving side: a reader blocked on
+    /// it wakes with `Closed`, and the sender's next frame is refused.
+    fn shut(&self) {
+        self.state().shut = true;
+        self.arrived.notify_all();
+    }
+}
+
+/// A counted sending end of a [`Pipe`].
+struct PipeTx(Arc<Pipe>);
+
+/// A counted receiving end of a [`Pipe`].
+struct PipeRx(Arc<Pipe>);
+
+fn pipe() -> (PipeTx, PipeRx) {
+    let pipe = Arc::new(Pipe::default());
+    {
+        let mut st = pipe.state();
+        (st.writers, st.readers) = (1, 1);
+    }
+    (PipeTx(pipe.clone()), PipeRx(pipe))
+}
+
+impl PipeTx {
+    fn send(&self, frame: Bytes) -> Result<(), TransportError> {
+        let mut st = self.0.state();
+        if st.readers == 0 || st.shut {
+            return Err(TransportError::Closed);
+        }
+        st.frames.push_back(frame);
+        drop(st);
+        self.0.arrived.notify_one();
+        Ok(())
+    }
+}
+
+impl Clone for PipeTx {
+    fn clone(&self) -> Self {
+        self.0.state().writers += 1;
+        Self(self.0.clone())
+    }
+}
+
+impl Drop for PipeTx {
+    fn drop(&mut self) {
+        let mut st = self.0.state();
+        st.writers -= 1;
+        if st.writers == 0 {
+            drop(st);
+            self.0.arrived.notify_all();
+        }
+    }
+}
+
+impl PipeRx {
+    /// The next frame, waiting for it until `deadline` (for ever with
+    /// `None`). Frames queued before the sender hung up are still delivered.
+    fn recv(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        let mut st = self.0.state();
+        loop {
+            if st.shut {
+                return Err(TransportError::Closed);
+            }
+            if let Some(frame) = st.frames.pop_front() {
+                return Ok(frame);
+            }
+            if st.writers == 0 {
+                return Err(TransportError::Closed);
+            }
+            st = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => self.0.arrived.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(Duration::ZERO) => return Err(TransportError::Timeout),
+                Some(left) => {
+                    let waited = self.0.arrived.wait_timeout(st, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+    }
+}
+
+impl Clone for PipeRx {
+    fn clone(&self) -> Self {
+        self.0.state().readers += 1;
+        Self(self.0.clone())
+    }
+}
+
+impl Drop for PipeRx {
+    fn drop(&mut self) {
+        self.0.state().readers -= 1;
+    }
+}
+
 /// The one send path of a connection and of its split-off send half (whose
 /// sender is gone once closed): one copy of `frame` into a [`Bytes`] the
 /// receiver will own.
-fn send_on(tx: Option<&Sender<Bytes>>, frame: &[u8]) -> Result<(), TransportError> {
+fn send_on(tx: Option<&PipeTx>, frame: &[u8]) -> Result<(), TransportError> {
     let r = match tx {
         _ if frame.len() > MAX_FRAME => Err(TransportError::FrameTooLarge(frame.len())),
         None => Err(TransportError::Closed),
-        Some(tx) => tx.send(Bytes::copy_from_slice(frame)).map_err(|_| TransportError::Closed),
+        Some(tx) => tx.send(Bytes::copy_from_slice(frame)),
     };
     telem::MEM.track_send(frame.len(), r)
 }
 
 /// One side of an established connection.
 pub struct MemConnection {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
-    recv_timeout: Option<std::time::Duration>,
+    tx: PipeTx,
+    rx: PipeRx,
+    recv_timeout: Option<Duration>,
 }
 
 impl Connection for MemConnection {
@@ -44,27 +169,21 @@ impl Connection for MemConnection {
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = match self.recv_timeout {
-            None => self.rx.recv().map_err(|_| TransportError::Closed),
-            Some(d) => self.rx.recv_timeout(d).map_err(|e| match e {
-                RecvTimeoutError::Timeout => TransportError::Timeout,
-                RecvTimeoutError::Disconnected => TransportError::Closed,
-            }),
-        };
-        telem::MEM.track_recv(r)
+        let deadline = self.recv_timeout.map(|d| Instant::now() + d);
+        telem::MEM.track_recv(self.rx.recv(deadline))
     }
 
-    /// Mem splits by cloning the channel halves. Teardown chains naturally:
-    /// closing the send half drops our sender, the peer's receive loop sees
-    /// `Closed`, drops its own connection, and that unblocks our reader.
+    /// Mem splits by sharing the pipes. The send half also holds our inbound
+    /// pipe — uncounted, so a peer that hangs up is still seen — to shut it
+    /// on `close`.
     fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
         Some((
-            Box::new(MemSendHalf { tx: Some(self.tx.clone()) }),
+            Box::new(MemSendHalf { tx: Some(self.tx.clone()), inbound: self.rx.0.clone() }),
             Box::new(MemRecvHalf { rx: self.rx.clone() }),
         ))
     }
 
-    fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> bool {
+    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> bool {
         self.recv_timeout = timeout;
         true
     }
@@ -72,7 +191,8 @@ impl Connection for MemConnection {
 
 /// Sending half of a split [`MemConnection`].
 pub struct MemSendHalf {
-    tx: Option<Sender<Bytes>>,
+    tx: Option<PipeTx>,
+    inbound: Arc<Pipe>,
 }
 
 impl SendHalf for MemSendHalf {
@@ -80,19 +200,26 @@ impl SendHalf for MemSendHalf {
         send_on(self.tx.as_ref(), frame)
     }
 
+    /// Hangs up our sending end and shuts our inbound pipe, so the paired
+    /// half wakes with `Closed` even while the peer still holds its end.
     fn close(&mut self) {
         self.tx = None;
+        self.inbound.shut();
     }
 }
 
 /// Receiving half of a split [`MemConnection`].
 pub struct MemRecvHalf {
-    rx: Receiver<Bytes>,
+    rx: PipeRx,
 }
 
 impl RecvHalf for MemRecvHalf {
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        telem::MEM.track_recv(self.rx.recv().map_err(|_| TransportError::Closed))
+        telem::MEM.track_recv(self.rx.recv(None))
+    }
+
+    fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        telem::MEM.track_recv(self.rx.recv(deadline))
     }
 }
 
@@ -143,8 +270,8 @@ impl MemFabric {
         };
         // Build both directions and hand the server its half through the
         // listener queue.
-        let (a_tx, b_rx) = unbounded();
-        let (b_tx, a_rx) = unbounded();
+        let (a_tx, b_rx) = pipe();
+        let (b_tx, a_rx) = pipe();
         let client = MemConnection { tx: a_tx, rx: a_rx, recv_timeout: None };
         let server = MemConnection { tx: b_tx, rx: b_rx, recv_timeout: None };
         pending_tx
@@ -307,8 +434,8 @@ mod tests {
         assert_eq!(&server.recv().unwrap()[..], b"halved");
         server.send(b"ok").unwrap();
         assert_eq!(&rx.recv().unwrap()[..], b"ok");
-        // Close chain: our send half closes -> server's recv errors -> the
-        // test drops the server conn -> our reader unblocks with Closed.
+        // Our send half closes -> our reader unblocks with Closed, and the
+        // server's recv errors (and stays errored once it drops its end).
         let reader = std::thread::spawn(move || rx.recv());
         tx.close();
         assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
@@ -329,6 +456,58 @@ mod tests {
         server.send(b"now").unwrap();
         assert_eq!(&c.recv().unwrap()[..], b"now");
         assert!(c.set_recv_timeout(None));
+    }
+
+    /// `close` wakes the paired receive half while the peer still holds its
+    /// end, and the peer sees the connection closed both ways.
+    #[test]
+    fn close_unblocks_the_paired_half_while_the_peer_holds_on() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen();
+        let mut c = fabric.dial(&listener.endpoint()).unwrap();
+        let (mut tx, mut rx) = c.try_split().expect("mem must split");
+        drop(c);
+        let mut server = listener.accept().unwrap();
+        let (woke_tx, woke) = unbounded();
+        std::thread::spawn(move || woke_tx.send(rx.recv()));
+        std::thread::sleep(Duration::from_millis(20));
+        tx.close();
+        let seen = woke.recv_timeout(Duration::from_secs(10));
+        assert_eq!(seen, Ok(Err(TransportError::Closed)), "the reader stayed blocked");
+        assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
+        assert_eq!(server.send(b"late").unwrap_err(), TransportError::Closed);
+    }
+
+    /// Nothing our side holds keeps our inbound pipe open: a peer that hangs
+    /// up is seen as `Closed` by a waiting half whose send half lives on.
+    #[test]
+    fn a_peer_that_hangs_up_is_seen_while_our_send_half_lives() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen();
+        let mut c = fabric.dial(&listener.endpoint()).unwrap();
+        let (mut tx, mut rx) = c.try_split().expect("mem must split");
+        drop(c);
+        let mut server = listener.accept().unwrap();
+        server.send(b"last words").unwrap();
+        drop(server);
+        assert_eq!(&rx.recv().unwrap()[..], b"last words", "queued frames still arrive");
+        assert_eq!(rx.recv().unwrap_err(), TransportError::Closed);
+        assert_eq!(tx.send(b"x").unwrap_err(), TransportError::Closed);
+    }
+
+    #[test]
+    fn recv_deadline_times_out_and_a_passed_one_still_takes_a_queued_frame() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen();
+        let mut c = fabric.dial(&listener.endpoint()).unwrap();
+        let (_tx, mut rx) = c.try_split().expect("mem must split");
+        let mut server = listener.accept().unwrap();
+        let soon = Instant::now() + Duration::from_millis(20);
+        assert_eq!(rx.recv_deadline(Some(soon)).unwrap_err(), TransportError::Timeout);
+        assert!(Instant::now() >= soon);
+        assert_eq!(rx.recv_deadline(Some(soon)).unwrap_err(), TransportError::Timeout);
+        server.send(b"queued").unwrap();
+        assert_eq!(&rx.recv_deadline(Some(soon)).unwrap()[..], b"queued");
     }
 
     #[test]

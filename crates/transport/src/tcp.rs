@@ -4,7 +4,7 @@ use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener as StdListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -40,16 +40,33 @@ const READ_BUF: usize = 16 * 1024;
 /// The read side of a framed stream: a fixed buffer that each `read` fills
 /// with whatever has arrived — a small frame's prefix and body in one
 /// syscall, and any frames behind it, which are then served without one.
+///
+/// A read that fails with [`TransportError::Timeout`] loses nothing: a
+/// partial prefix stays in the buffer and a partial body in `body`, and the
+/// next [`read_frame`](Self::read_frame) carries on from there.
 struct FrameReader {
     buf: Box<[u8]>,
     /// `buf[start..end]` is read but not yet handed out.
     start: usize,
     end: usize,
+    /// The frame being read past the buffer: its announced length and the
+    /// bytes of it read so far.
+    body: Option<(usize, Vec<u8>)>,
+}
+
+/// A source whose bytes are never ready: reading from it hands out what is
+/// already buffered and times out for the rest.
+struct Expired;
+
+impl Read for Expired {
+    fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::WouldBlock.into())
+    }
 }
 
 impl FrameReader {
     fn new() -> Self {
-        Self { buf: vec![0; READ_BUF].into_boxed_slice(), start: 0, end: 0 }
+        Self { buf: vec![0; READ_BUF].into_boxed_slice(), start: 0, end: 0, body: None }
     }
 
     fn buffered(&self) -> &[u8] {
@@ -86,29 +103,40 @@ impl FrameReader {
     /// and reads the rest straight into a buffer of exactly the announced
     /// size that is never zero-filled first and that `Bytes` then adopts.
     fn read_frame(&mut self, src: &mut impl Read) -> Result<Bytes, TransportError> {
-        let len = loop {
-            if let Some((prefix, _)) = self.buffered().split_first_chunk::<4>() {
-                break u32::from_be_bytes(*prefix) as usize;
+        let (len, mut frame) = match self.body.take() {
+            Some(partial) => partial,
+            None => {
+                let len = loop {
+                    if let Some((prefix, _)) = self.buffered().split_first_chunk::<4>() {
+                        break u32::from_be_bytes(*prefix) as usize;
+                    }
+                    self.fill(src)?;
+                };
+                if len > MAX_FRAME {
+                    return Err(TransportError::FrameTooLarge(len));
+                }
+                self.start += 4;
+                if let Some(frame) = self.buffered().get(..len) {
+                    let frame = Bytes::copy_from_slice(frame);
+                    self.start += len;
+                    return Ok(frame);
+                }
+                let mut frame = Vec::with_capacity(len);
+                frame.extend_from_slice(self.buffered());
+                self.start = self.end;
+                (len, frame)
             }
-            self.fill(src)?;
         };
-        if len > MAX_FRAME {
-            return Err(TransportError::FrameTooLarge(len));
-        }
-        self.start += 4;
-        if let Some(frame) = self.buffered().get(..len) {
-            let frame = Bytes::copy_from_slice(frame);
-            self.start += len;
-            return Ok(frame);
-        }
-        let mut frame = Vec::with_capacity(len);
-        frame.extend_from_slice(self.buffered());
-        self.start = self.end;
         let rest = (len - frame.len()) as u64;
-        if (src.take(rest).read_to_end(&mut frame)? as u64) < rest {
-            return Err(TransportError::Closed); // the peer hung up mid-frame
+        match src.take(rest).read_to_end(&mut frame) {
+            Ok(n) if (n as u64) < rest => Err(TransportError::Closed), // the peer hung up mid-frame
+            Ok(_) => Ok(Bytes::from(frame)),
+            Err(e) => {
+                // What did arrive was appended before the error; keep it.
+                self.body = Some((len, frame));
+                Err(e.into())
+            }
         }
-        Ok(Bytes::from(frame))
     }
 }
 
@@ -137,17 +165,19 @@ impl Connection for TcpConnection {
     }
 
     /// TCP splits by duplicating the socket handle (`try_clone`): reads and
-    /// writes on the clones hit the same connection, so a reader thread can
-    /// block in `recv` while senders interleave framed writes. The receive
+    /// writes on the clones hit the same connection, so one thread can block
+    /// in `recv` while others interleave framed writes. The receive
     /// half takes over this connection's read buffer, and with it any bytes
     /// already read ahead.
     fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
         let send = self.stream.try_clone().ok()?;
         let recv = self.stream.try_clone().ok()?;
+        // The clones share the socket, and with it any armed read timeout.
+        let armed = recv.read_timeout().ok()?;
         let reader = std::mem::replace(&mut self.reader, FrameReader::new());
         Some((
             Box::new(TcpSendHalf { stream: send }),
-            Box::new(TcpRecvHalf { stream: recv, reader }),
+            Box::new(TcpRecvHalf { stream: recv, reader, armed }),
         ))
     }
 
@@ -167,8 +197,8 @@ impl SendHalf for TcpSendHalf {
         telem::TCP.track_send(frame.len(), r)
     }
 
-    /// Shuts the socket down in both directions, which unblocks a reader
-    /// thread parked in `recv` on the paired half.
+    /// Shuts the socket down in both directions, which unblocks a thread
+    /// parked in `recv` on the paired half.
     fn close(&mut self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
@@ -178,11 +208,39 @@ impl SendHalf for TcpSendHalf {
 pub struct TcpRecvHalf {
     stream: TcpStream,
     reader: FrameReader,
+    /// The read timeout the socket is armed with.
+    armed: Option<Duration>,
+}
+
+impl TcpRecvHalf {
+    /// Re-arms the socket's read timeout only when it changes, so receives
+    /// without a deadline cost no syscall beyond the read.
+    fn arm(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        if timeout != self.armed {
+            self.stream.set_read_timeout(timeout)?;
+            self.armed = timeout;
+        }
+        Ok(())
+    }
 }
 
 impl RecvHalf for TcpRecvHalf {
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = self.reader.read_frame(&mut self.stream);
+        self.recv_deadline(None)
+    }
+
+    /// Each read waits at most what is left of `deadline`, so a peer that
+    /// trickles a frame in can hold the call past it. A deadline already
+    /// passed still serves a frame that is wholly buffered and times out
+    /// without reading otherwise (`std` refuses a zero socket timeout).
+    fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        let r = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+            Some(Duration::ZERO) => self.reader.read_frame(&mut Expired),
+            left => match self.arm(left) {
+                Ok(()) => self.reader.read_frame(&mut self.stream),
+                Err(e) => Err(e),
+            },
+        };
         telem::TCP.track_recv(r)
     }
 }
@@ -282,6 +340,25 @@ mod tests {
         }
     }
 
+    /// A [`Trickle`] that is not ready before each of its reads: every cut
+    /// point, inside a prefix or a body, first times out.
+    struct Stalling<'a> {
+        inner: Trickle<'a>,
+        stalls: usize,
+        stall_next: bool,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.stall_next = !self.stall_next;
+            if !self.stall_next {
+                self.stalls += 1;
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
     fn framed(frames: &[Vec<u8>]) -> Vec<u8> {
         let prefixed = frames.iter().map(|f| [&(f.len() as u32).to_be_bytes()[..], f].concat());
         prefixed.collect::<Vec<_>>().concat()
@@ -308,6 +385,43 @@ mod tests {
             }
             assert_eq!(reader.read_frame(&mut src).unwrap_err(), TransportError::Closed);
         }
+    }
+
+    #[test]
+    fn a_timeout_at_any_cut_point_loses_nothing() {
+        let frames = assorted_frames();
+        let wire = framed(&frames);
+        for step in [1, 2, 3, 4, 5, 7, 4096, READ_BUF, usize::MAX] {
+            let inner = Trickle { data: &wire, step, reads: 0 };
+            let mut src = Stalling { inner, stalls: 0, stall_next: false };
+            let mut reader = FrameReader::new();
+            let mut timeouts = 0;
+            let mut next = |src: &mut Stalling| loop {
+                match reader.read_frame(src) {
+                    Err(TransportError::Timeout) => timeouts += 1,
+                    other => return other,
+                }
+            };
+            for want in &frames {
+                let got = next(&mut src).unwrap();
+                assert_eq!(&got[..], &want[..], "step {step}, frame of {}", want.len());
+            }
+            assert_eq!(next(&mut src).unwrap_err(), TransportError::Closed);
+            assert!(src.stalls > 0);
+            assert_eq!(timeouts, src.stalls, "step {step}: every stall surfaced as a timeout");
+        }
+    }
+
+    #[test]
+    fn an_expired_read_serves_only_what_is_buffered() {
+        let frames = [b"one".to_vec(), b"two".to_vec(), vec![5; 3 * READ_BUF]];
+        let wire = framed(&frames);
+        let mut src = Trickle { data: &wire, step: READ_BUF, reads: 0 };
+        let mut reader = FrameReader::new();
+        assert_eq!(&reader.read_frame(&mut src).unwrap()[..], b"one");
+        assert_eq!(&reader.read_frame(&mut Expired).unwrap()[..], b"two");
+        assert_eq!(reader.read_frame(&mut Expired).unwrap_err(), TransportError::Timeout);
+        assert_eq!(&reader.read_frame(&mut src).unwrap()[..], &frames[2][..]);
     }
 
     #[test]
@@ -472,6 +586,27 @@ mod tests {
         assert_eq!(&rx.recv().unwrap()[..], b"two");
         drop(peer);
         assert_eq!(rx.recv().unwrap_err(), TransportError::Closed);
+    }
+
+    /// A deadline that cuts a large frame off halfway keeps the half: the
+    /// next receive, without a deadline, hands out the frame whole.
+    #[test]
+    fn recv_deadline_resumes_the_frame_its_timeout_cut() {
+        let listener = StdListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = TcpConnection::new(stream).unwrap();
+        let (_tx, mut rx) = conn.try_split().expect("tcp must split");
+        let frame: Vec<u8> = (0..3 * READ_BUF).map(|i| (i % 251) as u8).collect();
+        let wire = framed(std::slice::from_ref(&frame));
+        let (head, tail) = wire.split_at(wire.len() / 2);
+        peer.write_all(head).unwrap();
+        let passed = Instant::now();
+        assert_eq!(rx.recv_deadline(Some(passed)).unwrap_err(), TransportError::Timeout);
+        let soon = Some(Instant::now() + Duration::from_millis(50));
+        assert_eq!(rx.recv_deadline(soon).unwrap_err(), TransportError::Timeout);
+        peer.write_all(tail).unwrap();
+        assert_eq!(&rx.recv().unwrap()[..], &frame[..]);
     }
 
     #[test]

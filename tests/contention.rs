@@ -297,3 +297,96 @@ mod mux_stress {
         assert!(recorded, "reader death never reached the health registry");
     }
 }
+
+/// A connection that dies while no call waits on it has nobody reading it:
+/// the next call finds out, in a way that depends on the fabric. Pinned
+/// through the proto-object, over a server that answers one request per
+/// connection and hangs up after the first.
+mod idle_death {
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+
+    use bytes::Bytes;
+    use ohpc_orb::{
+        ApplicabilityRule, ObjectId, OrbError, ProtoEntry, ProtoObject, ProtoPool, ProtocolId,
+        ReplyMessage, RequestId, RequestMessage, TransportProto,
+    };
+    use ohpc_transport::mem::MemFabric;
+    use ohpc_transport::tcp::{TcpAcceptor, TcpDialer};
+    use ohpc_transport::{Dialer, Listener, TransportError};
+
+    fn request(id: u64) -> RequestMessage {
+        RequestMessage {
+            request_id: RequestId(id),
+            object: ObjectId(1),
+            method: 0,
+            oneway: false,
+            glue: None,
+            body: Bytes::from_static(b"idle"),
+            trace: None,
+        }
+    }
+
+    /// Accepts two connections in turn and answers one request on each. The
+    /// first is dropped right after its reply — `hung_up` says when — and
+    /// the second is held until its client goes.
+    fn serve_two(mut listener: Box<dyn Listener>, hung_up: mpsc::Sender<()>) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            for n in 0..2 {
+                let mut conn = listener.accept().unwrap();
+                let req = RequestMessage::from_frame(&conn.recv().unwrap()).unwrap();
+                conn.send(&ReplyMessage::ok(req.request_id, req.body).to_frame()).unwrap();
+                if n == 0 {
+                    drop(conn);
+                    hung_up.send(()).unwrap();
+                } else {
+                    while conn.recv().is_ok() {}
+                }
+            }
+        })
+    }
+
+    fn proto_over(dialer: Arc<dyn Dialer>) -> TransportProto {
+        TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, dialer)
+    }
+
+    /// Over mem the dead peer refuses the frame: the call is unsent, so the
+    /// proto re-dials and the caller never sees the death.
+    #[test]
+    fn over_mem_the_next_send_finds_it_and_the_call_is_redialed() {
+        let fabric = MemFabric::new();
+        let (hung_up_tx, hung_up) = mpsc::channel();
+        let server = serve_two(Box::new(fabric.listen_on(78)), hung_up_tx);
+        let proto = proto_over(Arc::new(fabric));
+        let (pool, entry) = (ProtoPool::new(), ProtoEntry::endpoint(ProtocolId::TCP, "mem://78"));
+        proto.invoke(&pool, &entry, &request(1)).expect("first connection answers");
+        hung_up.recv().unwrap();
+        let reply = proto.invoke(&pool, &entry, &request(2)).expect("re-dialed transparently");
+        assert_eq!(reply.request_id, RequestId(2));
+        drop(proto);
+        server.join().unwrap();
+    }
+
+    /// Over TCP the kernel takes the frame before the close is seen, so the
+    /// leader's read finds it: the call is ambiguous (`Closed`), as any
+    /// reply lost after the send is. The dead channel is evicted, and the
+    /// call after it dials the second connection.
+    #[test]
+    fn over_tcp_the_leaders_read_finds_it_and_the_call_is_ambiguous() {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let endpoint = acceptor.endpoint().to_string();
+        let (hung_up_tx, hung_up) = mpsc::channel();
+        let server = serve_two(Box::new(acceptor), hung_up_tx);
+        let proto = proto_over(Arc::new(TcpDialer));
+        let (pool, entry) = (ProtoPool::new(), ProtoEntry::endpoint(ProtocolId::TCP, &endpoint));
+        proto.invoke(&pool, &entry, &request(1)).expect("first connection answers");
+        hung_up.recv().unwrap();
+        let err = proto.invoke(&pool, &entry, &request(2)).unwrap_err();
+        assert!(matches!(err, OrbError::AmbiguousTransport(TransportError::Closed)), "{err}");
+        let reply = proto.invoke(&pool, &entry, &request(3)).expect("a fresh connection answers");
+        assert_eq!(reply.request_id, RequestId(3));
+        drop(proto);
+        server.join().unwrap();
+    }
+}

@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bytes::Bytes;
 
@@ -42,6 +42,13 @@ thread_local! {
 const BULK: usize = 1 << 20;
 
 static BULK_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// `BULK_ALLOCATIONS` counts over every thread, so a test that reads it runs
+/// apart from any test that makes payload-sized buffers of its own.
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    ALONE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn note(size: usize) {
     if size >= BULK {
@@ -334,6 +341,7 @@ fn hostile_rsr_headers_are_refused_dropped_or_hung_up_on() {
 /// call allocates anyway.
 #[test]
 fn a_bulk_echo_over_nexus_copies_no_more_than_over_the_bare_protocol() {
+    let _alone = alone();
     let registry = Arc::new(CapabilityRegistry::new());
     let ctx = Context::new(ContextId(10), Location::new(0, 0), registry);
     let object = ctx.register(Arc::new(EchoArraySkeleton(EchoArray::default())));
@@ -365,6 +373,7 @@ fn a_bulk_echo_over_nexus_copies_no_more_than_over_the_bare_protocol() {
 
 #[test]
 fn array_counts_beyond_the_remaining_bytes_are_truncated_before_allocating() {
+    let _alone = alone(); // its 4 MiB writer is a payload-sized buffer
     fn refused<T>(count: u32, supplied_words: usize)
     where
         Vec<T>: XdrDecode + std::fmt::Debug,
