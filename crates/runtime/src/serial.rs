@@ -21,6 +21,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use ohpc_telemetry::Registry;
+
 use crate::{lock, Executor, Task};
 
 struct SerialState {
@@ -40,9 +42,25 @@ struct SerialInner {
     cv: Condvar,
 }
 
+/// Finishes the bookkeeping of the task [`SerialInner::run_one`] claimed,
+/// whether the task returned or unwound: a panicking task must not leave
+/// `running` set, or every later task and barrier on the lane waits for
+/// ever.
+struct Finish<'a>(&'a SerialInner);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.0.state);
+        st.running = false;
+        st.completed += 1;
+        self.0.cv.notify_all();
+    }
+}
+
 impl SerialInner {
     /// Claims runnership and executes exactly one queued task, if any.
-    /// Returns whether a task ran.
+    /// Returns whether a task ran. A task that panics still counts as
+    /// completed; the panic goes on to the caller.
     fn run_one(&self) -> bool {
         let task = {
             let mut st = lock(&self.state);
@@ -57,19 +75,23 @@ impl SerialInner {
                 }
             }
         };
+        let _finish = Finish(self);
         task();
-        let mut st = lock(&self.state);
-        st.running = false;
-        st.completed += 1;
-        self.cv.notify_all();
         true
     }
 
     /// The scheduled drain loop: runs queued tasks until the queue is
-    /// empty and nothing is mid-execution, then retires.
+    /// empty and nothing is mid-execution, then retires. A panicking task
+    /// is counted and the loop goes on, since while it is scheduled no
+    /// other drain is.
     fn drain(&self) {
         loop {
-            if self.run_one() {
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_one()))
+                .unwrap_or_else(|_| {
+                    Registry::global().counter("runtime_lane_panics_total", &[]).inc();
+                    true
+                });
+            if ran {
                 continue;
             }
             let mut st = lock(&self.state);
@@ -148,6 +170,13 @@ impl SerialQueue {
     /// Count of tasks that have finished executing.
     pub fn completed(&self) -> u64 {
         lock(&self.inner.state).completed
+    }
+
+    /// Whether every task ever enqueued has finished: nothing is queued and
+    /// nothing is running.
+    pub fn idle(&self) -> bool {
+        let st = lock(&self.inner.state);
+        st.completed == st.enqueued
     }
 
     /// Blocks until the first `mark` enqueued tasks have completed,
@@ -262,6 +291,69 @@ mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 1, "inline lane runs at enqueue");
         assert_eq!(q.completed(), mark);
         q.wait_for(mark); // trivially satisfied
+    }
+
+    #[test]
+    fn a_panicking_task_neither_wedges_the_lane_nor_stops_its_runner() {
+        let pool = Arc::new(WorkerPool::new("t-panic-lane", 2));
+        let q = SerialQueue::new(pool.clone());
+        q.enqueue(Box::new(|| panic!("one-way handler bug")));
+        // Later tasks still run: the scheduled runner survived the panic.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mark = q.enqueue(Box::new(move || {
+            let _ = tx.send(());
+        }));
+        rx.recv_timeout(Duration::from_secs(10)).expect("the lane stopped running tasks");
+        // And a barrier past the panicking task returns.
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let q2 = q.clone();
+        let waiter = std::thread::spawn(move || {
+            q2.wait_for(mark);
+            let _ = done_tx.send(());
+        });
+        done.recv_timeout(Duration::from_secs(10)).expect("a barrier waited on a panicked task");
+        waiter.join().unwrap();
+        assert_eq!(q.completed(), 2);
+        assert!(q.idle());
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_helper_that_runs_a_panicking_task_still_finishes_it() {
+        let q = SerialQueue::new(Arc::new(crate::InlineExecutor));
+        let inner = q.inner.clone();
+        lock(&inner.state).queue.push_back(Box::new(|| panic!("helped task bug")));
+        lock(&inner.state).enqueued += 1;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inner.run_one()));
+        assert!(unwound.is_err(), "the panic goes on to the helper");
+        let st = lock(&inner.state);
+        assert!(!st.running, "a panicked task left the lane marked running");
+        assert_eq!(st.completed, 1);
+    }
+
+    #[test]
+    fn idle_means_everything_enqueued_has_finished() {
+        let pool = Arc::new(WorkerPool::new("t-idle", 1));
+        let q = SerialQueue::new(pool.clone());
+        assert!(q.idle());
+        let gate = Arc::new((StdMutex::new(false), Condvar::new()));
+        let g2 = gate.clone();
+        let mark = q.enqueue(Box::new(move || {
+            let (m, cv) = &*g2;
+            let mut open = lock(m);
+            while !*open {
+                open = cv.wait(open).unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+        }));
+        assert!(!q.idle(), "a queued or running task is not idle");
+        {
+            let (m, cv) = &*gate;
+            *lock(m) = true;
+            cv.notify_all();
+        }
+        q.wait_for(mark);
+        assert!(q.idle());
+        pool.shutdown();
     }
 
     #[test]

@@ -307,6 +307,17 @@ pub trait RecvHalf: Send {
         let _ = deadline;
         self.recv()
     }
+
+    /// Whether the next frame, or the start of it, has already arrived, so
+    /// that [`recv`](Self::recv) would not wait for it. A hint for a reader
+    /// deciding whether it can stop reading for a while: more is coming.
+    ///
+    /// The default says `false`: nothing known to be waiting. The `mem` half
+    /// reads whether its pipe holds a frame and the `tcp` half whether its
+    /// read buffer holds bytes; neither asks the kernel.
+    fn ready(&self) -> bool {
+        false
+    }
 }
 
 impl fmt::Debug for dyn Connection + '_ {

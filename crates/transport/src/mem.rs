@@ -221,6 +221,10 @@ impl RecvHalf for MemRecvHalf {
     fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
         telem::MEM.track_recv(self.rx.recv(deadline))
     }
+
+    fn ready(&self) -> bool {
+        !self.rx.0.state().frames.is_empty()
+    }
 }
 
 #[derive(Default)]
@@ -508,6 +512,23 @@ mod tests {
         assert_eq!(rx.recv_deadline(Some(soon)).unwrap_err(), TransportError::Timeout);
         server.send(b"queued").unwrap();
         assert_eq!(&rx.recv_deadline(Some(soon)).unwrap()[..], b"queued");
+    }
+
+    #[test]
+    fn ready_reports_a_queued_frame_and_not_an_empty_pipe() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen();
+        let mut c = fabric.dial(&listener.endpoint()).unwrap();
+        let (_tx, mut rx) = c.try_split().expect("mem must split");
+        let mut server = listener.accept().unwrap();
+        assert!(!rx.ready(), "an empty pipe is not ready");
+        server.send(b"one").unwrap();
+        server.send(b"two").unwrap();
+        assert!(rx.ready());
+        assert_eq!(&rx.recv().unwrap()[..], b"one");
+        assert!(rx.ready(), "the second frame is still queued");
+        assert_eq!(&rx.recv().unwrap()[..], b"two");
+        assert!(!rx.ready());
     }
 
     #[test]

@@ -243,6 +243,11 @@ impl RecvHalf for TcpRecvHalf {
         };
         telem::TCP.track_recv(r)
     }
+
+    /// Bytes already read ahead into the buffer: at least a frame's start.
+    fn ready(&self) -> bool {
+        !self.reader.buffered().is_empty()
+    }
 }
 
 /// Dialer for `tcp://` endpoints.
@@ -437,6 +442,22 @@ mod tests {
     }
 
     #[test]
+    fn frames_read_ahead_stay_buffered_until_handed_out() {
+        let frames = [b"first".to_vec(), b"second".to_vec()];
+        let wire = framed(&frames);
+        // One read takes both frames; a trickle takes them bit by bit.
+        for step in [usize::MAX, 3] {
+            let mut src = Trickle { data: &wire, step, reads: 0 };
+            let mut reader = FrameReader::new();
+            assert!(reader.buffered().is_empty());
+            assert_eq!(&reader.read_frame(&mut src).unwrap()[..], b"first");
+            assert_eq!(!reader.buffered().is_empty(), step == usize::MAX, "step {step}");
+            assert_eq!(&reader.read_frame(&mut src).unwrap()[..], b"second");
+            assert!(reader.buffered().is_empty(), "step {step}");
+        }
+    }
+
+    #[test]
     fn end_of_stream_inside_a_frame_is_closed() {
         // Inside the body, inside the prefix, and right after a whole frame.
         for wire in [&[0, 0, 0, 100, 7, 7, 7][..], &[0, 0][..], &[0, 0, 0, 1, 9, 0][..]] {
@@ -586,6 +607,28 @@ mod tests {
         assert_eq!(&rx.recv().unwrap()[..], b"two");
         drop(peer);
         assert_eq!(rx.recv().unwrap_err(), TransportError::Closed);
+    }
+
+    #[test]
+    fn ready_reports_a_read_ahead_frame_and_not_an_empty_socket() {
+        let listener = StdListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = TcpConnection::new(stream).unwrap();
+        let (_tx, mut rx) = conn.try_split().expect("tcp must split");
+        assert!(!rx.ready(), "nothing read ahead");
+        let wire = framed(&[b"one".to_vec(), b"two".to_vec()]);
+        peer.write_all(&wire).unwrap();
+        assert!(!rx.ready(), "bytes in the kernel are not asked for");
+        // Both frames have arrived before the first read, so it takes both.
+        let mut arrived = [0u8; 32];
+        while conn.stream.peek(&mut arrived).unwrap() < wire.len() {
+            std::thread::yield_now();
+        }
+        assert_eq!(&rx.recv().unwrap()[..], b"one");
+        assert!(rx.ready(), "the second frame was read ahead");
+        assert_eq!(&rx.recv().unwrap()[..], b"two");
+        assert!(!rx.ready());
     }
 
     /// A deadline that cuts a large frame off halfway keeps the half: the

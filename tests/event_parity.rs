@@ -101,7 +101,7 @@ fn assert_parity(fired: Vec<(String, u64)>, pinned: &[(&str, u64)]) {
 #[test]
 fn one_echo_over_shm_fires_what_it_always_did() {
     let fired = events_of_one_echo(Wire::Shm, vec![]);
-    // 12 metric events and 5 spans; a request frame is 100 bytes, a reply 44.
+    // 10 metric events and 5 spans; a request frame is 100 bytes, a reply 44.
     assert_parity(
         fired,
         &[
@@ -111,8 +111,6 @@ fn one_echo_over_shm_fires_what_it_always_did() {
             ("orb_requests_total{}", 1),
             ("orb_selection_cache_total{outcome=hit}", 1),
             ("orb_selection_total{outcome=selected,protocol=shm}", 1),
-            ("runtime_parks_total{pool=shared}", 1),
-            ("runtime_tasks_total{pool=shared}", 1),
             ("span gp_attempt attempt=0 forward=0 method=1 proto=shm", 1),
             ("span mux_demux_recv bytes=44", 1),
             ("span selection outcome=cached", 1),
@@ -130,7 +128,7 @@ fn one_echo_over_shm_fires_what_it_always_did() {
 fn one_echo_through_glue_over_tcp_fires_what_it_always_did() {
     let caps = vec![TimeoutCap::spec(u64::MAX / 2), EncryptionCap::spec(KEY_NAME)];
     let fired = events_of_one_echo(Wire::TcpLoopback, caps);
-    // 20 metric events and 13 spans; a request frame is 200 bytes, a reply 124.
+    // 18 metric events and 13 spans; a request frame is 200 bytes, a reply 124.
     assert_parity(
         fired,
         &[
@@ -148,8 +146,6 @@ fn one_echo_through_glue_over_tcp_fires_what_it_always_did() {
             ("orb_requests_total{}", 1),
             ("orb_selection_cache_total{outcome=hit}", 1),
             ("orb_selection_total{outcome=selected,protocol=glue}", 1),
-            ("runtime_parks_total{pool=shared}", 1),
-            ("runtime_tasks_total{pool=shared}", 1),
             ("span cap_process cap=security dir=reply", 1),
             ("span cap_process cap=security dir=request", 1),
             ("span cap_process cap=timeout dir=reply", 1),
