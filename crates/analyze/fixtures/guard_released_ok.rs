@@ -4,7 +4,7 @@
 //! silent. A scoped-out guard is released before the wire call; a channel
 //! `Sender::send` is not a wire send; a spawned closure blocks its own
 //! thread, not the spawner; a spawned reader loop may recv unboundedly;
-//! and `set_recv_timeout` in the same fn bounds the request-path recv.
+//! and `recv_deadline` bounds the request-path receive.
 
 struct Pool {
     slot: Mutex<Option<Box<dyn Connection>>>,
@@ -14,9 +14,10 @@ struct Pool {
 impl Pool {
     fn exchange(
         &self,
-        conn: &mut dyn Connection,
+        tx: &mut dyn SendHalf,
+        rx: &mut dyn RecvHalf,
         frame: &[u8],
-        deadline: Option<Duration>,
+        deadline: Option<Instant>,
     ) -> Result<Bytes, TransportError> {
         {
             let slot = self.slot.lock();
@@ -24,9 +25,8 @@ impl Pool {
                 return Err(TransportError::Closed);
             }
         }
-        conn.set_recv_timeout(deadline);
-        conn.send(frame)?;
-        conn.recv()
+        tx.send(frame)?;
+        rx.recv_deadline(deadline)
     }
 
     fn notify(&self, tx: &Sender<u64>, seq: u64) {

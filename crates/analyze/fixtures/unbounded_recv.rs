@@ -1,8 +1,8 @@
 //! fixture-crate: ohpc-pool
 //!
 //! A request path that reads the wire with no deadline hangs its caller
-//! for as long as the peer cares to stay silent. The bounded variant arms
-//! the connection's receive timeout in the same fn and is fine.
+//! for as long as the peer cares to stay silent. The bounded variant reads
+//! with the request's deadline and is fine.
 
 fn ask(conn: &mut dyn Connection, frame: &[u8]) -> Result<Bytes, TransportError> {
     conn.send(frame)?;
@@ -10,13 +10,13 @@ fn ask(conn: &mut dyn Connection, frame: &[u8]) -> Result<Bytes, TransportError>
 }
 
 fn ask_bounded(
-    conn: &mut dyn Connection,
+    tx: &mut dyn SendHalf,
+    rx: &mut dyn RecvHalf,
     frame: &[u8],
-    deadline: Option<Duration>,
+    deadline: Option<Instant>,
 ) -> Result<Bytes, TransportError> {
-    conn.set_recv_timeout(deadline);
-    conn.send(frame)?;
-    conn.recv()
+    tx.send(frame)?;
+    rx.recv_deadline(deadline)
 }
 
 fn pump(rx: &Receiver<u64>) -> Option<u64> {

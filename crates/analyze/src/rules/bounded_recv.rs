@@ -11,15 +11,14 @@
 //! * the enclosing fn *is* the transport impl or a delegation shim (named
 //!   `recv`/`recv_deadline`/`recv_timeout`/`accept` — the deadline is the
 //!   caller's job; `RecvHalf::recv_deadline`'s default body is such a shim);
-//! * the enclosing fn also calls `set_recv_timeout` (the deadline plumbing
-//!   is local and visible);
 //! * the site runs on a dedicated reader thread: lexically inside a
-//!   `…spawn(…)` argument, or in a function reachable from one
-//!   (`reader_loop`, `serve_connection` and friends block by design);
+//!   `…spawn(…)` argument, or in a function reachable from one (a server's
+//!   connection reader, started by the accept loop, blocks by design);
 //! * an `// ohpc-analyze: allow(bounded-recv) — <reason>` annotation.
 //!
 //! The deadline variant itself, `recv_deadline(deadline)`, is never a
-//! finding: the mux's leader reads with it, bounded by its own deadline.
+//! finding: it is how a request path bounds a receive — the mux's leader
+//! reads with it, bounded by its own deadline.
 
 use crate::graph::{Recv, Workspace};
 use crate::rules::{Diagnostic, Severity};
@@ -50,14 +49,10 @@ pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
             if !hints.iter().any(|h| TRANSPORT_TYPES.contains(&h.as_str())) {
                 continue;
             }
-            if ws.in_spawn_arg(fi.file, c.tok) || ws.dedicated.contains(&id) {
-                continue;
-            }
-            // Local deadline plumbing in the same fn body.
-            let plumbed = f.tokens[fi.open..fi.close]
-                .iter()
-                .any(|t| t.is_ident("set_recv_timeout"));
-            if plumbed || f.allowed(RULE, c.line) {
+            if ws.in_spawn_arg(fi.file, c.tok)
+                || ws.dedicated.contains(&id)
+                || f.allowed(RULE, c.line)
+            {
                 continue;
             }
             diags.push(Diagnostic {
@@ -67,7 +62,7 @@ pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                 severity: Severity::Deny,
                 message: format!(
                     "unbounded transport recv in fn {} — a silent peer hangs this caller \
-                     forever; arm `set_recv_timeout` from the request deadline, or move \
+                     forever; read with `recv_deadline` and the request's deadline, or move \
                      the read to a dedicated reader thread",
                     fi.name
                 ),
@@ -99,17 +94,6 @@ mod tests {
         let diags = analyze(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, RULE);
-    }
-
-    #[test]
-    fn set_recv_timeout_in_same_fn_exempts() {
-        let src = r#"
-            fn ask(conn: &mut dyn Connection, timeout: Option<Duration>) -> Result<Bytes, E> {
-                conn.set_recv_timeout(timeout);
-                conn.recv()
-            }
-        "#;
-        assert!(analyze(src).is_empty(), "{:?}", analyze(src));
     }
 
     #[test]

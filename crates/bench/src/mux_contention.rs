@@ -9,7 +9,7 @@
 //! many clients share it, which is exactly the contention the multiplexed
 //! channel exists to remove. Unlike the simulator-driven figures, this
 //! harness runs on real threads and real time: it exercises the production
-//! reader-thread demux path end to end.
+//! demux path (leader reads, waiter table) end to end.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +21,6 @@ use ohpc_orb::{
 };
 use ohpc_resilience::HealthRegistry;
 use ohpc_transport::mem::MemFabric;
-use ohpc_transport::Dialer;
 use ohpc_xdr::{XdrReader, XdrWriter};
 
 /// Method slot of [`SlowEcho::dispatch`]'s echo method.
@@ -103,18 +102,6 @@ pub fn run_contention(
     requests_per_client: usize,
     delay: Duration,
 ) -> ContentionSample {
-    run_contention_over(|fabric| Arc::new(fabric), clients, requests_per_client, delay)
-}
-
-/// [`run_contention`] with the clients' dialer built from the harness's
-/// fabric by `dialer`: a wrapper whose connections cannot split drives the
-/// same load through the striped fallback.
-pub fn run_contention_over(
-    dialer: impl FnOnce(MemFabric) -> Arc<dyn Dialer>,
-    clients: usize,
-    requests_per_client: usize,
-    delay: Duration,
-) -> ContentionSample {
     let fabric = MemFabric::new();
     let registry = Arc::new(CapabilityRegistry::new());
     let ctx = Context::new(ContextId(9_000), Location::new(0, 0), registry);
@@ -128,7 +115,7 @@ pub fn run_contention_over(
         }
     };
 
-    let proto = TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, dialer(fabric));
+    let proto = TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric));
     // Reader-thread deaths and exchange failures feed one shared registry.
     let health = Arc::new(HealthRegistry::new());
     proto.set_health_registry(health.clone());

@@ -90,9 +90,9 @@ struct ContextInner {
     meter: RwLock<Option<Arc<dyn ComputeMeter>>>,
     requests_served: AtomicU64,
     stopping: std::sync::atomic::AtomicBool,
-    /// Executes dispatch on split connections. Pluggable so tests can pin
-    /// deterministic inline dispatch or size their own pool; defaults to
-    /// the shared worker pool.
+    /// Executes the dispatch connection readers hand off. Pluggable so
+    /// tests can pin deterministic inline dispatch or size their own pool;
+    /// defaults to the shared worker pool.
     executor: RwLock<Arc<dyn Executor>>,
     /// Bounds admitted-but-unfinished requests (queued + executing).
     admission: AdmissionController,
@@ -193,15 +193,14 @@ impl Context {
 
     // ------------------------------------------------------------- executor
 
-    /// Replaces the dispatch executor. Affects split connections accepted
-    /// after the call: it runs their one-ways, and their two-ways whenever
-    /// the connection's reader does not run them itself. Inline
-    /// (non-splittable) connections always dispatch on the reader thread.
+    /// Replaces the dispatch executor. Affects connections accepted after
+    /// the call: it runs their one-ways, and their two-ways whenever the
+    /// connection's reader does not run them itself.
     pub fn set_executor(&self, executor: Arc<dyn Executor>) {
         *self.inner.executor.write() = executor;
     }
 
-    /// The executor two-way requests on split connections run on.
+    /// The executor requests the connection's reader hands off run on.
     pub fn executor(&self) -> Arc<dyn Executor> {
         self.inner.executor.read().clone()
     }
@@ -356,35 +355,13 @@ impl Context {
         self.inner.stopping.store(false, Ordering::Release);
     }
 
+    /// Serves one accepted connection until it closes (see [`SplitConn`]):
+    /// clients multiplex many requests onto one connection, so it is split
+    /// and its requests are dispatched concurrently. Every transport's
+    /// connections split; one that does not is hung up on.
     fn serve_connection(&self, mut conn: Box<dyn Connection>, framing: Framing) {
-        // Splittable transports get concurrent dispatch: clients multiplex
-        // many requests onto one connection, so handling them one at a time
-        // would re-serialize the wire server-side.
-        if let Some((tx, rx)) = conn.try_split() {
-            drop(conn);
-            self.serve_connection_split(tx, rx, framing);
-            return;
-        }
-        while let Ok(frame) = conn.recv() {
-            if self.inner.stopping.load(Ordering::Acquire) {
-                return; // drop the connection: this context is gone
-            }
-            match self.handle_frame_opt(frame, framing) {
-                // One-way requests yield no reply frame.
-                Ok(None) => {}
-                Ok(Some(reply)) if conn.send(&reply).is_ok() => {}
-                _ => return,
-            }
-        }
-    }
-
-    /// Concurrent serving for split connections (see [`SplitConn`]).
-    fn serve_connection_split(
-        &self,
-        tx: Box<dyn ohpc_transport::SendHalf>,
-        rx: Box<dyn ohpc_transport::RecvHalf>,
-        framing: Framing,
-    ) {
+        let Some((tx, rx)) = conn.try_split() else { return };
+        drop(conn);
         let workers = self.executor();
         let conn: Arc<SplitConn> = Arc::new(SplitConn {
             ctx: self.clone(),
@@ -479,8 +456,8 @@ impl Context {
     /// frame carries the framing too. `Ok(None)` for a one-way request,
     /// which is dispatched — or shed — and produces no reply frame. `Err`:
     /// the frame is not in that framing at all, so no reply can be addressed
-    /// to its sender — the serving loops hang up. Owning the frame lets the
-    /// decoded body be a view of it rather than a copy.
+    /// to its sender — a connection's reader hangs up. Owning the frame lets
+    /// the decoded body be a view of it rather than a copy.
     pub fn handle_frame_opt(
         &self,
         frame: Bytes,
@@ -561,8 +538,8 @@ impl Context {
 
     /// Typed form of [`handle_frame_opt`](Self::handle_frame_opt).
     ///
-    /// All serving paths funnel here — inline connections and executor tasks
-    /// on split ones, under either framing — so adopting the
+    /// All serving paths funnel here — a connection's reader and executor
+    /// tasks, under either framing — so adopting the
     /// request's wire-propagated trace context at the top is enough to make
     /// every server-side span (dispatch, glue, capability) a child of the
     /// client's attempt span, whichever thread this runs on.

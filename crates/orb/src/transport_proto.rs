@@ -7,27 +7,19 @@
 //! different dialers and applicability rules — which is precisely the
 //! "proto-class" reuse the paper describes.
 //!
-//! A pooled channel takes one of two shapes, decided by what the dialed
-//! connection can do, never by configuration:
-//!
-//! - **Multiplexed**, when the connection can
-//!   [split](ohpc_transport::Connection::try_split): one connection per
-//!   endpoint, a writer lock held only for the framed send, and replies
-//!   demultiplexed to waiters by `request_id`. N concurrent invocations
-//!   have N requests in flight on one wire. No thread is dedicated to
-//!   reading: a waiting caller reads the connection itself as the mux's
-//!   *leader*, delivers the replies of anyone waiting behind it, and hands
-//!   the read on when its own reply arrives
-//!   ([`MuxChannel`](ohpc_transport::mux::MuxChannel) states the rule). A
-//!   connection that dies while idle is therefore found dead by the next
-//!   call — over mem by its send (unsent: re-dialed transparently, once),
-//!   over TCP by its read (ambiguous: the frame was taken) — and a channel
-//!   lives exactly as long as its last handle: dropping the proto closes
-//!   every connection it pooled.
-//! - **Striped**, when it cannot (the simulated network, fault-injection
-//!   wrappers): a few independent connections whose locks are held across
-//!   the whole exchange, because their framing cannot interleave
-//!   concurrent requests.
+//! Every pooled channel is **multiplexed**: one connection per endpoint,
+//! [split](ohpc_transport::Connection::try_split) into its halves — every
+//! transport's connections split, and a dial that returns one that cannot
+//! fails — with a writer lock held only for the framed send and replies
+//! demultiplexed to waiters by `request_id`. N concurrent invocations have N
+//! requests in flight on one wire. No thread is dedicated to reading: a
+//! waiting caller reads the connection itself as the mux's *leader*,
+//! delivers the replies of anyone waiting behind it, and hands the read on
+//! when its own reply arrives ([`MuxChannel`] states the rule). A connection
+//! that dies while idle is therefore found dead by the next call — over mem
+//! by its send (unsent: re-dialed transparently, once), over TCP by its read
+//! (ambiguous: the frame was taken) — and a channel lives exactly as long as
+//! its last handle: dropping the proto closes every connection it pooled.
 //!
 //! [`NexusProto`], the paper's baseline, is the same object with one
 //! constant changed: its frames carry the 8-byte Nexus RSR header
@@ -48,7 +40,6 @@
 //!   loser tears its duplicate down and shares the winner's.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -59,16 +50,13 @@ use ohpc_netsim::Location;
 use ohpc_resilience::{HealthKey, HealthRegistry};
 use ohpc_telemetry::Registry;
 use ohpc_transport::mux::{DeathHook, MuxChannel, MuxError};
-use ohpc_transport::{Connection, Dialer, Endpoint, RecvHalf, SendHalf};
+use ohpc_transport::{Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
 
 use crate::error::OrbError;
 use crate::ids::ProtocolId;
 use crate::message::{Framing, ReplyMessage, RequestMessage};
 use crate::objref::{ProtoData, ProtoEntry};
 use crate::proto::{ApplicabilityRule, ProtoObject, ProtoPool};
-
-/// Connections per endpoint when the transport cannot multiplex.
-const STRIPES: usize = 4;
 
 fn endpoint_of(entry: &ProtoEntry) -> Result<Endpoint, OrbError> {
     match &entry.data {
@@ -138,18 +126,19 @@ impl<C: Pooled> EndpointCache<C> {
     }
 
     /// The pooled handle for `ep` and whether it was already cached. A miss
-    /// dials outside the lock and publishes unless another caller won the
-    /// race meanwhile: then the earlier handle wins, ours is dropped (which
-    /// closes it), and the avoided double-dial is counted.
-    fn get_or_dial(
+    /// dials — building the handle or its `Arc` — outside the lock and
+    /// publishes unless another caller won the race meanwhile: then the
+    /// earlier handle wins, ours is dropped (which closes it), and the
+    /// avoided double-dial is counted.
+    fn get_or_dial<D: Into<Arc<C>>>(
         &self,
         ep: &Endpoint,
-        dial: impl FnOnce() -> Result<C, OrbError>,
+        dial: impl FnOnce() -> Result<D, OrbError>,
     ) -> Result<(Arc<C>, bool), OrbError> {
         if let Some(hit) = self.cached(ep) {
             return Ok((hit, true));
         }
-        let built = Arc::new(dial()?);
+        let built: Arc<C> = dial()?.into();
         let winner = {
             let mut map = self.handles.lock();
             let live = map.get(ep).filter(|c| !c.is_dead()).cloned();
@@ -183,51 +172,9 @@ impl<C: Pooled> EndpointCache<C> {
     }
 }
 
-// ------------------------------------------------------------------ channels
-
-/// A fixed-width pool of independent, lazily dialed connections to one
-/// endpoint, each held across a full send+recv exchange.
-///
-/// The server reads each connection in order but the connections race each
-/// other, so "a one-way is dispatched before a later two-way is answered"
-/// only holds on one connection. One-ways therefore all ride the first
-/// stripe, and while any of them may still be unread (`oneways_unread`)
-/// two-ways queue behind them there; the first reply on that stripe proves
-/// the server has read everything sent before it and frees two-ways to
-/// spread over the other stripes again.
-struct StripeSet {
-    stripes: Vec<Mutex<Option<Box<dyn Connection>>>>,
-    cursor: AtomicUsize,
-    oneways_unread: AtomicBool,
-}
-
-impl StripeSet {
-    /// A set whose first stripe is the already-dialed `conn`, so the dial
-    /// that discovered the transport cannot split is not wasted.
-    fn adopting(conn: Box<dyn Connection>) -> Self {
-        let mut stripes = vec![Mutex::new(Some(conn))];
-        stripes.resize_with(STRIPES, || Mutex::new(None));
-        Self { stripes, cursor: AtomicUsize::new(0), oneways_unread: AtomicBool::new(false) }
-    }
-
-    /// The first stripe when `ordered`, else round-robin.
-    fn pick(&self, ordered: bool) -> Option<&Mutex<Option<Box<dyn Connection>>>> {
-        let next = || self.cursor.fetch_add(1, Ordering::Relaxed) % self.stripes.len().max(1);
-        self.stripes.get(if ordered { 0 } else { next() })
-    }
-}
-
-/// A pooled per-endpoint channel.
-enum Channel {
-    /// Split connection, demultiplexed: N requests in flight at once.
-    Mux(Arc<MuxChannel>),
-    /// Independent lock-across-exchange connections.
-    Striped(StripeSet),
-}
-
-impl Pooled for Channel {
+impl Pooled for MuxChannel {
     fn is_dead(&self) -> bool {
-        matches!(self, Channel::Mux(m) if m.is_dead())
+        MuxChannel::is_dead(self)
     }
 }
 
@@ -244,7 +191,7 @@ pub struct TransportProto {
     rule: ApplicabilityRule,
     dialer: Arc<dyn Dialer>,
     framing: Framing,
-    channels: EndpointCache<Channel>,
+    channels: EndpointCache<MuxChannel>,
     health_sink: Mutex<Option<Arc<HealthRegistry>>>,
 }
 
@@ -290,16 +237,16 @@ impl TransportProto {
         *self.health_sink.lock() = Some(health);
     }
 
-    /// Dials and wraps a fresh channel: a connection that can split gets a
-    /// mux; everything else stripes.
-    fn dial_channel(&self, ep: &Endpoint) -> Result<Channel, OrbError> {
+    /// Dials `ep` and wraps the connection's halves in a fresh mux.
+    fn dial_channel(&self, ep: &Endpoint) -> Result<Arc<MuxChannel>, OrbError> {
         let mut conn = self.dialer.dial(ep)?;
-        Ok(match conn.try_split() {
-            // The halves own socket duplicates / channel clones; the
-            // original connection object is no longer needed.
-            Some((tx, rx)) => Channel::Mux(self.new_mux(ep, tx, rx)),
-            None => Channel::Striped(StripeSet::adopting(conn)),
-        })
+        // The halves own socket duplicates / pipe handles; the original
+        // connection object is no longer needed.
+        let Some((tx, rx)) = conn.try_split() else {
+            let unsplittable = format!("a connection to {ep} cannot be split");
+            return Err(OrbError::Transport(TransportError::Io(unsplittable)));
+        };
+        Ok(self.new_mux(ep, tx, rx))
     }
 
     /// Builds the demux channel for `ep`, wiring its death into telemetry
@@ -336,9 +283,9 @@ impl TransportProto {
     /// request's semantics; this layer only retries the provably-unsent
     /// case of a stale cached channel (e.g. the server restarted), once.
     ///
-    /// On a mux the deadline rides into the demux wait, and only a *dead*
-    /// channel is evicted: a live one that merely timed out keeps serving
-    /// its other waiters.
+    /// The deadline rides into the demux wait, and only a *dead* channel is
+    /// evicted: a live one that merely timed out keeps serving its other
+    /// waiters.
     fn exchange(
         &self,
         ep: &Endpoint,
@@ -347,11 +294,7 @@ impl TransportProto {
     ) -> Result<Option<Bytes>, OrbError> {
         let mut retried = false;
         loop {
-            let (chan, was_cached) = self.channels.get_or_dial(ep, || self.dial_channel(ep))?;
-            let mux = match &*chan {
-                Channel::Striped(set) => return self.exchange_striped(ep, set, frame, reply),
-                Channel::Mux(mux) => mux,
-            };
+            let (mux, was_cached) = self.channels.get_or_dial(ep, || self.dial_channel(ep))?;
             let outcome = match reply {
                 Some(w) => mux.call(w.request_id, frame, w.timeout).map(Some),
                 None => mux.send_only(frame).map(|()| None),
@@ -361,7 +304,7 @@ impl TransportProto {
                 Err(err) => err,
             };
             if mux.is_dead() {
-                self.channels.evict(ep, &chan);
+                self.channels.evict(ep, &mux);
             }
             match err {
                 MuxError::Unsent(_) if was_cached && !retried => {
@@ -374,73 +317,6 @@ impl TransportProto {
         }
     }
 
-    /// [`exchange`](Self::exchange) on the fallback shape: one stripe's lock
-    /// is held across send(+recv) because the framing cannot interleave.
-    /// The deadline arms the connection's receive timeout (where
-    /// supported). A pooled connection whose send fails is dropped and
-    /// re-dialed once; one whose receive fails or times out is dropped in
-    /// place — a timeout may leave a partial frame on the wire, which would
-    /// desynchronize the next exchange.
-    fn exchange_striped(
-        &self,
-        ep: &Endpoint,
-        set: &StripeSet,
-        frame: &[u8],
-        reply: Option<ReplyWait>,
-    ) -> Result<Option<Bytes>, OrbError> {
-        let ordered = reply.is_none() || set.oneways_unread.load(Ordering::Acquire);
-        let Some(stripe) = set.pick(ordered) else {
-            return Err(OrbError::Protocol("striped pool has no stripes".into()));
-        };
-        // ohpc-analyze: allow(guard-across-blocking) — a stripe is one
-        // connection whose frames (and request/reply pairs) must not
-        // interleave; holding the slot mutex across the exchange is the
-        // striping design, and contention is bounded by picking among
-        // independent stripes.
-        let mut slot = stripe.lock();
-        let mut fresh = false;
-        loop {
-            let conn = match slot.as_mut() {
-                Some(pooled) => pooled,
-                None => {
-                    fresh = true;
-                    slot.insert(self.dialer.dial(ep)?)
-                }
-            };
-            if let Err(e) = conn.send(frame) {
-                *slot = None;
-                // Only a pooled connection can have gone stale; one dialed
-                // for this very exchange that cannot send is the error.
-                if fresh {
-                    return Err(e.into());
-                }
-                count_retry(self.id);
-                continue;
-            }
-            let Some(wait) = reply else {
-                set.oneways_unread.store(true, Ordering::Release);
-                return Ok(None);
-            };
-            if wait.timeout.is_some() {
-                let _ = conn.set_recv_timeout(wait.timeout);
-            }
-            return match conn.recv() {
-                Ok(reply) => {
-                    if wait.timeout.is_some() {
-                        let _ = conn.set_recv_timeout(None);
-                    }
-                    if ordered {
-                        set.oneways_unread.store(false, Ordering::Release);
-                    }
-                    Ok(Some(reply))
-                }
-                Err(e) => {
-                    *slot = None;
-                    Err(OrbError::AmbiguousTransport(e))
-                }
-            };
-        }
-    }
 }
 
 impl ProtoObject for TransportProto {
@@ -509,8 +385,8 @@ mod tests {
     use super::*;
     use crate::ids::{ObjectId, RequestId};
     use ohpc_transport::mem::MemFabric;
-    use ohpc_transport::testing::{FaultPlan, FlakyDialer};
-    use ohpc_transport::{Listener as _, TransportError};
+    use ohpc_transport::{Connection, Listener as _};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn request(id: u64, body: &'static [u8]) -> RequestMessage {
         RequestMessage {
@@ -694,52 +570,34 @@ mod tests {
         assert!(Arc::ptr_eq(&shared[0], &shared[1]), "both racers share one handle");
     }
 
-    /// A dialer whose connections cannot split lands on the striped
-    /// fallback, which round-trips — and keeps the one-way contract: a
-    /// two-way issued after a one-way follows it on the same connection
-    /// (the server reads connections independently, so on any other stripe
-    /// it could overtake), and the reply frees two-ways to spread again.
+    /// A connection that cannot split has no channel to become: its dial
+    /// fails as unsent, and nothing is pooled.
     #[test]
-    fn striped_fallback_round_trips() {
-        let fabric = MemFabric::new();
-        let mut listener = fabric.listen_on(10);
-        let stop_listening = listener.stop_fn();
-        // Echo on every connection, logging (connection, request id) as
-        // frames arrive.
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let log = seen.clone();
-        let acceptor = std::thread::spawn(move || {
-            for conn_no in 0.. {
-                let Ok(mut conn) = listener.accept() else { return };
-                let log = log.clone();
-                std::thread::spawn(move || {
-                    while let Ok(frame) = conn.recv() {
-                        let req = RequestMessage::from_frame(&frame).unwrap();
-                        log.lock().push((conn_no, req.request_id.0));
-                        if !req.oneway {
-                            let reply = ReplyMessage::ok(req.request_id, req.body);
-                            conn.send(&reply.to_frame()).unwrap();
-                        }
-                    }
-                });
+    fn a_dial_that_cannot_split_fails_as_unsent() {
+        struct Whole;
+        impl Connection for Whole {
+            fn send(&mut self, _frame: &[u8]) -> Result<(), TransportError> {
+                Ok(())
             }
-        });
-        // FaultPlan::every(0) injects nothing; the wrapper's connections
-        // simply do not implement `try_split`.
-        let dialer = FlakyDialer::new(Arc::new(fabric), FaultPlan::every(0));
-        let proto =
-            TransportProto::new(ProtocolId::SHM, ApplicabilityRule::Always, Arc::new(dialer));
-        let entry = ProtoEntry::endpoint(ProtocolId::SHM, "mem://10");
-        let pool = ProtoPool::new();
-        let reply = proto.invoke(&pool, &entry, &request(1, b"stripe")).unwrap();
-        assert_eq!(&reply.body[..], b"stripe");
-        let oneway = RequestMessage { oneway: true, ..request(2, b"") };
-        proto.invoke_oneway(&pool, &entry, &oneway).unwrap();
-        proto.invoke(&pool, &entry, &request(3, b"")).unwrap();
-        proto.invoke(&pool, &entry, &request(4, b"")).unwrap();
-        assert_eq!(*seen.lock(), vec![(0, 1), (0, 2), (0, 3), (1, 4)]);
-        stop_listening();
-        acceptor.join().unwrap();
+            fn recv(&mut self) -> Result<Bytes, TransportError> {
+                Err(TransportError::Closed)
+            }
+        }
+        impl Dialer for Whole {
+            fn dial(&self, _: &Endpoint) -> Result<Box<dyn Connection>, TransportError> {
+                Ok(Box::new(Whole))
+            }
+        }
+        let always = ApplicabilityRule::Always;
+        let proto = TransportProto::new(ProtocolId::SHM, always, Arc::new(Whole));
+        let entry = ProtoEntry::endpoint(ProtocolId::SHM, "mem://14");
+        let err = proto.invoke(&ProtoPool::new(), &entry, &request(1, b"")).unwrap_err();
+        let io = match &err {
+            OrbError::Transport(TransportError::Io(io)) => io.as_str(),
+            _ => "",
+        };
+        assert!(io.ends_with("cannot be split"), "{err}");
+        assert_eq!(proto.channels.handles.lock().len(), 0);
     }
 
     /// A hung (not crashed) server must not block past the deadline: the
@@ -811,11 +669,9 @@ mod tests {
     }
 
     /// A non-OK RSR reply names a handler and no request, so it cannot be
-    /// routed to the caller it answers. What that caller sees: on a mux the
-    /// channel dies of the uncorrelatable frame and every waiter — the
-    /// caller among them — fails at once, ambiguous; on the striped shape
-    /// the caller reads its own reply and reports the refusal. Never a
-    /// caller parked for ever.
+    /// routed to the caller it answers. What that caller sees: the channel
+    /// dies of the uncorrelatable frame and every waiter — the caller among
+    /// them — fails at once, ambiguous. Never a caller parked for ever.
     #[test]
     fn nexus_refusal_fails_the_caller_instead_of_stranding_it() {
         let fabric = MemFabric::new();
@@ -825,14 +681,9 @@ mod tests {
         let pool = ProtoPool::new();
         let always = ApplicabilityRule::Always;
 
-        let muxed = NexusProto::new(ProtocolId::NEXUS_TCP, always, Arc::new(fabric.clone()));
+        let muxed = NexusProto::new(ProtocolId::NEXUS_TCP, always, Arc::new(fabric));
         let err = muxed.invoke(&pool, &entry, &request(1, b"")).unwrap_err();
         assert!(matches!(err, OrbError::AmbiguousTransport(TransportError::Io(_))), "{err}");
         assert_eq!(muxed.channels.handles.lock().len(), 0, "the dead channel is evicted");
-
-        let unsplittable = FlakyDialer::new(Arc::new(fabric), FaultPlan::every(0));
-        let striped = NexusProto::new(ProtocolId::NEXUS_TCP, always, Arc::new(unsplittable));
-        let err = striped.invoke(&pool, &entry, &request(2, b"")).unwrap_err();
-        assert!(matches!(&err, OrbError::Protocol(m) if m.contains("lacks ORB handler")), "{err}");
     }
 }

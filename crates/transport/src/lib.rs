@@ -8,8 +8,8 @@
 //! * [`mem`] — crossbeam-channel pairs inside one process: the
 //!   "shared memory protocol" of the paper;
 //! * [`tcp`] — real TCP with 4-byte length-prefix framing;
-//! * [`sim`] — in-process channels whose sends are *charged to virtual time*
-//!   through [`ohpc_netsim::SimNet`], reproducing the paper's testbed.
+//! * [`sim`] — mem connections whose sends are first *charged to virtual
+//!   time* through [`ohpc_netsim::SimNet`], reproducing the paper's testbed.
 //!
 //! All connections move whole frames (length ≤ [`MAX_FRAME`]); a frame is the
 //! unit the ORB's request/reply marshaling produces.
@@ -257,9 +257,10 @@ pub trait Connection: Send {
     /// underlying connection; after a successful split the original handle
     /// should be dropped.
     ///
-    /// The default refuses (`None`): transports whose framing or accounting
-    /// cannot interleave concurrent exchanges (the virtual-time-charged sim
-    /// fabric, fault-injection wrappers) stay on the striped-pool fallback.
+    /// Every connection the ORB serves or dials must split: mem, TCP and sim
+    /// connections do, and so do the fault-injection wrappers around them.
+    /// The default refuses (`None`); a client dial that cannot split fails,
+    /// and a server hangs up on such a connection.
     fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
         None
     }
@@ -298,8 +299,8 @@ pub trait RecvHalf: Send {
     /// call picks up where it stopped, inside a frame included.
     ///
     /// The default ignores `deadline` and calls `recv`, so it blocks until a
-    /// frame arrives or the peer closes; the `mem` and `tcp` halves
-    /// override it.
+    /// frame arrives or the peer closes; the `mem` (and so `sim`) and `tcp`
+    /// halves override it.
     fn recv_deadline(
         &mut self,
         deadline: Option<std::time::Instant>,

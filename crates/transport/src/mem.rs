@@ -146,46 +146,57 @@ impl Drop for PipeRx {
 
 /// The one send path of a connection and of its split-off send half (whose
 /// sender is gone once closed): one copy of `frame` into a [`Bytes`] the
-/// receiver will own.
-fn send_on(tx: Option<&PipeTx>, frame: &[u8]) -> Result<(), TransportError> {
+/// receiver will own, counted into `fabric`.
+fn send_on(
+    fabric: &telem::Fabric,
+    tx: Option<&PipeTx>,
+    frame: &[u8],
+) -> Result<(), TransportError> {
     let r = match tx {
         _ if frame.len() > MAX_FRAME => Err(TransportError::FrameTooLarge(frame.len())),
         None => Err(TransportError::Closed),
         Some(tx) => tx.send(Bytes::copy_from_slice(frame)),
     };
-    telem::MEM.track_send(frame.len(), r)
+    fabric.track_send(frame.len(), r)
+}
+
+/// Both ends of a fresh connection, counting their traffic into `fabric`:
+/// the mem fabric's own, or the simulated network's, whose connections are
+/// mem connections that charge the wire before each send.
+pub(crate) fn pair(fabric: &'static telem::Fabric) -> (MemConnection, MemConnection) {
+    let (a_tx, b_rx) = pipe();
+    let (b_tx, a_rx) = pipe();
+    (
+        MemConnection { tx: a_tx, rx: a_rx, fabric },
+        MemConnection { tx: b_tx, rx: b_rx, fabric },
+    )
 }
 
 /// One side of an established connection.
 pub struct MemConnection {
     tx: PipeTx,
     rx: PipeRx,
-    recv_timeout: Option<Duration>,
+    fabric: &'static telem::Fabric,
 }
 
 impl Connection for MemConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        send_on(Some(&self.tx), frame)
+        send_on(self.fabric, Some(&self.tx), frame)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let deadline = self.recv_timeout.map(|d| Instant::now() + d);
-        telem::MEM.track_recv(self.rx.recv(deadline))
+        self.fabric.track_recv(self.rx.recv(None))
     }
 
     /// Mem splits by sharing the pipes. The send half also holds our inbound
     /// pipe — uncounted, so a peer that hangs up is still seen — to shut it
     /// on `close`.
     fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
+        let fabric = self.fabric;
         Some((
-            Box::new(MemSendHalf { tx: Some(self.tx.clone()), inbound: self.rx.0.clone() }),
-            Box::new(MemRecvHalf { rx: self.rx.clone() }),
+            Box::new(MemSendHalf { tx: Some(self.tx.clone()), inbound: self.rx.0.clone(), fabric }),
+            Box::new(MemRecvHalf { rx: self.rx.clone(), fabric }),
         ))
-    }
-
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> bool {
-        self.recv_timeout = timeout;
-        true
     }
 }
 
@@ -193,11 +204,12 @@ impl Connection for MemConnection {
 pub struct MemSendHalf {
     tx: Option<PipeTx>,
     inbound: Arc<Pipe>,
+    fabric: &'static telem::Fabric,
 }
 
 impl SendHalf for MemSendHalf {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        send_on(self.tx.as_ref(), frame)
+        send_on(self.fabric, self.tx.as_ref(), frame)
     }
 
     /// Hangs up our sending end and shuts our inbound pipe, so the paired
@@ -211,15 +223,16 @@ impl SendHalf for MemSendHalf {
 /// Receiving half of a split [`MemConnection`].
 pub struct MemRecvHalf {
     rx: PipeRx,
+    fabric: &'static telem::Fabric,
 }
 
 impl RecvHalf for MemRecvHalf {
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        telem::MEM.track_recv(self.rx.recv(None))
+        self.fabric.track_recv(self.rx.recv(None))
     }
 
     fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
-        telem::MEM.track_recv(self.rx.recv(deadline))
+        self.fabric.track_recv(self.rx.recv(deadline))
     }
 
     fn ready(&self) -> bool {
@@ -274,10 +287,7 @@ impl MemFabric {
         };
         // Build both directions and hand the server its half through the
         // listener queue.
-        let (a_tx, b_rx) = pipe();
-        let (b_tx, a_rx) = pipe();
-        let client = MemConnection { tx: a_tx, rx: a_rx, recv_timeout: None };
-        let server = MemConnection { tx: b_tx, rx: b_rx, recv_timeout: None };
+        let (client, server) = pair(&telem::MEM);
         pending_tx
             .send(server)
             .map_err(|_| TransportError::ConnectionRefused(format!("mem://{key}")))?;
@@ -446,20 +456,6 @@ mod tests {
         drop(server);
         assert_eq!(reader.join().unwrap().unwrap_err(), TransportError::Closed);
         assert!(matches!(tx.send(b"late").unwrap_err(), TransportError::Closed));
-    }
-
-    #[test]
-    fn recv_timeout_fires_and_disarms() {
-        let fabric = MemFabric::new();
-        let mut listener = fabric.listen();
-        let ep = listener.endpoint();
-        let mut c = fabric.dial(&ep).unwrap();
-        let mut server = listener.accept().unwrap();
-        assert!(c.set_recv_timeout(Some(std::time::Duration::from_millis(20))));
-        assert_eq!(c.recv().unwrap_err(), TransportError::Timeout);
-        server.send(b"now").unwrap();
-        assert_eq!(&c.recv().unwrap()[..], b"now");
-        assert!(c.set_recv_timeout(None));
     }
 
     /// `close` wakes the paired receive half while the peer still holds its

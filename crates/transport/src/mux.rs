@@ -119,15 +119,6 @@ struct PendingState {
     dead: Option<TransportError>,
 }
 
-impl PendingState {
-    /// A waiter to unpark so that it takes the resting receive half, if the
-    /// half rests and anyone still waits.
-    fn next_leader(&self) -> Option<Thread> {
-        self.resting.as_ref()?;
-        self.waiters.values().find(|w| w.outcome.is_none()).map(|w| w.caller.clone())
-    }
-}
-
 /// What a caller that stopped waiting hears, from what its slot held.
 fn verdict(outcome: Option<Result<Bytes, TransportError>>) -> Result<Bytes, MuxError> {
     match outcome {
@@ -297,7 +288,12 @@ impl MuxChannel {
             Some(Waiter { outcome, .. }) => outcome,
             None => None,
         };
-        let next = st.next_leader();
+        // If the half rests and anyone still waits, one of them takes it.
+        let next = if st.resting.is_some() {
+            st.waiters.values().find(|w| w.outcome.is_none()).map(|w| w.caller.clone())
+        } else {
+            None
+        };
         drop(st);
         if let Some(next) = next {
             next.unpark();

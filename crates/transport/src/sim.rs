@@ -1,10 +1,11 @@
 //! Simulated-network transport.
 //!
-//! Functionally identical to the [`crate::mem`] fabric — real bytes move
-//! between threads — but every frame is also *charged to virtual time*
-//! through [`SimNet::transfer`], including queuing on shared media. The
-//! figure harness divides bytes moved by virtual time elapsed to obtain the
-//! bandwidth curves of the paper's Figure 5.
+//! A sim connection is a [`crate::mem`] connection — real bytes move between
+//! threads — whose every frame is first *charged to virtual time* through
+//! [`SimNet::try_transfer`], including queuing on shared media. The figure
+//! harness divides bytes moved by virtual time elapsed to obtain the
+//! bandwidth curves of the paper's Figure 5. Splitting, closing, deadlines
+//! and readiness are mem's; only the send half adds the charge.
 //!
 //! An endpoint is `(machine, port)`; the dialer is itself pinned to a
 //! machine, so the fabric knows which link class each connection crosses.
@@ -18,17 +19,18 @@ use parking_lot::Mutex;
 
 use ohpc_netsim::{MachineId, SimNet};
 
-use crate::{telem, Connection, Dialer, Endpoint, Listener, TransportError, MAX_FRAME};
+use crate::mem::{self, MemConnection};
+use crate::{
+    telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
+};
 
 /// Per-frame protocol envelope charged to the wire in addition to payload
 /// bytes (IP + TCP header class of overhead).
 pub const FRAME_WIRE_OVERHEAD: usize = 48;
 
-type PendingDial = SimConnection;
-
 #[derive(Default)]
 struct FabricState {
-    listeners: HashMap<(u32, u32), Sender<PendingDial>>,
+    listeners: HashMap<(u32, u32), Sender<SimConnection>>,
     next_port: u32,
 }
 
@@ -62,7 +64,7 @@ impl SimFabric {
 
     /// Binds a listener on a specific (machine, port).
     pub fn listen_on(&self, machine: MachineId, port: u32) -> SimListener {
-        let (tx, rx) = unbounded::<PendingDial>();
+        let (tx, rx) = unbounded::<SimConnection>();
         let mut st = self.state.lock();
         let key = (machine.0, port);
         assert!(!st.listeners.contains_key(&key), "sim endpoint M{}:{port} already bound", machine.0);
@@ -98,22 +100,10 @@ impl SimFabric {
                 })?
         };
         let remote = MachineId(to_machine);
-        let (a_tx, b_rx) = unbounded();
-        let (b_tx, a_rx) = unbounded();
-        let client = SimConnection {
-            net: self.net.clone(),
-            local: from,
-            remote,
-            tx: a_tx,
-            rx: a_rx,
-        };
-        let server = SimConnection {
-            net: self.net.clone(),
-            local: remote,
-            remote: from,
-            tx: b_tx,
-            rx: b_rx,
-        };
+        let (client, server) = mem::pair(&telem::SIM);
+        let wire = |local, remote| Wire { net: self.net.clone(), local, remote };
+        let client = SimConnection { wire: wire(from, remote), conn: client };
+        let server = SimConnection { wire: wire(remote, from), conn: server };
         pending_tx
             .send(server)
             .map_err(|_| TransportError::ConnectionRefused(format!("sim://M{to_machine}:{port}")))?;
@@ -143,39 +133,71 @@ impl Dialer for SimDialer {
     }
 }
 
-/// One side of a simulated connection.
-pub struct SimConnection {
+/// One direction of the simulated wire: what a send is charged to.
+#[derive(Clone)]
+struct Wire {
     net: SimNet,
     local: MachineId,
     remote: MachineId,
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+}
+
+impl Wire {
+    /// Charges a frame of `len` bytes to the wire before it is enqueued, so
+    /// the receiver cannot see it earlier than its simulated arrival. A
+    /// partitioned link or crashed peer fails here — the receiver never
+    /// observes a frame the simulated wire dropped. A frame over
+    /// [`MAX_FRAME`] goes uncharged: the pipe refuses it.
+    fn charge(&self, len: usize) -> Result<(), TransportError> {
+        if len > MAX_FRAME {
+            return Ok(());
+        }
+        match self.net.try_transfer(self.local, self.remote, len + FRAME_WIRE_OVERHEAD) {
+            Ok(_) => Ok(()),
+            Err(fault) => {
+                let err = TransportError::Io(format!("timed out: {fault}"));
+                telem::SIM.track_send(len, Err(err))
+            }
+        }
+    }
+}
+
+/// One side of a simulated connection.
+pub struct SimConnection {
+    wire: Wire,
+    conn: MemConnection,
 }
 
 impl Connection for SimConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = if frame.len() > MAX_FRAME {
-            Err(TransportError::FrameTooLarge(frame.len()))
-        } else {
-            // Charge the wire before delivery: the receiver cannot see the
-            // frame earlier than its simulated arrival because the sender only
-            // enqueues it after advancing the clock. A partitioned link or
-            // crashed peer fails here, *before* the frame is enqueued — the
-            // receiver never observes a frame the simulated wire dropped.
-            match self.net.try_transfer(self.local, self.remote, frame.len() + FRAME_WIRE_OVERHEAD)
-            {
-                Ok(_) => self
-                    .tx
-                    .send(Bytes::copy_from_slice(frame))
-                    .map_err(|_| TransportError::Closed),
-                Err(fault) => Err(TransportError::Io(format!("timed out: {fault}"))),
-            }
-        };
-        telem::SIM.track_send(frame.len(), r)
+        self.wire.charge(frame.len())?;
+        self.conn.send(frame)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        telem::SIM.track_recv(self.rx.recv().map_err(|_| TransportError::Closed))
+        self.conn.recv()
+    }
+
+    /// The mem connection's halves, the send half charging the wire first.
+    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
+        let (tx, rx) = self.conn.try_split()?;
+        Some((Box::new(SimSendHalf { wire: self.wire.clone(), tx }), rx))
+    }
+}
+
+/// Sending half of a split [`SimConnection`].
+struct SimSendHalf {
+    wire: Wire,
+    tx: Box<dyn SendHalf>,
+}
+
+impl SendHalf for SimSendHalf {
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        self.wire.charge(frame.len())?;
+        self.tx.send(frame)
+    }
+
+    fn close(&mut self) {
+        self.tx.close();
     }
 }
 
@@ -184,7 +206,7 @@ pub struct SimListener {
     fabric: SimFabric,
     machine: MachineId,
     port: u32,
-    pending: Receiver<PendingDial>,
+    pending: Receiver<SimConnection>,
 }
 
 impl Listener for SimListener {
@@ -338,6 +360,52 @@ mod tests {
         let mut s = listener.accept().unwrap();
         c.send(b"up again").unwrap();
         assert_eq!(&s.recv().unwrap()[..], b"up again");
+    }
+
+    /// A split client and its server's end.
+    fn split_pair(fabric: &SimFabric, client: MachineId, server: MachineId) -> SplitPair {
+        let mut listener = fabric.listen(server);
+        let mut c = fabric.dialer(client).dial(&listener.endpoint()).unwrap();
+        let (tx, rx) = c.try_split().expect("sim must split");
+        (tx, rx, listener.accept().unwrap())
+    }
+
+    type SplitPair = (Box<dyn SendHalf>, Box<dyn RecvHalf>, Box<dyn Connection>);
+
+    /// The split halves keep the wire: a partitioned send fails before its
+    /// frame is enqueued, a reply is charged, and `ready` sees a queued frame.
+    #[test]
+    fn split_halves_charge_the_wire_both_ways() {
+        let (fabric, [m0, _, _, m3]) = fabric();
+        let (mut tx, mut rx, mut s) = split_pair(&fabric, m0, m3);
+        fabric.net().partition(m0, m3);
+        let err = tx.send(b"during").unwrap_err();
+        assert!(matches!(&err, TransportError::Io(m) if m.contains("timed out")), "{err:?}");
+        fabric.net().heal(m0, m3);
+        tx.send(b"after").unwrap();
+        assert_eq!(&s.recv().unwrap()[..], b"after", "the dropped frame never arrived");
+        let t0 = fabric.net().clock().now();
+        assert!(!rx.ready());
+        s.send(&vec![9u8; 125_000]).unwrap();
+        assert!(rx.ready());
+        assert_eq!(rx.recv().unwrap().len(), 125_000);
+        assert!(fabric.net().clock().now() > t0, "the reply must consume virtual time");
+    }
+
+    /// As over mem: `close` wakes the paired receive half while the peer
+    /// still holds its end, and the peer sees the connection closed.
+    #[test]
+    fn close_unblocks_the_paired_half_while_the_peer_holds_on() {
+        let (fabric, [m0, _, _, m3]) = fabric();
+        let (mut tx, mut rx, mut s) = split_pair(&fabric, m0, m3);
+        let (woke_tx, woke) = unbounded();
+        std::thread::spawn(move || woke_tx.send(rx.recv()));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        tx.close();
+        let seen = woke.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(seen, Ok(Err(TransportError::Closed)), "the reader stayed blocked");
+        assert_eq!(s.recv().unwrap_err(), TransportError::Closed);
+        assert_eq!(s.send(b"late").unwrap_err(), TransportError::Closed);
     }
 
     #[test]

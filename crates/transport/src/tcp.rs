@@ -172,17 +172,11 @@ impl Connection for TcpConnection {
     fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
         let send = self.stream.try_clone().ok()?;
         let recv = self.stream.try_clone().ok()?;
-        // The clones share the socket, and with it any armed read timeout.
-        let armed = recv.read_timeout().ok()?;
         let reader = std::mem::replace(&mut self.reader, FrameReader::new());
         Some((
             Box::new(TcpSendHalf { stream: send }),
-            Box::new(TcpRecvHalf { stream: recv, reader, armed }),
+            Box::new(TcpRecvHalf { stream: recv, reader, armed: None }),
         ))
-    }
-
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> bool {
-        self.stream.set_read_timeout(timeout).is_ok()
     }
 }
 
@@ -541,26 +535,6 @@ mod tests {
             }
         }
         panic!("16 freshly freed ports were all re-bound; something is wrong");
-    }
-
-    #[test]
-    fn hung_peer_times_out_when_a_deadline_is_armed() {
-        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let ep = acceptor.endpoint();
-        let h = std::thread::spawn(move || {
-            let mut c = TcpDialer.dial(&ep).unwrap();
-            assert!(c.set_recv_timeout(Some(Duration::from_millis(40))));
-            let err = c.recv().unwrap_err();
-            // Disarm works too (no way to wait forever in a test, but the
-            // call must succeed).
-            assert!(c.set_recv_timeout(None));
-            err
-        });
-        // The server accepts and then hangs: never sends, never closes.
-        let server = acceptor.accept().unwrap();
-        let err = h.join().unwrap();
-        assert_eq!(err, TransportError::Timeout);
-        drop(server);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::{Connection, Dialer, Endpoint, TransportError};
+use crate::{Connection, Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
 
 /// Cap on remembered fault→trace attributions, so a long chaos run cannot
 /// grow the list without bound. The interesting faults in a failing test are
@@ -198,6 +199,30 @@ impl FaultPlan {
         buf[idx] ^= 0x40;
         Bytes::from(buf)
     }
+
+    /// A send under this plan: one operation, failed on schedule before
+    /// `send` runs.
+    fn send(
+        &self,
+        send: impl FnOnce() -> Result<(), TransportError>,
+    ) -> Result<(), TransportError> {
+        if self.should_fail(FaultKind::Send) {
+            return Err(TransportError::Closed);
+        }
+        send()
+    }
+
+    /// A receive under this plan: one operation, failed on schedule before
+    /// `recv` runs, and the frame it delivers possibly corrupted.
+    fn recv(
+        &self,
+        recv: impl FnOnce() -> Result<Bytes, TransportError>,
+    ) -> Result<Bytes, TransportError> {
+        if self.should_fail(FaultKind::Recv) {
+            return Err(TransportError::Closed);
+        }
+        recv().map(|frame| self.maybe_corrupt(frame))
+    }
 }
 
 /// A dialer whose connections fail according to a [`FaultPlan`].
@@ -232,18 +257,56 @@ struct FlakyConnection {
 
 impl Connection for FlakyConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        if self.plan.should_fail(FaultKind::Send) {
-            return Err(TransportError::Closed);
-        }
-        self.inner.send(frame)
+        self.plan.send(|| self.inner.send(frame))
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        if self.plan.should_fail(FaultKind::Recv) {
-            return Err(TransportError::Closed);
-        }
-        let frame = self.inner.recv()?;
-        Ok(self.plan.maybe_corrupt(frame))
+        self.plan.recv(|| self.inner.recv())
+    }
+
+    /// The wrapped connection's halves, each answering to the same plan.
+    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
+        let (tx, rx) = self.inner.try_split()?;
+        Some((
+            Box::new(FlakySend { inner: tx, plan: self.plan.clone() }),
+            Box::new(FlakyRecv { inner: rx, plan: self.plan.clone() }),
+        ))
+    }
+}
+
+/// Sending half of a split [`FlakyConnection`].
+struct FlakySend {
+    inner: Box<dyn SendHalf>,
+    plan: Arc<FaultPlan>,
+}
+
+impl SendHalf for FlakySend {
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        self.plan.send(|| self.inner.send(frame))
+    }
+
+    fn close(&mut self) {
+        self.inner.close();
+    }
+}
+
+/// Receiving half of a split [`FlakyConnection`].
+struct FlakyRecv {
+    inner: Box<dyn RecvHalf>,
+    plan: Arc<FaultPlan>,
+}
+
+impl RecvHalf for FlakyRecv {
+    fn recv(&mut self) -> Result<Bytes, TransportError> {
+        self.plan.recv(|| self.inner.recv())
+    }
+
+    fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        self.plan.recv(|| self.inner.recv_deadline(deadline))
+    }
+
+    fn ready(&self) -> bool {
+        self.inner.ready()
     }
 }
 
@@ -347,6 +410,46 @@ mod tests {
             plan.faulted_traces(),
             vec![(FaultKind::Send, id), (FaultKind::Recv, 0)]
         );
+    }
+
+    /// The halves of a split connection answer to the plan they were split
+    /// under, counted across both as on the whole connection: the schedule
+    /// of `flaky_dialer_passes_traffic_between_faults`, and `recv_deadline`
+    /// fails like `recv`.
+    #[test]
+    fn split_halves_share_the_plans_schedule() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen();
+        let plan = FaultPlan::every(4);
+        let dialer = FlakyDialer::new(Arc::new(fabric), plan.clone());
+        // op1 = dial, op2 = send, op3 = recv, op4 = send (FAIL), op8 = recv (FAIL)
+        let (mut tx, mut rx) = dialer.dial(&listener.endpoint()).unwrap().try_split().unwrap();
+        let mut server = listener.accept().unwrap();
+        tx.send(b"one").unwrap();
+        server.send(b"ack").unwrap();
+        assert_eq!(&rx.recv().unwrap()[..], b"ack");
+        assert_eq!(tx.send(b"two").unwrap_err(), TransportError::Closed);
+        for _ in 0..3 {
+            tx.send(b"more").unwrap();
+        }
+        let soon = Instant::now() + std::time::Duration::from_secs(10);
+        assert_eq!(rx.recv_deadline(Some(soon)).unwrap_err(), TransportError::Closed);
+        assert_eq!(plan.operations(), 8);
+        assert_eq!((plan.injected_of(FaultKind::Send), plan.injected_of(FaultKind::Recv)), (1, 1));
+    }
+
+    #[test]
+    fn recv_deadline_corrupts_like_recv() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen();
+        let plan = FaultPlan::chaos(0, 1000, 7);
+        let dialer = FlakyDialer::new(Arc::new(fabric), plan.clone());
+        let (_tx, mut rx) = dialer.dial(&listener.endpoint()).unwrap().try_split().unwrap();
+        let payload = b"all your frame are belong to us";
+        listener.accept().unwrap().send(payload).unwrap();
+        let got = rx.recv_deadline(Some(Instant::now())).unwrap();
+        assert_eq!(got.iter().zip(payload.iter()).filter(|(a, b)| a != b).count(), 1);
+        assert_eq!(plan.injected_of(FaultKind::Corrupt), 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use ohpc_orb::{
     ProtoPool, ProtocolId, TransportProto,
 };
 use ohpc_transport::mem::MemFabric;
-use ohpc_transport::{Connection, Dialer, Endpoint, TransportError};
+use ohpc_transport::{Connection, Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
 use ohpc_xdr::{XdrEncode, XdrWriter};
 
 const KEY: &str = "ownership";
@@ -95,6 +95,37 @@ impl Connection for FailFirstSendConn {
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
         self.inner.recv()
+    }
+
+    /// The send half refuses the first frame, as the whole connection does.
+    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
+        let (inner, rx) = self.inner.try_split()?;
+        let tx = FailFirstSendHalf {
+            inner,
+            armed: self.armed.clone(),
+            refused: self.refused.clone(),
+        };
+        Some((Box::new(tx), rx))
+    }
+}
+
+struct FailFirstSendHalf {
+    inner: Box<dyn SendHalf>,
+    armed: Arc<AtomicBool>,
+    refused: Arc<Mutex<Option<Vec<u8>>>>,
+}
+
+impl SendHalf for FailFirstSendHalf {
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            *self.refused.lock().unwrap() = Some(frame.to_vec());
+            return Err(TransportError::Closed);
+        }
+        self.inner.send(frame)
+    }
+
+    fn close(&mut self) {
+        self.inner.close();
     }
 }
 

@@ -148,16 +148,13 @@ mod mux_stress {
     use std::time::Duration;
 
     use bytes::Bytes;
-    use ohpc_bench::mux_contention::{
-        client_counts_from_env, run_contention, run_contention_over,
-    };
+    use ohpc_bench::mux_contention::{client_counts_from_env, run_contention};
     use ohpc_orb::{
         ApplicabilityRule, ObjectId, OrbError, ProtoEntry, ProtoObject, ProtoPool, ProtocolId,
         ReplyMessage, RequestId, RequestMessage, TransportProto,
     };
     use ohpc_resilience::{HealthKey, HealthRegistry};
     use ohpc_transport::mem::MemFabric;
-    use ohpc_transport::testing::{FaultPlan, FlakyDialer};
     use ohpc_transport::Listener;
 
     fn request(id: u64) -> RequestMessage {
@@ -185,18 +182,6 @@ mod mux_stress {
                 "no throughput at {clients} clients"
             );
         }
-    }
-
-    /// The striped path is the fallback for transports whose connections
-    /// cannot split and must not rot: the same load through a dialer whose
-    /// connections refuse to (a fault-injection wrapper injecting nothing)
-    /// still routes every reply to its caller.
-    #[test]
-    fn striped_fallback_routes_replies_correctly() {
-        let unsplittable =
-            |fabric| Arc::new(FlakyDialer::new(Arc::new(fabric), FaultPlan::every(0))) as _;
-        let sample = run_contention_over(unsplittable, 4, 10, Duration::from_micros(200));
-        assert!(sample.throughput_rps > 0.0);
     }
 
     /// With the server busy 10 ms per request, 8 clients pipelining into one

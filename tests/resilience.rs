@@ -22,11 +22,11 @@ use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, GlueProto,
     ObjectReference, ProtoPool, ProtocolId, TransportProto,
 };
-use ohpc_resilience::{BreakerState, HealthRegistry, NoopSleeper};
+use ohpc_resilience::{BreakerState, HealthRegistry, NoopSleeper, RetryPolicy};
 use ohpc_telemetry::{ManualClock, Registry};
 use ohpc_transport::mem::MemFabric;
 use ohpc_transport::sim::SimFabric;
-use ohpc_transport::testing::{FaultPlan, FlakyDialer};
+use ohpc_transport::testing::{FaultKind, FaultPlan, FlakyDialer};
 
 const KEY: &str = "k";
 
@@ -296,6 +296,9 @@ fn chaos_with_corruption_never_yields_wrong_data() {
     );
     let gp = GlobalPointer::new(or, pool, ohpc_netsim::Location::new(1, 1));
     gp.set_sleeper(Arc::new(NoopSleeper));
+    // A reply whose request id a flip corrupted answers nobody: its caller
+    // waits for its deadline, so every call has one.
+    gp.set_retry_policy(RetryPolicy::default().with_deadline_ns(1_000_000_000));
     let client = WeatherClient::new(gp);
 
     let expected: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin() * 20.0 + 10.0).collect();
@@ -318,6 +321,43 @@ fn chaos_with_corruption_never_yields_wrong_data() {
         chaos_failure(&plan, &format!("too few calls succeeded under chaos: {ok}/300"));
     }
     assert!(plan.injected() > 0, "faults were injected");
+    ctx.shutdown();
+}
+
+/// Every reply corrupted: a flipped request id makes the reply answer no
+/// caller, and the call whose reply it was must still end — at its deadline,
+/// `Ok` or a typed error — instead of waiting for ever. The calls run on a
+/// thread of their own, so one that hangs fails the test instead of hanging
+/// it; and every call reaches the server, which keeps serving throughout.
+#[test]
+fn chaos_calls_end_within_their_deadline() {
+    use std::time::Duration;
+
+    const DEADLINE: Duration = Duration::from_millis(100);
+    const CALLS: u64 = 20;
+    let fabric = MemFabric::new();
+    let (ctx, or) = served_mem_context(&fabric);
+    for seed in [1, 2, 3, fault_seed()] {
+        let plan = FaultPlan::chaos(0, 1000, seed);
+        let client = mem_client(&fabric, or.clone(), plan.clone());
+        let policy = RetryPolicy::default().with_deadline_ns(DEADLINE.as_nanos() as u64);
+        client.gp().set_retry_policy(policy);
+        let served = ctx.requests_served();
+        let (ended_tx, ended) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..CALLS {
+                let _ = ended_tx.send(client.regions().is_ok());
+            }
+        });
+        for call in 0..CALLS {
+            if ended.recv_timeout(DEADLINE + Duration::from_secs(2)).is_err() {
+                chaos_failure(&plan, &format!("seed {seed}: call {call} outlived its deadline"));
+            }
+        }
+        assert!(plan.injected_of(FaultKind::Corrupt) > 0, "seed {seed}: nothing was corrupted");
+        let reached = ctx.requests_served() - served;
+        assert!(reached >= CALLS, "seed {seed}: {reached} of {CALLS} calls reached the server");
+    }
     ctx.shutdown();
 }
 

@@ -167,7 +167,7 @@ fn one_trace_id_links_retry_failover_forward_and_dispatch() {
         "cap_process",       // client-side glue chain, request direction
         "cap_unprocess",     // reply direction back through the chain
         "transport_send",    // sim-fabric hop out
-        "transport_recv",    // and back
+        "mux_demux_recv",    // and back
         "server_dispatch",   // skeleton dispatch on the servers
         "forward",           // the ObjectMoved rebind
     ] {
