@@ -1,4 +1,4 @@
-//! fixture-crate: ohpc-pool
+//! fixture-crate: ohpc-nexus
 //!
 //! The PR-4 bug class, verbatim: a connection-pool mutex held across the
 //! wire exchange serializes every caller behind one slow peer, and the

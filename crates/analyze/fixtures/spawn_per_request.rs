@@ -3,13 +3,15 @@
 //! The pre-executor split-serving shape: one detached thread per two-way
 //! request. Under a 10k-request burst that is 10k OS threads — the
 //! admission controller bounds queued work, but a spawn-per-request
-//! dispatch path creates capacity it cannot see. Per-connection accept
-//! threads (in `serve`, not a dispatch root) stay legal: they are bounded
-//! by clients, not requests.
+//! dispatch path creates capacity it cannot see. Per-connection threads
+//! (in `AcceptLoop::spawn`) stay legal: they are bounded by clients, not
+//! requests.
 
-fn serve(listener: Box<dyn Listener>) {
-    while let Ok(conn) = listener.accept() {
-        std::thread::spawn(move || serve_connection(conn));
+impl AcceptLoop {
+    fn spawn(listener: Box<dyn Listener>) {
+        while let Ok(conn) = listener.accept() {
+            std::thread::spawn(move || serve_connection(conn));
+        }
     }
 }
 

@@ -1,8 +1,8 @@
-//! fixture-crate: ohpc-pool
+//! fixture-crate: ohpc-transport
 //!
 //! A request path that reads the wire with no deadline hangs its caller
 //! for as long as the peer cares to stay silent. The bounded variant reads
-//! with the request's deadline and is fine.
+//! with the request's deadline and is fine, as is a transport's own `recv`.
 
 fn ask(conn: &mut dyn Connection, frame: &[u8]) -> Result<Bytes, TransportError> {
     conn.send(frame)?;
@@ -19,7 +19,8 @@ fn ask_bounded(
     rx.recv_deadline(deadline)
 }
 
-fn pump(rx: &Receiver<u64>) -> Option<u64> {
-    // A channel receiver is not a transport object; not this rule's business.
-    rx.recv().ok()
+impl Connection for Wrapped {
+    fn recv(&mut self) -> Result<Bytes, TransportError> {
+        self.inner.recv()
+    }
 }

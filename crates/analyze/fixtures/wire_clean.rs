@@ -1,7 +1,6 @@
 //! Negative fixture: the healthy wire vocabulary — a newtype, a bounded array
 //! of records, a tagged union and a trailing extension, each declared once
-//! through the `ohpc-xdr` macros — and balanced glue paths (round-trip,
-//! server side, loopback, and a oneway send). The analyzer must stay silent.
+//! through the `ohpc-xdr` macros. The analyzer must stay silent.
 
 xdr_struct! {
     struct ItemId(pub u64);
@@ -41,26 +40,4 @@ impl<T: XdrEncode> std::fmt::Debug for Sized<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} B", self.0.encoded_len())
     }
-}
-
-fn invoke(chain: &CapabilityChain, call: &CallInfo, body: Bytes) -> Result<Bytes, OrbError> {
-    let wire = process_chain(chain, Direction::Request, call, body)?;
-    let reply = transmit(wire)?;
-    unprocess_chain(chain, Direction::Reply, call, &[], reply)
-}
-
-fn handle(chain: &CapabilityChain, call: &CallInfo, wire: Bytes) -> Result<Bytes, OrbError> {
-    let body = unprocess_chain(chain, Direction::Request, call, &[], wire)?;
-    let out = dispatch(body)?;
-    process_chain(chain, Direction::Reply, call, out)
-}
-
-fn measure_loopback(chain: &CapabilityChain, call: &CallInfo, body: Bytes) -> Result<Bytes, OrbError> {
-    let wire = process_chain(chain, Direction::Request, call, body)?;
-    unprocess_chain(chain, Direction::Request, call, &[], wire)
-}
-
-fn publish_oneway(chain: &CapabilityChain, call: &CallInfo, body: Bytes) -> Result<(), OrbError> {
-    let wire = process_chain(chain, Direction::Request, call, body)?;
-    fire_and_forget(wire)
 }

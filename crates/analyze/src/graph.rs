@@ -23,10 +23,10 @@
 //!   inference (`X::new(…)` → `X`, `….dial(…)` → `Connection`,
 //!   `….try_split()` → `SendHalf`/`RecvHalf`, root-hint propagation for
 //!   plain forwarding bindings).
-//! * spawn regions — the argument ranges of `…spawn(…)` calls, and the set
-//!   of functions referenced inside them (dedicated-thread entry points;
-//!   code inside a spawned closure runs on another thread, so it neither
-//!   blocks its spawner nor needs a caller-side deadline).
+//! * spawn regions — the argument ranges of `…spawn(…)` calls (code inside
+//!   a spawned closure runs on another thread, so it does not block its
+//!   spawner), the thread-creation sites, and which of them can reach each
+//!   function.
 //!
 //! Resolution is conservative in the may-call direction (a call site can
 //! resolve to several candidates, e.g. every impl of a trait method) and
@@ -148,19 +148,12 @@ pub struct Workspace {
     pub local_hints: Vec<HashMap<String, Vec<String>>>,
     /// Per file: token ranges (open paren, close paren) of `…spawn(…)` args.
     pub spawn_ranges: Vec<Vec<(usize, usize)>>,
-    /// Functions referenced inside a spawn argument, plus everything they
-    /// transitively call through resolved edges: code that runs on a
-    /// dedicated thread.
-    pub dedicated: HashSet<usize>,
     /// Production thread-creation sites (test spawns excluded).
     pub spawn_sites: Vec<SpawnSite>,
     /// Per function: sorted context ids that can reach it — `CTX_MAIN`
     /// and/or `1 + spawn_site` entries. Empty for test fns and fns no
     /// production context reaches.
     pub roles: Vec<Vec<usize>>,
-    /// Functions named directly inside a production spawn argument (the
-    /// thread entry points, before transitive closure).
-    pub spawn_seeded: HashSet<usize>,
     /// Per function: true when it is an analysis entry root — no
     /// production non-spawn caller, or spawn-seeded. Entry-lockset
     /// propagation starts from these with the empty lockset.
@@ -190,10 +183,8 @@ impl Workspace {
             field_types: HashMap::new(),
             local_hints: Vec::new(),
             spawn_ranges: Vec::new(),
-            dedicated: HashSet::new(),
             spawn_sites: Vec::new(),
             roles: Vec::new(),
-            spawn_seeded: HashSet::new(),
             entry_roots: Vec::new(),
             by_type_method: HashMap::new(),
             by_trait_method: HashMap::new(),
@@ -263,7 +254,6 @@ impl Workspace {
             }
         }
 
-        ws.dedicated = ws.compute_dedicated(files);
         ws.spawn_sites = ws.compute_spawn_sites(files);
         ws.compute_roles(files);
         ws
@@ -432,44 +422,6 @@ impl Workspace {
     /// True when token `tok` of file `fi` sits inside a spawn argument list.
     pub fn in_spawn_arg(&self, fi: usize, tok: usize) -> bool {
         self.spawn_ranges[fi].iter().any(|&(a, b)| a < tok && tok < b)
-    }
-
-    /// Spawn entry points plus everything they reach through resolved calls.
-    fn compute_dedicated(&self, files: &[SourceFile]) -> HashSet<usize> {
-        let mut names: HashSet<&str> = HashSet::new();
-        for (fi, ranges) in self.spawn_ranges.iter().enumerate() {
-            let f = &files[fi];
-            let toks = &f.tokens;
-            for &(a, b) in ranges {
-                // Test/bench closures spawning *client* calls must not turn
-                // a public fn into a dedicated reader thread — only
-                // production spawns create reader threads.
-                if f.in_tests_dir || f.is_test_tok(a) {
-                    continue;
-                }
-                for t in &toks[a..=b.min(toks.len() - 1)] {
-                    if t.kind == TokKind::Ident {
-                        names.insert(t.text.as_str());
-                    }
-                }
-            }
-        }
-        let mut seen: HashSet<usize> = HashSet::new();
-        let mut work: Vec<usize> = Vec::new();
-        for (id, f) in self.fns.iter().enumerate() {
-            if names.contains(f.name.as_str()) {
-                seen.insert(id);
-                work.push(id);
-            }
-        }
-        while let Some(id) = work.pop() {
-            for &t in &self.callees[id] {
-                if seen.insert(t) {
-                    work.push(t);
-                }
-            }
-        }
-        seen
     }
 
     /// Collect production spawn sites with their syntactic multi-instance
@@ -643,7 +595,6 @@ impl Workspace {
                 v
             })
             .collect();
-        self.spawn_seeded = spawn_seeded;
         self.entry_roots = entry_roots;
     }
 
@@ -1455,20 +1406,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_referenced_fns_are_dedicated() {
-        let src = r#"
-            fn reader_loop(n: u32) { helper(n); }
-            fn helper(n: u32) {}
-            fn outside() {}
-            fn serve() { std::thread::spawn(move || reader_loop(1)); }
-        "#;
-        let (_, ws) = ws_of(src);
-        assert!(ws.dedicated.contains(&fn_id(&ws, "reader_loop")));
-        assert!(ws.dedicated.contains(&fn_id(&ws, "helper")));
-        assert!(!ws.dedicated.contains(&fn_id(&ws, "outside")));
-    }
-
-    #[test]
     fn thread_roles_split_main_from_spawned() {
         let src = r#"
             fn reader_loop(n: u32) { helper(n); }
@@ -1488,8 +1425,6 @@ mod tests {
         assert_eq!(ws.roles[r], vec![1]);
         // helper is reachable from both contexts.
         assert_eq!(ws.roles[h], vec![CTX_MAIN, 1]);
-        assert!(ws.spawn_seeded.contains(&r));
-        assert!(!ws.spawn_seeded.contains(&h));
     }
 
     #[test]

@@ -16,15 +16,11 @@
 //! * [`dataflow`] — statement-level lock-guard liveness and the
 //!   transitively-blocking-call fixpoint.
 //! * [`rules`] — the rules and the driver.
-//! * [`baseline`] — committed-baseline matching for gradual adoption.
-//! * [`report`] — SARIF-ish `--format json` output for CI artifacts.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod dataflow;
 pub mod graph;
 pub mod lexer;
-pub mod report;
 pub mod rules;
 pub mod source;

@@ -18,7 +18,7 @@ use std::collections::HashSet;
 
 use crate::dataflow::{self, blocking_seed};
 use crate::graph::Workspace;
-use crate::rules::{Diagnostic, Severity};
+use crate::rules::Diagnostic;
 use crate::source::SourceFile;
 
 /// Rule id.
@@ -79,7 +79,6 @@ pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                     file: f.path.clone(),
                     line: c.line,
                     rule: RULE,
-                    severity: Severity::Deny,
                     message: format!(
                         "`{}` guard on `{}` (acquired line {}) is held across {} in fn {}; \
                          drop the guard before the blocking call or annotate why \

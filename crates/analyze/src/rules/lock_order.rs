@@ -31,7 +31,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::dataflow;
 use crate::graph::Workspace;
-use crate::rules::{Diagnostic, Severity};
+use crate::rules::Diagnostic;
 use crate::source::SourceFile;
 
 /// Rule id.
@@ -204,7 +204,6 @@ fn report_cycles(
                         file: edge.file.clone(),
                         line: edge.line,
                         rule: RULE,
-                        severity: Severity::Deny,
                         message: format!(
                             "potential deadlock: lock-order cycle {} -> {}",
                             start,
@@ -261,7 +260,6 @@ mod tests {
         let diags = analyze(CYCLE_SRC);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, RULE);
-        assert_eq!(diags[0].severity, Severity::Deny);
         assert!(diags[0].message.contains("cycle"), "{}", diags[0].message);
     }
 
@@ -423,9 +421,10 @@ mod tests {
     }
 
     #[test]
-    fn deny_all_promotion_applies() {
+    fn run_all_reports_the_cycle() {
         let f = SourceFile::from_source("crates/x/src/lib.rs", "x", false, CYCLE_SRC);
-        let diags = run_all(&[f], true, &[]);
-        assert!(diags.iter().all(|d| d.severity == Severity::Deny));
+        let diags = run_all(&[f]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, RULE);
     }
 }

@@ -25,7 +25,7 @@ use std::collections::HashSet;
 
 use crate::dataflow::FieldFacts;
 use crate::graph::Workspace;
-use crate::rules::{Diagnostic, Severity};
+use crate::rules::Diagnostic;
 use crate::source::SourceFile;
 
 /// Rule id.
@@ -143,7 +143,6 @@ pub fn run(files: &[SourceFile], ws: &Workspace, facts: &FieldFacts, diags: &mut
                 file: file.path.clone(),
                 line: w.line,
                 rule: RULE,
-                severity: Severity::Deny,
                 message: format!(
                     "field `{field}` is written in `{}` (runs on: {wctx}) with lockset {{{}}} \
                      while `{}` at {}:{} (runs on: {cctx}) {} it with lockset {{{}}} — \

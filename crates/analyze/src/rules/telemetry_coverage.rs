@@ -30,7 +30,7 @@
 //! is counter-covered but not span-covered gets its own finding.
 
 use crate::graph::{Recv, Workspace};
-use crate::rules::{Diagnostic, Severity};
+use crate::rules::Diagnostic;
 use crate::source::SourceFile;
 
 /// Rule id.
@@ -160,7 +160,6 @@ pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
             file: f.path.clone(),
             line: fi.line,
             rule: RULE,
-            severity: Severity::Warn,
             message,
         });
     }
@@ -189,7 +188,6 @@ mod tests {
         let diags = analyze(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, RULE);
-        assert_eq!(diags[0].severity, Severity::Warn);
     }
 
     #[test]

@@ -1,112 +1,64 @@
-//! Rule `unbounded-spawn`: no thread spawn reachable from server dispatch.
+//! Rule `unbounded-spawn`: in ohpc-orb, ohpc-transport and ohpc-nexus,
+//! threads are spawned only by the accept loop and the group fan-out.
 //!
-//! PR 8 replaced thread-per-request dispatch with a bounded worker-pool
-//! executor: under a 10k-request burst, `thread::spawn` per request is a
-//! thread explosion the admission controller cannot see. This rule keeps
-//! the property: any `thread::spawn` (or `Builder…spawn`) lexically
-//! reachable through the call graph from a dispatch root
-//! (`serve_connection`, `handle_frame`, `handle_request` and friends) is a
-//! finding — per-request work must go through an [`Executor`], whose
-//! worker count is fixed and whose queue the admission bound covers.
+//! Per-request work goes through the bounded worker-pool executor: under a
+//! 10k-request burst, `thread::spawn` per request is a thread explosion the
+//! admission controller cannot see. Any `thread::spawn(…)`, imported
+//! `spawn(…)` or `Builder…spawn(…)` in the non-test code of those crates is
+//! a finding, except in
 //!
-//! Exemptions:
-//!
-//! * the `ohpc-runtime` crate itself — it is the sanctioned thread owner
-//!   (the pool spawns its workers once);
-//! * test fns;
-//! * per-*connection* threads (accept loops) — they are bounded by clients,
-//!   not by requests, and their one spawn site, `ohpc_transport::AcceptLoop`,
-//!   is reached from `serve*`, not from a dispatch root;
+//! * `AcceptLoop::spawn` — one acceptor thread per listener and one thread
+//!   per connection, bounded by clients, not by requests;
+//! * `GpGroup::invoke_all` — one thread per group member for the duration
+//!   of a collective call, bounded by the group's size;
 //! * an `// ohpc-analyze: allow(unbounded-spawn) — <reason>` annotation.
+//!
+//! `ohpc-runtime` is out of scope: it is the sanctioned thread owner. A
+//! member `…pool.spawn(…)` is some object's own API, not a thread.
 
-use std::collections::HashMap;
-
-use crate::graph::{Recv, Workspace};
-use crate::rules::{Diagnostic, Severity};
+use crate::graph::Workspace;
+use crate::rules::{token_rule, Diagnostic};
 use crate::source::SourceFile;
 
 /// Rule id.
 pub const RULE: &str = "unbounded-spawn";
 
-/// Fns whose bodies (and transitive callees) run once per request.
-const DISPATCH_ROOTS: &[&str] = &[
-    "serve_connection",
-    "serve_connection_split",
-    "handle_frame",
-    "handle_frame_opt",
-    "handle_request",
-    "dispatch_admitted",
-];
+/// `(impl type, fn name)` of the fns allowed to spawn threads.
+const EXEMPT: &[(&str, &str)] = &[("AcceptLoop", "spawn"), ("GpGroup", "invoke_all")];
 
-/// The crate allowed to create threads on the dispatch path: the executor
-/// owns a fixed worker pool.
-const RUNTIME_CRATE: &str = "ohpc-runtime";
-
-/// Whether a call site looks like a thread spawn (as opposed to a pool or
-/// scope API that happens to be named `spawn`).
-fn is_thread_spawn(recv: &Recv) -> bool {
-    match recv {
-        // `std::thread::spawn(…)` / `thread::spawn(…)` / `Builder::spawn`.
-        Recv::Path(segs) => segs.iter().any(|s| s == "thread" || s == "Builder"),
-        // Imported `spawn(…)` or a chained `Builder::new()…spawn(…)`.
-        Recv::Bare | Recv::Opaque => true,
-        // `self.pool.spawn(…)`-style members are some object's own API.
-        _ => false,
+/// A thread spawn, matched at the `spawn` token of `spawn(`.
+fn is_thread_spawn(f: &SourceFile, i: usize) -> bool {
+    let toks = &f.tokens;
+    if i == 0 || !toks[i].is_ident("spawn") || !toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
+        return false;
     }
+    let prev = &toks[i - 1];
+    if prev.is_punct(':') {
+        // `thread::spawn(…)`, not `AcceptLoop::spawn(…)`.
+        return i >= 3 && toks[i - 3].is_ident("thread");
+    }
+    if prev.is_punct('.') {
+        // `Builder::new()….spawn(…)` within the same statement.
+        return toks[..i]
+            .iter()
+            .rev()
+            .take_while(|t| !(t.is_punct(';') || t.is_punct('{') || t.is_punct('}')))
+            .any(|t| t.is_ident("Builder"));
+    }
+    // A `spawn(…)` imported from `std::thread`; `fn spawn(` declares one.
+    !prev.is_ident("fn")
 }
 
 /// Entry point.
 pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-    // BFS from the dispatch roots, remembering which root first reached
-    // each fn so the message can name the path's origin.
-    let mut reached_from: HashMap<usize, usize> = HashMap::new();
-    let mut queue: Vec<usize> = Vec::new();
-    for (id, fi) in ws.fns.iter().enumerate() {
-        if !fi.is_test && DISPATCH_ROOTS.contains(&fi.name.as_str()) {
-            reached_from.insert(id, id);
-            queue.push(id);
-        }
-    }
-    while let Some(id) = queue.pop() {
-        let root = reached_from[&id];
-        for &callee in &ws.callees[id] {
-            if ws.fns[callee].is_test {
-                continue;
-            }
-            reached_from.entry(callee).or_insert_with(|| {
-                queue.push(callee);
-                root
-            });
-        }
-    }
-
-    for (&id, &root) in &reached_from {
-        let fi = &ws.fns[id];
-        if fi.crate_name == RUNTIME_CRATE {
-            continue;
-        }
-        let f = &files[fi.file];
-        for c in &ws.calls[id] {
-            if c.name != "spawn" || !is_thread_spawn(&c.recv) {
-                continue;
-            }
-            if f.allowed(RULE, c.line) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                file: f.path.clone(),
-                line: c.line,
-                rule: RULE,
-                severity: Severity::Deny,
-                message: format!(
-                    "thread spawn in fn {} is reachable from dispatch root {} — \
-                     per-request threads are unbounded under load; submit the work \
-                     to the context's executor instead",
-                    fi.name, ws.fns[root].name
-                ),
-            });
-        }
-    }
+    let message = |name: &str| {
+        format!(
+            "thread spawn in fn {name} — per-request threads are unbounded under load; \
+             submit the work to the context's executor instead (only `AcceptLoop::spawn` \
+             and `GpGroup::invoke_all` spawn threads here)"
+        )
+    };
+    token_rule(files, ws, RULE, is_thread_spawn, EXEMPT, message, diags);
 }
 
 #[cfg(test)]
@@ -127,64 +79,65 @@ mod tests {
 
     #[test]
     fn spawn_in_dispatch_root_is_flagged() {
-        let src = r#"
-            fn serve_connection_split(frames: Vec<Frame>) {
-                for frame in frames {
-                    std::thread::spawn(move || work(frame));
-                }
-            }
-        "#;
+        let src = "fn serve_connection_split(fs: V) { for f in fs { thread::spawn(|| f); } }";
         let diags = analyze(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, RULE);
+        assert!(diags[0].message.contains("fn serve_connection_split"), "{}", diags[0].message);
     }
 
     #[test]
-    fn spawn_reached_transitively_is_flagged_and_names_the_root() {
+    fn builder_and_imported_spawns_are_flagged() {
         let src = r#"
-            fn handle_frame(frame: Frame) { helper(frame); }
-            fn helper(frame: Frame) {
-                std::thread::spawn(move || work(frame));
+            use std::thread::spawn;
+            fn answer(req: Req) {
+                std::thread::Builder::new().name("w".into()).spawn(move || req.run());
+                thread::spawn(|| ());
+                spawn(|| ());
             }
         "#;
-        let diags = analyze(src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("handle_frame"), "{}", diags[0].message);
+        assert_eq!(analyze(src).len(), 3, "{:?}", analyze(src));
     }
 
     #[test]
     fn accept_loop_spawns_are_not_dispatch() {
         let src = r#"
-            fn serve(listener: Box<dyn Listener>) {
-                while let Ok(conn) = listener.accept() {
-                    std::thread::spawn(move || serve_connection(conn));
+            impl AcceptLoop {
+                pub fn spawn(mut listener: L, serve: F) -> Self {
+                    let acceptor = std::thread::spawn(move || {
+                        while let Ok(c) = listener.accept() { thread::spawn(move || serve(c)); }
+                    });
+                    Self { acceptor }
                 }
             }
-            fn serve_connection(conn: Conn) { conn.close(); }
+            fn serve(&self, l: L) { AcceptLoop::spawn(l, move |c| self.serve_connection(c)); }
         "#;
         assert!(analyze(src).is_empty(), "{:?}", analyze(src));
     }
 
     #[test]
-    fn runtime_crate_owns_its_threads() {
+    fn group_fan_out_is_exempt_and_only_it() {
         let src = r#"
-            fn handle_request(task: Task) { execute(task); }
-            fn execute(task: Task) {
-                std::thread::spawn(move || task());
+            impl GpGroup {
+                fn invoke_all(&self) { self.members.iter().map(|g| thread::spawn(|| g.run())); }
+                fn invoke_one(&self) { std::thread::spawn(|| ()); }
             }
         "#;
+        let diags = analyze(src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("fn invoke_one"), "{}", diags[0].message);
+    }
+
+    #[test]
+    fn runtime_crate_owns_its_threads() {
+        let src = "fn execute(task: Task) { std::thread::spawn(move || task()); }";
         assert!(analyze_crate("ohpc-runtime", src).is_empty());
         assert_eq!(analyze_crate("ohpc-orb", src).len(), 1);
     }
 
     #[test]
     fn pool_member_spawn_is_not_a_thread() {
-        let src = r#"
-            struct S { pool: Pool }
-            impl S {
-                fn handle_request(&self, task: Task) { self.pool.spawn(task); }
-            }
-        "#;
+        let src = "impl S { fn handle_request(&self, task: Task) { self.pool.spawn(task); } }";
         assert!(analyze(src).is_empty(), "{:?}", analyze(src));
     }
 

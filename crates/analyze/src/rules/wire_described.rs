@@ -10,7 +10,7 @@
 //! the vocabulary descriptions are written in.
 
 use crate::graph::parse_impl_header;
-use crate::rules::{Diagnostic, Severity};
+use crate::rules::Diagnostic;
 use crate::source::SourceFile;
 
 /// Rule id.
@@ -35,7 +35,6 @@ pub fn run(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
                 file: f.path.clone(),
                 line: t.line,
                 rule: RULE,
-                severity: Severity::Deny,
                 message: format!(
                     "hand-written `impl {implemented}`: declare the message with xdr_struct!, \
                      xdr_enum! or xdr_union!, so that both directions and the length come from \
@@ -67,7 +66,7 @@ mod tests {
                    macro_rules! m { ($n:ident) => { impl XdrEncode for $n {} }; }";
         let diags = analyze("crates/orb/src/message.rs", src);
         assert_eq!(diags.iter().map(|d| d.line).collect::<Vec<_>>(), [1, 2]);
-        assert!(diags.iter().all(|d| d.rule == RULE && d.severity == Severity::Deny));
+        assert!(diags.iter().all(|d| d.rule == RULE));
         assert!(diags[0].message.contains("impl XdrDecode"), "{}", diags[0].message);
         // Tests are no exception: what they decode is a message too.
         assert_eq!(analyze("crates/orb/tests/proptest_wire.rs", src).len(), 2);

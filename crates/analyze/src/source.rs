@@ -348,19 +348,19 @@ mod tests {
 
     #[test]
     fn allow_annotation_with_reason_suppresses_same_and_next_line() {
-        let src = "// ohpc-analyze: allow(panic-freedom) — index is in bounds by construction\nlet x = v[0];";
+        let src = "// ohpc-analyze: allow(bounded-recv) — drained after close\nrx.recv();";
         let f = SourceFile::from_source("a.rs", "c", false, src);
-        assert!(f.allowed("panic-freedom", 1));
-        assert!(f.allowed("panic-freedom", 2));
-        assert!(!f.allowed("panic-freedom", 3));
+        assert!(f.allowed("bounded-recv", 1));
+        assert!(f.allowed("bounded-recv", 2));
+        assert!(!f.allowed("bounded-recv", 3));
         assert!(!f.allowed("lock-order", 2));
     }
 
     #[test]
     fn allow_without_reason_does_not_suppress() {
-        let src = "let x = v[0]; // ohpc-analyze: allow(panic-freedom)";
+        let src = "rx.recv(); // ohpc-analyze: allow(bounded-recv)";
         let f = SourceFile::from_source("a.rs", "c", false, src);
-        assert!(!f.allowed("panic-freedom", 1));
+        assert!(!f.allowed("bounded-recv", 1));
         assert_eq!(f.allows.len(), 1);
         assert!(!f.allows[0].has_reason);
     }

@@ -9,7 +9,7 @@
 //! * a directory `fixtures/<name>/` is analyzed as one workspace (its files
 //!   see each other's symbols — cross-crate fixtures live here);
 //! * the first line `//! fixture-crate: <name>` sets the simulated Cargo
-//!   package (crate-gated rules like panic-freedom key on it; default
+//!   package (crate-gated rules like bounded-recv key on it; default
 //!   `ohpc-fixture` stays outside every gated rule).
 //!
 //! A fixture with no markers is a *negative* fixture: the analyzer must stay
@@ -62,7 +62,7 @@ fn check_fixture(name: &str, sources: &[(String, String)]) {
         .iter()
         .flat_map(|(label, src)| expected_of(label, src))
         .collect();
-    let mut got: Vec<Key> = rules::run_all(&files, false, &[])
+    let mut got: Vec<Key> = rules::run_all(&files)
         .into_iter()
         .map(|d| (d.file, d.line, d.rule))
         .collect();

@@ -162,7 +162,6 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
     let mut lat_ms: Vec<f64> = Vec::with_capacity(cfg.offered);
     let mut served_ms: Vec<f64> = Vec::with_capacity(cfg.offered);
     for _ in 0..cfg.offered {
-        // ohpc-analyze: allow(bounded-recv) — exactly `offered` replies are owed
         let frame = match rx.recv() {
             Ok(f) => f,
             Err(e) => panic!("overload reader: wire closed before all replies: {e}"),

@@ -59,10 +59,8 @@ impl EncryptionCap {
 
     fn next_nonce(&self) -> [u8; 12] {
         let mut nonce = [0u8; 12];
-        // ohpc-analyze: allow(panic-freedom) — constant split of a [u8; 12]
         nonce[..4].copy_from_slice(&self.nonce_prefix);
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        // ohpc-analyze: allow(panic-freedom) — constant split of a [u8; 12]
         nonce[4..].copy_from_slice(&n.to_be_bytes());
         nonce
     }

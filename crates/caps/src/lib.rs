@@ -22,6 +22,19 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 mod acl;
 mod auth;
@@ -103,7 +116,17 @@ mod tests {
         let mut keys = KeyStore::new();
         keys.add_key("k", b"secret");
         register_standard(&reg, keys);
-        for name in ["security", "auth", "timeout", "lease", "deadline", "compress", "log", "acl"] {
+        // Every capability module's `NAME`; a new module adds its own here.
+        for name in [
+            encrypt::NAME,
+            auth::NAME,
+            timeout::NAME,
+            lease::NAME,
+            deadline::NAME,
+            compresscap::NAME,
+            logging::NAME,
+            acl::NAME,
+        ] {
             assert!(reg.knows(name), "{name} not registered");
         }
     }

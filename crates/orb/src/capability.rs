@@ -44,11 +44,8 @@ impl CallInfo {
     /// Canonical byte encoding, for MAC computations.
     pub fn to_bytes(&self) -> [u8; 20] {
         let mut out = [0u8; 20];
-        // ohpc-analyze: allow(panic-freedom) — constant ranges within [u8; 20]
         out[..8].copy_from_slice(&self.object.0.to_be_bytes());
-        // ohpc-analyze: allow(panic-freedom) — constant ranges within [u8; 20]
         out[8..12].copy_from_slice(&self.method.to_be_bytes());
-        // ohpc-analyze: allow(panic-freedom) — constant ranges within [u8; 20]
         out[12..20].copy_from_slice(&self.request_id.0.to_be_bytes());
         out
     }

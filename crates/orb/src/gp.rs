@@ -39,9 +39,9 @@ fn next_request_id() -> RequestId {
 /// paper's "the system selects an appropriate proto-object for each
 /// individual remote request"), so changes to locations, the OR (via `Moved`
 /// rebinds or [`rebind`](Self::rebind)), or the pool take effect on the very
-/// next attempt. Since PR 9 the decision is served from a per-GP cache
-/// revalidated with four atomic loads (`or_epoch`, pool epoch, health
-/// registry identity + generation) and re-walked only on a mismatch — the
+/// next attempt. The decision is served from a per-GP cache
+/// revalidated with three atomic loads (`or_epoch`, health registry
+/// identity + generation) and re-walked only on a mismatch — the
 /// adaptivity is preserved by construction, the re-walk cost is not paid on
 /// the happy path (see `selcache` / DESIGN.md §15). The uncached walk stays
 /// available as [`select`](Self::select), the oracle tests compare against.
@@ -67,12 +67,12 @@ fn next_request_id() -> RequestId {
 pub struct GlobalPointer {
     or: RwLock<ObjectReference>,
     /// Selection-input epoch: bumped on every mutation of this GP's inputs
-    /// that the pool/health counters don't already cover — OR-table changes
+    /// that the health generation doesn't already cover — OR-table changes
     /// (rebind, effective prefer/ban) *and* health-registry swaps. The
     /// per-GP selection cache revalidates against this counter (together
-    /// with [`ProtoPool::epoch`] and [`HealthRegistry::generation`]) instead
-    /// of re-walking its inputs; `epoch-bump` in ohpc-analyze enforces that
-    /// no mutation path forgets it.
+    /// with [`HealthRegistry::generation`]) instead of re-walking its
+    /// inputs; the oracle proptest in `tests/selection_cache.rs` fails when
+    /// a mutation path forgets it.
     or_epoch: AtomicU64,
     pool: Arc<ProtoPool>,
     local: Location,
@@ -242,7 +242,7 @@ impl GlobalPointer {
         removed
     }
 
-    /// Selection for one attempt: revalidate the per-GP cache with four
+    /// Selection for one attempt: revalidate the per-GP cache with three
     /// atomic loads, serve the memo on a hit, otherwise run the full
     /// health-aware walk and (if the result is steady) refill.
     ///
@@ -256,10 +256,9 @@ impl GlobalPointer {
         health: &Arc<HealthRegistry>,
     ) -> Result<Arc<CachedSelection>, OrbError> {
         let or_epoch = self.or_epoch.load(Ordering::Acquire);
-        let pool_epoch = self.pool.epoch();
         let hptr = registry_ptr(health);
         let hgen = health.generation();
-        if let Lookup::Hit(cached) = self.cache.lookup(or_epoch, pool_epoch, hptr, hgen) {
+        if let Lookup::Hit(cached) = self.cache.lookup(or_epoch, hptr, hgen) {
             ohpc_telemetry::trace_event("selection", &[("outcome", "cached".into())]);
             return Ok(cached);
         }
@@ -271,7 +270,7 @@ impl GlobalPointer {
         let key = health_key(&selection.entry);
         let steady = selection.steady;
         let cached = Arc::new(CachedSelection::new(
-            selection, object, described, key, or_epoch, pool_epoch, hptr, hgen,
+            selection, object, described, key, or_epoch, hptr, hgen,
         ));
         if steady {
             // Breaker-influenced choices are never memoized: an open

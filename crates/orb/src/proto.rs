@@ -1,6 +1,5 @@
 //! Protocol objects and the proto-pool.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ohpc_netsim::{LinkClass, Location};
@@ -121,23 +120,12 @@ pub trait ProtoObject: Send + Sync {
 /// not install a shared-memory proto-object has disabled that protocol no
 /// matter what servers offer (the paper's "user control over the protocol
 /// selection process").
-#[derive(Default)]
+///
+/// Editing needs `&mut`, and a GP holds its pool as `Arc<ProtoPool>`, so a
+/// bound GP's pool never changes: the selection cache has no pool input.
+#[derive(Clone, Default)]
 pub struct ProtoPool {
     protos: Vec<Arc<dyn ProtoObject>>,
-    /// Bumped on every membership change; the ROADMAP's selection cache
-    /// revalidates against it (see `GlobalPointer::or_epoch`). Enforced by
-    /// ohpc-analyze's `epoch-bump` rule.
-    epoch: AtomicU64,
-}
-
-impl Clone for ProtoPool {
-    fn clone(&self) -> Self {
-        Self {
-            protos: self.protos.clone(),
-            // A clone is a new pool identity; its cache epoch restarts.
-            epoch: AtomicU64::new(0),
-        }
-    }
 }
 
 impl ProtoPool {
@@ -149,20 +137,13 @@ impl ProtoPool {
     /// Appends a proto-object (lowest preference so far).
     pub fn push(&mut self, proto: Arc<dyn ProtoObject>) -> &mut Self {
         self.protos.push(proto);
-        self.epoch.fetch_add(1, Ordering::Release);
         self
     }
 
     /// Builder-style [`push`](Self::push).
     pub fn with(mut self, proto: Arc<dyn ProtoObject>) -> Self {
         self.protos.push(proto);
-        self.epoch.fetch_add(1, Ordering::Release);
         self
-    }
-
-    /// Membership epoch: changes whenever the pool's contents do.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     /// First pool entry implementing `id` (pool preference order).
@@ -190,7 +171,6 @@ impl ProtoPool {
     pub fn remove(&mut self, id: ProtocolId) -> usize {
         let before = self.protos.len();
         self.protos.retain(|p| p.protocol_id() != id);
-        self.epoch.fetch_add(1, Ordering::Release);
         before - self.protos.len()
     }
 }

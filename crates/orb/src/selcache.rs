@@ -4,7 +4,7 @@
 //! proto-object for each individual remote request") is preserved by
 //! *revalidation*, not by re-walking: a [`GlobalPointer`](crate::gp::GlobalPointer)
 //! memoizes the last steady [`Selection`] together with the epoch values of
-//! every input that could change it, and four atomic loads before each
+//! every input that could change it, and three atomic loads before each
 //! attempt decide between serving the memo and falling back to the full
 //! `select_with_health` walk.
 //!
@@ -13,13 +13,17 @@
 //! | component | bumped by |
 //! |---|---|
 //! | `GlobalPointer::or_epoch` | `rebind` (incl. `Moved` forwards), effective `prefer`/`ban`, health-registry swaps |
-//! | `ProtoPool::epoch` | pool membership edits (`push`/`remove`) |
 //! | registry `Arc` pointer identity | `set_health_registry` (defense in depth against epoch reuse across registries) |
 //! | `HealthRegistry::generation` | every breaker state transition |
 //!
-//! Any mismatch re-walks and refills. Mutation sites are machine-checked by
-//! ohpc-analyze's `epoch-bump` rule, so "someone forgot the bump" is a CI
-//! failure, not a stale route served in production.
+//! Any mismatch re-walks and refills. The pool is not a key: a GP holds it
+//! as `Arc<ProtoPool>`, which cannot be edited once shared.
+//!
+//! The bump contract is pinned by the oracle proptest
+//! `cached_selection_always_matches_the_uncached_walk`
+//! (`tests/selection_cache.rs`), which interleaves every mutation with
+//! invokes and compares each cached choice against an uncached walk; a
+//! forgotten bump fails it. A new GP or breaker mutation adds an op to it.
 //!
 //! # What is never cached
 //!
@@ -65,7 +69,6 @@ pub(crate) struct CachedSelection {
     /// lookup.
     selected_counter: Arc<Counter>,
     or_epoch: u64,
-    pool_epoch: u64,
     health_ptr: usize,
     health_gen: u64,
 }
@@ -79,14 +82,12 @@ impl CachedSelection {
     /// Builds a memo stamped with the epoch values read *before* the walk
     /// that produced `selection` (see the fill-race note on
     /// [`SelectionCache::lookup`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         selection: Selection,
         object: ObjectId,
         described: Arc<str>,
         key: HealthKey,
         or_epoch: u64,
-        pool_epoch: u64,
         health_ptr: usize,
         health_gen: u64,
     ) -> Self {
@@ -102,15 +103,13 @@ impl CachedSelection {
             key,
             selected_counter,
             or_epoch,
-            pool_epoch,
             health_ptr,
             health_gen,
         }
     }
 
-    fn valid_for(&self, or_epoch: u64, pool_epoch: u64, health_ptr: usize, health_gen: u64) -> bool {
+    fn valid_for(&self, or_epoch: u64, health_ptr: usize, health_gen: u64) -> bool {
         self.or_epoch == or_epoch
-            && self.pool_epoch == pool_epoch
             && self.health_ptr == health_ptr
             && self.health_gen == health_gen
     }
@@ -141,7 +140,7 @@ impl SelectionCache {
     /// Revalidates the memo against the current epoch values. Counts the
     /// outcome on the global `orb_selection_cache_total{outcome}` counters.
     ///
-    /// Fill-race discipline: callers must read all four key values *before*
+    /// Fill-race discipline: callers must read all three key values *before*
     /// walking the table, and stamp the memo with those pre-walk values. If
     /// a mutation lands between the key read and the walk, the memo is
     /// stamped with the old epoch while current counters have moved on — the
@@ -151,13 +150,12 @@ impl SelectionCache {
     pub(crate) fn lookup(
         &self,
         or_epoch: u64,
-        pool_epoch: u64,
         health_ptr: usize,
         health_gen: u64,
     ) -> Lookup {
         let slot = self.slot.lock();
         match &*slot {
-            Some(c) if c.valid_for(or_epoch, pool_epoch, health_ptr, health_gen) => {
+            Some(c) if c.valid_for(or_epoch, health_ptr, health_gen) => {
                 let c = c.clone();
                 drop(slot);
                 self.hits.fetch_add(1, Ordering::Relaxed);

@@ -111,8 +111,7 @@ pub struct HealthRegistry {
     /// Closed→Open and HalfOpen→Open (`record_failure`), →Closed
     /// (`record_success`), Open→HalfOpen (`allow` after cooldown). The ORB's
     /// per-GP selection cache keys on this counter, so a missed bump would
-    /// silently serve routes that ignore a breaker; ohpc-analyze's
-    /// `epoch-bump` rule enforces that every state mutation touches it, and
+    /// silently serve routes that ignore a breaker;
     /// `every_transition_bumps_the_generation` audits the four transitions.
     ///
     /// Note what does *not* bump: successes and sub-threshold failures on a

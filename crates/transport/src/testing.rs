@@ -195,8 +195,9 @@ impl FaultPlan {
         self.record(FaultKind::Corrupt);
         let mut buf = frame.to_vec();
         let idx = (splitmix64(h) as usize) % buf.len();
-        // ohpc-analyze: allow(panic-freedom) — idx is reduced mod the non-empty buffer length
-        buf[idx] ^= 0x40;
+        if let Some(b) = buf.get_mut(idx) {
+            *b ^= 0x40;
+        }
         Bytes::from(buf)
     }
 

@@ -57,11 +57,10 @@ impl<'a> XdrReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
-        if self.remaining() < n {
+        let buf = self.buf;
+        let Some(s) = self.pos.checked_add(n).and_then(|end| buf.get(self.pos..end)) else {
             return Err(XdrError::Truncated { needed: n, available: self.remaining() });
-        }
-        // ohpc-analyze: allow(panic-freedom) — range is bounds-checked by the remaining() guard above
-        let s = &self.buf[self.pos..self.pos + n];
+        };
         self.pos += n;
         Ok(s)
     }
@@ -236,6 +235,10 @@ mod tests {
         let mut r = XdrReader::new(&[0, 0]);
         let err = r.get_u32().unwrap_err();
         assert_eq!(err, XdrError::Truncated { needed: 4, available: 2 });
+        // Past the end of the address space: refused, not overflowed.
+        r.pos = 1;
+        let err = r.take(usize::MAX).unwrap_err();
+        assert_eq!(err, XdrError::Truncated { needed: usize::MAX, available: 1 });
     }
 
     #[test]
