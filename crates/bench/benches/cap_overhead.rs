@@ -1,5 +1,5 @@
 //! Per-capability processing cost: the microbenchmark behind the §5
-//! "capability overhead is small" claim and the overhead_table binary.
+//! "capability overhead is small" claim and `ohpc-bench overhead`.
 
 use std::sync::Arc;
 

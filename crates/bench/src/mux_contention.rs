@@ -26,6 +26,10 @@ use ohpc_xdr::{XdrReader, XdrWriter};
 /// Method slot of [`SlowEcho::dispatch`]'s echo method.
 pub const ECHO_METHOD: u32 = 1;
 
+/// Concurrent clients per endpoint that `ohpc-bench mux` sweeps and
+/// `tests/contention.rs` checks reply routing at.
+pub const CLIENT_WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
+
 /// An echo service that sleeps a fixed delay per request — the stand-in for
 /// any server-side work during which a serialized wire sits idle.
 pub struct SlowEcho {
@@ -69,8 +73,6 @@ impl RemoteObject for SlowEcho {
 pub struct ContentionSample {
     /// Concurrent client threads.
     pub clients: usize,
-    /// Requests issued per client thread.
-    pub requests_per_client: usize,
     /// Total wall-clock time for all requests.
     pub elapsed: Duration,
     /// Aggregate requests per second.
@@ -116,7 +118,7 @@ pub fn run_contention(
     };
 
     let proto = TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric));
-    // Reader-thread deaths and exchange failures feed one shared registry.
+    // Mux deaths and exchange failures feed one shared registry.
     let health = Arc::new(HealthRegistry::new());
     proto.set_health_registry(health.clone());
     let pool = Arc::new(ProtoPool::new().with(Arc::new(proto)));
@@ -152,81 +154,12 @@ pub fn run_contention(
 
     let total = (clients * requests_per_client) as f64;
     let secs = elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-    ContentionSample {
-        clients,
-        requests_per_client,
-        elapsed,
-        throughput_rps: total / secs,
-    }
-}
-
-/// Client counts to sweep: `OHPC_CONTENTION_CLIENTS` (comma-separated) when
-/// set and parseable, else `[1, 2, 4, 8]`.
-pub fn client_counts_from_env() -> Vec<usize> {
-    let parsed = std::env::var("OHPC_CONTENTION_CLIENTS").ok().map(|raw| {
-        raw.split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .collect::<Vec<_>>()
-    });
-    match parsed {
-        Some(counts) if !counts.is_empty() => counts,
-        _ => vec![1, 2, 4, 8],
-    }
-}
-
-/// Renders the sweep as the `BENCH_contention.json` artifact.
-pub fn contention_artifact(rows: &[ContentionSample], delay: Duration) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"contention\",\n");
-    out.push_str("  \"description\": \"concurrent clients, one endpoint: multiplexed channel vs the arithmetic bound of a serialized wire\",\n");
-    let _ = writeln!(out, "  \"server_delay_us\": {},", delay.as_micros());
-    let _ = writeln!(out, "  \"serialized_bound_rps\": {:.1},", serialized_bound_rps(delay));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"clients\": {}, \"requests_per_client\": {}, \"mux_rps\": {:.1}, \"speedup\": {:.2}}}",
-            row.clients,
-            row.requests_per_client,
-            row.throughput_rps,
-            row.speedup_over_serialized(delay),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    ContentionSample { clients, elapsed, throughput_rps: total / secs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn client_counts_default_without_env() {
-        // Not setting the variable here (tests share the process env);
-        // the default path must produce the standard sweep.
-        if std::env::var("OHPC_CONTENTION_CLIENTS").is_err() {
-            assert_eq!(client_counts_from_env(), vec![1, 2, 4, 8]);
-        }
-    }
-
-    #[test]
-    fn artifact_is_valid_shape() {
-        let rows = vec![ContentionSample {
-            clients: 2,
-            requests_per_client: 3,
-            elapsed: Duration::from_millis(6),
-            throughput_rps: 4000.0,
-        }];
-        let json = contention_artifact(&rows, Duration::from_millis(1));
-        assert!(json.contains("\"benchmark\": \"contention\""));
-        assert!(json.contains("\"serialized_bound_rps\": 1000.0"));
-        assert!(json.contains("\"speedup\": 4.00"));
-        assert!(json.ends_with("}\n"));
-    }
 
     #[test]
     fn tiny_contention_run_round_trips() {

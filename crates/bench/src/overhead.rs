@@ -6,19 +6,17 @@
 //! payload on each network — producing the overhead-ratio table that backs
 //! the paper's claim.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 
 use ohpc_caps::{AuthCap, CapScope, CompressionCap, EncryptionCap, LoggingCap, TimeoutCap};
 use ohpc_compress::CodecKind;
-use ohpc_crypto::KeyStore;
 use ohpc_netsim::LinkProfile;
 use ohpc_orb::capability::{process_chain, unprocess_chain, CallInfo};
-use ohpc_orb::{CapabilityRegistry, CapabilitySpec, Direction, ObjectId, RequestId};
+use ohpc_orb::{CapabilitySpec, Direction, ObjectId, RequestId};
 
-use crate::setup::EXPERIMENT_KEY;
+use crate::setup::{experiment_registry, EXPERIMENT_KEY};
 
 /// One row of the overhead table.
 #[derive(Debug, Clone)]
@@ -60,17 +58,9 @@ pub fn standard_chains() -> Vec<(String, Vec<CapabilitySpec>)> {
     ]
 }
 
-fn registry() -> Arc<CapabilityRegistry> {
-    let reg = CapabilityRegistry::new();
-    let mut keys = KeyStore::new();
-    keys.add_key(EXPERIMENT_KEY, b"open-hpc++-experiment-psk");
-    ohpc_caps::register_standard(&reg, keys);
-    Arc::new(reg)
-}
-
 /// Measures all standard chains at the given payload sizes.
 pub fn run(payload_sizes: &[usize], iters: u32) -> Vec<OverheadRow> {
-    let reg = registry();
+    let (reg, _) = experiment_registry();
     let call = CallInfo { object: ObjectId(1), method: 1, request_id: RequestId(1) };
     let atm = LinkProfile::atm_155();
     let ethernet = LinkProfile::ethernet_10();

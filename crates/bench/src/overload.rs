@@ -7,7 +7,7 @@
 //! shape reaches 10k *offered* concurrency without 10k client threads, so
 //! the thread census below measures the server, not the harness.
 //!
-//! What the artifact must show (the PR's robustness claims):
+//! What `ohpc-bench overload` gates on ([`crate::gate::overload`]):
 //!
 //! * the process thread count stays near the worker cap however large the
 //!   burst is — dispatch no longer spawns per request;
@@ -46,18 +46,10 @@ pub struct OverloadConfig {
 /// Measured outcome of one scenario.
 #[derive(Debug, Clone)]
 pub struct OverloadSample {
-    /// The scenario.
-    pub offered: usize,
-    /// Worker threads configured.
-    pub workers: usize,
-    /// Admission bound (`None` = shedding off).
-    pub admission_limit: Option<usize>,
     /// Replies with [`ReplyStatus::Ok`].
     pub served: usize,
     /// Replies with [`ReplyStatus::Overloaded`].
     pub shed: usize,
-    /// Burst start → last reply.
-    pub elapsed: Duration,
     /// Median reply latency over all replies, milliseconds.
     pub p50_ms: f64,
     /// 99th-percentile reply latency over all replies, milliseconds.
@@ -180,7 +172,6 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
             other => panic!("unexpected reply status under overload: {other:?}"),
         }
     }
-    let elapsed = t0.elapsed();
     sender.join().expect("sender panicked");
     stop.store(true, Ordering::Relaxed);
     let peak_threads = census.join().expect("census panicked");
@@ -191,12 +182,8 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
     lat_ms.sort_by(|a, b| a.total_cmp(b));
     served_ms.sort_by(|a, b| a.total_cmp(b));
     OverloadSample {
-        offered: cfg.offered,
-        workers: cfg.workers,
-        admission_limit: cfg.admission_limit,
         served,
         shed,
-        elapsed,
         p50_ms: percentile(&lat_ms, 0.50),
         p99_ms: percentile(&lat_ms, 0.99),
         served_p99_ms: percentile(&served_ms, 0.99),
@@ -204,79 +191,9 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
     }
 }
 
-/// Renders named scenario samples as the `BENCH_overload.json` document.
-/// When both a `shed_on` and a `shed_off` scenario are present, the
-/// headline `p99_speedup` (shed-off p99 over shed-on p99) is emitted at the
-/// top level — the number the CI gate reads.
-pub fn overload_artifact(samples: &[(&str, OverloadSample)]) -> String {
-    use std::fmt::Write as _;
-    let find = |name: &str| samples.iter().find(|(n, _)| *n == name).map(|(_, s)| s);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"overload\",\n");
-    out.push_str(
-        "  \"description\": \"sustained burst against the bounded dispatch pool: \
-         admission shedding on vs off\",\n",
-    );
-    if let (Some(on), Some(off)) = (find("shed_on"), find("shed_off")) {
-        let speedup = if on.p99_ms > 0.0 { off.p99_ms / on.p99_ms } else { 0.0 };
-        let _ = writeln!(out, "  \"p99_speedup\": {speedup:.2},");
-    }
-    out.push_str("  \"scenarios\": [\n");
-    for (i, (name, s)) in samples.iter().enumerate() {
-        let limit = match s.admission_limit {
-            Some(n) => n.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            out,
-            "    {{\"scenario\": \"{name}\", \"offered\": {}, \
-             \"workers\": {}, \"admission_limit\": {limit}, \"served\": {}, \"shed\": {}, \
-             \"elapsed_ms\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"served_p99_ms\": {:.3}, \"peak_threads\": {}}}",
-            s.offered,
-            s.workers,
-            s.served,
-            s.shed,
-            s.elapsed.as_secs_f64() * 1e3,
-            s.p50_ms,
-            s.p99_ms,
-            s.served_p99_ms,
-            s.peak_threads,
-        );
-        out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn artifact_is_valid_shape() {
-        let s = OverloadSample {
-            offered: 100,
-            workers: 4,
-            admission_limit: Some(16),
-            served: 40,
-            shed: 60,
-            elapsed: Duration::from_millis(12),
-            p50_ms: 0.5,
-            p99_ms: 3.0,
-            served_p99_ms: 6.0,
-            peak_threads: 20,
-        };
-        let mut off = s.clone();
-        off.admission_limit = None;
-        off.p99_ms = 30.0;
-        let json = overload_artifact(&[("shed_on", s), ("shed_off", off)]);
-        assert!(json.contains("\"benchmark\": \"overload\""), "{json}");
-        assert!(json.contains("\"p99_speedup\": 10.00"), "{json}");
-        assert!(json.contains("\"admission_limit\": null"), "{json}");
-        assert!(json.ends_with("}\n"), "{json}");
-    }
 
     #[test]
     fn small_burst_all_served_when_unbounded() {

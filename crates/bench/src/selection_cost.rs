@@ -5,14 +5,10 @@
 //! The scenario is the worst case for the walk: a remote client facing a
 //! table of `n - 1` same-machine-only rows with the single applicable row
 //! last, so the uncached path rejects (and label-allocates for) every row
-//! before finding the match. The cached path revalidates four atomic loads
+//! before finding the match. The cached path revalidates three atomic loads
 //! and serves the memo — its cost must not depend on `n`, which is exactly
-//! what the `bench_selection_json --gate` asserts.
-//!
-//! Shared by the criterion `selection` bench (statistical view) and the
-//! `bench_selection_json` binary (CI artifact + gate).
+//! what `ohpc-bench selection` gates on ([`crate::gate::selection`]).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,7 +19,9 @@ use ohpc_orb::{
     ProtocolId, ReplyMessage, RequestMessage,
 };
 
-/// Table sizes the selection benchmarks sweep.
+use crate::median;
+
+/// Table sizes the selection gate sweeps.
 pub const TABLE_SIZES: &[usize] = &[2, 8, 32];
 
 struct RuleProto {
@@ -48,51 +46,29 @@ impl ProtoObject for RuleProto {
     }
 }
 
-/// The worst-case-walk scenario: `table_len - 1` same-machine-only rows, one
-/// `Always` row last, and a remote client that therefore walks everything.
-pub struct SelectionScenario {
-    /// The OR whose table is walked.
-    pub or: ObjectReference,
-    /// Pool holding a proto-object per row.
-    pub pool: Arc<ProtoPool>,
-    /// The remote client location.
-    pub client: Location,
-}
-
-impl SelectionScenario {
-    /// Builds the scenario for `table_len` rows.
-    pub fn new(table_len: usize) -> Self {
-        assert!(table_len >= 1);
-        let mut pool = ProtoPool::new();
-        let mut protocols = Vec::new();
-        for i in 0..table_len as u16 {
-            let id = ProtocolId(200 + i);
-            let rule = if (i as usize) < table_len - 1 {
-                ApplicabilityRule::SameMachineOnly
-            } else {
-                ApplicabilityRule::Always
-            };
-            pool.push(Arc::new(RuleProto { id, rule }));
-            protocols.push(ProtoEntry::endpoint(id, format!("tcp://h:{i}")));
-        }
-        let or = ObjectReference {
-            object: ObjectId(1),
-            type_name: "T".into(),
-            location: Location::new(0, 0),
-            protocols,
+/// The worst-case-walk scenario: a remote client's GP over `table_len - 1`
+/// same-machine-only rows and one `Always` row last, with the cache warm.
+/// All selections here are steady — no breakers involved — so the warmup
+/// fills the cache and every subsequent `select_cached` is a hit.
+fn warmed_gp(table_len: usize) -> GlobalPointer {
+    let mut pool = ProtoPool::new();
+    let mut protocols = Vec::new();
+    for i in 0..table_len as u16 {
+        let id = ProtocolId(200 + i);
+        let rule = if (i as usize) + 1 < table_len {
+            ApplicabilityRule::SameMachineOnly
+        } else {
+            ApplicabilityRule::Always
         };
-        Self { or, pool: Arc::new(pool), client: Location::new(9, 9) }
+        pool.push(Arc::new(RuleProto { id, rule }));
+        protocols.push(ProtoEntry::endpoint(id, format!("tcp://h:{i}")));
     }
-
-    /// A GP over this scenario, with the cache warm (one selection done).
-    /// All selections here are steady — no breakers involved — so the warmup
-    /// fills the cache and every subsequent `select_cached` is a hit.
-    pub fn warmed_gp(&self) -> GlobalPointer {
-        let gp = GlobalPointer::new(self.or.clone(), self.pool.clone(), self.client);
-        let idx = gp.select_cached().expect("scenario always selects");
-        assert_eq!(idx, self.or.protocols.len() - 1, "the Always row wins");
-        gp
-    }
+    let location = Location::new(0, 0);
+    let or = ObjectReference { object: ObjectId(1), type_name: "T".into(), location, protocols };
+    let gp = GlobalPointer::new(or, Arc::new(pool), Location::new(9, 9));
+    let idx = gp.select_cached().expect("scenario always selects");
+    assert_eq!(idx, table_len - 1, "the Always row wins");
+    gp
 }
 
 /// One measured point: median ns/op for both paths at one table size.
@@ -116,21 +92,14 @@ fn median_ns_per_op(rounds: usize, iters: u32, mut op: impl FnMut()) -> f64 {
         }
         samples.push(t0.elapsed().as_nanos() as f64 / iters as f64);
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2.0
-    }
+    median(samples)
 }
 
 /// Measures one table size: cached hit path through a warmed GP vs the
 /// uncached reference walk (`GlobalPointer::select`, which never consults
 /// the cache).
 pub fn measure(table_len: usize, rounds: usize, iters: u32) -> SelectionSample {
-    let scenario = SelectionScenario::new(table_len);
-    let gp = scenario.warmed_gp();
+    let gp = warmed_gp(table_len);
     let cached_ns = median_ns_per_op(rounds, iters, || {
         std::hint::black_box(gp.select_cached().unwrap());
     });
@@ -140,57 +109,14 @@ pub fn measure(table_len: usize, rounds: usize, iters: u32) -> SelectionSample {
     SelectionSample { table_len, cached_ns, uncached_ns }
 }
 
-/// Renders `BENCH_selection.json` (hand-rolled: the workspace is offline and
-/// keeps zero serialization dependencies).
-pub fn selection_artifact(samples: &[SelectionSample]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"selection\",\n");
-    out.push_str(
-        "  \"description\": \"per-request protocol selection cost, worst-case walk: \
-         per-GP cache hit path vs full OR-table walk, by table size\",\n",
-    );
-    if let (Some(first), Some(last)) = (samples.first(), samples.last()) {
-        let flatness = if first.cached_ns > 0.0 { last.cached_ns / first.cached_ns } else { 0.0 };
-        let speedup = if last.cached_ns > 0.0 { last.uncached_ns / last.cached_ns } else { 0.0 };
-        let _ = writeln!(out, "  \"cached_flatness\": {flatness:.2},");
-        let _ = writeln!(out, "  \"cached_speedup_at_{}\": {speedup:.2},", last.table_len);
-    }
-    out.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"table_len\": {}, \"cached_ns\": {:.1}, \"uncached_ns\": {:.1}}}",
-            s.table_len, s.cached_ns, s.uncached_ns
-        );
-        out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scenario_selects_the_last_row_both_ways() {
-        let s = SelectionScenario::new(8);
-        let gp = s.warmed_gp();
+        let gp = warmed_gp(8);
         assert_eq!(gp.select().unwrap().index, 7);
         assert_eq!(gp.select_cached().unwrap(), 7);
-    }
-
-    #[test]
-    fn artifact_shape() {
-        let json = selection_artifact(&[
-            SelectionSample { table_len: 2, cached_ns: 50.0, uncached_ns: 300.0 },
-            SelectionSample { table_len: 32, cached_ns: 52.0, uncached_ns: 4000.0 },
-        ]);
-        assert!(json.contains("\"benchmark\": \"selection\""), "{json}");
-        assert!(json.contains("\"cached_flatness\": 1.04"), "{json}");
-        assert!(json.contains("\"cached_speedup_at_32\": 76.92"), "{json}");
-        assert!(json.contains("\"table_len\": 2"), "{json}");
-        assert!(json.ends_with("}\n"), "{json}");
     }
 }

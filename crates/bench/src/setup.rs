@@ -21,6 +21,16 @@ use ohpc_orb::TransportProto;
 /// Name of the pre-shared key every experiment party holds.
 pub const EXPERIMENT_KEY: &str = "site-key";
 
+/// A capability registry holding the standard capabilities and the
+/// experiment key, with the traffic stats its `log` capabilities share.
+pub(crate) fn experiment_registry() -> (Arc<CapabilityRegistry>, Arc<LogStats>) {
+    let registry = CapabilityRegistry::new();
+    let mut keys = KeyStore::new();
+    keys.add_key(EXPERIMENT_KEY, b"open-hpc++-experiment-psk");
+    let stats = register_standard(&registry, keys);
+    (Arc::new(registry), stats)
+}
+
 /// One simulated-cluster deployment.
 pub struct SimDeployment {
     /// The simulated network (owns the virtual clock).
@@ -39,17 +49,8 @@ impl SimDeployment {
     pub fn new(cluster: Cluster) -> Self {
         let net = SimNet::new(cluster);
         let fabric = SimFabric::new(net.clone());
-        let registry = CapabilityRegistry::new();
-        let mut keys = KeyStore::new();
-        keys.add_key(EXPERIMENT_KEY, b"open-hpc++-experiment-psk");
-        let stats = register_standard(&registry, keys);
-        Self {
-            net,
-            fabric,
-            registry: Arc::new(registry),
-            stats,
-            next_ctx: std::sync::atomic::AtomicU64::new(1),
-        }
+        let (registry, stats) = experiment_registry();
+        Self { net, fabric, registry, stats, next_ctx: std::sync::atomic::AtomicU64::new(1) }
     }
 
     /// Stands up a server context on `machine`, serving the raw-frame

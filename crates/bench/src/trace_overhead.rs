@@ -13,8 +13,8 @@ use std::time::Instant;
 
 use ohpc_netsim::LinkProfile;
 
-use crate::fig3;
 use crate::setup::SimDeployment;
+use crate::{fig3, median};
 use crate::workload::{make_array, EchoArray, EchoArrayClient, EchoArraySkeleton};
 
 /// Per-round mean call latencies (microseconds), one sample per round.
@@ -24,6 +24,23 @@ pub struct TracingOverhead {
     pub on_us: Vec<f64>,
     /// Recording off (baseline).
     pub off_us: Vec<f64>,
+}
+
+impl TracingOverhead {
+    /// Median of the per-round paired on/off differences, as a percentage
+    /// of the off side. Each round times its off and on batches back to
+    /// back, so pairing cancels the drift an unpaired median of medians
+    /// would read as overhead (or as a speed-up).
+    pub fn overhead_pct(&self) -> f64 {
+        median(
+            self.on_us
+                .iter()
+                .zip(&self.off_us)
+                .filter(|(_, off)| **off > 0.0)
+                .map(|(on, off)| (on - off) / off * 100.0)
+                .collect(),
+        )
+    }
 }
 
 /// Times `rounds` interleaved batches of `calls_per_round` echo calls over

@@ -4,8 +4,8 @@
 //! spans with attributes, the disabled-recording fast path, and a counter
 //! bump and a timed span by name against the same through a handle. Run with
 //! `cargo run --release -p ohpc-telemetry --example trace_micro` when
-//! touching the recorder; the end-to-end budget (`--max-tracing-overhead-pct`
-//! on `bench_overhead_json`) is roughly nine records per fig3 call, so every
+//! touching the recorder; the end-to-end budget (`ohpc-bench tracing`, 5 %
+//! on the fig3 path) is roughly nine records per fig3 call, so every
 //! nanosecond here is ~9 ns per request.
 
 use std::time::Instant;

@@ -132,23 +132,18 @@ fn loopback_paths_do_not_contend_with_the_lan() {
     for h in lan_load {
         h.join().unwrap();
     }
-    // sanity: the LAN itself WAS congested — at least one later transfer
-    // queued behind an earlier one.
-    let lan_probe = dep.net.transfer(clients[0], server_m, 100_000);
-    let _ = lan_probe;
-    let _ = SimTime::ZERO;
 }
 
 /// Wall-clock multiplexing stress tests: unlike the simulator tests above,
 /// these run real threads against the production per-endpoint demux path
-/// (reader thread, waiter table, eviction) over a [`MemFabric`].
+/// (leader read, waiter table, eviction) over a [`MemFabric`].
 mod mux_stress {
     use std::sync::mpsc;
     use std::sync::Arc;
     use std::time::Duration;
 
     use bytes::Bytes;
-    use ohpc_bench::mux_contention::{client_counts_from_env, run_contention};
+    use ohpc_bench::mux_contention::{run_contention, CLIENT_WIDTHS};
     use ohpc_orb::{
         ApplicabilityRule, ObjectId, OrbError, ProtoEntry, ProtoObject, ProtoPool, ProtocolId,
         ReplyMessage, RequestId, RequestMessage, TransportProto,
@@ -170,12 +165,12 @@ mod mux_stress {
     }
 
     /// Every reply lands with the caller whose token it carries, at every
-    /// concurrency width in the sweep (`OHPC_CONTENTION_CLIENTS` widens it in
-    /// CI). `run_contention` panics on any misrouted or failed reply, so
-    /// this doubles as the interleaving-correctness check for the demux.
+    /// concurrency width `ohpc-bench mux` sweeps. `run_contention` panics on
+    /// any misrouted or failed reply, so this doubles as the
+    /// interleaving-correctness check for the demux.
     #[test]
     fn concurrent_clients_route_replies_correctly() {
-        for clients in client_counts_from_env() {
+        for clients in CLIENT_WIDTHS {
             let sample = run_contention(clients, 20, Duration::from_micros(200));
             assert!(
                 sample.throughput_rps > 0.0,
@@ -188,9 +183,9 @@ mod mux_stress {
     /// multiplexed connection must clearly outrun any serialized wire, which
     /// by arithmetic needs at least clients · requests · delay of wall
     /// clock. (The delay is long so that the server's sleep, not an
-    /// unoptimized build's CPU time, is what the clients overlap.) The JSON
-    /// benchmark records the full sweep; this is the conservative in-test
-    /// floor (the measured margin is ~7x).
+    /// unoptimized build's CPU time, is what the clients overlap.)
+    /// `ohpc-bench mux` prints the full sweep; this is the conservative
+    /// in-test floor (the measured margin is ~7x).
     #[test]
     fn mux_outruns_the_serialized_wire() {
         const CLIENTS: usize = 8;
@@ -207,8 +202,8 @@ mod mux_stress {
 
     /// A connection dying with several requests in flight must fail every
     /// waiter promptly with `AmbiguousTransport` (the frames were sent; the
-    /// replies are lost) — nobody hangs, and the reader-death hook reports
-    /// the endpoint to the health registry wired into the proto.
+    /// replies are lost) — nobody hangs, and the mux death hook reports the
+    /// endpoint to the health registry wired into the proto.
     #[test]
     fn mid_flight_death_fails_every_waiter() {
         const WAITERS: usize = 6;
@@ -279,7 +274,7 @@ mod mux_stress {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(recorded, "reader death never reached the health registry");
+        assert!(recorded, "mux death never reached the health registry");
     }
 }
 
