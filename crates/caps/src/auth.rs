@@ -88,8 +88,8 @@ impl Capability for AuthCap {
         meta: &mut CapMeta,
         body: Bytes,
     ) -> Result<Bytes, CapError> {
-        meta.set("principal", self.principal.clone().into_bytes());
-        meta.set("mac", self.mac(dir, call, &body).to_vec());
+        meta.set("principal", &self.principal);
+        meta.set("mac", self.mac(dir, call, &body));
         Ok(body)
     }
 

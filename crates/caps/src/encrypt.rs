@@ -99,7 +99,7 @@ impl Capability for EncryptionCap {
         body: Bytes,
     ) -> Result<Bytes, CapError> {
         let nonce = self.next_nonce();
-        meta.set("nonce", Bytes::copy_from_slice(&nonce));
+        meta.set("nonce", nonce);
         Ok(self.cipher(&nonce, body))
     }
 

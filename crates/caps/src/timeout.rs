@@ -91,7 +91,7 @@ impl Capability for TimeoutCap {
     ) -> Result<Bytes, CapError> {
         if dir == Direction::Request {
             let n = self.consume()?;
-            meta.set("seq", n.to_be_bytes().to_vec());
+            meta.set("seq", n.to_be_bytes());
         }
         Ok(body)
     }

@@ -48,7 +48,7 @@ fn arb_body() -> impl Strategy<Value = Vec<u8>> {
 /// the empty string) with any opaque payloads.
 fn arb_glue_wire() -> impl Strategy<Value = GlueWire> {
     let entry = ("[a-z.]{0,24}", proptest::collection::vec(any::<u8>(), 0..128))
-        .prop_map(|(name, meta)| CapWireMeta { name, meta: Bytes::from(meta) });
+        .prop_map(|(name, meta)| CapWireMeta { name: name.into(), meta: Bytes::from(meta) });
     (any::<u64>(), proptest::collection::vec(entry, 0..6))
         .prop_map(|(glue_id, caps)| GlueWire { glue_id, caps })
 }

@@ -14,6 +14,7 @@
 //!   ordering: sender applies the chain in order, receiver inverts it in
 //!   reverse order, replies mirror it.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ use parking_lot::RwLock;
 
 use ohpc_netsim::Location;
 use ohpc_telemetry::{Histogram, Registry};
-use ohpc_xdr::{xdr_struct, XdrError, XdrReader, XdrWriter};
+use ohpc_xdr::{pad4, xdr_struct, XdrError, XdrReader, XdrWriter};
 
 use crate::message::CapWireMeta;
 
@@ -100,13 +101,48 @@ impl std::fmt::Display for CapError {
 
 impl std::error::Error for CapError {}
 
+/// Most entries a received metadata blob may declare; a count above it is
+/// refused before any entry is read.
+pub const MAX_META_ENTRIES: usize = 64;
+
 /// Per-message, per-capability metadata side channel.
 ///
 /// `process` writes entries (a nonce, a MAC, a token); the bytes travel in
 /// the frame's glue section; the receiving side's `unprocess` reads them.
-#[derive(Debug, Default, Clone)]
+///
+/// A `CapMeta` is its wire blob — a count word, then `string key, opaque
+/// value` per entry in key order, so a MAC over it is stable — and its
+/// entries are views of that one buffer. The sender's [`set`](Self::set)
+/// keeps the blob current (one allocation), so the chain hands the blob to
+/// the glue section as it is; the receiver's [`parse`](Self::parse) views
+/// the blob it was given and allocates nothing. Keys are unique: a blob
+/// that repeats one is refused.
+#[derive(Debug, Clone)]
 pub struct CapMeta {
-    entries: HashMap<String, Bytes>,
+    blob: Bytes,
+    entries: Entries,
+}
+
+impl Default for CapMeta {
+    fn default() -> Self {
+        /// The blob of no entries: a zero count.
+        static EMPTY: [u8; 4] = [0; 4];
+        Self { blob: Bytes::from_static(&EMPTY), entries: Entries::default() }
+    }
+}
+
+impl PartialEq for CapMeta {
+    fn eq(&self, other: &Self) -> bool {
+        self.blob == other.blob
+    }
+}
+
+impl Eq for CapMeta {}
+
+thread_local! {
+    /// Where [`CapMeta::set`] encodes a blob before copying it out at its
+    /// exact size, so that building one is a single allocation.
+    static SCRATCH: RefCell<XdrWriter> = RefCell::new(XdrWriter::new());
 }
 
 impl CapMeta {
@@ -115,14 +151,90 @@ impl CapMeta {
         Self::default()
     }
 
-    /// Stores `value` under `key`.
-    pub fn set(&mut self, key: &str, value: impl Into<Bytes>) {
-        self.entries.insert(key.to_string(), value.into());
+    /// Stores `value` under `key`, replacing any earlier value of `key`.
+    pub fn set(&mut self, key: &str, value: impl AsRef<[u8]>) {
+        let (key, value) = (key.as_bytes(), value.as_ref());
+        let entries = self.entries.as_slice();
+        let at = entries.partition_point(|(k, _)| k[..] < *key);
+        let (before, after) = entries.split_at(at);
+        let after = match after.split_first() {
+            Some(((k, _), rest)) if k[..] == *key => rest,
+            _ => after,
+        };
+        fn slices((k, v): &(Bytes, Bytes)) -> (&[u8], &[u8]) {
+            (k, v)
+        }
+        let added = [(key, value)];
+        let parts = || {
+            before.iter().map(slices).chain(added.iter().copied()).chain(after.iter().map(slices))
+        };
+        *self = Self::encode(parts);
+    }
+
+    /// The metadata of `parts`, in the order given (key order, unique keys).
+    fn encode<'a, I>(parts: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (&'a [u8], &'a [u8])>,
+    {
+        let blob = SCRATCH.with_borrow_mut(|w| {
+            w.clear();
+            w.put_array_len(parts().count());
+            for (key, value) in parts() {
+                w.put_opaque(key);
+                w.put_opaque(value);
+            }
+            Bytes::copy_from_slice(w.peek())
+        });
+        // The views, at the offsets just written: past the count word, each
+        // opaque is a length word, its bytes and their padding.
+        let mut entries = Entries::default();
+        let mut at = 4;
+        let mut view = |len: usize| {
+            let start = at + 4;
+            at = start + len + pad4(len);
+            blob.slice(start..start + len)
+        };
+        for (key, value) in parts() {
+            entries.push((view(key.len()), view(value.len())));
+        }
+        Self { blob, entries }
+    }
+
+    /// Views `blob`, a received wire blob: keys and values share its
+    /// storage. Refuses more than [`MAX_META_ENTRIES`] entries (on the count,
+    /// before reading one), a key that is not UTF-8, a repeated key and
+    /// trailing bytes.
+    pub fn parse(blob: &Bytes) -> Result<Self, XdrError> {
+        let mut r = XdrReader::over_frame(blob);
+        let n = r.get_array_len()?;
+        if n > MAX_META_ENTRIES {
+            return Err(XdrError::LengthOverflow {
+                declared: n as u64,
+                limit: MAX_META_ENTRIES as u64,
+            });
+        }
+        let mut entries = Entries::default();
+        for _ in 0..n {
+            let key = r.get_str_bytes()?;
+            if entries.as_slice().iter().any(|(k, _)| *k == key) {
+                return Err(XdrError::custom("repeated capability metadata key"));
+            }
+            entries.push((key, r.get_opaque_bytes()?));
+        }
+        match r.remaining() {
+            0 => Ok(Self { blob: blob.clone(), entries }),
+            n => Err(XdrError::TrailingBytes(n)),
+        }
+    }
+
+    /// The wire blob the glue section carries.
+    pub fn blob(&self) -> &Bytes {
+        &self.blob
     }
 
     /// Fetches `key`.
     pub fn get(&self, key: &str) -> Option<&Bytes> {
-        self.entries.get(key)
+        self.entries.as_slice().iter().find(|(k, _)| k[..] == *key.as_bytes()).map(|(_, v)| v)
     }
 
     /// Fetches `key` or errors with a consistent message.
@@ -131,44 +243,57 @@ impl CapMeta {
             .ok_or_else(|| CapError::Failed(format!("missing capability metadata '{key}'")))
     }
 
-    /// Serializes to the wire blob carried in the glue section.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut w = XdrWriter::new();
-        // deterministic order so MACs over metadata are stable
-        let mut entries: Vec<(&String, &Bytes)> = self.entries.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        w.put_array_len(entries.len());
-        for (k, v) in entries {
-            w.put_string(k);
-            w.put_opaque(v);
-        }
-        w.finish()
-    }
-
-    /// Parses a wire blob.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, XdrError> {
-        let mut r = XdrReader::new(buf);
-        let n = r.get_array_len()?;
-        if n > 64 {
-            return Err(XdrError::custom("capability metadata too large"));
-        }
-        let mut entries = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = r.get_string()?;
-            let v = Bytes::copy_from_slice(r.get_opaque()?);
-            entries.insert(k, v);
-        }
-        Ok(Self { entries })
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.as_slice().len()
     }
 
     /// True when no entries are present.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+}
+
+/// Entries a [`CapMeta`] holds in place; every shipped capability writes
+/// one or two, so only a longer list allocates.
+const INLINE_ENTRIES: usize = 2;
+
+/// A [`CapMeta`]'s `(key, value)` views, in blob order.
+#[derive(Debug, Clone)]
+enum Entries {
+    Inline { len: usize, slots: [(Bytes, Bytes); INLINE_ENTRIES] },
+    Spilled(Vec<(Bytes, Bytes)>),
+}
+
+impl Default for Entries {
+    fn default() -> Self {
+        Entries::Inline { len: 0, slots: Default::default() }
+    }
+}
+
+impl Entries {
+    fn as_slice(&self) -> &[(Bytes, Bytes)] {
+        match self {
+            Entries::Inline { len, slots } => slots.get(..*len).unwrap_or_default(),
+            Entries::Spilled(all) => all,
+        }
+    }
+
+    fn push(&mut self, entry: (Bytes, Bytes)) {
+        match self {
+            Entries::Inline { len, slots } => match slots.get_mut(*len) {
+                Some(slot) => {
+                    *slot = entry;
+                    *len += 1;
+                }
+                None => {
+                    let mut all: Vec<_> = slots.iter_mut().map(std::mem::take).collect();
+                    all.push(entry);
+                    *self = Entries::Spilled(all);
+                }
+            },
+            Entries::Spilled(all) => all.push(entry),
+        }
     }
 }
 
@@ -311,21 +436,23 @@ impl ByDirection {
     }
 }
 
-/// One capability of a built chain, with the `orb_cap_process_ns{cap,dir}`
-/// and `orb_cap_unprocess_ns{cap,dir}` histograms its transforms are timed
-/// into.
+/// One capability of a built chain: its wire name, as the shared handle
+/// every glue section it writes carries, and the
+/// `orb_cap_process_ns{cap,dir}` and `orb_cap_unprocess_ns{cap,dir}`
+/// histograms its transforms are timed into.
 struct Hop {
     cap: Arc<dyn Capability>,
+    name: Bytes,
     process_ns: ByDirection,
     unprocess_ns: ByDirection,
 }
 
 /// A built capability chain, in chain order.
 ///
-/// The per-hop histograms carry the capability's name as a label, which is
-/// only known at run time; they are resolved here, once, where the chain is
-/// built (and cached: `Context::add_glue`, `GlueProto`), so
-/// [`process_chain`] and [`unprocess_chain`] record through handles.
+/// What a hop needs per call that depends on the capability's run-time name
+/// — the wire name, the labelled histograms — is resolved here, once, where
+/// the chain is built (and cached: `Context::add_glue`, `GlueProto`), so
+/// [`process_chain`] and [`unprocess_chain`] use handles.
 pub struct CapChain {
     hops: Vec<Hop>,
 }
@@ -334,6 +461,7 @@ impl CapChain {
     /// Wraps capability instances (in chain order) as a chain.
     pub fn new(caps: Vec<Arc<dyn Capability>>) -> Self {
         let hops = caps.into_iter().map(|cap| Hop {
+            name: Bytes::from(cap.name().to_owned()),
             process_ns: ByDirection::resolve("orb_cap_process_ns", cap.name()),
             unprocess_ns: ByDirection::resolve("orb_cap_unprocess_ns", cap.name()),
             cap,
@@ -358,7 +486,9 @@ impl CapChain {
 }
 
 /// Sender side: applies `chain` in order, returning the transformed body
-/// and each capability's metadata (in chain order) for the glue section.
+/// and each capability's metadata (in chain order) for the glue section:
+/// the hop's shared name and the blob its [`CapMeta`] already is, so the
+/// only allocation here is the section's list.
 ///
 /// Each transform is timed into `orb_cap_process_ns{cap,dir}` (including
 /// denials — a rejected budget check still costs time worth seeing).
@@ -369,7 +499,7 @@ pub fn process_chain(
     mut body: Bytes,
 ) -> Result<(Bytes, Vec<CapWireMeta>), CapError> {
     let mut metas = Vec::with_capacity(chain.len());
-    for Hop { cap, process_ns, .. } in &chain.hops {
+    for Hop { cap, name, process_ns, .. } in &chain.hops {
         let mut meta = CapMeta::new();
         let _span = ohpc_telemetry::trace_span_with(
             "cap_process",
@@ -379,13 +509,14 @@ pub fn process_chain(
         let result = cap.process(dir, call, &mut meta, body);
         drop(timed);
         body = result?;
-        metas.push(CapWireMeta { name: cap.name().to_string(), meta: meta.to_bytes() });
+        metas.push(CapWireMeta { name: name.clone(), meta: meta.blob });
     }
     Ok((body, metas))
 }
 
 /// Receiver side: applies inverses in reverse chain order. `metas` must be
-/// the sender's chain-order metadata.
+/// the sender's chain-order metadata; each hop's [`CapMeta`] is views of its
+/// blob.
 ///
 /// Each inverse transform is timed into `orb_cap_unprocess_ns{cap,dir}`.
 pub fn unprocess_chain(
@@ -402,15 +533,15 @@ pub fn unprocess_chain(
             metas.len()
         )));
     }
-    for (Hop { cap, unprocess_ns, .. }, wire) in chain.hops.iter().zip(metas.iter()).rev() {
-        if cap.name() != wire.name {
+    for (Hop { cap, name, unprocess_ns, .. }, wire) in chain.hops.iter().zip(metas.iter()).rev() {
+        if *name != wire.name {
             return Err(CapError::Failed(format!(
                 "chain order mismatch: expected '{}', got '{}'",
                 cap.name(),
-                wire.name
+                String::from_utf8_lossy(&wire.name)
             )));
         }
-        let meta = CapMeta::from_bytes(&wire.meta)
+        let meta = CapMeta::parse(&wire.meta)
             .map_err(|e| CapError::Failed(format!("bad capability metadata: {e}")))?;
         let _span = ohpc_telemetry::trace_span_with(
             "cap_unprocess",
@@ -472,10 +603,11 @@ mod tests {
         let mut m = CapMeta::new();
         m.set("nonce", vec![1, 2, 3]);
         m.set("mac", vec![9; 32]);
-        let back = CapMeta::from_bytes(&m.to_bytes()).unwrap();
+        let back = CapMeta::parse(m.blob()).unwrap();
         assert_eq!(back.get("nonce").unwrap().as_ref(), &[1, 2, 3]);
         assert_eq!(back.get("mac").unwrap().len(), 32);
         assert_eq!(back.len(), 2);
+        assert_eq!(back, m);
     }
 
     #[test]
@@ -486,7 +618,70 @@ mod tests {
         let mut b = CapMeta::new();
         b.set("alpha", vec![2]);
         b.set("zeta", vec![1]);
-        assert_eq!(a.to_bytes(), b.to_bytes());
+        assert_eq!(a.blob(), b.blob());
+    }
+
+    /// The blob is the one the map-based encoder wrote: a count, then each
+    /// key and value as opaques, in key order; an empty one is a zero count.
+    #[test]
+    fn meta_blob_is_the_key_ordered_wire_form_and_set_replaces() {
+        let mut m = CapMeta::new();
+        assert_eq!(&m.blob()[..], &[0, 0, 0, 0]);
+        m.set("seq", [7u8; 8]);
+        m.set("ab", b"x");
+        m.set("seq", 5u64.to_be_bytes());
+        let mut w = XdrWriter::new();
+        w.put_array_len(2);
+        w.put_string("ab");
+        w.put_opaque(b"x");
+        w.put_string("seq");
+        w.put_opaque(&5u64.to_be_bytes());
+        assert_eq!(m.blob(), &w.finish());
+        assert_eq!(m.get("seq").unwrap(), &5u64.to_be_bytes()[..]);
+        assert_eq!(m.len(), 2);
+        // The views are of the blob itself.
+        let (lo, hi) = (m.blob().as_ptr() as usize, m.blob().as_ptr() as usize + m.blob().len());
+        let at = m.get("ab").unwrap().as_ptr() as usize;
+        assert!(lo <= at && at < hi);
+    }
+
+    #[test]
+    fn meta_parse_views_the_blob_and_refuses_what_is_not_one() {
+        let mut m = CapMeta::new();
+        for key in ["a", "b", "c", "d"] {
+            m.set(key, key.as_bytes());
+        }
+        let blob = Bytes::copy_from_slice(m.blob());
+        let back = CapMeta::parse(&blob).unwrap();
+        // Count word, two 16-byte entries, "c"'s key and its value's length.
+        assert_eq!(back.get("c").unwrap().as_ptr(), blob[4 + 32 + 8 + 4..].as_ptr());
+        assert_eq!(back.get("d").unwrap(), &b"d"[..]);
+
+        let blob_of = |keys: &[&str]| {
+            let mut w = XdrWriter::new();
+            w.put_array_len(keys.len());
+            for key in keys {
+                w.put_string(key);
+                w.put_opaque(b"v");
+            }
+            w.finish()
+        };
+        let repeated = CapMeta::parse(&blob_of(&["seq", "x", "seq"])).unwrap_err();
+        assert_eq!(repeated, XdrError::custom("repeated capability metadata key"));
+        let keys: Vec<String> = (0..=MAX_META_ENTRIES).map(|i| format!("k{i}")).collect();
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        assert!(CapMeta::parse(&blob_of(&keys[..MAX_META_ENTRIES])).is_ok());
+        assert_eq!(
+            CapMeta::parse(&blob_of(&keys)).unwrap_err(),
+            XdrError::LengthOverflow { declared: 65, limit: 64 }
+        );
+        let mut trailing = blob_of(&["a"]).to_vec();
+        trailing.extend_from_slice(&[0; 4]);
+        assert_eq!(
+            CapMeta::parse(&Bytes::from(trailing)).unwrap_err(),
+            XdrError::TrailingBytes(4)
+        );
+        assert!(CapMeta::parse(&Bytes::new()).is_err(), "not even a count");
     }
 
     fn call() -> CallInfo {
@@ -505,7 +700,7 @@ mod tests {
             process_chain(&caps, Direction::Request, &call(), body.clone()).unwrap();
         assert_ne!(cipher, body);
         assert_eq!(metas.len(), 2);
-        assert_eq!(metas[0].name, "a");
+        assert_eq!(&metas[0].name[..], b"a");
         let back = unprocess_chain(&caps, Direction::Request, &call(), &metas, cipher).unwrap();
         assert_eq!(back, body);
     }
@@ -521,7 +716,7 @@ mod tests {
     #[test]
     fn chain_name_mismatch_detected() {
         let caps = CapChain::new(vec![xor("a", 1)]);
-        let metas = vec![CapWireMeta { name: "b".into(), meta: CapMeta::new().to_bytes() }];
+        let metas = vec![CapWireMeta { name: "b".into(), meta: CapMeta::new().blob().clone() }];
         let err = unprocess_chain(&caps, Direction::Request, &call(), &metas, Bytes::new())
             .unwrap_err();
         assert!(matches!(err, CapError::Failed(_)));

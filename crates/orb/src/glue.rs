@@ -73,17 +73,24 @@ impl GlueProto {
     /// by glue id because stateful capabilities (request budgets) must retain
     /// their state across calls; the cache re-validates against the entry's
     /// specs so a dynamically replaced chain is rebuilt, not reused stale.
+    ///
+    /// The chain is built outside the lock, and publication re-checks under
+    /// it: of two first calls that race, the later keeps the earlier's
+    /// chain — whose budget may already be spent — and drops its own.
     fn chain(&self, glue_id: u64, specs: &[CapabilitySpec]) -> Result<Arc<CapChain>, OrbError> {
-        if let Some(c) = self.chains.lock().get(&glue_id) {
-            if c.specs == specs {
-                return Ok(c.caps.clone());
-            }
+        let cached = |chains: &HashMap<u64, CachedChain>| {
+            chains.get(&glue_id).filter(|c| c.specs == specs).map(|c| c.caps.clone())
+        };
+        if let Some(caps) = cached(&self.chains.lock()) {
+            return Ok(caps);
         }
-        let caps = Arc::new(self.registry.build_chain(specs)?);
-        self.chains
-            .lock()
-            .insert(glue_id, CachedChain { specs: specs.to_vec(), caps: caps.clone() });
-        Ok(caps)
+        let built = Arc::new(self.registry.build_chain(specs)?);
+        let mut chains = self.chains.lock();
+        if let Some(winner) = cached(&chains) {
+            return Ok(winner);
+        }
+        chains.insert(glue_id, CachedChain { specs: specs.to_vec(), caps: built.clone() });
+        Ok(built)
     }
 
     /// Drops the cached chain for `glue_id` (used when a client is handed a
@@ -434,6 +441,33 @@ mod tests {
         glue.invalidate(1);
         let c = glue.chain(1, &specs()).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    /// Eight first calls at once build up to eight chains, and all eight
+    /// callers must get the one that was published: a stateful capability
+    /// (a request budget) then has one instance, not one per racer.
+    #[test]
+    fn racing_first_calls_share_one_chain() {
+        let reg = CapabilityRegistry::new();
+        reg.register("slow", |_| {
+            // Widens the window between the cache miss and the publication.
+            std::thread::sleep(Duration::from_millis(20));
+            Ok(Arc::new(ShiftCap))
+        });
+        let glue = Arc::new(GlueProto::new(Arc::new(reg)));
+        let gate = Arc::new(std::sync::Barrier::new(8));
+        let racers: Vec<_> = (0..8)
+            .map(|_| {
+                let (glue, gate) = (glue.clone(), gate.clone());
+                std::thread::spawn(move || {
+                    gate.wait();
+                    glue.chain(5, &[CapabilitySpec::new("slow")]).unwrap()
+                })
+            })
+            .collect();
+        let chains: Vec<Arc<CapChain>> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+        assert!(chains.iter().all(|c| Arc::ptr_eq(c, &chains[0])), "racers got distinct chains");
+        assert!(Arc::ptr_eq(&glue.chain(5, &[CapabilitySpec::new("slow")]).unwrap(), &chains[0]));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use ohpc_nexus::{
 };
 use ohpc_telemetry::{Registry, TraceContext};
 use ohpc_xdr::{
-    xdr_struct, xdr_union, Array, Extension, FrameView, Mirror, XdrDecode, XdrEncode, XdrError,
-    XdrReader, XdrWriter,
+    xdr_struct, xdr_union, Array, Detached, Extension, FrameView, Mirror, TextView, XdrDecode,
+    XdrEncode, XdrError, XdrReader, XdrWriter,
 };
 
 /// Handler slot the ORB occupies inside a Nexus service.
@@ -144,11 +144,14 @@ xdr_struct! {
     /// One capability's wire metadata for one direction.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct CapWireMeta {
-        /// Capability name (matches [`crate::capability::Capability::name`]).
-        pub name: String,
-        /// Opaque metadata produced by `process` on the sending side; a copy
-        /// once decoded, never a view of the frame (DESIGN.md §16).
-        pub meta: Bytes,
+        /// Capability name (matches [`crate::capability::Capability::name`]),
+        /// a UTF-8 string on the wire. The sender's is its chain's shared
+        /// handle; a decoded one is a view like `meta`.
+        pub name: Bytes as TextView,
+        /// The blob of a [`CapMeta`](crate::capability::CapMeta), opaque on
+        /// the wire. Decoded in a [`GlueWire`], a view of the section's one
+        /// copy, never of the frame (DESIGN.md §16).
+        pub meta: Bytes as FrameView,
     }
 }
 
@@ -159,8 +162,9 @@ xdr_struct! {
         /// Server-side chain to apply the inverse transforms.
         pub glue_id: u64,
         /// Per-capability metadata, in chain order: never more entries than
-        /// the chain it mirrors may have.
-        pub caps: Vec<CapWireMeta> as Array<MAX_CHAIN>,
+        /// the chain it mirrors may have. Decoded from one copy of its
+        /// bytes, of which names and blobs are views.
+        pub caps: Vec<CapWireMeta> as Detached<Array<MAX_CHAIN>>,
     }
 }
 
@@ -204,12 +208,15 @@ impl RequestMessage {
     /// Decoded *without* building the server-side chain: capability
     /// metadata travels in the clear (only bodies are transformed), so the
     /// admission gate can shed an already-expired request in microseconds,
-    /// before it ever queues. Malformed stamps read as "no deadline" here —
-    /// the chain's own `unprocess` reports them properly at dispatch.
+    /// before it ever queues — reading the stamp through views of the
+    /// section, without an allocation. Malformed stamps read as "no
+    /// deadline" here — the chain's own `unprocess` reports them properly at
+    /// dispatch.
     pub fn deadline_expires_ns(&self) -> Option<u64> {
         let wire = self.glue.as_ref()?;
-        let meta_bytes = &wire.caps.iter().find(|c| c.name == DEADLINE_CAP_NAME)?.meta;
-        let meta = crate::capability::CapMeta::from_bytes(meta_bytes).ok()?;
+        let name = DEADLINE_CAP_NAME.as_bytes();
+        let blob = &wire.caps.iter().find(|c| c.name[..] == *name)?.meta;
+        let meta = crate::capability::CapMeta::parse(blob).ok()?;
         let raw = meta.get(DEADLINE_META_KEY)?;
         XdrReader::new(raw).get_u64().ok()
     }
@@ -500,7 +507,7 @@ mod tests {
                 glue_id: 1,
                 caps: vec![
                     CapWireMeta { name: "encrypt".into(), meta: Bytes::from_static(&[9]) },
-                    CapWireMeta { name: DEADLINE_CAP_NAME.into(), meta: meta.to_bytes() },
+                    CapWireMeta { name: DEADLINE_CAP_NAME.into(), meta: meta.blob().clone() },
                 ],
             }),
             body: Bytes::new(),
@@ -619,6 +626,47 @@ mod tests {
         let mut back = ReplyMessage::from_frame(&frame).unwrap();
         drop(frame);
         assert_eq!(&back.body.unique_mut().expect("sole owner")[..], &[6u8; 64]);
+    }
+
+    /// Metadata a capability keeps — a nonce cloned out of its `CapMeta` —
+    /// holds the glue section's small copy, never the frame: the body is
+    /// still its buffer's only owner once the frame handle goes.
+    #[test]
+    fn a_retained_meta_value_pins_neither_the_body_nor_the_frame() {
+        let mut meta = crate::capability::CapMeta::new();
+        meta.set("nonce", [7u8; 12]);
+        let glue = GlueWire {
+            glue_id: 3,
+            caps: vec![CapWireMeta { name: "security".into(), meta: meta.blob().clone() }],
+        };
+        let request = RequestMessage {
+            request_id: RequestId(1),
+            object: ObjectId(2),
+            method: 3,
+            oneway: false,
+            glue: Some(glue.clone()),
+            body: Bytes::from(vec![5u8; 64]),
+            trace: None,
+        };
+        let reply = ReplyMessage { glue: Some(glue), ..ReplyMessage::ok(RequestId(1), request.body.clone()) };
+        let keep_nonce = |frame: Bytes, glue: Option<GlueWire>, mut body: Bytes| {
+            let (start, end) = (frame.as_ptr() as usize, frame.as_ptr() as usize + frame.len());
+            let glue = glue.unwrap();
+            let decoded = crate::capability::CapMeta::parse(&glue.caps[0].meta).unwrap();
+            let nonce = decoded.get("nonce").unwrap().clone();
+            drop((glue, decoded));
+            let at = nonce.as_ptr() as usize;
+            assert!(at + nonce.len() <= start || end <= at, "the nonce is a view of the frame");
+            drop(frame);
+            assert!(body.unique_mut().is_some(), "the retained nonce pins the body's buffer");
+            assert_eq!(&nonce[..], &[7u8; 12]);
+        };
+        let frame = request.to_frame();
+        let req = RequestMessage::from_frame(&frame).unwrap();
+        keep_nonce(frame, req.glue, req.body);
+        let frame = reply.to_frame();
+        let rep = ReplyMessage::from_frame(&frame).unwrap();
+        keep_nonce(frame, rep.glue, rep.body);
     }
 
     #[test]

@@ -58,14 +58,19 @@ use crate::message::{Framing, ReplyMessage, RequestMessage};
 use crate::objref::{ProtoData, ProtoEntry};
 use crate::proto::{ApplicabilityRule, ProtoObject, ProtoPool};
 
-fn endpoint_of(entry: &ProtoEntry) -> Result<Endpoint, OrbError> {
+/// The endpoint `entry` names, as the string the channel cache is keyed by:
+/// it is parsed only when a channel has to be dialed, not on every call.
+fn endpoint_of(entry: &ProtoEntry) -> Result<&str, OrbError> {
     match &entry.data {
-        ProtoData::Endpoint(s) => Endpoint::parse(s)
-            .ok_or_else(|| OrbError::Protocol(format!("unparseable endpoint '{s}'"))),
+        ProtoData::Endpoint(s) => Ok(s),
         ProtoData::Glue { .. } => Err(OrbError::Protocol(
             "glue entry reached a transport protocol object".into(),
         )),
     }
+}
+
+fn parse_endpoint(s: &str) -> Result<Endpoint, OrbError> {
+    Endpoint::parse(s).ok_or_else(|| OrbError::Protocol(format!("unparseable endpoint '{s}'")))
 }
 
 /// Decodes `reply_frame` and checks that it answers `req`. Consumes the
@@ -103,10 +108,11 @@ trait Pooled {
     fn is_dead(&self) -> bool;
 }
 
-/// Per-endpoint pool of shared handles; see the module docs for its rules.
+/// Per-endpoint pool of shared handles, keyed by the endpoint's string as
+/// the OR carries it; see the module docs for its rules.
 struct EndpointCache<C> {
     protocol: ProtocolId,
-    handles: Mutex<HashMap<Endpoint, Arc<C>>>,
+    handles: Mutex<HashMap<String, Arc<C>>>,
 }
 
 impl<C: Pooled> EndpointCache<C> {
@@ -117,7 +123,7 @@ impl<C: Pooled> EndpointCache<C> {
     /// Lookup, liveness check and removal of a dead handle under one guard,
     /// so a caller is never handed a handle another caller concurrently
     /// declared dead.
-    fn cached(&self, ep: &Endpoint) -> Option<Arc<C>> {
+    fn cached(&self, ep: &str) -> Option<Arc<C>> {
         let mut map = self.handles.lock();
         if map.get(ep).is_some_and(|c| c.is_dead()) {
             map.remove(ep);
@@ -132,7 +138,7 @@ impl<C: Pooled> EndpointCache<C> {
     /// avoided double-dial is counted.
     fn get_or_dial<D: Into<Arc<C>>>(
         &self,
-        ep: &Endpoint,
+        ep: &str,
         dial: impl FnOnce() -> Result<D, OrbError>,
     ) -> Result<(Arc<C>, bool), OrbError> {
         if let Some(hit) = self.cached(ep) {
@@ -143,7 +149,7 @@ impl<C: Pooled> EndpointCache<C> {
             let mut map = self.handles.lock();
             let live = map.get(ep).filter(|c| !c.is_dead()).cloned();
             if live.is_none() {
-                map.insert(ep.clone(), built.clone());
+                map.insert(ep.to_owned(), built.clone());
             }
             live
         };
@@ -164,7 +170,7 @@ impl<C: Pooled> EndpointCache<C> {
 
     /// Evicts the handle for `ep` **only if** it is the very handle the
     /// caller observed failing.
-    fn evict(&self, ep: &Endpoint, stale: &Arc<C>) {
+    fn evict(&self, ep: &str, stale: &Arc<C>) {
         let mut map = self.handles.lock();
         if map.get(ep).is_some_and(|cur| Arc::ptr_eq(cur, stale)) {
             map.remove(ep);
@@ -288,13 +294,14 @@ impl TransportProto {
     /// waiters.
     fn exchange(
         &self,
-        ep: &Endpoint,
+        ep: &str,
         frame: &[u8],
         reply: Option<ReplyWait>,
     ) -> Result<Option<Bytes>, OrbError> {
         let mut retried = false;
         loop {
-            let (mux, was_cached) = self.channels.get_or_dial(ep, || self.dial_channel(ep))?;
+            let dial = || self.dial_channel(&parse_endpoint(ep)?);
+            let (mux, was_cached) = self.channels.get_or_dial(ep, dial)?;
             let outcome = match reply {
                 Some(w) => mux.call(w.request_id, frame, w.timeout).map(Some),
                 None => mux.send_only(frame).map(|()| None),
@@ -355,7 +362,7 @@ impl ProtoObject for TransportProto {
             request_id: req.request_id.0,
             timeout: remaining_ns.map(Duration::from_nanos),
         };
-        match self.exchange(&ep, &req.to_frame_as(self.framing), Some(wait))? {
+        match self.exchange(ep, &req.to_frame_as(self.framing), Some(wait))? {
             Some(reply_frame) => matched_reply(req, reply_frame, self.framing),
             None => Err(OrbError::Protocol("two-way exchange returned no reply frame".into())),
         }
@@ -369,7 +376,7 @@ impl ProtoObject for TransportProto {
     ) -> Result<(), OrbError> {
         debug_assert!(req.oneway, "oneway invocation requires the oneway wire flag");
         let ep = endpoint_of(entry)?;
-        self.exchange(&ep, &req.to_frame_as(self.framing), None).map(|_| ())
+        self.exchange(ep, &req.to_frame_as(self.framing), None).map(|_| ())
     }
 
     fn describe(&self, _entry: &ProtoEntry) -> String {
@@ -404,8 +411,13 @@ mod tests {
     fn endpoint_of_rejects_glue_and_garbage() {
         let glue = ProtoEntry::glue(1, vec![], ProtoEntry::endpoint(ProtocolId::TCP, "tcp://h:1"));
         assert!(endpoint_of(&glue).is_err());
-        let bad = ProtoEntry::endpoint(ProtocolId::TCP, "not-an-endpoint");
-        assert!(endpoint_of(&bad).is_err());
+        // Garbage is refused where it is parsed: when a channel is dialed.
+        let bad = ProtoEntry::endpoint(ProtocolId::SHM, "not-an-endpoint");
+        let always = ApplicabilityRule::Always;
+        let proto = TransportProto::new(ProtocolId::SHM, always, Arc::new(MemFabric::new()));
+        let err = proto.invoke(&ProtoPool::new(), &bad, &request(1, b"")).unwrap_err();
+        assert!(matches!(err, OrbError::Protocol(_)), "{err}");
+        assert_eq!(proto.channels.handles.lock().len(), 0);
     }
 
     #[test]
@@ -504,7 +516,7 @@ mod tests {
         }
     }
 
-    fn dial_probe(cache: &EndpointCache<Probe>, ep: &Endpoint) -> (Arc<Probe>, bool) {
+    fn dial_probe(cache: &EndpointCache<Probe>, ep: &str) -> (Arc<Probe>, bool) {
         cache.get_or_dial(ep, || Ok(Probe::default())).unwrap()
     }
 
@@ -514,33 +526,33 @@ mod tests {
     #[test]
     fn eviction_is_by_identity_not_by_key() {
         let cache = EndpointCache::<Probe>::new(ProtocolId::SHM);
-        let ep = Endpoint::Mem(7);
+        let ep = "mem://7";
 
-        let (first, cached) = dial_probe(&cache, &ep);
+        let (first, cached) = dial_probe(&cache, ep);
         assert!(!cached);
         // A racing caller saw `first` fail, evicted it, and re-dialed.
-        cache.evict(&ep, &first);
-        let (second, cached) = dial_probe(&cache, &ep);
+        cache.evict(ep, &first);
+        let (second, cached) = dial_probe(&cache, ep);
         assert!(!cached);
         assert!(!Arc::ptr_eq(&first, &second));
 
         // The straggler now reports its stale failure. Key-based eviction
         // would tear down `second`; identity eviction must keep it.
-        cache.evict(&ep, &first);
+        cache.evict(ep, &first);
         assert_eq!(cache.handles.lock().len(), 1, "fresh handle survived stale eviction");
-        let (current, cached) = dial_probe(&cache, &ep);
+        let (current, cached) = dial_probe(&cache, ep);
         assert!(cached);
         assert!(Arc::ptr_eq(&current, &second));
 
         // Evicting with the right identity still works.
-        cache.evict(&ep, &second);
+        cache.evict(ep, &second);
         assert_eq!(cache.handles.lock().len(), 0);
 
         // A handle that dies while pooled needs no evictor: the next lookup
         // drops it instead of handing it out.
-        let (third, _) = dial_probe(&cache, &ep);
+        let (third, _) = dial_probe(&cache, ep);
         third.dead.store(true, Ordering::SeqCst);
-        assert!(cache.cached(&ep).is_none());
+        assert!(cache.cached(ep).is_none());
         assert_eq!(cache.handles.lock().len(), 0);
     }
 
@@ -561,7 +573,7 @@ mod tests {
                         gate.wait();
                         Ok(Probe::default())
                     };
-                    cache.get_or_dial(&Endpoint::Mem(8), dial).unwrap().0
+                    cache.get_or_dial("mem://8", dial).unwrap().0
                 })
             })
             .collect();

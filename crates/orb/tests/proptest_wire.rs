@@ -56,7 +56,7 @@ fn arb_glue_wire() -> impl Strategy<Value = GlueWire> {
             glue_id,
             caps: caps
                 .into_iter()
-                .map(|(name, meta)| CapWireMeta { name, meta: Bytes::from(meta) })
+                .map(|(name, meta)| CapWireMeta { name: name.into(), meta: Bytes::from(meta) })
                 .collect(),
         })
 }

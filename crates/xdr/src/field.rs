@@ -35,6 +35,11 @@ pub trait FieldCodec<T> {
 
     /// Reads the field from `r`.
     fn decode(r: &mut XdrReader<'_>) -> Result<T, XdrError>;
+
+    /// Steps over the field as [`XdrDecode::skip`] steps over a value.
+    fn skip(r: &mut XdrReader<'_>) -> Result<(), XdrError> {
+        Self::decode(r).map(drop)
+    }
 }
 
 /// The default form: the field travels as its own type does.
@@ -51,6 +56,10 @@ impl<T: XdrEncode + XdrDecode> FieldCodec<T> for T {
 
     fn decode(r: &mut XdrReader<'_>) -> Result<T, XdrError> {
         T::decode(r)
+    }
+
+    fn skip(r: &mut XdrReader<'_>) -> Result<(), XdrError> {
+        T::skip(r)
     }
 }
 
@@ -75,6 +84,69 @@ impl FieldCodec<Bytes> for FrameView {
     #[inline]
     fn decode(r: &mut XdrReader<'_>) -> Result<Bytes, XdrError> {
         r.get_opaque_bytes()
+    }
+
+    fn skip(r: &mut XdrReader<'_>) -> Result<(), XdrError> {
+        r.get_opaque().map(drop)
+    }
+}
+
+/// A string held as [`Bytes`] and decoded as [`FrameView`] decodes opaque
+/// data — a view where the reader has a frame, a copy otherwise — once it
+/// has checked that the bytes are UTF-8. For a name that is compared, not
+/// read as text, and should cost no allocation to hand on.
+pub struct TextView;
+
+impl FieldCodec<Bytes> for TextView {
+    fn encode(value: &Bytes, w: &mut XdrWriter) {
+        w.put_opaque(value);
+    }
+
+    fn encoded_len(value: &Bytes) -> usize {
+        value.encoded_len()
+    }
+
+    fn decode(r: &mut XdrReader<'_>) -> Result<Bytes, XdrError> {
+        r.get_str_bytes()
+    }
+
+    fn skip(r: &mut XdrReader<'_>) -> Result<(), XdrError> {
+        r.get_str().map(drop)
+    }
+}
+
+/// A field in form `F` whose decoded views share one copy of the field's own
+/// bytes, never the frame: the decoder steps over the field first
+/// ([`FieldCodec::skip`], which allocates nothing for views and arrays of
+/// records of them), copies what it spanned out of the
+/// input as one buffer, then decodes `F` over that copy. A few bytes of
+/// metadata retained by whoever reads them then keep that copy alive, not a
+/// payload-sized frame; and the frame's other views — a body — remain the
+/// frame's only owners. On the wire the form is `F` itself.
+pub struct Detached<F>(PhantomData<F>);
+
+impl<T, F: FieldCodec<T>> FieldCodec<T> for Detached<F> {
+    const SELF_DELIMITING: bool = F::SELF_DELIMITING;
+    const CONTENT_DELIMITED: bool = F::CONTENT_DELIMITED;
+
+    fn encode(value: &T, w: &mut XdrWriter) {
+        F::encode(value, w);
+    }
+
+    fn encoded_len(value: &T) -> usize {
+        F::encoded_len(value)
+    }
+
+    fn decode(r: &mut XdrReader<'_>) -> Result<T, XdrError> {
+        let mut ahead = r.clone();
+        F::skip(&mut ahead)?;
+        let copy = r.copy_out(ahead.position() - r.position())?;
+        let mut inner = r.over_copy(&copy);
+        let value = F::decode(&mut inner)?;
+        match inner.remaining() {
+            0 => Ok(value),
+            n => Err(XdrError::TrailingBytes(n)),
+        }
     }
 }
 
@@ -115,6 +187,14 @@ impl<T: XdrEncode + XdrDecode, const MAX: usize> FieldCodec<Vec<T>> for Array<MA
             out.push(T::decode(r)?);
         }
         Ok(out)
+    }
+
+    fn skip(r: &mut XdrReader<'_>) -> Result<(), XdrError> {
+        let n = r.get_array_len()?;
+        if n > MAX {
+            return Err(XdrError::LengthOverflow { declared: n as u64, limit: MAX as u64 });
+        }
+        (0..n).try_for_each(|_| T::skip(r))
     }
 }
 
@@ -192,4 +272,111 @@ pub const fn ends_delimited(mut fields: &[bool]) -> bool {
         fields = rest;
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use bytes::Bytes;
+
+    use super::{Array, Detached, FrameView, TextView};
+    use crate::{xdr_struct, XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+
+    xdr_struct! {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Tag {
+            name: Bytes as TextView,
+            value: Bytes as FrameView,
+        }
+    }
+
+    xdr_struct! {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Message {
+            id: u32,
+            tags: Vec<Tag> as Detached<Array<4>>,
+            body: Bytes as FrameView,
+        }
+    }
+
+    fn message() -> Message {
+        let tag = |name: &'static str, value: &'static [u8]| Tag {
+            name: name.into(),
+            value: Bytes::from_static(value),
+        };
+        Message {
+            id: 7,
+            tags: vec![tag("nonce", &[1, 2, 3]), tag("", &[]), tag("mac", &[9; 8])],
+            body: Bytes::from(vec![5u8; 64]),
+        }
+    }
+
+    fn encode(m: &Message) -> Bytes {
+        let mut w = XdrWriter::new();
+        m.encode(&mut w);
+        w.finish()
+    }
+
+    fn within(view: &Bytes, of: &Bytes) -> bool {
+        let (lo, at) = (of.as_ptr() as usize, view.as_ptr() as usize);
+        lo <= at && at + view.len() <= lo + of.len()
+    }
+
+    /// The detached field's views share one copy of its bytes: the frame's
+    /// other views are left its only owners.
+    #[test]
+    fn a_detached_field_is_views_of_one_copy_of_its_own_bytes() {
+        let sent = message();
+        let frame = encode(&sent);
+        assert_eq!(frame.len(), sent.encoded_len());
+        let mut back = Message::decode(&mut XdrReader::over_frame(&frame)).unwrap();
+        assert_eq!(back, sent);
+        assert!(within(&back.body, &frame));
+        let (first, last) = (&back.tags[0], &back.tags[2]);
+        assert!(!within(&first.name, &frame) && !within(&last.value, &frame));
+        // "nonce" and the value of "mac" lie where the encoding put them,
+        // in one buffer.
+        let span = last.value.as_ptr() as usize - first.name.as_ptr() as usize;
+        assert_eq!(span, (8 + 8) + (4 + 4) + (4 + 4 + 4));
+        drop(frame);
+        assert!(back.body.unique_mut().is_some(), "the tags pin the frame");
+        // Over a plain slice the same bytes decode the same way.
+        let plain = Message::decode(&mut XdrReader::new(&encode(&sent))).unwrap();
+        assert_eq!(plain, sent);
+    }
+
+    #[test]
+    fn a_detached_field_is_refused_before_it_is_copied() {
+        let mut five = message();
+        five.tags.extend(five.tags.clone());
+        let frame = encode(&five);
+        assert_eq!(
+            Message::decode(&mut XdrReader::over_frame(&frame)).unwrap_err(),
+            XdrError::LengthOverflow { declared: 6, limit: 4 }
+        );
+        // A name that is not UTF-8: the step over it refuses it too.
+        let mut bad = encode(&message()).to_vec();
+        let at = 4 + 4 + 4; // id, tag count, the first name's length
+        bad[at] = 0xFF;
+        assert_eq!(
+            Message::decode(&mut XdrReader::new(&bad)).unwrap_err(),
+            XdrError::InvalidUtf8
+        );
+        assert_eq!(Tag::skip(&mut XdrReader::new(&bad[8..])).unwrap_err(), XdrError::InvalidUtf8);
+        // Cut inside the tags: truncated, whatever the form.
+        let cut = encode(&message()).slice(..20);
+        assert!(matches!(
+            Message::decode(&mut XdrReader::over_frame(&cut)).unwrap_err(),
+            XdrError::Truncated { .. }
+        ));
+    }
+
+    /// `skip` consumes exactly what `decode` does, through a record's
+    /// fields in every form.
+    #[test]
+    fn skip_steps_over_exactly_what_decode_reads() {
+        let frame = encode(&message());
+        let mut skipped = XdrReader::new(&frame);
+        Message::skip(&mut skipped).unwrap();
+        assert!(skipped.is_empty());
+    }
 }

@@ -50,7 +50,10 @@ mod traits;
 mod writer;
 
 pub use error::XdrError;
-pub use field::{ends_delimited, Array, Extension, FieldCodec, FrameView, Mirror, ARRAY_RESERVE};
+pub use field::{
+    ends_delimited, Array, Detached, Extension, FieldCodec, FrameView, Mirror, TextView,
+    ARRAY_RESERVE,
+};
 pub use reader::XdrReader;
 pub use traits::{XdrDecode, XdrEncode};
 pub use writer::XdrWriter;

@@ -26,7 +26,8 @@
 /// ```
 ///
 /// A field travels as its type does unless it names a form with `as`
-/// ([`FrameView`](crate::FrameView), [`Array`](crate::Array),
+/// ([`FrameView`](crate::FrameView), [`TextView`](crate::TextView),
+/// [`Array`](crate::Array), [`Detached`](crate::Detached),
 /// [`Mirror`](crate::Mirror), [`Extension`](crate::Extension)); a newtype is
 /// declared `struct Id(pub u64);` and travels as its content.
 ///
@@ -131,6 +132,10 @@ macro_rules! __xdr_record {
                 $crate::ends_delimited(&[ $( $crate::__xdr_field!([$ty $(as $form)?] SELF_DELIMITING) ),+ ]);
             fn decode(r: &mut $crate::XdrReader<'_>) -> Result<Self, $crate::XdrError> {
                 Ok(Self { $( $acc: $crate::__xdr_field!([$ty $(as $form)?] decode(r))? ),+ })
+            }
+            fn skip(r: &mut $crate::XdrReader<'_>) -> Result<(), $crate::XdrError> {
+                $( $crate::__xdr_field!([$ty $(as $form)?] skip(r))?; )+
+                Ok(())
             }
         }
         $crate::__xdr_placement! { $name $( [$ty $(as $form)?] )+ }

@@ -147,10 +147,33 @@ impl<'a> XdrReader<'a> {
     /// wrong for a small field that may be retained.
     pub fn get_opaque_bytes(&mut self) -> Result<Bytes, XdrError> {
         let data = self.get_opaque()?;
-        Ok(match self.frame {
+        Ok(self.handle(data))
+    }
+
+    /// [`get_str`](Self::get_str) into an owned handle, a view or a copy as
+    /// [`get_opaque_bytes`](Self::get_opaque_bytes) decides.
+    pub fn get_str_bytes(&mut self) -> Result<Bytes, XdrError> {
+        let text = self.get_str()?;
+        Ok(self.handle(text.as_bytes()))
+    }
+
+    /// `data`, borrowed from this reader's input, as an owned handle.
+    fn handle(&self, data: &'a [u8]) -> Bytes {
+        match self.frame {
             Some(frame) => frame.slice_ref(data),
             None => Bytes::copy_from_slice(data),
-        })
+        }
+    }
+
+    /// Copies the next `len` bytes out of the input, as one buffer.
+    pub(crate) fn copy_out(&mut self, len: usize) -> Result<Bytes, XdrError> {
+        self.take(len).map(Bytes::copy_from_slice)
+    }
+
+    /// A reader over `copy` with this reader's length limit, whose
+    /// [`get_opaque_bytes`](Self::get_opaque_bytes) hands out views of `copy`.
+    pub(crate) fn over_copy<'b>(&self, copy: &'b Bytes) -> XdrReader<'b> {
+        XdrReader { buf: copy, pos: 0, length_limit: self.length_limit, frame: Some(copy) }
     }
 
     /// Decodes `len` bytes of fixed-length opaque data plus padding.
@@ -165,8 +188,12 @@ impl<'a> XdrReader<'a> {
 
     /// Decodes a UTF-8 string.
     pub fn get_string(&mut self) -> Result<String, XdrError> {
-        let bytes = self.get_opaque()?;
-        std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| XdrError::InvalidUtf8)
+        self.get_str().map(str::to_owned)
+    }
+
+    /// Decodes a UTF-8 string as a borrow of the input.
+    pub fn get_str(&mut self) -> Result<&'a str, XdrError> {
+        std::str::from_utf8(self.get_opaque()?).map_err(|_| XdrError::InvalidUtf8)
     }
 
     /// Decodes an array length prefix, applying the length limit and

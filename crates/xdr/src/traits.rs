@@ -21,6 +21,14 @@ pub trait XdrDecode: Sized {
 
     /// Reads one value from `r`.
     fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError>;
+
+    /// Steps over one value, consuming exactly the bytes
+    /// [`decode`](Self::decode) would, without building it. The default
+    /// decodes and drops; a described record steps over its fields as their
+    /// forms do, which for views and arrays of records allocates nothing.
+    fn skip(r: &mut XdrReader<'_>) -> Result<(), XdrError> {
+        Self::decode(r).map(drop)
+    }
 }
 
 /// Encoded size of a length-prefixed opaque or string of `len` bytes.

@@ -40,6 +40,11 @@ impl XdrWriter {
         &self.buf
     }
 
+    /// Empties the writer, keeping its buffer's capacity for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Consumes the writer, returning the encoded bytes: the same buffer,
     /// adopted by the `Bytes`, not a copy of it.
     pub fn finish(self) -> Bytes {

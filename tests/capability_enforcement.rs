@@ -40,7 +40,7 @@ fn server_budget_cuts_off_even_if_client_lies() {
 
     // Forge requests directly against the dispatch path: correct glue id,
     // valid (empty) timeout metadata, bypassing any client-side counting.
-    let empty_meta = ohpc_orb::capability::CapMeta::new().to_bytes();
+    let empty_meta = ohpc_orb::capability::CapMeta::new().blob().clone();
     let mut denials = 0;
     for i in 0..6u64 {
         let req = RequestMessage {
@@ -72,7 +72,7 @@ fn acl_cannot_be_bypassed_by_raw_requests() {
     let object = server.register(Arc::new(WeatherSkeleton(WeatherService::seeded())));
     let glue_id = server.add_glue(vec![AclCap::spec(&[1, 3])]).unwrap();
 
-    let empty_meta = ohpc_orb::capability::CapMeta::new().to_bytes();
+    let empty_meta = ohpc_orb::capability::CapMeta::new().blob().clone();
     let raw = |method: u32| -> ReplyStatus {
         let mut w = ohpc_xdr::XdrWriter::new();
         use ohpc_xdr::XdrEncode;
@@ -129,7 +129,7 @@ fn requests_without_glue_cannot_reach_glued_entry_semantics() {
 
     // Forged request with a bogus MAC: denied.
     let mut meta = ohpc_orb::capability::CapMeta::new();
-    meta.set("principal", b"trusted".to_vec());
+    meta.set("principal", b"trusted");
     meta.set("mac", vec![0u8; 32]);
     let reply = server.handle_request(RequestMessage {
         request_id: RequestId(9),
@@ -138,7 +138,7 @@ fn requests_without_glue_cannot_reach_glued_entry_semantics() {
         oneway: false,
         glue: Some(GlueWire {
             glue_id,
-            caps: vec![CapWireMeta { name: "auth".into(), meta: meta.to_bytes() }],
+            caps: vec![CapWireMeta { name: "auth".into(), meta: meta.blob().clone() }],
         }),
         body: Bytes::new(),
         trace: None,

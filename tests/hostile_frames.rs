@@ -17,9 +17,11 @@ use ohpc_caps::{register_standard, EncryptionCap, TimeoutCap};
 use ohpc_crypto::KeyStore;
 use ohpc_netsim::Location;
 use ohpc_nexus::{HEADER_LEN, TAG_ONEWAY, TAG_REPLY_NO_HANDLER, TAG_REPLY_OK, TAG_REQUEST};
-use ohpc_orb::capability::{process_chain, CallInfo};
+use ohpc_orb::capability::{process_chain, CallInfo, CapMeta};
 use ohpc_orb::context::OrRow;
-use ohpc_orb::message::{Framing, GlueWire, NEXUS_ORB_HANDLER};
+use ohpc_orb::message::{
+    Framing, GlueWire, DEADLINE_CAP_NAME, DEADLINE_META_KEY, NEXUS_ORB_HANDLER,
+};
 use ohpc_orb::transport_proto::NexusProto;
 use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, Direction, GlobalPointer, ObjectId,
@@ -435,6 +437,130 @@ fn a_glue_section_longer_than_any_chain_is_refused_on_its_count() {
     // The entries' up-front reservation was never made (what is allocated is
     // the malformed-frame counter's key).
     assert!(largest < 64 * std::mem::size_of::<CapWireMeta>(), "allocated {largest} B");
+}
+
+/// A served context whose one glue chain is `glue[timeout]`.
+struct Glued {
+    ctx: Context,
+    object: ObjectId,
+    glue_id: u64,
+}
+
+fn glued_server() -> Glued {
+    let ctx = Context::new(ContextId(11), Location::new(0, 0), Arc::new(standard_registry()));
+    let object = ctx.register(Arc::new(EchoArraySkeleton(EchoArray::default())));
+    let glue_id = ctx.add_glue(vec![TimeoutCap::spec(u64::MAX)]).unwrap();
+    Glued { ctx, object, glue_id }
+}
+
+impl Glued {
+    /// The bytes of a request whose glue section carries `hops` — a name's
+    /// raw bytes and a metadata blob each — around a valid echo body.
+    fn request(&self, hops: &[(&[u8], Bytes)]) -> Bytes {
+        let mut w = XdrWriter::new();
+        w.put_u64(77); // request id
+        w.put_u64(self.object.0);
+        w.put_u32(1); // echo
+        w.put_bool(false); // two-way
+        w.put_bool(true); // glue section present
+        w.put_u64(self.glue_id);
+        w.put_array_len(hops.len());
+        for (name, meta) in hops {
+            w.put_opaque(name);
+            w.put_opaque(meta);
+        }
+        let mut args = XdrWriter::new();
+        vec![1i32, 2, 3].encode(&mut args);
+        w.put_opaque(args.peek());
+        w.finish()
+    }
+
+    /// What serving `frame` answers: the reply's status.
+    fn served(&self, frame: Bytes) -> ReplyStatus {
+        let reply = self.ctx.handle_frame_opt(frame, Framing::Bare).unwrap();
+        ReplyMessage::from_frame(&reply.expect("a two-way is answered")).unwrap().status
+    }
+}
+
+fn standard_registry() -> CapabilityRegistry {
+    let registry = CapabilityRegistry::new();
+    register_standard(&registry, KeyStore::new());
+    registry
+}
+
+/// A metadata blob of `keys`, in the order given, each with a one-byte value.
+fn meta_blob(keys: &[String]) -> Bytes {
+    let mut w = XdrWriter::new();
+    w.put_array_len(keys.len());
+    for key in keys {
+        w.put_string(key);
+        w.put_opaque(b"v");
+    }
+    w.finish()
+}
+
+/// A capability's metadata blob is bounded like the section that carries
+/// it: 64 entries are read, a blob declaring 65 — and holding them, so the
+/// count passes the reader's own bound — is refused on the count, before an
+/// entry is read or anything allocated, and the call with an error reply.
+#[test]
+fn a_metadata_blob_of_more_than_64_entries_is_refused_on_its_count() {
+    let keys: Vec<String> = (0..65).map(|i| format!("key{i:02}")).collect();
+    let server = glued_server();
+    let timeout = |blob: Bytes| server.served(server.request(&[(b"timeout", blob)]));
+    assert_eq!(timeout(meta_blob(&keys[..64])), ReplyStatus::Ok);
+
+    let blob = meta_blob(&keys);
+    let (parsed, largest) = largest_allocation(|| CapMeta::parse(&blob));
+    assert_eq!(parsed.unwrap_err(), XdrError::LengthOverflow { declared: 65, limit: 64 });
+    assert_eq!(largest, 0, "a refused count must not have sized an allocation");
+    match timeout(blob) {
+        ReplyStatus::Exception(e) => assert!(e.contains("XDR length 65 exceeds limit 64"), "{e}"),
+        status => panic!("65 entries were served: {status:?}"),
+    }
+    server.ctx.shutdown();
+}
+
+/// A capability name travels as a string: bytes that are not UTF-8 make the
+/// frame malformed — a typed error to the decoder, an error reply to the
+/// peer — never a panic.
+#[test]
+fn a_capability_name_that_is_not_utf8_is_a_typed_error() {
+    let server = glued_server();
+    let frame = server.request(&[(&[0xC3, 0x28], CapMeta::new().blob().clone())]);
+    assert_eq!(RequestMessage::from_frame(&frame).unwrap_err(), XdrError::InvalidUtf8);
+    match server.served(frame) {
+        ReplyStatus::Exception(e) => assert!(e.starts_with("malformed request"), "{e}"),
+        status => panic!("a non-UTF-8 name was served: {status:?}"),
+    }
+    server.ctx.shutdown();
+}
+
+/// The policy for a key that appears twice in one blob: refused, never
+/// resolved to either value — by the chain with an error reply, and by the
+/// admission gate's deadline peek as no stamp at all.
+#[test]
+fn a_metadata_blob_that_repeats_a_key_is_refused() {
+    let server = glued_server();
+    let repeated = meta_blob(&["seq".into(), "seq".into()]);
+    assert_eq!(
+        CapMeta::parse(&repeated).unwrap_err(),
+        XdrError::custom("repeated capability metadata key")
+    );
+    match server.served(server.request(&[(b"timeout", repeated)])) {
+        ReplyStatus::Exception(e) => assert!(e.contains("repeated capability metadata key"), "{e}"),
+        status => panic!("a repeated key was served: {status:?}"),
+    }
+
+    let mut stamp = XdrWriter::new();
+    stamp.put_array_len(2);
+    for expires_ns in [1u64, u64::MAX] {
+        stamp.put_string(DEADLINE_META_KEY);
+        stamp.put_opaque(&expires_ns.to_be_bytes());
+    }
+    let frame = server.request(&[(DEADLINE_CAP_NAME.as_bytes(), stamp.finish())]);
+    assert_eq!(RequestMessage::from_frame(&frame).unwrap().deadline_expires_ns(), None);
+    server.ctx.shutdown();
 }
 
 /// The transport's own length word: a TCP peer that announces a frame over

@@ -14,8 +14,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use bytes::Bytes;
 use ohpc_bench::local::{deploy, Wire};
 use ohpc_caps::TimeoutCap;
+use ohpc_orb::capability::CapMeta;
+use ohpc_orb::message::{CapWireMeta, GlueWire, DEADLINE_CAP_NAME, DEADLINE_META_KEY};
+use ohpc_orb::{ObjectId, RequestId, RequestMessage};
 use ohpc_telemetry::Registry;
 use ohpc_xdr::{XdrEncode, XdrWriter};
 
@@ -123,13 +127,49 @@ fn a_small_one_way_over_mem_resolves_nothing_and_allocates_at_most_12() {
     assert!(per_call <= 12.0, "{per_call} allocations per one-way (four two-ways included)");
 }
 
+/// The glue section costs 7 over the 13 of a plain echo: per direction the
+/// sender's list of hops and the receiver's one copy of the section plus its
+/// list, and the budget's stamp, which is its metadata blob.
 #[test]
-fn a_small_echo_through_glue_over_tcp_resolves_nothing() {
+fn a_small_echo_through_glue_over_tcp_resolves_nothing_and_allocates_at_most_21() {
     let _alone = alone();
     let (server, client) = deploy(Wire::TcpLoopback, vec![TimeoutCap::spec(u64::MAX / 2)]);
     let sent = payload();
     let echo = || assert_eq!(client.echo(sent.clone()).unwrap(), sent);
-    let (resolutions, _) = steady_state_cost(echo);
+    let (resolutions, allocations) = steady_state_cost(echo);
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up glued call looked a metric up by name");
+    let per_call = allocations as f64 / MEASURED_CALLS as f64;
+    assert!(per_call <= 21.0, "{per_call} allocations per glued echo; the inventory is 20");
+}
+
+/// The admission gate peeks at every glued request's deadline stamp; it
+/// reads it through views of the decoded section and allocates nothing.
+#[test]
+fn the_deadline_peek_of_a_stamped_request_allocates_nothing() {
+    let _alone = alone();
+    let mut stamp = CapMeta::new();
+    stamp.set(DEADLINE_META_KEY, 123_456u64.to_be_bytes());
+    let hop = |name: &'static str, meta: &CapMeta| CapWireMeta {
+        name: name.into(),
+        meta: meta.blob().clone(),
+    };
+    let request = RequestMessage {
+        request_id: RequestId(1),
+        object: ObjectId(2),
+        method: 3,
+        oneway: false,
+        glue: Some(GlueWire {
+            glue_id: 4,
+            caps: vec![hop("timeout", &CapMeta::new()), hop(DEADLINE_CAP_NAME, &stamp)],
+        }),
+        body: Bytes::from_static(&[0; 24]),
+        trace: None,
+    };
+    let received = RequestMessage::from_frame(&request.to_frame()).unwrap();
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED_CALLS {
+        assert_eq!(std::hint::black_box(&received).deadline_expires_ns(), Some(123_456));
+    }
+    assert_eq!(ALLOCATIONS.load(Ordering::Relaxed) - allocated, 0);
 }
