@@ -22,4 +22,14 @@ impl Pool {
         let reply = conn.recv()?; //~ guard-across-blocking bounded-recv
         Ok(reply)
     }
+
+    /// The same shape with the frame sent in parts: still a wire send.
+    fn send_in_parts(&self, head: &[u8], body: &[u8]) -> Result<(), TransportError> {
+        let mut slot = self.slot.lock();
+        let Some(conn) = slot.as_mut() else {
+            return Err(TransportError::Closed);
+        };
+        conn.send_parts(&[head, body])?; //~ guard-across-blocking
+        Ok(())
+    }
 }

@@ -208,7 +208,8 @@ const BLOCKING_METHODS: &[&str] =
 ///
 /// `send` is special-cased: a *wire* send blocks on TCP backpressure, but a
 /// crossbeam channel send does not — so `send` only counts when the
-/// receiver's type hints do not name a channel `Sender`.
+/// receiver's type hints do not name a channel `Sender`. `send_parts`, a
+/// frame sent in parts, is a wire send like it.
 pub fn blocking_seed(ws: &Workspace, caller: usize, c: &CallSite) -> Option<String> {
     let method_like = !matches!(c.recv, Recv::Bare | Recv::Path(_));
     if BLOCKING_METHODS.contains(&c.name.as_str()) {
@@ -218,11 +219,11 @@ pub fn blocking_seed(ws: &Workspace, caller: usize, c: &CallSite) -> Option<Stri
         }
         return None;
     }
-    if c.name == "send" && method_like {
+    if (c.name == "send" || c.name == "send_parts") && method_like {
         let hints = ws.recv_hints(caller, c);
         let channel = hints.iter().any(|h| h == "Sender" || h == "SyncSender");
         if !channel {
-            return Some("send()".into());
+            return Some(format!("{}()", c.name));
         }
     }
     None

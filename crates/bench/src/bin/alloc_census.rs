@@ -1,10 +1,11 @@
 //! Allocation census: which source lines the heap traffic of one small call
 //! comes from.
 //!
-//! `cargo run --release -p ohpc-bench --bin alloc_census -- <shm|glue_tcp|oneway>`
+//! `cargo run --release -p ohpc-bench --bin alloc_census -- <shm|glue_tcp|oneway|bulk>`
 //!
 //! Drives the shape of the ledger's `shm_small`, `glue_tcp_small_2c` (one
-//! client) or `oneway_stream` workload under an allocator that, for the
+//! client), `oneway_stream` or `glue_sec_tcp_bulk` (a 262 144-int echo
+//! through glue[timeout,security] over TCP) workload under an allocator that, for the
 //! measured calls only, files every allocation of every thread under the
 //! innermost frames of its backtrace that lie in this workspace. Size the
 //! next allocation change from this table, not from a guess.
@@ -16,8 +17,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use ohpc_bench::local::{deploy, Wire};
-use ohpc_caps::TimeoutCap;
+use ohpc_bench::local::{deploy, Wire, KEY_NAME};
+use ohpc_caps::{EncryptionCap, TimeoutCap};
 use ohpc_xdr::{XdrEncode, XdrWriter};
 
 const WARMUP_OPS: usize = 1000;
@@ -85,17 +86,22 @@ static ALLOCATOR: Census = Census;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_default();
-    let (wire, caps, oneways_per_call) = match which.as_str() {
-        "shm" => (Wire::Shm, vec![], 0),
-        "glue_tcp" => (Wire::TcpLoopback, vec![TimeoutCap::spec(u64::MAX / 2)], 0),
-        "oneway" => (Wire::Shm, vec![], 63),
+    let small = vec![1, -2, 3, -4, 5];
+    let budget = || TimeoutCap::spec(u64::MAX / 2);
+    let (wire, caps, oneways_per_call, payload) = match which.as_str() {
+        "shm" => (Wire::Shm, vec![], 0, small),
+        "glue_tcp" => (Wire::TcpLoopback, vec![budget()], 0, small),
+        "oneway" => (Wire::Shm, vec![], 63, small),
+        "bulk" => {
+            let caps = vec![budget(), EncryptionCap::spec(KEY_NAME)];
+            (Wire::TcpLoopback, caps, 0, (0..262_144).collect())
+        }
         _ => {
-            eprintln!("usage: alloc_census <shm|glue_tcp|oneway>");
+            eprintln!("usage: alloc_census <shm|glue_tcp|oneway|bulk>");
             std::process::exit(2);
         }
     };
     let (server, client) = deploy(wire, caps);
-    let payload = vec![1, -2, 3, -4, 5];
     let mut args = XdrWriter::new();
     payload.encode(&mut args);
     // One call: a two-way echo, or a batch of one-ways closed by the two-way

@@ -193,8 +193,8 @@ impl Startpoint {
 
     /// Fires a one-way RSR: no reply, no ordering guarantee with failures.
     pub fn rsr(&self, handler: HandlerId, args: &XdrWriter) -> Result<(), NexusError> {
-        let frame = Self::frame(TAG_ONEWAY, handler, args);
-        self.locked(|conn| conn.send(frame.peek()))
+        let header = header(TAG_ONEWAY, handler);
+        self.locked(|conn| conn.send_parts(&[&header, args.peek()]))
     }
 
     /// Request/response RSR: returns the handler's reply body, a view of the
@@ -202,9 +202,9 @@ impl Startpoint {
     ///
     /// No receive deadline: a silent peer blocks this caller forever.
     pub fn rsr_reply(&self, handler: HandlerId, args: &XdrWriter) -> Result<Bytes, NexusError> {
-        let frame = Self::frame(TAG_REQUEST, handler, args);
+        let header = header(TAG_REQUEST, handler);
         let reply = self.locked(|conn| {
-            conn.send(frame.peek())?;
+            conn.send_parts(&[&header, args.peek()])?;
             conn.recv()
         })?;
         let mut r = XdrReader::new(&reply);
@@ -233,16 +233,14 @@ impl Startpoint {
     ) -> Result<T, NexusError> {
         Ok(exchange(self.conn.lock().as_mut())?)
     }
+}
 
-    /// Header and arguments as one frame. The one copy left on this path:
-    /// `args` is borrowed, so the two can only leave together by being
-    /// written into one buffer (until the transport can send in parts).
-    fn frame(tag: u32, handler: HandlerId, args: &XdrWriter) -> XdrWriter {
-        let mut w = XdrWriter::with_capacity(HEADER_LEN + args.len());
-        put_header(&mut w, tag, handler);
-        w.put_fixed_opaque(args.peek());
-        w
-    }
+/// The RSR header [`put_header`] writes, as the first part of a frame whose
+/// arguments follow as the second: they leave without being copied behind
+/// it.
+fn header(tag: u32, handler: HandlerId) -> [u8; HEADER_LEN] {
+    let ([t0, t1, t2, t3], [h0, h1, h2, h3]) = (tag.to_be_bytes(), handler.0.to_be_bytes());
+    [t0, t1, t2, t3, h0, h1, h2, h3]
 }
 
 #[cfg(test)]
@@ -273,6 +271,13 @@ mod tests {
         let reply = sp.rsr_reply(HandlerId(1), &args).unwrap();
         let v: Vec<i32> = ohpc_xdr::decode_from_slice(&reply).unwrap();
         assert_eq!(v, vec![1, -5, 100]);
+    }
+
+    #[test]
+    fn the_header_part_is_what_put_header_writes() {
+        let mut w = XdrWriter::new();
+        put_header(&mut w, TAG_REQUEST, HandlerId(0xC0DE));
+        assert_eq!(&header(TAG_REQUEST, HandlerId(0xC0DE))[..], w.peek());
     }
 
     #[test]

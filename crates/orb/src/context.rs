@@ -536,7 +536,8 @@ impl Context {
         })
     }
 
-    /// Typed form of [`handle_frame_opt`](Self::handle_frame_opt).
+    /// Typed form of [`handle_frame_opt`](Self::handle_frame_opt). A one-way
+    /// that dispatched is answered an empty `Ok` that is never sent.
     ///
     /// All serving paths funnel here — a connection's reader and executor
     /// tasks, under either framing — so adopting the
@@ -610,6 +611,11 @@ impl Context {
         let mut args = XdrReader::new(&body);
         let dispatched = object.dispatch(req.method, &mut args, &mut out);
         let reply_body = match dispatched {
+            // Nobody hears a one-way's outcome: no reply body is made and no
+            // reply glue runs for it, so the chain applies and removes glue
+            // once per message that travels — no log entry, nonce or cipher
+            // pass for a reply that is never sent.
+            Ok(()) if req.oneway => return ReplyMessage::ok(rid, Bytes::new()),
             Ok(()) => out.finish(),
             Err(MethodError::NoSuchMethod(m)) => {
                 return ReplyMessage::status(rid, ReplyStatus::NoSuchMethod(m));
@@ -784,7 +790,7 @@ impl SplitConn {
                 // Rejections go out straight from the reader thread:
                 // gracefully degrading means they stay fast when the pool is
                 // the thing that is saturated.
-                Ok(Intake::Reply(reply)) if self.send(&reply) => continue,
+                Ok(Intake::Reply(reply)) if self.send(&[&reply]) => continue,
                 Ok(Intake::Reply(_)) => return,
             };
             if req.oneway {
@@ -825,19 +831,20 @@ impl SplitConn {
             && !rx.ready()
     }
 
-    /// Dispatches an admitted two-way and sends its reply: the same on the
-    /// reader thread and on a pool worker.
+    /// Dispatches an admitted two-way and sends its reply, in parts: the
+    /// same on the reader thread and on a pool worker.
     fn answer(&self, req: RequestMessage, permit: Permit) {
-        let reply = self.ctx.dispatch_admitted(req, permit).to_frame_as(self.framing);
-        self.send(&reply);
+        let reply = self.ctx.dispatch_admitted(req, permit);
+        reply.with_parts_as(self.framing, |frame| self.send(frame));
     }
 
-    /// Sends one frame; `false` once the connection is gone.
-    fn send(&self, frame: &[u8]) -> bool {
+    /// Sends one frame, made of `frame`'s parts; `false` once the
+    /// connection is gone.
+    fn send(&self, frame: &[&[u8]]) -> bool {
         // ohpc-analyze: allow(guard-across-blocking) — the writer mutex
         // serializes the replies of the reader and the pool tasks; one frame
         // per guard is the design.
-        self.writer.lock().send(frame).is_ok()
+        self.writer.lock().send_parts(frame).is_ok()
     }
 }
 

@@ -6,6 +6,8 @@
 //! request counter, …) so the receiving glue class can run the inverse
 //! transforms.
 
+use std::cell::RefCell;
+
 use bytes::Bytes;
 
 use crate::error::OrbError;
@@ -81,6 +83,54 @@ fn encode_frame<T: XdrEncode>(msg: &T, framing: Framing, rsr_tag: u32) -> Bytes 
     }
     msg.encode(&mut w);
     w.finish()
+}
+
+thread_local! {
+    /// Where a frame on its way out is encoded: its header, glue and trace
+    /// copied in, a body of [`GATHER_MIN`](ohpc_xdr::GATHER_MIN) bytes or
+    /// more gathered, not copied. Lent for one send at a time.
+    static OUTBOUND: RefCell<XdrWriter> = RefCell::new(XdrWriter::gathering());
+}
+
+/// The most [`OUTBOUND`] keeps between sends: a writer grown past it (a long
+/// exception text, say) is dropped rather than held by its thread.
+const OUTBOUND_KEEP: usize = 64 * 1024;
+
+/// Encodes `msg` — behind the RSR header, with `rsr_tag`, under that
+/// framing — and hands `send` the frame's parts: its head, its body as it
+/// is, and whatever follows the body. They are the calling thread's scratch
+/// writer, lent for the send only: cleared when `send` returns, it pins no
+/// body and holds no more than [`OUTBOUND_KEEP`]. A call made while the
+/// scratch is lent out further up the stack encodes into a writer of its
+/// own.
+fn with_frame_parts<T: XdrEncode, R>(
+    msg: &T,
+    framing: Framing,
+    rsr_tag: u32,
+    mut send: impl FnMut(&[&[u8]]) -> R,
+) -> R {
+    let mut encode_and_send = |w: &mut XdrWriter| {
+        if framing == Framing::Rsr {
+            ohpc_nexus::put_header(w, rsr_tag, NEXUS_ORB_HANDLER);
+        }
+        msg.encode(w);
+        send(&w.parts())
+    };
+    let lent = OUTBOUND.try_with(|scratch| {
+        let mut w = scratch.try_borrow_mut().ok()?;
+        w.clear();
+        let sent = encode_and_send(&mut w);
+        if w.capacity() > OUTBOUND_KEEP {
+            *w = XdrWriter::gathering();
+        } else {
+            w.clear();
+        }
+        Some(sent)
+    });
+    match lent {
+        Ok(Some(sent)) => sent,
+        _ => encode_and_send(&mut XdrWriter::gathering()),
+    }
 }
 
 /// Decodes a whole frame, counting a malformed one under `kind`. Opaque
@@ -226,8 +276,10 @@ impl RequestMessage {
         XdrEncode::encoded_len(self)
     }
 
-    /// Encodes to a transport frame: the one copy of the body on the send
-    /// side, into a buffer of exactly [`encoded_len`](Self::encoded_len).
+    /// Encodes to a transport frame: one buffer of exactly
+    /// [`encoded_len`](Self::encoded_len), the body copied in. The send
+    /// path uses [`with_parts_as`](Self::with_parts_as), which does not
+    /// copy it.
     pub fn to_frame(&self) -> Bytes {
         self.to_frame_as(Framing::Bare)
     }
@@ -236,7 +288,25 @@ impl RequestMessage {
     /// header — one-way or request, as this message is — leads the same
     /// buffer.
     pub fn to_frame_as(&self, framing: Framing) -> Bytes {
-        encode_frame(self, framing, if self.oneway { TAG_ONEWAY } else { TAG_REQUEST })
+        encode_frame(self, framing, self.rsr_tag())
+    }
+
+    /// Sends this message as the frame [`to_frame_as`](Self::to_frame_as)
+    /// encodes, in parts: `send` gets the frame's head and a large body as
+    /// it is, never copied into a frame buffer, for the length of the call
+    /// (see [`ohpc_transport::Connection::send_parts`]). The parts joined
+    /// are `to_frame_as`'s frame, byte for byte.
+    pub fn with_parts_as<R>(&self, framing: Framing, send: impl FnMut(&[&[u8]]) -> R) -> R {
+        with_frame_parts(self, framing, self.rsr_tag(), send)
+    }
+
+    /// The RSR tag of this message's frame: one-way or request, as it is.
+    fn rsr_tag(&self) -> u32 {
+        if self.oneway {
+            TAG_ONEWAY
+        } else {
+            TAG_REQUEST
+        }
     }
 
     /// Decodes from a transport frame. The body is a view sharing `frame`'s
@@ -348,6 +418,12 @@ impl ReplyMessage {
     /// the ORB handler's OK reply.
     pub fn to_frame_as(&self, framing: Framing) -> Bytes {
         encode_frame(self, framing, TAG_REPLY_OK)
+    }
+
+    /// Sends this message in parts, as [`RequestMessage::with_parts_as`]
+    /// does.
+    pub fn with_parts_as<R>(&self, framing: Framing, send: impl FnMut(&[&[u8]]) -> R) -> R {
+        with_frame_parts(self, framing, TAG_REPLY_OK, send)
     }
 
     /// Decodes from a transport frame; the body is a view of `frame`, as in
@@ -667,6 +743,38 @@ mod tests {
         let frame = reply.to_frame();
         let rep = ReplyMessage::from_frame(&frame).unwrap();
         keep_nonce(frame, rep.glue, rep.body);
+    }
+
+    /// A large body is lent to the send as a part of its own, and the
+    /// scratch lets go of it when the send returns; a send made while the
+    /// scratch is lent out encodes the same frame without it.
+    #[test]
+    fn a_large_body_is_a_part_of_its_own_and_is_let_go_after_the_send() {
+        let mut req = RequestMessage {
+            request_id: RequestId(1),
+            object: ObjectId(2),
+            method: 3,
+            oneway: false,
+            glue: Some(glue_section()),
+            body: Bytes::from(vec![5u8; ohpc_xdr::GATHER_MIN]),
+            trace: None,
+        };
+        for framing in [Framing::Bare, Framing::Rsr] {
+            let frame = req.to_frame_as(framing);
+            let body_at = req.body.as_ptr();
+            let sent = req.with_parts_as(framing, |outer| {
+                assert_eq!(outer.len(), 3);
+                assert_eq!(outer[1].as_ptr(), body_at, "the body was copied");
+                let inner = req.with_parts_as(framing, |inner| inner.concat());
+                assert_eq!(outer.concat(), inner);
+                outer.concat()
+            });
+            assert_eq!(sent, frame);
+        }
+        assert!(req.body.unique_mut().is_some(), "the scratch kept a handle to the body");
+        let reply = ReplyMessage::ok(RequestId(1), req.body.clone());
+        let sent = reply.with_parts_as(Framing::Rsr, |parts| parts.concat());
+        assert_eq!(sent, reply.to_frame_as(Framing::Rsr));
     }
 
     #[test]

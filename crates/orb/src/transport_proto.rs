@@ -23,7 +23,7 @@
 //!
 //! [`NexusProto`], the paper's baseline, is the same object with one
 //! constant changed: its frames carry the 8-byte Nexus RSR header
-//! ([`Framing::Rsr`]) in front of the message — written into the buffer the
+//! ([`Framing::Rsr`]) in front of the message — written into the head the
 //! request is encoded into, skipped as an offset by the demux correlator,
 //! sliced off the reply as a view. Same channel cache, same mux, same
 //! retry-once-if-unsent, same death hook.
@@ -276,9 +276,11 @@ impl TransportProto {
         MuxChannel::new(tx, rx, Box::new(move |f| framing.reply_request_id(f)), Some(hook))
     }
 
-    /// Sends `frame` over the pooled channel and, for a two-way (`reply` is
+    /// Sends `req` over the pooled channel and, for a two-way (`reply` is
     /// `Some`), waits for and returns the correlated reply frame; a one-way
-    /// returns `None`.
+    /// returns `None`. The request leaves in parts, its body never copied
+    /// into a frame buffer; the parts are lent for the send alone, never
+    /// across the wait for the reply.
     ///
     /// Failure phases stay distinct: a dial or send failure means the frame
     /// never left this process ([`OrbError::Transport`], always safe to
@@ -295,17 +297,21 @@ impl TransportProto {
     fn exchange(
         &self,
         ep: &str,
-        frame: &[u8],
+        req: &RequestMessage,
         reply: Option<ReplyWait>,
     ) -> Result<Option<Bytes>, OrbError> {
         let mut retried = false;
         loop {
             let dial = || self.dial_channel(&parse_endpoint(ep)?);
             let (mux, was_cached) = self.channels.get_or_dial(ep, dial)?;
-            let outcome = match reply {
-                Some(w) => mux.call(w.request_id, frame, w.timeout).map(Some),
+            let sent = req.with_parts_as(self.framing, |frame| match reply {
+                Some(w) => mux.send_request(w.request_id, frame).map(Some),
                 None => mux.send_only(frame).map(|()| None),
-            };
+            });
+            let outcome = sent.and_then(|pending| match pending {
+                Some(pending) => pending.wait(reply.and_then(|w| w.timeout)).map(Some),
+                None => Ok(None),
+            });
             let err = match outcome {
                 Ok(reply) => return Ok(reply),
                 Err(err) => err,
@@ -362,7 +368,7 @@ impl ProtoObject for TransportProto {
             request_id: req.request_id.0,
             timeout: remaining_ns.map(Duration::from_nanos),
         };
-        match self.exchange(ep, &req.to_frame_as(self.framing), Some(wait))? {
+        match self.exchange(ep, req, Some(wait))? {
             Some(reply_frame) => matched_reply(req, reply_frame, self.framing),
             None => Err(OrbError::Protocol("two-way exchange returned no reply frame".into())),
         }
@@ -376,7 +382,7 @@ impl ProtoObject for TransportProto {
     ) -> Result<(), OrbError> {
         debug_assert!(req.oneway, "oneway invocation requires the oneway wire flag");
         let ep = endpoint_of(entry)?;
-        self.exchange(ep, &req.to_frame_as(self.framing), None).map(|_| ())
+        self.exchange(ep, req, None).map(|_| ())
     }
 
     fn describe(&self, _entry: &ProtoEntry) -> String {

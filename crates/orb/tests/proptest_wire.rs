@@ -3,10 +3,13 @@
 //! hostile bytes never panic the decoders.
 
 use bytes::Bytes;
-use ohpc_orb::message::{CapWireMeta, GlueWire, ReplyMessage, ReplyStatus, RequestMessage};
+use ohpc_orb::message::{
+    CapWireMeta, Framing, GlueWire, ReplyMessage, ReplyStatus, RequestMessage,
+};
 use ohpc_orb::objref::{ObjectReference, ProtoData, ProtoEntry};
 use ohpc_orb::{CapabilitySpec, Location, ObjectId, ProtocolId, RequestId};
-use ohpc_xdr::{XdrDecode, XdrError, XdrReader, XdrWriter};
+use ohpc_telemetry::TraceContext;
+use ohpc_xdr::{XdrDecode, XdrError, XdrReader, XdrWriter, GATHER_MIN};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = CapabilitySpec> {
@@ -112,6 +115,34 @@ proptest! {
         let reply = ReplyMessage { request_id: RequestId(rid), status, glue, body: Bytes::from(body) };
         let back = ReplyMessage::from_frame(&reply.to_frame()).unwrap();
         prop_assert_eq!(back, reply);
+    }
+
+    /// A message sent in parts sends the frame `to_frame_as` encodes, byte
+    /// for byte — bodies on both sides of the gather size, with and without
+    /// glue and trace, under both framings.
+    #[test]
+    fn parts_join_to_the_frame(
+        rid: u64, oid: u64, method: u32, oneway: bool, traced: bool, rsr: bool,
+        glue in proptest::option::of(arb_glue_wire()),
+        status in arb_status(),
+        body_len in 0usize..3 * GATHER_MIN,
+    ) {
+        let framing = if rsr { Framing::Rsr } else { Framing::Bare };
+        let body = Bytes::from((0..body_len).map(|i| (i * 7) as u8).collect::<Vec<u8>>());
+        let req = RequestMessage {
+            request_id: RequestId(rid),
+            object: ObjectId(oid),
+            method,
+            oneway,
+            glue: glue.clone(),
+            body: body.clone(),
+            trace: traced.then(TraceContext::new_root),
+        };
+        let sent = req.with_parts_as(framing, |parts| parts.concat());
+        prop_assert_eq!(Bytes::from(sent), req.to_frame_as(framing));
+        let reply = ReplyMessage { request_id: RequestId(rid), status, glue, body };
+        let sent = reply.with_parts_as(framing, |parts| parts.concat());
+        prop_assert_eq!(Bytes::from(sent), reply.to_frame_as(framing));
     }
 
     /// Hostile input: random bytes and corrupted valid frames never panic.

@@ -12,7 +12,9 @@
 //!   time* through [`ohpc_netsim::SimNet`], reproducing the paper's testbed.
 //!
 //! All connections move whole frames (length ≤ [`MAX_FRAME`]); a frame is the
-//! unit the ORB's request/reply marshaling produces.
+//! unit the ORB's request/reply marshaling produces. A sender may hand a
+//! frame over in parts ([`Connection::send_parts`]), so that a body leaves
+//! without first being copied behind its header.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -256,10 +258,25 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// The length of the frame made of `parts`.
+pub(crate) fn frame_len(parts: &[&[u8]]) -> usize {
+    parts.iter().map(|part| part.len()).sum()
+}
+
 /// A bidirectional, frame-oriented connection.
 pub trait Connection: Send {
     /// Sends one frame.
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
+
+    /// Sends one frame made of `parts`, in order — a header, a body as it
+    /// is, a trailer — exactly as [`send`](Self::send) sends their
+    /// concatenation: the receiver sees one frame. The default joins the
+    /// parts and calls `send`; the mem, TCP and sim fabrics write the parts
+    /// out without joining them first.
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.send(&parts.concat())
+    }
+
     /// Receives one frame, blocking until available or the peer closes.
     fn recv(&mut self) -> Result<Bytes, TransportError>;
 
@@ -294,6 +311,14 @@ pub trait Connection: Send {
 pub trait SendHalf: Send {
     /// Sends one frame.
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
+
+    /// Sends one frame made of `parts`, as
+    /// [`Connection::send_parts`] does; the default likewise joins them and
+    /// calls [`send`](Self::send).
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.send(&parts.concat())
+    }
+
     /// Tears the connection down so the peer (and the paired
     /// [`RecvHalf`], possibly blocked in `recv` on another thread) observes
     /// [`TransportError::Closed`].
@@ -487,6 +512,24 @@ mod tests {
         let mut c: Box<dyn Connection> = Box::new(Fixed);
         assert!(c.try_split().is_none());
         assert!(!c.set_recv_timeout(Some(std::time::Duration::from_millis(1))));
+    }
+
+    /// A connection that overrides only `send` still takes frames in parts:
+    /// the default joins them into the one frame `send` gets.
+    #[test]
+    fn send_parts_defaults_to_sending_the_joined_frame() {
+        struct Recording(Vec<Vec<u8>>);
+        impl SendHalf for Recording {
+            fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+                self.0.push(frame.to_vec());
+                Ok(())
+            }
+            fn close(&mut self) {}
+        }
+        let mut half = Recording(Vec::new());
+        half.send_parts(&[&b"head"[..], &[], b"body", b"tail"]).unwrap();
+        half.send_parts(&[]).unwrap();
+        assert_eq!(half.0, [b"headbodytail".to_vec(), Vec::new()]);
     }
 
 }

@@ -5,7 +5,9 @@
 //! crossbeam channels. `send` copies the frame once into a [`Bytes`] that the
 //! receiver then owns — no syscall, no second copy — which is the property
 //! that makes the shared-memory protocol an order of magnitude faster than
-//! the network paths in Figure 5.
+//! the network paths in Figure 5. A frame sent in parts (`send_parts`: a
+//! header and a body that was never copied behind it) is joined by that one
+//! copy.
 //!
 //! Each direction of a connection is a [`Pipe`]: a frame queue with counted
 //! ends. Either side hanging up — dropping its last handle on an end, or
@@ -22,7 +24,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::{
-    telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
+    frame_len, telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError,
+    MAX_FRAME,
 };
 
 /// One direction of a connection: the frames one side has sent and the
@@ -145,19 +148,39 @@ impl Drop for PipeRx {
 }
 
 /// The one send path of a connection and of its split-off send half (whose
-/// sender is gone once closed): one copy of `frame` into a [`Bytes`] the
-/// receiver will own, counted into `fabric`.
+/// sender is gone once closed): one copy of the frame made of `parts` into a
+/// [`Bytes`] the receiver will own, counted into `fabric`.
 fn send_on(
     fabric: &telem::Fabric,
     tx: Option<&PipeTx>,
-    frame: &[u8],
+    parts: &[&[u8]],
 ) -> Result<(), TransportError> {
+    let len = frame_len(parts);
     let r = match tx {
-        _ if frame.len() > MAX_FRAME => Err(TransportError::FrameTooLarge(frame.len())),
+        _ if len > MAX_FRAME => Err(TransportError::FrameTooLarge(len)),
         None => Err(TransportError::Closed),
-        Some(tx) => tx.send(Bytes::copy_from_slice(frame)),
+        Some(tx) => tx.send(joined(parts, len)),
     };
-    fabric.track_send(frame.len(), r)
+    fabric.track_send(len, r)
+}
+
+/// The receiver's own copy of the frame made of `parts`, `len` bytes long.
+/// A frame in one part — every frame whose body was small enough to be
+/// copied behind its header — is one allocation. One in several parts is
+/// joined into a `Vec` of exactly its length that the `Bytes` adopts: a
+/// second allocation, for the shared handle, where collecting the parts
+/// into one shared slice would be one allocation filled a byte at a time.
+fn joined(parts: &[&[u8]], len: usize) -> Bytes {
+    let mut filled = parts.iter().filter(|part| !part.is_empty());
+    match (filled.next(), filled.next()) {
+        (None, _) => Bytes::new(),
+        (Some(only), None) => Bytes::copy_from_slice(only),
+        _ => {
+            let mut frame = Vec::with_capacity(len);
+            parts.iter().for_each(|part| frame.extend_from_slice(part));
+            Bytes::from(frame)
+        }
+    }
 }
 
 /// Both ends of a fresh connection, counting their traffic into `fabric`:
@@ -181,7 +204,11 @@ pub struct MemConnection {
 
 impl Connection for MemConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        send_on(self.fabric, Some(&self.tx), frame)
+        self.send_parts(&[frame])
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        send_on(self.fabric, Some(&self.tx), parts)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
@@ -209,7 +236,11 @@ pub struct MemSendHalf {
 
 impl SendHalf for MemSendHalf {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        send_on(self.fabric, self.tx.as_ref(), frame)
+        self.send_parts(&[frame])
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        send_on(self.fabric, self.tx.as_ref(), parts)
     }
 
     /// Hangs up our sending end and shuts our inbound pipe, so the paired
@@ -525,6 +556,28 @@ mod tests {
         assert!(rx.ready(), "the second frame is still queued");
         assert_eq!(&rx.recv().unwrap()[..], b"two");
         assert!(!rx.ready());
+    }
+
+    /// Parts arrive as one frame, in a buffer the receiver alone owns,
+    /// whether the frame came in one part or in several.
+    #[test]
+    fn a_frame_sent_in_parts_arrives_joined_and_owned_by_its_receiver() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen();
+        let mut c = fabric.dial(&listener.endpoint()).unwrap();
+        let mut s = listener.accept().unwrap();
+        let body = vec![7u8; 5000];
+        let sent: [&[&[u8]]; 4] =
+            [&[b"head", &body, b"tail"], &[&[], &body, &[]], &[b"one", &[]], &[&[], &[]]];
+        for parts in sent {
+            c.send_parts(parts).unwrap();
+            let mut got = s.recv().unwrap();
+            assert_eq!(&got[..], &parts.concat()[..]);
+            assert!(got.is_empty() || got.unique_mut().is_some(), "the receiver shares its frame");
+        }
+        let big = vec![0u8; 1 << 20];
+        let over = vec![&big[..]; MAX_FRAME / big.len() + 1];
+        assert!(matches!(c.send_parts(&over).unwrap_err(), TransportError::FrameTooLarge(_)));
     }
 
     #[test]

@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::{RecvHalf, SendHalf, TransportError};
+use crate::{frame_len, RecvHalf, SendHalf, TransportError};
 
 /// Extracts the correlation id from a reply frame. `None` — the frame carries
 /// no recognizable id — is a protocol violation the channel dies of, failing
@@ -130,6 +130,38 @@ fn verdict(outcome: Option<Result<Bytes, TransportError>>) -> Result<Bytes, MuxE
     }
 }
 
+/// A request [sent](MuxChannel::send_request) on a channel, whose reply is
+/// still to come: [`wait`](Self::wait) for it. Dropped unwaited, it
+/// withdraws its waiter, passing the read on like any caller that stops
+/// waiting.
+#[must_use = "a sent request's reply is waited for, or its waiter withdrawn on drop"]
+pub struct Pending<'a> {
+    mux: &'a MuxChannel,
+    id: u64,
+    sent: Instant,
+    waited: bool,
+}
+
+impl Pending<'_> {
+    /// Waits — up to `timeout` from the send, forever with `None` — for the
+    /// correlated reply, reading it itself when no other caller is.
+    pub fn wait(mut self, timeout: Option<Duration>) -> Result<Bytes, MuxError> {
+        self.waited = true;
+        let outcome = self.mux.wait(self.id, timeout.map(|d| self.sent + d));
+        ohpc_telemetry::histogram!("mux_demux_wait_ns")
+            .observe_linked(self.sent.elapsed().as_nanos() as u64);
+        outcome
+    }
+}
+
+impl Drop for Pending<'_> {
+    fn drop(&mut self) {
+        if !self.waited {
+            self.mux.leave(self.mux.pending.lock(), self.id);
+        }
+    }
+}
+
 /// A multiplexed channel over one split connection. See the module docs.
 pub struct MuxChannel {
     sender: Mutex<Option<Box<dyn SendHalf>>>,
@@ -168,52 +200,51 @@ impl MuxChannel {
         })
     }
 
-    /// One multiplexed request/reply: registers `id`, sends `frame` (writer
-    /// lock held only for the send), and waits — up to `timeout`, forever
-    /// with `None` — for the correlated reply, reading it itself when no
-    /// other caller is.
+    /// One multiplexed request/reply: registers `id`, sends the frame made of
+    /// `frame`'s parts (writer lock held only for the send), and waits — up
+    /// to `timeout`, forever with `None` — for the correlated reply, reading
+    /// it itself when no other caller is.
     pub fn call(
         &self,
         id: u64,
-        frame: &[u8],
+        frame: &[&[u8]],
         timeout: Option<Duration>,
     ) -> Result<Bytes, MuxError> {
-        self.register(id)?;
-        self.call_registered(id, frame, timeout)
+        self.send_request(id, frame)?.wait(timeout)
     }
 
-    /// [`call`](Self::call) from the point where the waiter is registered:
-    /// whatever happens to the channel from here until the send returns
-    /// leaves the frame provably unsent.
-    fn call_registered(
-        &self,
-        id: u64,
-        frame: &[u8],
-        timeout: Option<Duration>,
-    ) -> Result<Bytes, MuxError> {
+    /// The first half of a [`call`](Self::call): registers `id` and sends
+    /// the frame. `frame` is borrowed for the send alone, so a caller can
+    /// lend out parts it holds only that long; the reply is then waited for
+    /// through the returned [`Pending`].
+    pub fn send_request(&self, id: u64, frame: &[&[u8]]) -> Result<Pending<'_>, MuxError> {
+        self.register(id)?;
+        self.send_registered(id, frame)
+    }
+
+    /// [`send_request`](Self::send_request) from the point where the waiter
+    /// is registered: whatever happens to the channel from here until the
+    /// send returns leaves the frame provably unsent.
+    fn send_registered(&self, id: u64, frame: &[&[u8]]) -> Result<Pending<'_>, MuxError> {
         if let Err(e) = self.send_frame(frame) {
             // The frame never went out; the waiter slot must not linger.
             self.leave(self.pending.lock(), id);
             return Err(MuxError::Unsent(e));
         }
         ohpc_telemetry::counter!("mux_requests_total").inc();
-        let t0 = Instant::now();
-        let outcome = self.wait(id, timeout.map(|d| t0 + d));
-        ohpc_telemetry::histogram!("mux_demux_wait_ns")
-            .observe_linked(t0.elapsed().as_nanos() as u64);
-        outcome
+        Ok(Pending { mux: self, id, sent: Instant::now(), waited: false })
     }
 
     /// Sends a frame that expects no reply (one-way requests). Failure is
     /// always [`MuxError::Unsent`]: a one-way either left the process or it
     /// did not.
-    pub fn send_only(&self, frame: &[u8]) -> Result<(), MuxError> {
+    pub fn send_only(&self, frame: &[&[u8]]) -> Result<(), MuxError> {
         if let Some(e) = self.dead_error() {
             return Err(MuxError::Unsent(e));
         }
         self.send_frame(frame).map_err(MuxError::Unsent)?;
         ohpc_telemetry::counter!("mux_oneways_total").inc();
-        ohpc_telemetry::trace_event("mux_send_oneway", &[("bytes", frame.len().into())]);
+        ohpc_telemetry::trace_event("mux_send_oneway", &[("bytes", frame_len(frame).into())]);
         Ok(())
     }
 
@@ -306,14 +337,14 @@ impl MuxChannel {
     /// the first to find it dead, and a frame cut off mid-write leaves the
     /// stream unusable anyway. Only a frame refused for its size leaves the
     /// connection as it was.
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
+    fn send_frame(&self, frame: &[&[u8]]) -> Result<(), TransportError> {
         // ohpc-analyze: allow(guard-across-blocking) — the sender mutex
         // exists precisely to serialize whole frames onto the shared wire;
         // it guards nothing else and is held for exactly one send.
         let mut guard = self.sender.lock();
         let sent = match guard.as_mut() {
             None => Err(TransportError::Closed),
-            Some(tx) => tx.send(frame),
+            Some(tx) => tx.send_parts(frame),
         };
         drop(guard);
         match &sent {
@@ -648,7 +679,7 @@ mod tests {
                 let mux = mux.clone();
                 std::thread::spawn(move || {
                     let body = format!("body-{i}");
-                    let reply = mux.call(i, &frame(i, body.as_bytes()), None).unwrap();
+                    let reply = mux.call(i, &[&frame(i, body.as_bytes())], None).unwrap();
                     let expect: String = body.chars().rev().collect();
                     assert_eq!(&reply[8..], expect.as_bytes(), "caller {i} got its own reply");
                 })
@@ -685,7 +716,7 @@ mod tests {
         let handles: Vec<_> = (0..3u64)
             .map(|i| {
                 let mux = mux.clone();
-                std::thread::spawn(move || mux.call(i, &frame(i, b"x"), None))
+                std::thread::spawn(move || mux.call(i, &[&frame(i, b"x")], None))
             })
             .collect();
         for h in handles {
@@ -703,7 +734,7 @@ mod tests {
         }
         assert_eq!(deaths.load(Ordering::Relaxed), 1, "death hook fired once");
         // Post-death calls fail fast as Unsent (the frame never goes out).
-        assert!(matches!(mux.call(9, &frame(9, b"y"), None), Err(MuxError::Unsent(_))));
+        assert!(matches!(mux.call(9, &[&frame(9, b"y")], None), Err(MuxError::Unsent(_))));
     }
 
     /// A reply without a correlation id (here: too short to hold one) fails
@@ -719,7 +750,7 @@ mod tests {
             let _ = rep_tx.send(Bytes::from_static(b"no id"));
         });
         let mux = mux_over(req_tx, rep_rx, None);
-        let err = mux.call(1, &frame(1, b"x"), None).unwrap_err();
+        let err = mux.call(1, &[&frame(1, b"x")], None).unwrap_err();
         assert!(matches!(err, MuxError::Lost(TransportError::Io(_))), "{err}");
         assert!(mux.is_dead());
         drop(peer);
@@ -730,15 +761,33 @@ mod tests {
         let _alone = alone();
         let mux = echo_mux(usize::MAX).0; // server never replies
         let m2 = mux.clone();
-        let h = std::thread::spawn(move || m2.call(7, &frame(7, b"a"), Some(Duration::from_millis(300))));
+        let h = std::thread::spawn(move || m2.call(7, &[&frame(7, b"a")], Some(Duration::from_millis(300))));
         // Wait until the first call is registered.
         while mux.in_flight() == 0 {
             std::thread::yield_now();
         }
-        let err = mux.call(7, &frame(7, b"b"), None).unwrap_err();
+        let err = mux.call(7, &[&frame(7, b"b")], None).unwrap_err();
         assert!(matches!(err, MuxError::Unsent(TransportError::Io(_))), "{err}");
         let first = h.join().unwrap();
         assert!(matches!(first, Err(MuxError::Lost(TransportError::Timeout))));
+        mux.shutdown();
+    }
+
+    /// A request sent and never waited for withdraws its waiter when its
+    /// `Pending` goes, and hands the read to a caller waiting behind it.
+    #[test]
+    fn a_pending_dropped_unwaited_withdraws_and_passes_the_read_on() {
+        let _alone = alone();
+        let (mux, received) = echo_mux(2);
+        let abandoned = mux.send_request(1, &[&frame(1, b"gone")]).unwrap();
+        received.recv_timeout(Duration::from_secs(10)).expect("the first frame arrived");
+        assert_eq!(mux.in_flight(), 1);
+        drop(abandoned);
+        assert_eq!(mux.in_flight(), 0, "the abandoned waiter was withdrawn");
+        // The server answers both once the second frame is in; the first
+        // reply is an orphan, the second reaches its caller.
+        let reply = mux.call(2, &[&frame(2, b"ab")], Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(&reply[8..], b"ba");
         mux.shutdown();
     }
 
@@ -747,13 +796,13 @@ mod tests {
         let _alone = alone();
         let mux = echo_mux(2).0; // server replies only after TWO frames arrive
         let err = mux
-            .call(1, &frame(1, b"slow"), Some(Duration::from_millis(30)))
+            .call(1, &[&frame(1, b"slow")], Some(Duration::from_millis(30)))
             .unwrap_err();
         assert!(matches!(err, MuxError::Lost(TransportError::Timeout)), "{err}");
         assert_eq!(mux.in_flight(), 0, "timed-out waiter unregistered");
         // A second call releases the batch; its own reply still routes fine
         // even though the first (orphaned) reply arrives alongside it.
-        let reply = mux.call(2, &frame(2, b"ab"), None).unwrap();
+        let reply = mux.call(2, &[&frame(2, b"ab")], None).unwrap();
         assert_eq!(&reply[8..], b"ba");
         mux.shutdown();
     }
@@ -767,12 +816,12 @@ mod tests {
         let _alone = alone();
         let (mux, received) = echo_mux(usize::MAX);
         let m2 = mux.clone();
-        let h = std::thread::spawn(move || m2.call(1, &frame(1, b"x"), None));
+        let h = std::thread::spawn(move || m2.call(1, &[&frame(1, b"x")], None));
         received.recv_timeout(Duration::from_secs(10)).expect("the request frame arrived");
         mux.shutdown();
         assert!(matches!(h.join().unwrap(), Err(MuxError::Lost(_))));
         assert!(mux.is_dead());
-        assert!(matches!(mux.send_only(&frame(2, b"y")), Err(MuxError::Unsent(_))));
+        assert!(matches!(mux.send_only(&[&frame(2, b"y")]), Err(MuxError::Unsent(_))));
         mux.shutdown(); // idempotent
     }
 
@@ -785,8 +834,8 @@ mod tests {
         let (mux, received) = echo_mux(usize::MAX);
         mux.register(1).unwrap();
         mux.shutdown();
-        let outcome = mux.call_registered(1, &frame(1, b"x"), None);
-        assert!(matches!(outcome, Err(MuxError::Unsent(TransportError::Closed))), "{outcome:?}");
+        let outcome = mux.send_registered(1, &[&frame(1, b"x")]).err();
+        assert!(matches!(outcome, Some(MuxError::Unsent(TransportError::Closed))), "{outcome:?}");
         assert!(received.try_recv().is_err(), "the frame must not have reached the server");
         assert_eq!(mux.in_flight(), 0, "the unsent waiter was unregistered");
     }
@@ -809,11 +858,11 @@ mod tests {
         let mux = mux_over(req_tx, rep_rx, None);
         let m = mux.clone();
         let patience = Some(Duration::from_millis(500));
-        let impatient = std::thread::spawn(move || m.call(1, &frame(1, b"a"), patience));
+        let impatient = std::thread::spawn(move || m.call(1, &[&frame(1, b"a")], patience));
         assert!(eventually(|| led(&mux)), "the first caller never took the read");
         let m = mux.clone();
         let (stays_tx, stays) = unbounded();
-        std::thread::spawn(move || stays_tx.send(m.call(2, &frame(2, b"b"), None)));
+        std::thread::spawn(move || stays_tx.send(m.call(2, &[&frame(2, b"b")], None)));
         assert!(eventually(|| mux.in_flight() == 2), "both callers wait at once");
         let err = impatient.join().unwrap().unwrap_err();
         assert_eq!(err, MuxError::Lost(TransportError::Timeout));
@@ -841,7 +890,7 @@ mod tests {
                     for n in 0..500u64 {
                         let id = caller * 1_000 + n;
                         let body = id.to_le_bytes();
-                        let reply = mux.call(id, &frame(id, &body), None).unwrap();
+                        let reply = mux.call(id, &[&frame(id, &body)], None).unwrap();
                         let mut expect = body;
                         expect.reverse();
                         assert_eq!(reply, frame(id, &expect), "call {id} got another's reply");
@@ -880,7 +929,7 @@ mod tests {
         let callers: Vec<_> = (0..CALLERS)
             .map(|i| {
                 let mux = mux.clone();
-                std::thread::spawn(move || mux.call(i, &frame(i, b"x"), None))
+                std::thread::spawn(move || mux.call(i, &[&frame(i, b"x")], None))
             })
             .collect();
         assert!(eventually(|| mux.in_flight() == CALLERS as usize && led(&mux)));
@@ -890,7 +939,7 @@ mod tests {
         }
         assert_eq!(deaths.load(Ordering::Relaxed), 1, "the death was reported once");
         assert_eq!(mux.in_flight(), 0);
-        assert!(matches!(mux.call(99, &frame(99, b"y"), None), Err(MuxError::Unsent(_))));
+        assert!(matches!(mux.call(99, &[&frame(99, b"y")], None), Err(MuxError::Unsent(_))));
         assert_eq!(deaths.load(Ordering::Relaxed), 1);
     }
 
@@ -916,7 +965,7 @@ mod tests {
         let (done_tx, done) = unbounded();
         for i in 0..3u64 {
             let (mux, done_tx) = (mux.clone(), done_tx.clone());
-            std::thread::spawn(move || done_tx.send(mux.call(i, &frame(i, b"x"), None)));
+            std::thread::spawn(move || done_tx.send(mux.call(i, &[&frame(i, b"x")], None)));
         }
         for _ in 0..3 {
             received.recv_timeout(Duration::from_secs(10)).expect("a request frame arrived");

@@ -21,7 +21,8 @@ use ohpc_netsim::{MachineId, SimNet};
 
 use crate::mem::{self, MemConnection};
 use crate::{
-    telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
+    frame_len, telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError,
+    MAX_FRAME,
 };
 
 /// Per-frame protocol envelope charged to the wire in addition to payload
@@ -169,8 +170,12 @@ pub struct SimConnection {
 
 impl Connection for SimConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.wire.charge(frame.len())?;
-        self.conn.send(frame)
+        self.send_parts(&[frame])
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.wire.charge(frame_len(parts))?;
+        self.conn.send_parts(parts)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
@@ -192,8 +197,12 @@ struct SimSendHalf {
 
 impl SendHalf for SimSendHalf {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.wire.charge(frame.len())?;
-        self.tx.send(frame)
+        self.send_parts(&[frame])
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.wire.charge(frame_len(parts))?;
+        self.tx.send_parts(parts)
     }
 
     fn close(&mut self) {

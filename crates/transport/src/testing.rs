@@ -261,6 +261,10 @@ impl Connection for FlakyConnection {
         self.plan.send(|| self.inner.send(frame))
     }
 
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.plan.send(|| self.inner.send_parts(parts))
+    }
+
     fn recv(&mut self) -> Result<Bytes, TransportError> {
         self.plan.recv(|| self.inner.recv())
     }
@@ -284,6 +288,10 @@ struct FlakySend {
 impl SendHalf for FlakySend {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         self.plan.send(|| self.inner.send(frame))
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.plan.send(|| self.inner.send_parts(parts))
     }
 
     fn close(&mut self) {

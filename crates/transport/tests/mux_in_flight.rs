@@ -33,7 +33,7 @@ fn the_gauge_is_the_total_over_all_channels() {
 
     let call = |mux: &Arc<MuxChannel>, id: u64| {
         let mux = mux.clone();
-        std::thread::spawn(move || mux.call(id, &id.to_be_bytes(), None))
+        std::thread::spawn(move || mux.call(id, &[&id.to_be_bytes()], None))
     };
     let on_a = [call(&mux_a, 1), call(&mux_a, 2)];
     let on_b = call(&mux_b, 3);

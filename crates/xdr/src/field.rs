@@ -67,13 +67,15 @@ impl<T: XdrEncode + XdrDecode> FieldCodec<T> for T {
 /// [`XdrReader::get_opaque_bytes`]) where a plain `Bytes` field is copied
 /// out. A view keeps the whole frame alive for as long as it lives: right
 /// for a message body, which is most of the frame and is transformed in
-/// place, wrong for a few bytes of metadata that may be retained.
+/// place, wrong for a few bytes of metadata that may be retained. On the way
+/// out it is the mirror image: a [gathering](XdrWriter::gathering) writer
+/// keeps a large body as a part of its own instead of copying it in.
 pub struct FrameView;
 
 impl FieldCodec<Bytes> for FrameView {
     #[inline]
     fn encode(value: &Bytes, w: &mut XdrWriter) {
-        w.put_opaque(value);
+        w.put_opaque_bytes(value);
     }
 
     #[inline]

@@ -2,6 +2,11 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::pad4;
 
+/// Opaque data of at least this many bytes is gathered, not copied, by a
+/// [gathering](XdrWriter::gathering) writer: below it, one more part to write
+/// out costs more than the copy it saves.
+pub const GATHER_MIN: usize = 4 * 1024;
+
 /// Append-only XDR encoder.
 ///
 /// All `put_*` methods keep the stream 4-byte aligned. `finish` hands back the
@@ -10,45 +15,95 @@ use crate::pad4;
 #[derive(Debug, Default)]
 pub struct XdrWriter {
     buf: BytesMut,
+    /// Whether [`put_opaque_bytes`](Self::put_opaque_bytes) may leave an
+    /// opaque's bytes where they are.
+    gathers: bool,
+    /// The one opaque left where it is: the offset in `buf` its bytes belong
+    /// at (right after its length word, before its padding), and a handle to
+    /// them.
+    gathered: Option<(usize, Bytes)>,
 }
 
 impl XdrWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        Self { buf: BytesMut::new() }
+        Self::default()
     }
 
     /// Creates a writer with `cap` bytes pre-reserved — use when the encoded
     /// size is predictable (e.g. fixed-size array payloads) to avoid regrowth.
     pub fn with_capacity(cap: usize) -> Self {
-        Self { buf: BytesMut::with_capacity(cap) }
+        Self { buf: BytesMut::with_capacity(cap), ..Self::default() }
     }
 
-    /// Number of bytes encoded so far. Always a multiple of 4.
+    /// Creates an empty writer that gathers: the first opaque of
+    /// [`GATHER_MIN`] bytes or more given to
+    /// [`put_opaque_bytes`](Self::put_opaque_bytes) is not copied in, only a
+    /// handle to it kept. Read such a writer through [`parts`](Self::parts)
+    /// or [`finish`](Self::finish).
+    pub fn gathering() -> Self {
+        Self { gathers: true, ..Self::default() }
+    }
+
+    /// Number of bytes encoded so far, gathered ones included. Always a
+    /// multiple of 4.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.gathered.as_ref().map_or(0, |(_, data)| data.len())
     }
 
     /// True when nothing has been encoded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    /// Bytes the writer's own buffer holds room for: what keeping it costs.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Borrows the bytes encoded so far without consuming the writer. Used
     /// when an already-encoded body must be embedded into an outer frame.
+    /// A writer that gathered an opaque holds its bytes in more than one
+    /// place: read that one through [`parts`](Self::parts).
     pub fn peek(&self) -> &[u8] {
+        debug_assert!(self.gathered.is_none(), "peek at a writer that gathered");
         &self.buf
     }
 
-    /// Empties the writer, keeping its buffer's capacity for reuse.
+    /// The bytes encoded so far as the three parts they are held in: the
+    /// buffer up to a gathered opaque, the opaque's own bytes, and the rest
+    /// of the buffer — the last two empty when nothing was gathered. Their
+    /// concatenation is what [`finish`](Self::finish) returns.
+    pub fn parts(&self) -> [&[u8]; 3] {
+        match &self.gathered {
+            None => [&self.buf, &[], &[]],
+            Some((at, data)) => {
+                let head = self.buf.get(..*at).unwrap_or_default();
+                [head, data, self.buf.get(*at..).unwrap_or_default()]
+            }
+        }
+    }
+
+    /// Empties the writer, keeping its buffer's capacity for reuse and
+    /// dropping its handle to a gathered opaque.
     pub fn clear(&mut self) {
         self.buf.clear();
+        self.gathered = None;
     }
 
     /// Consumes the writer, returning the encoded bytes: the same buffer,
-    /// adopted by the `Bytes`, not a copy of it.
-    pub fn finish(self) -> Bytes {
-        debug_assert_eq!(self.buf.len() % 4, 0, "XDR stream must stay 4-byte aligned");
+    /// adopted by the `Bytes`, not a copy of it. A gathered opaque is copied
+    /// into its place in that buffer here.
+    pub fn finish(mut self) -> Bytes {
+        debug_assert_eq!(self.len() % 4, 0, "XDR stream must stay 4-byte aligned");
+        if let Some((at, data)) = self.gathered.take() {
+            // Appended, then rotated ahead of what was encoded after it.
+            let after = self.buf.len() - at;
+            self.buf.extend_from_slice(&data);
+            if let Some(moved) = self.buf.get_mut(at..) {
+                moved.rotate_left(after);
+            }
+        }
         self.buf.freeze()
     }
 
@@ -101,11 +156,29 @@ impl XdrWriter {
         self.put_fixed_opaque(data);
     }
 
+    /// [`put_opaque`](Self::put_opaque) for data held as [`Bytes`]. A
+    /// [gathering](Self::gathering) writer leaves the first such opaque of
+    /// [`GATHER_MIN`] bytes or more where it is, keeping a handle to it;
+    /// any other is copied in.
+    pub fn put_opaque_bytes(&mut self, data: &Bytes) {
+        if !self.gathers || data.len() < GATHER_MIN || self.gathered.is_some() {
+            return self.put_opaque(data);
+        }
+        self.put_u32(data.len() as u32);
+        self.gathered = Some((self.buf.len(), data.clone()));
+        self.pad(data.len());
+    }
+
     /// Encodes fixed-length opaque data (no length prefix), padded to 4 bytes.
     /// The decoder must know the length out of band.
     pub fn put_fixed_opaque(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
-        for _ in 0..pad4(data.len()) {
+        self.pad(data.len());
+    }
+
+    /// The zero padding that follows `len` bytes of opaque data.
+    fn pad(&mut self, len: usize) {
+        for _ in 0..pad4(len) {
             self.buf.put_u8(0);
         }
     }
@@ -194,6 +267,39 @@ mod tests {
         let b = w.finish();
         assert_eq!(&b[..8], &[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(&b[8..], &[0xff; 8][..7].iter().chain(&[0xfeu8]).copied().collect::<Vec<_>>()[..]);
+    }
+
+    /// A gathering writer keeps one large opaque as a handle, copies the
+    /// rest, and joins to the bytes a plain writer encodes.
+    #[test]
+    fn a_gathered_opaque_is_a_part_of_its_own_and_finish_joins_it() {
+        let large = Bytes::from(vec![7u8; GATHER_MIN + 1]);
+        let second = Bytes::from(vec![9u8; GATHER_MIN]);
+        let encode = |w: &mut XdrWriter| {
+            w.put_u32(1);
+            w.put_opaque_bytes(&Bytes::from_static(b"small"));
+            w.put_opaque_bytes(&large);
+            w.put_opaque_bytes(&second);
+            w.put_u32(2);
+        };
+        let mut plain = XdrWriter::new();
+        encode(&mut plain);
+        let mut gathering = XdrWriter::gathering();
+        encode(&mut gathering);
+        assert_eq!(gathering.len(), plain.len());
+
+        let [head, data, tail] = gathering.parts();
+        assert_eq!(data.as_ptr(), large.as_ptr(), "the first large opaque is not copied");
+        assert_eq!(head.len(), 4 + 12 + 4);
+        assert_eq!(tail.len(), 3 + 4 + GATHER_MIN + 4, "its padding, then the copied rest");
+        assert_eq!([head, data, tail].concat(), plain.peek());
+        assert_eq!(gathering.finish(), plain.finish());
+
+        let mut cleared = XdrWriter::gathering();
+        encode(&mut cleared);
+        cleared.clear();
+        assert!(cleared.is_empty());
+        assert_eq!(cleared.parts(), [&[][..], &[], &[]], "clearing drops the handle");
     }
 
     #[test]

@@ -13,12 +13,14 @@ use ohpc_caps::{register_standard, EncryptionCap, TimeoutCap};
 use ohpc_crypto::KeyStore;
 use ohpc_netsim::Location;
 use ohpc_orb::context::OrRow;
+use ohpc_orb::message::Framing;
 use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, GlueProto, GpGroup,
-    ProtoPool, ProtocolId, TransportProto,
+    ObjectId, ProtoPool, ProtocolId, RequestId, RequestMessage, TransportProto,
 };
 use ohpc_transport::mem::MemFabric;
-use ohpc_transport::{Connection, Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
+use ohpc_transport::tcp::{TcpAcceptor, TcpDialer};
+use ohpc_transport::{Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError};
 use ohpc_xdr::{XdrEncode, XdrWriter};
 
 const KEY: &str = "ownership";
@@ -158,6 +160,47 @@ fn a_retry_after_process_ran_resends_the_original_plaintext() {
     assert!(refused.len() > pristine.len());
     assert!(!refused.windows(64).any(|w| w == &pristine[100..164]), "refused frame was not encrypted");
     ctx.shutdown();
+}
+
+/// A request frame leaves in parts — its head, then the body as it is — and
+/// arrives as a buffer its receiver alone owns, so the server's glue can
+/// decipher the body in place; and the sender's scratch lets go of the body
+/// when the send returns, so a caller holding it is again its sole owner.
+#[test]
+fn a_frame_sent_in_parts_is_owned_by_its_receiver_and_released_by_its_sender() {
+    let fabric = MemFabric::new();
+    let mut mem_listener = fabric.listen();
+    let mem_client = fabric.dial(&mem_listener.endpoint()).unwrap();
+    let mem_server = mem_listener.accept().unwrap();
+    let mut tcp_listener = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+    let tcp_client = TcpDialer.dial(&tcp_listener.endpoint()).unwrap();
+    let tcp_server = tcp_listener.accept().unwrap();
+
+    for (mut client, mut server) in [(mem_client, mem_server), (tcp_client, tcp_server)] {
+        let request = RequestMessage {
+            request_id: RequestId(1),
+            object: ObjectId(2),
+            method: 1,
+            oneway: false,
+            glue: None,
+            body: encoded(&(0..16_384).collect()),
+            trace: None,
+        };
+        let expected = request.to_frame();
+        request.with_parts_as(Framing::Bare, |parts| {
+            assert!(parts.len() > 1, "the body went out in a part of its own");
+            client.send_parts(parts)
+        })
+        .unwrap();
+        let mut kept = request.body;
+        assert!(kept.unique_mut().is_some(), "the sender still holds a handle to the body");
+
+        let frame = server.recv().unwrap();
+        assert_eq!(frame, expected);
+        let mut received = RequestMessage::from_frame(&frame).unwrap().body;
+        drop(frame);
+        assert!(received.unique_mut().is_some(), "the receiver shares the frame's buffer");
+    }
 }
 
 #[test]

@@ -7,13 +7,17 @@ use std::sync::Arc;
 use bytes::Bytes;
 use ohpc_apps::{WeatherClient, WeatherService, WeatherSkeleton};
 use ohpc_bench::setup::{SimDeployment, EXPERIMENT_KEY};
-use ohpc_caps::{AclCap, AuthCap, CapScope, TimeoutCap};
-use ohpc_netsim::{Cluster, LanId, LinkProfile, MachineId};
+use ohpc_bench::workload::{EchoArray, EchoArrayClient, EchoArraySkeleton};
+use ohpc_caps::{AclCap, AuthCap, CapScope, LogStats, LoggingCap, TimeoutCap};
+use ohpc_netsim::{Cluster, LanId, LinkProfile, Location, MachineId};
 use ohpc_orb::context::OrRow;
 use ohpc_orb::message::{CapWireMeta, GlueWire};
 use ohpc_orb::{
-    ObjectId, OrbError, ProtocolId, ReplyStatus, RequestId, RequestMessage,
+    ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, GlueProto, ObjectId,
+    OrbError, ProtoPool, ProtocolId, ReplyStatus, RequestId, RequestMessage, TransportProto,
 };
+use ohpc_telemetry::Registry;
+use ohpc_transport::mem::MemFabric;
 
 fn deployment() -> (SimDeployment, MachineId, MachineId) {
     let (mut c, mut s) = (MachineId(0), MachineId(0));
@@ -203,5 +207,43 @@ fn restricted_or_is_a_real_restriction() {
     let err = client.regions().unwrap_err();
     assert!(matches!(err, OrbError::Capability(_) | OrbError::NoApplicableProtocol { .. }));
     let _ = ObjectId(0); // silence unused import lint paths on some configs
+    server.shutdown();
+}
+
+/// Glue is applied and removed once per message that travels, and a
+/// one-way's reply never travels: through glue[log], N one-ways then one
+/// two-way `served()` log N + 1 requests and exactly one reply.
+#[test]
+fn a_one_way_runs_no_reply_glue() {
+    const ONE_WAYS: u64 = 20;
+    let stats = Arc::new(LogStats::in_registry(&Registry::new(), "one-way"));
+    let registry = Arc::new(CapabilityRegistry::new());
+    let log = LoggingCap::spec("one-way");
+    let logged = stats.clone();
+    registry.register(&log.name, move |spec| {
+        LoggingCap::from_spec(spec, logged.clone()).map(|c| Arc::new(c) as _)
+    });
+    let here = Location::new(0, 0);
+    let server = Context::new(ContextId(1), here, registry.clone());
+    let object = server.register(Arc::new(EchoArraySkeleton(EchoArray::default())));
+    let fabric = MemFabric::new();
+    server.serve(Box::new(fabric.listen()), ProtocolId::SHM);
+    let glue_id = server.add_glue(vec![log]).unwrap();
+    let or = server.make_or(object, &[OrRow::Glue { glue_id, inner: ProtocolId::SHM }]).unwrap();
+    let always = ApplicabilityRule::Always;
+    let pool = ProtoPool::new()
+        .with(Arc::new(GlueProto::new(registry)))
+        .with(Arc::new(TransportProto::new(ProtocolId::SHM, always, Arc::new(fabric))));
+    let client = EchoArrayClient::new(GlobalPointer::new(or, Arc::new(pool), here));
+
+    let mut args = ohpc_xdr::XdrWriter::new();
+    ohpc_xdr::XdrEncode::encode(&vec![1i32, 2, 3], &mut args);
+    for _ in 0..ONE_WAYS {
+        client.gp().invoke_oneway(1, &args).unwrap();
+    }
+    assert_eq!(client.served().unwrap(), ONE_WAYS, "served() answers after the one-ways ran");
+    let (requests, replies, _, _) = stats.snapshot();
+    assert_eq!(requests, ONE_WAYS + 1, "client-side request glue");
+    assert_eq!(replies, 1, "server-side reply glue ran for a reply nobody was sent");
     server.shutdown();
 }

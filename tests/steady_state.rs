@@ -3,20 +3,25 @@
 //! Once a call site has run, its instruments are resolved: a warmed-up call
 //! must not look a metric up by name again (`Registry::resolutions` stands
 //! still), and a small call's heap traffic is a short fixed inventory — for a
-//! 5-int two-way echo over the mem fabric, 13 allocations across all threads:
-//! the caller's clone of its argument; args, request frame, reply body and
-//! reply frame at buffer + handle each; the mem fabric's two frame copies;
-//! the two decoded `Vec`s. The server's reader runs the call itself, so no
-//! task is boxed for a pool worker (a one-way still boxes one for its lane).
-//! The bounds below leave one spare or more.
+//! 5-int two-way echo over the mem fabric, 9 allocations across all threads:
+//! the caller's clone of its argument; args and reply body at buffer + handle
+//! each; the mem fabric's two frame copies; the two decoded `Vec`s. Frames
+//! are encoded into a per-thread scratch writer and leave in parts, so no
+//! frame buffer is allocated; the server's reader runs the call itself, so no
+//! task is boxed for a pool worker (a one-way still boxes one for its lane
+//! now and then). The bounds below leave one spare or more; the test names
+//! keep the ceilings they were first written with.
+//!
+//! A bulk call's inventory is counted in payload-sized buffers instead: a
+//! secure 1 MiB echo makes exactly eight.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use bytes::Bytes;
-use ohpc_bench::local::{deploy, Wire};
-use ohpc_caps::TimeoutCap;
+use ohpc_bench::local::{deploy, Wire, KEY_NAME};
+use ohpc_caps::{EncryptionCap, TimeoutCap};
 use ohpc_orb::capability::CapMeta;
 use ohpc_orb::message::{CapWireMeta, GlueWire, DEADLINE_CAP_NAME, DEADLINE_META_KEY};
 use ohpc_orb::{ObjectId, RequestId, RequestMessage};
@@ -29,11 +34,24 @@ struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// A bulk echo's payload: 262 144 ints, 1 MiB.
+const PAYLOAD_SIZED: usize = 1 << 20;
+
+/// Allocations of at least [`PAYLOAD_SIZED`] bytes.
+static PAYLOAD_SIZED_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if size >= PAYLOAD_SIZED {
+        PAYLOAD_SIZED_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the count is a relaxed atomic add.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's obligations are passed on as they came.
         unsafe { System.alloc(layout) }
     }
@@ -44,7 +62,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -99,7 +117,7 @@ fn a_small_two_way_echo_over_mem_resolves_nothing_and_allocates_at_most_14() {
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up call looked a metric up by name");
     let per_call = allocations as f64 / MEASURED_CALLS as f64;
-    assert!(per_call <= 14.0, "{per_call} allocations per echo; the inventory is 13");
+    assert!(per_call <= 10.0, "{per_call} allocations per echo; the inventory is 9");
 }
 
 #[test]
@@ -124,10 +142,10 @@ fn a_small_one_way_over_mem_resolves_nothing_and_allocates_at_most_12() {
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up one-way looked a metric up by name");
     let per_call = allocations as f64 / MEASURED_CALLS as f64;
-    assert!(per_call <= 12.0, "{per_call} allocations per one-way (four two-ways included)");
+    assert!(per_call <= 7.0, "{per_call} allocations per one-way (four two-ways included)");
 }
 
-/// The glue section costs 7 over the 13 of a plain echo: per direction the
+/// The glue section costs 7 over the 9 of a plain echo: per direction the
 /// sender's list of hops and the receiver's one copy of the section plus its
 /// list, and the budget's stamp, which is its metadata blob.
 #[test]
@@ -140,7 +158,27 @@ fn a_small_echo_through_glue_over_tcp_resolves_nothing_and_allocates_at_most_21(
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up glued call looked a metric up by name");
     let per_call = allocations as f64 / MEASURED_CALLS as f64;
-    assert!(per_call <= 21.0, "{per_call} allocations per glued echo; the inventory is 20");
+    assert!(per_call <= 17.0, "{per_call} allocations per glued echo; the inventory is 16");
+}
+
+/// A 1 MiB echo through glue[timeout,security] over TCP makes eight
+/// payload-sized buffers: the caller's clone of its argument, then per
+/// direction the marshalled body, the socket read and the unmarshalled
+/// `Vec`, plus the client cipher's copy of the plaintext the retry loop
+/// keeps. No frame buffer: a frame leaves as its head and the body as it is.
+#[test]
+fn a_secure_bulk_echo_over_tcp_makes_eight_payload_sized_buffers() {
+    let _alone = alone();
+    let caps = vec![TimeoutCap::spec(u64::MAX / 2), EncryptionCap::spec(KEY_NAME)];
+    let (server, client) = deploy(Wire::TcpLoopback, caps);
+    let sent: Vec<i32> = (0..(PAYLOAD_SIZED / 4) as i32).collect();
+    let echo = || assert_eq!(client.echo(sent.clone()).unwrap(), sent);
+    (0..2).for_each(|_| echo());
+    let before = PAYLOAD_SIZED_ALLOCATIONS.load(Ordering::Relaxed);
+    (0..3).for_each(|_| echo());
+    let buffers = PAYLOAD_SIZED_ALLOCATIONS.load(Ordering::Relaxed) - before;
+    server.shutdown();
+    assert_eq!(buffers, 3 * 8, "payload-sized buffers over three echoes");
 }
 
 /// The admission gate peeks at every glued request's deadline stamp; it
