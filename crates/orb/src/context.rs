@@ -6,6 +6,7 @@
 //! References. A `Context` value is a cheap clone of shared state, so server
 //! threads, experiment drivers, and the migration manager can all hold one.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,8 +17,7 @@ use parking_lot::{Mutex, RwLock};
 
 use ohpc_netsim::Location;
 use ohpc_nexus::{HEADER_LEN, TAG_REPLY_NO_HANDLER};
-use ohpc_resilience::{BreakerState, HealthKey, HealthPolicy, HealthRegistry};
-use ohpc_runtime::{AdmissionController, Executor, Permit, Rescue, SerialQueue};
+use ohpc_runtime::{AdmissionController, Executor, Permit, Rescue};
 use ohpc_transport::{AcceptLoop, Connection, Listener};
 use ohpc_xdr::{XdrError, XdrReader, XdrWriter};
 
@@ -96,16 +96,6 @@ struct ContextInner {
     executor: RwLock<Arc<dyn Executor>>,
     /// Bounds admitted-but-unfinished requests (queued + executing).
     admission: AdmissionController,
-    /// Server-local breaker over the admission gate: sustained shedding
-    /// with no completions in between trips it, halving the effective
-    /// in-flight limit until the backlog drains (hysteresis against
-    /// admit/shed flapping right at the bound).
-    dispatch_health: Arc<HealthRegistry>,
-    dispatch_key: HealthKey,
-    /// Set on the first shed; while set, completions feed the breaker.
-    /// Avoids taking the health-map lock on every request when the server
-    /// has never been under pressure.
-    dispatch_pressure: std::sync::atomic::AtomicBool,
 }
 
 /// A server context. Clones share state.
@@ -146,16 +136,6 @@ impl Context {
                 stopping: std::sync::atomic::AtomicBool::new(false),
                 executor: RwLock::new(ohpc_runtime::shared_pool()),
                 admission: AdmissionController::new(Some(ohpc_runtime::DEFAULT_QUEUE_BOUND)),
-                dispatch_health: Arc::new(HealthRegistry::new().with_policy(HealthPolicy {
-                    // Tripping requires this many sheds with not a single
-                    // completion in between — a genuine stall, not a blip
-                    // at the admission bound.
-                    failure_threshold: 8,
-                    cooldown_ns: 100_000_000,
-                    close_after: 2,
-                })),
-                dispatch_key: HealthKey::new("dispatch", format!("ctx-{}", id.0)),
-                dispatch_pressure: std::sync::atomic::AtomicBool::new(false),
             }),
         }
     }
@@ -194,8 +174,9 @@ impl Context {
     // ------------------------------------------------------------- executor
 
     /// Replaces the dispatch executor. Affects connections accepted after
-    /// the call: it runs their one-ways, and their two-ways whenever the
-    /// connection's reader does not run them itself.
+    /// the call: it runs their two-ways whenever the connection's reader
+    /// does not run them itself. One-ways never reach it: the reader runs
+    /// them.
     pub fn set_executor(&self, executor: Arc<dyn Executor>) {
         *self.inner.executor.write() = executor;
     }
@@ -214,11 +195,6 @@ impl Context {
     /// Requests currently admitted and not yet finished (queued + executing).
     pub fn admitted_in_flight(&self) -> usize {
         self.inner.admission.in_flight()
-    }
-
-    /// State of the dispatch breaker layered over the admission gate.
-    pub fn dispatch_breaker(&self) -> BreakerState {
-        self.inner.dispatch_health.state(&self.inner.dispatch_key)
     }
 
     // ---------------------------------------------------------------- objects
@@ -307,7 +283,7 @@ impl Context {
 
     /// Serves ORB frames as Nexus remote service requests (the baseline
     /// protocol), advertising the listener as protocol `id`: the same loop,
-    /// admission, executor and one-way lane as [`serve`](Self::serve), with
+    /// admission, executor and inline one-ways as [`serve`](Self::serve), with
     /// the RSR header taken off each request and put on each reply.
     pub fn serve_nexus(&self, listener: Box<dyn Listener>, id: ProtocolId) {
         self.serve_framed(listener, id, Framing::Rsr);
@@ -362,12 +338,10 @@ impl Context {
     fn serve_connection(&self, mut conn: Box<dyn Connection>, framing: Framing) {
         let Some((tx, rx)) = conn.try_split() else { return };
         drop(conn);
-        let workers = self.executor();
         let conn: Arc<SplitConn> = Arc::new(SplitConn {
             ctx: self.clone(),
             writer: Mutex::new(tx),
-            oneways: SerialQueue::new(workers.clone()),
-            workers,
+            workers: self.executor(),
             framing,
             rescue: Rescue::new(|(conn, rx): Parked| conn.read(rx)),
         });
@@ -402,32 +376,18 @@ impl Context {
             }
         }
 
-        let degraded = !self.inner.dispatch_health.allow(&self.inner.dispatch_key);
-        match self.inner.admission.try_admit(degraded) {
-            Ok(permit) => Ok(permit),
-            Err(shed) => {
-                let reason = if shed.degraded {
-                    ohpc_telemetry::counter!("orb_overload_shed_total", "reason" => "degraded")
-                        .inc();
-                    "degraded"
-                } else {
-                    ohpc_telemetry::counter!("orb_overload_shed_total", "reason" => "queue_full")
-                        .inc();
-                    "queue_full"
-                };
-                ohpc_telemetry::trace_event("request_shed", &[("reason", reason.into())]);
-                self.inner.dispatch_pressure.store(true, Ordering::Relaxed);
-                self.inner.dispatch_health.record_failure(&self.inner.dispatch_key);
-                Err(ReplyStatus::Overloaded(shed.to_string()))
-            }
-        }
+        self.inner.admission.try_admit().map_err(|shed| {
+            ohpc_telemetry::counter!("orb_overload_shed_total", "reason" => "queue_full").inc();
+            ohpc_telemetry::trace_event("request_shed", &[("reason", "queue_full".into())]);
+            ReplyStatus::Overloaded(shed.to_string())
+        })
     }
 
-    /// Runs an admitted request to completion, then feeds the dispatch
-    /// breaker and releases the admission permit. A handler that panics is
-    /// answered with an exception: its caller hears at once instead of
-    /// waiting for a reply nobody will send, and the thread — a connection's
-    /// reader, a pool worker, a one-way lane's runner — goes on serving.
+    /// Runs an admitted request to completion, then releases the admission
+    /// permit. A handler that panics is answered with an exception: its
+    /// caller hears at once instead of waiting for a reply nobody will send,
+    /// and the thread — a connection's reader or a pool worker — goes on
+    /// serving.
     fn dispatch_admitted(&self, req: RequestMessage, permit: Permit) -> ReplyMessage {
         let (rid, method) = (req.request_id, req.method);
         let handled =
@@ -437,13 +397,6 @@ impl Context {
             let status = ReplyStatus::Exception(format!("method {method} panicked"));
             ReplyMessage::status(rid, status)
         });
-        if self.inner.dispatch_pressure.load(Ordering::Relaxed) {
-            let health = &self.inner.dispatch_health;
-            health.record_success(&self.inner.dispatch_key);
-            if health.state(&self.inner.dispatch_key) == BreakerState::Closed {
-                self.inner.dispatch_pressure.store(false, Ordering::Relaxed);
-            }
-        }
         drop(permit);
         reply
     }
@@ -607,16 +560,20 @@ impl Context {
         self.inner.requests_served.fetch_add(1, Ordering::Relaxed);
         ohpc_telemetry::counter!("orb_requests_total").inc();
 
-        let mut out = XdrWriter::new();
         let mut args = XdrReader::new(&body);
-        let dispatched = object.dispatch(req.method, &mut args, &mut out);
+        let dispatched = if req.oneway {
+            with_unsent_reply(|out| object.dispatch(req.method, &mut args, out)).map(|()| None)
+        } else {
+            let mut out = XdrWriter::new();
+            object.dispatch(req.method, &mut args, &mut out).map(|()| Some(out.finish()))
+        };
         let reply_body = match dispatched {
-            // Nobody hears a one-way's outcome: no reply body is made and no
+            // Nobody hears a one-way's outcome: no reply body is kept and no
             // reply glue runs for it, so the chain applies and removes glue
             // once per message that travels — no log entry, nonce or cipher
             // pass for a reply that is never sent.
-            Ok(()) if req.oneway => return ReplyMessage::ok(rid, Bytes::new()),
-            Ok(()) => out.finish(),
+            Ok(None) => return ReplyMessage::ok(rid, Bytes::new()),
+            Ok(Some(body)) => body,
             Err(MethodError::NoSuchMethod(m)) => {
                 return ReplyMessage::status(rid, ReplyStatus::NoSuchMethod(m));
             }
@@ -733,36 +690,70 @@ impl Context {
     }
 }
 
+thread_local! {
+    /// Where a one-way's skeleton encodes the reply nobody hears, so that
+    /// reply costs no allocation. Lent for one dispatch at a time.
+    static UNSENT: RefCell<XdrWriter> = RefCell::new(XdrWriter::new());
+}
+
+/// The most [`UNSENT`] keeps between dispatches: a writer grown past it is
+/// dropped rather than held by its thread.
+const UNSENT_KEEP: usize = 64 * 1024;
+
+/// Runs `dispatch` with the calling thread's [`UNSENT`] writer as its reply
+/// writer, cleared afterwards; nothing written there is sent. A dispatch
+/// made while the writer is lent out further up the stack gets a writer of
+/// its own.
+fn with_unsent_reply<R>(mut dispatch: impl FnMut(&mut XdrWriter) -> R) -> R {
+    let lent = UNSENT.try_with(|scratch| {
+        let mut w = scratch.try_borrow_mut().ok()?;
+        w.clear();
+        let out = dispatch(&mut w);
+        if w.capacity() > UNSENT_KEEP {
+            *w = XdrWriter::new();
+        } else {
+            w.clear();
+        }
+        Some(out)
+    });
+    match lent {
+        Ok(Some(out)) => out,
+        _ => dispatch(&mut XdrWriter::new()),
+    }
+}
+
 /// One split connection being served: what its reader and the pool tasks
 /// answering its requests share.
 ///
-/// The reader decodes frames in arrival order and runs admission. A two-way
-/// request is then answered by [`answer`](Self::answer), on one of two
-/// threads:
+/// The reader decodes frames in arrival order and runs admission. It runs
+/// every admitted one-way itself, before it reads the next frame. A two-way
+/// is answered by [`answer`](Self::answer), on one of two threads:
 ///
 /// * **the reader itself** ([`inline_is_safe`](Self::inline_is_safe)), when
-///   the connection's one-way lane is idle, the request is the context's only
-///   admitted one, no further frame has already arrived, and the connection
-///   has never been rescued. That saves the hand-off to a pool worker, which
-///   is most of an uncontended small call. The reader parks its receive half
-///   in the connection's [`Rescue`] slot while it runs the call: should the
-///   call block — on a later request of this very connection, say — the
-///   runtime's watcher hands the half to a fresh reader, and the connection
-///   is answered from the pool for good;
+///   the request is the context's only admitted one, no further frame has
+///   already arrived, and the connection has never been rescued. That saves
+///   the hand-off to a pool worker, which is most of an uncontended small
+///   call;
 /// * **a pool worker** otherwise: the context's executor is the overflow
-///   path, so the worker cap, shedding and one-way order hold under load.
+///   path, so the worker cap and shedding hold under load.
 ///
-/// Ordering guarantee: one-way requests from one connection run through a
-/// per-connection FIFO lane ([`SerialQueue`]), and every two-way request
-/// barriers on the one-ways read before it (`wait_for`; inline, the lane is
-/// idle already), so clients keep the invariant "one-ways dispatched before
-/// a later two-way is answered". Replies share the send half behind a lock;
-/// the transport's framing keeps interleaved replies whole, and the client
-/// demultiplexes by request id, so reply order does not matter.
+/// While it runs a request, the reader parks its receive half in the
+/// connection's [`Rescue`] slot: should the request block — on a later
+/// request of this very connection, say — the runtime's watcher hands the
+/// half to a fresh reader, and the connection's two-ways are answered from
+/// the pool for good. That fresh reader still runs one-ways itself, but
+/// nothing rescues it again.
+///
+/// Ordering guarantee: a request read after a one-way starts after that
+/// one-way has finished — in particular a later two-way is answered after
+/// it — unless the one-way ran so long that the connection was rescued from
+/// under it: then the requests read after it run beside it. Replies share
+/// the send half behind a lock; the transport's framing keeps interleaved
+/// replies whole, and the client demultiplexes by request id, so reply order
+/// does not matter.
 struct SplitConn {
     ctx: Context,
     writer: Mutex<Box<dyn ohpc_transport::SendHalf>>,
-    oneways: SerialQueue,
     /// The context's executor when the connection was accepted.
     workers: Arc<dyn Executor>,
     framing: Framing,
@@ -793,49 +784,47 @@ impl SplitConn {
                 Ok(Intake::Reply(reply)) if self.send(&[&reply]) => continue,
                 Ok(Intake::Reply(_)) => return,
             };
-            if req.oneway {
-                let ctx = self.ctx.clone();
-                self.oneways.enqueue(Box::new(move || {
-                    let _ = ctx.dispatch_admitted(req, permit);
-                }));
-                continue;
-            }
-            if self.inline_is_safe(rx.as_ref()) {
+            let oneway = req.oneway;
+            if oneway && self.rescue.rescued() {
+                // A connection is rescued at most once: its fresh reader
+                // runs one-ways unwatched.
+                self.answer(req, permit);
+            } else if oneway || self.inline_is_safe(rx.as_ref()) {
                 let ((), back) = self.rescue.run((self.clone(), rx), || self.answer(req, permit));
                 // None: rescued mid-call; the fresh reader owns the connection.
                 let Some((_, back)) = back else { return };
                 rx = back;
-                continue;
+            } else {
+                // The permit rides inside the task so queue time counts
+                // against the admission bound.
+                let conn = self.clone();
+                self.workers.execute(Box::new(move || conn.answer(req, permit)));
             }
-            // Barrier on the one-ways read before this request, then answer.
-            // The permit rides inside the task so queue time counts against
-            // the admission bound.
-            let mark = self.oneways.mark();
-            let conn = self.clone();
-            self.workers.execute(Box::new(move || {
-                conn.oneways.wait_for(mark);
-                conn.answer(req, permit);
-            }));
+            if oneway && !rx.ready() {
+                // A sender that shares this thread's CPU is likely mid-burst:
+                // blocking now would let each of its frames wake this reader
+                // and preempt it. Yielding once lets it send on, so the
+                // reader finds the burst waiting.
+                std::thread::yield_now();
+            }
         }
     }
 
-    /// Whether the two-way just read may run on the reader thread. A queued
-    /// one-way holds an admission permit, so the in-flight bound mostly
-    /// implies an idle lane; the lane check states the one-way barrier
-    /// outright. Without the `ready` check a burst would be served one frame
-    /// at a time on the reader and never reach the admission bound.
+    /// Whether the two-way just read may run on the reader thread. Without
+    /// the `ready` check a burst would be served one frame at a time on the
+    /// reader and never reach the admission bound.
     fn inline_is_safe(&self, rx: &dyn ohpc_transport::RecvHalf) -> bool {
-        !self.rescue.rescued()
-            && self.ctx.inner.admission.in_flight() <= 1
-            && self.oneways.idle()
-            && !rx.ready()
+        !self.rescue.rescued() && self.ctx.inner.admission.in_flight() <= 1 && !rx.ready()
     }
 
-    /// Dispatches an admitted two-way and sends its reply, in parts: the
-    /// same on the reader thread and on a pool worker.
+    /// Dispatches an admitted request and, for a two-way, sends its reply,
+    /// in parts: the same on the reader thread and on a pool worker.
     fn answer(&self, req: RequestMessage, permit: Permit) {
+        let oneway = req.oneway;
         let reply = self.ctx.dispatch_admitted(req, permit);
-        reply.with_parts_as(self.framing, |frame| self.send(frame));
+        if !oneway {
+            reply.with_parts_as(self.framing, |frame| self.send(frame));
+        }
     }
 
     /// Sends one frame, made of `frame`'s parts; `false` once the

@@ -10,11 +10,6 @@
 //! and the ORB answers `Overloaded` — which clients classify as
 //! retryable-with-backoff.
 //!
-//! Degraded mode: when the caller reports its dispatch breaker open
-//! (sustained shedding), the effective bound halves — the server sheds
-//! *earlier* to drain its queue, giving hysteresis instead of oscillation
-//! at the limit.
-//!
 //! [`try_admit`]: AdmissionController::try_admit
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,21 +40,13 @@ pub struct AdmissionController {
 pub struct Shed {
     /// Admitted requests at the time of the decision.
     pub in_flight: usize,
-    /// The bound that was applied (already halved in degraded mode).
+    /// The bound that was applied.
     pub limit: usize,
-    /// Whether the degraded (breaker-open) watermark applied.
-    pub degraded: bool,
 }
 
 impl std::fmt::Display for Shed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "server overloaded: {} requests in flight (limit {}{})",
-            self.in_flight,
-            self.limit,
-            if self.degraded { ", degraded" } else { "" }
-        )
+        write!(f, "server overloaded: {} requests in flight (limit {})", self.in_flight, self.limit)
     }
 }
 
@@ -94,24 +81,21 @@ impl AdmissionController {
         self.inner.in_flight.load(Ordering::Relaxed)
     }
 
-    /// Tries to admit one request. `degraded` halves the effective bound
-    /// (the dispatch breaker is open: shed early until the queue drains
-    /// below the watermark). On success the returned [`Permit`] holds the
-    /// slot until dropped — move it into the dispatch task.
-    pub fn try_admit(&self, degraded: bool) -> Result<Permit, Shed> {
+    /// Tries to admit one request. On success the returned [`Permit`] holds
+    /// the slot until dropped — move it into the dispatch task.
+    pub fn try_admit(&self) -> Result<Permit, Shed> {
         let limit = self.inner.limit.load(Ordering::Relaxed);
-        let effective = if degraded && limit != UNBOUNDED { (limit / 2).max(1) } else { limit };
         let admitted = self.inner.in_flight.fetch_update(
             Ordering::Relaxed,
             Ordering::Relaxed,
-            |n| if n >= effective { None } else { Some(n + 1) },
+            |n| if n >= limit { None } else { Some(n + 1) },
         );
         match admitted {
             Ok(_) => {
                 self.inner.gauge.add(1);
                 Ok(Permit { inner: self.inner.clone() })
             }
-            Err(n) => Err(Shed { in_flight: n, limit: effective, degraded }),
+            Err(n) => Err(Shed { in_flight: n, limit }),
         }
     }
 }
@@ -151,31 +135,19 @@ mod tests {
     #[test]
     fn admits_up_to_the_limit_then_sheds() {
         let ctl = AdmissionController::new(Some(2));
-        let p1 = ctl.try_admit(false).unwrap();
-        let _p2 = ctl.try_admit(false).unwrap();
-        let shed = ctl.try_admit(false).unwrap_err();
+        let p1 = ctl.try_admit().unwrap();
+        let _p2 = ctl.try_admit().unwrap();
+        let shed = ctl.try_admit().unwrap_err();
         assert_eq!(shed.in_flight, 2);
         assert_eq!(shed.limit, 2);
-        assert!(!shed.degraded);
         drop(p1);
-        assert!(ctl.try_admit(false).is_ok(), "released slot is reusable");
-    }
-
-    #[test]
-    fn degraded_mode_halves_the_bound() {
-        let ctl = AdmissionController::new(Some(4));
-        let _p1 = ctl.try_admit(false).unwrap();
-        let _p2 = ctl.try_admit(false).unwrap();
-        let shed = ctl.try_admit(true).unwrap_err();
-        assert_eq!(shed.limit, 2, "degraded watermark is limit/2");
-        assert!(shed.degraded);
-        assert!(ctl.try_admit(false).is_ok(), "full bound still applies when healthy");
+        assert!(ctl.try_admit().is_ok(), "released slot is reusable");
     }
 
     #[test]
     fn unbounded_never_sheds() {
         let ctl = AdmissionController::new(None);
-        let permits: Vec<_> = (0..10_000).map(|_| ctl.try_admit(true).unwrap()).collect();
+        let permits: Vec<_> = (0..10_000).map(|_| ctl.try_admit().unwrap()).collect();
         assert_eq!(ctl.in_flight(), 10_000);
         drop(permits);
         assert_eq!(ctl.in_flight(), 0);
@@ -183,8 +155,8 @@ mod tests {
 
     #[test]
     fn display_names_the_pressure() {
-        let s = Shed { in_flight: 9, limit: 8, degraded: true }.to_string();
+        let s = Shed { in_flight: 9, limit: 8 }.to_string();
         assert!(s.contains("9"), "{s}");
-        assert!(s.contains("degraded"), "{s}");
+        assert!(s.contains("limit 8"), "{s}");
     }
 }

@@ -14,12 +14,10 @@
 //!   transport→dispatch boundary. When the server is at capacity the
 //!   request is shed in microseconds with a retryable `Overloaded` status
 //!   instead of queueing until the client's deadline burns down.
-//! * [`SerialQueue`] — per-connection FIFO lane over any executor, used to
-//!   route one-way requests off a server connection's reader thread
-//!   without giving up their ordering guarantee.
 //! * [`Rescue`] — the per-connection slot that lets a connection's reader
-//!   run a request itself: a process-wide watcher takes the connection off
-//!   a reader whose request blocks, and starts a fresh reader for it.
+//!   run a request itself (every one-way, and a two-way when the server is
+//!   quiet): a process-wide watcher takes the connection off a reader whose
+//!   request blocks, and starts a fresh reader for it.
 //!
 //! Everything here is `std`-only and feeds `ohpc-telemetry` (queue-depth /
 //! parked-worker gauges, park/shed counters), so overload is visible in
@@ -30,12 +28,10 @@
 mod admission;
 mod pool;
 mod rescue;
-mod serial;
 
 pub use admission::{AdmissionController, Permit, Shed, DEFAULT_QUEUE_BOUND};
 pub use pool::{default_workers, shared_pool, WorkerPool};
 pub use rescue::{rescuer_scans, Rescue};
-pub use serial::SerialQueue;
 
 /// A unit of work handed to an executor (one request dispatch).
 pub type Task = Box<dyn FnOnce() + Send + 'static>;

@@ -1,11 +1,10 @@
 //! The bounded worker pool.
 //!
 //! N worker threads share **one** FIFO task queue behind a mutex. Every
-//! task the ORB submits comes from a connection thread (a server
-//! connection reader's two-way dispatch, a
-//! [`SerialQueue`](crate::SerialQueue) lane scheduling its drain), never
-//! from a worker, so there is no producer-local work for per-worker queues
-//! to keep warm: one queue is the whole traffic pattern.
+//! task the ORB submits is a two-way that a server connection's reader
+//! hands off (it runs one-ways itself), never one from a worker, so there
+//! is no producer-local work for per-worker queues to keep warm: one queue
+//! is the whole traffic pattern.
 //!
 //! Idle workers park on a stack, and a submission wakes the one that
 //! parked last: its cache and its allocator arena are the warm ones, so a

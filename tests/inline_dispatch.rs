@@ -1,6 +1,7 @@
-//! Inline dispatch end to end: when a split connection's reader answers a
-//! two-way itself, when it leaves it to the pool, how the rescue frees a
-//! reader whose call blocks, and what a panicking handler costs its caller.
+//! Inline dispatch end to end: a split connection's reader runs its
+//! one-ways itself, in order; when it answers a two-way itself, when it
+//! leaves it to the pool, how the rescue frees a reader whose call blocks,
+//! and what a panicking handler costs its caller.
 //!
 //! The context runs on a pool of its own, whose threads are named
 //! `ohpc-inline-test-N`, so every reply can say which kind of thread ran it:
@@ -24,7 +25,7 @@ use ohpc_xdr::{XdrReader, XdrWriter};
 const WHERE: u32 = 1;
 /// Returns once two callers are inside it at the same time.
 const MEET: u32 = 2;
-/// A one-way that takes a few milliseconds.
+/// A one-way that takes two milliseconds and records its sequence number.
 const SLOW_ONEWAY: u32 = 3;
 /// Panics.
 const PANIC: u32 = 4;
@@ -32,6 +33,8 @@ const PANIC: u32 = 4;
 const GATED: u32 = 5;
 /// Sleeps long enough to be rescued, and returns.
 const SLOW: u32 = 6;
+/// Opens the gate.
+const OPEN: u32 = 7;
 
 const POOL: &str = "inline-test";
 
@@ -56,7 +59,8 @@ struct Probe {
     both: Condvar,
     gate_open: Mutex<bool>,
     gate: Condvar,
-    oneways: AtomicU64,
+    /// The sequence number of each `SLOW_ONEWAY`, and where it ran.
+    oneways: Mutex<Vec<(u32, Ran)>>,
     /// `SLOW` calls that have started.
     slow_started: AtomicU64,
     /// Where the last `PANIC` ran.
@@ -82,7 +86,7 @@ impl RemoteObject for Probe {
     fn dispatch(
         &self,
         method: u32,
-        _args: &mut XdrReader<'_>,
+        args: &mut XdrReader<'_>,
         out: &mut XdrWriter,
     ) -> Result<(), MethodError> {
         match method {
@@ -101,23 +105,27 @@ impl RemoteObject for Probe {
                 out.put_u32(*arrived);
             }
             SLOW_ONEWAY => {
-                std::thread::sleep(Duration::from_millis(5));
-                self.oneways.fetch_add(1, Ordering::SeqCst);
+                let seq = args.get_u32().map_err(|e| MethodError::BadArgs(e.to_string()))?;
+                std::thread::sleep(Duration::from_millis(2));
+                self.oneways.lock().unwrap().push((seq, this_thread()));
             }
             PANIC => {
                 *self.panicked_on.lock().unwrap() = Some(this_thread());
                 panic!("the skeleton has a bug");
             }
             GATED => {
-                let mut open = self.gate_open.lock().unwrap();
-                while !*open {
-                    open = self.gate.wait(open).unwrap();
+                let open = self.gate_open.lock().unwrap();
+                let patience = Duration::from_secs(20);
+                let (open, _) = self.gate.wait_timeout_while(open, patience, |o| !*o).unwrap();
+                if !*open {
+                    return Err(MethodError::App("the gate never opened".into()));
                 }
             }
             SLOW => {
                 self.slow_started.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(50));
             }
+            OPEN => self.open_gate(),
             m => return Err(MethodError::NoSuchMethod(m)),
         }
         Ok(())
@@ -295,21 +303,47 @@ fn a_slow_call_that_ends_after_its_rescue_loses_no_queued_request() {
 }
 
 #[test]
-fn a_two_way_read_behind_queued_one_ways_is_not_inlined() {
+fn slow_one_ways_run_in_order_on_the_reader_before_a_later_two_way() {
     let _alone = alone();
     let served = Served::new(64);
     let gp = served.client();
-    assert!(!where_ran(&gp).on_pool);
-    // Ten one-ways of 5 ms each: the lane is busy for 50 ms after they are
-    // read, and the two-way right behind them must wait for it on the pool.
-    for _ in 0..10 {
-        gp.invoke_oneway(SLOW_ONEWAY, &XdrWriter::new()).expect("one-way send");
+    let reader = where_ran(&gp);
+    assert!(!reader.on_pool);
+    // Ten one-ways of 2 ms each, each too short to be rescued, and a two-way
+    // right behind them: the reader runs the one-ways, in arrival order, and
+    // then answers the two-way itself.
+    for seq in 0..10 {
+        let mut args = XdrWriter::new();
+        args.put_u32(seq);
+        gp.invoke_oneway(SLOW_ONEWAY, &args).expect("one-way send");
     }
     let ran = where_ran(&gp);
-    assert!(ran.on_pool, "a two-way behind busy one-ways ran on the reader");
-    assert_eq!(served.probe.oneways.load(Ordering::SeqCst), 10, "one-ways first");
-    // With the lane drained, the reader answers again.
-    assert!(!where_ran(&gp).on_pool);
+    let oneways = served.probe.oneways.lock().unwrap().clone();
+    let order: Vec<u32> = oneways.iter().map(|(seq, _)| *seq).collect();
+    assert_eq!(order, (0..10).collect::<Vec<_>>(), "every one-way first, in order");
+    assert!(oneways.iter().all(|(_, on)| *on == reader), "a one-way ran off the reader");
+    assert_eq!(ran, reader, "the two-way behind them ran off the reader");
+    served.assert_permits_drain();
+    served.shutdown();
+}
+
+#[test]
+fn a_one_way_waiting_on_a_later_two_way_is_released_by_one_rescue_within_1_s() {
+    let _alone = alone();
+    let served = Served::new(70);
+    let gp = served.client();
+    let rescues = ohpc_telemetry::counter!("runtime_rescues_total");
+    let before = rescues.get();
+    // The one-way parks on the reader until the two-way sent after it on
+    // the same connection opens the gate: only a rescue lets that two-way be
+    // read.
+    gp.invoke_oneway(GATED, &XdrWriter::new()).expect("one-way send");
+    let t0 = Instant::now();
+    gp.invoke(OPEN, &XdrWriter::new()).expect("the two-way behind the one-way");
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "the two-way took {took:?}");
+    assert_eq!(rescues.get(), before + 1, "exactly one rescue");
+    // The one-way's permit is released once it has finished.
     served.assert_permits_drain();
     served.shutdown();
 }
@@ -385,7 +419,8 @@ fn a_panicking_one_way_does_not_wedge_its_connection() {
     let served = Served::new(68);
     let gp = served.client();
     gp.invoke_oneway(PANIC, &XdrWriter::new()).expect("one-way send");
-    // Both two-ways barrier on the panicked one-way, and both are answered.
+    // The reader finishes the panicked one-way before it reads either
+    // two-way, and both are answered.
     for _ in 0..2 {
         where_ran(&gp);
     }
