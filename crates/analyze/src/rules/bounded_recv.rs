@@ -20,7 +20,6 @@
 //! `Receiver::recv` outside those sites is a finding too — a request path
 //! that waits on a channel without a deadline hangs the same way.
 
-use crate::graph::Workspace;
 use crate::rules::{token_rule, Diagnostic};
 use crate::source::SourceFile;
 
@@ -49,7 +48,7 @@ fn is_bare_recv(f: &SourceFile, i: usize) -> bool {
 }
 
 /// Entry point.
-pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
+pub fn run(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
     let message = |name: &str| {
         format!(
             "unbounded `.recv()` in fn {name} — a silent peer hangs this caller forever; \
@@ -57,7 +56,7 @@ pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
              and server connection readers may block)"
         )
     };
-    token_rule(files, ws, RULE, is_bare_recv, EXEMPT, message, diags);
+    token_rule(files, RULE, is_bare_recv, EXEMPT, message, diags);
 }
 
 #[cfg(test)]
@@ -66,9 +65,8 @@ mod tests {
 
     fn analyze_crate(crate_name: &str, src: &str) -> Vec<Diagnostic> {
         let files = vec![SourceFile::from_source("crates/x/src/lib.rs", crate_name, false, src)];
-        let ws = Workspace::build(&files);
         let mut diags = Vec::new();
-        run(&files, &ws, &mut diags);
+        run(&files, &mut diags);
         diags
     }
 

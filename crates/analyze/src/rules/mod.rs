@@ -1,16 +1,12 @@
 //! The rule engine: diagnostics and the driver that runs every rule over
-//! the lexed workspace.
+//! the lexed workspace. Every finding fails the run; a site that is safe is
+//! suppressed with `// ohpc-analyze: allow(<rule>) — <reason>`.
 
 pub mod bounded_recv;
-pub mod guard_blocking;
-pub mod lock_order;
-pub mod shared_state;
-pub mod telemetry_coverage;
 pub mod unbounded_spawn;
 pub mod wire_described;
 
-use crate::graph::Workspace;
-use crate::source::SourceFile;
+use crate::source::{fn_spans, SourceFile};
 
 /// One machine-readable finding. Every finding fails the run.
 #[derive(Debug, Clone)]
@@ -19,7 +15,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`lock-order`, `wire-described`, `annotation`, …).
+    /// Rule id (`wire-described`, `bounded-recv`, `annotation`, …).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -36,10 +32,6 @@ pub const RULE_ANNOTATION: &str = "annotation";
 
 /// All known rule ids, for `allow(...)` and `//~` marker validation.
 pub const ALL_RULES: &[&str] = &[
-    lock_order::RULE,
-    guard_blocking::RULE,
-    shared_state::RULE,
-    telemetry_coverage::RULE,
     wire_described::RULE,
     bounded_recv::RULE,
     unbounded_spawn::RULE,
@@ -49,16 +41,9 @@ pub const ALL_RULES: &[&str] = &[
 /// Run every rule; findings sorted by file, line and rule.
 pub fn run_all(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    // The interprocedural rules share one symbol table / call graph.
-    let ws = Workspace::build(files);
-    lock_order::run(files, &ws, &mut diags);
-    guard_blocking::run(files, &ws, &mut diags);
-    let facts = crate::dataflow::field_facts(files, &ws);
-    shared_state::run(files, &ws, &facts, &mut diags);
-    telemetry_coverage::run(files, &ws, &mut diags);
     wire_described::run(files, &mut diags);
-    bounded_recv::run(files, &ws, &mut diags);
-    unbounded_spawn::run(files, &ws, &mut diags);
+    bounded_recv::run(files, &mut diags);
+    unbounded_spawn::run(files, &mut diags);
     annotation_hygiene(files, &mut diags);
     diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     diags
@@ -112,26 +97,23 @@ const SERVING_CRATES: &[&str] = &["ohpc-orb", "ohpc-transport", "ohpc-nexus"];
 /// token rule knows; `message` is given its name.
 pub(crate) fn token_rule(
     files: &[SourceFile],
-    ws: &Workspace,
     rule: &'static str,
     hit: impl Fn(&SourceFile, usize) -> bool,
     exempt: &[(&str, &str)],
     message: impl Fn(&str) -> String,
     diags: &mut Vec<Diagnostic>,
 ) {
-    for (idx, f) in files.iter().enumerate() {
+    for f in files {
         if f.in_tests_dir || !SERVING_CRATES.contains(&f.crate_name.as_str()) {
             continue;
         }
+        let fns = fn_spans(f);
         for i in 0..f.tokens.len() {
             if !hit(f, i) || f.is_test_tok(i) || f.in_macro_def(i) {
                 continue;
             }
-            let within = ws
-                .fns
-                .iter()
-                .filter(|fi| fi.file == idx && fi.open < i && i < fi.close)
-                .max_by_key(|fi| fi.open);
+            let within =
+                fns.iter().filter(|fi| fi.open < i && i < fi.close).max_by_key(|fi| fi.open);
             let exempted = within.is_some_and(|fi| {
                 exempt.iter().any(|&(ty, name)| {
                     fi.name == name && (ty.is_empty() || fi.impl_type.as_deref() == Some(ty))

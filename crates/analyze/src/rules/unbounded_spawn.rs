@@ -16,7 +16,6 @@
 //! `ohpc-runtime` is out of scope: it is the sanctioned thread owner. A
 //! member `…pool.spawn(…)` is some object's own API, not a thread.
 
-use crate::graph::Workspace;
 use crate::rules::{token_rule, Diagnostic};
 use crate::source::SourceFile;
 
@@ -50,7 +49,7 @@ fn is_thread_spawn(f: &SourceFile, i: usize) -> bool {
 }
 
 /// Entry point.
-pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
+pub fn run(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
     let message = |name: &str| {
         format!(
             "thread spawn in fn {name} — per-request threads are unbounded under load; \
@@ -58,7 +57,7 @@ pub fn run(files: &[SourceFile], ws: &Workspace, diags: &mut Vec<Diagnostic>) {
              and `GpGroup::invoke_all` spawn threads here)"
         )
     };
-    token_rule(files, ws, RULE, is_thread_spawn, EXEMPT, message, diags);
+    token_rule(files, RULE, is_thread_spawn, EXEMPT, message, diags);
 }
 
 #[cfg(test)]
@@ -67,9 +66,8 @@ mod tests {
 
     fn analyze_crate(crate_name: &str, src: &str) -> Vec<Diagnostic> {
         let files = vec![SourceFile::from_source("crates/x/src/lib.rs", crate_name, false, src)];
-        let ws = Workspace::build(&files);
         let mut diags = Vec::new();
-        run(&files, &ws, &mut diags);
+        run(&files, &mut diags);
         diags
     }
 

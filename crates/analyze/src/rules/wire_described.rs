@@ -9,9 +9,8 @@
 //! trait anywhere but in `ohpc-xdr`, whose primitives and field forms are
 //! the vocabulary descriptions are written in.
 
-use crate::graph::parse_impl_header;
 use crate::rules::Diagnostic;
-use crate::source::SourceFile;
+use crate::source::{parse_impl_header, SourceFile};
 
 /// Rule id.
 pub const RULE: &str = "wire-described";

@@ -250,6 +250,103 @@ fn parse_annotations(comments: &[Comment]) -> (Vec<Allow>, Vec<BadAnnotation>) {
     (allows, bad)
 }
 
+/// Parses an `impl` header at token `i` (the `impl` ident): the index of the
+/// body's `{`, the self type and, for `impl Trait for Type`, the trait — each
+/// the last path ident before its generics (so `crate::` prefixes drop out).
+pub fn parse_impl_header(
+    f: &SourceFile,
+    i: usize,
+) -> Option<(usize, Option<String>, Option<String>)> {
+    let toks = &f.tokens;
+    let mut j = i + 1;
+    // Skip `<…>` generic params, counting angles but not `->`.
+    if toks.get(j).is_some_and(|t| t.is_punct('<')) {
+        let mut depth = 1i32;
+        j += 1;
+        while j < toks.len() && depth > 0 {
+            if toks[j].is_punct('<') {
+                depth += 1;
+            } else if toks[j].is_punct('>') && !toks[j - 1].is_punct('-') {
+                depth -= 1;
+            }
+            j += 1;
+        }
+    }
+    // Collect path idents until `for`, `where` or `{`; angle-depth 0 only.
+    let (mut first_ty, mut second_ty, mut saw_for, mut depth) = (None, None, false, 0i32);
+    while j < toks.len() {
+        let t = &toks[j];
+        if t.is_punct('{') && depth <= 0 {
+            let (self_ty, trait_ty) =
+                if saw_for { (second_ty, first_ty) } else { (first_ty, None) };
+            return Some((j, self_ty, trait_ty));
+        }
+        if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') && !toks[j - 1].is_punct('-') {
+            depth -= 1;
+        } else if depth <= 0 && t.is_ident("for") {
+            saw_for = true;
+        } else if depth <= 0
+            && t.kind == TokKind::Ident
+            && !matches!(
+                t.text.as_str(),
+                "dyn" | "mut" | "where" | "Send" | "Sync" | "Sized" | "Unpin" | "static"
+            )
+        {
+            let slot = if saw_for { &mut second_ty } else { &mut first_ty };
+            *slot = Some(t.text.clone());
+        }
+        if t.is_punct(';') {
+            return None;
+        }
+        j += 1;
+    }
+    None
+}
+
+/// A fn with a body: the self type of the `impl` it is in, its name, and the
+/// token indices of its body's braces.
+pub struct FnSpan {
+    pub impl_type: Option<String>,
+    pub name: String,
+    pub open: usize,
+    pub close: usize,
+}
+
+/// Every fn with a body in `f`, nested ones included.
+pub fn fn_spans(f: &SourceFile) -> Vec<FnSpan> {
+    let toks = &f.tokens;
+    // The first of `stops` at or after `from`, if it is `want`.
+    let next = |from: usize, want: char, stops: &[char]| {
+        let k = from + toks.get(from..)?.iter().position(|t| stops.iter().any(|&c| t.is_punct(c)))?;
+        toks[k].is_punct(want).then_some(k)
+    };
+    let mut impls: Vec<(usize, Option<String>)> = Vec::new(); // (body close, self type)
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        impls.retain(|&(close, _)| i < close);
+        if toks[i].is_ident("impl") {
+            if let Some((open, self_ty, _)) = parse_impl_header(f, i) {
+                impls.extend(f.close_of.get(&open).map(|&close| (close, self_ty)));
+            }
+            continue;
+        }
+        let is_fn = |n: &&Token| toks[i].is_ident("fn") && n.kind == TokKind::Ident;
+        let Some(name) = toks.get(i + 1).filter(is_fn) else { continue };
+        // The parameters, then the body: a `;` first means a declaration.
+        let body = next(i + 2, '(', &['(', '{', ';'])
+            .and_then(|params| f.close_of.get(&params))
+            .and_then(|&params_end| next(params_end + 1, '{', &['{', ';']));
+        let Some((open, &close)) = body.and_then(|open| Some((open, f.close_of.get(&open)?))) else {
+            continue;
+        };
+        let impl_type = impls.last().and_then(|(_, ty)| ty.clone());
+        out.push(FnSpan { impl_type, name: name.text.clone(), open, close });
+    }
+    out
+}
+
 /// Walk the workspace rooted at `root` and lex every first-party crate.
 /// `third_party/` (offline dependency stand-ins) and `target/` are skipped.
 pub fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
@@ -353,7 +450,7 @@ mod tests {
         assert!(f.allowed("bounded-recv", 1));
         assert!(f.allowed("bounded-recv", 2));
         assert!(!f.allowed("bounded-recv", 3));
-        assert!(!f.allowed("lock-order", 2));
+        assert!(!f.allowed("unbounded-spawn", 2));
     }
 
     #[test]

@@ -224,14 +224,15 @@ impl Startpoint {
     }
 
     /// Runs one whole exchange with the connection locked — across its
-    /// blocking send and receive, deliberately: the mutex is the framing
-    /// discipline. Frames must not interleave on the one wire, and with no
-    /// correlation id a concurrent caller would steal this one's reply.
+    /// blocking send and receive, deliberately, so the guard is lent to the
+    /// exchange: the mutex is the framing discipline. Frames must not
+    /// interleave on the one wire, and with no correlation id a concurrent
+    /// caller would steal this one's reply.
     fn locked<T>(
         &self,
         exchange: impl FnOnce(&mut dyn Connection) -> Result<T, TransportError>,
     ) -> Result<T, NexusError> {
-        Ok(exchange(self.conn.lock().as_mut())?)
+        Ok(parking_lot::block_under(&mut self.conn.lock(), |conn| exchange(conn.as_mut()))?)
     }
 }
 

@@ -830,10 +830,9 @@ impl SplitConn {
     /// Sends one frame, made of `frame`'s parts; `false` once the
     /// connection is gone.
     fn send(&self, frame: &[&[u8]]) -> bool {
-        // ohpc-analyze: allow(guard-across-blocking) — the writer mutex
-        // serializes the replies of the reader and the pool tasks; one frame
-        // per guard is the design.
-        self.writer.lock().send_parts(frame).is_ok()
+        // The writer mutex serializes the replies of the reader and the pool
+        // tasks: it is lent to exactly one send.
+        parking_lot::block_under(&mut self.writer.lock(), |tx| tx.send_parts(frame)).is_ok()
     }
 }
 

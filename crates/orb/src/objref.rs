@@ -150,11 +150,6 @@ impl ObjectReference {
 
     /// Protocol ids offered, in preference order.
     pub fn offered(&self) -> Vec<ProtocolId> {
-        // ohpc-analyze: allow(shared-state) — ObjectReference is a value type: the
-        // shared instance lives inside GlobalPointer.or, and every path here goes
-        // through that RwLock's guard (or a uniquely-owned clone); the analyzer's
-        // per-crate field matching cannot see instance identity or guards passed
-        // as `&self` through selection.rs.
         self.protocols.iter().map(|e| e.id).collect()
     }
 }

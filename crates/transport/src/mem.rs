@@ -111,6 +111,7 @@ impl PipeRx {
     /// The next frame, waiting for it until `deadline` (for ever with
     /// `None`). Frames queued before the sender hung up are still delivered.
     fn recv(&self, deadline: Option<Instant>) -> Result<Bytes, TransportError> {
+        parking_lot::assert_no_guard_held("mem recv");
         let mut st = self.0.state();
         loop {
             if st.shut {
@@ -155,6 +156,7 @@ fn send_on(
     tx: Option<&PipeTx>,
     parts: &[&[u8]],
 ) -> Result<(), TransportError> {
+    parking_lot::assert_no_guard_held("mem send");
     let len = frame_len(parts);
     let r = match tx {
         _ if len > MAX_FRAME => Err(TransportError::FrameTooLarge(len)),
@@ -309,6 +311,7 @@ impl MemFabric {
     }
 
     fn connect(&self, key: u64) -> Result<MemConnection, TransportError> {
+        parking_lot::assert_no_guard_held("mem dial");
         let pending_tx = {
             let st = self.state.lock();
             st.listeners
@@ -348,6 +351,7 @@ pub struct MemListener {
 
 impl Listener for MemListener {
     fn accept(&mut self) -> Result<Box<dyn Connection>, TransportError> {
+        parking_lot::assert_no_guard_held("mem accept");
         let conn = self.pending.recv().map_err(|_| TransportError::Closed)?;
         Ok(Box::new(conn))
     }
@@ -422,8 +426,15 @@ mod tests {
         let c = fabric.dial(&ep).unwrap();
         let mut server = listener.accept().unwrap();
         drop(c);
+        let errors = |op| {
+            let labels = [("fabric", "mem"), ("op", op)];
+            ohpc_telemetry::Registry::global().counter("transport_errors_total", &labels).get()
+        };
+        let (recv_errors, send_errors) = (errors("recv"), errors("send"));
         assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
         assert_eq!(server.send(b"x").unwrap_err(), TransportError::Closed);
+        // Other tests only add to the process-wide counters.
+        assert!(errors("recv") > recv_errors && errors("send") > send_errors);
     }
 
     #[test]

@@ -338,15 +338,12 @@ impl MuxChannel {
     /// stream unusable anyway. Only a frame refused for its size leaves the
     /// connection as it was.
     fn send_frame(&self, frame: &[&[u8]]) -> Result<(), TransportError> {
-        // ohpc-analyze: allow(guard-across-blocking) — the sender mutex
-        // exists precisely to serialize whole frames onto the shared wire;
-        // it guards nothing else and is held for exactly one send.
-        let mut guard = self.sender.lock();
-        let sent = match guard.as_mut() {
+        // The sender mutex serializes whole frames onto the shared wire and
+        // guards nothing else: it is lent to exactly one send.
+        let sent = parking_lot::block_under(&mut self.sender.lock(), |sender| match sender {
             None => Err(TransportError::Closed),
             Some(tx) => tx.send_parts(frame),
-        };
-        drop(guard);
+        });
         match &sent {
             Ok(()) | Err(TransportError::FrameTooLarge(_)) => {}
             Err(e) => self.fail(e.clone()),
@@ -377,6 +374,7 @@ impl MuxChannel {
                 return self.lead(id, rx, deadline);
             }
             drop(st);
+            parking_lot::assert_no_guard_held("mux park");
             match deadline {
                 None => std::thread::park(),
                 Some(d) => std::thread::park_timeout(d.saturating_duration_since(Instant::now())),

@@ -84,6 +84,7 @@ impl SimFabric {
         to_machine: u32,
         port: u32,
     ) -> Result<SimConnection, TransportError> {
+        parking_lot::assert_no_guard_held("sim dial");
         // Connection setup costs one small-message RTT equivalent — and is
         // the first place an injected partition or crash surfaces: the
         // handshake times out instead of completing ("timed out" marks the
@@ -149,6 +150,7 @@ impl Wire {
     /// observes a frame the simulated wire dropped. A frame over
     /// [`MAX_FRAME`] goes uncharged: the pipe refuses it.
     fn charge(&self, len: usize) -> Result<(), TransportError> {
+        parking_lot::assert_no_guard_held("sim send");
         if len > MAX_FRAME {
             return Ok(());
         }
@@ -220,6 +222,7 @@ pub struct SimListener {
 
 impl Listener for SimListener {
     fn accept(&mut self) -> Result<Box<dyn Connection>, TransportError> {
+        parking_lot::assert_no_guard_held("sim accept");
         let conn = self.pending.recv().map_err(|_| TransportError::Closed)?;
         Ok(Box::new(conn))
     }

@@ -23,6 +23,7 @@ const INLINE_PARTS: usize = 7;
 /// every frame, and a body is never copied to join its header. A frame over
 /// [`MAX_FRAME`] is refused before a byte of it is written.
 fn write_frame(stream: &mut impl Write, parts: &[&[u8]]) -> Result<(), TransportError> {
+    parking_lot::assert_no_guard_held("tcp send");
     let len = frame_len(parts);
     if len > MAX_FRAME {
         return Err(TransportError::FrameTooLarge(len));
@@ -124,6 +125,7 @@ impl FrameReader {
     /// and reads the rest straight into a buffer of exactly the announced
     /// size that is never zero-filled first and that `Bytes` then adopts.
     fn read_frame(&mut self, src: &mut impl Read) -> Result<Bytes, TransportError> {
+        parking_lot::assert_no_guard_held("tcp recv");
         let (len, mut frame) = match self.body.take() {
             Some(partial) => partial,
             None => {
@@ -281,6 +283,7 @@ impl Dialer for TcpDialer {
     fn dial(&self, endpoint: &Endpoint) -> Result<Box<dyn Connection>, TransportError> {
         match endpoint {
             Endpoint::Tcp(addr) => {
+                parking_lot::assert_no_guard_held("tcp dial");
                 let stream = TcpStream::connect(addr.as_str())?;
                 Ok(Box::new(TcpConnection::new(stream)?))
             }
@@ -314,6 +317,7 @@ impl TcpAcceptor {
 
 impl Listener for TcpAcceptor {
     fn accept(&mut self) -> Result<Box<dyn Connection>, TransportError> {
+        parking_lot::assert_no_guard_held("tcp accept");
         loop {
             if self.stopped.load(Ordering::Acquire) {
                 return Err(TransportError::Closed);
