@@ -343,9 +343,9 @@ impl Context {
             writer: Mutex::new(tx),
             workers: self.executor(),
             framing,
-            rescue: Rescue::new(|(conn, rx): Parked| conn.read(rx)),
+            rescue: Rescue::new(|(conn, rx, held): Parked| conn.read(rx, held)),
         });
-        conn.read(rx);
+        conn.read(rx, XdrWriter::new());
     }
 
     // ------------------------------------------------------------ admission
@@ -727,22 +727,36 @@ fn with_unsent_reply<R>(mut dispatch: impl FnMut(&mut XdrWriter) -> R) -> R {
 ///
 /// The reader decodes frames in arrival order and runs admission. It runs
 /// every admitted one-way itself, before it reads the next frame. A two-way
-/// is answered by [`answer`](Self::answer), on one of two threads:
+/// is answered on one of two threads:
 ///
-/// * **the reader itself** ([`inline_is_safe`](Self::inline_is_safe)), when
-///   the request is the context's only admitted one, no further frame has
-///   already arrived, and the connection has never been rescued. That saves
-///   the hand-off to a pool worker, which is most of an uncontended small
-///   call;
+/// * **the reader itself**, while the connection has never been rescued and
+///   the request is the context's only admitted one, when either no further
+///   frame has already arrived, or one has, the reader holds no reply, and
+///   the last two-way it ran took at most [`SHORT_CALL`]. That saves the
+///   hand-off to a pool worker, which is most of a small call;
 /// * **a pool worker** otherwise: the context's executor is the overflow
-///   path, so the worker cap and shedding hold under load.
+///   path, so the worker cap and shedding hold under a burst, and a call
+///   that waits behind a long one runs beside it.
 ///
-/// While it runs a request, the reader parks its receive half in the
-/// connection's [`Rescue`] slot: should the request block — on a later
-/// request of this very connection, say — the runtime's watcher hands the
-/// half to a fresh reader, and the connection's two-ways are answered from
-/// the pool for good. That fresh reader still runs one-ways itself, but
-/// nothing rescues it again.
+/// **Held replies.** A small reply (no body large enough to be gathered) to
+/// a call the reader ran with a frame waiting behind it is not sent at once:
+/// the reader holds it, in a writer it owns and reuses, so that it leaves in
+/// one write with the next reply through
+/// [`send_frames`](ohpc_transport::SendHalf::send_frames). Two callers
+/// whose requests arrive together are so answered with one write. A
+/// rejection also leaves behind a held reply, in the same write; otherwise
+/// only the next two-way the reader runs itself joins it. The reader sends
+/// a held reply on its own before it waits for a frame that has not started
+/// to arrive, before a one-way and before a pool hand-off. A held reply may
+/// thus wait for one call that arrived with it, which [`SHORT_CALL`] makes
+/// likely to be short: that is the price.
+///
+/// While it runs a request, the reader parks its receive half and any held
+/// reply in the connection's [`Rescue`] slot: should the request block — on
+/// a later request of this very connection, say — the runtime's watcher
+/// hands both to a fresh reader, which sends the held reply first, and the
+/// connection's two-ways are answered from the pool for good. That fresh
+/// reader still runs one-ways itself, but nothing rescues it again.
 ///
 /// Ordering guarantee: a request read after a one-way starts after that
 /// one-way has finished — in particular a later two-way is answered after
@@ -761,64 +775,100 @@ struct SplitConn {
 }
 
 /// What a reader parks in its connection's [`Rescue`] slot while it runs a
-/// call: the receive half, and a strong reference that keeps the connection
-/// alive until a rescued half's fresh reader owns it. The reference is taken
-/// back with the half, so no cycle outlives the call.
-type Parked = (Arc<SplitConn>, Box<dyn ohpc_transport::RecvHalf>);
+/// call: the receive half, the writer holding its held reply (empty if
+/// none), and a strong reference that keeps the connection alive until a
+/// rescued half's fresh reader owns it. The reference is taken back with
+/// the half, so no cycle outlives the call.
+type Parked = (Arc<SplitConn>, Box<dyn ohpc_transport::RecvHalf>, XdrWriter);
+
+/// The longest the last two-way the reader ran may have taken for the
+/// reader to run the next one too when a frame waits behind it. A longer
+/// call predicts another: the frame behind it would wait out that call
+/// unread, where the pool runs the two beside each other.
+const SHORT_CALL: Duration = Duration::from_micros(50);
 
 impl SplitConn {
     /// The read loop: on the thread that accepted the connection, and on the
-    /// fresh one a rescue starts.
-    fn read(self: &Arc<Self>, mut rx: Box<dyn ohpc_transport::RecvHalf>) {
-        while let Ok(frame) = rx.recv() {
+    /// fresh one a rescue starts, which first sends the reply `held` holds.
+    fn read(self: &Arc<Self>, mut rx: Box<dyn ohpc_transport::RecvHalf>, mut held: XdrWriter) {
+        if !self.flush(&mut held) {
+            return;
+        }
+        // No two-way has run yet, so none long.
+        let mut short = true;
+        while rx.ready() || self.flush(&mut held) {
+            let Ok(frame) = rx.recv() else { break };
             if self.ctx.inner.stopping.load(Ordering::Acquire) {
-                return; // drop the connection: this context is gone
+                break; // drop the connection: this context is gone
             }
             let (req, permit) = match self.ctx.intake(frame, self.framing) {
-                Err(_) => return, // not this listener's framing: hang up
+                Err(_) => break, // not this listener's framing: hang up
                 Ok(Intake::Admitted(req, permit)) => (req, permit),
                 Ok(Intake::Dropped) => continue,
                 // Rejections go out straight from the reader thread:
                 // gracefully degrading means they stay fast when the pool is
                 // the thing that is saturated.
-                Ok(Intake::Reply(reply)) if self.send(&[&reply]) => continue,
+                Ok(Intake::Reply(reply)) if self.send_behind(&mut held, &[&reply]) => continue,
                 Ok(Intake::Reply(_)) => return,
             };
             let oneway = req.oneway;
-            if oneway && self.rescue.rescued() {
+            let rescued = self.rescue.rescued();
+            let behind = rx.ready();
+            if oneway && rescued {
                 // A connection is rescued at most once: its fresh reader
                 // runs one-ways unwatched.
                 self.answer(req, permit);
-            } else if oneway || self.inline_is_safe(rx.as_ref()) {
-                let ((), back) = self.rescue.run((self.clone(), rx), || self.answer(req, permit));
-                // None: rescued mid-call; the fresh reader owns the connection.
-                let Some((_, back)) = back else { return };
-                rx = back;
-            } else {
+                yield_to_a_burst(rx.as_ref());
+                continue;
+            }
+            let inline = oneway
+                || (!rescued
+                    && self.ctx.inner.admission.in_flight() <= 1
+                    && (!behind || (held.is_empty() && short)));
+            // Only a two-way the reader runs itself joins a held reply.
+            if (oneway || !inline) && !self.flush(&mut held) {
+                return;
+            }
+            if !inline {
                 // The permit rides inside the task so queue time counts
                 // against the admission bound.
                 let conn = self.clone();
                 self.workers.execute(Box::new(move || conn.answer(req, permit)));
+                continue;
             }
-            if oneway && !rx.ready() {
-                // A sender that shares this thread's CPU is likely mid-burst:
-                // blocking now would let each of its frames wake this reader
-                // and preempt it. Yielding once lets it send on, so the
-                // reader finds the burst waiting.
-                std::thread::yield_now();
+            // A one-way makes no reply wait, so only a two-way is timed.
+            let started = (!oneway).then(Instant::now);
+            let (reply, back) = self
+                .rescue
+                .run((self.clone(), rx, held), || self.ctx.dispatch_admitted(req, permit));
+            if let Some(started) = started {
+                short = started.elapsed() <= SHORT_CALL;
+            }
+            let Some((_, back_rx, back_held)) = back else {
+                // Rescued mid-call: the fresh reader owns the connection,
+                // and has sent the held reply.
+                if !oneway {
+                    reply.with_parts_as(self.framing, |frame| self.send(frame));
+                }
+                return;
+            };
+            (rx, held) = (back_rx, back_held);
+            if oneway {
+                yield_to_a_burst(rx.as_ref());
+            } else if behind && reply.encoded_len() < ohpc_xdr::GATHER_MIN {
+                // `held` is empty: a frame behind let this call run inline
+                // only then.
+                reply.put_frame_as(self.framing, &mut held);
+            } else if !reply.with_parts_as(self.framing, |frame| self.send_behind(&mut held, frame))
+            {
+                return;
             }
         }
-    }
-
-    /// Whether the two-way just read may run on the reader thread. Without
-    /// the `ready` check a burst would be served one frame at a time on the
-    /// reader and never reach the admission bound.
-    fn inline_is_safe(&self, rx: &dyn ohpc_transport::RecvHalf) -> bool {
-        !self.rescue.rescued() && self.ctx.inner.admission.in_flight() <= 1 && !rx.ready()
+        self.flush(&mut held);
     }
 
     /// Dispatches an admitted request and, for a two-way, sends its reply,
-    /// in parts: the same on the reader thread and on a pool worker.
+    /// in parts: a pool task's work, and a rescued reader's one-ways.
     fn answer(&self, req: RequestMessage, permit: Permit) {
         let oneway = req.oneway;
         let reply = self.ctx.dispatch_admitted(req, permit);
@@ -833,6 +883,39 @@ impl SplitConn {
         // The writer mutex serializes the replies of the reader and the pool
         // tasks: it is lent to exactly one send.
         parking_lot::block_under(&mut self.writer.lock(), |tx| tx.send_parts(frame)).is_ok()
+    }
+
+    /// Sends `frame` in one write behind the reply `held` holds, if any,
+    /// which leaves `held` empty; `false` once the connection is gone.
+    fn send_behind(&self, held: &mut XdrWriter, frame: &[&[u8]]) -> bool {
+        if held.is_empty() {
+            return self.send(frame);
+        }
+        let frames: [&[&[u8]]; 2] = [&[held.peek()], frame];
+        let sent = parking_lot::block_under(&mut self.writer.lock(), |tx| tx.send_frames(&frames));
+        held.clear();
+        sent.is_ok()
+    }
+
+    /// Sends the reply `held` holds, if any, which leaves `held` empty;
+    /// `false` once the connection is gone.
+    fn flush(&self, held: &mut XdrWriter) -> bool {
+        if held.is_empty() {
+            return true;
+        }
+        let sent = self.send(&[held.peek()]);
+        held.clear();
+        sent
+    }
+}
+
+/// What a reader does after a one-way: yields once if no frame waits. A
+/// sender that shares this thread's CPU is likely mid-burst: blocking now
+/// would let each of its frames wake this reader and preempt it. Yielding
+/// once lets it send on, so the reader finds the burst waiting.
+fn yield_to_a_burst(rx: &dyn ohpc_transport::RecvHalf) {
+    if !rx.ready() {
+        std::thread::yield_now();
     }
 }
 

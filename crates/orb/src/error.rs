@@ -48,9 +48,9 @@ pub enum OrbError {
     Protocol(String),
     /// Server-side glue chain referenced by the request is unknown.
     UnknownGlue(u64),
-    /// The server shed the request at admission (in-flight bound hit or
-    /// dispatch breaker open). The request was never executed, so a retry
-    /// is always safe; the backoff gives the server room to drain.
+    /// The server shed the request at admission: its in-flight bound was
+    /// hit. The request was never executed, so a retry is always safe; the
+    /// backoff gives the server room to drain.
     Overloaded(String),
     /// The server shed the request because its deadline stamp had already
     /// expired on arrival. Permanent: by the time this reply lands, the

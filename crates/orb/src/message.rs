@@ -78,11 +78,17 @@ impl Framing {
 fn encode_frame<T: XdrEncode>(msg: &T, framing: Framing, rsr_tag: u32) -> Bytes {
     let header = if framing == Framing::Rsr { HEADER_LEN } else { 0 };
     let mut w = XdrWriter::with_capacity(header + msg.encoded_len());
-    if framing == Framing::Rsr {
-        ohpc_nexus::put_header(&mut w, rsr_tag, NEXUS_ORB_HANDLER);
-    }
-    msg.encode(&mut w);
+    put_frame(msg, framing, rsr_tag, &mut w);
     w.finish()
+}
+
+/// Appends `msg`'s frame to `w`: behind the RSR header, with `rsr_tag`,
+/// under that framing.
+fn put_frame<T: XdrEncode>(msg: &T, framing: Framing, rsr_tag: u32, w: &mut XdrWriter) {
+    if framing == Framing::Rsr {
+        ohpc_nexus::put_header(w, rsr_tag, NEXUS_ORB_HANDLER);
+    }
+    msg.encode(w);
 }
 
 thread_local! {
@@ -110,10 +116,7 @@ fn with_frame_parts<T: XdrEncode, R>(
     mut send: impl FnMut(&[&[u8]]) -> R,
 ) -> R {
     let mut encode_and_send = |w: &mut XdrWriter| {
-        if framing == Framing::Rsr {
-            ohpc_nexus::put_header(w, rsr_tag, NEXUS_ORB_HANDLER);
-        }
-        msg.encode(w);
+        put_frame(msg, framing, rsr_tag, w);
         send(&w.parts())
     };
     let lent = OUTBOUND.try_with(|scratch| {
@@ -338,8 +341,8 @@ xdr_union! {
         /// Server could not find the glue chain named by the request.
         6 => UnknownGlue(u64),
         /// Admission control shed the request: the server's in-flight bound was
-        /// hit (or its dispatch breaker is open). The request was **not**
-        /// executed, so clients classify this retryable-with-backoff.
+        /// hit. The request was **not** executed, so clients classify this
+        /// retryable-with-backoff.
         7 => Overloaded(String),
         /// The request's deadline stamp had already expired when it reached the
         /// dispatch boundary; the server shed it unexecuted. Non-retryable —
@@ -424,6 +427,13 @@ impl ReplyMessage {
     /// does.
     pub fn with_parts_as<R>(&self, framing: Framing, send: impl FnMut(&[&[u8]]) -> R) -> R {
         with_frame_parts(self, framing, TAG_REPLY_OK, send)
+    }
+
+    /// Appends [`to_frame_as`](Self::to_frame_as)'s frame to `w`, for a
+    /// caller that keeps it to send later: the body is copied in, unless
+    /// `w` gathers.
+    pub(crate) fn put_frame_as(&self, framing: Framing, w: &mut XdrWriter) {
+        put_frame(self, framing, TAG_REPLY_OK, w)
     }
 
     /// Decodes from a transport frame; the body is a view of `frame`, as in
@@ -775,6 +785,20 @@ mod tests {
         let reply = ReplyMessage::ok(RequestId(1), req.body.clone());
         let sent = reply.with_parts_as(Framing::Rsr, |parts| parts.concat());
         assert_eq!(sent, reply.to_frame_as(Framing::Rsr));
+    }
+
+    /// A reply kept to send later is the frame `to_frame_as` encodes,
+    /// appended behind whatever the writer held.
+    #[test]
+    fn a_reply_put_into_a_writer_is_its_frame() {
+        let reply = ReplyMessage::ok(RequestId(4), Bytes::from_static(b"four"));
+        for framing in [Framing::Bare, Framing::Rsr] {
+            let mut w = XdrWriter::new();
+            w.put_u32(9);
+            reply.put_frame_as(framing, &mut w);
+            let frame = reply.to_frame_as(framing);
+            assert_eq!(w.peek().get(4..), Some(&frame[..]));
+        }
     }
 
     #[test]

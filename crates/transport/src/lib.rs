@@ -117,18 +117,35 @@ pub(crate) mod telem {
             r: Result<(), TransportError>,
         ) -> Result<(), TransportError> {
             match &r {
-                Ok(()) => {
-                    let traffic = self.traffic();
-                    traffic.send_bytes.add(n as u64);
-                    traffic.send_frames.inc();
-                    ohpc_telemetry::trace_event(
-                        "transport_send",
-                        &[("fabric", self.name.into()), ("bytes", n.into())],
-                    );
-                }
+                Ok(()) => self.sent(n),
                 Err(e) => self.fail("send", "transport_send_error", e),
             }
             r
+        }
+
+        /// [`track_send`](Self::track_send) for a batch sent in one go:
+        /// counted, and traced, as the frames it carries.
+        pub(crate) fn track_sends(
+            &self,
+            frames: &[&[&[u8]]],
+            r: Result<(), TransportError>,
+        ) -> Result<(), TransportError> {
+            match &r {
+                Ok(()) => frames.iter().for_each(|parts| self.sent(super::frame_len(parts))),
+                Err(e) => self.fail("send", "transport_send_error", e),
+            }
+            r
+        }
+
+        /// One frame of `n` bytes sent.
+        fn sent(&self, n: usize) {
+            let traffic = self.traffic();
+            traffic.send_bytes.add(n as u64);
+            traffic.send_frames.inc();
+            ohpc_telemetry::trace_event(
+                "transport_send",
+                &[("fabric", self.name.into()), ("bytes", n.into())],
+            );
         }
 
         /// Record the outcome of a recv and pass the result through.
@@ -317,6 +334,16 @@ pub trait SendHalf: Send {
     /// calls [`send`](Self::send).
     fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
         self.send(&parts.concat())
+    }
+
+    /// Sends `frames`, each made of parts as for
+    /// [`send_parts`](Self::send_parts), in order: the receiver sees them as
+    /// that many frames. The default sends them one
+    /// [`send_parts`](Self::send_parts) at a time and stops at the first
+    /// that fails; the TCP half writes them all in one vectored write, after
+    /// checking each against [`MAX_FRAME`]. Telemetry counts every frame.
+    fn send_frames(&mut self, frames: &[&[&[u8]]]) -> Result<(), TransportError> {
+        frames.iter().try_for_each(|parts| self.send_parts(parts))
     }
 
     /// Tears the connection down so the peer (and the paired
@@ -530,6 +557,27 @@ mod tests {
         half.send_parts(&[&b"head"[..], &[], b"body", b"tail"]).unwrap();
         half.send_parts(&[]).unwrap();
         assert_eq!(half.0, [b"headbodytail".to_vec(), Vec::new()]);
+    }
+
+    /// A half that overrides neither sends a batch of frames exactly as
+    /// consecutive `send_parts` would: one joined frame per entry, in order.
+    #[test]
+    fn send_frames_defaults_to_consecutive_send_parts() {
+        struct Recording(Vec<Vec<u8>>);
+        impl SendHalf for Recording {
+            fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+                self.0.push(frame.to_vec());
+                Ok(())
+            }
+            fn close(&mut self) {}
+        }
+        let frames: [&[&[u8]]; 3] = [&[b"one", b"-a"], &[], &[&b"two"[..], &[], b"-b"]];
+        let mut batched = Recording(Vec::new());
+        batched.send_frames(&frames).unwrap();
+        let mut one_by_one = Recording(Vec::new());
+        frames.iter().for_each(|parts| one_by_one.send_parts(parts).unwrap());
+        assert_eq!(batched.0, one_by_one.0);
+        assert_eq!(batched.0, [b"one-a".to_vec(), Vec::new(), b"two-b".to_vec()]);
     }
 
 }

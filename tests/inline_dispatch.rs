@@ -1,7 +1,7 @@
 //! Inline dispatch end to end: a split connection's reader runs its
 //! one-ways itself, in order; when it answers a two-way itself, when it
-//! leaves it to the pool, how the rescue frees a reader whose call blocks,
-//! and what a panicking handler costs its caller.
+//! leaves it to the pool, how the rescue frees a reader whose call blocks
+//! (and the reply it holds), and what a panicking handler costs its caller.
 //!
 //! The context runs on a pool of its own, whose threads are named
 //! `ohpc-inline-test-N`, so every reply can say which kind of thread ran it:
@@ -11,14 +11,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use ohpc_orb::context::OrRow;
 use ohpc_orb::{
     rescuer_scans, ApplicabilityRule, CapabilityRegistry, Context, ContextId, Executor,
-    GlobalPointer, Location, MethodError, ObjectReference, OrbError, ProtoPool, ProtocolId,
-    RemoteObject, TransportProto, WorkerPool,
+    GlobalPointer, Location, MethodError, ObjectId, ObjectReference, OrbError, ProtoPool,
+    ProtocolId, RemoteObject, ReplyMessage, ReplyStatus, RequestId, RequestMessage,
+    TransportProto, WorkerPool,
 };
 use ohpc_resilience::RetryPolicy;
 use ohpc_transport::mem::MemFabric;
+use ohpc_transport::tcp::{TcpAcceptor, TcpDialer};
+use ohpc_transport::{Dialer, Listener, RecvHalf, SendHalf};
 use ohpc_xdr::{XdrReader, XdrWriter};
 
 /// Replies with the thread that ran it.
@@ -35,6 +39,9 @@ const GATED: u32 = 5;
 const SLOW: u32 = 6;
 /// Opens the gate.
 const OPEN: u32 = 7;
+/// Sleeps a millisecond: far longer than a short call, far shorter than it
+/// takes to be rescued.
+const PAUSE: u32 = 8;
 
 const POOL: &str = "inline-test";
 
@@ -126,6 +133,7 @@ impl RemoteObject for Probe {
                 std::thread::sleep(Duration::from_millis(50));
             }
             OPEN => self.open_gate(),
+            PAUSE => std::thread::sleep(Duration::from_millis(1)),
             m => return Err(MethodError::NoSuchMethod(m)),
         }
         Ok(())
@@ -143,6 +151,7 @@ struct Served {
     ctx: Context,
     pool: Arc<WorkerPool>,
     probe: Arc<Probe>,
+    id: ObjectId,
     or: ObjectReference,
 }
 
@@ -160,7 +169,17 @@ impl Served {
         let id = ctx.register(probe.clone());
         ctx.serve(Box::new(fabric.listen()), ProtocolId::SHM);
         let or = ctx.make_or(id, &[OrRow::Plain(ProtocolId::SHM)]).unwrap();
-        Self { fabric, ctx, pool, probe, or }
+        Self { fabric, ctx, pool, probe, id, or }
+    }
+
+    /// A bare client on a TCP connection of its own to this context.
+    fn tcp_peer(&self) -> Peer {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let endpoint = acceptor.endpoint();
+        self.ctx.serve(Box::new(acceptor), ProtocolId::TCP);
+        let mut conn = TcpDialer.dial(&endpoint).unwrap();
+        let (tx, rx) = conn.try_split().expect("tcp splits");
+        Peer { tx, rx, object: self.id, sent: 0 }
     }
 
     /// A GP with a connection of its own, no retries and a 2 s deadline.
@@ -193,6 +212,66 @@ impl Served {
         self.ctx.shutdown();
         self.pool.shutdown();
     }
+}
+
+/// A client that writes requests frame by frame: a batch of them leaves in
+/// one write, so they reach the server's reader together.
+struct Peer {
+    tx: Box<dyn SendHalf>,
+    rx: Box<dyn RecvHalf>,
+    object: ObjectId,
+    sent: u64,
+}
+
+impl Peer {
+    /// Sends one two-way per method, all in one write; returns their ids.
+    fn send(&mut self, methods: &[u32]) -> Vec<RequestId> {
+        let requests: Vec<RequestMessage> = methods
+            .iter()
+            .map(|&method| {
+                self.sent += 1;
+                RequestMessage {
+                    request_id: RequestId(self.sent),
+                    object: self.object,
+                    method,
+                    oneway: false,
+                    glue: None,
+                    body: Bytes::new(),
+                    trace: None,
+                }
+            })
+            .collect();
+        let frames: Vec<Bytes> = requests.iter().map(RequestMessage::to_frame).collect();
+        let parts: Vec<[&[u8]; 1]> = frames.iter().map(|frame| [&frame[..]]).collect();
+        let batch: Vec<&[&[u8]]> = parts.iter().map(|part| &part[..]).collect();
+        self.tx.send_frames(&batch).expect("the batch is sent");
+        requests.iter().map(|req| req.request_id).collect()
+    }
+
+    /// The next reply to arrive, waiting at most five seconds.
+    fn reply(&mut self) -> ReplyMessage {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let frame = self.rx.recv_deadline(Some(deadline)).expect("a reply within 5 s");
+        ReplyMessage::from_frame(&frame).unwrap()
+    }
+
+    /// Where each `WHERE` of `sent` ran, in that order, whatever order its
+    /// replies arrive in.
+    fn where_each_ran(&mut self, sent: &[RequestId]) -> Vec<Ran> {
+        let mut ran = vec![None; sent.len()];
+        for _ in sent {
+            let reply = self.reply();
+            let at = sent.iter().position(|id| *id == reply.request_id).expect("one of ours");
+            ran[at] = Some(ran_from(&reply));
+        }
+        ran.into_iter().map(Option::unwrap).collect()
+    }
+}
+
+fn ran_from(reply: &ReplyMessage) -> Ran {
+    assert!(matches!(reply.status, ReplyStatus::Ok), "{:?}", reply.status);
+    let mut r = XdrReader::new(&reply.body);
+    Ran { thread: r.get_u64().unwrap(), on_pool: r.get_bool().unwrap() }
 }
 
 fn where_ran(gp: &GlobalPointer) -> Ran {
@@ -425,6 +504,65 @@ fn a_panicking_one_way_does_not_wedge_its_connection() {
         where_ran(&gp);
     }
     assert!(served.probe.panicked_on.lock().unwrap().is_some());
+    served.assert_permits_drain();
+    served.shutdown();
+}
+
+#[test]
+fn two_calls_that_arrive_together_both_run_on_the_reader() {
+    let _alone = alone();
+    let served = Served::new(71);
+    // A fresh connection each round: its reader has run nothing long yet.
+    for _ in 0..3 {
+        let mut peer = served.tcp_peer();
+        let sent = peer.send(&[WHERE, WHERE]);
+        let ran = peer.where_each_ran(&sent);
+        assert!(ran.iter().all(|ran| !ran.on_pool), "a call went to the pool: {ran:?}");
+        assert_eq!(ran[0], ran[1], "both ran on the one reader thread");
+    }
+    served.assert_permits_drain();
+    served.shutdown();
+}
+
+#[test]
+fn a_held_reply_leaves_by_the_rescue_when_the_call_behind_it_blocks() {
+    let _alone = alone();
+    let served = Served::new(72);
+    let mut peer = served.tcp_peer();
+    let rescues = ohpc_telemetry::counter!("runtime_rescues_total");
+    let before = rescues.get();
+    // The reader holds `WHERE`'s reply to send with the next one, then runs
+    // `GATED`, which parks until the gate opens.
+    let t0 = Instant::now();
+    let sent = peer.send(&[WHERE, GATED]);
+    let first = peer.reply();
+    let took = t0.elapsed();
+    assert_eq!(first.request_id, sent[0], "the gated call answered first");
+    assert!(!ran_from(&first).on_pool, "WHERE went to the pool");
+    assert!(took < Duration::from_millis(100), "the held reply took {took:?}");
+    assert_eq!(rescues.get(), before + 1, "exactly one rescue");
+    served.probe.open_gate();
+    let second = peer.reply();
+    assert_eq!(second.request_id, sent[1]);
+    assert!(matches!(second.status, ReplyStatus::Ok), "{:?}", second.status);
+    served.assert_permits_drain();
+    served.shutdown();
+}
+
+#[test]
+fn after_a_long_call_a_two_way_with_a_frame_behind_it_goes_to_the_pool() {
+    let _alone = alone();
+    let served = Served::new(73);
+    let mut peer = served.tcp_peer();
+    // Alone on the connection, the pause runs on the reader.
+    let paused = peer.send(&[PAUSE]);
+    assert_eq!(peer.reply().request_id, paused[0]);
+    // The call that arrives with another behind it after so long a call
+    // leaves the reader free to read that other: two long calls would run
+    // one after the other on the reader, and run side by side on the pool.
+    let sent = peer.send(&[WHERE, WHERE]);
+    let ran = peer.where_each_ran(&sent);
+    assert!(ran[0].on_pool, "the call with a frame behind it ran on the reader");
     served.assert_permits_drain();
     served.shutdown();
 }
