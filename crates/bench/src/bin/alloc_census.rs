@@ -36,15 +36,21 @@ thread_local! {
     static BUSY: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The innermost frames under `crates/` or `third_party/`, as `file:line`.
+/// The innermost frames under `crates/` or `third_party/`, as `file:line`,
+/// the census's own left out — unless they are all there is: an allocation
+/// the census's own loop makes is filed under its innermost line.
 fn site_of(backtrace: &str) -> String {
-    let frames = backtrace.lines().filter_map(|l| {
-        let at = l.trim_start().strip_prefix("at ")?;
+    let frames = backtrace.lines().filter_map(|l| l.trim_start().strip_prefix("at "));
+    // The innermost frames are the allocator hook's.
+    let callers = frames.skip_while(|at| at.contains("alloc_census")).filter_map(|at| {
         let from = at.find("crates/").or_else(|| at.find("third_party/"))?;
-        let (file_line, _col) = at.get(from..)?.rsplit_once(':')?;
-        (!file_line.contains("alloc_census")).then_some(file_line)
+        Some(at.get(from..)?.rsplit_once(':')?.0)
     });
-    frames.take(FRAMES_PER_SITE).collect::<Vec<_>>().join(" < ")
+    let (own, others): (Vec<_>, Vec<_>) = callers.partition(|f| f.contains("alloc_census"));
+    match own.first() {
+        Some(line) if others.is_empty() => line.to_string(),
+        _ => others.into_iter().take(FRAMES_PER_SITE).collect::<Vec<_>>().join(" < "),
+    }
 }
 
 fn note(bytes: usize) {

@@ -6,7 +6,6 @@
 //! References. A `Context` value is a cheap clone of shared state, so server
 //! threads, experiment drivers, and the migration manager can all hold one.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -560,20 +559,20 @@ impl Context {
         self.inner.requests_served.fetch_add(1, Ordering::Relaxed);
         ohpc_telemetry::counter!("orb_requests_total").inc();
 
-        let mut args = XdrReader::new(&body);
-        let dispatched = if req.oneway {
-            with_unsent_reply(|out| object.dispatch(req.method, &mut args, out)).map(|()| None)
-        } else {
-            let mut out = XdrWriter::new();
-            object.dispatch(req.method, &mut args, &mut out).map(|()| Some(out.finish()))
-        };
+        // The reply is encoded into the thread's spare buffer; whoever sends
+        // the reply gives the body back (`SplitConn`).
+        let mut out = XdrWriter::reused();
+        let dispatched = object.dispatch(req.method, &mut XdrReader::new(&body), &mut out);
         let reply_body = match dispatched {
-            // Nobody hears a one-way's outcome: no reply body is kept and no
-            // reply glue runs for it, so the chain applies and removes glue
-            // once per message that travels — no log entry, nonce or cipher
-            // pass for a reply that is never sent.
-            Ok(None) => return ReplyMessage::ok(rid, Bytes::new()),
-            Ok(Some(body)) => body,
+            Ok(()) if !req.oneway => out.finish(),
+            // Nobody hears a one-way's outcome: its reply goes back unsent
+            // and no reply glue runs for it, so the chain applies and removes
+            // glue once per message that travels — no log entry, nonce or
+            // cipher pass for a reply that is never sent.
+            Ok(()) => {
+                out.discard();
+                return ReplyMessage::ok(rid, Bytes::new());
+            }
             Err(MethodError::NoSuchMethod(m)) => {
                 return ReplyMessage::status(rid, ReplyStatus::NoSuchMethod(m));
             }
@@ -687,38 +686,6 @@ impl Context {
             location: self.location(),
             protocols,
         })
-    }
-}
-
-thread_local! {
-    /// Where a one-way's skeleton encodes the reply nobody hears, so that
-    /// reply costs no allocation. Lent for one dispatch at a time.
-    static UNSENT: RefCell<XdrWriter> = RefCell::new(XdrWriter::new());
-}
-
-/// The most [`UNSENT`] keeps between dispatches: a writer grown past it is
-/// dropped rather than held by its thread.
-const UNSENT_KEEP: usize = 64 * 1024;
-
-/// Runs `dispatch` with the calling thread's [`UNSENT`] writer as its reply
-/// writer, cleared afterwards; nothing written there is sent. A dispatch
-/// made while the writer is lent out further up the stack gets a writer of
-/// its own.
-fn with_unsent_reply<R>(mut dispatch: impl FnMut(&mut XdrWriter) -> R) -> R {
-    let lent = UNSENT.try_with(|scratch| {
-        let mut w = scratch.try_borrow_mut().ok()?;
-        w.clear();
-        let out = dispatch(&mut w);
-        if w.capacity() > UNSENT_KEEP {
-            *w = XdrWriter::new();
-        } else {
-            w.clear();
-        }
-        Some(out)
-    });
-    match lent {
-        Ok(Some(out)) => out,
-        _ => dispatch(&mut XdrWriter::new()),
     }
 }
 
@@ -848,7 +815,7 @@ impl SplitConn {
                 // Rescued mid-call: the fresh reader owns the connection,
                 // and has sent the held reply.
                 if !oneway {
-                    reply.with_parts_as(self.framing, |frame| self.send(frame));
+                    self.send_reply(reply, |frame| self.send(frame));
                 }
                 return;
             };
@@ -859,8 +826,8 @@ impl SplitConn {
                 // `held` is empty: a frame behind let this call run inline
                 // only then.
                 reply.put_frame_as(self.framing, &mut held);
-            } else if !reply.with_parts_as(self.framing, |frame| self.send_behind(&mut held, frame))
-            {
+                XdrWriter::recycle(reply.body);
+            } else if !self.send_reply(reply, |frame| self.send_behind(&mut held, frame)) {
                 return;
             }
         }
@@ -873,8 +840,16 @@ impl SplitConn {
         let oneway = req.oneway;
         let reply = self.ctx.dispatch_admitted(req, permit);
         if !oneway {
-            reply.with_parts_as(self.framing, |frame| self.send(frame));
+            self.send_reply(reply, |frame| self.send(frame));
         }
+    }
+
+    /// Sends `reply` through `send`, in parts, then gives its body back to
+    /// this thread's spare for the next reply's writer; `send`'s outcome.
+    fn send_reply(&self, reply: ReplyMessage, send: impl FnMut(&[&[u8]]) -> bool) -> bool {
+        let sent = reply.with_parts_as(self.framing, send);
+        XdrWriter::recycle(reply.body);
+        sent
     }
 
     /// Sends one frame, made of `frame`'s parts; `false` once the

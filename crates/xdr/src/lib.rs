@@ -56,7 +56,7 @@ pub use field::{
 };
 pub use reader::XdrReader;
 pub use traits::{XdrDecode, XdrEncode};
-pub use writer::{XdrWriter, GATHER_MIN};
+pub use writer::{XdrWriter, GATHER_MIN, SPARE_MAX};
 
 /// Round-trips a value through the codec; convenience for tests and for
 /// one-shot encodes such as capability metadata blocks.

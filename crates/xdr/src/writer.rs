@@ -1,3 +1,5 @@
+use std::cell::Cell;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::pad4;
@@ -6,6 +8,31 @@ use crate::pad4;
 /// [gathering](XdrWriter::gathering) writer: below it, one more part to write
 /// out costs more than the copy it saves.
 pub const GATHER_MIN: usize = 4 * 1024;
+
+/// The largest buffer a thread keeps as its spare (see
+/// [`reused`](XdrWriter::reused)): the paper's largest array, 2^20 ints,
+/// encoded, with a page to spare for the words around it. A larger buffer
+/// is dropped when it comes back.
+pub const SPARE_MAX: usize = (4 << 20) + 4096;
+
+thread_local! {
+    /// The buffer of a body this thread finished with: empty, and never
+    /// larger than [`SPARE_MAX`].
+    static SPARE: Cell<BytesMut> = Cell::new(BytesMut::new());
+}
+
+/// Keeps `buf`, emptied, as the calling thread's spare, unless the spare it
+/// has is at least as large or `buf` is larger than [`SPARE_MAX`].
+fn keep(mut buf: BytesMut) {
+    if buf.capacity() > SPARE_MAX {
+        return;
+    }
+    buf.clear();
+    let _ = SPARE.try_with(|spare| {
+        let had = spare.take();
+        spare.set(if had.capacity() >= buf.capacity() { had } else { buf });
+    });
+}
 
 /// Append-only XDR encoder.
 ///
@@ -34,6 +61,34 @@ impl XdrWriter {
     /// size is predictable (e.g. fixed-size array payloads) to avoid regrowth.
     pub fn with_capacity(cap: usize) -> Self {
         Self { buf: BytesMut::with_capacity(cap), ..Self::default() }
+    }
+
+    /// Creates an empty writer over the calling thread's spare buffer, which
+    /// it takes: a writer whose body leaves the thread, and whose buffer
+    /// comes back through [`recycle`](Self::recycle) or
+    /// [`discard`](Self::discard), so the thread's next such writer starts
+    /// with room for it. Starts with no room when the thread has no spare —
+    /// in particular while an earlier writer of its, further up the stack,
+    /// holds it.
+    pub fn reused() -> Self {
+        Self { buf: SPARE.try_with(Cell::take).unwrap_or_default(), ..Self::default() }
+    }
+
+    /// Keeps the buffer of `body` — a finished writer's bytes, sent — as the
+    /// calling thread's spare for [`reused`](Self::reused), if `body` is its
+    /// sole owner, it is no larger than [`SPARE_MAX`] and the thread's spare
+    /// is smaller. Otherwise only drops this handle: a buffer another handle
+    /// still reads is never written again.
+    pub fn recycle(body: Bytes) {
+        if let Ok(buf) = body.try_into_mut() {
+            keep(buf);
+        }
+    }
+
+    /// Drops what was encoded, unsent, keeping the buffer as
+    /// [`recycle`](Self::recycle) keeps a body's.
+    pub fn discard(self) {
+        keep(self.buf);
     }
 
     /// Creates an empty writer that gathers: the first opaque of
@@ -300,6 +355,33 @@ mod tests {
         cleared.clear();
         assert!(cleared.is_empty());
         assert_eq!(cleared.parts(), [&[][..], &[], &[]], "clearing drops the handle");
+    }
+
+    /// A thread keeps one spare, the larger of the buffers it got back, and
+    /// none larger than `SPARE_MAX` or still shared.
+    #[test]
+    fn a_thread_keeps_the_larger_sole_owned_buffer_up_to_the_limit() {
+        let finished = |cap: usize| {
+            let mut w = XdrWriter::with_capacity(cap);
+            w.put_u32(7);
+            w.finish()
+        };
+        assert_eq!(XdrWriter::reused().capacity(), 0, "no spare yet");
+
+        XdrWriter::recycle(finished(256));
+        XdrWriter::recycle(finished(64));
+        let w = XdrWriter::reused();
+        assert_eq!((w.capacity(), w.len()), (256, 0), "the larger one, emptied");
+        assert_eq!(XdrWriter::reused().capacity(), 0, "taken, not shared");
+        w.discard();
+        assert_eq!(XdrWriter::reused().capacity(), 256, "a discarded writer's buffer is kept");
+
+        let shared = finished(128);
+        let other = shared.clone();
+        XdrWriter::recycle(shared);
+        assert_eq!(&other[..], &[0, 0, 0, 7]);
+        XdrWriter::recycle(finished(SPARE_MAX + 1));
+        assert_eq!(XdrWriter::reused().capacity(), 0, "neither a shared nor an oversized one");
     }
 
     #[test]

@@ -2,13 +2,17 @@
 //! a body in place only when they are its sole owner, so a transform must
 //! never be visible through a handle someone else still holds — not the
 //! GP's retry loop, not the caller, not the other members of a collective.
+//! The same rule governs reuse: a stub's argument writer and a server's
+//! reply writer start from the buffer their thread sent last, given back
+//! only by its sole owner.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use bytes::Bytes;
 
-use ohpc_bench::workload::{EchoArray, EchoArrayApi, EchoArraySkeleton};
+use ohpc_bench::workload::{EchoArray, EchoArrayApi, EchoArrayClient, EchoArraySkeleton};
 use ohpc_caps::{register_standard, EncryptionCap, TimeoutCap};
 use ohpc_crypto::KeyStore;
 use ohpc_netsim::Location;
@@ -16,12 +20,13 @@ use ohpc_orb::context::OrRow;
 use ohpc_orb::message::Framing;
 use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, GlueProto, GpGroup,
-    ObjectId, ProtoPool, ProtocolId, RequestId, RequestMessage, TransportProto,
+    MethodError, ObjectId, ProtoPool, ProtocolId, RemoteObject, RequestId, RequestMessage,
+    TransportProto,
 };
 use ohpc_transport::mem::MemFabric;
 use ohpc_transport::tcp::{TcpAcceptor, TcpDialer};
 use ohpc_transport::{Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError};
-use ohpc_xdr::{XdrEncode, XdrWriter};
+use ohpc_xdr::{XdrDecode, XdrEncode, XdrReader, XdrWriter, SPARE_MAX};
 
 const KEY: &str = "ownership";
 
@@ -48,11 +53,30 @@ fn secured_echo(
     let glue_id =
         ctx.add_glue(vec![TimeoutCap::spec(1_000_000), EncryptionCap::spec(KEY)]).unwrap();
     let or = ctx.make_or(object, &[OrRow::Glue { glue_id, inner: ProtocolId::TCP }]).unwrap();
+    (ctx, echo, secured(or, registry, dialer))
+}
+
+/// A GP to `or` that can speak glue over TCP, dialing through `dialer`.
+fn secured(
+    or: ohpc_orb::ObjectReference,
+    registry: Arc<CapabilityRegistry>,
+    dialer: Arc<dyn Dialer>,
+) -> GlobalPointer {
     let pool = ProtoPool::new().with(Arc::new(GlueProto::new(registry))).with(Arc::new(
         TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, dialer),
     ));
-    let gp = GlobalPointer::new(or, Arc::new(pool), Location::new(1, 0));
-    (ctx, echo, gp)
+    GlobalPointer::new(or, Arc::new(pool), Location::new(1, 0))
+}
+
+/// A context serving `object` over plain mem, and a GP to it.
+fn plain(id: u64, fabric: &MemFabric, object: Arc<dyn RemoteObject>) -> (Context, GlobalPointer) {
+    let ctx = Context::new(ContextId(id), Location::new(0, 0), registry());
+    let object = ctx.register(object);
+    ctx.serve(Box::new(fabric.listen()), ProtocolId::SHM);
+    let or = ctx.make_or(object, &[OrRow::Plain(ProtocolId::SHM)]).unwrap();
+    let mem = TransportProto::new(ProtocolId::SHM, ApplicabilityRule::Always, Arc::new(fabric.clone()));
+    let pool = ProtoPool::new().with(Arc::new(mem));
+    (ctx, GlobalPointer::new(or, Arc::new(pool), Location::new(1, 0)))
 }
 
 fn encoded(v: &Vec<i32>) -> Bytes {
@@ -234,4 +258,228 @@ fn a_collective_fans_one_body_out_to_members_that_each_decrypt_it() {
     for ctx in contexts {
         ctx.shutdown();
     }
+}
+
+#[test]
+fn a_body_its_caller_still_holds_is_never_recycled() {
+    let body = encoded(&(0..1000).collect());
+    let held = body.clone();
+    let pristine = held.to_vec();
+    XdrWriter::recycle(body);
+
+    let mut w = XdrWriter::reused();
+    assert_eq!(w.capacity(), 0, "a shared buffer became the spare");
+    vec![-1i32; 1000].encode(&mut w);
+    let next = w.finish();
+    assert_ne!(next.as_ptr(), held.as_ptr());
+    assert_eq!(held, pristine, "the holder's bytes were written over");
+
+    // Once the holder lets go, the buffer is the spare.
+    let p = held.as_ptr();
+    XdrWriter::recycle(held);
+    assert_eq!(XdrWriter::reused().peek().as_ptr(), p);
+}
+
+/// The stub's body goes to the GP's retry loop as a clone: the loop's copy
+/// survives a refused first attempt, and the stub takes the buffer back only
+/// once the call is over.
+#[test]
+fn a_stub_call_retried_after_a_failed_send_resends_its_original_plaintext() {
+    let fabric = MemFabric::new();
+    let refused = Arc::new(Mutex::new(None));
+    let dialer = FailFirstSend {
+        inner: fabric.clone(),
+        armed: Arc::new(AtomicBool::new(true)),
+        refused: refused.clone(),
+    };
+    let (ctx, echo, gp) = secured_echo(1, &fabric, Arc::new(dialer));
+    let client = EchoArrayClient::new(gp);
+
+    let array: Vec<i32> = (0..5000).map(|i| i * 11 - 5).collect();
+    assert_eq!(client.echo(array.clone()).unwrap(), array);
+    assert_eq!(echo.0.served().unwrap(), 1, "exactly the retried attempt arrived");
+    let refused = refused.lock().unwrap().take().expect("the first send was refused");
+    let plaintext = encoded(&array);
+    assert!(!refused.windows(64).any(|w| w == &plaintext[100..164]), "refused frame was not encrypted");
+
+    // Later calls encode into the buffer the first one gave back.
+    for round in 0..3 {
+        let next: Vec<i32> = (0..5000 - round * 1000).map(|i| i ^ round).collect();
+        assert_eq!(client.echo(next.clone()).unwrap(), next);
+    }
+    assert_eq!(echo.0.served().unwrap(), 4);
+    ctx.shutdown();
+}
+
+/// A collective's body is one copy its members share: the stubs' calls on
+/// the same threads and the members' servers recycling their replies leave
+/// it, and every member's plaintext, as it was.
+#[test]
+fn a_collective_fan_out_is_unaffected_by_the_threads_spares() {
+    let fabric = MemFabric::new();
+    let members: Vec<_> =
+        (1..=3).map(|id| secured_echo(id, &fabric, Arc::new(fabric.clone()))).collect();
+    let array: Vec<i32> = (0..4000).map(|i| 3 * i - 7).collect();
+    let mut args = XdrWriter::new();
+    array.encode(&mut args);
+    let pristine = args.peek().to_vec();
+
+    let mut contexts = Vec::new();
+    let mut gps = Vec::new();
+    for (ctx, _, gp) in members {
+        contexts.push(ctx);
+        gps.push(Arc::new(gp));
+    }
+    let solo = secured(gps[0].object_reference(), registry(), Arc::new(fabric.clone()));
+    let solo = EchoArrayClient::new(solo);
+    let group = GpGroup::new(gps);
+    for round in 0..3 {
+        let other: Vec<i32> = (0..6000).map(|i| i + round).collect();
+        assert_eq!(solo.echo(other.clone()).unwrap(), other);
+        let echoed: Vec<Vec<i32>> = group.gather(1, &args).unwrap();
+        assert!(echoed.iter().all(|v| *v == array), "a member saw something other than the plaintext");
+        assert_eq!(args.peek(), pristine, "the collective's arguments changed");
+    }
+    for ctx in contexts {
+        ctx.shutdown();
+    }
+}
+
+/// Replies `n` bytes of opaque data for method 1, and nothing for method 2;
+/// notes the thread and the room of the reply writer of every call.
+#[derive(Default)]
+struct Sized {
+    writers: Mutex<Vec<(ThreadId, usize)>>,
+}
+
+impl RemoteObject for Sized {
+    fn type_name(&self) -> &str {
+        "Sized"
+    }
+
+    fn dispatch(
+        &self,
+        method: u32,
+        args: &mut XdrReader<'_>,
+        out: &mut XdrWriter,
+    ) -> Result<(), MethodError> {
+        let me = (std::thread::current().id(), out.capacity());
+        self.writers.lock().unwrap().push(me);
+        match method {
+            1 => {
+                let n = u32::decode(args).map_err(|e| MethodError::BadArgs(e.to_string()))?;
+                out.put_opaque(&vec![0x5a; n as usize]);
+                Ok(())
+            }
+            2 => Ok(()),
+            m => Err(MethodError::NoSuchMethod(m)),
+        }
+    }
+}
+
+#[test]
+fn a_reply_larger_than_the_spare_limit_is_dropped_not_kept() {
+    let fabric = MemFabric::new();
+    let sized = Arc::new(Sized::default());
+    let (ctx, gp) = plain(1, &fabric, sized.clone());
+    let reply_of = |n: usize| {
+        let mut w = XdrWriter::new();
+        (n as u32).encode(&mut w);
+        let reply = gp.invoke(1, &w).unwrap();
+        assert_eq!(reply.len(), 4 + n.next_multiple_of(4));
+    };
+    reply_of(1 << 20);
+    reply_of(SPARE_MAX + 1);
+    gp.invoke(2, &XdrWriter::new()).unwrap();
+
+    let writers = sized.writers.lock().unwrap().clone();
+    let [mid, big, after] = writers[..] else { panic!("{writers:?}") };
+    for (_, room) in &writers {
+        assert!(*room <= SPARE_MAX, "a writer started with {room} bytes of room");
+    }
+    // The connection's reader runs these short calls itself, so they
+    // usually share a thread: then the mid-sized reply was kept, and the
+    // big one, which grew out of it, was not.
+    if big.0 == mid.0 {
+        assert!(big.1 >= 1 << 20, "the mid-sized reply's buffer was not kept");
+    }
+    if after.0 == big.0 {
+        assert_eq!(after.1, 0, "the oversized reply's buffer was kept");
+    }
+    ctx.shutdown();
+}
+
+/// Forwards an echo to another object from inside its own dispatch, between
+/// two words it writes to its reply: the nested stub's writer must not be
+/// the reply writer's buffer.
+struct Relay {
+    next: EchoArrayClient,
+}
+
+impl RemoteObject for Relay {
+    fn type_name(&self) -> &str {
+        "Relay"
+    }
+
+    fn dispatch(
+        &self,
+        _method: u32,
+        args: &mut XdrReader<'_>,
+        out: &mut XdrWriter,
+    ) -> Result<(), MethodError> {
+        let v = Vec::<i32>::decode(args).map_err(|e| MethodError::BadArgs(e.to_string()))?;
+        out.put_u32(0xfeed);
+        let echoed = self.next.echo(v).map_err(|e| MethodError::App(e.to_string()))?;
+        echoed.encode(out);
+        out.put_u32(0xbeef);
+        Ok(())
+    }
+}
+
+#[test]
+fn a_call_made_inside_a_skeleton_on_the_same_thread_gets_a_writer_of_its_own() {
+    let fabric = MemFabric::new();
+    let echo = Arc::new(EchoArraySkeleton(EchoArray::default()));
+    let (inner, to_echo) = plain(1, &fabric, echo.clone());
+    let relay = Arc::new(Relay { next: EchoArrayClient::new(to_echo) });
+    let (outer, to_relay) = plain(2, &fabric, relay);
+
+    for round in 0..4 {
+        let v: Vec<i32> = (0..3000 + round * 500).map(|i| i * round).collect();
+        let mut args = XdrWriter::new();
+        v.encode(&mut args);
+        let reply = to_relay.invoke(1, &args).unwrap();
+        let mut r = XdrReader::new(&reply);
+        assert_eq!(r.get_u32().unwrap(), 0xfeed, "the nested call wrote over the reply");
+        assert_eq!(Vec::<i32>::decode(&mut r).unwrap(), v);
+        assert_eq!(r.get_u32().unwrap(), 0xbeef);
+        assert!(r.is_empty());
+    }
+    assert_eq!(echo.0.served().unwrap(), 4);
+    outer.shutdown();
+    inner.shutdown();
+}
+
+#[test]
+fn a_recycled_buffer_never_shows_its_earlier_bytes() {
+    let mut w = XdrWriter::reused();
+    w.put_fixed_opaque(&[0xee; 4096]);
+    XdrWriter::recycle(w.finish());
+
+    let mut w = XdrWriter::reused();
+    assert!(w.capacity() >= 4096, "the buffer was not kept");
+    assert!(w.is_empty() && w.peek().is_empty(), "earlier bytes show through peek");
+    w.put_u32(1);
+    assert_eq!(w.peek(), &[0, 0, 0, 1]);
+    assert_eq!(w.finish(), Bytes::from_static(&[0, 0, 0, 1]), "earlier bytes show through finish");
+
+    // End to end: a small echo after a large one, both ways reusing.
+    let fabric = MemFabric::new();
+    let (ctx, gp) = plain(1, &fabric, Arc::new(EchoArraySkeleton(EchoArray::default())));
+    let client = EchoArrayClient::new(gp);
+    let large: Vec<i32> = vec![-1; 100_000];
+    assert_eq!(client.echo(large.clone()).unwrap(), large);
+    assert_eq!(client.echo(vec![1, 2, 3]).unwrap(), vec![1, 2, 3]);
+    assert_eq!(client.echo(vec![]).unwrap(), Vec::<i32>::new());
+    ctx.shutdown();
 }

@@ -339,7 +339,7 @@ fn hostile_rsr_headers_are_refused_dropped_or_hung_up_on() {
 
 /// The copy budget of the baseline: a warmed 1 MiB echo through `NexusProto`
 /// allocates exactly as many payload-sized buffers, over all threads, as the
-/// same echo through `TransportProto`, seven — the RSR header rides in the
+/// same echo through `TransportProto`, five — the RSR header rides in the
 /// head of a frame sent in parts, like the rest of the message's header.
 #[test]
 fn a_bulk_echo_over_nexus_copies_no_more_than_over_the_bare_protocol() {
@@ -363,15 +363,22 @@ fn a_bulk_echo_over_nexus_copies_no_more_than_over_the_bare_protocol() {
     let payload: Vec<i32> = (0..BULK as i32 / 4).collect();
     let bulk_buffers = |client: &EchoArrayClient| {
         assert_eq!(client.echo(payload.clone()).unwrap().len(), payload.len()); // warm-up
-        let before = BULK_ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(client.echo(payload.clone()).unwrap(), payload);
-        BULK_ALLOCATIONS.load(Ordering::Relaxed) - before
+        // The fewest of three echoes: each marshals into the buffer its
+        // writer's thread sent last, which a thread that never sent one —
+        // the pool worker a debug build's slow first call leaves the
+        // connection to, once rescued — allocates afresh.
+        let buffers = (0..3).map(|_| {
+            let before = BULK_ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(client.echo(payload.clone()).unwrap(), payload);
+            BULK_ALLOCATIONS.load(Ordering::Relaxed) - before
+        });
+        buffers.min().unwrap()
     };
     let (over_bare, over_nexus) = (bulk_buffers(&bare), bulk_buffers(&nexus));
-    // The caller's clone, then per direction marshal, the fabric's one copy
-    // of the frame sent in parts, and unmarshal.
-    assert_eq!(over_bare, 7, "payload-sized buffers over the bare protocol");
-    assert_eq!(over_nexus, 7, "payload-sized buffers over Nexus");
+    // The caller's clone, then per direction the fabric's one copy of the
+    // frame sent in parts, and unmarshal.
+    assert_eq!(over_bare, 5, "payload-sized buffers over the bare protocol");
+    assert_eq!(over_nexus, 5, "payload-sized buffers over Nexus");
     ctx.shutdown();
 }
 

@@ -3,18 +3,20 @@
 //! Once a call site has run, its instruments are resolved: a warmed-up call
 //! must not look a metric up by name again (`Registry::resolutions` stands
 //! still), and a small call's heap traffic is a short fixed inventory — for a
-//! 5-int two-way echo over the mem fabric, 9 allocations across all threads:
-//! the caller's clone of its argument; args and reply body at buffer + handle
-//! each; the mem fabric's two frame copies; the two decoded `Vec`s. Frames
-//! are encoded into a per-thread scratch writer and leave in parts, so no
-//! frame buffer is allocated; the server's reader runs the call itself, so no
-//! task is boxed for a pool worker. A one-way is 3: the fabric's copy, the
-//! client's body copy and the decoded `Vec`; the reply its skeleton encodes
-//! goes into a per-thread scratch writer. The bounds below leave a spare or
-//! more, and each test name states the bound its assert uses.
+//! 5-int two-way echo over the mem fabric, 7 allocations across all threads:
+//! the caller's clone of its argument; a handle each over the args and the
+//! reply body, whose buffers are the ones their threads sent last time; the
+//! mem fabric's two frame copies; the two decoded `Vec`s. Frames are encoded
+//! into a per-thread scratch writer and leave in parts, so no frame buffer
+//! is allocated; the server's reader runs the call itself, so no task is
+//! boxed for a pool worker. A one-way is 3: the fabric's copy, the client's
+//! body copy and the decoded `Vec`; the reply its skeleton encodes goes back
+//! to its thread unsent. The two-way bounds are the inventories, so one
+//! more allocation per call fails them; the one-way's leaves a spare. Each
+//! test name states the bound its assert uses.
 //!
 //! A bulk call's inventory is counted in payload-sized buffers instead: a
-//! secure 1 MiB echo makes exactly eight.
+//! secure 1 MiB echo makes exactly six.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,7 +111,7 @@ fn payload() -> Vec<i32> {
 }
 
 #[test]
-fn a_small_two_way_echo_over_mem_resolves_nothing_and_allocates_at_most_10() {
+fn a_small_two_way_echo_over_mem_resolves_nothing_and_allocates_at_most_7() {
     let _alone = alone();
     let (server, client) = deploy(Wire::Shm, vec![]);
     let sent = payload();
@@ -118,7 +120,7 @@ fn a_small_two_way_echo_over_mem_resolves_nothing_and_allocates_at_most_10() {
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up call looked a metric up by name");
     let per_call = allocations as f64 / MEASURED_CALLS as f64;
-    assert!(per_call <= 10.0, "{per_call} allocations per echo; the inventory is 9");
+    assert!(per_call <= 7.0, "{per_call} allocations per echo; the inventory is 7");
 }
 
 #[test]
@@ -146,11 +148,11 @@ fn a_small_one_way_over_mem_resolves_nothing_and_allocates_at_most_4() {
     assert!(per_call <= 4.0, "{per_call} allocations per one-way (four two-ways included)");
 }
 
-/// The glue section costs 7 over the 9 of a plain echo: per direction the
+/// The glue section costs 7 over the 7 of a plain echo: per direction the
 /// sender's list of hops and the receiver's one copy of the section plus its
 /// list, and the budget's stamp, which is its metadata blob.
 #[test]
-fn a_small_echo_through_glue_over_tcp_resolves_nothing_and_allocates_at_most_17() {
+fn a_small_echo_through_glue_over_tcp_resolves_nothing_and_allocates_at_most_14() {
     let _alone = alone();
     let (server, client) = deploy(Wire::TcpLoopback, vec![TimeoutCap::spec(u64::MAX / 2)]);
     let sent = payload();
@@ -159,16 +161,18 @@ fn a_small_echo_through_glue_over_tcp_resolves_nothing_and_allocates_at_most_17(
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up glued call looked a metric up by name");
     let per_call = allocations as f64 / MEASURED_CALLS as f64;
-    assert!(per_call <= 17.0, "{per_call} allocations per glued echo; the inventory is 16");
+    assert!(per_call <= 14.0, "{per_call} allocations per glued echo; the inventory is 14");
 }
 
-/// A 1 MiB echo through glue[timeout,security] over TCP makes eight
+/// A 1 MiB echo through glue[timeout,security] over TCP makes six
 /// payload-sized buffers: the caller's clone of its argument, then per
-/// direction the marshalled body, the socket read and the unmarshalled
-/// `Vec`, plus the client cipher's copy of the plaintext the retry loop
-/// keeps. No frame buffer: a frame leaves as its head and the body as it is.
+/// direction the socket read and the unmarshalled `Vec`, plus the client
+/// cipher's copy of the plaintext the retry loop keeps. No marshal buffer:
+/// the stub and the server's reply writer encode into the buffer their
+/// thread sent last. No frame buffer: a frame leaves as its head and the
+/// body as it is.
 #[test]
-fn a_secure_bulk_echo_over_tcp_makes_eight_payload_sized_buffers() {
+fn a_secure_bulk_echo_over_tcp_makes_six_payload_sized_buffers() {
     let _alone = alone();
     let caps = vec![TimeoutCap::spec(u64::MAX / 2), EncryptionCap::spec(KEY_NAME)];
     let (server, client) = deploy(Wire::TcpLoopback, caps);
@@ -179,7 +183,7 @@ fn a_secure_bulk_echo_over_tcp_makes_eight_payload_sized_buffers() {
     (0..3).for_each(|_| echo());
     let buffers = PAYLOAD_SIZED_ALLOCATIONS.load(Ordering::Relaxed) - before;
     server.shutdown();
-    assert_eq!(buffers, 3 * 8, "payload-sized buffers over three echoes");
+    assert_eq!(buffers, 3 * 6, "payload-sized buffers over three echoes");
 }
 
 /// The admission gate peeks at every glued request's deadline stamp; it
