@@ -23,8 +23,7 @@
 //! * [`local`] — the same service over the real mem and TCP transports;
 //! * [`plot`] — ASCII log-log plotting for terminal output.
 //!
-//! The `ohpc-bench` binary runs each as a subcommand; criterion benches
-//! under `benches/` cover the substrate costs.
+//! The `ohpc-bench` binary runs each as a subcommand.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -21,6 +21,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Test code may block and spawn: clippy.toml's rules are for serving code.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 use std::collections::HashMap;
 
@@ -148,6 +150,10 @@ impl NexusService {
         AcceptLoop::spawn(listener, move |conn| self.serve_connection(conn))
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a server connection reader, on its connection's own thread"
+    )]
     fn serve_connection(&self, mut conn: Box<dyn Connection>) {
         while let Ok(frame) = conn.recv() {
             let mut args = XdrReader::over_frame(&frame);
@@ -201,6 +207,7 @@ impl Startpoint {
     /// received frame.
     ///
     /// No receive deadline: a silent peer blocks this caller forever.
+    #[expect(clippy::disallowed_methods, reason = "the documented contract: no receive deadline")]
     pub fn rsr_reply(&self, handler: HandlerId, args: &XdrWriter) -> Result<Bytes, NexusError> {
         let header = header(TAG_REQUEST, handler);
         let reply = self.locked(|conn| {

@@ -757,6 +757,10 @@ const SHORT_CALL: Duration = Duration::from_micros(50);
 impl SplitConn {
     /// The read loop: on the thread that accepted the connection, and on the
     /// fresh one a rescue starts, which first sends the reply `held` holds.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the server connection reader, on its connection's own thread"
+    )]
     fn read(self: &Arc<Self>, mut rx: Box<dyn ohpc_transport::RecvHalf>, mut held: XdrWriter) {
         if !self.flush(&mut held) {
             return;

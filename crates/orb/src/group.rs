@@ -46,6 +46,10 @@ impl GpGroup {
     /// Invokes `method` with `args` on every member concurrently (one thread
     /// per member, as the 1999 runtime would), gathering per-member results
     /// in group order. One member failing does not stop the others.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one thread per member for one collective call, bounded by the group's size"
+    )]
     pub fn invoke_all(
         &self,
         method: u32,

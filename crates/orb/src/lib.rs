@@ -39,6 +39,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Test code may block and spawn: clippy.toml's rules are for serving code.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 #![cfg_attr(
     not(test),
     deny(

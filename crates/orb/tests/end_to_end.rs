@@ -2,6 +2,9 @@
 //! protocol selection, glue chains, and location forwarding — over the
 //! in-process (shared-memory) fabric, real TCP, and the Nexus baseline.
 
+// Test code may block and spawn: clippy.toml's rules are for serving code.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use bytes::Bytes;

@@ -6,6 +6,9 @@
 //! them, and report their length. (`CapScope` lives above this crate; its
 //! three goldens are in `crates/caps/tests/proptest_chains.rs`.)
 
+// Test code may block and spawn: clippy.toml's rules are for serving code.
+#![allow(clippy::disallowed_methods)]
+
 use bytes::Bytes;
 use ohpc_orb::message::{CapWireMeta, GlueWire};
 use ohpc_orb::{

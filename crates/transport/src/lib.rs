@@ -18,6 +18,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Test code may block and spawn: clippy.toml's rules are for serving code.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 #![cfg_attr(
     not(test),
     deny(
@@ -365,6 +367,10 @@ pub trait RecvHalf: Send {
     /// The default ignores `deadline` and calls `recv`, so it blocks until a
     /// frame arrives or the peer closes; the `mem` (and so `sim`) and `tcp`
     /// halves override it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the documented default: it blocks, and a half that can time out overrides it"
+    )]
     fn recv_deadline(
         &mut self,
         deadline: Option<std::time::Instant>,
@@ -424,6 +430,10 @@ pub struct AcceptLoop {
 
 impl AcceptLoop {
     /// Starts accepting on `listener`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one acceptor thread per listener and one thread per connection, bounded by clients, not by requests"
+    )]
     pub fn spawn(
         mut listener: Box<dyn Listener>,
         serve: impl Fn(Box<dyn Connection>) + Send + Sync + 'static,

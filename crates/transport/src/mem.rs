@@ -350,6 +350,10 @@ pub struct MemListener {
 }
 
 impl Listener for MemListener {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "accept blocks until a dial arrives or the listener closes"
+    )]
     fn accept(&mut self) -> Result<Box<dyn Connection>, TransportError> {
         parking_lot::assert_no_guard_held("mem accept");
         let conn = self.pending.recv().map_err(|_| TransportError::Closed)?;

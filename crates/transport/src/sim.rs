@@ -180,6 +180,10 @@ impl Connection for SimConnection {
         self.conn.send_parts(parts)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a delegation shim: the deadline is its caller's job"
+    )]
     fn recv(&mut self) -> Result<Bytes, TransportError> {
         self.conn.recv()
     }
@@ -221,6 +225,10 @@ pub struct SimListener {
 }
 
 impl Listener for SimListener {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "accept blocks until a dial arrives or the listener closes"
+    )]
     fn accept(&mut self) -> Result<Box<dyn Connection>, TransportError> {
         parking_lot::assert_no_guard_held("sim accept");
         let conn = self.pending.recv().map_err(|_| TransportError::Closed)?;

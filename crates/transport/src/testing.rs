@@ -265,6 +265,10 @@ impl Connection for FlakyConnection {
         self.plan.send(|| self.inner.send_parts(parts))
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a delegation shim: the deadline is its caller's job"
+    )]
     fn recv(&mut self) -> Result<Bytes, TransportError> {
         self.plan.recv(|| self.inner.recv())
     }
@@ -306,6 +310,10 @@ struct FlakyRecv {
 }
 
 impl RecvHalf for FlakyRecv {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a delegation shim: the deadline is its caller's job"
+    )]
     fn recv(&mut self) -> Result<Bytes, TransportError> {
         self.plan.recv(|| self.inner.recv())
     }

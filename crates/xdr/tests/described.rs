@@ -3,6 +3,9 @@
 //! by hand, in both directions, with the length to match — checked against
 //! hand-built byte vectors and, for arbitrary values, against each other.
 
+use std::fs;
+use std::path::Path;
+
 use bytes::Bytes;
 use ohpc_xdr::{
     decode_from_slice, encode_to_vec, xdr_struct, xdr_union, Array, Extension, FrameView, Mirror,
@@ -199,4 +202,110 @@ proptest! {
             }
         }
     }
+}
+
+// ------------------------------------------------------------ wire-described
+
+/// The codec traits. Only `crates/xdr/src/` implements them by hand: its
+/// primitives and field forms are what descriptions are written in.
+const CODEC_TRAITS: [&str; 3] = ["XdrEncode", "XdrDecode", "FieldCodec"];
+
+/// Whether `line`, of the file at `path` from the workspace root, implements
+/// a codec trait by hand: an `impl` outside a string literal whose trait
+/// path, after any generic parameters, ends in a codec trait.
+fn hand_written_codec(path: &str, line: &str) -> bool {
+    if path.starts_with("crates/xdr/src/") {
+        return false;
+    }
+    line.match_indices("impl").any(|(at, _)| {
+        let (before, after) = (&line[..at], &line[at + "impl".len()..]);
+        if before.ends_with(|c: char| c.is_alphanumeric() || c == '_')
+            || before.matches('"').count() % 2 == 1
+        {
+            return false;
+        }
+        // Past the generic parameters, if any, to the trait's path.
+        let header = if after.starts_with('<') {
+            let mut depth = 0;
+            let close = after.char_indices().find(|&(_, c)| {
+                depth += i32::from(c == '<') - i32::from(c == '>');
+                depth == 0
+            });
+            match close {
+                Some((end, _)) => &after[end + 1..],
+                None => return false,
+            }
+        } else if after.starts_with(char::is_whitespace) {
+            after
+        } else {
+            return false;
+        };
+        let path = header.trim_start().split([' ', '<', '{']).next().unwrap_or("");
+        CODEC_TRAITS.contains(&path.rsplit("::").next().unwrap_or(path))
+    })
+}
+
+/// Every `.rs` file under `dir`, with its path from `root`.
+fn rust_files(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(root, &path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            let rel = path.strip_prefix(root).unwrap().to_string_lossy().replace('\\', "/");
+            out.push((rel, fs::read_to_string(&path).unwrap()));
+        }
+    }
+}
+
+/// A message declared once gets both directions and its length from that
+/// declaration, which holds while nobody writes a codec by hand: anywhere
+/// in the workspace but `crates/xdr/src/`, tests, examples and macro bodies
+/// included, an `impl` of a codec trait is denied.
+#[test]
+fn no_codec_is_written_by_hand_outside_the_xdr_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut findings = Vec::new();
+    for top in ["apps", "crates", "examples", "tests"] {
+        let mut files = Vec::new();
+        rust_files(&root, &root.join(top), &mut files);
+        assert!(!files.is_empty(), "no Rust files under {top}/");
+        for (path, text) in &files {
+            for (n, line) in text.lines().enumerate() {
+                if hand_written_codec(path, line) {
+                    findings.push(format!("{path}:{}: {}", n + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        findings.is_empty(),
+        "hand-written codecs; declare each message with xdr_struct!, xdr_enum! or xdr_union!:\n{}",
+        findings.join("\n")
+    );
+}
+
+#[test]
+fn the_codec_matcher_flags_hand_written_impls_and_only_those() {
+    let elsewhere = "crates/orb/src/message.rs";
+    for line in [
+        // A swapped field order, a tag claimed twice, a field after the
+        // trailing extension: shapes the macros cannot express.
+        "impl XdrEncode for SwappedMeta {",
+        "impl XdrDecode for ProtoFrame {",
+        "impl ohpc_xdr::XdrEncode for Extended {",
+        "impl<T: Clone> FieldCodec<Vec<T>> for Mine<T> {}",
+        "    ($n:ident) => { impl XdrDecode for $n {} };",
+    ] {
+        assert!(hand_written_codec(elsewhere, line), "{line}");
+        assert!(hand_written_codec("tests/full_stack.rs", line), "{line}");
+    }
+    // A codec trait in a bound is not implemented; a word that starts with
+    // `impl` is not the keyword.
+    for line in ["impl<T: XdrEncode> std::fmt::Debug for Sized<T> {", "fn implode() {}"] {
+        assert!(!hand_written_codec(elsewhere, line), "{line}");
+    }
+    let vocabulary = "macro_rules! m { ($n:ident) => { impl XdrEncode for $n {} }; }";
+    assert!(!hand_written_codec("crates/xdr/src/describe.rs", vocabulary));
+    assert!(hand_written_codec(elsewhere, vocabulary));
 }
