@@ -501,13 +501,14 @@ pub fn process_chain(
     let mut metas = Vec::with_capacity(chain.len());
     for Hop { cap, name, process_ns, .. } in &chain.hops {
         let mut meta = CapMeta::new();
-        let _span = ohpc_telemetry::trace_span_with(
-            "cap_process",
-            &[("cap", cap.name().into()), ("dir", dir.as_label().into())],
-        );
-        let timed = process_ns.of(dir).span();
-        let result = cap.process(dir, call, &mut meta, body);
-        drop(timed);
+        let result = {
+            let _span = ohpc_telemetry::trace_span_timed(
+                "cap_process",
+                &[("cap", cap.name().into()), ("dir", dir.as_label().into())],
+                process_ns.of(dir),
+            );
+            cap.process(dir, call, &mut meta, body)
+        };
         body = result?;
         metas.push(CapWireMeta { name: name.clone(), meta: meta.blob });
     }
@@ -543,13 +544,14 @@ pub fn unprocess_chain(
         }
         let meta = CapMeta::parse(&wire.meta)
             .map_err(|e| CapError::Failed(format!("bad capability metadata: {e}")))?;
-        let _span = ohpc_telemetry::trace_span_with(
-            "cap_unprocess",
-            &[("cap", cap.name().into()), ("dir", dir.as_label().into())],
-        );
-        let timed = unprocess_ns.of(dir).span();
-        let result = cap.unprocess(dir, call, &meta, body);
-        drop(timed);
+        let result = {
+            let _span = ohpc_telemetry::trace_span_timed(
+                "cap_unprocess",
+                &[("cap", cap.name().into()), ("dir", dir.as_label().into())],
+                unprocess_ns.of(dir),
+            );
+            cap.unprocess(dir, call, &meta, body)
+        };
         body = result?;
     }
     Ok(body)

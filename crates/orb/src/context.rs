@@ -499,14 +499,15 @@ impl Context {
     pub fn handle_request(&self, req: RequestMessage) -> ReplyMessage {
         let rid = req.request_id;
         let _trace = req.trace.clone().map(ohpc_telemetry::install);
-        let mut dispatch_span = ohpc_telemetry::trace_span_with(
+        // Drop-guard: also times `orb_request_ns`, server-side handling
+        // latency, on every return path, including tombstone forwards and
+        // capability denials.
+        let mut dispatch_span = ohpc_telemetry::trace_span_timed(
             "server_dispatch",
             &[("method", req.method.into()), ("ctx", self.inner.id.0.into())],
+            ohpc_telemetry::histogram!("orb_request_ns"),
         );
         let call = CallInfo { object: req.object, method: req.method, request_id: rid };
-        // Drop-guard: records server-side handling latency on every return
-        // path, including tombstone forwards and capability denials.
-        let _span = ohpc_telemetry::histogram!("orb_request_ns").span();
 
         // Tombstone? Forward the client to the object's new home.
         if let Some(new_or) = self.inner.tombstones.read().get(&req.object) {

@@ -259,7 +259,9 @@ impl GlobalPointer {
         let hptr = registry_ptr(health);
         let hgen = health.generation();
         if let Lookup::Hit(cached) = self.cache.lookup(or_epoch, hptr, hgen) {
-            ohpc_telemetry::trace_event("selection", &[("outcome", "cached".into())]);
+            // First in its span, nothing timed since it opened: it takes the
+            // span's start stamp.
+            ohpc_telemetry::trace_event_at_last_stamp("selection", &[("outcome", "cached".into())]);
             return Ok(cached);
         }
         let (selection, object) = {

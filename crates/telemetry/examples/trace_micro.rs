@@ -1,12 +1,14 @@
 //! Microbenchmark of the flight-recorder hot path and of a metric event.
 //!
-//! Prints nanoseconds per operation for span open+close, instant events,
-//! spans with attributes, the disabled-recording fast path, and a counter
-//! bump and a timed span by name against the same through a handle. Run with
-//! `cargo run --release -p ohpc-telemetry --example trace_micro` when
-//! touching the recorder; the end-to-end budget (`ohpc-bench tracing`, 5 %
-//! on the fig3 path) is roughly nine records per fig3 call, so every
-//! nanosecond here is ~9 ns per request.
+//! Prints nanoseconds per operation for span open+close, instant events
+//! (with no span open, so a record of their own, and riding in an open
+//! span), spans with attributes, a span that times a histogram against a
+//! span beside a histogram span, the disabled-recording fast path, and a
+//! counter bump and a timed span by name against the same through a handle.
+//! Run with `cargo run --release -p ohpc-telemetry --example trace_micro`
+//! when touching the recorder; the end-to-end budget (`ohpc-bench tracing`,
+//! 5 % on the fig3 path) covers a dozen spans and events per fig3 call, so
+//! every nanosecond here is ~10 ns per request.
 
 use std::time::Instant;
 
@@ -31,6 +33,27 @@ fn main() {
         ohpc_telemetry::trace_event("blip", &[("k", "v".into())]);
     }
     let event_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+
+    let t0 = Instant::now();
+    for _ in 0..n {
+        let _s = ohpc_telemetry::trace_span("work");
+        ohpc_telemetry::trace_event("blip", &[("k", "v".into())]);
+    }
+    let span_event_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+
+    let hist = ohpc_telemetry::histogram!("micro_ns");
+    let t0 = Instant::now();
+    for _ in 0..n {
+        let _s = ohpc_telemetry::trace_span("work");
+        let _h = hist.span();
+    }
+    let span_beside_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+
+    let t0 = Instant::now();
+    for _ in 0..n {
+        let _s = ohpc_telemetry::trace_span_timed("work", &[], hist);
+    }
+    let span_timed_ns = t0.elapsed().as_nanos() as f64 / n as f64;
 
     let t0 = Instant::now();
     for i in 0..n {
@@ -73,7 +96,11 @@ fn main() {
     let span_handle_ns = t0.elapsed().as_nanos() as f64 / n as f64;
 
     println!("span open+close: {span_ns:.1} ns");
-    println!("event:           {event_ns:.1} ns");
+    println!("event, no span:  {event_ns:.1} ns");
+    let in_span_ns = span_event_ns - span_ns;
+    println!("event under an open span: {in_span_ns:.1} ns (span + event {span_event_ns:.1} ns)");
+    println!("span beside a histogram span: {span_beside_ns:.1} ns");
+    println!("timed span (span + histogram): {span_timed_ns:.1} ns");
     println!("span w/ attrs:   {span_attr_ns:.1} ns");
     println!("disabled span:   {off_ns:.1} ns");
     println!("counter by name: {by_name_ns:.1} ns");

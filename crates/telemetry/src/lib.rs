@@ -72,9 +72,9 @@ pub use registry::{Registry, Span};
 pub use snapshot::{HistogramSnapshot, Sample, Snapshot, Value};
 pub use trace::{
     current, current_trace_id, dump_to_results, enabled as trace_enabled, install,
-    set_enabled as set_trace_enabled, suspend, trace_event, trace_span, trace_span_with,
-    AttrValue, SpanRecord, TraceBuffer, TraceContext, TraceScope, TraceSpan,
-    BAGGAGE_BUDGET_BYTES,
+    set_enabled as set_trace_enabled, suspend, trace_event, trace_event_at_last_stamp,
+    trace_span, trace_span_timed, trace_span_with, AttrValue, SpanRecord, TraceBuffer,
+    TraceContext, TraceScope, TraceSpan, BAGGAGE_BUDGET_BYTES,
 };
 
 /// Shared body of [`counter!`], [`gauge!`] and [`histogram!`]: a hidden

@@ -5,26 +5,41 @@
 //! as a trailing versioned extension, and is re-installed on every thread
 //! that works on the request (retry loop, demux waiter, server handler
 //! thread). Each unit of work — an attempt, a capability transform, a
-//! transport send, a skeleton dispatch — opens a [`TraceSpan`] that becomes a
-//! child of the installed context and is recorded into the process-global
+//! skeleton dispatch — opens a [`TraceSpan`] that becomes a child of the
+//! installed context and is recorded into the process-global
 //! [`TraceBuffer`] when it closes.
+//!
+//! An open span's record lives in its thread's fixed stack of open records
+//! (no heap, `OPEN_DEPTH` deep). An instant event — a transport send, a
+//! selection — whose parent is the innermost span open on the same thread
+//! is appended to that span's record, so the span and its events reach the
+//! ring as one record when the span closes, on every exit path, unwinding
+//! included. An event with no such span (none open here, its parent open on
+//! another thread, or the record's arena full) is a record of its own; no
+//! event is dropped. A span opened with [`trace_span_timed`] also observes
+//! its duration into a histogram from the same two clock stamps.
 //!
 //! The buffer is the *flight recorder* (DESIGN.md §13): a fixed-size ring of
 //! packed, heap-free slots, always on. Recording costs one `fetch_add` plus
-//! a bounded inline copy behind a per-slot `try_write` — no allocation, and
-//! a contended slot drops the record (and counts the drop) rather than ever
-//! blocking the hot path. Snapshots unpack the slots into [`SpanRecord`]s
-//! and are exposed over the ORB through the introspection object's
-//! `dump_traces` method; a failing test can write one to a directory of
-//! its choosing with [`dump_to_results`].
+//! a bounded copy of the used bytes behind a per-slot `try_write` — no
+//! allocation, and a contended slot drops the record (and counts the drop)
+//! rather than ever blocking the hot path. Snapshots unpack each slot into
+//! its span followed by its events, as [`SpanRecord`]s, and are exposed over
+//! the ORB through the introspection object's `dump_traces` method; a
+//! failing test can write one to a directory of its choosing with
+//! [`dump_to_results`].
 //!
 //! Timestamps come from [`Registry::global`]'s pluggable clock, so traces
 //! recorded under netsim's virtual clock are deterministic.
+//!
+//! [`Registry::global`]: crate::Registry::global
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
+use crate::metrics::Histogram;
 use crate::registry::fast_now_ns;
 
 /// Upper bound on the serialized baggage a context will carry, in bytes
@@ -38,11 +53,26 @@ const NAME_BUDGET: usize = 64;
 const ATTR_VALUE_BUDGET: usize = 128;
 const ATTRS_PER_SPAN: usize = 8;
 
-/// Inline payload bytes per slot (name + packed attributes). Sized so one
-/// worst-case attribute (64-byte key, 128-byte value) still fits behind a
-/// full-length name; attributes past the arena are dropped, never spilled
-/// to the heap.
+/// Inline payload bytes per slot (name, attributes and the events that rode
+/// in the span). Sized so one worst-case attribute (64-byte key, 128-byte
+/// value) still fits behind a full-length name; a span attribute past the
+/// arena is dropped, an event past it becomes a record of its own, and
+/// neither is ever spilled to the heap.
 const SLOT_BYTES: usize = 288;
+
+/// Arena entries after the name: a span attribute
+/// `[TAG_ATTR][klen][vlen][key][value]`, or an event that rode in the span
+/// `[TAG_EVENT][name_len][name][id: u64 LE][stamp: u64 LE][n]` followed by
+/// its `n` attributes untagged.
+const TAG_ATTR: u8 = 0;
+const TAG_EVENT: u8 = 1;
+
+/// Spans one thread can hold open with a record. A span opened deeper still
+/// re-points the installed context (its children parent on it) but records
+/// nothing: it is counted in [`TraceBuffer::dropped`], as a contended slot
+/// is. The request path nests at most four deep (a server dispatch whose
+/// skeleton calls out through a capability chain).
+const OPEN_DEPTH: usize = 8;
 
 /// Flight-recorder capacity (spans). Power of two so the ring index is a
 /// mask. 1k packed slots of ~350 bytes keeps the recorder near 360 KiB —
@@ -270,10 +300,32 @@ fn truncate_str(s: &str, budget: usize) -> &str {
     s.get(..end).unwrap_or_default()
 }
 
+/// The bytes an attribute value is recorded as: text truncated to 128
+/// bytes, or an integer's decimal digits, written right-aligned into
+/// `digits` (`u64::MAX` has 20).
+fn attr_bytes<'a>(value: AttrValue<'a>, digits: &'a mut [u8; 20]) -> &'a [u8] {
+    match value {
+        AttrValue::Str(s) => truncate_str(s, ATTR_VALUE_BUDGET).as_bytes(),
+        AttrValue::U64(mut n) => {
+            let mut at = digits.len();
+            for digit in digits.iter_mut().rev() {
+                *digit = b'0' + (n % 10) as u8;
+                at -= 1;
+                n /= 10;
+                if n == 0 {
+                    break;
+                }
+            }
+            digits.get(at..).unwrap_or_default()
+        }
+    }
+}
+
 /// A span in packed wire-less form: ids plus an inline byte arena holding
-/// the name and the attributes (`[klen][vlen][key][val]` per attr). This is
-/// what lives in the ring and on a [`TraceSpan`]'s stack frame — recording
-/// is a bounded memcpy, never an allocation.
+/// the name, then the span's attributes and the events that rode in it as
+/// tagged entries ([`TAG_ATTR`], [`TAG_EVENT`]). This is what lives in the
+/// ring and in a thread's stack of open records — recording is a bounded
+/// memcpy, never an allocation.
 #[derive(Clone, Copy)]
 struct PackedSpan {
     trace_id: u128,
@@ -282,71 +334,79 @@ struct PackedSpan {
     start_ns: u64,
     end_ns: u64,
     name_len: u8,
+    /// The span's own attributes (an event's are counted in its entry).
     n_attrs: u8,
     len: u16,
     buf: [u8; SLOT_BYTES],
 }
 
 impl PackedSpan {
+    const EMPTY: Self = Self {
+        trace_id: 0,
+        span_id: 0,
+        parent_span_id: 0,
+        start_ns: 0,
+        end_ns: 0,
+        name_len: 0,
+        n_attrs: 0,
+        len: 0,
+        buf: [0; SLOT_BYTES],
+    };
+
     fn new(trace_id: u128, span_id: u64, parent_span_id: u64, name: &str, start_ns: u64) -> Self {
-        let mut p = Self {
-            trace_id,
-            span_id,
-            parent_span_id,
-            start_ns,
-            end_ns: start_ns,
-            name_len: 0,
-            n_attrs: 0,
-            len: 0,
-            buf: [0; SLOT_BYTES],
-        };
-        let name = truncate_str(name, NAME_BUDGET).as_bytes();
-        if let Some(dst) = p.buf.get_mut(..name.len()) {
-            dst.copy_from_slice(name);
-            p.name_len = name.len() as u8;
-            p.len = name.len() as u16;
-        }
+        let mut p = Self::EMPTY;
+        p.open(trace_id, span_id, parent_span_id, name, start_ns);
         p
     }
 
-    /// Appends an attribute; silently dropped once the attr count or the
-    /// arena is exhausted (bounded by construction).
+    /// Starts a record in place: the header and the name. Arena bytes past
+    /// the name keep whatever they held; `len` bounds what is read.
+    fn open(
+        &mut self,
+        trace_id: u128,
+        span_id: u64,
+        parent_span_id: u64,
+        name: &str,
+        start_ns: u64,
+    ) {
+        let name = truncate_str(name, NAME_BUDGET).as_bytes();
+        self.trace_id = trace_id;
+        self.span_id = span_id;
+        self.parent_span_id = parent_span_id;
+        self.start_ns = start_ns;
+        self.end_ns = start_ns;
+        self.n_attrs = 0;
+        self.len = 0;
+        self.name_len = if self.put(&[name]) { name.len() as u8 } else { 0 };
+    }
+
+    /// Appends `parts` to the arena, all or none: `false`, and `len`
+    /// unmoved, when they do not fit.
+    fn put(&mut self, parts: &[&[u8]]) -> bool {
+        let need: usize = parts.iter().map(|p| p.len()).sum();
+        let at = usize::from(self.len);
+        let Some(mut dst) = self.buf.get_mut(at..at + need) else { return false };
+        for part in parts {
+            let Some((head, rest)) = dst.split_at_mut_checked(part.len()) else { return false };
+            head.copy_from_slice(part);
+            dst = rest;
+        }
+        self.len += need as u16;
+        true
+    }
+
+    /// Appends a span attribute; silently dropped once the span has eight
+    /// or the arena is full (bounded by construction).
     fn push_attr(&mut self, key: &str, value: AttrValue<'_>) {
         if usize::from(self.n_attrs) >= ATTRS_PER_SPAN {
             return;
         }
         let key = truncate_str(key, NAME_BUDGET).as_bytes();
-        // u64::MAX has 20 digits; they are written right-aligned.
         let mut digits = [0u8; 20];
-        let value = match value {
-            AttrValue::Str(s) => truncate_str(s, ATTR_VALUE_BUDGET).as_bytes(),
-            AttrValue::U64(mut n) => {
-                let mut at = digits.len();
-                for digit in digits.iter_mut().rev() {
-                    *digit = b'0' + (n % 10) as u8;
-                    at -= 1;
-                    n /= 10;
-                    if n == 0 {
-                        break;
-                    }
-                }
-                digits.get(at..).unwrap_or_default()
-            }
-        };
-        let at = usize::from(self.len);
-        let need = 2 + key.len() + value.len();
-        let Some(dst) = self.buf.get_mut(at..at + need) else { return };
-        let [klen_b, vlen_b, body @ ..] = dst else { return };
-        *klen_b = key.len() as u8;
-        *vlen_b = value.len() as u8;
-        if let Some(kdst) = body.get_mut(..key.len()) {
-            kdst.copy_from_slice(key);
+        let value = attr_bytes(value, &mut digits);
+        if self.put(&[&[TAG_ATTR, key.len() as u8, value.len() as u8], key, value]) {
+            self.n_attrs += 1;
         }
-        if let Some(vdst) = body.get_mut(key.len()..) {
-            vdst.copy_from_slice(value);
-        }
-        self.len += need as u16;
-        self.n_attrs += 1;
     }
 
     fn push_attrs(&mut self, attrs: &[(&str, AttrValue<'_>)]) {
@@ -355,29 +415,74 @@ impl PackedSpan {
         }
     }
 
-    /// Expands the packed form back into an owned [`SpanRecord`]
-    /// (snapshot-time only — this side allocates).
-    fn unpack(&self) -> SpanRecord {
-        let name = self
-            .buf
-            .get(..usize::from(self.name_len))
-            .map(|b| String::from_utf8_lossy(b).into_owned())
-            .unwrap_or_default();
-        let mut attrs = Vec::with_capacity(usize::from(self.n_attrs));
-        let mut at = usize::from(self.name_len);
-        for _ in 0..self.n_attrs {
-            let Some(&[klen, vlen]) = self.buf.get(at..at + 2) else { break };
-            at += 2;
-            let (klen, vlen) = (usize::from(klen), usize::from(vlen));
-            let Some(kb) = self.buf.get(at..at + klen) else { break };
-            let key = String::from_utf8_lossy(kb).into_owned();
-            at += klen;
-            let Some(vb) = self.buf.get(at..at + vlen) else { break };
-            let value = String::from_utf8_lossy(vb).into_owned();
-            at += vlen;
-            attrs.push((key, value));
+    /// Appends an event that happened under this span, with its first eight
+    /// attributes. All or nothing: `false`, and the arena unchanged, when
+    /// the whole event does not fit.
+    fn push_event(
+        &mut self,
+        id: u64,
+        name: &str,
+        stamp: u64,
+        attrs: &[(&str, AttrValue<'_>)],
+    ) -> bool {
+        let mark = self.len;
+        let name = truncate_str(name, NAME_BUDGET).as_bytes();
+        let attrs = attrs.get(..ATTRS_PER_SPAN).unwrap_or(attrs);
+        let (id, stamp) = (id.to_le_bytes(), stamp.to_le_bytes());
+        let header: [&[u8]; 5] =
+            [&[TAG_EVENT, name.len() as u8], name, &id, &stamp, &[attrs.len() as u8]];
+        let fits = self.put(&header)
+            && attrs.iter().all(|(key, value)| {
+                let key = truncate_str(key, NAME_BUDGET).as_bytes();
+                let mut digits = [0u8; 20];
+                let value = attr_bytes(*value, &mut digits);
+                self.put(&[&[key.len() as u8, value.len() as u8], key, value])
+            });
+        if !fits {
+            self.len = mark;
         }
-        SpanRecord {
+        fits
+    }
+
+    /// Overwrites this record with `src`'s header and the arena bytes it
+    /// uses — not the whole arena.
+    fn copy_used_from(&mut self, src: &Self) {
+        let used = usize::from(src.len);
+        if let (Some(dst), Some(from)) = (self.buf.get_mut(..used), src.buf.get(..used)) {
+            dst.copy_from_slice(from);
+        }
+        self.trace_id = src.trace_id;
+        self.span_id = src.span_id;
+        self.parent_span_id = src.parent_span_id;
+        self.start_ns = src.start_ns;
+        self.end_ns = src.end_ns;
+        self.name_len = src.name_len;
+        self.n_attrs = src.n_attrs;
+        self.len = src.len;
+    }
+
+    /// Expands the packed form into owned [`SpanRecord`]s — the span, then
+    /// the events that rode in it, in the order they happened (snapshot-time
+    /// only: this side allocates).
+    fn unpack_into(&self, out: &mut Vec<SpanRecord>) {
+        let mut arena = Arena(self.buf.get(..usize::from(self.len)).unwrap_or_default());
+        let name = arena.text(usize::from(self.name_len)).unwrap_or_default();
+        let mut attrs = Vec::with_capacity(usize::from(self.n_attrs));
+        let mut events = Vec::new();
+        while let Some(tag) = arena.byte() {
+            match tag {
+                TAG_ATTR => match arena.attr() {
+                    Some(kv) => attrs.push(kv),
+                    None => break,
+                },
+                TAG_EVENT => match arena.event(self) {
+                    Some(event) => events.push(event),
+                    None => break,
+                },
+                _ => break,
+            }
+        }
+        out.push(SpanRecord {
             trace_id: self.trace_id,
             span_id: self.span_id,
             parent_span_id: self.parent_span_id,
@@ -385,8 +490,122 @@ impl PackedSpan {
             start_ns: self.start_ns,
             end_ns: self.end_ns,
             attrs,
-        }
+        });
+        out.append(&mut events);
     }
+}
+
+/// Reads a record's arena front to back.
+struct Arena<'a>(&'a [u8]);
+
+impl Arena<'_> {
+    fn take(&mut self, n: usize) -> Option<&[u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        self.take(1)?.first().copied()
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    fn text(&mut self, n: usize) -> Option<String> {
+        Some(String::from_utf8_lossy(self.take(n)?).into_owned())
+    }
+
+    /// `[klen][vlen][key][value]`
+    fn attr(&mut self) -> Option<(String, String)> {
+        let (klen, vlen) = (self.byte()?, self.byte()?);
+        Some((self.text(usize::from(klen))?, self.text(usize::from(vlen))?))
+    }
+
+    /// An event entry after its tag, as a zero-duration child of `span`.
+    fn event(&mut self, span: &PackedSpan) -> Option<SpanRecord> {
+        let name_len = self.byte()?;
+        let name = self.text(usize::from(name_len))?;
+        let (span_id, stamp) = (self.u64()?, self.u64()?);
+        let n = self.byte()?;
+        let attrs = (0..n).map(|_| self.attr()).collect::<Option<Vec<_>>>()?;
+        Some(SpanRecord {
+            trace_id: span.trace_id,
+            span_id,
+            parent_span_id: span.span_id,
+            name,
+            start_ns: stamp,
+            end_ns: stamp,
+            attrs,
+        })
+    }
+}
+
+/// A span's record while the span is open, in its thread's stack.
+#[derive(Clone, Copy)]
+struct OpenRecord {
+    rec: PackedSpan,
+    /// The latest stamp in the record: its start, or its last event's.
+    last_ns: u64,
+    /// Cleared when the span closes; a record closed under a span still
+    /// open above it waits there, dead, until that span closes too.
+    live: bool,
+}
+
+/// One thread's open records, innermost last. The top record, if any, is
+/// always live.
+struct OpenStack {
+    depth: usize,
+    records: [OpenRecord; OPEN_DEPTH],
+}
+
+impl OpenStack {
+    const EMPTY: Self = Self {
+        depth: 0,
+        records: [OpenRecord { rec: PackedSpan::EMPTY, last_ns: 0, live: false }; OPEN_DEPTH],
+    };
+
+    /// The innermost open record.
+    fn top(&mut self) -> Option<&mut OpenRecord> {
+        self.records.get_mut(self.depth.checked_sub(1)?)
+    }
+
+    /// Opens a record on top; `None` when the stack is full.
+    fn push(
+        &mut self,
+        (trace_id, span_id, parent_span_id): (u128, u64, u64),
+        name: &str,
+        start_ns: u64,
+        attrs: &[(&str, AttrValue<'_>)],
+    ) -> Option<usize> {
+        let at = self.depth;
+        let open = self.records.get_mut(at)?;
+        open.rec.open(trace_id, span_id, parent_span_id, name, start_ns);
+        open.rec.push_attrs(attrs);
+        open.last_ns = start_ns;
+        open.live = true;
+        self.depth += 1;
+        Some(at)
+    }
+
+    /// Closes the record at `at` into the ring, then pops every dead record
+    /// off the top. Returns the record's trace id.
+    fn close(&mut self, at: usize, end_ns: u64) -> Option<u128> {
+        let open = self.records.get_mut(at).filter(|open| open.live)?;
+        open.live = false;
+        open.rec.end_ns = end_ns;
+        TraceBuffer::global().record_packed(&open.rec);
+        let trace_id = open.rec.trace_id;
+        while self.top().is_some_and(|top| !top.live) {
+            self.depth -= 1;
+        }
+        Some(trace_id)
+    }
+}
+
+thread_local! {
+    static OPEN: RefCell<OpenStack> = const { RefCell::new(OpenStack::EMPTY) };
 }
 
 /// Global kill switch for span recording (contexts still propagate).
@@ -416,7 +635,10 @@ pub fn set_enabled(on: bool) {
 pub struct TraceBuffer {
     slots: Vec<RwLock<Option<PackedSpan>>>,
     cursor: AtomicU64,
+    /// Records whose claimed slot was contended.
     dropped: AtomicU64,
+    /// Spans opened past a thread's `OPEN_DEPTH`, which never had a record.
+    too_deep: AtomicU64,
 }
 
 impl std::fmt::Debug for TraceBuffer {
@@ -437,6 +659,7 @@ impl TraceBuffer {
             slots: (0..capacity).map(|_| RwLock::new(None)).collect(),
             cursor: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            too_deep: AtomicU64::new(0),
         }
     }
 
@@ -458,9 +681,10 @@ impl TraceBuffer {
         self.cursor.load(Ordering::Relaxed).saturating_sub(self.dropped.load(Ordering::Relaxed))
     }
 
-    /// Records dropped because their slot was contended.
+    /// Records dropped: their slot was contended, or their span was opened
+    /// deeper than a thread's stack of open records.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.load(Ordering::Relaxed) + self.too_deep.load(Ordering::Relaxed)
     }
 
     /// Records one owned span (converts to the packed form; tests and
@@ -476,7 +700,8 @@ impl TraceBuffer {
     }
 
     /// Records one packed span. Never blocks: a contended slot drops the
-    /// record.
+    /// record. An occupied slot takes the header and the used arena bytes
+    /// only.
     ///
     /// Threads claim ring indices in blocks of `capacity / 64` (1 for small
     /// buffers, so tests see exact FIFO slot reuse) and walk their block
@@ -508,30 +733,30 @@ impl TraceBuffer {
             return;
         };
         match slot.try_write() {
-            Ok(mut guard) => {
-                *guard = Some(*rec);
-            }
+            Ok(mut guard) => match guard.as_mut() {
+                Some(slot) => slot.copy_used_from(rec),
+                None => *guard = Some(*rec),
+            },
             Err(_) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// A point-in-time copy of every live record, ordered by
-    /// `(start_ns, trace_id, span_id)` so output is deterministic under a
-    /// deterministic clock.
+    /// A point-in-time copy of every live record, each span followed by the
+    /// events that rode in it, sorted stably by `(start_ns, trace_id)`: ties
+    /// keep record order, so an event stamped with its span's start still
+    /// follows its span.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = self
-            .slots
-            .iter()
-            .filter_map(|s| match s.try_read() {
-                Ok(guard) => guard.as_ref().map(PackedSpan::unpack),
-                Err(_) => None,
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            (a.start_ns, a.trace_id, a.span_id).cmp(&(b.start_ns, b.trace_id, b.span_id))
-        });
+        let mut out = Vec::new();
+        for slot in &self.slots {
+            if let Ok(guard) = slot.try_read() {
+                if let Some(rec) = guard.as_ref() {
+                    rec.unpack_into(&mut out);
+                }
+            }
+        }
+        out.sort_by_key(|r| (r.start_ns, r.trace_id));
         out
     }
 
@@ -574,64 +799,118 @@ impl TraceBuffer {
 
 /// Records an instant event (zero-duration span) under the installed
 /// context; a no-op when no context is installed or recording is off.
+///
+/// When its parent is the innermost span open on this thread, the event
+/// rides in that span's record and reaches the ring when the span closes;
+/// otherwise it is a record of its own.
 pub fn trace_event(name: &str, attrs: &[(&str, AttrValue<'_>)]) {
+    record_event(name, attrs, false);
+}
+
+/// [`trace_event`] for an event that follows the last stamp its span took
+/// with nothing worth timing in between — the span's start, or the event
+/// just before it: riding in the span, it takes that stamp and reads no
+/// clock. Where it cannot ride in its span it reads the clock, as
+/// [`trace_event`] does.
+pub fn trace_event_at_last_stamp(name: &str, attrs: &[(&str, AttrValue<'_>)]) {
+    record_event(name, attrs, true);
+}
+
+fn record_event(name: &str, attrs: &[(&str, AttrValue<'_>)], last_stamp: bool) {
     if !enabled() {
         return;
     }
-    let Some((trace_id, span_id)) =
+    let Some((trace_id, parent)) =
         CURRENT.with(|c| c.borrow().as_ref().map(|ctx| (ctx.trace_id, ctx.span_id)))
     else {
         return;
     };
-    let now = fast_now_ns();
-    let mut p = PackedSpan::new(trace_id, next_id(), span_id, name, now);
-    p.push_attrs(attrs);
-    TraceBuffer::global().record_packed(&p);
+    let id = next_id();
+    // Err: the event needs a record of its own, stamped already if it was.
+    let rode = OPEN.with(|open| {
+        let mut open = open.borrow_mut();
+        let Some(top) = open.top().filter(|t| t.rec.trace_id == trace_id && t.rec.span_id == parent)
+        else {
+            return Err(None);
+        };
+        let stamp = if last_stamp { top.last_ns } else { fast_now_ns() };
+        if !top.rec.push_event(id, name, stamp, attrs) {
+            return Err(Some(stamp));
+        }
+        top.last_ns = stamp;
+        Ok(())
+    });
+    if let Err(stamp) = rode {
+        let mut p = PackedSpan::new(trace_id, id, parent, name, stamp.unwrap_or_else(fast_now_ns));
+        p.push_attrs(attrs);
+        TraceBuffer::global().record_packed(&p);
+    }
 }
 
 /// A timed child span: derives a child of the installed context, installs
 /// it for the guard's lifetime (so nested spans parent correctly), and
-/// records into the flight recorder on drop.
+/// records into the flight recorder on drop, with the events that rode in
+/// it. Opened with [`trace_span_timed`], it also observes its duration into
+/// a histogram.
 ///
 /// When no context is installed (or recording is off) the guard is inert —
-/// callers do not need to branch.
+/// callers do not need to branch. The guard stays on the thread that opened
+/// it (`!Send`): its record is in that thread's stack of open records.
 #[must_use = "a span records when the guard drops"]
-pub struct TraceSpan {
-    rec: Option<PackedSpan>,
+pub struct TraceSpan<'h> {
+    /// Index of this span's record in its thread's stack of open records;
+    /// `None` when inert or opened past the stack's depth.
+    open: Option<usize>,
     /// `(span_id, parent_span_id)` of the installed context before this span
     /// re-pointed it at itself; restored on drop. The full context never
     /// moves — a child span shares the trace id and baggage, so opening one
     /// only swings the two span ids in place.
     restore: Option<(u64, u64)>,
+    /// The histogram this span times and its start stamp, which is the
+    /// record's own when the span records.
+    timed: Option<(&'h Histogram, u64)>,
+    _thread: PhantomData<*const ()>,
 }
 
-impl std::fmt::Debug for TraceSpan {
+impl std::fmt::Debug for TraceSpan<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSpan").field("active", &self.rec.is_some()).finish()
+        f.debug_struct("TraceSpan").field("active", &self.open.is_some()).finish()
     }
 }
 
-impl TraceSpan {
+impl TraceSpan<'_> {
     /// Adds an attribute to the span (bounded; ignored on inert spans).
     pub fn attr<'a>(&mut self, key: &str, value: impl Into<AttrValue<'a>>) {
-        if let Some(rec) = &mut self.rec {
-            rec.push_attr(key, value.into());
+        if let Some(at) = self.open {
+            let value = value.into();
+            OPEN.with(|open| {
+                if let Some(open) = open.borrow_mut().records.get_mut(at) {
+                    open.rec.push_attr(key, value);
+                }
+            });
         }
     }
 
     /// Is this span actually recording?
     pub fn is_active(&self) -> bool {
-        self.rec.is_some()
+        self.open.is_some()
     }
 }
 
-impl Drop for TraceSpan {
+impl Drop for TraceSpan<'_> {
     fn drop(&mut self) {
         // End time is taken before the parent span ids are restored, so a
         // span's duration never includes its own teardown.
-        if let Some(rec) = self.rec.as_mut() {
-            rec.end_ns = fast_now_ns();
-            TraceBuffer::global().record_packed(rec);
+        if self.open.is_some() || self.timed.is_some() {
+            let end_ns = fast_now_ns();
+            let trace_id = self.open.and_then(|at| OPEN.with(|o| o.borrow_mut().close(at, end_ns)));
+            if let Some((hist, start_ns)) = self.timed {
+                let elapsed = end_ns.saturating_sub(start_ns);
+                match trace_id {
+                    Some(trace_id) => hist.observe_traced(elapsed, trace_id),
+                    None => hist.observe_linked(elapsed),
+                }
+            }
         }
         if let Some((span_id, parent_span_id)) = self.restore.take() {
             CURRENT.with(|c| {
@@ -645,33 +924,63 @@ impl Drop for TraceSpan {
 }
 
 /// Opens a child span of the installed context (inert off-trace).
-pub fn trace_span(name: &str) -> TraceSpan {
-    trace_span_with(name, &[])
+pub fn trace_span(name: &str) -> TraceSpan<'static> {
+    open_span(name, &[], None)
 }
 
 /// [`trace_span`] with initial attributes.
-pub fn trace_span_with(name: &str, attrs: &[(&str, AttrValue<'_>)]) -> TraceSpan {
-    if !enabled() {
-        return TraceSpan { rec: None, restore: None };
-    }
-    let span_id = next_id();
-    // One TLS visit: read the ids and re-point the installed context at the
-    // new span, so nested spans parent correctly. Trace id and baggage are
-    // shared with the parent and stay where they are.
-    let ids = CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        let ctx = cur.as_mut()?;
-        let prev = (ctx.span_id, ctx.parent_span_id);
-        ctx.parent_span_id = ctx.span_id;
-        ctx.span_id = span_id;
-        Some((ctx.trace_id, prev))
-    });
-    let Some((trace_id, prev)) = ids else {
-        return TraceSpan { rec: None, restore: None };
+pub fn trace_span_with(name: &str, attrs: &[(&str, AttrValue<'_>)]) -> TraceSpan<'static> {
+    open_span(name, attrs, None)
+}
+
+/// [`trace_span_with`] that also observes its duration into `hist`, from
+/// the span's own two stamps. The histogram is observed on every path:
+/// from an inert span, and with recording off, too.
+pub fn trace_span_timed<'h>(
+    name: &str,
+    attrs: &[(&str, AttrValue<'_>)],
+    hist: &'h Histogram,
+) -> TraceSpan<'h> {
+    open_span(name, attrs, Some(hist))
+}
+
+fn open_span<'h>(
+    name: &str,
+    attrs: &[(&str, AttrValue<'_>)],
+    hist: Option<&'h Histogram>,
+) -> TraceSpan<'h> {
+    // One TLS visit: mint the span id, read the ids and re-point the
+    // installed context at the new span, so nested spans parent correctly.
+    // Trace id and baggage are shared with the parent and stay where they
+    // are.
+    let ids = enabled()
+        .then(|| {
+            CURRENT.with(|c| {
+                let mut cur = c.borrow_mut();
+                let ctx = cur.as_mut()?;
+                let prev = (ctx.span_id, ctx.parent_span_id);
+                ctx.parent_span_id = ctx.span_id;
+                ctx.span_id = next_id();
+                Some((ctx.trace_id, ctx.span_id, prev))
+            })
+        })
+        .flatten();
+    let start_ns = if ids.is_some() || hist.is_some() { fast_now_ns() } else { 0 };
+    let mut span = TraceSpan {
+        open: None,
+        restore: None,
+        timed: hist.map(|hist| (hist, start_ns)),
+        _thread: PhantomData,
     };
-    let mut rec = PackedSpan::new(trace_id, span_id, prev.0, name, fast_now_ns());
-    rec.push_attrs(attrs);
-    TraceSpan { rec: Some(rec), restore: Some(prev) }
+    if let Some((trace_id, span_id, prev)) = ids {
+        span.restore = Some(prev);
+        let ids = (trace_id, span_id, prev.0);
+        span.open = OPEN.with(|o| o.borrow_mut().push(ids, name, start_ns, attrs));
+        if span.open.is_none() {
+            TraceBuffer::global().too_deep.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    span
 }
 
 /// Writes the flight recorder to `<dir>/trace-dump-<reason>.txt`, creating
@@ -911,5 +1220,272 @@ mod tests {
         let (k, v) = s.attrs.first().expect("attr kept");
         assert_eq!(k.len(), 64);
         assert_eq!(v.len(), 128);
+    }
+
+    /// Installs a fresh `ManualClock` reading `at` as the global clock until
+    /// the returned guard drops.
+    struct ClockSwap(Arc<dyn crate::Clock>);
+
+    impl Drop for ClockSwap {
+        fn drop(&mut self) {
+            Registry::global().set_clock(self.0.clone());
+        }
+    }
+
+    fn manual_clock(at: u64) -> (Arc<ManualClock>, ClockSwap) {
+        let swap = ClockSwap(Registry::global().clock());
+        let clock = Arc::new(ManualClock::new());
+        clock.set(at);
+        Registry::global().set_clock(clock.clone());
+        (clock, swap)
+    }
+
+    fn named<'a>(spans: &'a [SpanRecord], name: &str) -> Vec<&'a SpanRecord> {
+        spans.iter().filter(|s| s.name == name).collect()
+    }
+
+    #[test]
+    fn an_event_under_an_open_span_rides_in_it_and_keeps_its_id_and_stamp() {
+        let _g = global_state_guard();
+        let (clock, _swap) = manual_clock(1_000);
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        let span_id;
+        {
+            let _span = trace_span("outer");
+            span_id = current().map(|c| c.span_id).unwrap_or(0);
+            clock.advance(500);
+            trace_event("sent", &[("bytes", 100u64.into())]);
+            clock.advance(100);
+            trace_event_at_last_stamp("after", &[]);
+            // Both ride in the open record: nothing reaches the ring yet.
+            assert!(TraceBuffer::global().spans_of(ctx.trace_id).is_empty());
+            clock.advance(400);
+        }
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["outer", "sent", "after"], "{spans:?}");
+        let (outer, sent, after) = (&spans[0], &spans[1], &spans[2]);
+        assert_eq!((outer.span_id, outer.start_ns, outer.end_ns), (span_id, 1_000, 2_000));
+        assert_eq!((sent.parent_span_id, sent.start_ns, sent.end_ns), (span_id, 1_500, 1_500));
+        assert_eq!(sent.attrs, [("bytes".to_string(), "100".to_string())]);
+        assert_eq!((after.parent_span_id, after.start_ns), (span_id, 1_500), "the last stamp");
+        assert!(outer.attrs.is_empty());
+        let ids = [outer.span_id, sent.span_id, after.span_id];
+        assert!(ids.iter().all(|&id| id != 0) && ids[0] != ids[1] && ids[1] != ids[2]);
+    }
+
+    #[test]
+    fn span_attrs_added_after_an_event_stay_the_spans() {
+        let _g = global_state_guard();
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        {
+            let mut span = trace_span_with("attempt", &[("attempt", 0u32.into())]);
+            trace_event_at_last_stamp("selection", &[("outcome", "cached".into())]);
+            span.attr("proto", "shm");
+        }
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        let attrs = |s: &SpanRecord| {
+            s.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
+        };
+        let attrs: Vec<String> = spans.iter().map(attrs).collect();
+        assert_eq!(attrs, ["attempt=0 proto=shm", "outcome=cached"]);
+    }
+
+    #[test]
+    fn a_span_left_by_unwinding_still_brings_its_events_to_the_ring() {
+        let _g = global_state_guard();
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        let unwound = std::panic::catch_unwind(|| {
+            let _span = trace_span("unwound");
+            trace_event("before-the-panic", &[]);
+            panic!("unwinding through an open span");
+        });
+        assert!(unwound.is_err());
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["unwound", "before-the-panic"]);
+        assert_eq!(OPEN.with(|o| o.borrow().depth), 0);
+    }
+
+    #[test]
+    fn events_that_overflow_the_arena_become_records_of_their_own() {
+        let _g = global_state_guard();
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        let value = "v".repeat(100);
+        let span_id;
+        {
+            let _span = trace_span("full");
+            span_id = current().map(|c| c.span_id).unwrap_or(0);
+            for i in 0..20u32 {
+                trace_event("ev", &[("i", i.into()), ("pad", value.as_str().into())]);
+            }
+            // About two events fit the arena; the rest went to the ring.
+            assert!(TraceBuffer::global().spans_of(ctx.trace_id).len() >= 17);
+        }
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        let mut seen: Vec<String> = named(&spans, "ev")
+            .iter()
+            .inspect(|e| assert_eq!(e.parent_span_id, span_id))
+            .map(|e| e.attrs[0].1.clone())
+            .collect();
+        seen.sort_by_key(|i| i.parse::<u32>().unwrap_or(u32::MAX));
+        let want: Vec<String> = (0..20).map(|i| i.to_string()).collect();
+        assert_eq!(seen, want, "every event once");
+    }
+
+    #[test]
+    fn an_event_that_does_not_fit_leaves_the_arena_as_it_was() {
+        let mut rec = PackedSpan::new(1, 2, 0, "span", 0);
+        let value = "v".repeat(ATTR_VALUE_BUDGET);
+        assert!(rec.push_event(3, "ev", 0, &[("pad", value.as_str().into())]));
+        let len = rec.len;
+        assert!(!rec.push_event(4, "ev", 0, &[("pad", value.as_str().into())]));
+        assert_eq!(rec.len, len);
+        let mut out = Vec::new();
+        rec.unpack_into(&mut out);
+        assert_eq!(out.iter().map(|r| r.span_id).collect::<Vec<_>>(), [2, 3]);
+    }
+
+    #[test]
+    fn an_event_whose_parent_is_open_on_another_thread_stays_standalone() {
+        let _g = global_state_guard();
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        let span = trace_span("here");
+        let under_span = current().expect("installed");
+        std::thread::spawn(move || {
+            // A span of the same trace is open on this thread, as on a mux
+            // leader that records another caller's reply.
+            let _own = install(under_span.clone());
+            let _leader = trace_span("leader");
+            let _there = install(under_span);
+            trace_event("there", &[]);
+        })
+        .join()
+        .expect("joined");
+        // Recorded already, though its parent is still open.
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        assert_eq!(named(&spans, "there").len(), 1, "{spans:?}");
+        let parent = named(&spans, "there")[0].parent_span_id;
+        drop(span);
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        assert_eq!(named(&spans, "here")[0].span_id, parent);
+        assert_eq!(named(&spans, "there").len(), 1);
+    }
+
+    #[test]
+    fn spans_dropped_out_of_lifo_order_are_each_recorded_once() {
+        let _g = global_state_guard();
+        let ctx = TraceContext::new_root();
+        {
+            let _scope = install(ctx.clone());
+            let a = trace_span("a");
+            let b = trace_span("b");
+            drop(a);
+            trace_event("under-b", &[]);
+            drop(b);
+        }
+        {
+            // The stack is empty again: a fresh span carries its event.
+            let _scope = install(ctx.clone());
+            let _c = trace_span("c");
+            trace_event("under-c", &[]);
+            assert_eq!(OPEN.with(|o| o.borrow().depth), 1);
+        }
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        for name in ["a", "b", "c", "under-b", "under-c"] {
+            assert_eq!(named(&spans, name).len(), 1, "{name}: {spans:?}");
+        }
+        let c = named(&spans, "c")[0].span_id;
+        assert_eq!(named(&spans, "under-c")[0].parent_span_id, c);
+        assert_eq!(OPEN.with(|o| o.borrow().depth), 0);
+    }
+
+    #[test]
+    fn spans_past_the_stack_depth_are_counted_as_dropped() {
+        let _g = global_state_guard();
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        let dropped = TraceBuffer::global().dropped();
+        {
+            let open: Vec<TraceSpan<'_>> = (0..OPEN_DEPTH).map(|_| trace_span("nested")).collect();
+            assert!(open.iter().all(TraceSpan::is_active));
+            let deep = trace_span("too-deep");
+            assert!(!deep.is_active());
+            trace_event("under-too-deep", &[]);
+            drop(deep);
+            // Dropped in reverse, as scopes would.
+            open.into_iter().rev().for_each(drop);
+        }
+        assert_eq!(TraceBuffer::global().dropped(), dropped + 1);
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        assert_eq!(named(&spans, "nested").len(), OPEN_DEPTH);
+        assert!(named(&spans, "too-deep").is_empty());
+        assert_eq!(named(&spans, "under-too-deep").len(), 1, "an event is never dropped");
+    }
+
+    #[test]
+    fn a_timed_span_observes_its_histogram_when_inert_and_when_recording_is_off() {
+        let _g = global_state_guard();
+        let (clock, _swap) = manual_clock(10_000);
+        let hist = crate::Histogram::with_default_bounds();
+        {
+            // No context installed: inert, still timed.
+            let span = trace_span_timed("inert", &[], &hist);
+            assert!(!span.is_active());
+            clock.advance(300);
+        }
+        assert_eq!((hist.count(), hist.sum()), (1, 300));
+
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        set_enabled(false);
+        {
+            let _span = trace_span_timed("dark", &[], &hist);
+            clock.advance(200);
+        }
+        set_enabled(true);
+        assert_eq!((hist.count(), hist.sum()), (2, 500));
+        assert!(TraceBuffer::global().spans_of(ctx.trace_id).is_empty());
+
+        {
+            let _span = trace_span_timed("lit", &[], &hist);
+            clock.advance(700);
+        }
+        assert_eq!((hist.count(), hist.sum()), (3, 1_200));
+        let spans = TraceBuffer::global().spans_of(ctx.trace_id);
+        let lit = named(&spans, "lit")[0];
+        assert_eq!(lit.end_ns - lit.start_ns, 700, "one pair of stamps for both");
+        assert_eq!(hist.exemplar().map(|e| e.trace_id), Some(ctx.trace_id));
+    }
+
+    #[test]
+    fn snapshot_text_prints_a_span_before_the_events_that_share_its_stamp() {
+        let _g = global_state_guard();
+        let (_clock, _swap) = manual_clock(7_000);
+        let ctx = TraceContext::new_root();
+        let _scope = install(ctx.clone());
+        // Span ids are random: sixteen tries leave a 2^-16 chance that an
+        // order by span id would pass.
+        for _ in 0..16 {
+            let _span = trace_span("attempt");
+            trace_event_at_last_stamp("selection", &[("outcome", "cached".into())]);
+        }
+        let trace = format!("trace={:032x}", ctx.trace_id);
+        let text = TraceBuffer::global().snapshot_text();
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains(&trace)).collect();
+        assert_eq!(lines.len(), 32, "{text}");
+        for pair in lines.chunks(2) {
+            let span = pair[0].split(' ').nth(1).and_then(|s| s.strip_prefix("span="));
+            let parent = pair[1].split(' ').nth(2).and_then(|s| s.strip_prefix("parent="));
+            assert!(pair[0].ends_with("start=7000 end=7000 attempt"), "{}", pair[0]);
+            let event = "start=7000 end=7000 selection outcome=cached";
+            assert!(pair[1].ends_with(event), "{}", pair[1]);
+            assert_eq!(span, parent, "{pair:?}");
+        }
     }
 }

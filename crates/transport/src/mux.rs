@@ -244,7 +244,11 @@ impl MuxChannel {
         }
         self.send_frame(frame).map_err(MuxError::Unsent)?;
         ohpc_telemetry::counter!("mux_oneways_total").inc();
-        ohpc_telemetry::trace_event("mux_send_oneway", &[("bytes", frame_len(frame).into())]);
+        // Stamped as the `transport_send` the send just recorded.
+        ohpc_telemetry::trace_event_at_last_stamp(
+            "mux_send_oneway",
+            &[("bytes", frame_len(frame).into())],
+        );
         Ok(())
     }
 

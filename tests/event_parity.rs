@@ -15,13 +15,15 @@
 //! 16 whatever was recorded.)
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ohpc_bench::local::{deploy, Wire, KEY_NAME};
 use ohpc_caps::{EncryptionCap, TimeoutCap};
 use ohpc_orb::CapabilitySpec;
-use ohpc_telemetry::{Registry, TraceBuffer, TraceContext, Value};
+use ohpc_telemetry::{Clock, MonotonicClock, Registry, TraceBuffer, TraceContext, Value};
+use ohpc_xdr::{XdrEncode, XdrWriter};
 
 /// `name{k=v,…}` → counter value or histogram count.
 type Events = BTreeMap<String, u64>;
@@ -54,7 +56,7 @@ fn settled_events() -> Events {
     }
 }
 
-/// Both tests read process-wide state; one at a time.
+/// The tests read process-wide state; one at a time.
 fn alone() -> MutexGuard<'static, ()> {
     static ALONE: Mutex<()> = Mutex::new(());
     ALONE.lock().unwrap_or_else(|e| e.into_inner())
@@ -165,4 +167,64 @@ fn one_echo_through_glue_over_tcp_fires_what_it_always_did() {
             ("transport_send_frames_total{fabric=tcp}", 2),
         ],
     );
+}
+
+/// A monotonic clock that counts its reads.
+#[derive(Default)]
+struct CountingClock {
+    inner: MonotonicClock,
+    reads: AtomicU64,
+}
+
+impl Clock for CountingClock {
+    fn now_ns(&self) -> u64 {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.now_ns()
+    }
+}
+
+/// Reads of the registry clock, by every thread, while one `call` runs and
+/// what it set off settles — after twenty calls put everything lazy behind
+/// us.
+fn clock_reads_of(call: impl Fn()) -> u64 {
+    (0..20).for_each(|_| call());
+    settled_events();
+    let counting = Arc::new(CountingClock::default());
+    let old = Registry::global().clock();
+    Registry::global().set_clock(counting.clone());
+    call();
+    settled_events();
+    Registry::global().set_clock(old);
+    counting.reads.load(Ordering::Relaxed)
+}
+
+/// The telemetry clock reads of one call as the ledger's workloads make it
+/// (no trace installed: the GP mints one), by every thread that works on
+/// it. A span reads the clock when it opens and when it closes, an event
+/// once; a span that times a histogram shares its stamps, and an event that
+/// follows its span's last stamp takes that stamp.
+///
+/// | call | when every event and histogram read its own | now |
+/// |---|---:|---:|
+/// | SHM echo | 9 | 6 |
+/// | glue[timeout+security] echo over TCP | 41 | 22 |
+/// | SHM one-way | 9 | 5 |
+#[test]
+fn one_call_reads_the_clock_this_many_times() {
+    let _alone = alone();
+    let payload = vec![1, -2, 3, -4, 5];
+    let mut args = XdrWriter::new();
+    payload.encode(&mut args);
+
+    let (server, client) = deploy(Wire::Shm, vec![]);
+    let shm_echo = clock_reads_of(|| assert_eq!(client.echo(payload.clone()).unwrap(), payload));
+    let shm_oneway = clock_reads_of(|| client.gp().invoke_oneway(1, &args).unwrap());
+    server.shutdown();
+
+    let caps = vec![TimeoutCap::spec(u64::MAX / 2), EncryptionCap::spec(KEY_NAME)];
+    let (server, client) = deploy(Wire::TcpLoopback, caps);
+    let glue_echo = clock_reads_of(|| assert_eq!(client.echo(payload.clone()).unwrap(), payload));
+    server.shutdown();
+
+    assert_eq!((shm_echo, glue_echo, shm_oneway), (6, 22, 5), "(shm echo, glue echo, one-way)");
 }
