@@ -1,4 +1,10 @@
 //! ChaCha20 stream cipher per RFC 8439 §2.3–2.4.
+//!
+//! Whole 1 KiB groups of sixteen blocks go to the fastest lane core the
+//! running CPU has — AVX-512F ([`avx512::xor_groups`]), then AVX2 (the
+//! portable [`xor_groups`]) — chosen by feature detection on every call; the
+//! rest, and everything on other CPUs, goes block by block. Every path yields
+//! the same ciphertext.
 
 /// ChaCha20 keystream generator / cipher.
 ///
@@ -68,8 +74,8 @@ impl ChaCha20 {
     }
 
     /// One block per iteration from block `counter` on: the tail of every
-    /// call, all of it where [`xor_groups_avx2`] declines, and the reference
-    /// the lane core is tested against.
+    /// call, all of it where no [`Kernel`] runs on this CPU, and the
+    /// reference the lane cores are tested against.
     fn apply_scalar(&self, mut counter: u32, data: &mut [u8]) {
         for chunk in data.chunks_mut(64) {
             let ks = self.block(counter);
@@ -82,9 +88,14 @@ impl ChaCha20 {
 
     /// XORs the keystream into `data` in place, starting at the cipher's
     /// initial counter. Apply twice with the same key/nonce to decrypt.
+    /// `data` may lie at any alignment; whole groups go to the first of
+    /// `Kernel::FASTEST_FIRST` this CPU runs.
     pub fn apply(&self, data: &mut [u8]) {
         let counter = self.state[12];
-        let done = xor_groups_avx2(&self.state, counter, data).unwrap_or(0);
+        let done = Kernel::FASTEST_FIRST
+            .into_iter()
+            .find_map(|kernel| xor_groups_on(kernel, &self.state, counter, data))
+            .unwrap_or(0);
         // `done` is a whole number of groups no longer than `data`; the
         // rest, under one group, goes block by block.
         self.apply_scalar(counter.wrapping_add((done / 64) as u32), &mut data[done..]);
@@ -122,14 +133,17 @@ fn quarter_round_lanes(x: &mut [Lanes; 16], a: usize, b: usize, c: usize, d: usi
     x[b] = xor_rotl::<7>(x[b], x[c]);
 }
 
-/// The lane core: XORs the keystream into every whole [`GROUP`] of [`LANES`]
-/// blocks at the front of `data`, block `counter` first, and returns how many
-/// bytes that covered. Lane `l` of every state word belongs to block
-/// `counter + l`, so each line of a quarter round is one operation over
-/// sixteen independent blocks — a shape the compiler turns into vector code
-/// wherever the target has a vector rotate, which plain x86-64 (SSE2) does
-/// not: there this runs slower than [`ChaCha20::block`], so it is only ever
-/// entered through [`xor_groups_avx2`].
+/// The portable lane core: XORs the keystream into every whole [`GROUP`] of
+/// [`LANES`] blocks at the front of `data`, block `counter` first, and
+/// returns how many bytes that covered. Lane `l` of every state word belongs
+/// to block `counter + l`, so each line of a quarter round is one operation
+/// over sixteen independent blocks — a shape the compiler turns into vector
+/// code wherever the target has a vector rotate, which plain x86-64 (SSE2)
+/// does not: there this runs slower than [`ChaCha20::block`], so it is only
+/// ever entered as [`Kernel::Avx2`]. Compiled for AVX-512 it runs no faster
+/// than that, because the compiler turns the word-to-block transpose at the
+/// end into gathers and scatters; [`avx512::xor_groups`] is the same
+/// computation written with register shuffles instead.
 #[inline(always)]
 fn xor_groups(state: &[u32; 16], mut counter: u32, data: &mut [u8]) -> usize {
     let mut done = 0;
@@ -165,26 +179,161 @@ fn xor_groups(state: &[u32; 16], mut counter: u32, data: &mut [u8]) -> usize {
     done
 }
 
-/// [`xor_groups`] compiled with AVX2 enabled, or `None` when the running CPU
-/// (or the target) has no AVX2 and the caller must use the scalar path.
+/// A vector instance of the lane core, each covering whole [`GROUP`]s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// [`avx512::xor_groups`]: one `zmm` register per state word.
+    Avx512,
+    /// [`xor_groups`] compiled with AVX2 enabled.
+    Avx2,
+}
+
+impl Kernel {
+    /// The order [`ChaCha20::apply`] tries them in.
+    const FASTEST_FIRST: [Kernel; 2] = [Kernel::Avx512, Kernel::Avx2];
+}
+
+/// Runs `kernel` over the whole groups at the front of `data` and returns the
+/// bytes it covered, or `None` when the running CPU (or the target) lacks
+/// the kernel's instructions and the caller must try the next one.
 #[allow(unsafe_code)]
-fn xor_groups_avx2(state: &[u32; 16], counter: u32, data: &mut [u8]) -> Option<usize> {
+fn xor_groups_on(
+    kernel: Kernel,
+    state: &[u32; 16],
+    counter: u32,
+    data: &mut [u8],
+) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
     {
-        /// # Safety
-        /// The running CPU must support AVX2.
         #[target_feature(enable = "avx2")]
-        unsafe fn with_avx2(state: &[u32; 16], counter: u32, data: &mut [u8]) -> usize {
+        fn with_avx2(state: &[u32; 16], counter: u32, data: &mut [u8]) -> usize {
             xor_groups(state, counter, data)
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support, `with_avx2`'s only requirement, was
-            // detected on the running CPU on the line above.
-            return Some(unsafe { with_avx2(state, counter, data) });
+        match kernel {
+            Kernel::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
+                // SAFETY: AVX-512F, the only feature `avx512::xor_groups`
+                // enables, was detected on the running CPU.
+                return Some(unsafe { avx512::xor_groups(state, counter, data) });
+            }
+            Kernel::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+                // SAFETY: AVX2, the only feature `with_avx2` enables, was
+                // detected on the running CPU.
+                return Some(unsafe { with_avx2(state, counter, data) });
+            }
+            _ => {}
         }
     }
-    let _ = (state, counter, data); // unused off x86-64
+    let _ = (kernel, state, counter, data); // unused off x86-64
     None
+}
+
+/// The lane core written for AVX-512F: the sixteen lanes of a state word are
+/// the sixteen 32-bit elements of one `__m512i`, and the transpose from words
+/// to blocks is done in registers.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{GROUP, LANES};
+    use std::arch::x86_64::*;
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn quarter_round(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[b], x[c]));
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[b], x[c]));
+    }
+
+    /// Turns sixteen registers that each hold one word of sixteen blocks into
+    /// sixteen registers that each hold the sixteen words of one block.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn transpose(x: &[__m512i; 16]) -> [__m512i; 16] {
+        // 128-bit lane k of every register covers blocks 4k..4k+3. First,
+        // words 2p and 2p+1 side by side: blocks 4k, 4k+1 in `t[2p]`, blocks
+        // 4k+2, 4k+3 in `t[2p+1]`.
+        let mut t = [_mm512_setzero_si512(); 16];
+        for p in 0..8 {
+            t[2 * p] = _mm512_unpacklo_epi32(x[2 * p], x[2 * p + 1]);
+            t[2 * p + 1] = _mm512_unpackhi_epi32(x[2 * p], x[2 * p + 1]);
+        }
+        // Then words 4q..4q+3 of block 4k+j in lane k of `r[q][j]`.
+        let mut r = [[_mm512_setzero_si512(); 4]; 4];
+        for (q, rq) in r.iter_mut().enumerate() {
+            let (a, b) = (t[4 * q], t[4 * q + 2]);
+            let (c, d) = (t[4 * q + 1], t[4 * q + 3]);
+            rq[0] = _mm512_unpacklo_epi64(a, b);
+            rq[1] = _mm512_unpackhi_epi64(a, b);
+            rq[2] = _mm512_unpacklo_epi64(c, d);
+            rq[3] = _mm512_unpackhi_epi64(c, d);
+        }
+        // Last, lane k of `r[0..4][j]` in order is block 4k+j. 0x88 picks
+        // lanes 0 and 2 of each source, 0xdd lanes 1 and 3.
+        let mut out = [_mm512_setzero_si512(); 16];
+        for j in 0..4 {
+            let s0 = _mm512_shuffle_i32x4::<0x88>(r[0][j], r[1][j]);
+            let s1 = _mm512_shuffle_i32x4::<0xdd>(r[0][j], r[1][j]);
+            let s2 = _mm512_shuffle_i32x4::<0x88>(r[2][j], r[3][j]);
+            let s3 = _mm512_shuffle_i32x4::<0xdd>(r[2][j], r[3][j]);
+            out[j] = _mm512_shuffle_i32x4::<0x88>(s0, s2);
+            out[4 + j] = _mm512_shuffle_i32x4::<0x88>(s1, s3);
+            out[8 + j] = _mm512_shuffle_i32x4::<0xdd>(s0, s2);
+            out[12 + j] = _mm512_shuffle_i32x4::<0xdd>(s1, s3);
+        }
+        out
+    }
+
+    /// XORs one block's keystream into its 64 bytes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    #[allow(unsafe_code)]
+    fn xor_block(block: &mut [u8; 64], keystream: __m512i) {
+        let p = block.as_mut_ptr().cast::<__m512i>();
+        // SAFETY: `p` points at the 64 bytes of `block`, exactly one
+        // `__m512i`, valid for reads and writes through the `&mut`; the
+        // unaligned load and store ask no alignment of it.
+        unsafe { _mm512_storeu_si512(p, _mm512_xor_si512(_mm512_loadu_si512(p), keystream)) }
+    }
+
+    /// [`super::xor_groups`]'s contract: XORs the keystream into every whole
+    /// group at the front of `data`, block `counter` first, and returns the
+    /// bytes covered.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn xor_groups(state: &[u32; 16], mut counter: u32, data: &mut [u8]) -> usize {
+        let mut initial = [_mm512_setzero_si512(); 16];
+        for (v, &word) in initial.iter_mut().zip(state) {
+            *v = _mm512_set1_epi32(word as i32);
+        }
+        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let (groups, _) = data.as_chunks_mut::<GROUP>();
+        for group in groups.iter_mut() {
+            initial[12] = _mm512_add_epi32(_mm512_set1_epi32(counter as i32), lane);
+            let mut x = initial;
+            for _ in 0..10 {
+                quarter_round(&mut x, 0, 4, 8, 12);
+                quarter_round(&mut x, 1, 5, 9, 13);
+                quarter_round(&mut x, 2, 6, 10, 14);
+                quarter_round(&mut x, 3, 7, 11, 15);
+                quarter_round(&mut x, 0, 5, 10, 15);
+                quarter_round(&mut x, 1, 6, 11, 12);
+                quarter_round(&mut x, 2, 7, 8, 13);
+                quarter_round(&mut x, 3, 4, 9, 14);
+            }
+            for (w, i) in x.iter_mut().zip(initial) {
+                *w = _mm512_add_epi32(*w, i);
+            }
+            let (blocks, _) = group.as_chunks_mut::<64>();
+            for (block, keystream) in blocks.iter_mut().zip(transpose(&x)) {
+                xor_block(block, keystream);
+            }
+            counter = counter.wrapping_add(LANES as u32);
+        }
+        groups.len() * GROUP
+    }
 }
 
 /// One-shot in-place XOR encryption/decryption.
@@ -244,23 +393,33 @@ mod tests {
         assert_eq!(&data[..], &plaintext[..]);
     }
 
+    /// `data` ciphered block by block with `block()` alone, from block
+    /// `counter` on: the reference every faster path must equal.
+    fn reference(key: &[u8; 32], nonce: &[u8; 12], counter: u32, data: &[u8]) -> Vec<u8> {
+        let cipher = ChaCha20::new(key, nonce, counter);
+        let mut out = data.to_vec();
+        for (j, chunk) in out.chunks_mut(64).enumerate() {
+            let ks = cipher.block(counter.wrapping_add(j as u32));
+            chunk.iter_mut().zip(ks).for_each(|(b, k)| *b ^= k);
+        }
+        out
+    }
+
     /// Every way bytes get ciphered — the public entry point, the scalar
-    /// path, the lane core as compiled for the build's own target, and the
-    /// lane core as compiled for AVX2 (where the CPU running the test has it)
-    /// — against a keystream assembled from `block()` alone.
+    /// path, the lane core as compiled for the build's own target, and each
+    /// [`Kernel`] the CPU running the test has — against a keystream
+    /// assembled from `block()` alone. Prints which kernels it exercised, so
+    /// a run on a CPU without one shows that it went unchecked there.
     #[test]
     fn lane_core_matches_scalar_blocks() {
         let key = rfc_key();
         let nonce = [9u8; 12];
+        let mut exercised = Vec::new();
         for start in [0u32, 1, u32::MAX - 20, u32::MAX] {
             let cipher = ChaCha20::new(&key, &nonce, start);
             for n in [0usize, 1, 63, 64, 1023, 1024, 1025, 2048, 4099, 70_001] {
                 let plain: Vec<u8> = (0..n).map(|i| (i * 131 % 251) as u8).collect();
-                let mut expected = plain.clone();
-                for (j, chunk) in expected.chunks_mut(64).enumerate() {
-                    let ks = cipher.block(start.wrapping_add(j as u32));
-                    chunk.iter_mut().zip(ks).for_each(|(b, k)| *b ^= k);
-                }
+                let expected = reference(&key, &nonce, start, &plain);
                 let whole_groups = n - n % GROUP;
 
                 let mut public = plain.clone();
@@ -276,11 +435,44 @@ mod tests {
                 assert_eq!(lanes[..whole_groups], expected[..whole_groups], "n={n} start={start}");
                 assert_eq!(lanes[whole_groups..], plain[whole_groups..], "tail left alone");
 
-                let mut avx2 = plain.clone();
-                if let Some(done) = xor_groups_avx2(&cipher.state, start, &mut avx2) {
-                    assert_eq!(done, whole_groups);
-                    assert_eq!(avx2, lanes, "avx2 instance, n={n} start={start}");
+                for kernel in Kernel::FASTEST_FIRST {
+                    let mut out = plain.clone();
+                    if let Some(done) = xor_groups_on(kernel, &cipher.state, start, &mut out) {
+                        assert_eq!(done, whole_groups, "{kernel:?}");
+                        assert_eq!(out, lanes, "{kernel:?}, n={n} start={start}");
+                        if !exercised.contains(&kernel) {
+                            exercised.push(kernel);
+                        }
+                    }
                 }
+            }
+        }
+        let names = |run: bool| -> Vec<&str> {
+            let kernels = Kernel::FASTEST_FIRST.into_iter();
+            let kernels = kernels.filter(|k| exercised.contains(k) == run);
+            kernels.map(|k| if k == Kernel::Avx512 { "avx512f" } else { "avx2" }).collect()
+        };
+        println!(
+            "chacha20 instances checked: {:?} + portable + scalar; not on this CPU: {:?}",
+            names(true),
+            names(false),
+        );
+    }
+
+    /// Bodies are ciphered where they lie in a frame, at any offset: the
+    /// kernels' loads and stores must not assume alignment.
+    #[test]
+    fn unaligned_views_match_reference() {
+        let key = rfc_key();
+        let nonce = [5u8; 12];
+        for off in [1usize, 4, 60] {
+            for n in [64usize, 1024, 4096 + 17, 70_001] {
+                let mut buf: Vec<u8> = (0..off + n).map(|i| (i * 7 % 253) as u8).collect();
+                let before = buf.clone();
+                chacha20_xor(&key, &nonce, 3, &mut buf[off..]);
+                assert_eq!(buf[..off], before[..off], "prefix left alone, off={off}");
+                let expected = reference(&key, &nonce, 3, &before[off..]);
+                assert_eq!(buf[off..], expected, "off={off} n={n}");
             }
         }
     }
@@ -320,5 +512,53 @@ mod tests {
         let mut second = vec![0u8; 64];
         chacha20_xor(&key, &nonce, 1, &mut second);
         assert_eq!(&two_blocks[64..], &second[..]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn key_nonce_data() -> impl Strategy<Value = ([u8; 32], [u8; 12], Vec<u8>)> {
+            (
+                prop::collection::vec(any::<u8>(), 32..33),
+                prop::collection::vec(any::<u8>(), 12..13),
+                prop::collection::vec(any::<u8>(), 0..5_001),
+            )
+                .prop_map(|(k, n, data)| (k.try_into().unwrap(), n.try_into().unwrap(), data))
+        }
+
+        fn counters() -> impl Strategy<Value = u32> {
+            prop_oneof![any::<u32>(), (u32::MAX - 40)..=u32::MAX]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn matches_block_by_block_reference(
+                (key, nonce, data) in key_nonce_data(),
+                counter in counters(),
+            ) {
+                let mut out = data.clone();
+                chacha20_xor(&key, &nonce, counter, &mut out);
+                prop_assert_eq!(out, reference(&key, &nonce, counter, &data));
+            }
+
+            #[test]
+            fn split_at_a_block_boundary_continues_the_stream(
+                (key, nonce, data) in key_nonce_data(),
+                counter in counters(),
+                cut in 0usize..80,
+            ) {
+                let mid = (cut * 64).min(data.len() / 64 * 64);
+                let mut whole = data.clone();
+                chacha20_xor(&key, &nonce, counter, &mut whole);
+                let mut split = data.clone();
+                let (head, tail) = split.split_at_mut(mid);
+                chacha20_xor(&key, &nonce, counter, head);
+                chacha20_xor(&key, &nonce, counter.wrapping_add((mid / 64) as u32), tail);
+                prop_assert_eq!(split, whole);
+            }
+        }
     }
 }

@@ -19,8 +19,9 @@
 //! needs representative per-byte cost plus correct round-trips.
 
 #![warn(missing_docs)]
-// The cipher's AVX2 dispatch (`chacha20::xor_groups_avx2`) is the one place
-// allowed to lift this.
+// The cipher's kernel dispatch (`chacha20::xor_groups_on`, the two calls it
+// guards by a feature check) and the AVX-512 kernel's one load/store pair
+// (`chacha20::avx512::xor_block`) are the only places allowed to lift this.
 #![deny(unsafe_code)]
 
 mod chacha20;

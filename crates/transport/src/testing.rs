@@ -168,7 +168,7 @@ impl FaultPlan {
     fn should_fail(&self, kind: FaultKind) -> bool {
         let n = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
         let fail = if self.every != 0 {
-            n % self.every == 0
+            n.is_multiple_of(self.every)
         } else if self.fail_per_mille != 0 {
             splitmix64(self.seed ^ n) % 1000 < u64::from(self.fail_per_mille)
         } else {
