@@ -86,9 +86,11 @@ mod tests {
         let c = VirtualClock::new();
         let registry = ohpc_telemetry::Registry::new();
         c.drive_telemetry(&registry);
-        let span = registry.span("sim_op_ns", &[]);
+        let start = registry.now_ns();
         c.advance(SimTime(2_000));
-        assert_eq!(span.finish(), 2_000);
+        let op = registry.histogram("sim_op_ns", &[]);
+        op.observe(registry.now_ns() - start);
+        assert_eq!(op.sum(), 2_000);
     }
 
     #[test]

@@ -36,28 +36,23 @@ struct MachineLoad {
     background: f64,
 }
 
+/// The rate estimate's decay time constant, in virtual seconds.
+const TAU: f64 = 1.0;
+
 /// Cluster-wide load tracker; cheaply cloneable, thread-safe.
 #[derive(Debug, Clone, Default)]
 pub struct LoadTracker {
     inner: Arc<RwLock<HashMap<MachineId, MachineLoad>>>,
-    /// Decay time constant (virtual seconds).
-    tau: f64,
 }
 
 impl LoadTracker {
     /// Tracker with a 1-second decay constant.
     pub fn new() -> Self {
-        Self { inner: Arc::default(), tau: 1.0 }
+        Self::default()
     }
 
-    /// Tracker with a custom decay constant in virtual seconds.
-    pub fn with_tau(tau: f64) -> Self {
-        assert!(tau > 0.0);
-        Self { inner: Arc::default(), tau }
-    }
-
-    fn decay(rate: f64, dt: f64, tau: f64) -> f64 {
-        rate * (-dt / tau).exp()
+    fn decay(rate: f64, dt: f64) -> f64 {
+        rate * (-dt / TAU).exp()
     }
 
     /// Records one request arriving at machine `m` at virtual time `now`.
@@ -67,7 +62,7 @@ impl LoadTracker {
         let dt = now.saturating_sub(e.last_update).as_secs_f64();
         // Each arrival adds 1/tau to the decayed estimator — the standard
         // exponentially-weighted rate estimate.
-        e.rate = Self::decay(e.rate, dt, self.tau) + 1.0 / self.tau;
+        e.rate = Self::decay(e.rate, dt) + 1.0 / TAU;
         e.last_update = now;
     }
 
@@ -83,10 +78,7 @@ impl LoadTracker {
             None => LoadSample { request_rate: 0.0, background: 0.0 },
             Some(e) => {
                 let dt = now.saturating_sub(e.last_update).as_secs_f64();
-                LoadSample {
-                    request_rate: Self::decay(e.rate, dt, self.tau),
-                    background: e.background,
-                }
+                LoadSample { request_rate: Self::decay(e.rate, dt), background: e.background }
             }
         }
     }

@@ -118,11 +118,6 @@ impl LinkProfile {
     pub fn unloaded_time(&self, bytes: usize) -> SimTime {
         SimTime(self.service_time(bytes).0 + self.latency.as_nanos() as u64)
     }
-
-    /// Asymptotic payload bandwidth in megabits per second.
-    pub fn peak_mbps(&self) -> f64 {
-        self.bandwidth_bps as f64 / 1e6
-    }
 }
 
 #[cfg(test)]

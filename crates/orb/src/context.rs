@@ -17,7 +17,7 @@ use parking_lot::{Mutex, RwLock};
 use ohpc_netsim::Location;
 use ohpc_nexus::{HEADER_LEN, TAG_REPLY_NO_HANDLER};
 use ohpc_runtime::{AdmissionController, Executor, Permit, Rescue};
-use ohpc_transport::{AcceptLoop, Connection, Listener};
+use ohpc_transport::{AcceptLoop, Connection, Listener, RecvHalf};
 use ohpc_xdr::{XdrError, XdrReader, XdrWriter};
 
 use crate::capability::{
@@ -90,8 +90,8 @@ struct ContextInner {
     requests_served: AtomicU64,
     stopping: std::sync::atomic::AtomicBool,
     /// Executes the dispatch connection readers hand off. Pluggable so
-    /// tests can pin deterministic inline dispatch or size their own pool;
-    /// defaults to the shared worker pool.
+    /// tests and servers can size their own pool; defaults to the shared
+    /// worker pool.
     executor: RwLock<Arc<dyn Executor>>,
     /// Bounds admitted-but-unfinished requests (queued + executing).
     admission: AdmissionController,
@@ -693,31 +693,16 @@ impl Context {
 /// One split connection being served: what its reader and the pool tasks
 /// answering its requests share.
 ///
-/// The reader decodes frames in arrival order and runs admission. It runs
-/// every admitted one-way itself, before it reads the next frame. A two-way
-/// is answered on one of two threads:
-///
-/// * **the reader itself**, while the connection has never been rescued and
-///   the request is the context's only admitted one, when either no further
-///   frame has already arrived, or one has, the reader holds no reply, and
-///   the last two-way it ran took at most [`SHORT_CALL`]. That saves the
-///   hand-off to a pool worker, which is most of a small call;
-/// * **a pool worker** otherwise: the context's executor is the overflow
-///   path, so the worker cap and shedding hold under a burst, and a call
-///   that waits behind a long one runs beside it.
-///
-/// **Held replies.** A small reply (no body large enough to be gathered) to
-/// a call the reader ran with a frame waiting behind it is not sent at once:
-/// the reader holds it, in a writer it owns and reuses, so that it leaves in
-/// one write with the next reply through
-/// [`send_frames`](ohpc_transport::SendHalf::send_frames). Two callers
-/// whose requests arrive together are so answered with one write. A
-/// rejection also leaves behind a held reply, in the same write; otherwise
-/// only the next two-way the reader runs itself joins it. The reader sends
-/// a held reply on its own before it waits for a frame that has not started
-/// to arrive, before a one-way and before a pool hand-off. A held reply may
-/// thus wait for one call that arrived with it, which [`SHORT_CALL`] makes
-/// likely to be short: that is the price.
+/// The reader decodes frames in arrival order, runs admission, and does with
+/// each admitted request what [`route`] says: every one-way runs on the
+/// reader before it reads the next frame; a two-way runs on the reader or on
+/// a pool worker. A call the reader runs with a frame behind it may leave its
+/// small reply *held*, in a writer the reader owns and reuses, so that it
+/// leaves in one write with the next reply, through
+/// [`send_frames`](ohpc_transport::SendHalf::send_frames). A rejection
+/// leaves behind a held reply too, in the same write. The reader sends a held
+/// reply on its own before it waits for a frame that has not started to
+/// arrive, before a one-way and before a pool hand-off.
 ///
 /// While it runs a request, the reader parks its receive half and any held
 /// reply in the connection's [`Rescue`] slot: should the request block — on
@@ -747,13 +732,77 @@ struct SplitConn {
 /// none), and a strong reference that keeps the connection alive until a
 /// rescued half's fresh reader owns it. The reference is taken back with
 /// the half, so no cycle outlives the call.
-type Parked = (Arc<SplitConn>, Box<dyn ohpc_transport::RecvHalf>, XdrWriter);
+type Parked = (Arc<SplitConn>, Box<dyn RecvHalf>, XdrWriter);
 
-/// The longest the last two-way the reader ran may have taken for the
-/// reader to run the next one too when a frame waits behind it. A longer
-/// call predicts another: the frame behind it would wait out that call
-/// unread, where the pool runs the two beside each other.
+/// The longest the last two-way the reader ran may have taken, on the
+/// telemetry registry's clock, for the reader to run the next one too when
+/// a frame waits behind it.
 const SHORT_CALL: Duration = Duration::from_micros(50);
+
+/// What the reader knows of an admitted request when it routes it.
+#[derive(Debug, Clone, Copy)]
+struct ReadState {
+    /// The request is a one-way.
+    oneway: bool,
+    /// The connection has been rescued.
+    rescued: bool,
+    /// The request is the context's only admitted one: `in_flight() <= 1`.
+    alone: bool,
+    /// A further frame has already arrived: `RecvHalf::ready`.
+    behind: bool,
+    /// The reader holds a reply.
+    held: bool,
+    /// The last two-way the reader ran took at most [`SHORT_CALL`].
+    short: bool,
+}
+
+/// What the reader does with an admitted request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// Runs the one-way on the reader, unwatched.
+    Unwatched,
+    /// Sends the held reply, then runs the one-way on the reader.
+    OneWay,
+    /// Sends the held reply, then hands the two-way to the pool.
+    Pool,
+    /// Runs the two-way on the reader; its reply leaves behind the held one.
+    Inline,
+    /// Runs the two-way on the reader, and holds its reply if it is small.
+    InlineHold,
+}
+
+/// The reader's routing policy. The first row that matches wins; `-`
+/// matches either.
+///
+/// | oneway | rescued | alone | behind | held | short | route |
+/// |---|---|---|---|---|---|---|
+/// | yes | yes | - | - | - | - | `Unwatched` |
+/// | yes | no | - | - | - | - | `OneWay` |
+/// | no | no | yes | no | - | - | `Inline` |
+/// | no | no | yes | yes | no | yes | `InlineHold` |
+/// | no | - | - | - | - | - | `Pool` |
+///
+/// A one-way runs where it is read, so what is read after it starts after
+/// it; a connection is rescued at most once, so a rescued one's reader runs
+/// one-ways unwatched. A two-way runs on the reader, saving the hand-off
+/// that is most of a small call, only while nothing else is admitted: the
+/// pool is the overflow path that keeps the worker cap and shedding. Two
+/// requests that arrive together also run there, the first with its reply
+/// held, unless a reply is held already (a held reply waits for one call at
+/// most) or the last call was long (a long one predicts another, which the
+/// pool runs beside the frame behind it). DESIGN.md §14 has the
+/// measurements.
+fn route(s: &ReadState) -> Route {
+    match *s {
+        ReadState { oneway: true, rescued: true, .. } => Route::Unwatched,
+        ReadState { oneway: true, .. } => Route::OneWay,
+        ReadState { rescued: false, alone: true, behind: false, .. } => Route::Inline,
+        ReadState {
+            rescued: false, alone: true, behind: true, held: false, short: true, ..
+        } => Route::InlineHold,
+        _ => Route::Pool,
+    }
+}
 
 impl SplitConn {
     /// The read loop: on the thread that accepted the connection, and on the
@@ -762,12 +811,11 @@ impl SplitConn {
         clippy::disallowed_methods,
         reason = "the server connection reader, on its connection's own thread"
     )]
-    fn read(self: &Arc<Self>, mut rx: Box<dyn ohpc_transport::RecvHalf>, mut held: XdrWriter) {
+    fn read(self: &Arc<Self>, mut rx: Box<dyn RecvHalf>, mut held: XdrWriter) {
         if !self.flush(&mut held) {
             return;
         }
-        // No two-way has run yet, so none long.
-        let mut short = true;
+        let mut short = true; // no two-way has run yet, so none long
         while rx.ready() || self.flush(&mut held) {
             let Ok(frame) = rx.recv() else { break };
             if self.ctx.inner.stopping.load(Ordering::Acquire) {
@@ -777,76 +825,81 @@ impl SplitConn {
                 Err(_) => break, // not this listener's framing: hang up
                 Ok(Intake::Admitted(req, permit)) => (req, permit),
                 Ok(Intake::Dropped) => continue,
-                // Rejections go out straight from the reader thread:
-                // gracefully degrading means they stay fast when the pool is
-                // the thing that is saturated.
+                // Rejections leave from the reader: they stay fast when the
+                // pool is the thing that is saturated.
                 Ok(Intake::Reply(reply)) if self.send_behind(&mut held, &[&reply]) => continue,
                 Ok(Intake::Reply(_)) => return,
             };
-            let oneway = req.oneway;
-            let rescued = self.rescue.rescued();
-            let behind = rx.ready();
-            if oneway && rescued {
-                // A connection is rescued at most once: its fresh reader
-                // runs one-ways unwatched.
-                self.answer(req, permit);
-                yield_to_a_burst(rx.as_ref());
-                continue;
-            }
-            let inline = oneway
-                || (!rescued
-                    && self.ctx.inner.admission.in_flight() <= 1
-                    && (!behind || (held.is_empty() && short)));
-            // Only a two-way the reader runs itself joins a held reply.
-            if (oneway || !inline) && !self.flush(&mut held) {
+            let route = route(&ReadState {
+                oneway: req.oneway,
+                rescued: self.rescue.rescued(),
+                alone: self.ctx.inner.admission.in_flight() <= 1,
+                behind: rx.ready(),
+                held: !held.is_empty(),
+                short,
+            });
+            if matches!(route, Route::OneWay | Route::Pool) && !self.flush(&mut held) {
                 return;
             }
-            if !inline {
-                // The permit rides inside the task so queue time counts
-                // against the admission bound.
+            if route == Route::Pool {
+                // The permit rides in the task, so queue time counts against
+                // the admission bound.
                 let conn = self.clone();
                 self.workers.execute(Box::new(move || conn.answer(req, permit)));
                 continue;
             }
-            // A one-way makes no reply wait, so only a two-way is timed.
-            let started = (!oneway).then(Instant::now);
-            let (reply, back) = self
-                .rescue
-                .run((self.clone(), rx, held), || self.ctx.dispatch_admitted(req, permit));
-            if let Some(started) = started {
-                short = started.elapsed() <= SHORT_CALL;
-            }
-            let Some((_, back_rx, back_held)) = back else {
-                // Rescued mid-call: the fresh reader owns the connection,
-                // and has sent the held reply.
-                if !oneway {
-                    self.send_reply(reply, |frame| self.send(frame));
-                }
+            let Some(back) = self.run_here(route, req, permit, (rx, held), &mut short) else {
                 return;
             };
-            (rx, held) = (back_rx, back_held);
-            if oneway {
-                yield_to_a_burst(rx.as_ref());
-            } else if behind && reply.encoded_len() < ohpc_xdr::GATHER_MIN {
-                // `held` is empty: a frame behind let this call run inline
-                // only then.
-                reply.put_frame_as(self.framing, &mut held);
-                XdrWriter::recycle(reply.body);
-            } else if !self.send_reply(reply, |frame| self.send_behind(&mut held, frame)) {
-                return;
-            }
+            (rx, held) = back;
         }
         self.flush(&mut held);
     }
 
-    /// Dispatches an admitted request and, for a two-way, sends its reply,
-    /// in parts: a pool task's work, and a rescued reader's one-ways.
-    fn answer(&self, req: RequestMessage, permit: Permit) {
-        let oneway = req.oneway;
-        let reply = self.ctx.dispatch_admitted(req, permit);
-        if !oneway {
-            self.send_reply(reply, |frame| self.send(frame));
+    /// Runs an admitted request on the reader, as `route` says, and sends or
+    /// holds a two-way's reply; the receive half and the held reply back,
+    /// `None` once a rescue took them or the connection is gone. A two-way
+    /// sets `short`, from the stamps of its dispatch span.
+    fn run_here(
+        self: &Arc<Self>,
+        route: Route,
+        req: RequestMessage,
+        permit: Permit,
+        (rx, held): (Box<dyn RecvHalf>, XdrWriter),
+        short: &mut bool,
+    ) -> Option<(Box<dyn RecvHalf>, XdrWriter)> {
+        let parked = (self.clone(), rx, held);
+        let (reply, back) = match route {
+            Route::Unwatched => (self.ctx.dispatch_admitted(req, permit), Some(parked)),
+            _ => self.rescue.run(parked, || self.ctx.dispatch_admitted(req, permit)),
+        };
+        if matches!(route, Route::Unwatched | Route::OneWay) {
+            let (_, rx, held) = back?;
+            yield_to_a_burst(rx.as_ref());
+            return Some((rx, held));
         }
+        *short = Duration::from_nanos(ohpc_telemetry::last_timed_ns()) <= SHORT_CALL;
+        let Some((_, rx, mut held)) = back else {
+            // Rescued mid-call: the fresh reader owns the connection, and
+            // has sent the held reply.
+            self.send_reply(reply, |frame| self.send(frame));
+            return None;
+        };
+        if route == Route::InlineHold && reply.encoded_len() < ohpc_xdr::GATHER_MIN {
+            // `held` is empty: `InlineHold` says so.
+            reply.put_frame_as(self.framing, &mut held);
+            XdrWriter::recycle(reply.body);
+        } else if !self.send_reply(reply, |frame| self.send_behind(&mut held, frame)) {
+            return None;
+        }
+        Some((rx, held))
+    }
+
+    /// Dispatches an admitted two-way and sends its reply, in parts: a pool
+    /// task's work.
+    fn answer(&self, req: RequestMessage, permit: Permit) {
+        let reply = self.ctx.dispatch_admitted(req, permit);
+        self.send_reply(reply, |frame| self.send(frame));
     }
 
     /// Sends `reply` through `send`, in parts, then gives its body back to
@@ -893,7 +946,7 @@ impl SplitConn {
 /// sender that shares this thread's CPU is likely mid-burst: blocking now
 /// would let each of its frames wake this reader and preempt it. Yielding
 /// once lets it send on, so the reader finds the burst waiting.
-fn yield_to_a_burst(rx: &dyn ohpc_transport::RecvHalf) {
+fn yield_to_a_burst(rx: &dyn RecvHalf) {
     if !rx.ready() {
         std::thread::yield_now();
     }
@@ -1062,5 +1115,46 @@ mod tests {
         ctx.handle_request(request(id, encoded_ints(&[1])));
         ctx.handle_request(request(id, encoded_ints(&[2])));
         assert_eq!(count.load(Ordering::Relaxed), 2);
+    }
+
+    /// Every one of the 64 reader states routes as the first row of
+    /// `route`'s doc table that matches it, and every row is the first match
+    /// of some state: the table and the code say the same.
+    #[test]
+    fn route_follows_its_doc_table() {
+        let table: Vec<Vec<&str>> = include_str!("context.rs")
+            .lines()
+            .skip_while(|line| !line.starts_with("/// | oneway |"))
+            .take_while(|line| line.starts_with("/// |"))
+            .map(|line| line[5..].split('|').map(str::trim).filter(|c| !c.is_empty()).collect())
+            .collect();
+        let columns = ["oneway", "rescued", "alone", "behind", "held", "short", "route"];
+        assert_eq!(table[0], columns, "the table's columns are the fields of `ReadState`");
+        let rows = &table[2..];
+        let mut reached = vec![false; rows.len()];
+        for bits in 0..64u32 {
+            let input: Vec<bool> = (0..6).map(|i| (bits >> i) & 1 == 1).collect();
+            let matches = |row: &&Vec<&str>| {
+                row[..6].iter().zip(&input).all(|(cell, bit)| match *cell {
+                    "-" => true,
+                    "yes" => *bit,
+                    "no" => !*bit,
+                    other => panic!("a cell reads {other:?}"),
+                })
+            };
+            let at = rows.iter().position(|row| matches(&row)).expect("some row matches");
+            reached[at] = true;
+            let state = ReadState {
+                oneway: input[0],
+                rescued: input[1],
+                alone: input[2],
+                behind: input[3],
+                held: input[4],
+                short: input[5],
+            };
+            let routed = format!("`{:?}`", route(&state));
+            assert_eq!(routed, rows[at][6], "{state:?} against row {}", at + 1);
+        }
+        assert!(reached.iter().all(|r| *r), "a row no state reaches: {reached:?}");
     }
 }

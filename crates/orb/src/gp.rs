@@ -157,11 +157,6 @@ impl GlobalPointer {
         self.or_epoch.load(Ordering::Acquire)
     }
 
-    /// The client location this GP evaluates applicability against.
-    pub fn local_location(&self) -> Location {
-        self.local
-    }
-
     /// Runs protocol selection without invoking, for inspection. Consults
     /// the health registry exactly like a real invocation would, but always
     /// performs the full table walk — this is the *uncached* reference the

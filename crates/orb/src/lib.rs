@@ -94,7 +94,7 @@ pub use ohpc_netsim::{LanId, LinkClass, Location, MachineId, SiteId};
 
 /// Dispatch executors, re-exported so servers can tune dispatch without a
 /// direct `ohpc-runtime` dependency.
-pub use ohpc_runtime::{AdmissionController, Executor, InlineExecutor, WorkerPool};
+pub use ohpc_runtime::{AdmissionController, Executor, WorkerPool};
 
 // Hidden re-export for tests that check the inline-dispatch rescuer parks
 // when idle; servers have no use for it.

@@ -6,10 +6,8 @@
 //! instead of reject-early. This crate provides instead:
 //!
 //! * [`Executor`] — the dispatch strategy the ORB context hands request
-//!   tasks to. Two implementations ship: [`InlineExecutor`] (run on the
-//!   calling thread; deterministic, what netsim serving already does) and
-//!   [`WorkerPool`] (the default: a fixed pool of workers over one shared
-//!   FIFO queue).
+//!   tasks to. [`WorkerPool`] implements it: a fixed pool of workers over
+//!   one shared FIFO queue.
 //! * [`AdmissionController`] — a queue-depth/in-flight bound applied at the
 //!   transport→dispatch boundary. When the server is at capacity the
 //!   request is shed in microseconds with a retryable `Overloaded` status
@@ -49,27 +47,9 @@ pub trait Executor: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Upper bound on threads this executor will ever run tasks on, when
-    /// one exists (`None` for the inline strategy).
+    /// one exists.
     fn worker_cap(&self) -> Option<usize> {
         None
-    }
-}
-
-/// Runs every task on the submitting thread.
-///
-/// Deterministic: dispatch order is exactly arrival order, and no new
-/// threads appear — netsim experiments keep their byte-stable schedules.
-/// The cost is that one slow handler blocks the connection it arrived on.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InlineExecutor;
-
-impl Executor for InlineExecutor {
-    fn execute(&self, task: Task) {
-        task();
-    }
-
-    fn name(&self) -> &'static str {
-        "inline"
     }
 }
 
@@ -79,23 +59,4 @@ impl Executor for InlineExecutor {
 /// queues are plain `VecDeque`s).
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn inline_runs_on_the_caller() {
-        let tid = std::thread::current().id();
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r2 = ran.clone();
-        InlineExecutor.execute(Box::new(move || {
-            assert_eq!(std::thread::current().id(), tid);
-            r2.fetch_add(1, Ordering::Relaxed);
-        }));
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
-    }
 }

@@ -3,7 +3,8 @@
 //! A zero-dependency observability substrate: wait-free atomic instruments
 //! ([`Counter`], [`Gauge`], [`Histogram`]), a lock-light [`Registry`] keyed by
 //! `(name, labels)`, point-in-time [`Snapshot`]s with a prometheus-style text
-//! encoder, and drop-guard [`Span`]s timed by a pluggable [`Clock`].
+//! encoder, and trace spans that time histograms ([`trace_span_timed`]) on a
+//! pluggable [`Clock`].
 //!
 //! Design rules (see DESIGN.md §7):
 //!
@@ -27,20 +28,22 @@
 //! snapshot as a `RemoteObject`, so metrics travel over the ORB itself.
 //!
 //! ```
-//! use ohpc_telemetry::{Registry, ManualClock};
+//! use ohpc_telemetry::{histogram, trace_span_timed, ManualClock, Registry};
 //! use std::sync::Arc;
 //!
-//! let registry = Registry::new();
+//! let registry = Registry::global();
 //! let clock = Arc::new(ManualClock::new());
 //! registry.set_clock(clock.clone());
 //!
 //! let selected = registry.counter("orb_selection_total", &[("protocol", "tcp")]);
 //! selected.inc();
-//! let span = registry.span("orb_request_ns", &[]);
-//! clock.advance(1_500);
-//! assert_eq!(span.finish(), 1_500);
+//! {
+//!     let _timed = trace_span_timed("server_dispatch", &[], histogram!("orb_request_ns"));
+//!     clock.advance(1_500);
+//! }
 //!
 //! let snap = registry.snapshot();
+//! assert_eq!(snap.histogram("orb_request_ns", &[]).map(|h| h.sum), Some(1_500));
 //! assert_eq!(snap.counter_total("orb_selection_total"), 1);
 //! assert!(snap.to_text().contains("orb_selection_total{protocol=\"tcp\"} 1"));
 //! ```
@@ -68,13 +71,13 @@ mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{default_latency_bounds_ns, Counter, Exemplar, Gauge, Histogram};
-pub use registry::{Registry, Span};
+pub use registry::Registry;
 pub use snapshot::{HistogramSnapshot, Sample, Snapshot, Value};
 pub use trace::{
-    current, current_trace_id, dump_to_results, enabled as trace_enabled, install,
-    set_enabled as set_trace_enabled, suspend, trace_event, trace_event_at_last_stamp,
-    trace_span, trace_span_timed, trace_span_with, AttrValue, SpanRecord, TraceBuffer,
-    TraceContext, TraceScope, TraceSpan, BAGGAGE_BUDGET_BYTES,
+    current, current_trace_id, dump_to_results, enabled as trace_enabled, install, last_timed_ns,
+    set_enabled as set_trace_enabled, suspend, trace_event, trace_event_at_last_stamp, trace_span,
+    trace_span_timed, trace_span_with, AttrValue, SpanRecord, TraceBuffer, TraceContext,
+    TraceScope, TraceSpan, BAGGAGE_BUDGET_BYTES,
 };
 
 /// Shared body of [`counter!`], [`gauge!`] and [`histogram!`]: a hidden
@@ -111,7 +114,7 @@ macro_rules! gauge {
 
 /// The global-registry histogram `name{labels}` (default latency bounds) as
 /// a `&'static Histogram`; see [`counter!`]. Time a scope into it with
-/// [`Histogram::span`].
+/// [`trace_span_timed`].
 #[macro_export]
 macro_rules! histogram {
     ($($spec:tt)*) => { $crate::__instrument!(histogram, Histogram, $($spec)*) };

@@ -1,4 +1,4 @@
-//! The metric registry and span guard.
+//! The metric registry and its clock.
 //!
 //! A [`Registry`] maps `(name, sorted label set)` keys to shared instrument
 //! handles. Lookups take a read lock on the fast path (the instrument already
@@ -10,7 +10,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -131,10 +130,11 @@ impl Registry {
         GLOBAL.get_or_init(Registry::new)
     }
 
-    /// Replace the clock used by [`span`](Registry::span).
-    ///
-    /// `netsim` installs its `VirtualClock` here so span durations are
-    /// simulated-time deterministic.
+    /// Replace the clock [`now_ns`](Registry::now_ns) reads. On
+    /// [`Registry::global`] it is the clock every span stamps with (see
+    /// [`trace_span_timed`](crate::trace_span_timed)), and `netsim` installs
+    /// its `VirtualClock` here so span durations are simulated-time
+    /// deterministic.
     pub fn set_clock(&self, clock: Arc<dyn Clock>) {
         *write_lock(&self.clock) = clock;
         self.clock_epoch.fetch_add(1, Ordering::Release);
@@ -222,14 +222,6 @@ impl Registry {
         })
     }
 
-    /// Start a span that records its duration into the histogram
-    /// `name{labels}` when finished or dropped, timed on this registry's
-    /// clock. Resolves by name: for a call site on the request path, resolve
-    /// the histogram once and open [`Histogram::span`] from the handle.
-    pub fn span(&self, name: &str, labels: &[(&str, &str)]) -> Span {
-        Span::start(self.histogram(name, labels), self.clock())
-    }
-
     /// A point-in-time copy of every registered metric.
     ///
     /// Each instrument is read once; counters and histogram buckets are
@@ -290,40 +282,10 @@ pub(crate) fn fast_now_ns() -> u64 {
     })
 }
 
-/// A drop-guard timing span.
-///
-/// Observes the elapsed clock time into its histogram exactly once, either
-/// at [`finish`](Span::finish) or on drop. Opened from a resolved handle with
-/// [`Histogram::span`] (two reads of the global clock's per-thread cache and
-/// one observe — no lock, no allocation), or by name with [`Registry::span`].
-pub struct Span<H: Deref<Target = Histogram> = Arc<Histogram>> {
-    hist: Option<H>,
-    /// `None`: the global registry's clock, read through [`fast_now_ns`].
-    clock: Option<Arc<dyn Clock>>,
-    start_ns: u64,
-}
-
-impl<H: Deref<Target = Histogram>> std::fmt::Debug for Span<H> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Span")
-            .field("start_ns", &self.start_ns)
-            .field("elapsed_ns", &self.elapsed_ns())
-            .finish()
-    }
-}
-
 impl Histogram {
-    /// Starts a span that observes into this histogram, timed on
-    /// [`Registry::global`]'s clock (so it follows `set_clock` there,
-    /// whichever registry the histogram came from).
-    pub fn span(&self) -> Span<&Histogram> {
-        Span { hist: Some(self), clock: None, start_ns: fast_now_ns() }
-    }
-
-    /// Observes a duration the caller measured itself, as a [`Span`] would:
-    /// the trace installed on this thread, if any, becomes the exemplar when
-    /// `v` is the largest observation so far (so the max bucket points at a
-    /// causal trace).
+    /// Observes a duration the caller measured itself: the trace installed
+    /// on this thread, if any, becomes the exemplar when `v` is the largest
+    /// observation so far (so the max bucket points at a causal trace).
     pub fn observe_linked(&self, v: u64) {
         match crate::trace::current_trace_id() {
             Some(trace_id) => self.observe_traced(v, trace_id),
@@ -332,48 +294,9 @@ impl Histogram {
     }
 }
 
-impl Span {
-    /// Start a span against an explicit histogram and clock.
-    pub fn start(hist: Arc<Histogram>, clock: Arc<dyn Clock>) -> Self {
-        let start_ns = clock.now_ns();
-        Self { hist: Some(hist), clock: Some(clock), start_ns }
-    }
-}
-
-impl<H: Deref<Target = Histogram>> Span<H> {
-    /// Nanoseconds elapsed so far.
-    pub fn elapsed_ns(&self) -> u64 {
-        let now = self.clock.as_ref().map_or_else(fast_now_ns, |c| c.now_ns());
-        now.saturating_sub(self.start_ns)
-    }
-
-    /// Finish now and return the recorded duration in nanoseconds.
-    pub fn finish(mut self) -> u64 {
-        let elapsed = self.elapsed_ns();
-        if let Some(h) = self.hist.take() {
-            h.observe_linked(elapsed);
-        }
-        elapsed
-    }
-
-    /// Abandon the span without recording anything.
-    pub fn cancel(mut self) {
-        self.hist = None;
-    }
-}
-
-impl<H: Deref<Target = Histogram>> Drop for Span<H> {
-    fn drop(&mut self) {
-        if let Some(h) = self.hist.take() {
-            h.observe_linked(self.elapsed_ns());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
     use std::thread;
 
     #[test]
@@ -410,36 +333,6 @@ mod tests {
         g.set(99);
         assert_eq!(r.snapshot().counter("thing", &[]), Some(1));
         assert_eq!(r.snapshot().gauge("thing", &[]), None);
-    }
-
-    #[test]
-    fn span_with_manual_clock_is_deterministic() {
-        let r = Registry::new();
-        let clock = Arc::new(ManualClock::new());
-        r.set_clock(clock.clone());
-        let span = r.span("op_ns", &[("op", "test")]);
-        clock.advance(1234);
-        assert_eq!(span.finish(), 1234);
-        let snap = r.snapshot();
-        let h = snap.histogram("op_ns", &[("op", "test")]).expect("histogram");
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, 1234);
-    }
-
-    #[test]
-    fn span_records_on_drop_and_cancel_suppresses() {
-        let r = Registry::new();
-        let clock = Arc::new(ManualClock::new());
-        r.set_clock(clock.clone());
-        {
-            let _span = r.span("drop_ns", &[]);
-            clock.advance(10);
-        }
-        r.span("drop_ns", &[]).cancel();
-        let snap = r.snapshot();
-        let h = snap.histogram("drop_ns", &[]).expect("histogram");
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, 10);
     }
 
     #[test]
@@ -513,7 +406,7 @@ mod tests {
         let _ = (r.gauge("depth", &[]), r.histogram("op_ns", &[]), r.counter("hits", &[]));
         assert_eq!(r.resolutions(), 4);
         c.add(1000);
-        r.histogram("op_ns", &[]).span().finish();
+        r.histogram("op_ns", &[]).observe(1);
         assert_eq!(r.resolutions(), 5, "recording through a handle resolves nothing");
     }
 }

@@ -103,18 +103,6 @@ impl Snapshot {
         })
     }
 
-    /// Total observation count of the histogram `name` across every label set.
-    pub fn histogram_count_total(&self, name: &str) -> u64 {
-        self.samples
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| match &s.value {
-                Value::Histogram(h) => h.count,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Encode in the prometheus text exposition format.
     ///
     /// Counters and gauges emit one line each; histograms emit cumulative

@@ -906,6 +906,7 @@ impl Drop for TraceSpan<'_> {
             let trace_id = self.open.and_then(|at| OPEN.with(|o| o.borrow_mut().close(at, end_ns)));
             if let Some((hist, start_ns)) = self.timed {
                 let elapsed = end_ns.saturating_sub(start_ns);
+                LAST_TIMED_NS.set(elapsed);
                 match trace_id {
                     Some(trace_id) => hist.observe_traced(elapsed, trace_id),
                     None => hist.observe_linked(elapsed),
@@ -921,6 +922,17 @@ impl Drop for TraceSpan<'_> {
             });
         }
     }
+}
+
+thread_local! {
+    static LAST_TIMED_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// What the last span opened with [`trace_span_timed`] that closed on this
+/// thread observed into its histogram (0 before any): the duration of the
+/// scope it timed, on the registry's clock, with no clock read of its own.
+pub fn last_timed_ns() -> u64 {
+    LAST_TIMED_NS.get()
 }
 
 /// Opens a child span of the installed context (inert off-trace).

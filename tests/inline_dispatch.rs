@@ -20,6 +20,7 @@ use ohpc_orb::{
     TransportProto, WorkerPool,
 };
 use ohpc_resilience::RetryPolicy;
+use ohpc_telemetry::{Clock, ManualClock, Registry};
 use ohpc_transport::mem::MemFabric;
 use ohpc_transport::tcp::{TcpAcceptor, TcpDialer};
 use ohpc_transport::{Dialer, Listener, RecvHalf, SendHalf};
@@ -42,6 +43,9 @@ const OPEN: u32 = 7;
 /// Sleeps a millisecond: far longer than a short call, far shorter than it
 /// takes to be rescued.
 const PAUSE: u32 = 8;
+/// Advances the probe's manual clock by a millisecond: as long as `PAUSE` on
+/// that clock, and no time at all on the wall.
+const TICK: u32 = 9;
 
 const POOL: &str = "inline-test";
 
@@ -72,6 +76,8 @@ struct Probe {
     slow_started: AtomicU64,
     /// Where the last `PANIC` ran.
     panicked_on: Mutex<Option<Ran>>,
+    /// What `TICK` advances.
+    clock: Arc<ManualClock>,
 }
 
 impl Probe {
@@ -134,6 +140,7 @@ impl RemoteObject for Probe {
             }
             OPEN => self.open_gate(),
             PAUSE => std::thread::sleep(Duration::from_millis(1)),
+            TICK => self.clock.advance(1_000_000),
             m => return Err(MethodError::NoSuchMethod(m)),
         }
         Ok(())
@@ -560,6 +567,34 @@ fn after_a_long_call_a_two_way_with_a_frame_behind_it_goes_to_the_pool() {
     // The call that arrives with another behind it after so long a call
     // leaves the reader free to read that other: two long calls would run
     // one after the other on the reader, and run side by side on the pool.
+    let sent = peer.send(&[WHERE, WHERE]);
+    let ran = peer.where_each_ran(&sent);
+    assert!(ran[0].on_pool, "the call with a frame behind it ran on the reader");
+    served.assert_permits_drain();
+    served.shutdown();
+}
+
+/// The telemetry registry's clock, put back when dropped.
+struct ClockSwap(Arc<dyn Clock>);
+
+impl Drop for ClockSwap {
+    fn drop(&mut self) {
+        Registry::global().set_clock(self.0.clone());
+    }
+}
+
+#[test]
+fn after_a_call_long_on_the_telemetry_clock_a_frame_behind_goes_to_the_pool() {
+    let _alone = alone();
+    let served = Served::new(74);
+    let mut peer = served.tcp_peer();
+    let _wall = ClockSwap(Registry::global().clock());
+    Registry::global().set_clock(served.probe.clock.clone());
+    // Alone on the connection, the tick runs on the reader, and takes a
+    // millisecond on the clock its dispatch is timed by: no sleep makes the
+    // call long.
+    let ticked = peer.send(&[TICK]);
+    assert_eq!(peer.reply().request_id, ticked[0]);
     let sent = peer.send(&[WHERE, WHERE]);
     let ran = peer.where_each_ran(&sent);
     assert!(ran[0].on_pool, "the call with a frame behind it ran on the reader");
