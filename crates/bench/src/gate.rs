@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use crate::overload::{run_overload, OverloadConfig};
-use crate::selection_cost::{self, TABLE_SIZES};
+use crate::selection_cost;
 use crate::{median, trace_overhead};
 
 /// Measurements a gate takes at most: the first and two re-measures.
@@ -28,12 +28,10 @@ const OVERLOAD_WORKERS: usize = 8;
 /// only has to tell "about the worker cap" from "about the burst" (10k).
 const OVERLOAD_THREAD_SLACK: usize = 48;
 
-/// Most a cached selection may grow from 2 to 32 rows. A hidden walk would
-/// grow ~16×; 3× tolerates cache-line and allocator noise.
-const MAX_CACHED_GROWTH: f64 = 3.0;
-
-/// Least a cached selection must beat the uncached 32-row walk by.
-const MIN_CACHED_SPEEDUP: f64 = 5.0;
+/// Most a first-row win may cost at 32 rows over 2 rows. The walk stops at
+/// the first row, so a cost that grows with the table is per-row work done
+/// per request that belongs at bind.
+const MAX_FIRST_ROW_GROWTH: f64 = 1.5;
 
 /// Runs `measure` until a measurement passes, at most [`MEASUREMENTS`]
 /// times. Returns how many measurements it took, or the last breach.
@@ -103,28 +101,23 @@ pub fn overload() -> Result<(), String> {
     }
 }
 
-/// One measurement of protocol selection, cached against the uncached
-/// worst-case walk, at each of [`TABLE_SIZES`] ([`selection_cost`]).
+/// One measurement of protocol selection at each of [`selection_cost::TABLE_SIZES`], won by
+/// the first row and by the last ([`selection_cost`]).
 pub fn selection() -> Result<(), String> {
-    let samples: Vec<_> =
-        TABLE_SIZES.iter().map(|&n| selection_cost::measure(n, 21, 2_000)).collect();
+    let samples = selection_cost::measure(21, 2_000);
     for s in &samples {
-        report(&format!("selection.rows_{}.cached_ns", s.table_len), s.cached_ns);
-        report(&format!("selection.rows_{}.uncached_ns", s.table_len), s.uncached_ns);
+        report(&format!("selection.rows_{}.first_row_ns", s.table_len), s.first_ns);
+        report(&format!("selection.rows_{}.last_row_ns", s.table_len), s.last_ns);
     }
-    let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
+    let (Some(small), Some(large)) = (samples.first(), samples.last()) else {
         return Ok(());
     };
-    let (growth, speedup) = (last.cached_ns / first.cached_ns, last.uncached_ns / last.cached_ns);
-    report("selection.cached_growth", growth);
-    report("selection.cached_speedup", speedup);
-    if growth > MAX_CACHED_GROWTH {
-        return Err(format!("cached cost grew {growth:.1}x, past {MAX_CACHED_GROWTH}x"));
-    }
-    if speedup < MIN_CACHED_SPEEDUP {
-        return Err(format!(
-            "cached path only {speedup:.1}x the walk, under {MIN_CACHED_SPEEDUP}x"
-        ));
+    let extra_rows = (large.table_len - small.table_len) as f64;
+    report("selection.per_extra_row_ns", (large.last_ns - small.last_ns) / extra_rows);
+    let growth = large.first_ns / small.first_ns;
+    report("selection.first_row_growth", growth);
+    if growth > MAX_FIRST_ROW_GROWTH {
+        return Err(format!("first-row win grew {growth:.2}x, past {MAX_FIRST_ROW_GROWTH}x"));
     }
     Ok(())
 }

@@ -16,7 +16,7 @@
 //! * [`mux_contention`] — concurrent clients on one multiplexed connection,
 //!   on the wall clock;
 //! * [`trace_overhead`], [`overload`], [`selection_cost`] — the flight
-//!   recorder's cost, admission shedding, and the selection cache;
+//!   recorder's cost, admission shedding, and the selection walk;
 //! * [`gate`] — the thresholds and re-measure rule those three are held to;
 //! * [`workload`] — the echo-array service all experiments call;
 //! * [`setup`] — deployment plumbing (simulated cluster, contexts, pools);

@@ -1,13 +1,12 @@
-//! Selection-cost measurement: the per-request price of protocol selection,
-//! cached (the per-GP selection cache's hit path) vs uncached (the full
-//! OR-table walk), as a function of table size.
+//! Selection-cost measurement: the per-request price of protocol selection
+//! as a function of table size.
 //!
-//! The scenario is the worst case for the walk: a remote client facing a
-//! table of `n - 1` same-machine-only rows with the single applicable row
-//! last, so the uncached path rejects (and label-allocates for) every row
-//! before finding the match. The cached path revalidates three atomic loads
-//! and serves the memo — its cost must not depend on `n`, which is exactly
-//! what `ohpc-bench selection` gates on ([`crate::gate::selection`]).
+//! Every request walks its GP's resolved rows until one wins. Two scenarios
+//! bound that walk: the first row wins (the common case, whose cost must not
+//! depend on the table's length), and the last row wins after every row
+//! before it was rejected as inapplicable (the worst case, which grows by a
+//! fixed cost per row). `ohpc-bench selection` gates the first and prints
+//! both ([`crate::gate::selection`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,16 +45,23 @@ impl ProtoObject for RuleProto {
     }
 }
 
-/// The worst-case-walk scenario: a remote client's GP over `table_len - 1`
-/// same-machine-only rows and one `Always` row last, with the cache warm.
-/// All selections here are steady — no breakers involved — so the warmup
-/// fills the cache and every subsequent `select_cached` is a hit.
-fn warmed_gp(table_len: usize) -> GlobalPointer {
+/// Which row of the scenario's table wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Winner {
+    /// Every row is applicable, so the walk stops at the first.
+    First,
+    /// Every row but the last is same-machine-only and the client is remote,
+    /// so the walk rejects `table_len - 1` rows first.
+    Last,
+}
+
+/// A remote client's GP over a table of `table_len` rows, all in the pool.
+fn scenario(table_len: usize, winner: Winner) -> GlobalPointer {
     let mut pool = ProtoPool::new();
     let mut protocols = Vec::new();
     for i in 0..table_len as u16 {
         let id = ProtocolId(200 + i);
-        let rule = if (i as usize) + 1 < table_len {
+        let rule = if winner == Winner::Last && (i as usize) + 1 < table_len {
             ApplicabilityRule::SameMachineOnly
         } else {
             ApplicabilityRule::Always
@@ -65,48 +71,50 @@ fn warmed_gp(table_len: usize) -> GlobalPointer {
     }
     let location = Location::new(0, 0);
     let or = ObjectReference { object: ObjectId(1), type_name: "T".into(), location, protocols };
-    let gp = GlobalPointer::new(or, Arc::new(pool), Location::new(9, 9));
-    let idx = gp.select_cached().expect("scenario always selects");
-    assert_eq!(idx, table_len - 1, "the Always row wins");
-    gp
+    GlobalPointer::new(or, Arc::new(pool), Location::new(9, 9))
 }
 
-/// One measured point: median ns/op for both paths at one table size.
+/// One table size: median ns per selection when the first row wins and
+/// when the last does.
 #[derive(Debug, Clone)]
 pub struct SelectionSample {
     /// OR-table rows.
     pub table_len: usize,
-    /// Median ns per cached (hit-path) selection.
-    pub cached_ns: f64,
-    /// Median ns per uncached full-walk selection.
-    pub uncached_ns: f64,
+    /// Median ns per selection won by the first row.
+    pub first_ns: f64,
+    /// Median ns per selection won by the last row.
+    pub last_ns: f64,
 }
 
-/// Median of `rounds` timing batches of `iters` calls each, in ns/op.
-fn median_ns_per_op(rounds: usize, iters: u32, mut op: impl FnMut()) -> f64 {
-    let mut samples = Vec::with_capacity(rounds);
+/// Measures both scenarios at every size of [`TABLE_SIZES`]: `rounds`
+/// rounds, each timing `iters` selections (`GlobalPointer::select`) on every
+/// GP in turn, so a drift of the host lands on all series alike.
+pub fn measure(rounds: usize, iters: u32) -> Vec<SelectionSample> {
+    let gps: Vec<[GlobalPointer; 2]> = TABLE_SIZES
+        .iter()
+        .map(|&n| [scenario(n, Winner::First), scenario(n, Winner::Last)])
+        .collect();
+    let mut ns: Vec<[Vec<f64>; 2]> = gps.iter().map(|_| Default::default()).collect();
     for _ in 0..rounds {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            op();
+        for (pair, series) in gps.iter().zip(&mut ns) {
+            for (gp, samples) in pair.iter().zip(series.iter_mut()) {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(gp.select().map(|s| s.index).ok());
+                }
+                samples.push(t0.elapsed().as_nanos() as f64 / iters as f64);
+            }
         }
-        samples.push(t0.elapsed().as_nanos() as f64 / iters as f64);
     }
-    median(samples)
-}
-
-/// Measures one table size: cached hit path through a warmed GP vs the
-/// uncached reference walk (`GlobalPointer::select`, which never consults
-/// the cache).
-pub fn measure(table_len: usize, rounds: usize, iters: u32) -> SelectionSample {
-    let gp = warmed_gp(table_len);
-    let cached_ns = median_ns_per_op(rounds, iters, || {
-        std::hint::black_box(gp.select_cached().unwrap());
-    });
-    let uncached_ns = median_ns_per_op(rounds, iters, || {
-        std::hint::black_box(gp.select().unwrap().index);
-    });
-    SelectionSample { table_len, cached_ns, uncached_ns }
+    TABLE_SIZES
+        .iter()
+        .zip(ns)
+        .map(|(&table_len, [first, last])| SelectionSample {
+            table_len,
+            first_ns: median(first),
+            last_ns: median(last),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -115,8 +123,10 @@ mod tests {
 
     #[test]
     fn scenario_selects_the_last_row_both_ways() {
-        let gp = warmed_gp(8);
+        let gp = scenario(8, Winner::Last);
         assert_eq!(gp.select().unwrap().index, 7);
-        assert_eq!(gp.select_cached().unwrap(), 7);
+        gp.invoke_raw(1, bytes::Bytes::new()).unwrap();
+        assert_eq!(gp.last_protocol().as_deref(), Some("proto-207"));
+        assert_eq!(scenario(8, Winner::First).select().unwrap().index, 0);
     }
 }

@@ -65,7 +65,6 @@ pub mod introspect;
 pub mod message;
 pub mod objref;
 pub mod proto;
-mod selcache;
 pub mod selection;
 pub mod skeleton;
 pub mod transport_proto;

@@ -122,7 +122,8 @@ pub trait ProtoObject: Send + Sync {
 /// selection process").
 ///
 /// Editing needs `&mut`, and a GP holds its pool as `Arc<ProtoPool>`, so a
-/// bound GP's pool never changes: the selection cache has no pool input.
+/// bound GP's pool never changes: its rows are resolved against the pool
+/// once, when it binds.
 #[derive(Clone, Default)]
 pub struct ProtoPool {
     protos: Vec<Arc<dyn ProtoObject>>,

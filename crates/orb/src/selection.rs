@@ -5,12 +5,18 @@
 //! match is used to satisfy the request." A match requires (a) the protocol
 //! id to be present in the pool and (b) the proto-object to declare itself
 //! applicable for the (client location, server location, entry) triple.
+//!
+//! The rule runs for every request. What does not change between requests
+//! is worked out once per OR, when a GP binds it: a `Table` holds each row
+//! with its pool proto-object, its label and description, its breaker key
+//! and its outcome counters. A walk over it formats nothing, looks nothing
+//! up by name and reads no clock.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ohpc_netsim::Location;
 use ohpc_resilience::{HealthKey, HealthRegistry};
-use ohpc_telemetry::Registry;
+use ohpc_telemetry::{Counter, Registry};
 
 use crate::error::OrbError;
 use crate::objref::{ObjectReference, ProtoEntry};
@@ -24,16 +30,6 @@ pub struct Selection {
     pub entry: ProtoEntry,
     /// Index of the row in the OR table (for experiment logs).
     pub index: usize,
-    /// True when no circuit breaker influenced this choice: nothing was
-    /// skipped as `breaker-open` and this is not the all-denied fallback.
-    ///
-    /// Only steady selections are safe to memoize in the per-GP selection
-    /// cache: a breaker-influenced choice can change with the mere passage
-    /// of time (an open breaker's cooldown elapsing re-admits the preferred
-    /// row *without* bumping [`HealthRegistry::generation`] until the next
-    /// walk observes it), so the cache must keep re-walking while any
-    /// breaker is steering traffic.
-    pub steady: bool,
 }
 
 impl Selection {
@@ -87,109 +83,175 @@ pub fn health_key(entry: &ProtoEntry) -> HealthKey {
 /// - if *every* applicable entry is breaker-denied, the first of them is
 ///   selected anyway (`resilience_breaker_fallback_total`) — a breaker may
 ///   only redirect traffic, never refuse it outright.
+///
+/// It resolves `or` against `pool` and walks the result, the same walk a
+/// bound [`GlobalPointer`](crate::GlobalPointer) makes for every request.
 pub fn select_with_health(
     or: &ObjectReference,
     pool: &ProtoPool,
     client: &Location,
     health: Option<&HealthRegistry>,
 ) -> Result<Selection, OrbError> {
-    // The walk runs on a selection-cache miss (first call, rebind, breaker
-    // transition), never per request, and labels by protocol: by name.
-    let registry = Registry::global();
-    let mut breaker_skips = 0u32;
-    let mut fallback: Option<Selection> = None;
-    for (index, entry) in or.protocols.iter().enumerate() {
-        let proto_name = entry.id.to_string();
-        let Some(proto) = pool.find(entry.id) else {
-            registry
-                .counter(
-                    "orb_selection_rejected_total",
-                    &[("protocol", &proto_name), ("reason", "not-in-pool")],
-                )
-                .inc();
-            ohpc_telemetry::trace_event(
-                "selection_rejected",
-                &[("protocol", proto_name.as_str().into()), ("reason", "not-in-pool".into())],
-            );
-            continue;
-        };
-        if !proto.applicable(pool, client, &or.location, entry) {
-            registry
-                .counter(
-                    "orb_selection_rejected_total",
-                    &[("protocol", &proto_name), ("reason", "inapplicable")],
-                )
-                .inc();
-            ohpc_telemetry::trace_event(
-                "selection_rejected",
-                &[("protocol", proto_name.as_str().into()), ("reason", "inapplicable".into())],
-            );
-            continue;
-        }
-        if let Some(h) = health {
-            if !h.allow(&health_key(entry)) {
-                registry
-                    .counter(
-                        "orb_selection_rejected_total",
-                        &[("protocol", &proto_name), ("reason", "breaker-open")],
-                    )
-                    .inc();
-                ohpc_telemetry::trace_event(
-                    "selection_rejected",
-                    &[("protocol", proto_name.as_str().into()), ("reason", "breaker-open".into())],
-                );
-                breaker_skips += 1;
-                if fallback.is_none() {
-                    fallback =
-                        Some(Selection { proto, entry: entry.clone(), index, steady: false });
-                }
+    let table = Table::resolve(or.clone(), pool);
+    table.walk(pool, client, health).map(|pick| pick.selection())
+}
+
+/// An OR with every row resolved against a pool. It is built whole and never
+/// changed: a GP that rebinds, reorders, bans or swaps its health registry
+/// resolves a new one, so no request walks a stale row.
+pub(crate) struct Table {
+    or: ObjectReference,
+    /// One per `or.protocols` entry, in the same order.
+    rows: Vec<Row>,
+}
+
+/// One OR row, resolved.
+pub(crate) struct Row {
+    /// The pool's proto-object for the row, `None` when the pool lacks it.
+    proto: Option<Arc<dyn ProtoObject>>,
+    /// The row's protocol id, rendered: the `protocol` label of its outcomes.
+    label: String,
+    /// What the row does, e.g. `glue[timeout]->tcp`.
+    pub described: Arc<str>,
+    /// The breaker the row answers to.
+    pub key: HealthKey,
+    counters: RowCounters,
+}
+
+/// A row's outcome counters, each resolved by name the first time it ticks.
+#[derive(Default)]
+struct RowCounters {
+    selected: OnceLock<Arc<Counter>>,
+    not_in_pool: OnceLock<Arc<Counter>>,
+    inapplicable: OnceLock<Arc<Counter>>,
+    breaker_open: OnceLock<Arc<Counter>>,
+    failover: OnceLock<Arc<Counter>>,
+    fallback_selected: OnceLock<Arc<Counter>>,
+    fallback: OnceLock<Arc<Counter>>,
+}
+
+/// The row a walk chose.
+pub(crate) struct Pick<'t> {
+    pub index: usize,
+    pub entry: &'t ProtoEntry,
+    pub proto: &'t Arc<dyn ProtoObject>,
+    pub row: &'t Row,
+}
+
+impl Pick<'_> {
+    pub(crate) fn selection(&self) -> Selection {
+        Selection { proto: self.proto.clone(), entry: self.entry.clone(), index: self.index }
+    }
+}
+
+impl Table {
+    /// Resolves every row of `or` against `pool`.
+    pub(crate) fn resolve(or: ObjectReference, pool: &ProtoPool) -> Self {
+        let rows = or
+            .protocols
+            .iter()
+            .map(|entry| {
+                let proto = pool.find(entry.id);
+                let label = entry.id.to_string();
+                let described = match &proto {
+                    Some(p) => p.describe(entry).into(),
+                    None => label.as_str().into(),
+                };
+                let key = health_key(entry);
+                Row { proto, label, described, key, counters: RowCounters::default() }
+            })
+            .collect();
+        Self { or, rows }
+    }
+
+    /// The OR this table resolves.
+    pub(crate) fn or(&self) -> &ObjectReference {
+        &self.or
+    }
+
+    /// The paper's rule over the resolved rows, with `health`'s breakers as
+    /// one more predicate ([`select_with_health`] has the guarantees). Every
+    /// outcome ticks its row's counter and leaves an event in the current
+    /// span at its last stamp.
+    pub(crate) fn walk(
+        &self,
+        pool: &ProtoPool,
+        client: &Location,
+        health: Option<&HealthRegistry>,
+    ) -> Result<Pick<'_>, OrbError> {
+        let mut denied: Option<Pick<'_>> = None;
+        for (index, (row, entry)) in self.rows.iter().zip(&self.or.protocols).enumerate() {
+            let Some(proto) = &row.proto else {
+                row.reject(&row.counters.not_in_pool, "not-in-pool");
+                continue;
+            };
+            if !proto.applicable(pool, client, &self.or.location, entry) {
+                row.reject(&row.counters.inapplicable, "inapplicable");
                 continue;
             }
+            if health.is_some_and(|h| !h.allow(&row.key)) {
+                row.reject(&row.counters.breaker_open, "breaker-open");
+                denied.get_or_insert(Pick { index, entry, proto, row });
+                continue;
+            }
+            let outcome = if denied.is_some() {
+                row.tick(&row.counters.failover, "resilience_failover_total", None);
+                "failover"
+            } else {
+                "selected"
+            };
+            row.tick(&row.counters.selected, "orb_selection_total", Some(("outcome", "selected")));
+            row.chosen(index, outcome);
+            return Ok(Pick { index, entry, proto, row });
         }
-        registry
-            .counter(
-                "orb_selection_total",
-                &[("protocol", &proto_name), ("outcome", "selected")],
-            )
-            .inc();
-        if breaker_skips > 0 {
-            registry.counter("resilience_failover_total", &[("protocol", &proto_name)]).inc();
+        if let Some(pick) = denied {
+            // Every applicable row is breaker-denied. Refusing to select would
+            // turn a degraded table into a total outage, so take the preferred
+            // denied row and let it probe the endpoint.
+            let row = pick.row;
+            let outcome = Some(("outcome", "breaker-fallback"));
+            row.tick(&row.counters.fallback_selected, "orb_selection_total", outcome);
+            row.tick(&row.counters.fallback, "resilience_breaker_fallback_total", None);
+            row.chosen(pick.index, "breaker-fallback");
+            return Ok(pick);
         }
-        ohpc_telemetry::trace_event(
+        ohpc_telemetry::counter!("orb_selection_failed_total").inc();
+        ohpc_telemetry::trace_event_at_last_stamp("selection_failed", &[]);
+        Err(OrbError::NoApplicableProtocol { offered: self.or.offered() })
+    }
+}
+
+impl Row {
+    /// Ticks `name{protocol=<label>, extra}`, held in `cell` once resolved.
+    fn tick(&self, cell: &OnceLock<Arc<Counter>>, name: &str, extra: Option<(&str, &str)>) {
+        cell.get_or_init(|| {
+            let protocol = ("protocol", self.label.as_str());
+            match extra {
+                Some(extra) => Registry::global().counter(name, &[protocol, extra]),
+                None => Registry::global().counter(name, &[protocol]),
+            }
+        })
+        .inc();
+    }
+
+    fn reject(&self, cell: &OnceLock<Arc<Counter>>, reason: &'static str) {
+        self.tick(cell, "orb_selection_rejected_total", Some(("reason", reason)));
+        ohpc_telemetry::trace_event_at_last_stamp(
+            "selection_rejected",
+            &[("protocol", self.label.as_str().into()), ("reason", reason.into())],
+        );
+    }
+
+    fn chosen(&self, index: usize, outcome: &'static str) {
+        ohpc_telemetry::trace_event_at_last_stamp(
             "selection",
             &[
-                ("protocol", proto_name.as_str().into()),
+                ("protocol", self.label.as_str().into()),
                 ("index", index.into()),
-                ("outcome", if breaker_skips > 0 { "failover" } else { "selected" }.into()),
+                ("outcome", outcome.into()),
             ],
         );
-        return Ok(Selection { proto, entry: entry.clone(), index, steady: breaker_skips == 0 });
     }
-    if let Some(sel) = fallback {
-        // Every applicable row is breaker-denied. Refusing to select would
-        // turn a degraded table into a total outage, so take the preferred
-        // denied row and let it probe the endpoint.
-        let proto_name = sel.entry.id.to_string();
-        registry
-            .counter(
-                "orb_selection_total",
-                &[("protocol", &proto_name), ("outcome", "breaker-fallback")],
-            )
-            .inc();
-        registry.counter("resilience_breaker_fallback_total", &[("protocol", &proto_name)]).inc();
-        ohpc_telemetry::trace_event(
-            "selection",
-            &[
-                ("protocol", proto_name.as_str().into()),
-                ("index", sel.index.into()),
-                ("outcome", "breaker-fallback".into()),
-            ],
-        );
-        return Ok(sel);
-    }
-    ohpc_telemetry::counter!("orb_selection_failed_total").inc();
-    ohpc_telemetry::trace_event("selection_failed", &[]);
-    Err(OrbError::NoApplicableProtocol { offered: or.offered() })
 }
 
 #[cfg(test)]

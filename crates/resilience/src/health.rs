@@ -6,7 +6,6 @@
 //! applicability predicate.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -107,19 +106,6 @@ pub struct HealthRegistry {
     clock: Arc<dyn Clock>,
     policy: HealthPolicy,
     map: Mutex<HashMap<HealthKey, EndpointHealth>>,
-    /// Bumped on every breaker-state transition — all four of them:
-    /// Closed→Open and HalfOpen→Open (`record_failure`), →Closed
-    /// (`record_success`), Open→HalfOpen (`allow` after cooldown). The ORB's
-    /// per-GP selection cache keys on this counter, so a missed bump would
-    /// silently serve routes that ignore a breaker;
-    /// `every_transition_bumps_the_generation` audits the four transitions.
-    ///
-    /// Note what does *not* bump: successes and sub-threshold failures on a
-    /// Closed breaker, and time passing on an Open one. The last is why the
-    /// cache only memoizes selections no breaker influenced — an Open
-    /// breaker's cooldown elapsing changes selection without touching this
-    /// counter until the next `allow` observes it.
-    generation: AtomicU64,
 }
 
 impl std::fmt::Debug for HealthRegistry {
@@ -146,12 +132,7 @@ impl HealthRegistry {
     /// Registry on an explicit clock (netsim's `VirtualClock`, a
     /// `ManualClock` in tests).
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        Self {
-            clock,
-            policy: HealthPolicy::default(),
-            map: Mutex::new(HashMap::new()),
-            generation: AtomicU64::new(0),
-        }
+        Self { clock, policy: HealthPolicy::default(), map: Mutex::new(HashMap::new()) }
     }
 
     /// Builder: replaces the breaker tuning.
@@ -175,25 +156,21 @@ impl HealthRegistry {
     ///
     /// Closed and HalfOpen admit traffic. Open rejects until the cooldown
     /// elapses, at which point the breaker transitions to HalfOpen and the
-    /// current request becomes the probe.
+    /// current request becomes the probe. Selection asks this of every row it
+    /// reaches on every request, so only an Open breaker reads the clock.
     pub fn allow(&self, key: &HealthKey) -> bool {
-        let now = self.clock.now_ns();
         let mut map = self.map.lock();
         let Some(h) = map.get_mut(key) else { return true };
-        match h.state() {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open => {
-                if now.saturating_sub(h.opened_at_ns) >= self.policy.cooldown_ns {
-                    h.state = Some(BreakerState::HalfOpen);
-                    h.halfopen_successes = 0;
-                    self.generation.fetch_add(1, Ordering::Release);
-                    record_transition(key, BreakerState::HalfOpen);
-                    true
-                } else {
-                    false
-                }
-            }
+        if h.state() != BreakerState::Open {
+            return true;
         }
+        if self.clock.now_ns().saturating_sub(h.opened_at_ns) < self.policy.cooldown_ns {
+            return false;
+        }
+        h.state = Some(BreakerState::HalfOpen);
+        h.halfopen_successes = 0;
+        record_transition(key, BreakerState::HalfOpen);
+        true
     }
 
     /// Feeds a successful exchange (any delivered reply — the wire worked
@@ -211,7 +188,6 @@ impl HealthRegistry {
                 if h.halfopen_successes >= self.policy.close_after {
                     h.state = Some(BreakerState::Closed);
                     h.consecutive_failures = 0;
-                    self.generation.fetch_add(1, Ordering::Release);
                     record_transition(key, BreakerState::Closed);
                 }
             }
@@ -230,7 +206,6 @@ impl HealthRegistry {
                 if h.consecutive_failures >= self.policy.failure_threshold {
                     h.state = Some(BreakerState::Open);
                     h.opened_at_ns = now;
-                    self.generation.fetch_add(1, Ordering::Release);
                     record_transition(key, BreakerState::Open);
                 }
             }
@@ -238,17 +213,10 @@ impl HealthRegistry {
             BreakerState::HalfOpen => {
                 h.state = Some(BreakerState::Open);
                 h.opened_at_ns = now;
-                self.generation.fetch_add(1, Ordering::Release);
                 record_transition(key, BreakerState::Open);
             }
             BreakerState::Open => {}
         }
-    }
-
-    /// Breaker-state generation: changes whenever any breaker transitions.
-    /// Selection caches keyed on health decisions revalidate against it.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
     }
 
     /// Current breaker state (Closed for never-seen keys).
@@ -427,58 +395,41 @@ mod tests {
         assert_eq!(r.state(&k), BreakerState::Closed);
     }
 
-    /// The generation audit: every one of the four breaker transitions must
-    /// bump the counter the ORB's selection cache keys on, and
-    /// non-transition events must not. A transition that forgets the bump
-    /// would let a cached selection keep routing as if the transition never
-    /// happened.
+    /// A clock that counts its reads and never moves.
+    #[derive(Default)]
+    struct CountingClock(std::sync::atomic::AtomicU64);
+
+    impl Clock for CountingClock {
+        fn now_ns(&self) -> u64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            0
+        }
+    }
+
+    /// Selection asks `allow` of every row it reaches on every request, so a
+    /// healthy key must cost no clock read: only an Open breaker, which has a
+    /// cooldown to weigh, reads it.
     #[test]
-    fn every_transition_bumps_the_generation() {
-        let clock = Arc::new(ManualClock::new());
-        let r = reg(&clock);
+    fn allow_reads_the_clock_only_for_an_open_breaker() {
+        let clock = Arc::new(CountingClock::default());
+        let reads = || clock.0.load(std::sync::atomic::Ordering::Relaxed);
+        let r = HealthRegistry::with_clock(clock.clone());
         let k = key();
-
-        // Non-transitions leave the generation alone.
-        let g0 = r.generation();
-        r.record_success(&k); // unseen key: no-op
-        r.record_failure(&k); // 1 of 3: still Closed
-        r.record_failure(&k); // 2 of 3: still Closed
         assert!(r.allow(&k));
-        assert_eq!(r.generation(), g0, "sub-threshold activity must not bump");
+        assert_eq!(reads(), 0, "an unknown key reads no clock");
 
-        // Closed → Open (record_failure at threshold).
         r.record_failure(&k);
-        assert_eq!(r.state(&k), BreakerState::Open);
-        assert_eq!(r.generation(), g0 + 1);
-
-        // Time passing while Open does not bump — the cache's reason to
-        // never memoize breaker-influenced selections.
-        clock.advance(999);
-        assert!(!r.allow(&k));
-        assert_eq!(r.generation(), g0 + 1);
-
-        // Open → HalfOpen (allow after cooldown).
-        clock.advance(1);
+        let before = reads();
         assert!(r.allow(&k));
-        assert_eq!(r.state(&k), BreakerState::HalfOpen);
-        assert_eq!(r.generation(), g0 + 2);
-
-        // HalfOpen → Open (failed probe).
-        r.record_failure(&k);
-        assert_eq!(r.state(&k), BreakerState::Open);
-        assert_eq!(r.generation(), g0 + 3);
-
-        // Open/HalfOpen → Closed (successful probe).
-        clock.advance(1_000);
-        assert!(r.allow(&k)); // → HalfOpen: g0 + 4
-        r.record_success(&k);
         assert_eq!(r.state(&k), BreakerState::Closed);
-        assert_eq!(r.generation(), g0 + 5);
+        assert_eq!(reads(), before, "a Closed key reads no clock");
 
-        // Steady-state successes on a Closed breaker stay silent.
-        r.record_success(&k);
-        r.record_success(&k);
-        assert_eq!(r.generation(), g0 + 5);
+        r.record_failure(&k);
+        r.record_failure(&k);
+        assert_eq!(r.state(&k), BreakerState::Open);
+        let before = reads();
+        assert!(!r.allow(&k));
+        assert_eq!(reads(), before + 1, "an Open key weighs its cooldown");
     }
 
     #[test]

@@ -63,8 +63,8 @@ fn alone() -> MutexGuard<'static, ()> {
 }
 
 /// What one echo fires over `wire` behind `caps`, after enough calls that
-/// everything lazy (the dial, the selection cache, first registrations) is
-/// behind us: metric events as `name{labels}`, spans as `span name k=v …`.
+/// everything lazy (the dial, first registrations) is behind us: metric
+/// events as `name{labels}`, spans as `span name k=v …`.
 fn events_of_one_echo(wire: Wire, caps: Vec<CapabilitySpec>) -> Vec<(String, u64)> {
     let _alone = alone();
     let (server, client) = deploy(wire, caps);
@@ -103,7 +103,7 @@ fn assert_parity(fired: Vec<(String, u64)>, pinned: &[(&str, u64)]) {
 #[test]
 fn one_echo_over_shm_fires_what_it_always_did() {
     let fired = events_of_one_echo(Wire::Shm, vec![]);
-    // 10 metric events and 5 spans; a request frame is 100 bytes, a reply 44.
+    // 9 metric events and 5 spans; a request frame is 100 bytes, a reply 44.
     assert_parity(
         fired,
         &[
@@ -111,11 +111,10 @@ fn one_echo_over_shm_fires_what_it_always_did() {
             ("mux_requests_total{}", 1),
             ("orb_request_ns{}", 1),
             ("orb_requests_total{}", 1),
-            ("orb_selection_cache_total{outcome=hit}", 1),
             ("orb_selection_total{outcome=selected,protocol=shm}", 1),
             ("span gp_attempt attempt=0 forward=0 method=1 proto=shm", 1),
             ("span mux_demux_recv bytes=44", 1),
-            ("span selection outcome=cached", 1),
+            ("span selection protocol=shm index=0 outcome=selected", 1),
             ("span server_dispatch method=1 ctx=1", 1),
             ("span transport_send fabric=mem bytes=100", 1),
             ("transport_recv_bytes_total{fabric=mem}", 144),
@@ -130,7 +129,7 @@ fn one_echo_over_shm_fires_what_it_always_did() {
 fn one_echo_through_glue_over_tcp_fires_what_it_always_did() {
     let caps = vec![TimeoutCap::spec(u64::MAX / 2), EncryptionCap::spec(KEY_NAME)];
     let fired = events_of_one_echo(Wire::TcpLoopback, caps);
-    // 18 metric events and 13 spans; a request frame is 200 bytes, a reply 124.
+    // 17 metric events and 13 spans; a request frame is 200 bytes, a reply 124.
     assert_parity(
         fired,
         &[
@@ -146,7 +145,6 @@ fn one_echo_through_glue_over_tcp_fires_what_it_always_did() {
             ("orb_cap_unprocess_ns{cap=timeout,dir=request}", 1),
             ("orb_request_ns{}", 1),
             ("orb_requests_total{}", 1),
-            ("orb_selection_cache_total{outcome=hit}", 1),
             ("orb_selection_total{outcome=selected,protocol=glue}", 1),
             ("span cap_process cap=security dir=reply", 1),
             ("span cap_process cap=security dir=request", 1),
@@ -158,7 +156,7 @@ fn one_echo_through_glue_over_tcp_fires_what_it_always_did() {
             ("span cap_unprocess cap=timeout dir=request", 1),
             ("span gp_attempt attempt=0 forward=0 method=1 proto=glue[timeout+security]->tcp", 1),
             ("span mux_demux_recv bytes=124", 1),
-            ("span selection outcome=cached", 1),
+            ("span selection protocol=glue index=0 outcome=selected", 1),
             ("span server_dispatch method=1 ctx=1", 1),
             ("span transport_send fabric=tcp bytes=200", 1),
             ("transport_recv_bytes_total{fabric=tcp}", 324),
