@@ -19,7 +19,6 @@ use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, Location,
     MethodError, ProtoPool, ProtocolId, RemoteObject, TransportProto,
 };
-use ohpc_resilience::HealthRegistry;
 use ohpc_transport::mem::MemFabric;
 use ohpc_xdr::{XdrReader, XdrWriter};
 
@@ -118,12 +117,8 @@ pub fn run_contention(
     };
 
     let proto = TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric));
-    // Mux deaths and exchange failures feed one shared registry.
-    let health = Arc::new(HealthRegistry::new());
-    proto.set_health_registry(health.clone());
     let pool = Arc::new(ProtoPool::new().with(Arc::new(proto)));
     let gp = Arc::new(GlobalPointer::new(or, pool, Location::new(1, 0)));
-    gp.set_health_registry(health);
 
     let t0 = Instant::now();
     let workers: Vec<_> = (0..clients)

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -20,16 +20,11 @@ use ohpc_runtime::{AdmissionController, Executor, Permit, Rescue};
 use ohpc_transport::{AcceptLoop, Connection, Listener, RecvHalf};
 use ohpc_xdr::{XdrError, XdrReader, XdrWriter};
 
-use crate::capability::{
-    process_chain, unprocess_chain, CallInfo, CapChain, CapError, CapabilityRegistry,
-    CapabilitySpec, Direction,
-};
+use crate::capability::{CallInfo, CapError, CapabilityRegistry, CapabilitySpec, Direction};
 use crate::error::OrbError;
-use crate::glue::ComputeMeter;
+use crate::glue::{metered, ComputeMeter, Glue};
 use crate::ids::{ContextId, ObjectId, ProtocolId};
-use crate::message::{
-    Framing, GlueWire, ReplyMessage, ReplyStatus, RequestMessage, NEXUS_ORB_HANDLER,
-};
+use crate::message::{Framing, ReplyMessage, ReplyStatus, RequestMessage, NEXUS_ORB_HANDLER};
 use crate::objref::{ObjectReference, ProtoEntry};
 use crate::skeleton::{MethodError, RemoteObject};
 
@@ -56,11 +51,6 @@ pub enum OrRow {
     },
 }
 
-struct GlueChain {
-    specs: Vec<CapabilitySpec>,
-    caps: CapChain,
-}
-
 /// Request-served hook (load tracking, logging).
 pub type RequestHook = Box<dyn Fn(ObjectId, u32) + Send + Sync>;
 
@@ -81,7 +71,7 @@ struct ContextInner {
     next_glue: AtomicU64,
     objects: RwLock<HashMap<ObjectId, Arc<dyn RemoteObject>>>,
     tombstones: RwLock<HashMap<ObjectId, ObjectReference>>,
-    glues: RwLock<HashMap<u64, Arc<GlueChain>>>,
+    glues: RwLock<HashMap<u64, Arc<Glue>>>,
     registry: Arc<CapabilityRegistry>,
     adverts: RwLock<Vec<ProtoAdvert>>,
     servers: Mutex<Vec<AcceptLoop>>,
@@ -253,16 +243,19 @@ impl Context {
     /// Instances are built once from `specs` via this context's registry;
     /// stateful capabilities (budgets) live as long as the chain.
     pub fn add_glue(&self, specs: Vec<CapabilitySpec>) -> Result<u64, CapError> {
-        let caps = self.inner.registry.build_chain(&specs)?;
         let glue_id = self.inner.next_glue.fetch_add(1, Ordering::Relaxed);
-        self.inner.glues.write().insert(glue_id, Arc::new(GlueChain { specs, caps }));
+        let glue = Glue::build(&self.inner.registry, glue_id, specs)?;
+        self.inner.glues.write().insert(glue_id, Arc::new(glue));
         Ok(glue_id)
     }
 
-    /// Replaces the chain behind `glue_id` (dynamic capability change).
-    pub fn replace_glue(&self, glue_id: u64, specs: Vec<CapabilitySpec>) -> Result<(), CapError> {
-        let caps = self.inner.registry.build_chain(&specs)?;
-        self.inner.glues.write().insert(glue_id, Arc::new(GlueChain { specs, caps }));
+    /// Replaces the chain behind `glue_id` (dynamic capability change). An
+    /// id [`add_glue`](Self::add_glue) never issued is refused.
+    pub fn replace_glue(&self, glue_id: u64, specs: Vec<CapabilitySpec>) -> Result<(), OrbError> {
+        let glue = Arc::new(Glue::build(&self.inner.registry, glue_id, specs)?);
+        let mut glues = self.inner.glues.write();
+        let slot = glues.get_mut(&glue_id).ok_or(OrbError::UnknownGlue(glue_id))?;
+        *slot = glue;
         Ok(())
     }
 
@@ -520,35 +513,21 @@ impl Context {
             return ReplyMessage::status(rid, ReplyStatus::NoSuchObject);
         };
 
-        // Glue: unprocess the request chain. The body is moved, not cloned:
-        // a second handle would force every capability to copy it.
-        let (body, glue_chain) = match &req.glue {
+        // Glue: remove the request's. The body is moved, not cloned: a
+        // second handle would force every capability to copy it.
+        let (body, glue) = match &req.glue {
             None => (req.body, None),
             Some(wire) => {
-                let Some(chain) = self.inner.glues.read().get(&wire.glue_id).cloned() else {
+                let Some(glue) = self.inner.glues.read().get(&wire.glue_id).cloned() else {
                     return ReplyMessage::status(rid, ReplyStatus::UnknownGlue(wire.glue_id));
                 };
-                let unglued = self.metered(|| {
-                    unprocess_chain(&chain.caps, Direction::Request, &call, &wire.caps, req.body)
+                let meter = self.inner.meter.read().clone();
+                let unglued = metered(meter.as_deref(), || {
+                    glue.remove(Direction::Request, &call, wire, req.body)
                 });
                 match unglued {
-                    Ok(b) => (b, Some((wire.glue_id, chain))),
-                    Err(CapError::Denied(msg)) => {
-                        return ReplyMessage::status(rid, ReplyStatus::CapabilityDenied(msg));
-                    }
-                    Err(CapError::Expired(msg)) => {
-                        // Deadline caught in the chain (e.g. the stamp was
-                        // fresh at admission but queue time ate the rest of
-                        // the budget): same non-retryable wire status as an
-                        // admission-time deadline shed.
-                        return ReplyMessage::status(rid, ReplyStatus::DeadlineExpired(msg));
-                    }
-                    Err(e) => {
-                        return ReplyMessage::status(
-                            rid,
-                            ReplyStatus::Exception(format!("glue unprocess failed: {e}")),
-                        );
-                    }
+                    Ok(body) => (body, Some((glue, meter))),
+                    Err(e) => return ReplyMessage::status(rid, e.into()),
                 }
             }
         };
@@ -588,44 +567,13 @@ impl Context {
             }
         };
 
-        // Glue: process the reply chain (server is the sender now).
-        match glue_chain {
-            None => ReplyMessage::ok(rid, reply_body),
-            Some((glue_id, chain)) => {
-                let processed = self
-                    .metered(|| process_chain(&chain.caps, Direction::Reply, &call, reply_body));
-                match processed {
-                    Ok((body, caps)) => ReplyMessage {
-                        request_id: rid,
-                        status: ReplyStatus::Ok,
-                        glue: Some(GlueWire { glue_id, caps }),
-                        body,
-                    },
-                    Err(CapError::Denied(msg)) => {
-                        ReplyMessage::status(rid, ReplyStatus::CapabilityDenied(msg))
-                    }
-                    Err(CapError::Expired(msg)) => {
-                        ReplyMessage::status(rid, ReplyStatus::DeadlineExpired(msg))
-                    }
-                    Err(e) => ReplyMessage::status(
-                        rid,
-                        ReplyStatus::Exception(format!("glue process failed: {e}")),
-                    ),
-                }
+        // Glue: apply the reply's (the server is the sender now).
+        let Some((glue, meter)) = glue else { return ReplyMessage::ok(rid, reply_body) };
+        match metered(meter.as_deref(), || glue.apply(Direction::Reply, &call, reply_body)) {
+            Ok((body, wire)) => {
+                ReplyMessage { request_id: rid, status: ReplyStatus::Ok, glue: Some(wire), body }
             }
-        }
-    }
-
-    fn metered<T>(&self, f: impl FnOnce() -> T) -> T {
-        let meter = self.inner.meter.read().clone();
-        match meter {
-            None => f(),
-            Some(m) => {
-                let t0 = Instant::now();
-                let out = f();
-                m.charge(t0.elapsed());
-                out
-            }
+            Err(e) => ReplyMessage::status(rid, e.into()),
         }
     }
 
@@ -669,14 +617,15 @@ impl Context {
             match row {
                 OrRow::Plain(p) => protocols.push(find(*p)?),
                 OrRow::Glue { glue_id, inner } => {
-                    let chain = self
+                    let glue = self
                         .inner
                         .glues
                         .read()
                         .get(glue_id)
                         .cloned()
                         .ok_or(OrbError::UnknownGlue(*glue_id))?;
-                    protocols.push(ProtoEntry::glue(*glue_id, chain.specs.clone(), find(*inner)?));
+                    let specs = glue.specs().to_vec();
+                    protocols.push(ProtoEntry::glue(*glue_id, specs, find(*inner)?));
                 }
             }
         }
@@ -962,6 +911,7 @@ fn count_malformed_rsr() {
 mod tests {
     use super::*;
     use crate::ids::RequestId;
+    use crate::message::GlueWire;
     use ohpc_xdr::{XdrDecode, XdrEncode};
 
     struct Echo;
@@ -1090,6 +1040,22 @@ mod tests {
         assert_eq!(or.offered(), vec![ProtocolId::SHM, ProtocolId::TCP]);
         assert_eq!(or.type_name, "Echo");
         assert_eq!(or.location, Location::new(0, 0));
+    }
+
+    /// An id `add_glue` never issued is refused and left uninstalled, so
+    /// the `add_glue` that later issues it is not overwritten.
+    #[test]
+    fn replace_glue_refuses_an_id_never_issued() {
+        let ctx = ctx();
+        let id = ctx.register(Arc::new(Echo));
+        ctx.advertise(ProtocolId::TCP, "tcp://h:1".into());
+        assert!(matches!(ctx.replace_glue(1, vec![]), Err(OrbError::UnknownGlue(1))));
+        assert!(matches!(
+            ctx.make_or(id, &[OrRow::Glue { glue_id: 1, inner: ProtocolId::TCP }]),
+            Err(OrbError::UnknownGlue(1))
+        ));
+        assert_eq!(ctx.add_glue(vec![]).unwrap(), 1);
+        ctx.replace_glue(1, vec![]).unwrap();
     }
 
     #[test]

@@ -1,26 +1,31 @@
-//! The glue protocol object: capability chains on the client side.
+//! The glue class, on both ends of a binding.
 //!
-//! A glue proto-object holds no communication mechanism. It instantiates the
-//! entry's capability chain (through the process-local
-//! [`CapabilityRegistry`]), runs each request body through the chain in
-//! order, and delegates the transformed request to the *real* protocol named
-//! by the entry's inner row — resolved against the same proto-pool used for
-//! top-level selection. Replies are unprocessed through the mirrored chain.
+//! A [`Glue`] is one end's copy of a capability chain, with capability
+//! instances of its own (so state such as a request budget is kept per end):
+//! the sender [`apply`](Glue::apply)s it in order, the receiver
+//! [`remove`](Glue::remove)s it in reverse. A server's context holds one per
+//! glue id it issued; the client's [`GlueProto`] holds one per server glue it
+//! calls, keyed by the inner endpoint and the glue id, because every context
+//! numbers its glues from 1.
 //!
+//! The glue proto-object holds no communication mechanism. It runs each
+//! request body through the client's copy of the entry's chain and delegates
+//! the transformed request to the *real* protocol named by the entry's inner
+//! row — resolved against the same proto-pool used for top-level selection.
 //! Applicability is the AND of every capability's predicate and the inner
 //! protocol's own applicability, exactly as the paper specifies.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 
 use ohpc_netsim::{Location, SimNet};
 
 use crate::capability::{
-    process_chain, unprocess_chain, CallInfo, CapChain, CapabilityRegistry, CapabilitySpec,
-    Direction,
+    process_chain, unprocess_chain, CallInfo, CapChain, CapError, CapabilityRegistry,
+    CapabilitySpec, Direction,
 };
 use crate::error::OrbError;
 use crate::ids::ProtocolId;
@@ -41,26 +46,94 @@ impl ComputeMeter for SimNet {
     }
 }
 
-/// Client-side glue protocol object.
+/// Runs `f`, charging the time it took to `meter` if there is one.
+pub(crate) fn metered<T>(meter: Option<&dyn ComputeMeter>, f: impl FnOnce() -> T) -> T {
+    let Some(meter) = meter else { return f() };
+    let t0 = Instant::now();
+    let out = f();
+    meter.charge(t0.elapsed());
+    out
+}
+
+/// One end's copy of the chain a server issued as `glue_id`.
+pub(crate) struct Glue {
+    glue_id: u64,
+    specs: Vec<CapabilitySpec>,
+    chain: CapChain,
+}
+
+impl Glue {
+    /// Builds the capabilities `specs` names through `registry`.
+    pub(crate) fn build(
+        registry: &CapabilityRegistry,
+        glue_id: u64,
+        specs: Vec<CapabilitySpec>,
+    ) -> Result<Self, CapError> {
+        let chain = registry.build_chain(&specs)?;
+        Ok(Self { glue_id, specs, chain })
+    }
+
+    /// The specs the chain was built from.
+    pub(crate) fn specs(&self) -> &[CapabilitySpec] {
+        &self.specs
+    }
+
+    /// The sending end: `body` through the chain in order, and the glue
+    /// section that travels with it.
+    pub(crate) fn apply(
+        &self,
+        dir: Direction,
+        call: &CallInfo,
+        body: Bytes,
+    ) -> Result<(Bytes, GlueWire), CapError> {
+        let (body, caps) = process_chain(&self.chain, dir, call, body)?;
+        Ok((body, GlueWire { glue_id: self.glue_id, caps }))
+    }
+
+    /// The receiving end: the chain undone in reverse, with the metadata
+    /// `wire` carried.
+    pub(crate) fn remove(
+        &self,
+        dir: Direction,
+        call: &CallInfo,
+        wire: &GlueWire,
+        body: Bytes,
+    ) -> Result<Bytes, CapError> {
+        unprocess_chain(&self.chain, dir, call, &wire.caps, body)
+    }
+}
+
+/// How a capability failure on the server travels back to the caller.
+impl From<CapError> for ReplyStatus {
+    fn from(e: CapError) -> Self {
+        match e {
+            CapError::Denied(msg) => ReplyStatus::CapabilityDenied(msg),
+            // Deadline caught in the chain (e.g. the stamp was fresh at
+            // admission but queue time ate the rest of the budget): same
+            // non-retryable status as an admission-time deadline shed.
+            CapError::Expired(msg) => ReplyStatus::DeadlineExpired(msg),
+            e => ReplyStatus::Exception(format!("glue chain: {e}")),
+        }
+    }
+}
+
+/// Client-side glue protocol object. It keeps one [`Glue`] per server glue,
+/// keyed by the entry's inner endpoint and glue id.
 pub struct GlueProto {
     registry: Arc<CapabilityRegistry>,
-    chains: Mutex<HashMap<u64, CachedChain>>,
+    /// The copies, each beside the endpoint that issued it. A client calls
+    /// few server glues, and scanning a handful costs less than hashing one
+    /// key.
+    glues: Mutex<Vec<(Box<str>, Arc<Glue>)>>,
     // Named distinctly from `ContextInner.meter`: set once by the
     // by-value builder below, then read-only — no lock needed.
     compute_meter: Option<Arc<dyn ComputeMeter>>,
 }
 
-struct CachedChain {
-    /// Specs the instances were built from; if the entry's specs change
-    /// (dynamic capability replacement), the cache entry is stale.
-    specs: Vec<CapabilitySpec>,
-    caps: Arc<CapChain>,
-}
-
 impl GlueProto {
     /// Builds a glue proto-object over the process's capability registry.
     pub fn new(registry: Arc<CapabilityRegistry>) -> Self {
-        Self { registry, chains: Mutex::new(HashMap::new()), compute_meter: None }
+        Self { registry, glues: Mutex::new(Vec::new()), compute_meter: None }
     }
 
     /// Attaches a compute meter (used by the simulation harness).
@@ -69,76 +142,65 @@ impl GlueProto {
         self
     }
 
-    /// Returns the (cached) live chain for a glue entry. Instances are cached
-    /// by glue id because stateful capabilities (request budgets) must retain
-    /// their state across calls; the cache re-validates against the entry's
-    /// specs so a dynamically replaced chain is rebuilt, not reused stale.
+    /// The client's copy of the glue `endpoint` issued as `glue_id`. Copies
+    /// are kept because stateful capabilities (request budgets) must retain
+    /// their state across calls; a copy built from other specs than the
+    /// entry's (dynamic capability replacement) is rebuilt, not reused.
     ///
     /// The chain is built outside the lock, and publication re-checks under
     /// it: of two first calls that race, the later keeps the earlier's
     /// chain — whose budget may already be spent — and drops its own.
-    fn chain(&self, glue_id: u64, specs: &[CapabilitySpec]) -> Result<Arc<CapChain>, OrbError> {
-        let cached = |chains: &HashMap<u64, CachedChain>| {
-            chains.get(&glue_id).filter(|c| c.specs == specs).map(|c| c.caps.clone())
+    fn glue(
+        &self,
+        endpoint: &str,
+        glue_id: u64,
+        specs: &[CapabilitySpec],
+    ) -> Result<Arc<Glue>, CapError> {
+        let find = |glues: &[(Box<str>, Arc<Glue>)]| {
+            let (_, glue) =
+                glues.iter().find(|(ep, g)| g.glue_id == glue_id && **ep == *endpoint)?;
+            (glue.specs == specs).then(|| glue.clone())
         };
-        if let Some(caps) = cached(&self.chains.lock()) {
-            return Ok(caps);
+        if let Some(glue) = find(&self.glues.lock()) {
+            return Ok(glue);
         }
-        let built = Arc::new(self.registry.build_chain(specs)?);
-        let mut chains = self.chains.lock();
-        if let Some(winner) = cached(&chains) {
+        let built = Arc::new(Glue::build(&self.registry, glue_id, specs.to_vec())?);
+        let mut glues = self.glues.lock();
+        if let Some(winner) = find(&glues) {
             return Ok(winner);
         }
-        chains.insert(glue_id, CachedChain { specs: specs.to_vec(), caps: built.clone() });
+        glues.retain(|(ep, g)| g.glue_id != glue_id || **ep != *endpoint);
+        glues.push((endpoint.into(), built.clone()));
         Ok(built)
     }
 
-    /// Drops the cached chain for `glue_id` (used when a client is handed a
-    /// replacement capability set — "capabilities can be changed
-    /// dynamically").
-    pub fn invalidate(&self, glue_id: u64) {
-        self.chains.lock().remove(&glue_id);
-    }
-
-    fn metered<T>(&self, f: impl FnOnce() -> T) -> T {
-        match &self.compute_meter {
-            None => f(),
-            Some(m) => {
-                let t0 = Instant::now();
-                let out = f();
-                m.charge(t0.elapsed());
-                out
+    /// The client's glue for `entry`, and the inner row it wraps. Nested
+    /// glue is not wire-representable (a frame carries ONE glue section):
+    /// capability composition happens within a single chain.
+    fn resolve<'e>(&self, entry: &'e ProtoEntry) -> Result<(Arc<Glue>, &'e ProtoEntry), OrbError> {
+        let (glue_id, specs, inner) = match &entry.data {
+            ProtoData::Glue { glue_id, caps, inner } => (*glue_id, caps, &**inner),
+            ProtoData::Endpoint(_) => {
+                return Err(OrbError::Protocol("glue proto-object given a non-glue entry".into()))
             }
+        };
+        if inner.id == ProtocolId::GLUE {
+            return Err(OrbError::Protocol(
+                "nested glue entries are not supported: compose capabilities in one chain".into(),
+            ));
         }
+        Ok((self.glue(inner.terminal_endpoint(), glue_id, specs)?, inner))
     }
-}
 
-/// A request taken through the outbound half of the chain, ready for the
-/// inner (real) protocol.
-struct Outbound<'e> {
-    inner_proto: Arc<dyn ProtoObject>,
-    inner: &'e ProtoEntry,
-    chain: Arc<CapChain>,
-    call: CallInfo,
-    glued: RequestMessage,
-}
-
-impl GlueProto {
-    /// Outbound: resolves the entry's chain and inner protocol and applies
-    /// the chain to `req` in order.
+    /// Outbound: applies the entry's glue to `req` and resolves the inner
+    /// protocol that carries it.
     fn outbound<'e>(
         &self,
         pool: &ProtoPool,
         entry: &'e ProtoEntry,
         req: &RequestMessage,
     ) -> Result<Outbound<'e>, OrbError> {
-        let (glue_id, specs, inner) = glue_parts(entry)?;
-        if inner.id == ProtocolId::GLUE {
-            return Err(OrbError::Protocol(
-                "nested glue entries are not supported: compose capabilities in one chain".into(),
-            ));
-        }
-        let chain = self.chain(glue_id, specs)?;
+        let (glue, inner) = self.resolve(entry)?;
         let inner_proto = pool
             .find(inner.id)
             .ok_or_else(|| OrbError::NoApplicableProtocol { offered: vec![inner.id] })?;
@@ -146,28 +208,30 @@ impl GlueProto {
         // A clone, deliberately: the GP's retry loop keeps the plaintext for
         // the next attempt, so the chain sees a shared body and leaves it
         // untouched (a capability that rewrites bytes makes its own copy).
-        let (body, caps) =
-            self.metered(|| process_chain(&chain, Direction::Request, &call, req.body.clone()))?;
+        let (body, wire) = metered(self.compute_meter.as_deref(), || {
+            glue.apply(Direction::Request, &call, req.body.clone())
+        })?;
         let glued = RequestMessage {
             request_id: req.request_id,
             object: req.object,
             method: req.method,
             oneway: req.oneway,
-            glue: Some(GlueWire { glue_id, caps }),
+            glue: Some(wire),
             body,
             trace: req.trace.clone(),
         };
-        Ok(Outbound { inner_proto, inner, chain, call, glued })
+        Ok(Outbound { inner_proto, inner, glue, call, glued })
     }
 }
 
-fn glue_parts(entry: &ProtoEntry) -> Result<(u64, &[CapabilitySpec], &ProtoEntry), OrbError> {
-    match &entry.data {
-        ProtoData::Glue { glue_id, caps, inner } => Ok((*glue_id, caps, inner)),
-        ProtoData::Endpoint(_) => {
-            Err(OrbError::Protocol("glue proto-object given a non-glue entry".into()))
-        }
-    }
+/// A request taken through the client's glue, ready for the inner (real)
+/// protocol.
+struct Outbound<'e> {
+    inner_proto: Arc<dyn ProtoObject>,
+    inner: &'e ProtoEntry,
+    glue: Arc<Glue>,
+    call: CallInfo,
+    glued: RequestMessage,
 }
 
 impl ProtoObject for GlueProto {
@@ -182,16 +246,10 @@ impl ProtoObject for GlueProto {
         server: &Location,
         entry: &ProtoEntry,
     ) -> bool {
-        let Ok((glue_id, specs, inner)) = glue_parts(entry) else { return false };
-        // Nested glue is not wire-representable (a frame carries ONE glue
-        // section); capability composition happens within a single chain.
-        if inner.id == ProtocolId::GLUE {
-            return false;
-        }
         // A chain we cannot build locally (unknown capability, missing keys)
-        // makes the whole entry unusable.
-        let Ok(chain) = self.chain(glue_id, specs) else { return false };
-        if !chain.caps().all(|c| c.applicable(client, server)) {
+        // makes the whole entry unusable, as does nested glue.
+        let Ok((glue, inner)) = self.resolve(entry) else { return false };
+        if !glue.chain.caps().all(|c| c.applicable(client, server)) {
             return false;
         }
         match pool.find(inner.id) {
@@ -222,9 +280,9 @@ impl ProtoObject for GlueProto {
         let mut reply =
             out.inner_proto.invoke_with_deadline(pool, out.inner, &out.glued, remaining_ns)?;
 
-        // Inbound: un-apply the mirrored chain on successful replies.
+        // Inbound: remove the reply's glue on successful replies.
         if reply.status == ReplyStatus::Ok {
-            let Some(reply_glue) = reply.glue.take() else {
+            let Some(wire) = reply.glue.take() else {
                 return Err(OrbError::Protocol(
                     "server reply skipped the glue chain".into(),
                 ));
@@ -232,8 +290,8 @@ impl ProtoObject for GlueProto {
             // Moved out, not cloned: as the reply buffer's only owner the
             // chain may undo its transforms in place.
             let body = std::mem::take(&mut reply.body);
-            reply.body = self.metered(|| {
-                unprocess_chain(&out.chain, Direction::Reply, &out.call, &reply_glue.caps, body)
+            reply.body = metered(self.compute_meter.as_deref(), || {
+                out.glue.remove(Direction::Reply, &out.call, &wire, body)
             })?;
         }
         Ok(reply)
@@ -250,12 +308,12 @@ impl ProtoObject for GlueProto {
     }
 
     fn describe(&self, entry: &ProtoEntry) -> String {
-        match glue_parts(entry) {
-            Ok((_, specs, inner)) => {
-                let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        match &entry.data {
+            ProtoData::Glue { caps, inner, .. } => {
+                let names: Vec<&str> = caps.iter().map(|s| s.name.as_str()).collect();
                 format!("glue[{}]->{}", names.join("+"), inner.id)
             }
-            Err(_) => "glue[?]".into(),
+            ProtoData::Endpoint(_) => "glue[?]".into(),
         }
     }
 }
@@ -263,9 +321,8 @@ impl ProtoObject for GlueProto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::{CapError, CapMeta, Capability};
+    use crate::capability::{CapMeta, Capability};
     use crate::ids::{ObjectId, RequestId};
-    use bytes::Bytes;
 
     /// Capability that reverses the body — order-sensitive, so chain ordering
     /// bugs show up immediately when combined with `ShiftCap`.
@@ -431,16 +488,19 @@ mod tests {
         assert!(!glue.applicable(&pool, &Location::new(1, 1), &Location::new(0, 0), &glue_entry()));
     }
 
+    /// Two servers both issue glue 1; the client keeps a chain for each,
+    /// and rebuilds one only when its server's specs change.
     #[test]
-    fn chain_instances_are_cached_by_glue_id() {
-        let reg = registry();
-        let glue = GlueProto::new(reg);
-        let a = glue.chain(1, &specs()).unwrap();
-        let b = glue.chain(1, &specs()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        glue.invalidate(1);
-        let c = glue.chain(1, &specs()).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
+    fn one_chain_per_endpoint_and_glue_id() {
+        let glue = GlueProto::new(registry());
+        let a = glue.glue("tcp://a:1", 1, &specs()).unwrap();
+        assert!(Arc::ptr_eq(&a, &glue.glue("tcp://a:1", 1, &specs()).unwrap()));
+        let b = glue.glue("tcp://b:1", 1, &specs()).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b), "another server's glue 1 is another chain");
+        assert!(Arc::ptr_eq(&a, &glue.glue("tcp://a:1", 1, &specs()).unwrap()));
+        let replaced = glue.glue("tcp://a:1", 1, &[CapabilitySpec::new("shift")]).unwrap();
+        assert!(!Arc::ptr_eq(&a, &replaced), "replaced specs rebuild the chain");
+        assert!(Arc::ptr_eq(&b, &glue.glue("tcp://b:1", 1, &specs()).unwrap()));
     }
 
     /// Eight first calls at once build up to eight chains, and all eight
@@ -461,13 +521,14 @@ mod tests {
                 let (glue, gate) = (glue.clone(), gate.clone());
                 std::thread::spawn(move || {
                     gate.wait();
-                    glue.chain(5, &[CapabilitySpec::new("slow")]).unwrap()
+                    glue.glue("tcp://h:1", 5, &[CapabilitySpec::new("slow")]).unwrap()
                 })
             })
             .collect();
-        let chains: Vec<Arc<CapChain>> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+        let chains: Vec<Arc<Glue>> = racers.into_iter().map(|t| t.join().unwrap()).collect();
         assert!(chains.iter().all(|c| Arc::ptr_eq(c, &chains[0])), "racers got distinct chains");
-        assert!(Arc::ptr_eq(&glue.chain(5, &[CapabilitySpec::new("slow")]).unwrap(), &chains[0]));
+        let again = glue.glue("tcp://h:1", 5, &[CapabilitySpec::new("slow")]).unwrap();
+        assert!(Arc::ptr_eq(&again, &chains[0]));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! ([`Framing::Rsr`]) in front of the message — written into the head the
 //! request is encoded into, skipped as an offset by the demux correlator,
 //! sliced off the reply as a view. Same channel cache, same mux, same
-//! retry-once-if-unsent, same death hook.
+//! retry-once-if-unsent.
 //!
 //! The channels are pooled per endpoint in the [`EndpointCache`], which owns
 //! the two pooling rules:
@@ -47,10 +47,9 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use ohpc_netsim::Location;
-use ohpc_resilience::{HealthKey, HealthRegistry};
 use ohpc_telemetry::Registry;
-use ohpc_transport::mux::{DeathHook, MuxChannel, MuxError};
-use ohpc_transport::{Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
+use ohpc_transport::mux::{MuxChannel, MuxError};
+use ohpc_transport::{Dialer, Endpoint, TransportError};
 
 use crate::error::OrbError;
 use crate::ids::ProtocolId;
@@ -198,7 +197,6 @@ pub struct TransportProto {
     dialer: Arc<dyn Dialer>,
     framing: Framing,
     channels: EndpointCache<MuxChannel>,
-    health_sink: Mutex<Option<Arc<HealthRegistry>>>,
 }
 
 /// The Nexus-based baseline protocol object: a [`TransportProto`] whose
@@ -225,22 +223,7 @@ impl TransportProto {
         dialer: Arc<dyn Dialer>,
         framing: Framing,
     ) -> Self {
-        Self {
-            id,
-            rule,
-            dialer,
-            framing,
-            channels: EndpointCache::new(id),
-            health_sink: Mutex::new(None),
-        }
-    }
-
-    /// Connects mux deaths to a health registry: a mux whose connection dies
-    /// records a failure under the same `(protocol, endpoint)` key selection
-    /// consults, so a dead mux trips the endpoint's breaker exactly like a
-    /// failed exchange does.
-    pub fn set_health_registry(&self, health: Arc<HealthRegistry>) {
-        *self.health_sink.lock() = Some(health);
+        Self { id, rule, dialer, framing, channels: EndpointCache::new(id) }
     }
 
     /// Dials `ep` and wraps the connection's halves in a fresh mux.
@@ -252,28 +235,8 @@ impl TransportProto {
             let unsplittable = format!("a connection to {ep} cannot be split");
             return Err(OrbError::Transport(TransportError::Io(unsplittable)));
         };
-        Ok(self.new_mux(ep, tx, rx))
-    }
-
-    /// Builds the demux channel for `ep`, wiring its death into telemetry
-    /// and (if configured) the health registry.
-    fn new_mux(
-        &self,
-        ep: &Endpoint,
-        tx: Box<dyn SendHalf>,
-        rx: Box<dyn RecvHalf>,
-    ) -> Arc<MuxChannel> {
-        let health = self.health_sink.lock().clone();
-        let key = HealthKey::new(self.id.to_string(), ep.to_string());
-        let proto = self.id.to_string();
-        let hook: DeathHook = Box::new(move |_err| {
-            Registry::global().counter("orb_mux_deaths_total", &[("protocol", &proto)]).inc();
-            if let Some(h) = &health {
-                h.record_failure(&key);
-            }
-        });
         let framing = self.framing;
-        MuxChannel::new(tx, rx, Box::new(move |f| framing.reply_request_id(f)), Some(hook))
+        Ok(MuxChannel::new(tx, rx, Box::new(move |f| framing.reply_request_id(f))))
     }
 
     /// Sends `req` over the pooled channel and, for a two-way (`reply` is

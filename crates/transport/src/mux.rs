@@ -48,9 +48,9 @@
 //!
 //! When the channel dies — its leader reads a transport error or a frame it
 //! cannot correlate, or a send fails — **every** waiter is failed promptly:
-//! a dead mux never leaves a caller blocked. An optional death hook lets the
-//! owner feed the failure into circuit-breaker health, so a dead mux trips
-//! the same breaker a dead exchange does.
+//! a dead mux never leaves a caller blocked. Each death that was not a
+//! deliberate shutdown counts once in `mux_deaths_total`; the callers' own
+//! errors are what circuit-breaker health records.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -67,11 +67,6 @@ use crate::{frame_len, RecvHalf, SendHalf, TransportError};
 /// no recognizable id — is a protocol violation the channel dies of, failing
 /// every waiter: one of them sent the request this frame answers.
 pub type Correlator = Box<dyn Fn(&Bytes) -> Option<u64> + Send + Sync>;
-
-/// Invoked once, when the channel dies of a transport failure — *not* on
-/// deliberate [`MuxChannel::shutdown`]. Owners feed this into endpoint
-/// health.
-pub type DeathHook = Box<dyn Fn(&TransportError) + Send + Sync>;
 
 /// How a multiplexed call failed, split by whether the request frame was
 /// already on the wire.
@@ -171,20 +166,17 @@ pub struct MuxChannel {
     in_flight: AtomicI64,
     closing: AtomicBool,
     correlator: Correlator,
-    on_death: Option<DeathHook>,
 }
 
 impl MuxChannel {
     /// Wraps the split halves of a connection. `correlator` maps each
-    /// incoming frame to its waiter; `on_death` (if any) observes the
-    /// channel dying of a transport failure (but not deliberate shutdowns).
-    /// Nothing is started: callers read for themselves, and dropping the
-    /// last handle drops both halves, which closes the connection.
+    /// incoming frame to its waiter. Nothing is started: callers read for
+    /// themselves, and dropping the last handle drops both halves, which
+    /// closes the connection.
     pub fn new(
         send: Box<dyn SendHalf>,
         recv: Box<dyn RecvHalf>,
         correlator: Correlator,
-        on_death: Option<DeathHook>,
     ) -> Arc<MuxChannel> {
         Arc::new(MuxChannel {
             sender: Mutex::new(Some(send)),
@@ -196,7 +188,6 @@ impl MuxChannel {
             in_flight: AtomicI64::new(0),
             closing: AtomicBool::new(false),
             correlator,
-            on_death,
         })
     }
 
@@ -265,8 +256,8 @@ impl MuxChannel {
 
     /// Deliberate teardown: closes the send half (which wakes a leader
     /// blocked in `recv` through the transport) and fails any in-flight
-    /// waiters with [`TransportError::Closed`]. Idempotent. Does not fire
-    /// the death hook.
+    /// waiters with [`TransportError::Closed`]. Idempotent. Not counted as
+    /// a death.
     pub fn shutdown(&self) {
         self.closing.store(true, Ordering::Release);
         self.die(TransportError::Closed);
@@ -490,15 +481,12 @@ impl MuxChannel {
         caller.unpark();
     }
 
-    /// The channel died of `cause`: kill it and report the death — once,
+    /// The channel died of `cause`: kill it and count the death — once,
     /// and never for a deliberate shutdown.
     fn fail(&self, cause: TransportError) {
         let deliberate = self.closing.load(Ordering::Acquire);
-        if self.die(cause.clone()) && !deliberate {
+        if self.die(cause) && !deliberate {
             ohpc_telemetry::counter!("mux_deaths_total").inc();
-            if let Some(hook) = &self.on_death {
-                hook(&cause);
-            }
         }
     }
 
@@ -590,17 +578,12 @@ mod tests {
     }
 
     /// A mux over the two channels a test "server" holds the other ends of.
-    fn mux_over(
-        requests: Sender<Bytes>,
-        replies: Receiver<Bytes>,
-        on_death: Option<DeathHook>,
-    ) -> Arc<MuxChannel> {
+    fn mux_over(requests: Sender<Bytes>, replies: Receiver<Bytes>) -> Arc<MuxChannel> {
         let closed = Arc::new(AtomicBool::new(false));
         MuxChannel::new(
             Box::new(TestSend { tx: Some(requests), closed: closed.clone() }),
             Box::new(TestRecv { rx: replies, closed }),
             Box::new(id_of),
-            on_death,
         )
     }
 
@@ -652,7 +635,7 @@ mod tests {
                 }
             }
         });
-        (mux_over(req_tx, rep_rx, None), got_rx)
+        (mux_over(req_tx, rep_rx), got_rx)
     }
 
     /// Whether a leader holds the receive half right now.
@@ -700,21 +683,15 @@ mod tests {
         // "Server" that swallows everything, then hangs up.
         let (req_tx, req_rx) = unbounded::<Bytes>();
         let (rep_tx, rep_rx) = unbounded::<Bytes>();
-        let deaths = Arc::new(AtomicI64::new(0));
-        let d2 = deaths.clone();
+        let deaths = ohpc_telemetry::Registry::global().counter("mux_deaths_total", &[]);
+        let before = deaths.get();
         std::thread::spawn(move || {
             for _ in 0..3 {
                 let _ = req_rx.recv();
             }
             drop(rep_tx); // the leader observes Closed
         });
-        let mux = mux_over(
-            req_tx,
-            rep_rx,
-            Some(Box::new(move |_e| {
-                d2.fetch_add(1, Ordering::Relaxed);
-            })),
-        );
+        let mux = mux_over(req_tx, rep_rx);
         let handles: Vec<_> = (0..3u64)
             .map(|i| {
                 let mux = mux.clone();
@@ -726,15 +703,15 @@ mod tests {
             assert!(matches!(err, MuxError::Lost(_)), "{err}");
         }
         assert!(mux.is_dead());
-        // Waiters are failed before the leader invokes the hook, so give it
+        // Waiters are failed before the leader counts the death, so give it
         // a moment rather than racing it.
         for _ in 0..200 {
-            if deaths.load(Ordering::Relaxed) == 1 {
+            if deaths.get() - before == 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(deaths.load(Ordering::Relaxed), 1, "death hook fired once");
+        assert_eq!(deaths.get() - before, 1, "the death was counted once");
         // Post-death calls fail fast as Unsent (the frame never goes out).
         assert!(matches!(mux.call(9, &[&frame(9, b"y")], None), Err(MuxError::Unsent(_))));
     }
@@ -751,7 +728,7 @@ mod tests {
             let _ = req_rx.recv();
             let _ = rep_tx.send(Bytes::from_static(b"no id"));
         });
-        let mux = mux_over(req_tx, rep_rx, None);
+        let mux = mux_over(req_tx, rep_rx);
         let err = mux.call(1, &[&frame(1, b"x")], None).unwrap_err();
         assert!(matches!(err, MuxError::Lost(TransportError::Io(_))), "{err}");
         assert!(mux.is_dead());
@@ -857,7 +834,7 @@ mod tests {
             let _ = release.recv();
             let _ = rep_tx.send(second);
         });
-        let mux = mux_over(req_tx, rep_rx, None);
+        let mux = mux_over(req_tx, rep_rx);
         let m = mux.clone();
         let patience = Some(Duration::from_millis(500));
         let impatient = std::thread::spawn(move || m.call(1, &[&frame(1, b"a")], patience));
@@ -922,12 +899,9 @@ mod tests {
             let _ = hung_up.recv();
             drop(rep_tx);
         });
-        let deaths = Arc::new(AtomicI64::new(0));
-        let counted = deaths.clone();
-        let hook: DeathHook = Box::new(move |_| {
-            counted.fetch_add(1, Ordering::Relaxed);
-        });
-        let mux = mux_over(req_tx, rep_rx, Some(hook));
+        let deaths = ohpc_telemetry::Registry::global().counter("mux_deaths_total", &[]);
+        let before = deaths.get();
+        let mux = mux_over(req_tx, rep_rx);
         let callers: Vec<_> = (0..CALLERS)
             .map(|i| {
                 let mux = mux.clone();
@@ -939,10 +913,10 @@ mod tests {
         for caller in callers {
             assert_eq!(caller.join().unwrap(), Err(MuxError::Lost(TransportError::Closed)));
         }
-        assert_eq!(deaths.load(Ordering::Relaxed), 1, "the death was reported once");
+        assert_eq!(deaths.get() - before, 1, "the death was reported once");
         assert_eq!(mux.in_flight(), 0);
         assert!(matches!(mux.call(99, &[&frame(99, b"y")], None), Err(MuxError::Unsent(_))));
-        assert_eq!(deaths.load(Ordering::Relaxed), 1);
+        assert_eq!(deaths.get() - before, 1);
     }
 
     /// `shutdown` while a leader is blocked in `recv` and others are parked
@@ -958,12 +932,9 @@ mod tests {
                 let _ = got_tx.send(());
             }
         });
-        let deaths = Arc::new(AtomicI64::new(0));
-        let counted = deaths.clone();
-        let hook: DeathHook = Box::new(move |_| {
-            counted.fetch_add(1, Ordering::Relaxed);
-        });
-        let mux = mux_over(req_tx, rep_rx, Some(hook));
+        let deaths = ohpc_telemetry::Registry::global().counter("mux_deaths_total", &[]);
+        let before = deaths.get();
+        let mux = mux_over(req_tx, rep_rx);
         let (done_tx, done) = unbounded();
         for i in 0..3u64 {
             let (mux, done_tx) = (mux.clone(), done_tx.clone());
@@ -980,6 +951,6 @@ mod tests {
             assert_eq!(outcome, Err(MuxError::Lost(TransportError::Closed)));
         }
         assert_eq!(mux.in_flight(), 0);
-        assert_eq!(deaths.load(Ordering::Relaxed), 0, "a deliberate shutdown is no death");
+        assert_eq!(deaths.get() - before, 0, "a deliberate shutdown is no death");
     }
 }

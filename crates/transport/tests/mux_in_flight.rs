@@ -27,7 +27,7 @@ fn the_gauge_is_the_total_over_all_channels() {
         let mut client = fabric.dial(&endpoint).unwrap();
         let (tx, rx) = client.try_split().expect("mem connections split");
         let server: Box<dyn Connection> = listener.accept().unwrap();
-        (MuxChannel::new(tx, rx, Box::new(id_of), None), server)
+        (MuxChannel::new(tx, rx, Box::new(id_of)), server)
     };
     let (mux_a, mut server_a) = dial();
     let (mux_b, mut server_b) = dial();

@@ -144,25 +144,13 @@ mod mux_stress {
 
     use bytes::Bytes;
     use ohpc_bench::mux_contention::{run_contention, CLIENT_WIDTHS};
+    use ohpc_orb::selection::health_key;
     use ohpc_orb::{
-        ApplicabilityRule, ObjectId, OrbError, ProtoEntry, ProtoObject, ProtoPool, ProtocolId,
-        ReplyMessage, RequestId, RequestMessage, TransportProto,
+        ApplicabilityRule, GlobalPointer, Location, ObjectId, ObjectReference, OrbError,
+        ProtoEntry, ProtoPool, ProtocolId, ReplyMessage, RequestMessage, TransportProto,
     };
-    use ohpc_resilience::{HealthKey, HealthRegistry};
     use ohpc_transport::mem::MemFabric;
     use ohpc_transport::Listener;
-
-    fn request(id: u64) -> RequestMessage {
-        RequestMessage {
-            request_id: RequestId(id),
-            object: ObjectId(1),
-            method: 0,
-            oneway: false,
-            glue: None,
-            body: Bytes::from_static(b"stress"),
-            trace: None,
-        }
-    }
 
     /// Every reply lands with the caller whose token it carries, at every
     /// concurrency width `ohpc-bench mux` sweeps. `run_contention` panics on
@@ -202,8 +190,8 @@ mod mux_stress {
 
     /// A connection dying with several requests in flight must fail every
     /// waiter promptly with `AmbiguousTransport` (the frames were sent; the
-    /// replies are lost) — nobody hangs, and the mux death hook reports the
-    /// endpoint to the health registry wired into the proto.
+    /// replies are lost) — nobody hangs, and the GP's health registry holds
+    /// the failures under the row's key.
     #[test]
     fn mid_flight_death_fails_every_waiter() {
         const WAITERS: usize = 6;
@@ -225,27 +213,25 @@ mod mux_stress {
             drop(conn);
         });
 
-        let proto = Arc::new(TransportProto::new(
-            ProtocolId::TCP,
-            ApplicabilityRule::Always,
-            Arc::new(fabric),
-        ));
-        // Wired only into the proto (no GlobalPointer in this test), so any
-        // recorded failure provably came from the mux death hook.
-        let health = Arc::new(HealthRegistry::new());
-        proto.set_health_registry(health.clone());
-        let pool = Arc::new(ProtoPool::new());
+        let proto =
+            TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric));
         let entry = ProtoEntry::endpoint(ProtocolId::TCP, "mem://77");
+        let or = ObjectReference {
+            object: ObjectId(1),
+            type_name: "Stress".into(),
+            location: Location::new(0, 0),
+            protocols: vec![entry.clone()],
+        };
+        let pool = Arc::new(ProtoPool::new().with(Arc::new(proto)));
+        let gp = Arc::new(GlobalPointer::new(or, pool, Location::new(1, 0)));
 
-        proto.invoke(&pool, &entry, &request(1)).expect("warm-up round trip");
+        gp.invoke_raw(0, Bytes::from_static(b"stress")).expect("warm-up round trip");
 
         let (tx, rx) = mpsc::channel();
-        for i in 0..WAITERS {
-            let (proto, pool, entry, tx) =
-                (Arc::clone(&proto), Arc::clone(&pool), entry.clone(), tx.clone());
+        for _ in 0..WAITERS {
+            let (gp, tx) = (Arc::clone(&gp), tx.clone());
             std::thread::spawn(move || {
-                let outcome = proto.invoke(&pool, &entry, &request(100 + i as u64));
-                tx.send(outcome).unwrap();
+                tx.send(gp.invoke_raw(0, Bytes::from_static(b"stress"))).unwrap();
             });
         }
         drop(tx);
@@ -263,18 +249,9 @@ mod mux_stress {
         }
         server.join().unwrap();
 
-        // The death hook runs after the waiters are drained, so give it a
-        // moment; it must record the failure under the proto's own key.
-        let key = HealthKey::new(ProtocolId::TCP.to_string(), "mem://77".to_string());
-        let mut recorded = false;
-        for _ in 0..200 {
-            if health.consecutive_failures(&key) >= 1 {
-                recorded = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(recorded, "mux death never reached the health registry");
+        // Each waiter's failure is recorded before its invoke returns.
+        let failures = gp.health_registry().consecutive_failures(&health_key(&entry));
+        assert_eq!(failures, WAITERS as u32, "every failed waiter reached the health registry");
     }
 }
 

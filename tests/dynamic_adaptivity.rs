@@ -2,15 +2,20 @@
 //! editing the proto-pool, reordering preferences per GP, and swapping a
 //! glue chain's capabilities while references to it are live.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use ohpc_apps::{WeatherClient, WeatherService, WeatherSkeleton};
 use ohpc_bench::setup::{SimDeployment, EXPERIMENT_KEY};
 use ohpc_caps::{EncryptionCap, LoggingCap, TimeoutCap};
 use ohpc_netsim::{Cluster, LanId, LinkProfile, MachineId};
+use ohpc_orb::capability::{CallInfo, CapError, CapMeta, Capability, CapabilitySpec, Direction};
 use ohpc_orb::context::OrRow;
 use ohpc_orb::transport_proto::NexusProto;
-use ohpc_orb::{ApplicabilityRule, GlobalPointer, ProtoPool, ProtocolId, TransportProto};
+use ohpc_orb::{
+    ApplicabilityRule, Context, GlobalPointer, ProtoPool, ProtocolId, TransportProto,
+};
 
 fn deployment() -> (SimDeployment, MachineId, MachineId) {
     let (mut c, mut s) = (MachineId(0), MachineId(0));
@@ -152,4 +157,81 @@ fn per_reference_budgets_are_independent() {
         assert!(c2.regions().is_ok(), "other reference unaffected");
     }
     server.shutdown();
+}
+
+/// Binds a client, through the one `pool`, to a fresh object behind a glue
+/// row that `server` issues with `specs`; every context numbers its glues
+/// from 1, so each server issues glue 1.
+fn glued_client(
+    dep: &SimDeployment,
+    m_client: MachineId,
+    pool: &Arc<ProtoPool>,
+    server: &Context,
+    specs: Vec<CapabilitySpec>,
+) -> WeatherClient {
+    let object = server.register(Arc::new(WeatherSkeleton(WeatherService::seeded())));
+    let glue_id = server.add_glue(specs).unwrap();
+    assert_eq!(glue_id, 1);
+    let or = server.make_or(object, &[OrRow::Glue { glue_id, inner: ProtocolId::TCP }]).unwrap();
+    let location = dep.net.cluster().location_of(m_client);
+    WeatherClient::new(GlobalPointer::new(or, pool.clone(), location))
+}
+
+#[test]
+fn servers_that_issue_the_same_glue_id_get_separate_client_budgets() {
+    // The client's copy of a chain belongs to the server glue it serves:
+    // spending A's budget of 2 leaves B's untouched.
+    let (dep, m_client, m_server) = deployment();
+    let (a, b) = (dep.server(m_server), dep.server(m_server));
+    let pool = dep.client_pool(m_client);
+    let to_a = glued_client(&dep, m_client, &pool, &a, vec![TimeoutCap::spec(2)]);
+    let to_b = glued_client(&dep, m_client, &pool, &b, vec![TimeoutCap::spec(2)]);
+    to_a.regions().unwrap();
+    to_a.regions().unwrap();
+    to_b.regions().expect("B's budget is B's own");
+    assert!(to_a.regions().is_err(), "A's budget of 2 exhausted");
+    a.shutdown();
+    b.shutdown();
+}
+
+/// Changes nothing; its factory counts the chains built with it.
+struct Counted;
+impl Capability for Counted {
+    fn name(&self) -> &str {
+        "counted"
+    }
+    fn process(&self, _d: Direction, _c: &CallInfo, _m: &mut CapMeta, b: Bytes) -> Result<Bytes, CapError> {
+        Ok(b)
+    }
+    fn unprocess(&self, _d: Direction, _c: &CallInfo, _m: &CapMeta, b: Bytes) -> Result<Bytes, CapError> {
+        Ok(b)
+    }
+}
+
+#[test]
+fn alternating_between_two_servers_builds_each_client_chain_once() {
+    // Same glue id, different spec lists: switching servers must not look
+    // like a dynamic replacement, which would rebuild the chain (and reset
+    // its state) on every switch.
+    let (dep, m_client, m_server) = deployment();
+    let builds = Arc::new(AtomicUsize::new(0));
+    let counter = builds.clone();
+    dep.registry.register("counted", move |_| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(Arc::new(Counted))
+    });
+    let counted = || CapabilitySpec::new("counted");
+    let (a, b) = (dep.server(m_server), dep.server(m_server));
+    let pool = dep.client_pool(m_client);
+    let to_a = glued_client(&dep, m_client, &pool, &a, vec![counted()]);
+    let to_b = glued_client(&dep, m_client, &pool, &b, vec![counted(), LoggingCap::spec("b")]);
+    let server_builds = builds.load(Ordering::Relaxed);
+    assert_eq!(server_builds, 2);
+    for _ in 0..3 {
+        to_a.regions().unwrap();
+        to_b.regions().unwrap();
+    }
+    assert_eq!(builds.load(Ordering::Relaxed) - server_builds, 2, "one client chain per server");
+    a.shutdown();
+    b.shutdown();
 }
