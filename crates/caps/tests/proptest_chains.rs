@@ -10,7 +10,7 @@ use ohpc_compress::CodecKind;
 use ohpc_crypto::KeyStore;
 use ohpc_caps::CapScope;
 use ohpc_orb::capability::{process_chain, unprocess_chain, CallInfo};
-use ohpc_orb::message::{CapWireMeta, GlueWire};
+use ohpc_orb::message::{CapWireMeta, GlueWire, INLINE_HOPS};
 use ohpc_orb::{CapabilityRegistry, CapabilitySpec, Direction, ObjectId, RequestId};
 use proptest::prelude::*;
 
@@ -44,13 +44,17 @@ fn arb_body() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// Chains of up to four and sections of up to five hops: longer than the
+/// `INLINE_HOPS` a list holds in place, so both take its spill path.
+const _: () = assert!(INLINE_HOPS < 4);
+
 /// Arbitrary glue metadata: any capability names (including duplicates and
 /// the empty string) with any opaque payloads.
 fn arb_glue_wire() -> impl Strategy<Value = GlueWire> {
     let entry = ("[a-z.]{0,24}", proptest::collection::vec(any::<u8>(), 0..128))
         .prop_map(|(name, meta)| CapWireMeta { name: name.into(), meta: Bytes::from(meta) });
     (any::<u64>(), proptest::collection::vec(entry, 0..6))
-        .prop_map(|(glue_id, caps)| GlueWire { glue_id, caps })
+        .prop_map(|(glue_id, caps)| GlueWire { glue_id, caps: caps.into() })
 }
 
 proptest! {
@@ -68,6 +72,7 @@ proptest! {
         let body = Bytes::from(body);
         let (wire, metas) =
             process_chain(&chain, Direction::Request, &call, body.clone()).unwrap();
+        prop_assert_eq!(metas.spilled(), specs.len() > INLINE_HOPS);
         // Receiving side builds its own instances from the same specs.
         let server_chain = reg.build_chain(&specs).unwrap();
         let back =
@@ -117,7 +122,9 @@ proptest! {
     fn glue_wire_metadata_roundtrip(gw in arb_glue_wire()) {
         let buf = ohpc_xdr::encode_to_vec(&gw);
         prop_assert_eq!(buf.len() % 4, 0); // glue section must stay word-aligned
-        prop_assert_eq!(ohpc_xdr::decode_from_slice::<GlueWire>(&buf).unwrap(), gw);
+        let back = ohpc_xdr::decode_from_slice::<GlueWire>(&buf).unwrap();
+        prop_assert_eq!(back.caps.spilled(), back.caps.len() > INLINE_HOPS);
+        prop_assert_eq!(back, gw);
     }
 
     /// Every `CapScope` survives its wire encoding.

@@ -23,9 +23,9 @@ use parking_lot::RwLock;
 
 use ohpc_netsim::Location;
 use ohpc_telemetry::{Histogram, Registry};
-use ohpc_xdr::{pad4, xdr_struct, XdrError, XdrReader, XdrWriter};
+use ohpc_xdr::{pad4, xdr_struct, InlineList, XdrError, XdrReader, XdrWriter};
 
-use crate::message::CapWireMeta;
+use crate::message::{CapWireMeta, Hops};
 
 /// Immutable facts about the call a capability is processing: the target
 /// object, the method slot and the request sequence number. Capabilities use
@@ -259,43 +259,7 @@ impl CapMeta {
 const INLINE_ENTRIES: usize = 2;
 
 /// A [`CapMeta`]'s `(key, value)` views, in blob order.
-#[derive(Debug, Clone)]
-enum Entries {
-    Inline { len: usize, slots: [(Bytes, Bytes); INLINE_ENTRIES] },
-    Spilled(Vec<(Bytes, Bytes)>),
-}
-
-impl Default for Entries {
-    fn default() -> Self {
-        Entries::Inline { len: 0, slots: Default::default() }
-    }
-}
-
-impl Entries {
-    fn as_slice(&self) -> &[(Bytes, Bytes)] {
-        match self {
-            Entries::Inline { len, slots } => slots.get(..*len).unwrap_or_default(),
-            Entries::Spilled(all) => all,
-        }
-    }
-
-    fn push(&mut self, entry: (Bytes, Bytes)) {
-        match self {
-            Entries::Inline { len, slots } => match slots.get_mut(*len) {
-                Some(slot) => {
-                    *slot = entry;
-                    *len += 1;
-                }
-                None => {
-                    let mut all: Vec<_> = slots.iter_mut().map(std::mem::take).collect();
-                    all.push(entry);
-                    *self = Entries::Spilled(all);
-                }
-            },
-            Entries::Spilled(all) => all.push(entry),
-        }
-    }
-}
+type Entries = InlineList<(Bytes, Bytes), INLINE_ENTRIES>;
 
 /// A remote-access capability.
 ///
@@ -487,8 +451,9 @@ impl CapChain {
 
 /// Sender side: applies `chain` in order, returning the transformed body
 /// and each capability's metadata (in chain order) for the glue section:
-/// the hop's shared name and the blob its [`CapMeta`] already is, so the
-/// only allocation here is the section's list.
+/// the hop's shared name and the blob its [`CapMeta`] already is, in a list
+/// held in place for up to [`INLINE_HOPS`](crate::message::INLINE_HOPS) hops,
+/// so a chain that short allocates nothing here.
 ///
 /// Each transform is timed into `orb_cap_process_ns{cap,dir}` (including
 /// denials — a rejected budget check still costs time worth seeing).
@@ -497,8 +462,8 @@ pub fn process_chain(
     dir: Direction,
     call: &CallInfo,
     mut body: Bytes,
-) -> Result<(Bytes, Vec<CapWireMeta>), CapError> {
-    let mut metas = Vec::with_capacity(chain.len());
+) -> Result<(Bytes, Hops), CapError> {
+    let mut metas = Hops::with_capacity(chain.len());
     for Hop { cap, name, process_ns, .. } in &chain.hops {
         let mut meta = CapMeta::new();
         let result = {

@@ -55,6 +55,11 @@ pub enum OrRow {
 pub type RequestHook = Box<dyn Fn(ObjectId, u32) + Send + Sync>;
 
 /// What becomes of a received frame once decoded and put to admission.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the large variant is the usual one and lives for one match; boxing it costs an \
+              allocation per request"
+)]
 enum Intake {
     /// Not dispatched (malformed, or a shed two-way): send this reply frame.
     Reply(Bytes),
@@ -1014,7 +1019,7 @@ mod tests {
         let ctx = ctx();
         let id = ctx.register(Arc::new(Echo));
         let mut req = request(id, Bytes::new());
-        req.glue = Some(GlueWire { glue_id: 77, caps: vec![] });
+        req.glue = Some(GlueWire { glue_id: 77, caps: vec![].into() });
         let reply = ctx.handle_request(req);
         assert_eq!(reply.status, ReplyStatus::UnknownGlue(77));
     }

@@ -32,6 +32,15 @@ fn next_request_id() -> RequestId {
     RequestId(NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed))
 }
 
+/// A request body holding a copy of `args`, a writer its caller keeps: made
+/// in the calling thread's spare buffer ([`XdrWriter::reused`]), which the
+/// caller hands back with [`XdrWriter::recycle`] once the body is sent.
+fn spare_copy(args: &XdrWriter) -> Bytes {
+    let mut body = XdrWriter::reused();
+    body.put_fixed_opaque(args.peek());
+    body.finish()
+}
+
 /// A global pointer: an OR plus the local machinery to act on it.
 ///
 /// The GP decides protocol selection on *every* invocation attempt (the
@@ -202,7 +211,7 @@ impl GlobalPointer {
     /// Invokes method slot `method` with pre-encoded `args`, returning the
     /// encoded result body.
     pub fn invoke(&self, method: u32, args: &XdrWriter) -> Result<Bytes, OrbError> {
-        self.invoke_raw(method, Bytes::copy_from_slice(args.peek()))
+        self.invoke_recycling(method, spare_copy(args), false)
     }
 
     /// Fire-and-forget invocation: the request is dispatched at the server
@@ -225,10 +234,11 @@ impl GlobalPointer {
             method,
             oneway: true,
             glue: None,
-            body: Bytes::copy_from_slice(args.peek()),
+            body: spare_copy(args),
             trace: ohpc_telemetry::current(),
         };
         let sent = pick.proto.invoke_oneway(&self.pool, pick.entry, &req);
+        XdrWriter::recycle(req.body);
         observed(&bound.health, &pick.row.key, sent)
     }
 
@@ -241,12 +251,28 @@ impl GlobalPointer {
     /// idempotent: ambiguous failures (sent-but-no-reply) may be retried,
     /// because executing the request twice is harmless.
     pub fn invoke_idempotent(&self, method: u32, args: &XdrWriter) -> Result<Bytes, OrbError> {
-        self.invoke_raw_with(method, Bytes::copy_from_slice(args.peek()), true)
+        self.invoke_recycling(method, spare_copy(args), true)
     }
 
     /// [`invoke_raw`](Self::invoke_raw) with the idempotence promise.
     pub fn invoke_raw_idempotent(&self, method: u32, body: Bytes) -> Result<Bytes, OrbError> {
         self.invoke_raw_with(method, body, true)
+    }
+
+    /// Invokes with `body`, a finished writer from [`XdrWriter::reused`],
+    /// then gives the body's buffer back to the calling thread once nothing
+    /// else holds it, for the thread's next such writer. The retry loop's
+    /// plaintext is a clone of the body, so it is never given back while a
+    /// retry may read it.
+    pub(crate) fn invoke_recycling(
+        &self,
+        method: u32,
+        body: Bytes,
+        idempotent: bool,
+    ) -> Result<Bytes, OrbError> {
+        let reply = self.invoke_raw_with(method, body.clone(), idempotent);
+        XdrWriter::recycle(body);
+        reply
     }
 
     /// The retry driver: attempts under the policy's budget, backoff between

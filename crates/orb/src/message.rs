@@ -18,8 +18,8 @@ use ohpc_nexus::{
 };
 use ohpc_telemetry::{Registry, TraceContext};
 use ohpc_xdr::{
-    xdr_struct, xdr_union, Array, Detached, Extension, FrameView, Mirror, TextView, XdrDecode,
-    XdrEncode, XdrError, XdrReader, XdrWriter,
+    xdr_struct, xdr_union, Array, Detached, Extension, FrameView, InlineList, Mirror, TextView,
+    XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter,
 };
 
 /// Handler slot the ORB occupies inside a Nexus service.
@@ -195,7 +195,7 @@ impl From<TraceWire> for TraceContext {
 
 xdr_struct! {
     /// One capability's wire metadata for one direction.
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct CapWireMeta {
         /// Capability name (matches [`crate::capability::Capability::name`]),
         /// a UTF-8 string on the wire. The sender's is its chain's shared
@@ -208,6 +208,12 @@ xdr_struct! {
     }
 }
 
+/// Hops a glue section holds in place: every shipped chain has one or two.
+pub const INLINE_HOPS: usize = 2;
+
+/// A glue section's per-capability metadata, in chain order.
+pub type Hops = InlineList<CapWireMeta, INLINE_HOPS>;
+
 xdr_struct! {
     /// Glue section of a frame.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,7 +223,7 @@ xdr_struct! {
         /// Per-capability metadata, in chain order: never more entries than
         /// the chain it mirrors may have. Decoded from one copy of its
         /// bytes, of which names and blobs are views.
-        pub caps: Vec<CapWireMeta> as Detached<Array<MAX_CHAIN>>,
+        pub caps: Hops as Detached<Array<MAX_CHAIN>>,
     }
 }
 
@@ -489,7 +495,8 @@ mod tests {
                 caps: vec![
                     CapWireMeta { name: "encrypt".into(), meta: Bytes::from_static(&[1, 2, 3]) },
                     CapWireMeta { name: "timeout".into(), meta: Bytes::new() },
-                ],
+                ]
+                .into(),
             }),
             body: Bytes::from_static(b"encrypted-bytes"),
             trace: None,
@@ -594,7 +601,8 @@ mod tests {
                 caps: vec![
                     CapWireMeta { name: "encrypt".into(), meta: Bytes::from_static(&[9]) },
                     CapWireMeta { name: DEADLINE_CAP_NAME.into(), meta: meta.blob().clone() },
-                ],
+                ]
+                .into(),
             }),
             body: Bytes::new(),
             trace: None,
@@ -606,7 +614,7 @@ mod tests {
         assert_eq!(req.deadline_expires_ns(), None);
         req.glue = Some(GlueWire {
             glue_id: 1,
-            caps: vec![CapWireMeta { name: "encrypt".into(), meta: Bytes::new() }],
+            caps: vec![CapWireMeta { name: "encrypt".into(), meta: Bytes::new() }].into(),
         });
         assert_eq!(req.deadline_expires_ns(), None);
 
@@ -616,7 +624,8 @@ mod tests {
             caps: vec![CapWireMeta {
                 name: DEADLINE_CAP_NAME.into(),
                 meta: Bytes::from_static(&[0xFF; 2]),
-            }],
+            }]
+            .into(),
         });
         assert_eq!(req.deadline_expires_ns(), None);
     }
@@ -654,7 +663,8 @@ mod tests {
             caps: vec![
                 CapWireMeta { name: "timeout".into(), meta: Bytes::new() },
                 CapWireMeta { name: "security".into(), meta: Bytes::from_static(&[7; 33]) },
-            ],
+            ]
+            .into(),
         }
     }
 
@@ -723,7 +733,7 @@ mod tests {
         meta.set("nonce", [7u8; 12]);
         let glue = GlueWire {
             glue_id: 3,
-            caps: vec![CapWireMeta { name: "security".into(), meta: meta.blob().clone() }],
+            caps: vec![CapWireMeta { name: "security".into(), meta: meta.blob().clone() }].into(),
         };
         let request = RequestMessage {
             request_id: RequestId(1),

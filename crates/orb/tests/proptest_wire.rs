@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use ohpc_orb::message::{
-    CapWireMeta, Framing, GlueWire, ReplyMessage, ReplyStatus, RequestMessage,
+    CapWireMeta, Framing, GlueWire, ReplyMessage, ReplyStatus, RequestMessage, INLINE_HOPS,
 };
 use ohpc_orb::objref::{ObjectReference, ProtoData, ProtoEntry};
 use ohpc_orb::{CapabilitySpec, Location, ObjectId, ProtocolId, RequestId};
@@ -46,6 +46,10 @@ fn arb_or() -> impl Strategy<Value = ObjectReference> {
             protocols,
         })
 }
+
+/// Up to four hops: a section longer than the `INLINE_HOPS` a list holds in
+/// place takes the spill path, both built here and decoded.
+const _: () = assert!(INLINE_HOPS < 4);
 
 fn arb_glue_wire() -> impl Strategy<Value = GlueWire> {
     (
@@ -102,6 +106,9 @@ proptest! {
             trace: None,
         };
         let back = RequestMessage::from_frame(&req.to_frame()).unwrap();
+        if let Some(glue) = &back.glue {
+            prop_assert_eq!(glue.caps.spilled(), glue.caps.len() > INLINE_HOPS);
+        }
         prop_assert_eq!(back, req);
     }
 

@@ -66,7 +66,8 @@ fn glue_section() -> GlueWire {
         caps: vec![
             CapWireMeta { name: "timeout".into(), meta: Bytes::new() },
             CapWireMeta { name: "security".into(), meta: Bytes::from(nonce_and_key) },
-        ],
+        ]
+        .into(),
     }
 }
 

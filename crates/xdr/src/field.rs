@@ -7,11 +7,12 @@
 //! two directions of a layout are spelled out by hand.
 
 use std::marker::PhantomData;
+use std::ops::Deref;
 
 use bytes::Bytes;
 
 use crate::traits::opaque_len;
-use crate::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
+use crate::{InlineList, XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
 
 /// The codec of one record field whose in-memory type is `T`.
 pub trait FieldCodec<T> {
@@ -152,7 +153,8 @@ impl<T, F: FieldCodec<T>> FieldCodec<T> for Detached<F> {
     }
 }
 
-/// A counted array of records: a length word, then the elements.
+/// A counted array of records: a length word, then the elements — held in
+/// a `Vec`, or in an [`InlineList`] when the array is short in practice.
 ///
 /// The one array policy: a count above `MAX` is refused before any element
 /// is decoded or any memory reserved (the reader has already refused a count
@@ -165,38 +167,77 @@ pub struct Array<const MAX: usize = { usize::MAX }>;
 /// Most elements an [`Array`] reserves before it has decoded them.
 pub const ARRAY_RESERVE: usize = 64;
 
-impl<T: XdrEncode + XdrDecode, const MAX: usize> FieldCodec<Vec<T>> for Array<MAX> {
-    const CONTENT_DELIMITED: bool = T::SELF_DELIMITING;
+/// What an [`Array`] holds its elements in: a `Vec`, or an [`InlineList`].
+pub trait Elements: Deref<Target = [Self::Item]> {
+    /// The element type.
+    type Item;
+    /// An empty list with room for `cap` elements.
+    fn with_capacity(cap: usize) -> Self;
+    /// Appends `item`.
+    fn push(&mut self, item: Self::Item);
+}
 
-    fn encode(value: &Vec<T>, w: &mut XdrWriter) {
-        w.put_array_len(value.len());
-        for element in value {
-            element.encode(w);
-        }
+impl<T> Elements for Vec<T> {
+    type Item = T;
+    fn with_capacity(cap: usize) -> Self {
+        Vec::with_capacity(cap)
     }
-
-    fn encoded_len(value: &Vec<T>) -> usize {
-        4 + value.iter().map(T::encoded_len).sum::<usize>()
+    fn push(&mut self, item: T) {
+        Vec::push(self, item);
     }
+}
 
-    fn decode(r: &mut XdrReader<'_>) -> Result<Vec<T>, XdrError> {
+impl<T: Default, const N: usize> Elements for InlineList<T, N> {
+    type Item = T;
+    fn with_capacity(cap: usize) -> Self {
+        InlineList::with_capacity(cap)
+    }
+    fn push(&mut self, item: T) {
+        InlineList::push(self, item);
+    }
+}
+
+impl<const MAX: usize> Array<MAX> {
+    /// The count word, refused above `MAX`.
+    fn count(r: &mut XdrReader<'_>) -> Result<usize, XdrError> {
         let n = r.get_array_len()?;
         if n > MAX {
             return Err(XdrError::LengthOverflow { declared: n as u64, limit: MAX as u64 });
         }
-        let mut out = Vec::with_capacity(n.min(ARRAY_RESERVE));
+        Ok(n)
+    }
+}
+
+impl<L, const MAX: usize> FieldCodec<L> for Array<MAX>
+where
+    L: Elements,
+    L::Item: XdrEncode + XdrDecode,
+{
+    const CONTENT_DELIMITED: bool = <L::Item as XdrDecode>::SELF_DELIMITING;
+
+    fn encode(value: &L, w: &mut XdrWriter) {
+        w.put_array_len(value.len());
+        for element in value.iter() {
+            element.encode(w);
+        }
+    }
+
+    fn encoded_len(value: &L) -> usize {
+        4 + value.iter().map(XdrEncode::encoded_len).sum::<usize>()
+    }
+
+    fn decode(r: &mut XdrReader<'_>) -> Result<L, XdrError> {
+        let n = Self::count(r)?;
+        let mut out = L::with_capacity(n.min(ARRAY_RESERVE));
         for _ in 0..n {
-            out.push(T::decode(r)?);
+            out.push(<L::Item as XdrDecode>::decode(r)?);
         }
         Ok(out)
     }
 
     fn skip(r: &mut XdrReader<'_>) -> Result<(), XdrError> {
-        let n = r.get_array_len()?;
-        if n > MAX {
-            return Err(XdrError::LengthOverflow { declared: n as u64, limit: MAX as u64 });
-        }
-        (0..n).try_for_each(|_| T::skip(r))
+        let n = Self::count(r)?;
+        (0..n).try_for_each(|_| <L::Item as XdrDecode>::skip(r))
     }
 }
 

@@ -44,6 +44,7 @@
 
 mod error;
 mod field;
+mod inline;
 mod macros;
 mod reader;
 mod traits;
@@ -51,9 +52,10 @@ mod writer;
 
 pub use error::XdrError;
 pub use field::{
-    ends_delimited, Array, Detached, Extension, FieldCodec, FrameView, Mirror, TextView,
-    ARRAY_RESERVE,
+    ends_delimited, Array, Detached, Elements, Extension, FieldCodec, FrameView, Mirror,
+    TextView, ARRAY_RESERVE,
 };
+pub use inline::InlineList;
 pub use reader::XdrReader;
 pub use traits::{XdrDecode, XdrEncode};
 pub use writer::{XdrWriter, GATHER_MIN, SPARE_MAX};

@@ -75,10 +75,11 @@ impl XdrWriter {
     }
 
     /// Keeps the buffer of `body` — a finished writer's bytes, sent — as the
-    /// calling thread's spare for [`reused`](Self::reused), if `body` is its
-    /// sole owner, it is no larger than [`SPARE_MAX`] and the thread's spare
-    /// is smaller. Otherwise only drops this handle: a buffer another handle
-    /// still reads is never written again.
+    /// calling thread's spare for [`reused`](Self::reused), with the shared
+    /// handle the next writer's [`finish`](Self::finish) freezes it in, if
+    /// `body` is its sole owner, it is no larger than [`SPARE_MAX`] and the
+    /// thread's spare is smaller. Otherwise only drops this handle: a buffer
+    /// another handle still reads is never written again.
     pub fn recycle(body: Bytes) {
         if let Ok(buf) = body.try_into_mut() {
             keep(buf);
@@ -147,7 +148,8 @@ impl XdrWriter {
     }
 
     /// Consumes the writer, returning the encoded bytes: the same buffer,
-    /// adopted by the `Bytes`, not a copy of it. A gathered opaque is copied
+    /// adopted by the `Bytes`, not a copy of it — in the handle it came back
+    /// in, for a [`reused`](Self::reused) buffer, so allocating nothing. A gathered opaque is copied
     /// into its place in that buffer here.
     pub fn finish(mut self) -> Bytes {
         debug_assert_eq!(self.len() % 4, 0, "XDR stream must stay 4-byte aligned");

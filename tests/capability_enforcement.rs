@@ -54,7 +54,7 @@ fn server_budget_cuts_off_even_if_client_lies() {
             oneway: false,
             glue: Some(GlueWire {
                 glue_id,
-                caps: vec![CapWireMeta { name: "timeout".into(), meta: empty_meta.clone() }],
+                caps: vec![CapWireMeta { name: "timeout".into(), meta: empty_meta.clone() }].into(),
             }),
             body: Bytes::new(),
             trace: None,
@@ -94,7 +94,7 @@ fn acl_cannot_be_bypassed_by_raw_requests() {
                 oneway: false,
                 glue: Some(GlueWire {
                     glue_id,
-                    caps: vec![CapWireMeta { name: "acl".into(), meta: empty_meta.clone() }],
+                    caps: vec![CapWireMeta { name: "acl".into(), meta: empty_meta.clone() }].into(),
                 }),
                 body: Bytes::copy_from_slice(w.peek()),
                 trace: None,
@@ -142,7 +142,7 @@ fn requests_without_glue_cannot_reach_glued_entry_semantics() {
         oneway: false,
         glue: Some(GlueWire {
             glue_id,
-            caps: vec![CapWireMeta { name: "auth".into(), meta: meta.blob().clone() }],
+            caps: vec![CapWireMeta { name: "auth".into(), meta: meta.blob().clone() }].into(),
         }),
         body: Bytes::new(),
         trace: None,
@@ -161,7 +161,7 @@ fn unknown_glue_id_is_rejected_cleanly() {
         object,
         method: 3,
         oneway: false,
-        glue: Some(GlueWire { glue_id: 0xDEAD, caps: vec![] }),
+        glue: Some(GlueWire { glue_id: 0xDEAD, caps: vec![].into() }),
         body: Bytes::new(),
         trace: None,
     });

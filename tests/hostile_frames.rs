@@ -446,6 +446,15 @@ fn a_glue_section_longer_than_any_chain_is_refused_on_its_count() {
     // The entries' up-front reservation was never made (what is allocated is
     // the malformed-frame counter's key).
     assert!(largest < 64 * std::mem::size_of::<CapWireMeta>(), "allocated {largest} B");
+
+    // The section alone — glue id, count, entries — between the request's
+    // header words and its empty body: refused before its bytes are copied
+    // out or a list of any length is made.
+    let section = frame.slice(8 + 8 + 4 + 4 + 4..frame.len() - 4);
+    let (decoded, largest) =
+        largest_allocation(|| GlueWire::decode(&mut XdrReader::over_frame(&section)));
+    assert_eq!(decoded.unwrap_err(), XdrError::LengthOverflow { declared: 65, limit: 64 });
+    assert_eq!(largest, 0, "a refused section must not have sized an allocation");
 }
 
 /// A served context whose one glue chain is `glue[timeout]`.

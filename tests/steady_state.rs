@@ -3,17 +3,18 @@
 //! Once a call site has run, its instruments are resolved: a warmed-up call
 //! must not look a metric up by name again (`Registry::resolutions` stands
 //! still), and a small call's heap traffic is a short fixed inventory — for a
-//! 5-int two-way echo over the mem fabric, 7 allocations across all threads:
-//! the caller's clone of its argument; a handle each over the args and the
-//! reply body, whose buffers are the ones their threads sent last time; the
-//! mem fabric's two frame copies; the two decoded `Vec`s. Frames are encoded
-//! into a per-thread scratch writer and leave in parts, so no frame buffer
-//! is allocated; the server's reader runs the call itself, so no task is
-//! boxed for a pool worker. A one-way is 3: the fabric's copy, the client's
-//! body copy and the decoded `Vec`; the reply its skeleton encodes goes back
-//! to its thread unsent. The two-way bounds are the inventories, so one
-//! more allocation per call fails them; the one-way's leaves a spare. Each
-//! test name states the bound its assert uses.
+//! 5-int two-way echo over the mem fabric, 5 allocations across all threads:
+//! the caller's clone of its argument; the mem fabric's two frame copies;
+//! the two decoded `Vec`s. The args and the reply body are encoded into the
+//! buffer, and frozen in the handle, that their threads sent last time;
+//! frames are encoded into a per-thread scratch writer and leave in parts,
+//! so no frame buffer is allocated; the server's reader runs the call
+//! itself, so no task is boxed for a pool worker. A one-way is 2: the
+//! fabric's copy and the decoded `Vec`; the client copies its args into the
+//! thread's spare buffer, and the reply its skeleton encodes goes back to
+//! its thread unsent. The two-way bounds are the inventories, so one more
+//! allocation per call fails them; the one-way's leaves a spare. Each test
+//! name states the bound its assert uses.
 //!
 //! A bulk call's inventory is counted in payload-sized buffers instead: a
 //! secure 1 MiB echo makes exactly six.
@@ -111,7 +112,7 @@ fn payload() -> Vec<i32> {
 }
 
 #[test]
-fn a_small_two_way_echo_over_mem_resolves_nothing_and_allocates_at_most_7() {
+fn a_small_two_way_echo_over_mem_resolves_nothing_and_allocates_at_most_5() {
     let _alone = alone();
     let (server, client) = deploy(Wire::Shm, vec![]);
     let sent = payload();
@@ -120,11 +121,11 @@ fn a_small_two_way_echo_over_mem_resolves_nothing_and_allocates_at_most_7() {
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up call looked a metric up by name");
     let per_call = allocations as f64 / MEASURED_CALLS as f64;
-    assert!(per_call <= 7.0, "{per_call} allocations per echo; the inventory is 7");
+    assert!(per_call <= 5.0, "{per_call} allocations per echo; the inventory is 5");
 }
 
 #[test]
-fn a_small_one_way_over_mem_resolves_nothing_and_allocates_at_most_4() {
+fn a_small_one_way_over_mem_resolves_nothing_and_allocates_at_most_3() {
     let _alone = alone();
     let (server, client) = deploy(Wire::Shm, vec![]);
     let mut args = XdrWriter::new();
@@ -145,14 +146,14 @@ fn a_small_one_way_over_mem_resolves_nothing_and_allocates_at_most_4() {
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up one-way looked a metric up by name");
     let per_call = allocations as f64 / MEASURED_CALLS as f64;
-    assert!(per_call <= 4.0, "{per_call} allocations per one-way (four two-ways included)");
+    assert!(per_call <= 3.0, "{per_call} allocations per one-way (four two-ways included)");
 }
 
-/// The glue section costs 7 over the 7 of a plain echo: per direction the
-/// sender's list of hops and the receiver's one copy of the section plus its
-/// list, and the budget's stamp, which is its metadata blob.
+/// The glue section costs 3 over the 5 of a plain echo: per direction the
+/// receiver's one copy of the section, and the budget's stamp, which is its
+/// metadata blob. Both lists of hops are held in place.
 #[test]
-fn a_small_echo_through_glue_over_tcp_resolves_nothing_and_allocates_at_most_14() {
+fn a_small_echo_through_glue_over_tcp_resolves_nothing_and_allocates_at_most_8() {
     let _alone = alone();
     let (server, client) = deploy(Wire::TcpLoopback, vec![TimeoutCap::spec(u64::MAX / 2)]);
     let sent = payload();
@@ -161,7 +162,7 @@ fn a_small_echo_through_glue_over_tcp_resolves_nothing_and_allocates_at_most_14(
     server.shutdown();
     assert_eq!(resolutions, 0, "a warmed-up glued call looked a metric up by name");
     let per_call = allocations as f64 / MEASURED_CALLS as f64;
-    assert!(per_call <= 14.0, "{per_call} allocations per glued echo; the inventory is 14");
+    assert!(per_call <= 8.0, "{per_call} allocations per glued echo; the inventory is 8");
 }
 
 /// A 1 MiB echo through glue[timeout,security] over TCP makes six
@@ -204,7 +205,7 @@ fn the_deadline_peek_of_a_stamped_request_allocates_nothing() {
         oneway: false,
         glue: Some(GlueWire {
             glue_id: 4,
-            caps: vec![hop("timeout", &CapMeta::new()), hop(DEADLINE_CAP_NAME, &stamp)],
+            caps: vec![hop("timeout", &CapMeta::new()), hop(DEADLINE_CAP_NAME, &stamp)].into(),
         }),
         body: Bytes::from_static(&[0; 24]),
         trace: None,
