@@ -5,7 +5,7 @@
 //!
 //! Drives the shape of the ledger's `shm_small`, `glue_tcp_small_2c` (one
 //! client), `oneway_stream` or `glue_sec_tcp_bulk` (a 262 144-int echo
-//! through glue[timeout,security] over TCP) workload under an allocator that, for the
+//! through `glue[timeout,security]` over TCP) workload under an allocator that, for the
 //! measured calls only, files every allocation of every thread under the
 //! innermost frames of its backtrace that lie in this workspace. Size the
 //! next allocation change from this table, not from a guess.

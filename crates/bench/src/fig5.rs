@@ -65,7 +65,7 @@ impl Network {
 /// The four protocol configurations of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Config {
-    /// glue[timeout] over the TCP protocol object.
+    /// `glue[timeout]` over the TCP protocol object.
     GlueTimeout,
     /// glue[timeout, security] over the TCP protocol object.
     GlueTimeoutSecurity,

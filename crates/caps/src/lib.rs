@@ -14,11 +14,10 @@
 //! | [`LoggingCap`] | `log` | auditing/accounting side of "access restrictions" |
 //! | [`AclCap`] | `acl` | "some clients may need access only to a subset of the interface" |
 //!
-//! [`register_standard`] wires all of them into a
-//! [`CapabilityRegistry`](ohpc_orb::CapabilityRegistry) against a
-//! [`KeyStore`](ohpc_crypto::KeyStore) (the local trust environment). Specs
-//! are built with each type's `spec(...)` constructor so both ends agree on
-//! the configuration encoding.
+//! [`register_standard`] wires all of them into a [`CapabilityRegistry`]
+//! against a [`KeyStore`] (the local trust environment). Specs are built
+//! with each type's `spec(...)` constructor so both ends agree on the
+//! configuration encoding.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

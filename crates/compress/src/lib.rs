@@ -4,9 +4,9 @@
 //! attributes; this crate supplies two self-contained codecs the capability
 //! can choose between:
 //!
-//! * [`rle`] — byte-level run-length encoding: trivial, fast, effective on
+//! * [`Rle`] — byte-level run-length encoding: trivial, fast, effective on
 //!   the highly repetitive arrays used in the bandwidth experiments;
-//! * [`lzss`] — an LZSS dictionary coder (4 KiB window) that also compresses
+//! * [`Lzss`] — an LZSS dictionary coder (4 KiB window) that also compresses
 //!   non-run redundancy, standing in for the LZ-family codecs of the era.
 //!
 //! Both formats are self-describing (1-byte codec tag + original length) and

@@ -7,8 +7,8 @@
 //! capability chain pays a *real* cryptographic cost on the wire path:
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256
-//! * [`hmac`] — RFC 2104 HMAC-SHA-256, used for per-request authentication
-//! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher, used by the encryption
+//! * [`hmac_sha256`] — RFC 2104 HMAC-SHA-256, used for per-request authentication
+//! * [`ChaCha20`] — RFC 8439 ChaCha20 stream cipher, used by the encryption
 //!   capability
 //! * [`ct_eq`] — constant-time comparison for MAC verification
 //! * [`KeyStore`] — a named pre-shared-key store standing in for the site

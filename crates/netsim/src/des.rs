@@ -1,8 +1,8 @@
 //! A small discrete-event scheduler.
 //!
-//! Used by the load-balancing experiments to drive load changes and
-//! migration decisions on the virtual timeline, independent of the
-//! thread-based RMI path. Events are closures over a user state `S`;
+//! The `des_scenario` test (`tests/des_scenario.rs`) uses it to drive load
+//! changes and migration decisions on the virtual timeline, independent of
+//! the thread-based RMI path. Events are closures over a user state `S`;
 //! handlers may schedule further events.
 
 use std::cmp::Reverse;

@@ -12,8 +12,8 @@
 //! * [`VirtualClock`] — shared monotonic virtual time in nanoseconds;
 //! * [`SimNet`] — charges transfers against the clock with per-link queuing,
 //!   so concurrent senders on one wire serialize the way a real link does;
-//! * [`des`] — a small discrete-event scheduler used by the load-balancing
-//!   experiments;
+//! * [`des`] — a small discrete-event scheduler, which drives the scripted
+//!   load spikes of the `des_scenario` test;
 //! * [`load`] — per-machine synthetic load tracking for the high-water-mark
 //!   migration policy.
 //!

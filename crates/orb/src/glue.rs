@@ -1,12 +1,11 @@
 //! The glue class, on both ends of a binding.
 //!
-//! A [`Glue`] is one end's copy of a capability chain, with capability
+//! A `Glue` is one end's copy of a capability chain, with capability
 //! instances of its own (so state such as a request budget is kept per end):
-//! the sender [`apply`](Glue::apply)s it in order, the receiver
-//! [`remove`](Glue::remove)s it in reverse. A server's context holds one per
-//! glue id it issued; the client's [`GlueProto`] holds one per server glue it
-//! calls, keyed by the inner endpoint and the glue id, because every context
-//! numbers its glues from 1.
+//! the sender `apply`s it in order, the receiver `remove`s it in reverse. A
+//! server's context holds one per glue id it issued; the client's
+//! [`GlueProto`] holds one per server glue it calls, keyed by the inner
+//! endpoint and the glue id, because every context numbers its glues from 1.
 //!
 //! The glue proto-object holds no communication mechanism. It runs each
 //! request body through the client's copy of the entry's chain and delegates
@@ -117,7 +116,7 @@ impl From<CapError> for ReplyStatus {
     }
 }
 
-/// Client-side glue protocol object. It keeps one [`Glue`] per server glue,
+/// Client-side glue protocol object. It keeps one `Glue` per server glue,
 /// keyed by the entry's inner endpoint and glue id.
 pub struct GlueProto {
     registry: Arc<CapabilityRegistry>,

@@ -254,11 +254,6 @@ impl GlobalPointer {
         self.invoke_recycling(method, spare_copy(args), true)
     }
 
-    /// [`invoke_raw`](Self::invoke_raw) with the idempotence promise.
-    pub fn invoke_raw_idempotent(&self, method: u32, body: Bytes) -> Result<Bytes, OrbError> {
-        self.invoke_raw_with(method, body, true)
-    }
-
     /// Invokes with `body`, a finished writer from [`XdrWriter::reused`],
     /// then gives the body's buffer back to the calling thread once nothing
     /// else holds it, for the thread's next such writer. The retry loop's
@@ -710,7 +705,7 @@ mod tests {
 
         // Idempotent: ambiguity is retryable up to the budget.
         proto.calls.store(0, Ordering::Relaxed);
-        let err = gp.invoke_raw_idempotent(1, Bytes::new()).unwrap_err();
+        let err = gp.invoke_idempotent(1, &XdrWriter::new()).unwrap_err();
         assert!(matches!(err, OrbError::AmbiguousTransport(_)));
         assert_eq!(proto.calls.load(Ordering::Relaxed), gp.retry_policy().max_attempts);
     }
@@ -810,7 +805,7 @@ mod tests {
     /// A prefer or ban that changes nothing keeps the table and its
     /// binding; one that removes rows binds a new table.
     #[test]
-    fn noop_prefer_and_ban_leave_the_epoch_alone() {
+    fn noop_prefer_and_ban_keep_the_binding() {
         let (gp, _) = gp_with(vec![]);
         let table = gp.object_reference();
         let bound = gp.binding();
@@ -831,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_swap_bumps_the_epoch_and_invalidates_cached_selections() {
+    fn a_swapped_registry_is_consulted_by_the_next_invocation() {
         use ohpc_resilience::BreakerState;
         let good_a = FailProto::new(ProtocolId::TCP, 0, || unreachable!());
         let good_b = FailProto::new(ProtocolId::NEXUS_TCP, 0, || unreachable!());

@@ -7,25 +7,25 @@
 //!
 //! # The model
 //!
-//! * A server [`Context`](context::Context) (the HPC++ "virtual address
-//!   space") hosts objects implementing [`RemoteObject`](skeleton::RemoteObject).
-//! * Registering an object yields an [`ObjectReference`](objref::ObjectReference)
-//!   (OR): the object's identity plus a **preference-ordered protocol table**.
-//!   Each [`ProtoEntry`](objref::ProtoEntry) names a protocol and carries its
-//!   proto-data (an endpoint, or — for the **glue protocol** — a capability
-//!   chain wrapped around an inner entry).
-//! * A client holds a [`GlobalPointer`](gp::GlobalPointer) (GP) wrapping an
-//!   OR, and a process-local [`ProtoPool`](proto::ProtoPool) of
-//!   [`ProtoObject`](proto::ProtoObject)s. Each remote invocation walks the
-//!   OR's table in preference order and uses the **first entry whose protocol
-//!   is in the pool and is applicable** for the current (client, server)
-//!   location pair — the paper's automatic run-time protocol selection.
-//! * [`Capability`](capability::Capability) objects (encryption,
-//!   authentication, request budgets, compression, …) ride in glue entries.
-//!   On the way out each capability `process`es the request body in chain
-//!   order; the server-side glue class `unprocess`es in reverse; replies flow
-//!   back through the same chain mirrored. Capabilities are *data* in the OR,
-//!   so they can be handed between processes and swapped at run time.
+//! * A server [`Context`] (the HPC++ "virtual address space") hosts objects
+//!   implementing [`RemoteObject`].
+//! * Registering an object yields an [`ObjectReference`] (OR): the object's
+//!   identity plus a **preference-ordered protocol table**. Each
+//!   [`ProtoEntry`] names a protocol and carries its proto-data (an
+//!   endpoint, or — for the **glue protocol** — a capability chain wrapped
+//!   around an inner entry).
+//! * A client holds a [`GlobalPointer`] (GP) wrapping an OR, and a
+//!   process-local [`ProtoPool`] of [`ProtoObject`]s. Each remote invocation
+//!   walks the OR's table in preference order and uses the **first entry
+//!   whose protocol is in the pool and is applicable** for the current
+//!   (client, server) location pair — the paper's automatic run-time
+//!   protocol selection.
+//! * [`Capability`] objects (encryption, authentication, request budgets,
+//!   compression, …) ride in glue entries. On the way out each capability
+//!   `process`es the request body in chain order; the server-side glue class
+//!   `unprocess`es in reverse; replies flow back through the same chain
+//!   mirrored. Capabilities are *data* in the OR, so they can be handed
+//!   between processes and swapped at run time.
 //! * When an object migrates, the old context keeps a tombstone answering
 //!   `ObjectMoved(new OR)`; GPs rebind and re-run selection, which is how a
 //!   client transparently drops authentication or picks up shared memory as

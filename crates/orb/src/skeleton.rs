@@ -99,7 +99,7 @@ macro_rules! remote_interface {
         }
 
         /// Skeleton adapting an implementation of the interface to
-        /// [`ohpc_orb::RemoteObject`] (generated by `remote_interface!`).
+        /// `ohpc_orb::RemoteObject` (generated by `remote_interface!`).
         pub struct $skeleton<T: $api>(pub T);
 
         impl<T: $api> $crate::skeleton::RemoteObject for $skeleton<T> {

@@ -28,7 +28,7 @@
 //! sliced off the reply as a view. Same channel cache, same mux, same
 //! retry-once-if-unsent.
 //!
-//! The channels are pooled per endpoint in the [`EndpointCache`], which owns
+//! The channels are pooled per endpoint in the `EndpointCache`, which owns
 //! the two pooling rules:
 //!
 //! - **Eviction is by identity, never by key.** A caller that observed a

@@ -204,8 +204,9 @@ impl Watcher {
     }
 }
 
-/// A connection's rescue slot (see the [module docs](self)). `T` is what
-/// the reader parks while it runs a request: its receive half.
+/// A connection's rescue slot: a request run inline that holds the reader
+/// too long gets the parked `T` handed to a fresh thread, which reads on.
+/// `T` is what the reader parks while it runs a request: its receive half.
 pub struct Rescue<T: Send + 'static> {
     slot: Arc<Slot<T>>,
 }

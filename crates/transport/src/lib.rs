@@ -2,18 +2,19 @@
 //!
 //! A *protocol object* in the ORB owns the request semantics (framing of
 //! headers, capability processing); this crate owns only moving opaque frames
-//! between contexts. Three fabrics implement the same [`Connection`] /
-//! [`Dialer`] / [`Listener`] contract:
+//! between contexts. Three fabrics implement the same [`Dialer`] /
+//! [`Listener`] contract, and each builds a connection as its two halves,
+//! a [`SendHalf`] and a [`RecvHalf`], handed out in one [`Halves`]:
 //!
-//! * [`mem`] — crossbeam-channel pairs inside one process: the
-//!   "shared memory protocol" of the paper;
+//! * [`mem`] — frame pipes inside one process: the "shared memory
+//!   protocol" of the paper;
 //! * [`tcp`] — real TCP with 4-byte length-prefix framing;
 //! * [`sim`] — mem connections whose sends are first *charged to virtual
 //!   time* through [`ohpc_netsim::SimNet`], reproducing the paper's testbed.
 //!
 //! All connections move whole frames (length ≤ [`MAX_FRAME`]); a frame is the
 //! unit the ORB's request/reply marshaling produces. A sender may hand a
-//! frame over in parts ([`Connection::send_parts`]), so that a body leaves
+//! frame over in parts ([`SendHalf::send_parts`]), so that a body leaves
 //! without first being copied behind its header.
 
 #![warn(missing_docs)]
@@ -91,7 +92,7 @@ pub(crate) mod telem {
         }
 
         /// The failure path: counted by name, with the error as text.
-        fn fail(&self, op: &'static str, event: &str, err: &TransportError) {
+        pub(crate) fn fail(&self, op: &'static str, event: &str, err: &TransportError) {
             let registry = Registry::global();
             registry.counter("transport_errors_total", &[("fabric", self.name), ("op", op)]).inc();
             // Deadline-driven timeouts (and sim timeouts, which surface as Io
@@ -282,16 +283,16 @@ pub(crate) fn frame_len(parts: &[&[u8]]) -> usize {
     parts.iter().map(|part| part.len()).sum()
 }
 
-/// A bidirectional, frame-oriented connection.
+/// A bidirectional, frame-oriented connection, as a dialer or a listener
+/// hands it out. Every transport in this crate hands out a [`Halves`]; the
+/// ORB splits it at once, and only a caller that neither serves nor
+/// multiplexes (the stand-alone Nexus service and client) uses it whole.
 pub trait Connection: Send {
     /// Sends one frame.
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
 
-    /// Sends one frame made of `parts`, in order — a header, a body as it
-    /// is, a trailer — exactly as [`send`](Self::send) sends their
-    /// concatenation: the receiver sees one frame. The default joins the
-    /// parts and calls `send`; the mem, TCP and sim fabrics write the parts
-    /// out without joining them first.
+    /// Sends one frame made of `parts`, as [`SendHalf::send_parts`] does;
+    /// the default likewise joins them and calls [`send`](Self::send).
     fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
         self.send(&parts.concat())
     }
@@ -301,13 +302,12 @@ pub trait Connection: Send {
 
     /// Splits this connection into independent send/receive halves, so one
     /// thread can block in `recv` while others send — the prerequisite for
-    /// request multiplexing ([`mux::MuxChannel`]). The halves alias the same
-    /// underlying connection; after a successful split the original handle
-    /// should be dropped.
+    /// request multiplexing ([`mux::MuxChannel`]). After a successful split
+    /// the original handle should be dropped.
     ///
-    /// Every connection the ORB serves or dials must split: mem, TCP and sim
-    /// connections do, and so do the fault-injection wrappers around them.
-    /// The default refuses (`None`); a client dial that cannot split fails,
+    /// Every connection the ORB serves or dials must split. Those of this
+    /// crate are built as their halves and hand them out ([`Halves`]). The
+    /// default refuses (`None`); a client dial that cannot split fails,
     /// and a server hangs up on such a connection.
     fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
         None
@@ -326,14 +326,17 @@ pub trait Connection: Send {
     }
 }
 
-/// The sending half of a split [`Connection`].
+/// The sending half of a connection: what a transport builds, with its
+/// [`RecvHalf`], when it dials or accepts.
 pub trait SendHalf: Send {
     /// Sends one frame.
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
 
-    /// Sends one frame made of `parts`, as
-    /// [`Connection::send_parts`] does; the default likewise joins them and
-    /// calls [`send`](Self::send).
+    /// Sends one frame made of `parts`, in order — a header, a body as it
+    /// is, a trailer — exactly as [`send`](Self::send) sends their
+    /// concatenation: the receiver sees one frame. The default joins the
+    /// parts and calls `send`; the mem, TCP and sim halves write the parts
+    /// out without joining them first.
     fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
         self.send(&parts.concat())
     }
@@ -354,7 +357,7 @@ pub trait SendHalf: Send {
     fn close(&mut self);
 }
 
-/// The receiving half of a split [`Connection`].
+/// The receiving half of a connection (see [`SendHalf`]).
 pub trait RecvHalf: Send {
     /// Receives one frame, blocking until available or the peer closes.
     fn recv(&mut self) -> Result<Bytes, TransportError>;
@@ -388,6 +391,42 @@ pub trait RecvHalf: Send {
     /// read buffer holds bytes; neither asks the kernel.
     fn ready(&self) -> bool {
         false
+    }
+}
+
+/// A connection as its two halves: the one [`Connection`] the transports of
+/// this crate hand out. Used whole, it forwards each call to its half;
+/// [`try_split`](Connection::try_split) hands both halves out, once, after
+/// which every call fails with [`TransportError::Closed`]. Dropped whole, it
+/// drops both halves, which hangs the connection up.
+pub struct Halves(Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)>);
+
+impl Halves {
+    /// A connection made of `send` and `recv`, two halves of one wire.
+    pub fn new(send: impl SendHalf + 'static, recv: impl RecvHalf + 'static) -> Self {
+        Self(Some((Box::new(send), Box::new(recv))))
+    }
+}
+
+impl Connection for Halves {
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        self.0.as_mut().ok_or(TransportError::Closed)?.0.send(frame)
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.0.as_mut().ok_or(TransportError::Closed)?.0.send_parts(parts)
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a delegation shim: the deadline is its caller's job"
+    )]
+    fn recv(&mut self) -> Result<Bytes, TransportError> {
+        self.0.as_mut().ok_or(TransportError::Closed)?.1.recv()
+    }
+
+    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
+        self.0.take()
     }
 }
 
@@ -481,6 +520,8 @@ impl Drop for AcceptLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ohpc_netsim::{figure4_cluster, LinkProfile, SimNet};
+    use std::sync::Arc;
 
     #[test]
     fn endpoint_display() {
@@ -590,4 +631,58 @@ mod tests {
         assert_eq!(batched.0, [b"one-a".to_vec(), Vec::new(), b"two-b".to_vec()]);
     }
 
+    /// A fresh dialed connection and the peer its listener accepted.
+    type Connect = Box<dyn Fn() -> (Box<dyn Connection>, Box<dyn Connection>)>;
+
+    /// Each transport of this crate, and the fault-injection dialer over mem.
+    fn transports() -> [(&'static str, Connect); 4] {
+        fn connect(
+            dialer: &dyn Dialer,
+            mut listener: impl Listener,
+        ) -> (Box<dyn Connection>, Box<dyn Connection>) {
+            let dialed = dialer.dial(&listener.endpoint()).unwrap();
+            (dialed, listener.accept().unwrap())
+        }
+        let mem = mem::MemFabric::new();
+        let under_flaky = mem.clone();
+        let flaky = testing::FlakyDialer::new(Arc::new(mem.clone()), testing::FaultPlan::every(0));
+        let (cluster, [m0, .., m3]) = figure4_cluster(LinkProfile::atm_155());
+        let sim = sim::SimFabric::new(SimNet::new(cluster));
+        let tcp = || tcp::TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        [
+            ("mem", Box::new(move || connect(&mem, mem.listen()))),
+            ("tcp", Box::new(move || connect(&tcp::TcpDialer, tcp()))),
+            ("sim", Box::new(move || connect(&sim.dialer(m0), sim.listen(m3)))),
+            ("flaky", Box::new(move || connect(&flaky, under_flaky.listen()))),
+        ]
+    }
+
+    /// What every transport's [`Halves`] gives whole and after its split:
+    /// a frame sent whole arrives, a side dropped whole hangs up on its
+    /// peer, and a split hands the halves out once, leaving a husk that
+    /// answers `Closed`.
+    #[test]
+    fn every_transport_hands_out_halves_that_work_whole_and_split_once() {
+        for (name, connect) in transports() {
+            let (mut dialed, mut accepted) = connect();
+            dialed.send(b"ping").unwrap();
+            dialed.send_parts(&[b"po", &[], b"ng"]).unwrap();
+            assert_eq!(&accepted.recv().unwrap()[..], b"ping", "{name}");
+            assert_eq!(&accepted.recv().unwrap()[..], b"pong", "{name}");
+            drop(dialed);
+            assert_eq!(accepted.recv().unwrap_err(), TransportError::Closed, "{name}");
+
+            let (mut dialed, mut accepted) = connect();
+            let (mut tx, mut rx) = dialed.try_split().expect(name);
+            assert_eq!(dialed.send(b"x").unwrap_err(), TransportError::Closed, "{name}");
+            assert_eq!(dialed.send_parts(&[b"x"]).unwrap_err(), TransportError::Closed, "{name}");
+            assert_eq!(dialed.recv().unwrap_err(), TransportError::Closed, "{name}");
+            assert!(dialed.try_split().is_none(), "{name}: split twice");
+            drop(dialed);
+            tx.send(b"via the half").unwrap();
+            assert_eq!(&accepted.recv().unwrap()[..], b"via the half", "{name}");
+            accepted.send(b"back").unwrap();
+            assert_eq!(&rx.recv().unwrap()[..], b"back", "{name}");
+        }
+    }
 }

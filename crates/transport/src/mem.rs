@@ -1,16 +1,16 @@
 //! In-process channel fabric: the "shared memory protocol".
 //!
 //! A [`MemFabric`] is a rendezvous namespace. Listeners bind a key; dialers
-//! connect by key and the fabric hands both sides a pair of unbounded
-//! crossbeam channels. `send` copies the frame once into a [`Bytes`] that the
-//! receiver then owns — no syscall, no second copy — which is the property
-//! that makes the shared-memory protocol an order of magnitude faster than
-//! the network paths in Figure 5. A frame sent in parts (`send_parts`: a
-//! header and a body that was never copied behind it) is joined by that one
-//! copy.
+//! connect by key and the fabric hands each side the halves of its end, a
+//! [`MemSendHalf`] and a [`MemRecvHalf`] over two frame pipes. `send` copies
+//! the frame once into a [`Bytes`] that the receiver then owns — no syscall,
+//! no second copy — which is the property that makes the shared-memory
+//! protocol an order of magnitude faster than the network paths in Figure 5.
+//! A frame sent in parts (`send_parts`: a header and a body that was never
+//! copied behind it) is joined by that one copy.
 //!
-//! Each direction of a connection is a [`Pipe`]: a frame queue with counted
-//! ends. Either side hanging up — dropping its last handle on an end, or
+//! Each direction of a connection is a pipe: a frame queue with one sending
+//! and one receiving end. Either side hanging up — dropping its end, or
 //! closing — is seen by the other as [`TransportError::Closed`], and a side
 //! that closes also wakes its own receiver, as a TCP `shutdown` does.
 
@@ -24,8 +24,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::{
-    frame_len, telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError,
-    MAX_FRAME,
+    frame_len, telem, Connection, Dialer, Endpoint, Halves, Listener, RecvHalf, SendHalf,
+    TransportError, MAX_FRAME,
 };
 
 /// One direction of a connection: the frames one side has sent and the
@@ -39,12 +39,11 @@ struct Pipe {
 #[derive(Default)]
 struct PipeState {
     frames: VecDeque<Bytes>,
-    /// Live [`PipeTx`] handles; none left means the sender hung up.
-    writers: usize,
-    /// Live [`PipeRx`] handles; none left means nobody will read again.
-    readers: usize,
-    /// The receiving side closed the connection: nothing more is delivered
-    /// and nothing more accepted.
+    /// The sending end is gone: once `frames` is drained, nothing more
+    /// arrives.
+    hung_up: bool,
+    /// The receiving side closed the connection or dropped its end: nothing
+    /// more is delivered and nothing more accepted.
     shut: bool,
 }
 
@@ -61,25 +60,21 @@ impl Pipe {
     }
 }
 
-/// A counted sending end of a [`Pipe`].
+/// The sending end of a pipe; dropping it hangs the pipe up.
 struct PipeTx(Arc<Pipe>);
 
-/// A counted receiving end of a [`Pipe`].
+/// The receiving end of a pipe; dropping it shuts the pipe.
 struct PipeRx(Arc<Pipe>);
 
 fn pipe() -> (PipeTx, PipeRx) {
     let pipe = Arc::new(Pipe::default());
-    {
-        let mut st = pipe.state();
-        (st.writers, st.readers) = (1, 1);
-    }
     (PipeTx(pipe.clone()), PipeRx(pipe))
 }
 
 impl PipeTx {
     fn send(&self, frame: Bytes) -> Result<(), TransportError> {
         let mut st = self.0.state();
-        if st.readers == 0 || st.shut {
+        if st.shut {
             return Err(TransportError::Closed);
         }
         st.frames.push_back(frame);
@@ -89,21 +84,10 @@ impl PipeTx {
     }
 }
 
-impl Clone for PipeTx {
-    fn clone(&self) -> Self {
-        self.0.state().writers += 1;
-        Self(self.0.clone())
-    }
-}
-
 impl Drop for PipeTx {
     fn drop(&mut self) {
-        let mut st = self.0.state();
-        st.writers -= 1;
-        if st.writers == 0 {
-            drop(st);
-            self.0.arrived.notify_all();
-        }
+        self.0.state().hung_up = true;
+        self.0.arrived.notify_all();
     }
 }
 
@@ -120,7 +104,7 @@ impl PipeRx {
             if let Some(frame) = st.frames.pop_front() {
                 return Ok(frame);
             }
-            if st.writers == 0 {
+            if st.hung_up {
                 return Err(TransportError::Closed);
             }
             st = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
@@ -135,35 +119,10 @@ impl PipeRx {
     }
 }
 
-impl Clone for PipeRx {
-    fn clone(&self) -> Self {
-        self.0.state().readers += 1;
-        Self(self.0.clone())
-    }
-}
-
 impl Drop for PipeRx {
     fn drop(&mut self) {
-        self.0.state().readers -= 1;
+        self.0.state().shut = true;
     }
-}
-
-/// The one send path of a connection and of its split-off send half (whose
-/// sender is gone once closed): one copy of the frame made of `parts` into a
-/// [`Bytes`] the receiver will own, counted into `fabric`.
-fn send_on(
-    fabric: &telem::Fabric,
-    tx: Option<&PipeTx>,
-    parts: &[&[u8]],
-) -> Result<(), TransportError> {
-    parking_lot::assert_no_guard_held("mem send");
-    let len = frame_len(parts);
-    let r = match tx {
-        _ if len > MAX_FRAME => Err(TransportError::FrameTooLarge(len)),
-        None => Err(TransportError::Closed),
-        Some(tx) => tx.send(joined(parts, len)),
-    };
-    fabric.track_send(len, r)
 }
 
 /// The receiver's own copy of the frame made of `parts`, `len` bytes long.
@@ -185,51 +144,22 @@ fn joined(parts: &[&[u8]], len: usize) -> Bytes {
     }
 }
 
-/// Both ends of a fresh connection, counting their traffic into `fabric`:
-/// the mem fabric's own, or the simulated network's, whose connections are
-/// mem connections that charge the wire before each send.
-pub(crate) fn pair(fabric: &'static telem::Fabric) -> (MemConnection, MemConnection) {
+/// The halves of both ends of a fresh connection, counting their traffic
+/// into `fabric`: the mem fabric's own, or the simulated network's, whose
+/// connections are mem connections that charge the wire before each send.
+pub(crate) fn pair(fabric: &'static telem::Fabric) -> [(MemSendHalf, MemRecvHalf); 2] {
     let (a_tx, b_rx) = pipe();
     let (b_tx, a_rx) = pipe();
-    (
-        MemConnection { tx: a_tx, rx: a_rx, fabric },
-        MemConnection { tx: b_tx, rx: b_rx, fabric },
-    )
+    // The send half also holds its side's inbound pipe, to shut it on
+    // `close`; only the receive half's end keeps that pipe open.
+    let end = |tx, rx: PipeRx| {
+        let inbound = rx.0.clone();
+        (MemSendHalf { tx: Some(tx), inbound, fabric }, MemRecvHalf { rx, fabric })
+    };
+    [end(a_tx, a_rx), end(b_tx, b_rx)]
 }
 
-/// One side of an established connection.
-pub struct MemConnection {
-    tx: PipeTx,
-    rx: PipeRx,
-    fabric: &'static telem::Fabric,
-}
-
-impl Connection for MemConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.send_parts(&[frame])
-    }
-
-    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
-        send_on(self.fabric, Some(&self.tx), parts)
-    }
-
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
-        self.fabric.track_recv(self.rx.recv(None))
-    }
-
-    /// Mem splits by sharing the pipes. The send half also holds our inbound
-    /// pipe — uncounted, so a peer that hangs up is still seen — to shut it
-    /// on `close`.
-    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
-        let fabric = self.fabric;
-        Some((
-            Box::new(MemSendHalf { tx: Some(self.tx.clone()), inbound: self.rx.0.clone(), fabric }),
-            Box::new(MemRecvHalf { rx: self.rx.clone(), fabric }),
-        ))
-    }
-}
-
-/// Sending half of a split [`MemConnection`].
+/// The sending half of one end of a mem connection.
 pub struct MemSendHalf {
     tx: Option<PipeTx>,
     inbound: Arc<Pipe>,
@@ -241,8 +171,17 @@ impl SendHalf for MemSendHalf {
         self.send_parts(&[frame])
     }
 
+    /// One copy of the frame made of `parts` into a [`Bytes`] the receiver
+    /// will own; refused once this half has closed.
     fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
-        send_on(self.fabric, self.tx.as_ref(), parts)
+        parking_lot::assert_no_guard_held("mem send");
+        let len = frame_len(parts);
+        let r = match &self.tx {
+            _ if len > MAX_FRAME => Err(TransportError::FrameTooLarge(len)),
+            None => Err(TransportError::Closed),
+            Some(tx) => tx.send(joined(parts, len)),
+        };
+        self.fabric.track_send(len, r)
     }
 
     /// Hangs up our sending end and shuts our inbound pipe, so the paired
@@ -253,7 +192,7 @@ impl SendHalf for MemSendHalf {
     }
 }
 
-/// Receiving half of a split [`MemConnection`].
+/// The receiving half of one end of a mem connection.
 pub struct MemRecvHalf {
     rx: PipeRx,
     fabric: &'static telem::Fabric,
@@ -275,7 +214,7 @@ impl RecvHalf for MemRecvHalf {
 
 #[derive(Default)]
 struct FabricState {
-    listeners: HashMap<u64, Sender<MemConnection>>,
+    listeners: HashMap<u64, Sender<Halves>>,
 }
 
 /// Namespace connecting in-process dialers to listeners by key.
@@ -300,7 +239,7 @@ impl MemFabric {
     /// Binds a listener on a specific key (panics if the key is taken —
     /// key assignment is the application's responsibility).
     pub fn listen_on(&self, key: u64) -> MemListener {
-        let (tx, rx) = unbounded::<MemConnection>();
+        let (tx, rx) = unbounded::<Halves>();
         let mut st = self.state.lock();
         assert!(
             !st.listeners.contains_key(&key),
@@ -310,7 +249,7 @@ impl MemFabric {
         MemListener { fabric: self.clone(), key, pending: rx }
     }
 
-    fn connect(&self, key: u64) -> Result<MemConnection, TransportError> {
+    fn connect(&self, key: u64) -> Result<Halves, TransportError> {
         parking_lot::assert_no_guard_held("mem dial");
         let pending_tx = {
             let st = self.state.lock();
@@ -319,13 +258,13 @@ impl MemFabric {
                 .cloned()
                 .ok_or_else(|| TransportError::ConnectionRefused(format!("mem://{key}")))?
         };
-        // Build both directions and hand the server its half through the
+        // Build both directions and hand the server its end through the
         // listener queue.
-        let (client, server) = pair(&telem::MEM);
+        let [(client_tx, client_rx), (server_tx, server_rx)] = pair(&telem::MEM);
         pending_tx
-            .send(server)
+            .send(Halves::new(server_tx, server_rx))
             .map_err(|_| TransportError::ConnectionRefused(format!("mem://{key}")))?;
-        Ok(client)
+        Ok(Halves::new(client_tx, client_rx))
     }
 
     fn unbind(&self, key: u64) {
@@ -346,7 +285,7 @@ impl Dialer for MemFabric {
 pub struct MemListener {
     fabric: MemFabric,
     key: u64,
-    pending: Receiver<MemConnection>,
+    pending: Receiver<Halves>,
 }
 
 impl Listener for MemListener {

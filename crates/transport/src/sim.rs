@@ -4,8 +4,9 @@
 //! threads — whose every frame is first *charged to virtual time* through
 //! [`SimNet::try_transfer`], including queuing on shared media. The figure
 //! harness divides bytes moved by virtual time elapsed to obtain the
-//! bandwidth curves of the paper's Figure 5. Splitting, closing, deadlines
-//! and readiness are mem's; only the send half adds the charge.
+//! bandwidth curves of the paper's Figure 5. Its halves are mem's, the send
+//! half wrapped to add the charge: closing, deadlines and readiness are
+//! mem's.
 //!
 //! An endpoint is `(machine, port)`; the dialer is itself pinned to a
 //! machine, so the fabric knows which link class each connection crosses.
@@ -13,15 +14,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use ohpc_netsim::{MachineId, SimNet};
 
-use crate::mem::{self, MemConnection};
+use crate::mem::{self, MemSendHalf};
 use crate::{
-    frame_len, telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError,
+    frame_len, telem, Connection, Dialer, Endpoint, Halves, Listener, SendHalf, TransportError,
     MAX_FRAME,
 };
 
@@ -31,7 +31,7 @@ pub const FRAME_WIRE_OVERHEAD: usize = 48;
 
 #[derive(Default)]
 struct FabricState {
-    listeners: HashMap<(u32, u32), Sender<SimConnection>>,
+    listeners: HashMap<(u32, u32), Sender<Halves>>,
     next_port: u32,
 }
 
@@ -65,7 +65,7 @@ impl SimFabric {
 
     /// Binds a listener on a specific (machine, port).
     pub fn listen_on(&self, machine: MachineId, port: u32) -> SimListener {
-        let (tx, rx) = unbounded::<SimConnection>();
+        let (tx, rx) = unbounded::<Halves>();
         let mut st = self.state.lock();
         let key = (machine.0, port);
         assert!(!st.listeners.contains_key(&key), "sim endpoint M{}:{port} already bound", machine.0);
@@ -83,7 +83,7 @@ impl SimFabric {
         from: MachineId,
         to_machine: u32,
         port: u32,
-    ) -> Result<SimConnection, TransportError> {
+    ) -> Result<Halves, TransportError> {
         parking_lot::assert_no_guard_held("sim dial");
         // Connection setup costs one small-message RTT equivalent — and is
         // the first place an injected partition or crash surfaces: the
@@ -102,10 +102,12 @@ impl SimFabric {
                 })?
         };
         let remote = MachineId(to_machine);
-        let (client, server) = mem::pair(&telem::SIM);
-        let wire = |local, remote| Wire { net: self.net.clone(), local, remote };
-        let client = SimConnection { wire: wire(from, remote), conn: client };
-        let server = SimConnection { wire: wire(remote, from), conn: server };
+        let end = |(tx, rx), local, remote| {
+            let wire = Wire { net: self.net.clone(), local, remote };
+            Halves::new(SimSendHalf { wire, tx }, rx)
+        };
+        let [client, server] = mem::pair(&telem::SIM);
+        let (client, server) = (end(client, from, remote), end(server, remote, from));
         pending_tx
             .send(server)
             .map_err(|_| TransportError::ConnectionRefused(format!("sim://M{to_machine}:{port}")))?;
@@ -136,7 +138,6 @@ impl Dialer for SimDialer {
 }
 
 /// One direction of the simulated wire: what a send is charged to.
-#[derive(Clone)]
 struct Wire {
     net: SimNet,
     local: MachineId,
@@ -164,41 +165,11 @@ impl Wire {
     }
 }
 
-/// One side of a simulated connection.
-pub struct SimConnection {
-    wire: Wire,
-    conn: MemConnection,
-}
-
-impl Connection for SimConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.send_parts(&[frame])
-    }
-
-    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
-        self.wire.charge(frame_len(parts))?;
-        self.conn.send_parts(parts)
-    }
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a delegation shim: the deadline is its caller's job"
-    )]
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
-        self.conn.recv()
-    }
-
-    /// The mem connection's halves, the send half charging the wire first.
-    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
-        let (tx, rx) = self.conn.try_split()?;
-        Some((Box::new(SimSendHalf { wire: self.wire.clone(), tx }), rx))
-    }
-}
-
-/// Sending half of a split [`SimConnection`].
+/// The sending half of one end of a simulated connection: mem's, charging
+/// the wire first.
 struct SimSendHalf {
     wire: Wire,
-    tx: Box<dyn SendHalf>,
+    tx: MemSendHalf,
 }
 
 impl SendHalf for SimSendHalf {
@@ -221,7 +192,7 @@ pub struct SimListener {
     fabric: SimFabric,
     machine: MachineId,
     port: u32,
-    pending: Receiver<SimConnection>,
+    pending: Receiver<Halves>,
 }
 
 impl Listener for SimListener {
@@ -259,6 +230,7 @@ impl Drop for SimListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecvHalf;
     use ohpc_netsim::{figure4_cluster, LinkProfile, SimTime};
 
     fn fabric() -> (SimFabric, [MachineId; 4]) {

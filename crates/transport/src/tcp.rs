@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::{
-    frame_len, telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError,
-    MAX_FRAME,
+    frame_len, telem, Connection, Dialer, Endpoint, Halves, Listener, RecvHalf, SendHalf,
+    TransportError, MAX_FRAME,
 };
 
 /// Slices a write may have — a prefix and the parts of each frame — before
@@ -180,51 +180,18 @@ impl FrameReader {
     }
 }
 
-/// A framed TCP connection.
-pub struct TcpConnection {
-    stream: TcpStream,
-    reader: FrameReader,
+/// The halves of a framed connection over `stream`, with `TCP_NODELAY` set:
+/// the send half writes on a duplicate of the socket handle (`try_clone`),
+/// so one thread can block in `recv` while others interleave framed writes,
+/// and the receive half reads the stream through the connection's one
+/// [`FrameReader`].
+fn halves(stream: TcpStream) -> Result<Halves, TransportError> {
+    stream.set_nodelay(true)?;
+    let send = TcpSendHalf { stream: stream.try_clone()? };
+    Ok(Halves::new(send, TcpRecvHalf { stream, reader: FrameReader::new(), armed: None }))
 }
 
-impl TcpConnection {
-    fn new(stream: TcpStream) -> Result<Self, TransportError> {
-        stream.set_nodelay(true)?;
-        Ok(Self { stream, reader: FrameReader::new() })
-    }
-}
-
-impl Connection for TcpConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.send_parts(&[frame])
-    }
-
-    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
-        let r = write_frames(&mut self.stream, &[parts]);
-        telem::TCP.track_send(frame_len(parts), r)
-    }
-
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = self.reader.read_frame(&mut self.stream);
-        telem::TCP.track_recv(r)
-    }
-
-    /// TCP splits by duplicating the socket handle (`try_clone`): reads and
-    /// writes on the clones hit the same connection, so one thread can block
-    /// in `recv` while others interleave framed writes. The receive
-    /// half takes over this connection's read buffer, and with it any bytes
-    /// already read ahead.
-    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
-        let send = self.stream.try_clone().ok()?;
-        let recv = self.stream.try_clone().ok()?;
-        let reader = std::mem::replace(&mut self.reader, FrameReader::new());
-        Some((
-            Box::new(TcpSendHalf { stream: send }),
-            Box::new(TcpRecvHalf { stream: recv, reader, armed: None }),
-        ))
-    }
-}
-
-/// Sending half of a split [`TcpConnection`].
+/// The sending half of a TCP connection.
 pub struct TcpSendHalf {
     stream: TcpStream,
 }
@@ -251,7 +218,7 @@ impl SendHalf for TcpSendHalf {
     }
 }
 
-/// Receiving half of a split [`TcpConnection`].
+/// The receiving half of a TCP connection.
 pub struct TcpRecvHalf {
     stream: TcpStream,
     reader: FrameReader,
@@ -307,7 +274,7 @@ impl Dialer for TcpDialer {
             Endpoint::Tcp(addr) => {
                 parking_lot::assert_no_guard_held("tcp dial");
                 let stream = TcpStream::connect(addr.as_str())?;
-                Ok(Box::new(TcpConnection::new(stream)?))
+                Ok(Box::new(halves(stream)?))
             }
             other => Err(TransportError::WrongEndpoint(other.to_string())),
         }
@@ -345,9 +312,14 @@ impl Listener for TcpAcceptor {
                 return Err(TransportError::Closed);
             }
             match self.listener.accept() {
+                // A connection that cannot be set up is dropped, not
+                // returned: an error would end `AcceptLoop`'s loop.
                 Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    return Ok(Box::new(TcpConnection::new(stream)?));
+                    let blocking = stream.set_nonblocking(false).map_err(TransportError::from);
+                    match blocking.and_then(|()| halves(stream)) {
+                        Ok(conn) => return Ok(Box::new(conn)),
+                        Err(err) => telem::TCP.fail("accept", "transport_accept_error", &err),
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(2));
@@ -510,20 +482,20 @@ mod tests {
         let listener = StdListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        let mut conn = TcpConnection::new(stream).unwrap();
+        let mut conn = halves(stream).unwrap();
         let (mut tx, _rx) = conn.try_split().expect("tcp must split");
         assert_eq!(tx.send_parts(&parts).unwrap_err(), TransportError::FrameTooLarge(too_large));
         tx.send_parts(&[&b"still"[..], b" ", b"usable"]).unwrap();
-        let mut received = TcpConnection::new(peer).unwrap();
+        let mut received = halves(peer).unwrap();
         assert_eq!(&received.recv().unwrap()[..], b"still usable");
     }
 
     /// A connected pair of TCP connections over loopback.
-    fn loopback() -> (TcpConnection, TcpConnection) {
+    fn loopback() -> (Halves, Halves) {
         let listener = StdListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        (TcpConnection::new(stream).unwrap(), TcpConnection::new(peer).unwrap())
+        (halves(stream).unwrap(), halves(peer).unwrap())
     }
 
     /// Frames sent as one batch read back as the frames they were, in
@@ -758,7 +730,7 @@ mod tests {
         while stream.peek(&mut arrived).unwrap() < wire.len() {
             std::thread::yield_now();
         }
-        let mut conn = TcpConnection::new(stream).unwrap();
+        let mut conn = halves(stream).unwrap();
         assert_eq!(&conn.recv().unwrap()[..], b"one");
         let (_tx, mut rx) = conn.try_split().expect("tcp must split");
         drop(conn);
@@ -773,7 +745,8 @@ mod tests {
         let listener = StdListener::bind("127.0.0.1:0").unwrap();
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        let mut conn = TcpConnection::new(stream).unwrap();
+        let socket = stream.try_clone().unwrap();
+        let mut conn = halves(stream).unwrap();
         let (_tx, mut rx) = conn.try_split().expect("tcp must split");
         assert!(!rx.ready(), "nothing read ahead");
         let wire = framed(&[b"one".to_vec(), b"two".to_vec()]);
@@ -781,7 +754,7 @@ mod tests {
         assert!(!rx.ready(), "bytes in the kernel are not asked for");
         // Both frames have arrived before the first read, so it takes both.
         let mut arrived = [0u8; 32];
-        while conn.stream.peek(&mut arrived).unwrap() < wire.len() {
+        while socket.peek(&mut arrived).unwrap() < wire.len() {
             std::thread::yield_now();
         }
         assert_eq!(&rx.recv().unwrap()[..], b"one");
@@ -797,7 +770,7 @@ mod tests {
         let listener = StdListener::bind("127.0.0.1:0").unwrap();
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        let mut conn = TcpConnection::new(stream).unwrap();
+        let mut conn = halves(stream).unwrap();
         let (_tx, mut rx) = conn.try_split().expect("tcp must split");
         let frame: Vec<u8> = (0..3 * READ_BUF).map(|i| (i % 251) as u8).collect();
         let wire = framed(std::slice::from_ref(&frame));

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::{Connection, Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
+use crate::{Connection, Dialer, Endpoint, Halves, RecvHalf, SendHalf, TransportError};
 
 /// Cap on remembered fault→trace attributions, so a long chaos run cannot
 /// grow the list without bound. The interesting faults in a failing test are
@@ -246,44 +246,17 @@ impl Dialer for FlakyDialer {
                 "injected fault dialing {endpoint}"
             )));
         }
-        let conn = self.inner.dial(endpoint)?;
-        Ok(Box::new(FlakyConnection { inner: conn, plan: self.plan.clone() }))
+        // The halves of the wrapped connection, each answering to the plan.
+        let Some((tx, rx)) = self.inner.dial(endpoint)?.try_split() else {
+            let unsplittable = format!("a connection to {endpoint} cannot be split");
+            return Err(TransportError::Io(unsplittable));
+        };
+        let send = FlakySend { inner: tx, plan: self.plan.clone() };
+        Ok(Box::new(Halves::new(send, FlakyRecv { inner: rx, plan: self.plan.clone() })))
     }
 }
 
-struct FlakyConnection {
-    inner: Box<dyn Connection>,
-    plan: Arc<FaultPlan>,
-}
-
-impl Connection for FlakyConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.plan.send(|| self.inner.send(frame))
-    }
-
-    fn send_parts(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
-        self.plan.send(|| self.inner.send_parts(parts))
-    }
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a delegation shim: the deadline is its caller's job"
-    )]
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
-        self.plan.recv(|| self.inner.recv())
-    }
-
-    /// The wrapped connection's halves, each answering to the same plan.
-    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
-        let (tx, rx) = self.inner.try_split()?;
-        Some((
-            Box::new(FlakySend { inner: tx, plan: self.plan.clone() }),
-            Box::new(FlakyRecv { inner: rx, plan: self.plan.clone() }),
-        ))
-    }
-}
-
-/// Sending half of a split [`FlakyConnection`].
+/// A sending half that answers to a [`FaultPlan`].
 struct FlakySend {
     inner: Box<dyn SendHalf>,
     plan: Arc<FaultPlan>,
@@ -303,7 +276,7 @@ impl SendHalf for FlakySend {
     }
 }
 
-/// Receiving half of a split [`FlakyConnection`].
+/// A receiving half that answers to a [`FaultPlan`].
 struct FlakyRecv {
     inner: Box<dyn RecvHalf>,
     plan: Arc<FaultPlan>,

@@ -165,8 +165,8 @@ macro_rules! __xdr_field {
 }
 
 /// Implements the codec traits for a C-like enum with explicit `u32`
-/// discriminants (RFC 4506 enums): on the wire, an [`xdr_union!`] whose
-/// variants carry nothing.
+/// discriminants (RFC 4506 enums): on the wire, an
+/// [`xdr_union!`](crate::xdr_union!) whose variants carry nothing.
 ///
 /// ```
 /// use ohpc_xdr::{xdr_enum, encode_to_vec, decode_from_slice};
